@@ -39,8 +39,7 @@ fn err<T>(node: NodeId, message: impl Into<String>) -> Result<T, InferError> {
 pub fn infer_schema(plan: &Plan) -> Result<Vec<Schema>, InferError> {
     let mut out: Vec<Schema> = Vec::with_capacity(plan.len());
     for (i, node) in plan.nodes().iter().enumerate() {
-        let id = NodeId(i as u32);
-        let schema = infer_node(plan, id, node, &out)?;
+        let schema = infer_node(NodeId(i as u32), node, &out)?;
         out.push(schema);
     }
     Ok(out)
@@ -52,12 +51,12 @@ pub fn validate(plan: &Plan, root: NodeId) -> Result<Schema, InferError> {
     Ok(schemas[root.index()].clone())
 }
 
-fn infer_node(
-    _plan: &Plan,
-    id: NodeId,
-    node: &Node,
-    done: &[Schema],
-) -> Result<Schema, InferError> {
+/// Schema of one node, given the schemas of every node before it in the
+/// arena (`done[i]` is the schema of `NodeId(i)`); `id` only labels errors.
+/// [`infer_schema`] is this in a loop — callers that grow a plan node by
+/// node (the optimizer's rebuilds) extend their schema table with it
+/// instead of re-inferring the whole arena.
+pub fn infer_node(id: NodeId, node: &Node, done: &[Schema]) -> Result<Schema, InferError> {
     let input = |n: NodeId| -> &Schema { &done[n.index()] };
     match node {
         Node::TableRef { cols, keys, name } => {

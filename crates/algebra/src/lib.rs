@@ -40,7 +40,7 @@ pub mod value;
 
 pub use chunk::ColVec;
 pub use expr::{AggFun, BinOp, Expr, UnOp};
-pub use infer::{infer_schema, validate, InferError};
+pub use infer::{infer_node, infer_schema, validate, InferError};
 pub use plan::{Dir, JoinCols, Node, NodeId, Plan, SortSpec};
 pub use rel::{NoSuchColumn, Rel, Row, RowBuf};
 pub use schema::{ColName, Schema};

@@ -26,29 +26,30 @@ use ferry_bench::workload::scaled_dataset;
 const FACS_PER_CAT: usize = 2;
 
 fn bench_table1(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table1");
+    let mut group = c.benchmark_group("table1_avalanche");
     group.sample_size(10);
     for &categories in &[100usize, 300, 1000, 3000] {
         let conn = Connection::new(scaled_dataset(categories, FACS_PER_CAT))
             .with_optimizer(ferry_optimizer::rewriter());
 
-        // assert the query counts once per size — the table's first column
+        // assert the query count once per size — the table's first column
         let (_, dsh_queries) = run_dsh(&conn).expect("dsh run");
         assert_eq!(dsh_queries, 2);
-        let (_, hdb_queries) = run_haskelldb(conn.database()).expect("haskelldb run");
-        assert_eq!(hdb_queries, categories as u64 + 1);
-        eprintln!(
-            "table1: categories={categories} → HaskellDB {hdb_queries} queries, DSH {dsh_queries} queries"
-        );
+        eprintln!("table1: categories={categories} → DSH {dsh_queries} queries");
 
         group.bench_with_input(BenchmarkId::new("dsh", categories), &categories, |b, _| {
             b.iter(|| run_dsh(&conn).expect("dsh run"))
         });
         // the avalanche side becomes prohibitively slow above 1 000
-        // categories (the paper's own DNF regime begins at 100 000) — cap
-        // the criterion series; `examples/avalanche.rs` prints single-shot
-        // numbers for the larger sizes
+        // categories (the paper's own DNF regime begins at 100 000; one
+        // run at 3 000 is ~30 s here) — cap the criterion series and its
+        // count assertion; `tests/avalanche.rs` asserts N+1 exactly and
+        // `examples/avalanche.rs` prints single-shot numbers for the
+        // larger sizes
         if categories <= 1000 {
+            let (_, hdb_queries) = run_haskelldb(conn.database()).expect("haskelldb run");
+            assert_eq!(hdb_queries, categories as u64 + 1);
+            eprintln!("table1: categories={categories} → HaskellDB {hdb_queries} queries");
             group.bench_with_input(
                 BenchmarkId::new("haskelldb", categories),
                 &categories,

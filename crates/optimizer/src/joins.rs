@@ -24,10 +24,17 @@
 //! an order-defining `RowNum`/`DenseRank` — the compiler's composite
 //! iteration keys make sure the hot paths do not hide behind one.
 
-use crate::rewrite::{rebuild, Emit};
-use ferry_algebra::{infer_schema, BinOp, ColName, Expr, JoinCols, Node, NodeId, Plan, Schema};
+use crate::rewrite::{map_cols, rebuild, Emit, Schemas};
+use ferry_algebra::{BinOp, ColName, Expr, JoinCols, Node, NodeId, Plan, Schema};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// `FERRY_JOINDBG` in the environment traces every recovery step to
+/// stderr; read once per process.
+fn debug() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("FERRY_JOINDBG").is_some())
+}
 
 /// Run selection descent + join recovery to a (bounded) fixpoint.
 pub fn recover_joins(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
@@ -37,7 +44,7 @@ pub fn recover_joins(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
         let (p2, r2, changed) = step(&plan, &roots);
         plan = p2;
         roots = r2;
-        if std::env::var("FERRY_JOINDBG").is_ok() {
+        if debug() {
             let crosses = roots
                 .iter()
                 .flat_map(|r| plan.reachable(*r))
@@ -53,51 +60,26 @@ pub fn recover_joins(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
 }
 
 fn step(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>, bool) {
-    let schemas = match infer_schema(plan) {
-        Ok(s) => s,
-        Err(e) => {
-            if std::env::var("FERRY_JOINDBG").is_ok() {
-                eprintln!("join-recovery: inference failed, stopping: {e}");
-            }
-            return (plan.clone(), roots.to_vec(), false);
-        }
-    };
     let mut changed = false;
-    let (p2, r2) = rebuild(plan, roots, |out, old_id, node| {
-        // schema of the i-th child (schemas are preserved by every rewrite,
-        // so old-plan schemas remain valid for the new children)
-        let old_children = plan.node(old_id).children();
-        let child_schema = |i: usize| -> &Schema { &schemas[old_children[i].index()] };
+    // schemas of the plan under construction, grown as it grows (every
+    // rewrite preserves its node's output schema)
+    let mut known = Schemas::default();
+    let (p2, r2) = rebuild(plan, roots, |out, _, node| {
+        let known = &mut known;
         let emit = match &node {
-            Node::Select { input, pred } => push_select(out, *input, pred, child_schema(0)),
-            Node::Compute { input, col, expr } => push_compute_into_cross(out, *input, col, expr),
-            Node::EquiJoin { left, right, on } => rotate_join(
-                out,
-                JoinKind::Equi,
-                *left,
-                *right,
-                on,
-                child_schema(0),
-                child_schema(1),
-            ),
-            Node::SemiJoin { left, right, on } => rotate_join(
-                out,
-                JoinKind::Semi,
-                *left,
-                *right,
-                on,
-                child_schema(0),
-                child_schema(1),
-            ),
-            Node::AntiJoin { left, right, on } => rotate_join(
-                out,
-                JoinKind::Anti,
-                *left,
-                *right,
-                on,
-                child_schema(0),
-                child_schema(1),
-            ),
+            Node::Select { input, pred } => push_select(out, known, *input, pred),
+            Node::Compute { input, col, expr } => {
+                push_compute_into_cross(out, known, *input, col, expr)
+            }
+            Node::EquiJoin { left, right, on } => {
+                rotate_join(out, known, JoinKind::Equi, *left, *right, on)
+            }
+            Node::SemiJoin { left, right, on } => {
+                rotate_join(out, known, JoinKind::Semi, *left, *right, on)
+            }
+            Node::AntiJoin { left, right, on } => {
+                rotate_join(out, known, JoinKind::Anti, *left, *right, on)
+            }
             _ => None,
         };
         match emit {
@@ -130,46 +112,23 @@ fn subset(cols: &[ColName], schema: &Schema) -> bool {
 
 /// Substitute column `col` by `with` inside `e`.
 fn substitute(e: &Expr, col: &ColName, with: &Expr) -> Expr {
-    match e {
-        Expr::Col(c) if c == col => with.clone(),
-        Expr::Col(_) | Expr::Const(_) => e.clone(),
-        Expr::Bin(op, l, r) => Expr::Bin(
-            *op,
-            Arc::new(substitute(l, col, with)),
-            Arc::new(substitute(r, col, with)),
-        ),
-        Expr::Un(op, x) => Expr::Un(*op, Arc::new(substitute(x, col, with))),
-        Expr::Case(c, t, f) => Expr::Case(
-            Arc::new(substitute(c, col, with)),
-            Arc::new(substitute(t, col, with)),
-            Arc::new(substitute(f, col, with)),
-        ),
-        Expr::Cast(ty, x) => Expr::Cast(*ty, Arc::new(substitute(x, col, with))),
-    }
+    let by = |c: &ColName| {
+        Some(if c == col {
+            with.clone()
+        } else {
+            Expr::Col(c.clone())
+        })
+    };
+    map_cols(e, &by).expect("every column has a replacement")
 }
 
 /// Rename columns via a projection's (new → old) map; `None` if a column
 /// is missing (defensive — projections expose every column a parent uses).
 fn rename_expr(e: &Expr, map: &HashMap<&ColName, &ColName>) -> Option<Expr> {
-    Some(match e {
-        Expr::Col(c) => Expr::Col((*map.get(c)?).clone()),
-        Expr::Const(_) => e.clone(),
-        Expr::Bin(op, l, r) => Expr::Bin(
-            *op,
-            Arc::new(rename_expr(l, map)?),
-            Arc::new(rename_expr(r, map)?),
-        ),
-        Expr::Un(op, x) => Expr::Un(*op, Arc::new(rename_expr(x, map)?)),
-        Expr::Case(c, t, f) => Expr::Case(
-            Arc::new(rename_expr(c, map)?),
-            Arc::new(rename_expr(t, map)?),
-            Arc::new(rename_expr(f, map)?),
-        ),
-        Expr::Cast(ty, x) => Expr::Cast(*ty, Arc::new(rename_expr(x, map)?)),
-    })
+    map_cols(e, &|c| map.get(c).map(|o| Expr::Col((*o).clone())))
 }
 
-fn conjuncts(e: &Expr, out: &mut Vec<Expr>) {
+pub(crate) fn conjuncts(e: &Expr, out: &mut Vec<Expr>) {
     match e {
         Expr::Bin(BinOp::And, l, r) => {
             conjuncts(l, out);
@@ -179,14 +138,14 @@ fn conjuncts(e: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-fn and_all(mut es: Vec<Expr>) -> Expr {
+pub(crate) fn and_all(mut es: Vec<Expr>) -> Expr {
     let first = es.remove(0);
     es.into_iter().fold(first, Expr::and)
 }
 
 /// One descent step for `σ_pred(input)`. Returns `None` when no rewrite
 /// applies.
-fn push_select(out: &mut Plan, input: NodeId, pred: &Expr, _in_schema: &Schema) -> Option<Emit> {
+fn push_select(out: &mut Plan, known: &mut Schemas, input: NodeId, pred: &Expr) -> Option<Emit> {
     let child = out.node(input).clone();
     match child {
         Node::Project { input: g, cols } => {
@@ -251,8 +210,8 @@ fn push_select(out: &mut Plan, input: NodeId, pred: &Expr, _in_schema: &Schema) 
         Node::UnionAll { left, right } => {
             // clone the σ into both sides; the right side's columns are
             // matched positionally (union semantics)
-            let ls = schema_of(out, left)?;
-            let rs = schema_of(out, right)?;
+            let ls = known.of(out, left)?.clone();
+            let rs = known.of(out, right)?.clone();
             if !subset(&cols_of(pred), &ls) {
                 return None;
             }
@@ -271,8 +230,8 @@ fn push_select(out: &mut Plan, input: NodeId, pred: &Expr, _in_schema: &Schema) 
             }))
         }
         Node::CrossJoin { left, right } | Node::EquiJoin { left, right, .. } => {
-            let ls = schema_of(out, left)?;
-            let rs = schema_of(out, right)?;
+            let ls = known.of(out, left)?.clone();
+            let rs = known.of(out, right)?.clone();
             let mut cs = Vec::new();
             conjuncts(pred, &mut cs);
             let mut to_l: Vec<Expr> = Vec::new();
@@ -408,17 +367,16 @@ fn sees_cross(plan: &Plan, id: NodeId, depth: usize) -> bool {
 /// on the next pass. Anti joins are left alone.
 fn mixed_semi_to_equi(
     out: &mut Plan,
+    known: &mut Schemas,
     kind: JoinKind,
     left: NodeId,
     right: NodeId,
     on: &JoinCols,
-    _sa: &Schema,
-    _sb: &Schema,
 ) -> Option<Emit> {
     if !matches!(kind, JoinKind::Semi) {
         return None;
     }
-    let ls = schema_of(out, left)?;
+    let ls = known.of(out, left)?.clone();
     // project the key set under fresh names (an equi join needs disjoint
     // schemas where the semi join did not)
     let salt = out.len();
@@ -445,6 +403,7 @@ fn mixed_semi_to_equi(
 /// cross.
 fn push_compute_into_cross(
     out: &mut Plan,
+    known: &mut Schemas,
     input: NodeId,
     col: &ColName,
     expr: &Expr,
@@ -454,7 +413,7 @@ fn push_compute_into_cross(
         let map: HashMap<&ColName, &ColName> = cols.iter().map(|(n, o)| (n, o)).collect();
         let expr2 = rename_expr(expr, &map)?;
         // the computed name must not collide below the projection
-        let gs = schema_of(out, g)?;
+        let gs = known.of(out, g)?.clone();
         if gs.contains(col) {
             return None;
         }
@@ -469,8 +428,8 @@ fn push_compute_into_cross(
     let Node::CrossJoin { left: a, right: b } = out.node(input).clone() else {
         return None;
     };
-    let sa = schema_of(out, a)?;
-    let sb = schema_of(out, b)?;
+    let sa = known.of(out, a)?.clone();
+    let sb = known.of(out, b)?.clone();
     let cols = cols_of(expr);
     if subset(&cols, &sb) {
         // a × (compute b) — output order a ++ b ++ col already matches
@@ -539,96 +498,19 @@ fn as_cross_equality(e: &Expr, ls: &Schema, rs: &Schema) -> Option<(ColName, Col
     }
 }
 
-/// Best-effort schema of a node in the plan under construction (used for
-/// conjunct routing). Cheap because it only inspects the node's ancestors
-/// transitively — with memoisation left to the small plans this touches.
-fn schema_of(plan: &Plan, id: NodeId) -> Option<Schema> {
-    // local inference over the reachable subgraph
-    let reach = plan.reachable(id);
-    let mut known: HashMap<NodeId, Schema> = HashMap::new();
-    for n in reach {
-        let node = plan.node(n);
-        let s = infer_one(node, &known)?;
-        known.insert(n, s);
-    }
-    known.remove(&id)
-}
-
-fn infer_one(node: &Node, known: &HashMap<NodeId, Schema>) -> Option<Schema> {
-    // delegate to the full checker by building a tiny plan? — cheaper to
-    // reuse the public inference on a subplan is overkill; mirror the
-    // schema rules for the node kinds we meet here
-    use ferry_algebra::Ty;
-    Some(match node {
-        Node::TableRef { cols, .. } => Schema::new(cols.clone()),
-        Node::Lit { schema, .. } => schema.clone(),
-        Node::Attach { input, col, value } => {
-            let mut s = known.get(input)?.clone();
-            s.push(col.clone(), value.ty());
-            s
-        }
-        Node::Project { input, cols } => {
-            let s = known.get(input)?;
-            Schema::new(
-                cols.iter()
-                    .map(|(new, old)| Some((new.clone(), s.ty_of(old)?)))
-                    .collect::<Option<Vec<_>>>()?,
-            )
-        }
-        Node::Compute { input, col, expr } => {
-            let mut s = known.get(input)?.clone();
-            let t = expr.infer_ty(&s)?;
-            s.push(col.clone(), t);
-            s
-        }
-        Node::Select { input, .. } | Node::Distinct { input } => known.get(input)?.clone(),
-        Node::UnionAll { left, .. } | Node::Difference { left, .. } => known.get(left)?.clone(),
-        Node::CrossJoin { left, right }
-        | Node::EquiJoin { left, right, .. }
-        | Node::ThetaJoin { left, right, .. } => known.get(left)?.concat(known.get(right)?),
-        Node::SemiJoin { left, .. } | Node::AntiJoin { left, .. } => known.get(left)?.clone(),
-        Node::RowNum { input, col, .. }
-        | Node::RowRank { input, col, .. }
-        | Node::DenseRank { input, col, .. } => {
-            let mut s = known.get(input)?.clone();
-            s.push(col.clone(), Ty::Nat);
-            s
-        }
-        Node::GroupBy { input, keys, aggs } => {
-            let s = known.get(input)?;
-            let mut out: Vec<(ColName, Ty)> = keys
-                .iter()
-                .map(|k| Some((k.clone(), s.ty_of(k)?)))
-                .collect::<Option<Vec<_>>>()?;
-            for a in aggs {
-                let in_ty = a.input.as_ref().and_then(|c| s.ty_of(c));
-                out.push((a.output.clone(), a.fun.result_ty(in_ty)?));
-            }
-            Schema::new(out)
-        }
-        Node::Serialize { input, cols, .. } => {
-            let s = known.get(input)?;
-            Schema::new(
-                cols.iter()
-                    .map(|c| Some((c.clone(), s.ty_of(c)?)))
-                    .collect::<Option<Vec<_>>>()?,
-            )
-        }
-    })
-}
-
 /// Rotate a join inward when its left key columns come from one side of an
 /// underlying cross, projection, or column attachment, so the condition
 /// keeps descending toward the relation it constrains.
 fn rotate_join(
     out: &mut Plan,
+    known: &mut Schemas,
     kind: JoinKind,
     left: NodeId,
     right: NodeId,
     on: &JoinCols,
-    left_schema: &Schema,
-    right_schema: &Schema,
 ) -> Option<Emit> {
+    let left_schema = &known.of(out, left)?.clone();
+    let right_schema = &known.of(out, right)?.clone();
     let lchild = out.node(left).clone();
     let mk_join = |out: &mut Plan, l: NodeId, r: NodeId, on: JoinCols| match kind {
         JoinKind::Equi => out.equi_join(l, r, on),
@@ -661,8 +543,8 @@ fn rotate_join(
     }
     match lchild {
         Node::CrossJoin { left: a, right: b } => {
-            let sa = schema_of(out, a)?;
-            let sb = schema_of(out, b)?;
+            let sa = known.of(out, a)?.clone();
+            let sb = known.of(out, b)?.clone();
             if on.left.iter().all(|c| sa.contains(c)) {
                 // ⋈(a × b, r) ⇒ (⋈(a, r)) × b — for equi joins the output
                 // column order changes (a r b vs a b r), restored with a
@@ -698,9 +580,9 @@ fn rotate_join(
                 // — the cross dissolves entirely. Equi joins only (the
                 // factoring duplicates matches for semi/anti).
                 if !matches!(kind, JoinKind::Equi) {
-                    return mixed_semi_to_equi(out, kind, left, right, on, &sa, &sb);
+                    return mixed_semi_to_equi(out, known, kind, left, right, on);
                 }
-                let rs = schema_of(out, right)?;
+                let rs = known.of(out, right)?.clone();
                 let mut on_a = JoinCols {
                     left: vec![],
                     right: vec![],
@@ -754,7 +636,7 @@ fn rotate_join(
             // input's names collide with the right side (the same base
             // node feeding both sides), insulate with a fresh renaming
             // projection first — the pull then proceeds next pass.
-            let gs = schema_of(out, g)?;
+            let gs = known.of(out, g)?.clone();
             if !matches!(kind, JoinKind::Semi | JoinKind::Anti) && !gs.disjoint(right_schema) {
                 // the same base node feeds both join sides. When the left
                 // input is a cross, rename *inside* its factors so the
@@ -767,8 +649,8 @@ fn rotate_join(
                 else {
                     return None;
                 };
-                let sa = schema_of(out, ca)?;
-                let sb = schema_of(out, cb)?;
+                let sa = known.of(out, ca)?.clone();
+                let sb = known.of(out, cb)?.clone();
                 let salt = out.len();
                 let mut fmap: HashMap<ColName, ColName> = HashMap::new();
                 let fresh_side = |out: &mut Plan,

@@ -2,32 +2,51 @@
 //!
 //! The role Pathfinder \[10, 11\] plays in the paper's pipeline (Fig. 2,
 //! step 3 ): loop-lifting is deliberately compositional and spendthrift —
-//! it re-projects at every join, threads dead columns through whole
-//! subplans, and never reuses a computation it could share. This crate
-//! shrinks those plans before execution or SQL generation:
+//! it evaluates every table reference as `loop × table`, re-joins a
+//! relation with itself at every `map`, threads dead columns through
+//! whole subplans, and never reuses a computation it could share. This
+//! crate rewrites those plans before execution or SQL generation, in six
+//! passes:
 //!
+//! * [`joins::recover_joins`] (`join_recovery`) — selection descent and
+//!   join rotation: the `loop × table` crosses become equi-joins. Runs
+//!   once, first; it *adds* operators (rotated projections) to make the
+//!   plan linear instead of quadratic in the data,
 //! * [`passes::cse`] — hash-consing common subplans (the DAG becomes real),
-//! * [`passes::merge_projects`] — collapse `Project∘Project`, drop identity
-//!   projections,
 //! * [`passes::fold_constants`] — constant folding and predicate
 //!   simplification inside scalar expressions, `Select(true)` removal,
 //!   `Select∘Select` fusion,
+//! * [`passes::join_elimination`] — joins whose result the inferred
+//!   properties of [`props`] (constant columns, one-row relations, keys,
+//!   lineage) already determine become `Attach`/`Select`/`Project`,
 //! * [`passes::prune_columns`] — *icols* (needed-columns) analysis: trim
 //!   projection widths, bypass unused `Attach`/`Compute`/row-numbering
-//!   operators, narrow `UnionAll` inputs.
+//!   operators, narrow `UnionAll` inputs,
+//! * [`passes::merge_projects`] — collapse `Project∘Project`, drop identity
+//!   projections.
 //!
-//! The driver iterates the passes to a fixpoint (bounded). Every pass
-//! preserves plan semantics *including* the deterministic row-numbering
-//! the compiler relies on: no pass reorders or merges the order-defining
-//! `RowNum`/`DenseRank` operators; they are only removed when their output
-//! column is provably unused.
+//! What that buys, in reachable operators (`Connection::explain` prints
+//! the same numbers per pass):
+//!
+//! | program | loop-lifted | after `join_recovery` + cleanup | with `join_elimination` |
+//! |---|--:|--:|--:|
+//! | `dotp` (Fig. 6) | 30 (5 equi-joins, 2 crosses) | 51 (15 equi-joins, 1 cross) | 26 (2 equi-joins) |
+//! | running example (§2, 2 queries) | 73 (15 equi-joins, 3 crosses) | 105 (27 equi-joins) | 84 (19 equi-joins) |
+//!
+//! The driver iterates the last five passes to a cost fixpoint (bounded).
+//! Every pass preserves plan semantics *including* the deterministic
+//! row-numbering the compiler relies on: no pass reorders or merges the
+//! order-defining `RowNum`/`DenseRank` operators; they are only removed
+//! when their output column is provably unused.
 
 pub mod joins;
 pub mod passes;
+pub mod props;
 pub mod rewrite;
 
-use ferry_algebra::{NodeId, Plan};
+use ferry_algebra::{NodeId, Plan, Schema};
 pub use ferry_telemetry::{OptReport, PassStat};
+use std::rc::Rc;
 
 /// Statistics of one optimisation run (experiment X1 reports these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,29 +77,76 @@ pub fn optimize_with_stats(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>,
     (p, r, stats)
 }
 
+/// A plan between two passes, with what the driver measures it by. The
+/// schemas behind the width are kept: the next pass that needs them takes
+/// them from here instead of inferring them again.
+struct Stage {
+    plan: Plan,
+    roots: Vec<NodeId>,
+    /// Schemas of every arena node.
+    schemas: Rc<Vec<Schema>>,
+    /// Operators reachable from the roots.
+    size: usize,
+    /// Total column count across them.
+    width: usize,
+}
+
+impl Stage {
+    /// Measure `plan`; `None` if it does not infer.
+    fn new(plan: Plan, roots: Vec<NodeId>) -> Option<Stage> {
+        let schemas = ferry_algebra::infer_schema(&plan).ok()?;
+        let live = rewrite::live(&plan, &roots);
+        Some(Stage {
+            size: live.iter().filter(|l| **l).count(),
+            width: live_width(&live, &schemas),
+            schemas: Rc::new(schemas),
+            plan,
+            roots,
+        })
+    }
+
+    /// Composite cost: operators + total column traffic — column pruning
+    /// trades a few extra `Project` operators for much narrower tuples.
+    fn cost(&self) -> usize {
+        self.size + self.width
+    }
+}
+
+fn live_width(live: &[bool], schemas: &[Schema]) -> usize {
+    let widths = live.iter().zip(schemas).filter(|(l, _)| **l);
+    widths.map(|(_, s)| s.len()).sum()
+}
+
+/// A pass as the driver runs it: the plan, its roots, and the schemas of
+/// every arena node.
+type Pass<'a> = &'a dyn Fn(&Plan, &[NodeId], &[Schema]) -> (Plan, Vec<NodeId>);
+
 /// Run one named pass under a telemetry span, accumulating its
 /// [`PassStat`] into the report. "Changed" is detected on the
 /// (size, width) fingerprint of the reachable plan — the same metrics the
-/// fixpoint cost function watches.
-fn run_pass(
-    name: &'static str,
-    plan: Plan,
-    roots: Vec<NodeId>,
-    report: &mut OptReport,
-    f: impl FnOnce(&Plan, &[NodeId]) -> (Plan, Vec<NodeId>),
-) -> (Plan, Vec<NodeId>) {
-    let before = (
-        reachable_size(&plan, &roots),
-        reachable_width(&plan, &roots),
-    );
+/// fixpoint cost function watches. The fingerprint taken after one pass is
+/// the next pass's "before"; a pass that returns its input — or a plan
+/// that no longer infers, which is discarded — keeps the input's
+/// fingerprint and schemas.
+fn run_pass(name: &'static str, from: &Stage, report: &mut OptReport, pass: Pass<'_>) -> Stage {
     let start = ferry_telemetry::now_ns();
     let mut span = ferry_telemetry::span(name, "optimize");
-    let (p, r) = f(&plan, &roots);
-    let after = (reachable_size(&p, &r), reachable_width(&p, &r));
+    let (plan, roots) = pass(&from.plan, &from.roots, &from.schemas);
+    let rewritten = if plan == from.plan && roots == from.roots {
+        None
+    } else {
+        Stage::new(plan, roots)
+    };
+    let to = rewritten.unwrap_or_else(|| Stage {
+        plan: from.plan.clone(),
+        roots: from.roots.clone(),
+        schemas: from.schemas.clone(),
+        ..*from
+    });
     let elapsed = ferry_telemetry::now_ns().saturating_sub(start);
-    let changed = after != before;
-    span.attr("nodes_before", before.0)
-        .attr("nodes_after", after.0)
+    let changed = (to.size, to.width) != (from.size, from.width);
+    span.attr("nodes_before", from.size)
+        .attr("nodes_after", to.size)
         .attr("changed", changed);
     drop(span);
     let stat = match report.passes.iter_mut().find(|s| s.pass == name) {
@@ -98,84 +164,83 @@ fn run_pass(
     };
     stat.runs += 1;
     stat.changed += changed as u64;
-    stat.nodes_removed += before.0 as i64 - after.0 as i64;
+    stat.nodes_removed += from.size as i64 - to.size as i64;
     stat.elapsed_ns += elapsed;
-    (p, r)
+    to
 }
 
 /// [`optimize`], reporting per-pass work: rewrites applied, node deltas
 /// and wall time per pass, rendered by `Connection::explain` and recorded
 /// as one `"optimize"`-category telemetry span per pass run.
 pub fn optimize_report(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>, OptReport) {
+    let Some(mut stage) = Stage::new(plan.clone(), roots.to_vec()) else {
+        // a plan that does not type-check is not ours to rewrite
+        let size = reachable_size(plan, roots);
+        let report = OptReport {
+            nodes_before: size,
+            nodes_after: size,
+            ..OptReport::default()
+        };
+        return (plan.clone(), roots.to_vec(), report);
+    };
     let mut report = OptReport {
-        nodes_before: reachable_size(plan, roots),
+        nodes_before: stage.size,
         ..OptReport::default()
     };
-    let mut plan = plan.clone();
-    let mut roots = roots.to_vec();
     const MAX_ROUNDS: usize = 8;
-    // composite cost: operators + total column traffic — column pruning
-    // trades a few extra Project operators for much narrower tuples
-    let cost = |p: &Plan, r: &[NodeId]| reachable_size(p, r) + reachable_width(p, r);
     // join recovery first: it dissolves the loop × table crosses that
     // dominate execution cost (the Pathfinder/join-graph-isolation role);
     // plan-size cost is not the right metric for it, so it runs outside
     // the cost-guarded loop
-    let (jp, jr) = run_pass("join_recovery", plan, roots, &mut report, |p, r| {
+    stage = run_pass("join_recovery", &stage, &mut report, &|p, r, _| {
         joins::recover_joins(p, r)
     });
-    plan = jp;
-    roots = jr;
     for round in 0..MAX_ROUNDS {
         report.rounds = round + 1;
-        let before = cost(&plan, &roots);
-        let (p1, r1) = run_pass("cse", plan.clone(), roots.clone(), &mut report, |p, r| {
-            passes::cse(p, r)
-        });
-        let (p2, r2) = run_pass("fold_constants", p1, r1, &mut report, |p, r| {
+        let s = run_pass("cse", &stage, &mut report, &|p, r, _| passes::cse(p, r));
+        let s = run_pass("fold_constants", &s, &mut report, &|p, r, _| {
             passes::fold_constants(p, r)
         });
-        let (p3, r3) = run_pass("prune_columns", p2, r2, &mut report, |p, r| {
-            passes::prune_columns(p, r)
+        let s = run_pass("join_elimination", &s, &mut report, &|p, r, _| {
+            passes::join_elimination(p, r)
         });
-        let (p4, r4) = run_pass("merge_projects", p3, r3, &mut report, |p, r| {
-            passes::merge_projects(p, r)
-        });
-        if cost(&p4, &r4) >= before {
+        let s = run_pass(
+            "prune_columns",
+            &s,
+            &mut report,
+            &passes::prune_columns_with,
+        );
+        let s = run_pass(
+            "merge_projects",
+            &s,
+            &mut report,
+            &passes::merge_projects_with,
+        );
+        if s.cost() >= stage.cost() {
             // this round did not pay for itself — keep the previous plan
             break;
         }
-        plan = p4;
-        roots = r4;
+        stage = s;
     }
+    report.nodes_after = stage.size;
     // final garbage collection: drop unreachable arena entries
-    let (plan, roots) = rewrite::gc(&plan, &roots);
-    report.nodes_after = reachable_size(&plan, &roots);
+    let (plan, roots) = rewrite::gc(&stage.plan, &stage.roots);
     (plan, roots, report)
 }
 
 /// Number of distinct operators reachable from the roots.
 pub fn reachable_size(plan: &Plan, roots: &[NodeId]) -> usize {
-    let mut seen = std::collections::HashSet::new();
-    for &r in roots {
-        seen.extend(plan.reachable(r));
-    }
-    seen.len()
+    rewrite::live(plan, roots).iter().filter(|l| **l).count()
 }
 
 /// Total column count across all reachable operators — the metric column
 /// pruning improves (node counts barely move on loop-lifted plans, but the
 /// tuples flowing between operators get much narrower).
 pub fn reachable_width(plan: &Plan, roots: &[NodeId]) -> usize {
-    let schemas = match ferry_algebra::infer_schema(plan) {
-        Ok(s) => s,
-        Err(_) => return 0,
-    };
-    let mut seen = std::collections::HashSet::new();
-    for &r in roots {
-        seen.extend(plan.reachable(r));
+    match ferry_algebra::infer_schema(plan) {
+        Ok(schemas) => live_width(&rewrite::live(plan, roots), &schemas),
+        Err(_) => 0,
     }
-    seen.iter().map(|id| schemas[id.index()].len()).sum()
 }
 
 /// Convenience: a shareable rewriter suitable for

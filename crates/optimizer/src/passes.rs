@@ -1,7 +1,11 @@
 //! The rewrite passes.
 
-use crate::rewrite::{rebuild, Emit};
-use ferry_algebra::{infer_schema, BinOp, ColName, Expr, Node, NodeId, Plan, Schema, UnOp, Value};
+use crate::joins::and_all;
+use crate::props::{Lineage, PropTable};
+use crate::rewrite::{live, rebuild, Emit};
+use ferry_algebra::{
+    infer_schema, BinOp, ColName, Expr, JoinCols, Node, NodeId, Plan, Schema, UnOp, Value,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -29,10 +33,18 @@ pub fn cse(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
 
 /// Collapse `Project ∘ Project` chains and eliminate identity projections.
 pub fn merge_projects(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
-    let schemas = match infer_schema(plan) {
-        Ok(s) => s,
-        Err(_) => return (plan.clone(), roots.to_vec()),
-    };
+    match infer_schema(plan) {
+        Ok(schemas) => merge_projects_with(plan, roots, &schemas),
+        Err(_) => (plan.clone(), roots.to_vec()),
+    }
+}
+
+/// [`merge_projects`] over already-inferred `schemas` of `plan`.
+pub(crate) fn merge_projects_with(
+    plan: &Plan,
+    roots: &[NodeId],
+    schemas: &[Schema],
+) -> (Plan, Vec<NodeId>) {
     // old-id → (old child, mapping) for projects, consulted when the parent
     // project composes over its (old) child
     rebuild(plan, roots, |out, old_id, node| {
@@ -40,7 +52,7 @@ pub fn merge_projects(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
             return Emit::Keep;
         };
         // identity?
-        let input_schema = input_schema_of(plan, old_id, &schemas);
+        let input_schema = input_schema_of(plan, old_id, schemas);
         if let Some(s) = input_schema {
             let identity = cols.len() == s.len()
                 && cols
@@ -213,6 +225,145 @@ fn fold_bin(op: BinOp, a: &Value, b: &Value) -> Option<Value> {
     }
 }
 
+// ------------------------------------------------------- join elimination
+
+/// Dissolve the joins whose result the inferred properties
+/// ([`crate::props`]) already determine:
+///
+/// * **a fully known side** — `X × R` / `X ⋈ R` where `R` is one row of
+///   constants: `R`'s columns are attached to `X`; an equated column of
+///   `X` that is itself constant is compared now (unequal: the empty
+///   relation), any other becomes `Select(col = const)`;
+/// * **an identity join** — `L ⋈ R` where `L` derives row for row from a
+///   node `B`, `R` from a node `X`, `B` is `X` or a join with `X` as an
+///   input (so every row of `B` carries one whole row of `X`), and the
+///   condition equates a key of `X` with `L`'s copy of those very
+///   columns: each left row finds exactly the `X` row it was made from,
+///   so the join is one derivation over `B`. Further equated pairs become
+///   a residual `Select` over `B`.
+///
+/// Every replacement has the replaced node's schema and its row order
+/// (joins emit in left-probe order: here `X`'s, `B`'s, or — for a one-row
+/// left side — the right side's own). Properties are inferred on the plan
+/// under construction, so a join over a just-dissolved join is seen as
+/// what it has become, in the same sweep.
+pub fn join_elimination(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
+    let mut known = PropTable::default();
+    rebuild(plan, roots, |out, _, node| {
+        if known.sync(out).is_err() {
+            return Emit::Keep;
+        }
+        let replacement = match &node {
+            Node::CrossJoin { left, right } => known_side_join(out, &known, *left, *right, None),
+            Node::EquiJoin { left, right, on } => {
+                known_side_join(out, &known, *left, *right, Some(on))
+                    .or_else(|| identity_join(out, &known, *left, *right, on))
+            }
+            _ => None,
+        };
+        replacement.map_or(Emit::Keep, Emit::Forward)
+    })
+}
+
+/// A cross or equi-join with one side a single row of constants.
+fn known_side_join(
+    out: &mut Plan,
+    known: &PropTable,
+    left: NodeId,
+    right: NodeId,
+    on: Option<&JoinCols>,
+) -> Option<NodeId> {
+    let (ls, rs) = (known.schema(left), known.schema(right));
+    // (the side that stays, its join columns), (the known row, its join columns)
+    let no_cols: &[ColName] = &[];
+    let (on_l, on_r) = on.map_or((no_cols, no_cols), |on| (&on.left[..], &on.right[..]));
+    let (kept, kept_on, row, row_schema, row_on) = if known.props(right).is_one_const_row(rs) {
+        (left, on_l, known.props(right), rs, on_r)
+    } else if known.props(left).is_one_const_row(ls) {
+        (right, on_r, known.props(left), ls, on_l)
+    } else {
+        return None;
+    };
+    let value_of = |c: &ColName| row.const_of(c).expect("every column is constant");
+    let mut residual = Vec::new();
+    for (k, r) in kept_on.iter().zip(row_on) {
+        match known.props(kept).const_of(k) {
+            Some(v) if v == value_of(r) => {}
+            Some(_) => return Some(out.lit(ls.concat(rs), vec![])),
+            None => residual.push(Expr::eq(
+                Expr::Col(k.clone()),
+                Expr::Const(value_of(r).clone()),
+            )),
+        }
+    }
+    let mut cur = kept;
+    if !residual.is_empty() {
+        cur = out.select(cur, and_all(residual));
+    }
+    for c in row_schema.names() {
+        cur = out.attach(cur, c.clone(), value_of(c).clone());
+    }
+    if kept == right {
+        // attached behind the right side's columns: restore left ++ right
+        let cols = ls.names().chain(rs.names());
+        cur = out.project(cur, cols.map(|n| (n.clone(), n.clone())).collect());
+    }
+    Some(cur)
+}
+
+/// Does every row of `b` carry one whole row of `x`, under `x`'s column
+/// names?
+fn carries_rows_of(plan: &Plan, b: NodeId, x: NodeId) -> bool {
+    b == x
+        || match plan.node(b) {
+            Node::CrossJoin { left, right }
+            | Node::EquiJoin { left, right, .. }
+            | Node::ThetaJoin { left, right, .. } => *left == x || *right == x,
+            _ => false,
+        }
+}
+
+/// An equi-join that re-finds, by key, the rows its left side was made
+/// from (see [`join_elimination`]).
+fn identity_join(
+    out: &mut Plan,
+    known: &PropTable,
+    left: NodeId,
+    right: NodeId,
+    on: &JoinCols,
+) -> Option<NodeId> {
+    let l = Lineage::of(out, left, known.schema(left));
+    // walk the right side's derivation chain down to a node `l.base` carries
+    let mut r = Lineage::identity(right, known.schema(right));
+    while !carries_rows_of(out, l.base, r.base) {
+        if !r.step(out) {
+            return None;
+        }
+    }
+    let mut matched: Vec<ColName> = Vec::new();
+    let mut residual = Vec::new();
+    for (lc, rc) in on.left.iter().zip(&on.right) {
+        match (l.expr_of(lc)?, r.expr_of(rc)?) {
+            (Expr::Col(a), Expr::Col(b)) if a == b => matched.push(a.clone()),
+            (a, b) if a == b => {}
+            (a @ Expr::Const(_), b) => residual.push(Expr::eq(b.clone(), a.clone())),
+            (a, b) => residual.push(Expr::eq(a.clone(), b.clone())),
+        }
+    }
+    if !known.props(r.base).has_key_within(&matched) {
+        return None;
+    }
+    let both = Lineage {
+        base: l.base,
+        cols: l.cols.into_iter().chain(r.cols).collect(),
+    };
+    let mut over = both.base;
+    if !residual.is_empty() {
+        over = out.select(over, and_all(residual));
+    }
+    both.materialize(out, over, known.schema(both.base))
+}
+
 // ------------------------------------------------------- column pruning
 
 /// *icols* analysis: compute the columns each operator's output actually
@@ -220,16 +371,19 @@ fn fold_bin(op: BinOp, a: &Value, b: &Value) -> Option<Value> {
 /// column-producing operators, and pin `UnionAll` inputs to the needed
 /// columns.
 pub fn prune_columns(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
-    let schemas = match infer_schema(plan) {
-        Ok(s) => s,
-        Err(_) => return (plan.clone(), roots.to_vec()),
-    };
-    let mut reachable = vec![false; plan.len()];
-    for &r in roots {
-        for id in plan.reachable(r) {
-            reachable[id.index()] = true;
-        }
+    match infer_schema(plan) {
+        Ok(schemas) => prune_columns_with(plan, roots, &schemas),
+        Err(_) => (plan.clone(), roots.to_vec()),
     }
+}
+
+/// [`prune_columns`] over already-inferred `schemas` of `plan`.
+pub(crate) fn prune_columns_with(
+    plan: &Plan,
+    roots: &[NodeId],
+    schemas: &[Schema],
+) -> (Plan, Vec<NodeId>) {
+    let reachable = live(plan, roots);
     // needed output columns per node (by name)
     let mut needed: Vec<HashSet<ColName>> = vec![HashSet::new(); plan.len()];
     for &r in roots {

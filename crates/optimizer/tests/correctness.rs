@@ -147,6 +147,52 @@ fn optimizer_narrows_realistic_plans() {
 }
 
 #[test]
+fn constant_filter_reaches_the_plan_as_a_select() {
+    // loop-lifting compiles `filter (== 37)` into `attach k := 37` on the
+    // loop side and a self-join of loop × table on (iter, pos) that brings
+    // the constant beside the column; join elimination sees one relation
+    // joined with itself on its key and leaves a plain selection
+    let q = filter(
+        |e: Q<(String, String, i64)>| e.proj3_2().eq(&toq(&37i64)),
+        emp(),
+    );
+    assert!(check(&q).is_empty());
+    let conn = Connection::new(database()).with_optimizer(ferry_optimizer::rewriter());
+    let bundle = conn.compile(&q).unwrap();
+    let root = bundle.queries[0].root;
+    let rendered = ferry_algebra::pretty::render(&bundle.plan, root);
+    let nodes = || {
+        bundle
+            .plan
+            .reachable(root)
+            .into_iter()
+            .map(|id| bundle.plan.node(id))
+    };
+    use ferry_algebra::Node;
+    assert!(
+        !nodes().any(|n| matches!(
+            n,
+            Node::EquiJoin { .. } | Node::CrossJoin { .. } | Node::ThetaJoin { .. }
+        )),
+        "a join survives in\n{rendered}"
+    );
+    assert!(
+        !nodes().any(|n| matches!(
+            n,
+            Node::Attach {
+                value: Value::Int(37),
+                ..
+            }
+        )),
+        "the constant is still attached as a column in\n{rendered}"
+    );
+    assert!(
+        nodes().any(|n| matches!(n, Node::Select { pred, .. } if pred.to_string() == "(t3 = 37)")),
+        "no Select(t3 = 37) in\n{rendered}"
+    );
+}
+
+#[test]
 fn optimized_plans_still_validate() {
     let conn = Connection::new(database());
     let q = group_with(|x: Q<i64>| x % toq(&2i64), table::<i64>("nums"));
