@@ -4,13 +4,13 @@
 //! paper artefact — a regression guard for the substrate that all
 //! measured experiments run on.
 //!
-//! Each operator runs four times: `scalar` (serial row-at-a-time
-//! oracle, `VecMode::Off`), `vec` (serial with the vectorized kernels
-//! engaged but pipeline fusion off), `fused` (serial, kernels + pipeline
-//! fusion) and `par4` (4 worker threads, morsel threshold lowered so
-//! the 50k–100k inputs actually split). `scalar` vs `vec` isolates the
-//! typed-chunk kernel win on any host; `vec` vs `fused` isolates the
-//! per-node materialization cost fusion removes; the `par4` variants
+//! Each operator runs three times: `scalar` (serial row-at-a-time
+//! oracle, `VecMode::Off`), `fused` (serial, `VecMode::Auto`: chain
+//! programs + typed sinks — the id predates the removal of the unfused
+//! kernel path and stays so the pins in `BENCH_engine.json` keep
+//! comparing like with like) and `par4` (4 worker threads, morsel
+//! threshold lowered so the 50k–100k inputs actually split). `scalar` vs
+//! `fused` isolates the vectorized win on any host; the `par4` variants
 //! additionally measure the morsel scheduler on multi-core hosts (and
 //! its overhead on single-core ones).
 
@@ -18,7 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ferry_algebra::{
     plan::cn, plan::Aggregate, AggFun, BinOp, Dir, Expr, JoinCols, NodeId, Plan, Schema, Ty, Value,
 };
-use ferry_engine::{Database, FuseMode, ParConfig, VecMode};
+use ferry_engine::{Database, ParConfig, VecMode};
 
 fn int_table(rows: usize, modulus: i64) -> Vec<Vec<Value>> {
     (0..rows)
@@ -27,44 +27,25 @@ fn int_table(rows: usize, modulus: i64) -> Vec<Vec<Value>> {
 }
 
 /// The engines under comparison: serial scalar (the oracle path), serial
-/// vectorized without fusion, serial fused pipelines, and 4 workers with
-/// the parallelism threshold low enough for every benched input.
+/// vectorized, and 4 workers with the parallelism threshold low enough
+/// for every benched input.
 fn engines() -> Vec<(&'static str, Database)> {
     let scalar_db = Database::new();
     scalar_db.set_par_config(ParConfig {
         threads: 1,
         vec: VecMode::Off,
-        fuse: FuseMode::Off,
-        ..ParConfig::default()
-    });
-    let vec_db = Database::new();
-    vec_db.set_par_config(ParConfig {
-        threads: 1,
-        vec: VecMode::Auto,
-        fuse: FuseMode::Off,
         ..ParConfig::default()
     });
     let fused_db = Database::new();
-    fused_db.set_par_config(ParConfig {
-        threads: 1,
-        vec: VecMode::Auto,
-        fuse: FuseMode::Auto,
-        ..ParConfig::default()
-    });
+    fused_db.set_par_config(ParConfig::serial());
     let par_db = Database::new();
     par_db.set_par_config(ParConfig {
         threads: 4,
         min_rows: 1024,
         morsel_rows: 0,
         vec: VecMode::Auto,
-        fuse: FuseMode::Auto,
     });
-    vec![
-        ("scalar", scalar_db),
-        ("vec", vec_db),
-        ("fused", fused_db),
-        ("par4", par_db),
-    ]
+    vec![("scalar", scalar_db), ("fused", fused_db), ("par4", par_db)]
 }
 
 fn bench_both(
@@ -210,10 +191,10 @@ fn bench_engine(c: &mut Criterion) {
     }
 
     // compute → filter-on-the-computed-column → row numbering at 100k
-    // rows: the pipeline-fusion showcase. Unfused, the compute node
-    // materialises all 100k rows before the filter throws 70% of them
-    // away; fused, batches stream through the kernel chain and only
-    // survivors are ever built
+    // rows: the chain-program showcase. Node at a time (the scalar
+    // oracle), the compute materialises all 100k rows before the filter
+    // throws 70% of them away; chained, batches stream through the
+    // kernels and only survivors are ever built
     {
         let mut plan = Plan::new();
         let l = plan.lit(
@@ -242,8 +223,8 @@ fn bench_engine(c: &mut Criterion) {
     }
 
     // scan → filter → join-probe: 100k probe rows filtered to 10k, joined
-    // against a 10k build side. Fusion streams filtered probe batches
-    // straight into the join's probe loop
+    // against a 10k build side. The chain hands its selection vector
+    // straight to the join's probe loop
     {
         let mut plan = Plan::new();
         let probe = plan.lit(
@@ -263,7 +244,7 @@ fn bench_engine(c: &mut Criterion) {
     }
 
     // filter selectivity sweep at 100k rows: 1% / 50% / 99% of rows kept.
-    // The fused kernel→selection-vector path pays per *input* row; the
+    // The kernel→selection-vector path pays per *input* row; the
     // scalar path additionally allocates per *output* row
     {
         let mut plan = Plan::new();

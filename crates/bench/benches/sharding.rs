@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ferry_algebra::{
     plan::cn, plan::Aggregate, AggFun, BinOp, Expr, NodeId, Plan, Schema, Ty, Value,
 };
-use ferry_engine::{Database, DurabilityConfig, FsyncPolicy, FuseMode, ParConfig, VecMode};
+use ferry_engine::{Database, DurabilityConfig, FsyncPolicy, ParConfig};
 use ferry_storage::{FaultFs, Vfs};
 use std::sync::Arc;
 
@@ -43,15 +43,6 @@ fn rows(n: usize) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn serial() -> ParConfig {
-    ParConfig {
-        threads: 1,
-        vec: VecMode::Auto,
-        fuse: FuseMode::Auto,
-        ..ParConfig::default()
-    }
-}
-
 /// Config for the group-by pair: shard-local grouping only engages with
 /// worker threads (serially it is pure overhead and the planner skips
 /// it), so both sides run with four workers.
@@ -59,8 +50,6 @@ fn par4() -> ParConfig {
     ParConfig {
         threads: 4,
         min_rows: 1024,
-        vec: VecMode::Auto,
-        fuse: FuseMode::Auto,
         ..ParConfig::default()
     }
 }
@@ -72,7 +61,7 @@ fn load(sharded: bool) -> Database {
     } else {
         Database::new()
     };
-    db.set_par_config(serial());
+    db.set_par_config(ParConfig::serial());
     if sharded {
         db.create_table_sharded("orders", schema(), vec!["k"], "k")
             .expect("create");

@@ -5,7 +5,7 @@
 //! (a no-op guard below `Full`), execute, end the query — over the
 //! `filter` and `compute_chain` plans of `engine_operators` (serial
 //! vectorized engine, so the `off` medians are directly comparable to the
-//! pinned `engine/filter_vec` / `engine/compute_chain_vec` baselines).
+//! pinned `engine/filter_fused` / `engine/compute_chain_fused` baselines).
 //! `off` vs `counters` isolates the atomic-counter cost per dispatch;
 //! `counters` vs `full` adds span recording, per-node profile retention
 //! and the trace-ring drain. The `off` and `counters` medians are pinned

@@ -5,9 +5,11 @@
 //! line) and compares each measured median against the pinned medians in
 //! `BENCH_engine.json`'s `"baselines"` map. Exits non-zero when any
 //! benchmark regresses beyond the threshold (default 1.5×; override with
-//! a third argument). Benchmarks without a pinned baseline are listed but
-//! do not fail the run, so adding a bench does not require updating the
-//! snapshot in the same commit.
+//! a third argument) **or when a pinned id was not measured** — a renamed
+//! or deleted bench must take its pin with it, not silently un-gate it.
+//! Benchmarks without a pinned baseline are listed but do not fail the
+//! run, so adding a bench does not require updating the snapshot in the
+//! same commit.
 //!
 //! Usage: `bench_check <measured.jsonl> <BENCH_engine.json> [threshold]`
 //!
@@ -82,9 +84,14 @@ fn main() -> ExitCode {
             _ => println!("{bench}: measured {measured_ms:.3} ms (no baseline pinned)"),
         }
     }
-    for name in baselines.keys() {
-        if !measured.contains_key(name) {
-            println!("{name}: baseline pinned but not measured this run");
+    let unmeasured = unmeasured_pins(&baselines, &measured);
+    if !unmeasured.is_empty() {
+        eprintln!(
+            "bench_check: {} pinned baseline(s) not measured this run (renamed or deleted bench? move or drop the pin):",
+            unmeasured.len()
+        );
+        for name in &unmeasured {
+            eprintln!("  {name}");
         }
     }
     if !regressions.is_empty() {
@@ -95,10 +102,25 @@ fn main() -> ExitCode {
         for (name, base, got, ratio) in &regressions {
             eprintln!("  {name}: {base:.3} ms -> {got:.3} ms ({ratio:.2}x)");
         }
+    }
+    if !(unmeasured.is_empty() && regressions.is_empty()) {
         return ExitCode::FAILURE;
     }
     println!("bench_check: {checked} benchmark(s) within {threshold}x of baseline");
     ExitCode::SUCCESS
+}
+
+/// Pinned ids the run did not measure — each one is a gate that silently
+/// stopped gating.
+fn unmeasured_pins<'a>(
+    baselines: &'a BTreeMap<String, f64>,
+    measured: &BTreeMap<String, f64>,
+) -> Vec<&'a str> {
+    baselines
+        .keys()
+        .filter(|name| !measured.contains_key(*name))
+        .map(String::as_str)
+        .collect()
 }
 
 /// Parse shim JSONL: one object per line with a `"bench"` string and a
@@ -229,10 +251,10 @@ mod tests {
 
     #[test]
     fn jsonl_parses_shim_lines() {
-        let text = "\n{\"bench\":\"engine/filter_vec/100000\",\"median_ns\":1500000,\"mean_ns\":1600000,\"min_ns\":1,\"max_ns\":2,\"samples\":10}\n{\"bench\":\"engine/x/1\",\"median_ns\":2.5e6,\"samples\":10}\n";
+        let text = "\n{\"bench\":\"engine/filter_fused/100000\",\"median_ns\":1500000,\"mean_ns\":1600000,\"min_ns\":1,\"max_ns\":2,\"samples\":10}\n{\"bench\":\"engine/x/1\",\"median_ns\":2.5e6,\"samples\":10}\n";
         let m = parse_jsonl(text);
         assert_eq!(m.len(), 2);
-        assert_eq!(m["engine/filter_vec/100000"], 1_500_000.0);
+        assert_eq!(m["engine/filter_fused/100000"], 1_500_000.0);
         assert_eq!(m["engine/x/1"], 2_500_000.0);
     }
 
@@ -241,15 +263,24 @@ mod tests {
         let text = r#"{
   "description": "x",
   "baselines": {
-    "engine/filter_vec/100000": 1.23,
-    "engine/group_by_typed_vec/100000": 0.5
+    "engine/filter_fused/100000": 1.23,
+    "engine/group_by_typed_fused/100000": 0.5
   },
   "benches": { "other": { "a/b": { "before_ms": 1 } } }
 }"#;
         let b = parse_baselines(text);
         assert_eq!(b.len(), 2);
-        assert_eq!(b["engine/filter_vec/100000"], 1.23);
-        assert_eq!(b["engine/group_by_typed_vec/100000"], 0.5);
+        assert_eq!(b["engine/filter_fused/100000"], 1.23);
+        assert_eq!(b["engine/group_by_typed_fused/100000"], 0.5);
+    }
+
+    #[test]
+    fn pinned_but_unmeasured_ids_are_reported() {
+        let pins = parse_baselines(r#"{"baselines": {"a/x/1": 1.0, "a/y/1": 2.0}}"#);
+        let run = parse_jsonl("{\"bench\":\"a/x/1\",\"median_ns\":1000}\n");
+        assert_eq!(unmeasured_pins(&pins, &run), ["a/y/1"]);
+        let both = "{\"bench\":\"a/x/1\",\"median_ns\":1}\n{\"bench\":\"a/y/1\",\"median_ns\":1}\n";
+        assert!(unmeasured_pins(&pins, &parse_jsonl(both)).is_empty());
     }
 
     #[test]

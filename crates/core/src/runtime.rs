@@ -781,7 +781,6 @@ impl Connection {
                 let path = match p.path {
                     ferry_engine::ExecPath::Scalar => "scalar".to_string(),
                     ferry_engine::ExecPath::Vectorized => format!("vec({})", p.batches),
-                    ferry_engine::ExecPath::Fused => format!("fused({})", p.batches),
                 };
                 let label = if p.fused.is_empty() {
                     p.label.to_string()

@@ -639,12 +639,11 @@ fn explain_analyze_renders_the_node_profile() {
 
 #[test]
 fn explain_analyze_names_the_vectorized_path() {
-    use ferry_engine::{FuseMode, ParConfig, VecMode};
+    use ferry_engine::{ParConfig, VecMode};
     let c = conn();
     c.set_par_config(ParConfig {
         threads: 1,
         vec: VecMode::Force,
-        fuse: FuseMode::Off,
         ..ParConfig::default()
     });
     // `x % 2` forces a Compute node; under VecMode::Force it compiles to
@@ -663,24 +662,28 @@ fn explain_analyze_names_the_vectorized_path() {
 
 #[test]
 fn explain_analyze_names_fused_pipelines() {
-    use ferry_engine::{FuseMode, ParConfig, VecMode};
+    use ferry_engine::{ParConfig, VecMode};
     let c = conn();
     c.set_par_config(ParConfig {
         threads: 1,
         vec: VecMode::Force,
-        fuse: FuseMode::Force,
         ..ParConfig::default()
     });
     // filter → compute chains into the serialize sink; the profile must
-    // name the fusion group and the fused execution path
+    // name the group's members on one line whose path is `vec(batches)`
+    // (chain batches plus the typed sink's)
     let text = c
         .explain_analyze(&map(
             |x: Q<i64>| x % toq(&2i64),
             filter(|x: Q<i64>| x.lt(&toq(&100i64)), nums()),
         ))
         .unwrap();
-    assert!(text.contains("pipeline["), "{text}");
-    assert!(text.contains("fused("), "{text}");
+    let chain = text
+        .lines()
+        .find(|l| l.contains("pipeline[") && l.contains("select") && l.contains("compute"))
+        .unwrap_or_else(|| panic!("no select/compute pipeline in:\n{text}"));
+    assert!(chain.contains("vec(2)"), "{text}");
+    assert!(!text.contains("fused("), "{text}");
     let line = text
         .lines()
         .find(|l| l.starts_with("parallel waves:"))

@@ -20,6 +20,17 @@
 //! morsel order, sorts break ties on row position, and wavefronts only
 //! reorder wall-clock work, never results. `tests/differential.rs` checks
 //! serial and parallel runs cell-for-cell.
+//!
+//! Every operator has exactly **two** implementations. The scalar one
+//! ([`eval_node`], row-at-a-time over [`crate::eval`]) is the differential
+//! oracle and the fallback. The vectorized one is, for the row-wise
+//! operators, the **chain program**: [`form_pipelines`] groups each
+//! maximal `Select`/`Project`/`Compute`/`Attach` run — a lone operator is
+//! a chain of one — with its scan below and its sink above, and
+//! [`eval_pipeline`] streams the input through the compiled chain
+//! ([`crate::vec_eval`]) in 1024-row batches; for the sinks (joins,
+//! windows, group-by, distinct, serialize) it is a typed branch inside
+//! their `eval_node` arm. `ParConfig::vectorize` gates both.
 
 use crate::catalog::{Snapshot, TableShards};
 use crate::error::EngineError;
@@ -27,14 +38,14 @@ use crate::eval::{bind, eval, Bound};
 use crate::par::{self, ParConfig};
 use crate::shard::{all_shards_mask, shards_for_pred};
 use crate::stats::{ExecPath, NodeProfile, QueryStats};
-use crate::vec_eval::{self, ChainBuilder, ChainProg, Reg, StreamChunk, VirtSrc, BATCH_ROWS};
+use crate::vec_eval::{ChainBuilder, ChainProg, Reg, StreamChunk, VirtSrc, BATCH_ROWS};
 use ferry_algebra::plan::Aggregate;
 use ferry_algebra::{
     AggFun, ColName, ColVec, Dir, Expr, Node, NodeId, Plan, Rel, Row, Schema, SortSpec, Value,
 };
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering as AtOrd};
+use std::sync::atomic::{AtomicUsize, Ordering as AtOrd};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -75,24 +86,8 @@ pub fn run_many(
         }
         stack.extend(plan.node(id).children());
     }
-    let pipelines = form_pipelines(plan, roots, &needed);
+    let (pipelines, grouped) = form_pipelines(plan, roots, &needed);
     let shard_plan = plan_shards(snap, plan, roots, &needed, schemas);
-    let grouped = {
-        let mut g = vec![false; plan.len()];
-        for spec in pipelines.values() {
-            if let PipeInput::Scan(s) = spec.input {
-                g[s.index()] = true;
-            }
-            for &mid in &spec.mids {
-                g[mid.index()] = true;
-            }
-        }
-        // a chain-op tail is listed among its own mids but keeps its slot
-        for &tail in pipelines.keys() {
-            g[tail] = false;
-        }
-        g
-    };
     // dependency levels: children are always lower-indexed, one forward
     // scan. Pipeline-absorbed nodes still get levels (their parents need
     // them) but no wave slot — the tail evaluates them.
@@ -201,18 +196,24 @@ pub fn run_many(
             let (rel, m) = outcome.expect("wave fully evaluated");
             let id = wave[k];
             // a pipeline tail accounts for every member it evaluated
-            stats.nodes_evaluated += m.fused_nodes.max(1) as u64;
+            let covered = m.covered.max(1) as u64;
+            // vec iff a kernel batch or a typed sink ran; a pure column
+            // remap into a scalar sink is honestly scalar
+            let path = if m.batches > 0 {
+                stats.vec_nodes += covered;
+                ExecPath::Vectorized
+            } else {
+                ExecPath::Scalar
+            };
+            stats.nodes_evaluated += covered;
             stats.rows_produced += rel.len() as u64;
             stats.morsel_tasks += m.morsels as u64;
             if m.morsels > 1 {
                 stats.par_nodes += 1;
             }
-            if m.path == ExecPath::Vectorized {
-                stats.vec_nodes += 1;
-            }
-            if m.path == ExecPath::Fused {
+            if m.chained && covered > 1 {
                 stats.fused_pipelines += 1;
-                stats.fused_nodes += m.fused_nodes as u64;
+                stats.fused_nodes += covered;
             }
             stats.kernel_batches += m.batches as u64;
             stats.shard_rows += m.shard_rows;
@@ -221,6 +222,7 @@ pub fn run_many(
             // member labels in scan→sink order, for profiles and spans
             let fused_labels: Vec<&'static str> = pipelines
                 .get(&id.index())
+                .filter(|spec| spec.members > 1)
                 .map(|spec| {
                     let mut v = Vec::new();
                     if let PipeInput::Scan(s) = spec.input {
@@ -241,7 +243,7 @@ pub fn run_many(
                     ("node", id.0.into()),
                     ("rows", (rel.len() as u64).into()),
                     ("morsels", m.morsels.into()),
-                    ("path", m.path.to_string().into()),
+                    ("path", path.to_string().into()),
                     ("batches", m.batches.into()),
                 ];
                 if m.shards_total > 0 {
@@ -268,7 +270,7 @@ pub fn run_many(
                 rows: rel.len() as u64,
                 elapsed: m.elapsed,
                 morsels: m.morsels,
-                path: m.path,
+                path,
                 batches: m.batches,
                 fused: fused_labels,
                 shards_scanned: m.shards_scanned,
@@ -309,13 +311,14 @@ struct NodeMetrics {
     /// Evaluation start on the telemetry clock (for post-hoc spans).
     start_ns: u64,
     elapsed: std::time::Duration,
-    /// Scalar or vectorized — which implementation this evaluation took.
-    path: ExecPath,
-    /// Kernel batches executed (vectorized path only).
+    /// Kernel batches executed by chain programs and typed sinks; `0`
+    /// means the whole evaluation stayed scalar.
     batches: u32,
     /// Plan nodes this evaluation covered: `0` for ordinary nodes, the
-    /// group size for pipeline tails (fused or fallback).
-    fused_nodes: u32,
+    /// group size for pipeline tails (chain program or fallback).
+    covered: u32,
+    /// The pipeline's chain program ran (no member fell back to scalar).
+    chained: bool,
     /// Shards this evaluation actually read (sharded base-table scans
     /// only; `shards_total` stays `0` on unsharded tables).
     shards_scanned: u32,
@@ -328,10 +331,9 @@ struct NodeMetrics {
 }
 
 impl NodeMetrics {
-    /// Record that the node ran vectorized, executing `batches` batches.
-    fn vectorized(&mut self, batches: u32) {
-        self.path = ExecPath::Vectorized;
-        self.batches += batches;
+    /// Record that a typed sink ran over `rows` input rows.
+    fn typed_sink(&mut self, rows: usize) {
+        self.batches += rows.div_ceil(BATCH_ROWS) as u32;
     }
 }
 
@@ -348,11 +350,12 @@ enum PipeInput {
     Node(NodeId),
 }
 
-/// A maximal fusible chain, grouped structurally at dispatch time and
-/// evaluated by [`eval_pipeline`] under its tail's wave slot. Grouping is
-/// *advisory*: if any member's expression fails to lower to a kernel at
-/// evaluation time, the tail falls back to node-at-a-time execution of
-/// exactly the same members — results never depend on grouping.
+/// A maximal chain — one chain operator at least — grouped structurally
+/// at dispatch time and evaluated by [`eval_pipeline`] under its tail's
+/// wave slot. Grouping is *advisory*: if any member's expression fails to
+/// lower to a kernel at evaluation time, the tail falls back to scalar
+/// node-at-a-time execution of exactly the same members — results never
+/// depend on grouping.
 #[derive(Debug)]
 struct PipelineSpec {
     input: PipeInput,
@@ -367,7 +370,7 @@ struct PipelineSpec {
     members: u32,
 }
 
-/// Is this node a fusible chain member?
+/// Is this node a chain member?
 fn is_chain_op(n: &Node) -> bool {
     matches!(
         n,
@@ -397,11 +400,16 @@ fn chain_child(n: &Node) -> Option<NodeId> {
     }
 }
 
-/// Greedily group maximal fusible chains, keyed by tail node index.
+/// Greedily group maximal chains, keyed by tail node index; also returns
+/// which nodes a group absorbed (they get no wave slot of their own).
 /// Walking tails top-down (descending index) gives each chain to its
 /// topmost consumer; a member must have exactly one consumer across all
 /// roots so absorbing it cannot recompute or starve a shared sub-plan.
-fn form_pipelines(plan: &Plan, roots: &[NodeId], needed: &[bool]) -> HashMap<usize, PipelineSpec> {
+fn form_pipelines(
+    plan: &Plan,
+    roots: &[NodeId],
+    needed: &[bool],
+) -> (HashMap<usize, PipelineSpec>, Vec<bool>) {
     let mut consumers = vec![0u32; plan.len()];
     for (idx, &need) in needed.iter().enumerate() {
         if !need {
@@ -438,12 +446,12 @@ fn form_pipelines(plan: &Plan, roots: &[NodeId], needed: &[bool]) -> HashMap<usi
             && consumers[cur.index()] == 1
             && !grouped[cur.index()];
         mids.reverse();
-        // a group must contain at least one chain op and two members —
-        // a lone sink over its input is just ordinary evaluation
-        let members = mids.len() as u32 + u32::from(sink.is_some()) + u32::from(absorb_scan);
-        if mids.is_empty() || members < 2 {
+        // a sink straight over its input is just ordinary evaluation; a
+        // lone chain op is a chain of one
+        if mids.is_empty() {
             continue;
         }
+        let members = mids.len() as u32 + u32::from(sink.is_some()) + u32::from(absorb_scan);
         let input = if absorb_scan {
             grouped[cur.index()] = true;
             PipeInput::Scan(cur)
@@ -464,7 +472,7 @@ fn form_pipelines(plan: &Plan, roots: &[NodeId], needed: &[bool]) -> HashMap<usi
             },
         );
     }
-    pipelines
+    (pipelines, grouped)
 }
 
 /// The shard-aware planner pass: which scans can skip shards and which
@@ -679,8 +687,8 @@ fn eval_timed(
     };
     let start = Instant::now();
     let rel = match pipelines.get(&id.index()) {
-        Some(spec) => eval_pipeline(snap, plan, id, spec, schemas, results, cfg, shard, &mut m),
-        None => eval_node(snap, plan, id, schemas, results, cfg, shard, &mut m),
+        Some(spec) => eval_pipeline(snap, plan, spec, schemas, results, cfg, shard, &mut m),
+        None => eval_node(snap, plan, id, schemas, results, None, cfg, shard, &mut m),
     }?;
     m.elapsed = start.elapsed();
     Ok((rel, m))
@@ -689,14 +697,14 @@ fn eval_timed(
 /// Evaluate a pipeline group under its tail's slot: compile the chain ops
 /// into one batch program ([`ChainBuilder`]), stream the input through it
 /// morsel-by-morsel, and hand the chain's output straight to the sink.
-/// Any refusal along the way (fusion gated off, an expression that does
-/// not lower, a chunk variant surprise) falls back to evaluating the same
-/// members node-at-a-time — grouping never changes results.
+/// Any refusal along the way (vectorization gated off, an expression that
+/// does not lower, a chunk variant surprise) falls back to evaluating the
+/// same members with the scalar operators — grouping never changes
+/// results.
 #[allow(clippy::too_many_arguments)]
 fn eval_pipeline(
     snap: &Snapshot<'_>,
     plan: &Plan,
-    tail: NodeId,
     spec: &PipelineSpec,
     schemas: &[Schema],
     results: &[Option<Rel>],
@@ -704,45 +712,47 @@ fn eval_pipeline(
     shard: &ShardPlan,
     m: &mut NodeMetrics,
 ) -> Result<Rel, EngineError> {
-    m.fused_nodes = spec.members;
-    let input = match spec.input {
-        PipeInput::Scan(s) => eval_node(snap, plan, s, schemas, results, cfg, shard, m)?,
-        PipeInput::Node(n) => child(results, n).clone(),
+    m.covered = spec.members;
+    let scanned;
+    let (input_id, input) = match spec.input {
+        PipeInput::Scan(s) => {
+            scanned = eval_node(snap, plan, s, schemas, results, None, cfg, shard, m)?;
+            (s, &scanned)
+        }
+        PipeInput::Node(n) => (n, child(results, n)),
     };
-    let fused_mid = if cfg.fuse_for(input.len()) {
-        match build_chain(plan, &input, &spec.mids, schemas) {
-            Some(prog) => stream_chain(&input, &prog, cfg, m)?,
+    let chained = if cfg.vectorize(input.len()) {
+        match build_chain(plan, input, &spec.mids, schemas) {
+            Some(prog) => stream_chain(input, &prog, cfg, m)?,
             None => None,
         }
     } else {
         None
     };
-    if let Some(mid_rel) = fused_mid {
-        let out = match spec.sink {
-            Some(sink_id) => {
-                // inject the fused chain output as the sink's child
-                let mut overlay: Vec<Option<Rel>> = results.to_vec();
-                let top = *spec.mids.last().expect("grouped chains have mids");
-                overlay[top.index()] = Some(mid_rel);
-                eval_node(snap, plan, sink_id, schemas, &overlay, cfg, shard, m)?
+    m.chained = chained.is_some();
+    let top = match chained {
+        Some(rel) => rel,
+        // structural grouping was advisory — run the members one at a
+        // time, each handed its predecessor's output as its child
+        None => {
+            let mut below = input_id;
+            let mut cur: Option<Rel> = None;
+            for &mid in &spec.mids {
+                let over = Some((below, cur.as_ref().unwrap_or(input)));
+                cur = Some(eval_node(
+                    snap, plan, mid, schemas, results, over, cfg, shard, m,
+                )?);
+                below = mid;
             }
-            None => mid_rel,
-        };
-        m.path = ExecPath::Fused;
-        return Ok(out);
-    }
-    // structural grouping was advisory — run the members one at a time
-    let mut overlay: Vec<Option<Rel>> = results.to_vec();
-    if let PipeInput::Scan(s) = spec.input {
-        overlay[s.index()] = Some(input);
-    }
-    for &mid in &spec.mids {
-        let rel = eval_node(snap, plan, mid, schemas, &overlay, cfg, shard, m)?;
-        overlay[mid.index()] = Some(rel);
-    }
+            cur.expect("chains have mids")
+        }
+    };
     match spec.sink {
-        Some(sink_id) => eval_node(snap, plan, sink_id, schemas, &overlay, cfg, shard, m),
-        None => Ok(overlay[tail.index()].clone().expect("tail evaluated")),
+        Some(sink) => {
+            let over = Some((*spec.mids.last().expect("chains have mids"), &top));
+            eval_node(snap, plan, sink, schemas, results, over, cfg, shard, m)
+        }
+        None => Ok(top),
     }
 }
 
@@ -778,7 +788,7 @@ fn build_chain(plan: &Plan, input: &Rel, mids: &[NodeId], schemas: &[Schema]) ->
 
 /// Stream `input` through the chain program and materialise its output.
 /// `Ok(None)` when binding fails (a chunk variant contradicts the
-/// schema) — the caller falls back to node-at-a-time.
+/// schema) — the caller falls back to the scalar operators.
 fn stream_chain(
     input: &Rel,
     prog: &ChainProg,
@@ -786,14 +796,16 @@ fn stream_chain(
     m: &mut NodeMetrics,
 ) -> Result<Option<Rel>, EngineError> {
     let out_schema = prog.out_schema().clone();
-    // no kernels, pure-input output: the chain is just a column remap
+    // pure-input output: the chain's columns are a remap of the input's
+    let remap: Option<Vec<u32>> = prog.pure_input_out().map(|cols| {
+        cols.iter()
+            .map(|&c| input.raw_col(c as usize) as u32)
+            .collect()
+    });
+    // ... and with no kernels the chain is nothing else
     if prog.stage_count() == 0 {
-        if let Some(cols) = prog.pure_input_out() {
-            let raw: Vec<u32> = cols
-                .iter()
-                .map(|&c| input.raw_col(c as usize) as u32)
-                .collect();
-            return Ok(Some(input.with_cols(out_schema, raw)));
+        if let Some(raw) = &remap {
+            return Ok(Some(input.with_cols(out_schema, raw.clone())));
         }
     }
     let Some(bound) = prog.bind(input) else {
@@ -804,17 +816,13 @@ fn stream_chain(
     })?;
     m.morsels += morsels;
     m.batches += chunks.iter().map(|c| c.batches).sum::<u32>();
-    // pure-input output: survivors become a selection vector + remap over
-    // the input's own buffer — no row materialises
-    if let Some(cols) = prog.pure_input_out() {
+    // survivors become a selection vector + remap over the input's own
+    // buffer — no row materialises
+    if let Some(raw) = remap {
         let mut sel: Vec<u32> = Vec::with_capacity(chunks.iter().map(|c| c.rows.len()).sum());
         for c in &chunks {
             sel.extend_from_slice(&c.rows);
         }
-        let raw: Vec<u32> = cols
-            .iter()
-            .map(|&c| input.raw_col(c as usize) as u32)
-            .collect();
         return Ok(Some(input.with_sel(sel).with_cols(out_schema, raw)));
     }
     // carries and constants create new cells: build the output rows
@@ -1195,11 +1203,18 @@ fn eval_node(
     id: NodeId,
     schemas: &[Schema],
     results: &[Option<Rel>],
+    over: Option<(NodeId, &Rel)>,
     cfg: &ParConfig,
     shard: &ShardPlan,
     m: &mut NodeMetrics,
 ) -> Result<Rel, EngineError> {
     let out_schema = schemas[id.index()].clone();
+    // a pipeline tail hands its chain output in as `over`, standing in
+    // for the (never materialised) result of the child it names
+    let child = |c: NodeId| match over {
+        Some((o, rel)) if o == c => rel,
+        _ => child(results, c),
+    };
     match plan.node(id) {
         Node::TableRef { name, cols, .. } => {
             // base tables resolve in the pinned catalog; a miss falls
@@ -1268,7 +1283,7 @@ fn eval_node(
         // zero-copy: every execution shares the plan's literal buffer
         Node::Lit { rows, .. } => Ok(Rel::from_shared(out_schema, rows.clone())),
         Node::Attach { input, value, .. } => {
-            let rel = child(results, *input);
+            let rel = child(*input);
             let (rows, morsels) = par::map_morsels(cfg, rel.len(), |range| {
                 let mut out = Vec::with_capacity(range.len());
                 for i in range {
@@ -1283,7 +1298,7 @@ fn eval_node(
         }
         Node::Project { input, cols } => {
             // pure column remap — no row is touched
-            let rel = child(results, *input);
+            let rel = child(*input);
             let raw: Vec<u32> = cols
                 .iter()
                 .map(|(_, old)| {
@@ -1296,26 +1311,7 @@ fn eval_node(
             Ok(rel.with_cols(out_schema, raw))
         }
         Node::Compute { input, expr, .. } => {
-            let rel = child(results, *input);
-            if let Some(prep) = vec_eval::prepare(expr, rel, cfg) {
-                // vectorized: kernel-evaluate the expression per batch,
-                // then assemble output rows
-                let batches = AtomicU32::new(0);
-                let (rows, morsels) = par::map_morsels(cfg, rel.len(), |range| {
-                    let (vals, b) = prep.values_range(rel, range.clone())?;
-                    batches.fetch_add(b, AtOrd::Relaxed);
-                    let mut out = Vec::with_capacity(range.len());
-                    for (i, v) in range.zip(vals) {
-                        let mut r = rel.owned_row_with(i, 1);
-                        r.push(v);
-                        out.push(r);
-                    }
-                    Ok::<_, EngineError>(out)
-                })?;
-                m.morsels += morsels;
-                m.vectorized(batches.into_inner());
-                return Ok(Rel::new(out_schema, rows));
-            }
+            let rel = child(*input);
             let bound = bind_rel(expr, rel)?;
             let buf = rel.buffer();
             let (rows, morsels) = par::map_morsels(cfg, rel.len(), |range| {
@@ -1333,20 +1329,7 @@ fn eval_node(
         }
         Node::Select { input, pred } => {
             // selection vector over the shared buffer — rows are not copied
-            let rel = child(results, *input);
-            if let Some(prep) = vec_eval::prepare(pred, rel, cfg) {
-                // fused filter: the predicate kernel writes straight into
-                // the selection vector, no boolean column materialises
-                let batches = AtomicU32::new(0);
-                let (keep, morsels) = par::map_morsels(cfg, rel.len(), |range| {
-                    let (keep, b) = prep.filter_range(rel, range)?;
-                    batches.fetch_add(b, AtOrd::Relaxed);
-                    Ok::<_, EngineError>(keep)
-                })?;
-                m.morsels += morsels;
-                m.vectorized(batches.into_inner());
-                return Ok(rel.with_sel(keep).with_schema(out_schema));
-            }
+            let rel = child(*input);
             let bound = bind_rel(pred, rel)?;
             let buf = rel.buffer();
             let (keep, morsels) = par::map_morsels(cfg, rel.len(), |range| {
@@ -1364,7 +1347,7 @@ fn eval_node(
         }
         Node::Distinct { input } => {
             // pass-through view keeping the first occurrence of each row
-            let rel = child(results, *input);
+            let rel = child(*input);
             let w = rel.width();
             let all: Vec<usize> = (0..w).collect();
             // vectorized: dedup on typed eq-codes (u64 per cell; dictionary
@@ -1381,7 +1364,7 @@ fn eval_node(
                             keep.push(rel.raw_row(i) as u32);
                         }
                     }
-                    m.vectorized(rel.len().div_ceil(BATCH_ROWS) as u32);
+                    m.typed_sink(rel.len());
                     return Ok(rel.with_sel(keep).with_schema(out_schema));
                 }
             } else if let Some(codes) = typed_codes(rel, &all, cfg, false) {
@@ -1393,7 +1376,7 @@ fn eval_node(
                         keep.push(rel.raw_row(i) as u32);
                     }
                 }
-                m.vectorized(rel.len().div_ceil(BATCH_ROWS) as u32);
+                m.typed_sink(rel.len());
                 return Ok(rel.with_sel(keep).with_schema(out_schema));
             }
             let mut seen: HashMap<Vec<&Value>, ()> = HashMap::with_capacity(rel.len());
@@ -1406,8 +1389,8 @@ fn eval_node(
             Ok(rel.with_sel(keep).with_schema(out_schema))
         }
         Node::UnionAll { left, right } => {
-            let l = child(results, *left);
-            let r = child(results, *right);
+            let l = child(*left);
+            let r = child(*right);
             if r.is_empty() {
                 return Ok(l.with_schema(out_schema));
             }
@@ -1424,8 +1407,8 @@ fn eval_node(
             Ok(Rel::new(out_schema, rows))
         }
         Node::Difference { left, right } => {
-            let l = child(results, *left);
-            let r = child(results, *right);
+            let l = child(*left);
+            let r = child(*right);
             let w = l.width();
             let all: Vec<usize> = (0..w).collect();
             let exclude: HashMap<Vec<&Value>, ()> =
@@ -1441,8 +1424,8 @@ fn eval_node(
             Ok(l.with_sel(keep).with_schema(out_schema))
         }
         Node::CrossJoin { left, right } => {
-            let l = child(results, *left);
-            let r = child(results, *right);
+            let l = child(*left);
+            let r = child(*right);
             let rw = r.width();
             let (rows, morsels) = par::map_morsels(cfg, l.len(), |range| {
                 let mut out = Vec::with_capacity(range.len() * r.len());
@@ -1459,8 +1442,8 @@ fn eval_node(
             Ok(Rel::new(out_schema, rows))
         }
         Node::EquiJoin { left, right, on } => {
-            let l = child(results, *left);
-            let r = child(results, *right);
+            let l = child(*left);
+            let r = child(*right);
             let li = resolve_cols(&l.schema, &on.left)?;
             let ri = resolve_cols(&r.schema, &on.right)?;
             // typed probe: single-column keys over cross-buffer u64 codes
@@ -1494,7 +1477,7 @@ fn eval_node(
                     Ok::<_, EngineError>(out)
                 })?;
                 m.morsels += morsels;
-                m.vectorized(l.len().div_ceil(BATCH_ROWS) as u32);
+                m.typed_sink(l.len());
                 return Ok(Rel::new(out_schema, rows));
             }
             // scalar hash join: build on the right, probe with the left
@@ -1521,8 +1504,8 @@ fn eval_node(
         }
         Node::SemiJoin { left, right, on } | Node::AntiJoin { left, right, on } => {
             let anti = matches!(plan.node(id), Node::AntiJoin { .. });
-            let l = child(results, *left);
-            let r = child(results, *right);
+            let l = child(*left);
+            let r = child(*right);
             let li = resolve_cols(&l.schema, &on.left)?;
             let ri = resolve_cols(&r.schema, &on.right)?;
             // typed membership probe (see EquiJoin)
@@ -1538,7 +1521,7 @@ fn eval_node(
                     Ok::<_, EngineError>(keep)
                 })?;
                 m.morsels += morsels;
-                m.vectorized(l.len().div_ceil(BATCH_ROWS) as u32);
+                m.typed_sink(l.len());
                 return Ok(l.with_sel(keep).with_schema(out_schema));
             }
             let keys: HashMap<Vec<&Value>, ()> =
@@ -1557,8 +1540,8 @@ fn eval_node(
             Ok(l.with_sel(keep).with_schema(out_schema))
         }
         Node::ThetaJoin { left, right, pred } => {
-            let l = child(results, *left);
-            let r = child(results, *right);
+            let l = child(*left);
+            let r = child(*right);
             let joint = l.schema.concat(&r.schema);
             let bound = bind(pred, &joint)?;
             let rw = r.width();
@@ -1581,21 +1564,21 @@ fn eval_node(
         Node::RowNum {
             input, part, order, ..
         } => {
-            let rel = child(results, *input);
+            let rel = child(*input);
             windowed(rel, part, order, out_schema, WindowKind::RowNum, cfg, m)
         }
         Node::RowRank { input, order, .. } => {
-            let rel = child(results, *input);
+            let rel = child(*input);
             windowed(rel, &[], order, out_schema, WindowKind::Rank, cfg, m)
         }
         Node::DenseRank {
             input, part, order, ..
         } => {
-            let rel = child(results, *input);
+            let rel = child(*input);
             windowed(rel, part, order, out_schema, WindowKind::DenseRank, cfg, m)
         }
         Node::GroupBy { input, keys, aggs } => {
-            let rel = child(results, *input);
+            let rel = child(*input);
             let ki = resolve_cols(&rel.schema, keys)?;
             let ai: Vec<Option<usize>> = aggs
                 .iter()
@@ -1625,7 +1608,7 @@ fn eval_node(
                 }
             }
             if let Some((out, _firsts)) = group_by_typed(rel, &ki, aggs, &ai, &out_schema, cfg)? {
-                m.vectorized(rel.len().div_ceil(BATCH_ROWS) as u32);
+                m.typed_sink(rel.len());
                 return Ok(out);
             }
             // scalar: group rows by key, first-occurrence order
@@ -1636,13 +1619,13 @@ fn eval_node(
             // order + projection as a pure view: sorted selection vector
             // composed with a column remap — the bundle's result rows are
             // the input's own buffer cells
-            let rel = child(results, *input);
+            let rel = child(*input);
             let spec = resolve_sort(&rel.schema, order)?;
             // typed sort codes when the order columns admit them (see
             // `sort_codes`); `Value` comparator otherwise
             let (idxs, morsels) = match sort_codes(rel, &spec, cfg) {
                 Some(cols) => {
-                    m.vectorized(rel.len().div_ceil(BATCH_ROWS) as u32);
+                    m.typed_sink(rel.len());
                     sort_by_codes(cfg, rel.len(), &cols)
                 }
                 None => par::sort_indices(cfg, rel.len(), |a, b| {
@@ -1700,7 +1683,7 @@ fn windowed(
     if let Some(cols) = sort_codes(rel, &full, cfg) {
         let (idxs, morsels) = sort_by_codes(cfg, rel.len(), &cols);
         m.morsels += morsels;
-        m.vectorized(rel.len().div_ceil(BATCH_ROWS) as u32);
+        m.typed_sink(rel.len());
         let np = pi.len();
         let mut rows: Vec<Row> = Vec::with_capacity(rel.len());
         let mut prev: Option<usize> = None;
@@ -2264,9 +2247,7 @@ fn group_by_sharded(
     // group has exactly one, in exactly one shard)
     merged.sort_unstable_by_key(|&(f, _)| f);
     m.morsels += live.len() as u32;
-    if batches > 0 {
-        m.vectorized(batches);
-    }
+    m.batches += batches;
     Some(Rel::new(
         out_schema.clone(),
         merged.into_iter().map(|(_, r)| r).collect(),

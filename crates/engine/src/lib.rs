@@ -30,12 +30,14 @@
 //! observably deterministic; `ParConfig { threads: 1, .. }` recovers the
 //! pure serial engine.
 //!
-//! Expression-heavy operators additionally carry a **vectorized** path
-//! ([`vec_eval`]): expressions compile to register-based kernel programs
-//! that run over typed column chunks 1024 rows per batch, with the scalar
-//! row-at-a-time interpreter retained as both fallback and differential
-//! oracle. `ParConfig::vec` selects the path; the per-dispatch
-//! [`QueryProfile`] records which one each node took.
+//! Row-wise operators additionally have one **vectorized** form
+//! ([`vec_eval`]): every maximal `Select`/`Project`/`Compute`/`Attach`
+//! run — a lone operator included — compiles to a chain of register-based
+//! kernel programs that streams typed column chunks 1024 rows per batch
+//! into its sink, with the scalar row-at-a-time interpreter retained as
+//! both kernel-bail fallback and differential oracle. `ParConfig::vec`
+//! selects the path; the per-dispatch [`QueryProfile`] records which one
+//! each evaluation took.
 //!
 //! ## Observability
 //!
@@ -63,7 +65,7 @@ pub use ferry_storage::{
     DurabilityConfig, FsyncPolicy, RecoveryReport, ShardRecoveryReport, StorageError,
 };
 pub use ferry_telemetry::{Telemetry, TelemetryConfig};
-pub use par::{FuseMode, ParConfig, VecMode};
+pub use par::{ParConfig, VecMode};
 pub use shard::{
     all_shards_mask, shard_hash, shard_of, shards_for_pred, table_home, MAX_SHARDS,
     SHARD_HASH_VERSION,

@@ -18,34 +18,23 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering as AtOrd};
 use std::sync::Mutex;
 
-/// Execution-path selection for operators that have both a scalar
-/// (row-at-a-time `Bound` interpretation) and a vectorized (typed-chunk
-/// kernel) implementation. See `crate::vec_eval` and `DESIGN.md`.
+/// Execution-path selection. Every operator has the scalar
+/// (row-at-a-time `Bound` interpretation) implementation; the vectorized
+/// one is the chain program for `Select`/`Compute`/`Attach` runs (a lone
+/// operator is a chain of one — see `crate::exec`) and the typed sinks
+/// (joins, windows, group-by, distinct, serialize). See `crate::vec_eval`
+/// and `DESIGN.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VecMode {
     /// Vectorize when the input is large enough to amortise the one-off
     /// column transposition; small inputs stay scalar.
     #[default]
     Auto,
-    /// Scalar only — the fallback path doubles as the differential oracle.
+    /// Scalar only — the kernel-bail fallback doubles as the differential
+    /// oracle.
     Off,
     /// Vectorize whenever a kernel can be compiled, regardless of input
     /// size (differential tests force this to cover tiny inputs).
-    Force,
-}
-
-/// Pipeline-fusion selection: whether maximal fusible operator chains
-/// collapse into one streaming batch program (see `crate::exec`'s
-/// pipeline compiler and DESIGN.md "Pipeline fusion").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FuseMode {
-    /// Fuse whenever the chain input clears the vectorization threshold.
-    #[default]
-    Auto,
-    /// Never fuse — every node materializes its `Rel` (node-at-a-time).
-    Off,
-    /// Fuse every eligible chain regardless of input size (differential
-    /// tests force this to cover tiny inputs).
     Force,
 }
 
@@ -67,11 +56,6 @@ pub struct ParConfig {
     /// Scalar vs vectorized path selection (orthogonal to threading:
     /// kernels run inside morsels, so the two compose).
     pub vec: VecMode,
-    /// Pipeline fusion on top of vectorization: fused chains stream
-    /// batches end to end instead of materializing a `Rel` per node.
-    /// Composes with `vec` (fusion requires the vectorized path) and
-    /// with morsels (a fused pipeline parallelizes like a single node).
-    pub fuse: FuseMode,
 }
 
 impl Default for ParConfig {
@@ -81,7 +65,6 @@ impl Default for ParConfig {
             min_rows: 4096,
             morsel_rows: 0,
             vec: VecMode::Auto,
-            fuse: FuseMode::Auto,
         }
     }
 }
@@ -107,8 +90,8 @@ impl ParConfig {
         self.threads > 1 && n >= self.min_rows.max(2)
     }
 
-    /// Should an operator over `n` input rows take the vectorized path
-    /// (assuming it has one and a kernel compiles)? The `Auto` threshold
+    /// Should a chain or typed sink over `n` input rows take the
+    /// vectorized path (assuming its kernels compile)? The `Auto` threshold
     /// is deliberately low: the transposition is cached on the shared
     /// buffer, so it amortises across operators, not just within one.
     pub fn vectorize(&self, n: usize) -> bool {
@@ -116,18 +99,6 @@ impl ParConfig {
             VecMode::Off => false,
             VecMode::Force => n > 0,
             VecMode::Auto => n >= 64,
-        }
-    }
-
-    /// Should a fusible chain over `n` input rows run as one fused
-    /// pipeline? Fusion rides on the vectorized kernels, so `vec: Off`
-    /// disables it regardless of `fuse`; `Force` only overrides the
-    /// *size* threshold, not the vec gate.
-    pub fn fuse_for(&self, n: usize) -> bool {
-        match self.fuse {
-            FuseMode::Off => false,
-            FuseMode::Force => self.vec != VecMode::Off && n > 0,
-            FuseMode::Auto => self.vectorize(n),
         }
     }
 
@@ -368,30 +339,5 @@ mod tests {
         };
         assert!(force.vectorize(1));
         assert!(!force.vectorize(0));
-    }
-
-    #[test]
-    fn fuse_mode_gates() {
-        let auto = ParConfig::default();
-        assert!(auto.fuse_for(100_000));
-        assert!(!auto.fuse_for(8)); // below the vec Auto threshold
-        let off = ParConfig {
-            fuse: FuseMode::Off,
-            ..auto
-        };
-        assert!(!off.fuse_for(100_000));
-        let force = ParConfig {
-            fuse: FuseMode::Force,
-            ..auto
-        };
-        assert!(force.fuse_for(1));
-        assert!(!force.fuse_for(0));
-        // fusion never outruns the vec gate
-        let vec_off = ParConfig {
-            vec: VecMode::Off,
-            fuse: FuseMode::Force,
-            ..auto
-        };
-        assert!(!vec_off.fuse_for(100_000));
     }
 }

@@ -20,21 +20,19 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
 
-/// Which execution path an operator took for one evaluation. Operators
-/// with a vectorized implementation pick per input (kernel compiled,
-/// chunk types usable, input large enough — see `ParConfig::vectorize`);
-/// everything else is scalar.
+/// Which execution path one evaluation — a plan node, or a pipeline
+/// chain under its tail — took. The vectorized implementations pick per
+/// input (kernels compiled, chunk types usable, input large enough — see
+/// `ParConfig::vectorize`); everything else is scalar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
     /// Row-at-a-time `Bound` interpretation — the fallback and the
     /// differential oracle.
     #[default]
     Scalar,
-    /// Typed-chunk kernels (`vec_eval`) / columnar operator plans.
+    /// At least one kernel batch (`vec_eval` chain program) or typed sink
+    /// (columnar join / window / group-by / distinct / sort codes) ran.
     Vectorized,
-    /// A fused pipeline: this node is the tail of a scan→…→sink chain
-    /// that streamed batches through all member operators in one loop.
-    Fused,
 }
 
 impl fmt::Display for ExecPath {
@@ -42,7 +40,6 @@ impl fmt::Display for ExecPath {
         match self {
             ExecPath::Scalar => write!(f, "scalar"),
             ExecPath::Vectorized => write!(f, "vec"),
-            ExecPath::Fused => write!(f, "fused"),
         }
     }
 }
@@ -62,13 +59,14 @@ pub struct NodeProfile {
     /// Morsels the node's bulk work was split into (`0` for operators
     /// without a morsel path, `1` for a serial run).
     pub morsels: u32,
-    /// Execution path the node took.
+    /// Execution path the evaluation took (`Vectorized` iff `batches > 0`).
     pub path: ExecPath,
     /// Kernel batches executed (`0` on the scalar path).
     pub batches: u32,
-    /// When this node is the tail of a pipeline group: the member
-    /// operators' labels in scan→sink order (empty for plain nodes).
-    /// Present whether the group actually fused or fell back — `path`
+    /// When this node is the tail of a pipeline group of two or more
+    /// plan nodes: the member operators' labels in scan→sink order
+    /// (empty for plain nodes and chains of one). Present whether the
+    /// chain program ran or the members fell back to scalar — `path`
     /// says which happened.
     pub fused: Vec<&'static str>,
     /// Shards the node's scan actually read (sharded base tables only;
@@ -203,15 +201,15 @@ pub struct QueryStats {
     /// DAG scheduling wavefronts that evaluated two or more nodes
     /// concurrently.
     pub par_waves: u64,
-    /// Node evaluations that took the vectorized path.
+    /// Plan nodes covered by evaluations that took the vectorized path
+    /// (every member of a pipeline chain counts, like `nodes_evaluated`).
     pub vec_nodes: u64,
-    /// Total kernel batches executed by vectorized nodes.
+    /// Total kernel batches executed by vectorized evaluations.
     pub kernel_batches: u64,
-    /// Pipeline groups that executed fused (one batch loop from scan to
-    /// sink, no intermediate relations).
+    /// Pipeline groups of two or more plan nodes whose chain program ran
+    /// (one batch loop from scan to sink, no intermediate relations).
     pub fused_pipelines: u64,
-    /// Plan nodes absorbed into fused pipelines (members of every fused
-    /// group, tails included).
+    /// Plan nodes those groups covered (tails included).
     pub fused_nodes: u64,
     /// Rows read from sharded base-table scans (post-pruning).
     pub shard_rows: u64,

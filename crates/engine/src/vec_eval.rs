@@ -8,6 +8,13 @@
 //! `Vec<i64>`), so the per-row cost is an add and a bounds check instead
 //! of an enum dispatch and a heap-happy `Value` clone.
 //!
+//! Kernels only ever run as stages of a **chain program**
+//! ([`ChainBuilder`] → [`ChainProg`]): the one vectorized form of a
+//! `Select`/`Project`/`Compute`/`Attach` run, a lone operator being a
+//! chain of one. `crate::exec` streams each morsel of the chain's input
+//! through every stage batch by batch; there is no node-at-a-time kernel
+//! dispatch beside it.
+//!
 //! ## Semantics contract
 //!
 //! The kernels are *observably identical* to the scalar oracle — same
@@ -16,7 +23,7 @@
 //! differ (scalar walks rows outer-most, kernels walk instructions
 //! outer-most). Three scalar behaviours cannot be reproduced by a
 //! straight-line batch program, so [`compile`] refuses those expressions
-//! and the operator falls back to scalar:
+//! and the chain falls back to the scalar operators:
 //!
 //! - `AND`/`OR` short-circuiting: a kernel evaluates both sides for the
 //!   whole batch, so a *fallible* right-hand side (one that can raise,
@@ -34,7 +41,6 @@
 
 use crate::error::EngineError;
 use crate::eval;
-use crate::par::ParConfig;
 use ferry_algebra::{BinOp, ColVec, Expr, Rel, Schema, Ty, UnOp, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -187,7 +193,7 @@ enum Instr {
         dst: u16,
     },
     /// Copy carried column `carry` (batch-local, already compacted to the
-    /// batch's surviving rows) into `dst`. Chain programs only.
+    /// batch's surviving rows) into `dst`.
     LoadCarry {
         carry: u16,
         dst: u16,
@@ -316,8 +322,8 @@ pub struct Kernel {
     out: u16,
 }
 
-/// Where a chain-visible column really lives. Chain programs
-/// ([`compile_virtual`]) see the schema *after* upstream Project /
+/// Where a chain-visible column really lives. Stage kernels
+/// ([`compile`]) see the schema *after* upstream Project /
 /// Compute / Attach stages, but load from the chain *input*: a visible
 /// column is either an input column, a value carried from an earlier
 /// Compute stage, or an attached constant.
@@ -341,10 +347,8 @@ enum LoadKey {
 
 struct Compiler<'a> {
     schema: &'a Schema,
-    col_map: Option<&'a [u32]>,
-    /// When set, column references resolve through virtual sources
-    /// instead of `col_map` (chain programs).
-    virt: Option<&'a [VirtSrc]>,
+    /// Source of each column of `schema`.
+    virt: &'a [VirtSrc],
     instrs: Vec<Instr>,
     reg_tys: Vec<Ty>,
     cols: Vec<u32>,
@@ -362,7 +366,7 @@ impl Compiler<'_> {
         Some((self.reg_tys.len() - 1) as u16)
     }
 
-    /// Emit (or reuse) a load of input/buffer column `col` typed `ty`.
+    /// Emit (or reuse) a load of chain-input column `col` typed `ty`.
     fn load_col(&mut self, col: u32, ty: Ty) -> Option<(u16, Ty)> {
         if let Some(&hit) = self.loaded.get(&LoadKey::Buf(col)) {
             return Some(hit);
@@ -381,33 +385,26 @@ impl Compiler<'_> {
             Expr::Col(name) => {
                 let idx = self.schema.index_of(name)?;
                 let ty = self.schema.cols()[idx].1;
-                if let Some(virt) = self.virt {
-                    return match virt[idx].clone() {
-                        VirtSrc::Input(c) => self.load_col(c, ty),
-                        VirtSrc::Carry(k) => {
-                            if let Some(&hit) = self.loaded.get(&LoadKey::Carry(k)) {
-                                return Some(hit);
-                            }
-                            let dst = self.reg(ty)?;
-                            self.instrs.push(Instr::LoadCarry { carry: k, dst });
-                            self.loaded.insert(LoadKey::Carry(k), (dst, ty));
-                            Some((dst, ty))
+                match self.virt[idx].clone() {
+                    VirtSrc::Input(c) => self.load_col(c, ty),
+                    VirtSrc::Carry(k) => {
+                        if let Some(&hit) = self.loaded.get(&LoadKey::Carry(k)) {
+                            return Some(hit);
                         }
-                        VirtSrc::Const(v) => {
-                            if v.ty() != ty {
-                                return None;
-                            }
-                            let dst = self.reg(ty)?;
-                            self.instrs.push(Instr::Splat { v, dst });
-                            Some((dst, ty))
+                        let dst = self.reg(ty)?;
+                        self.instrs.push(Instr::LoadCarry { carry: k, dst });
+                        self.loaded.insert(LoadKey::Carry(k), (dst, ty));
+                        Some((dst, ty))
+                    }
+                    VirtSrc::Const(v) => {
+                        if v.ty() != ty {
+                            return None;
                         }
-                    };
+                        let dst = self.reg(ty)?;
+                        self.instrs.push(Instr::Splat { v, dst });
+                        Some((dst, ty))
+                    }
                 }
-                let raw = match self.col_map {
-                    Some(map) => map[idx],
-                    None => idx as u32,
-                };
-                self.load_col(raw, ty)
             }
             Expr::Const(v) => {
                 let ty = v.ty();
@@ -569,32 +566,15 @@ fn infallible(e: &Expr, schema: &Schema) -> bool {
     }
 }
 
-/// Lower `expr` (typed against `schema`, with visible columns remapped
-/// through `col_map` to buffer columns) to a kernel program. `None` means
-/// the expression must stay on the scalar path — see the module docs for
-/// the exact bail-out conditions.
-pub fn compile(expr: &Expr, schema: &Schema, col_map: Option<&[u32]>) -> Option<Kernel> {
-    compile_inner(expr, schema, col_map, None)
-}
-
 /// Lower `expr` (typed against the *chain-visible* `schema`, whose columns
 /// resolve through `virt` to chain-input columns, carried stage results,
-/// or constants) to a kernel program for [`Kernel::run_chain`]. The
-/// `cols` of the result index the chain input's **visible** columns; the
-/// caller maps them to buffer columns when binding chunks.
-pub(crate) fn compile_virtual(expr: &Expr, schema: &Schema, virt: &[VirtSrc]) -> Option<Kernel> {
-    compile_inner(expr, schema, None, Some(virt))
-}
-
-fn compile_inner(
-    expr: &Expr,
-    schema: &Schema,
-    col_map: Option<&[u32]>,
-    virt: Option<&[VirtSrc]>,
-) -> Option<Kernel> {
+/// or constants) to a kernel program. The `cols` of the result index the
+/// chain input's **visible** columns; [`ChainProg::bind`] maps them to
+/// buffer columns. `None` means the expression must stay on the scalar
+/// path — see the module docs for the exact bail-out conditions.
+pub(crate) fn compile(expr: &Expr, schema: &Schema, virt: &[VirtSrc]) -> Option<Kernel> {
     let mut c = Compiler {
         schema,
-        col_map,
         virt,
         instrs: Vec::new(),
         reg_tys: Vec::new(),
@@ -614,7 +594,7 @@ fn compile_inner(
 
 /// Does the chunk's storage variant match the slot's schema type? A
 /// mismatch (possible only for buffers built outside schema validation)
-/// sends the operator to the scalar path.
+/// sends the chain to the scalar path.
 fn variant_matches(ty: Ty, chunk: &ColVec) -> bool {
     matches!(
         (ty, chunk),
@@ -669,7 +649,7 @@ impl Kernel {
         self.reg_tys.iter().map(|&t| Reg::new(t)).collect()
     }
 
-    /// Buffer columns the program loads, in slot order.
+    /// Chain-input visible columns the program loads, in slot order.
     pub fn columns(&self) -> &[u32] {
         &self.cols
     }
@@ -696,21 +676,10 @@ impl Kernel {
 
     /// Execute the program for one batch: `rows` holds the **buffer** row
     /// indices of the batch, `chunks` the full-buffer columns per load
-    /// slot. On success, `regs[self.out_reg()]` holds one result per row.
-    pub fn run(
-        &self,
-        chunks: &[Arc<ColVec>],
-        rows: &[u32],
-        regs: &mut [Reg],
-    ) -> Result<(), EngineError> {
-        self.run_chain(chunks, &[], rows, regs)
-    }
-
-    /// [`Kernel::run`] with carried columns: `carries[k]` holds the
-    /// batch-local result of an earlier chain stage, already compacted to
-    /// exactly the rows of this batch. Programs compiled by
-    /// [`compile_virtual`] reference them through [`Instr::LoadCarry`].
-    pub(crate) fn run_chain(
+    /// slot, `carries[k]` the batch-local result of an earlier chain
+    /// stage, already compacted to exactly the rows of this batch. On
+    /// success, `regs[self.out_reg()]` holds one result per row.
+    pub(crate) fn run(
         &self,
         chunks: &[Arc<ColVec>],
         carries: &[Reg],
@@ -1008,114 +977,7 @@ impl Kernel {
     }
 }
 
-/// A kernel bound to a specific relation: the program plus the cached
-/// column chunks it loads from. Build one per operator with [`prepare`],
-/// then evaluate any number of row ranges (morsels) against it — the
-/// prepared form is `Sync`, so morsel workers share it.
-#[derive(Debug)]
-pub struct Prepared {
-    kernel: Kernel,
-    chunks: Vec<Arc<ColVec>>,
-}
-
-/// Compile `expr` for `rel` and bind the column chunks, or `None` when
-/// the operator should stay scalar: the config gates vectorization off
-/// (`VecMode`/input size), the expression doesn't lower (see [`compile`]),
-/// or a chunk's storage variant contradicts the schema.
-pub fn prepare(expr: &Expr, rel: &Rel, cfg: &ParConfig) -> Option<Prepared> {
-    if !cfg.vectorize(rel.len()) {
-        return None;
-    }
-    let kernel = compile(expr, &rel.schema, rel.col_map())?;
-    let chunks: Vec<Arc<ColVec>> = kernel
-        .columns()
-        .iter()
-        .map(|&c| rel.typed_col(c as usize))
-        .collect();
-    kernel
-        .accepts(&chunks)
-        .then_some(Prepared { kernel, chunks })
-}
-
-impl Prepared {
-    /// Evaluate the (boolean) program over visible rows `range` of `rel`,
-    /// returning the selected **buffer** row indices in visible order plus
-    /// the number of batches executed. This is the fused filter path: the
-    /// mask never materialises as rows — it goes straight into a selection
-    /// vector.
-    pub fn filter_range(
-        &self,
-        rel: &Rel,
-        range: Range<usize>,
-    ) -> Result<(Vec<u32>, u32), EngineError> {
-        let mut keep = Vec::new();
-        let batches = self.for_batches(rel, range, |rows, out| {
-            let Reg::Bool(mask) = out else {
-                return Err(confusion());
-            };
-            for (k, &m) in mask.iter().enumerate() {
-                if m {
-                    keep.push(rows[k]);
-                }
-            }
-            Ok(())
-        })?;
-        Ok((keep, batches))
-    }
-
-    /// Evaluate the program over visible rows `range`, returning one value
-    /// per row (computed-column path) plus the number of batches executed.
-    pub fn values_range(
-        &self,
-        rel: &Rel,
-        range: Range<usize>,
-    ) -> Result<(Vec<Value>, u32), EngineError> {
-        let mut vals = Vec::with_capacity(range.len());
-        let batches = self.for_batches(rel, range, |rows, out| {
-            for k in 0..rows.len() {
-                vals.push(out.value(k));
-            }
-            Ok(())
-        })?;
-        Ok((vals, batches))
-    }
-
-    /// Drive the kernel over `range` in [`BATCH_ROWS`]-sized batches,
-    /// handing each batch's buffer rows and output register to `sink`.
-    fn for_batches(
-        &self,
-        rel: &Rel,
-        range: Range<usize>,
-        mut sink: impl FnMut(&[u32], &Reg) -> Result<(), EngineError>,
-    ) -> Result<u32, EngineError> {
-        let mut regs = self.kernel.alloc_regs();
-        let mut rows: Vec<u32> = Vec::with_capacity(BATCH_ROWS.min(range.len()));
-        let sel = rel.sel_map();
-        let mut batches = 0u32;
-        let mut i = range.start;
-        while i < range.end {
-            let hi = (i + BATCH_ROWS).min(range.end);
-            // a selection vector already *is* the buffer-row batch (the
-            // shard-pruned scan path lives here) — borrow it instead of
-            // copying element-wise
-            let batch: &[u32] = match sel {
-                Some(s) => &s[i..hi],
-                None => {
-                    rows.clear();
-                    rows.extend(i as u32..hi as u32);
-                    &rows
-                }
-            };
-            self.kernel.run(&self.chunks, batch, &mut regs)?;
-            batches += 1;
-            sink(batch, &regs[self.kernel.out_reg()])?;
-            i = hi;
-        }
-        Ok(batches)
-    }
-}
-
-/// One fused pipeline stage: a filter kernel (drops rows) or a compute
+/// One chain stage: a filter kernel (drops rows) or a compute
 /// kernel (appends a carried column).
 #[derive(Debug)]
 pub(crate) enum Stage {
@@ -1131,11 +993,11 @@ impl Stage {
     }
 }
 
-/// Incremental compiler for a fused Select/Project/Compute/Attach chain.
+/// Incremental compiler for a Select/Project/Compute/Attach chain.
 /// Feed it the chain's operators bottom-up; each step returns `false`
 /// when that operator cannot join the chain (expression doesn't lower,
-/// type surprise, too many carries) — the caller then abandons fusion
-/// and falls back to node-at-a-time execution.
+/// type surprise, too many carries) — the caller then abandons the chain
+/// and falls back to the scalar operators.
 #[derive(Debug)]
 pub(crate) struct ChainBuilder {
     /// Schema visible after the stages accepted so far.
@@ -1166,7 +1028,7 @@ impl ChainBuilder {
 
     /// Add a Select stage. The predicate must lower to a boolean kernel.
     pub(crate) fn filter(&mut self, pred: &Expr) -> bool {
-        let Some(kernel) = compile_virtual(pred, &self.schema, &self.virt) else {
+        let Some(kernel) = compile(pred, &self.schema, &self.virt) else {
             return false;
         };
         if kernel.out_ty() != Ty::Bool {
@@ -1179,7 +1041,7 @@ impl ChainBuilder {
     /// Add a Compute stage: evaluate `expr` and expose it as the last
     /// column of `out_schema` (the Compute node's output schema).
     pub(crate) fn compute(&mut self, expr: &Expr, out_schema: &Schema) -> bool {
-        let Some(kernel) = compile_virtual(expr, &self.schema, &self.virt) else {
+        let Some(kernel) = compile(expr, &self.schema, &self.virt) else {
             return false;
         };
         let Some(&(_, ty)) = out_schema.cols().last() else {
@@ -1341,7 +1203,7 @@ impl BoundChain<'_> {
                 }
                 match stage {
                     Stage::Filter(k) => {
-                        k.run_chain(&self.chunks[si], &carries_b[..live], &rows_b, &mut regs[si])?;
+                        k.run(&self.chunks[si], &carries_b[..live], &rows_b, &mut regs[si])?;
                         let Reg::Bool(mask) = &regs[si][k.out_reg()] else {
                             return Err(confusion());
                         };
@@ -1358,7 +1220,7 @@ impl BoundChain<'_> {
                         rows_b.truncate(w);
                     }
                     Stage::Compute(k) => {
-                        k.run_chain(&self.chunks[si], &carries_b[..live], &rows_b, &mut regs[si])?;
+                        k.run(&self.chunks[si], &carries_b[..live], &rows_b, &mut regs[si])?;
                         let ty = self.prog.carry_tys[live];
                         carries_b[live] =
                             std::mem::replace(&mut regs[si][k.out_reg()], Reg::new(ty));
@@ -1383,8 +1245,8 @@ impl BoundChain<'_> {
 mod tests {
     use super::*;
     use crate::eval::{bind, eval};
-    use crate::par::VecMode;
-    use ferry_algebra::Schema;
+    use crate::par::{ParConfig, VecMode};
+    use ferry_algebra::Plan;
 
     fn schema() -> Schema {
         Schema::of(&[
@@ -1415,22 +1277,49 @@ mod tests {
         )
     }
 
-    fn force() -> ParConfig {
-        ParConfig {
-            vec: VecMode::Force,
-            ..ParConfig::default()
-        }
+    /// `sch` plus one more column (a Compute node's output schema).
+    fn wide(sch: &Schema, extra: (&str, Ty)) -> Schema {
+        Schema::of(
+            &sch.cols()
+                .iter()
+                .map(|(n, t)| (&**n, *t))
+                .chain([extra])
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// Lower `e` over `s` with every column a plain chain input.
+    fn lower(e: &Expr, s: &Schema) -> Option<Kernel> {
+        let virt: Vec<VirtSrc> = (0..s.len() as u32).map(VirtSrc::Input).collect();
+        compile(e, s, &virt)
+    }
+
+    fn lowers(e: &Expr, s: &Schema) -> bool {
+        lower(e, s).is_some()
+    }
+
+    /// `e` as a one-stage Compute chain over `r`, run over all of it.
+    fn compute_chain(e: &Expr, r: &Rel) -> Result<StreamChunk, EngineError> {
+        let ty = e.infer_ty(&r.schema).expect("typed expression");
+        let mut b = ChainBuilder::new(&r.schema);
+        assert!(
+            b.compute(e, &wide(&r.schema, ("out", ty))),
+            "expected a kernel for {e:?}"
+        );
+        let prog = b.finish();
+        let bound = prog.bind(r).expect("chunks match the schema");
+        bound.run_range(0..r.len())
     }
 
     /// Kernel result == scalar oracle result, row for row.
     fn assert_matches_oracle(e: &Expr, r: &Rel) {
-        let prep = prepare(e, r, &force()).unwrap_or_else(|| panic!("expected a kernel for {e:?}"));
-        let (vals, batches) = prep.values_range(r, 0..r.len()).unwrap();
-        assert!(batches >= 1);
+        let chunk = compute_chain(e, r).unwrap();
+        assert!(chunk.batches >= 1);
+        assert_eq!(chunk.rows.len(), r.len());
         let bound = bind(e, &r.schema).unwrap();
-        for (i, got) in vals.iter().enumerate() {
-            let want = eval(&bound, &r.buffer()[i]).unwrap();
-            assert_eq!(*got, want, "row {i} of {e:?}");
+        for i in 0..r.len() {
+            let want = eval(&bound, &r.owned_row(i)).unwrap();
+            assert_eq!(chunk.carries[0].value(i), want, "row {i} of {e:?}");
         }
     }
 
@@ -1487,14 +1376,16 @@ mod tests {
     }
 
     #[test]
-    fn filter_range_yields_selection_vector() {
+    fn filter_chain_yields_selection_vector() {
         let r = rel(100);
-        let pred = Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(10i64));
-        let prep = prepare(&pred, &r, &force()).unwrap();
-        let (keep, _) = prep.filter_range(&r, 0..r.len()).unwrap();
+        let mut b = ChainBuilder::new(&r.schema);
+        assert!(b.filter(&Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(10i64))));
+        let prog = b.finish();
+        let bound = prog.bind(&r).unwrap();
+        let keep = bound.run_range(0..r.len()).unwrap().rows;
         assert_eq!(keep, (0..10).collect::<Vec<u32>>());
         // sub-ranges see only their rows
-        let (keep, _) = prep.filter_range(&r, 5..20).unwrap();
+        let keep = bound.run_range(5..20).unwrap().rows;
         assert_eq!(keep, (5..10).collect::<Vec<u32>>());
     }
 
@@ -1502,12 +1393,10 @@ mod tests {
     fn kernels_report_scalar_error_messages() {
         let r = rel(100);
         let div = Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::col("a"));
-        let prep = prepare(&div, &r, &force()).unwrap();
-        let err = prep.values_range(&r, 0..r.len()).unwrap_err();
+        let err = compute_chain(&div, &r).unwrap_err();
         assert_eq!(err, EngineError::Eval("division by zero".into()));
         let ovf = Expr::bin(BinOp::Add, Expr::col("a"), Expr::lit(i64::MAX));
-        let prep = prepare(&ovf, &r, &force()).unwrap();
-        let err = prep.values_range(&r, 0..r.len()).unwrap_err();
+        let err = compute_chain(&ovf, &r).unwrap_err();
         assert_eq!(err, EngineError::Eval("integer overflow in +".into()));
     }
 
@@ -1524,42 +1413,37 @@ mod tests {
             Expr::eq(Expr::col("a"), Expr::lit(0i64)),
             fallible.clone(),
         );
-        assert!(compile(&guarded, &s, None).is_none());
+        assert!(!lowers(&guarded, &s));
         // CASE with a fallible branch must refuse too
         let case = Expr::case(Expr::col("p"), fallible, Expr::lit(true));
-        assert!(compile(&case, &s, None).is_none());
+        assert!(!lowers(&case, &s));
         // infallible variants of both do compile
         let ok = Expr::bin(
             BinOp::Or,
             Expr::eq(Expr::col("a"), Expr::lit(0i64)),
             Expr::col("p"),
         );
-        assert!(compile(&ok, &s, None).is_some());
+        assert!(lowers(&ok, &s));
     }
 
     #[test]
     fn nat_div_and_mod_bail_to_scalar() {
         let s = Schema::of(&[("n", Ty::Nat)]);
-        assert!(compile(
+        assert!(!lowers(
             &Expr::bin(BinOp::Div, Expr::col("n"), Expr::col("n")),
-            &s,
-            None
-        )
-        .is_none());
-        assert!(compile(
+            &s
+        ));
+        assert!(lowers(
             &Expr::bin(BinOp::Add, Expr::col("n"), Expr::col("n")),
-            &s,
-            None
-        )
-        .is_some());
+            &s
+        ));
     }
 
     #[test]
     fn repeated_columns_load_once() {
         let s = schema();
         let e = Expr::bin(BinOp::Mul, Expr::col("a"), Expr::col("a"));
-        let k = compile(&e, &s, None).unwrap();
-        assert_eq!(k.columns(), &[0]);
+        assert_eq!(lower(&e, &s).unwrap().columns(), &[0]);
     }
 
     #[test]
@@ -1568,14 +1452,10 @@ mod tests {
         // a view exposing only (b, d): visible column 0 is buffer column 1,
         // visible column 1 is buffer column 2
         let view = r.with_cols(Schema::of(&[("b", Ty::Int), ("d", Ty::Dbl)]), vec![1, 2]);
-        let e = Expr::bin(BinOp::Gt, Expr::col("d"), Expr::lit(5.0f64));
-        let prep = prepare(&e, &view, &force()).unwrap();
-        let (vals, _) = prep.values_range(&view, 0..view.len()).unwrap();
-        let bound = bind(&e, &view.schema).unwrap();
-        for (i, got) in vals.iter().enumerate() {
-            let want = eval(&bound, &view.owned_row(i)).unwrap();
-            assert_eq!(*got, want, "row {i}");
-        }
+        assert_matches_oracle(
+            &Expr::bin(BinOp::Gt, Expr::col("d"), Expr::lit(5.0f64)),
+            &view,
+        );
     }
 
     /// filter → compute → filter → project → attach as one chain program,
@@ -1593,15 +1473,7 @@ mod tests {
             Expr::bin(BinOp::Mul, Expr::col("a"), Expr::lit(2i64)),
             Expr::col("b"),
         );
-        let mut s1 = r.schema.clone();
-        s1 = Schema::of(
-            &s1.cols()
-                .iter()
-                .map(|(n, t)| (&**n, *t))
-                .chain([("y", Ty::Int)])
-                .collect::<Vec<_>>(),
-        );
-        assert!(b.compute(&y, &s1));
+        assert!(b.compute(&y, &wide(&r.schema, ("y", Ty::Int))));
         // SELECT y % 2 = 1 (a*2+3 is always odd: keeps everything — then
         // a tighter one) and SELECT y < 1003 (drops most rows)
         assert!(b.filter(&Expr::eq(
@@ -1657,15 +1529,6 @@ mod tests {
     #[test]
     fn chain_error_semantics_respect_filters() {
         let r = rel(100);
-        let wide = |sch: &Schema, extra: (&str, Ty)| {
-            Schema::of(
-                &sch.cols()
-                    .iter()
-                    .map(|(n, t)| (&**n, *t))
-                    .chain([extra])
-                    .collect::<Vec<_>>(),
-            )
-        };
         // guarded: a != 0 filtered first, then 1/a computes cleanly
         let mut b = ChainBuilder::new(&r.schema);
         assert!(b.filter(&Expr::bin(BinOp::Gt, Expr::col("a"), Expr::lit(0i64))));
@@ -1710,15 +1573,21 @@ mod tests {
         assert!(b.filter(&Expr::col("p")));
     }
 
+    /// The `VecMode` gate sits in front of the chain: `Off` runs a lone
+    /// Select on the scalar operator, `Force` as a chain of one.
     #[test]
-    fn vec_mode_off_prepares_nothing() {
-        let r = rel(200);
-        let e = Expr::col("p");
-        let off = ParConfig {
-            vec: VecMode::Off,
-            ..ParConfig::default()
-        };
-        assert!(prepare(&e, &r, &off).is_none());
-        assert!(prepare(&e, &r, &force()).is_some());
+    fn vec_mode_off_runs_no_chain() {
+        let mut plan = Plan::new();
+        let l = plan.lit(schema(), rel(200).rows().into_owned());
+        let root = plan.select(l, Expr::col("p"));
+        for (vec, batches) in [(VecMode::Off, 0), (VecMode::Force, 1)] {
+            let db = crate::Database::new();
+            db.set_par_config(ParConfig {
+                vec,
+                ..ParConfig::default()
+            });
+            assert_eq!(db.execute(&plan, root).unwrap().len(), 100);
+            assert_eq!(db.stats().kernel_batches, batches, "{vec:?}");
+        }
     }
 }

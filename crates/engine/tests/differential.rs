@@ -2,11 +2,11 @@
 //! operator must produce **cell-for-cell identical** results — including
 //! sort and window tie-break order — whether it runs serially or split
 //! into morsels across worker threads, and whether it takes the scalar
-//! row-at-a-time path or the vectorized typed-chunk path. The serial
-//! scalar engine (`VecMode::Off`, one thread) is the oracle; every other
-//! configuration in the cross product
+//! row-at-a-time path or the vectorized one (chain programs + typed
+//! sinks). The serial scalar engine (`VecMode::Off`, one thread) is the
+//! oracle; every other configuration in the cross product
 //!
-//!   {scalar, vectorized} × {1 thread, 4 threads} × morsel sizes {1, 7, 1024}
+//!   {oracle, vec} × {1 thread, 4 threads} × morsel sizes {1, 7, 1024}
 //!
 //! must reproduce it exactly. Morsel outputs reassemble in morsel order,
 //! every sort comparator is a total order, and kernels reproduce scalar
@@ -17,7 +17,7 @@ use ferry_algebra::{
     plan::{cn, Aggregate},
     AggFun, BinOp, Dir, Expr, JoinCols, Node, NodeId, Plan, Rel, Schema, Ty, Value,
 };
-use ferry_engine::{Database, FuseMode, ParConfig, VecMode};
+use ferry_engine::{Database, ParConfig, VecMode};
 use proptest::prelude::*;
 
 fn schema_abc(prefix: &str) -> Schema {
@@ -47,23 +47,17 @@ fn scalar_oracle() -> ParConfig {
     ParConfig {
         threads: 1,
         vec: VecMode::Off,
-        fuse: FuseMode::Off,
         ..ParConfig::default()
     }
 }
 
-/// The configurations under test: {scalar, vectorized-forced,
-/// fused-forced} × {serial, 4 workers} × degenerate morsel splits.
-/// `min_rows: 1` forces the parallel path and `VecMode::Force` /
-/// `FuseMode::Force` the vectorized and fused paths even on tiny
-/// proptest relations.
+/// The configurations under test: {scalar, vectorized-forced} ×
+/// {serial, 4 workers} × degenerate morsel splits. `min_rows: 1` forces
+/// the parallel path and `VecMode::Force` the chain programs and typed
+/// sinks even on tiny proptest relations.
 fn par_configs() -> Vec<ParConfig> {
     let mut cfgs = Vec::new();
-    for (vec, fuse) in [
-        (VecMode::Off, FuseMode::Off),
-        (VecMode::Force, FuseMode::Off),
-        (VecMode::Force, FuseMode::Force),
-    ] {
+    for vec in [VecMode::Off, VecMode::Force] {
         for threads in [1usize, 4] {
             for morsel_rows in [1usize, 7, 1024] {
                 cfgs.push(ParConfig {
@@ -71,7 +65,6 @@ fn par_configs() -> Vec<ParConfig> {
                     min_rows: 1,
                     morsel_rows,
                     vec,
-                    fuse,
                 });
             }
         }
@@ -495,11 +488,12 @@ fn mixed_type_operators_agree_on_large_input() {
 
 // ---------------------------------------------------------------------
 // Pipeline-shaped roots: multi-operator chains the pipeline compiler
-// groups into one fused batch program (scan → Select*/Compute/Project/
-// Attach → window / join-probe / serialize / group-by sink). Under
-// `FuseMode::Force` in the config matrix these run the fused streaming
-// loop; the oracle and the unfused configs evaluate the same nodes
-// one at a time — results must be cell-for-cell identical either way.
+// groups into one batch program (scan → Select*/Compute/Project/
+// Attach → window / join-probe / serialize / group-by sink), and lone
+// operators behind pipeline breakers (chains of one). Under
+// `VecMode::Force` these run the streaming loop; the oracle evaluates
+// the same nodes one at a time — results must be cell-for-cell identical
+// either way.
 // ---------------------------------------------------------------------
 
 /// Chains over the mixed schema, one per fusible sink family, each at
@@ -597,7 +591,19 @@ fn pipeline_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
         Expr::bin(BinOp::Concat, Expr::col("s"), Expr::lit(Value::str("#"))),
     );
     let p8 = plan.project_keep(c8, &[cn("t"), cn("p")]);
-    roots.push(plan.distinct(p8));
+    let d8 = plan.distinct(p8);
+    roots.push(d8);
+
+    // chains of one, each over a breaker so no longer chain absorbs it:
+    // attach over the distinct, select over a union, and a compute over
+    // a join that two consumers share
+    roots.push(plan.attach(d8, "tag", Value::Nat(1)));
+    let u9 = plan.union_all(l, l);
+    roots.push(plan.select(u9, Expr::bin(BinOp::Lt, d.clone(), Expr::lit(1.0))));
+    let j9 = plan.equi_join(l, r, JoinCols::single("x", "rx"));
+    let c9 = plan.compute(j9, "xr", Expr::bin(BinOp::Add, x.clone(), Expr::col("rx")));
+    roots.push(plan.select(c9, Expr::bin(BinOp::Gt, Expr::col("xr"), Expr::lit(0i64))));
+    roots.push(plan.distinct(c9));
 
     roots
 }
@@ -698,8 +704,15 @@ fn runtime_errors_agree_across_paths() {
         );
         let piped_rn = plan.rownum(mid, "rn", vec![], vec![(cn("q"), Dir::Asc)]);
         let piped_ser = plan.serialize(mid, vec![(cn("q"), Dir::Desc)], vec![cn("x"), cn("q")]);
+        // a lone fallible compute behind a breaker: a chain of one
+        let dist = plan.distinct(l);
+        let lone = plan.compute(
+            dist,
+            "z",
+            Expr::bin(BinOp::Div, Expr::col("x"), Expr::lit(0i64)),
+        );
         let oracle = db_with(scalar_oracle());
-        for root in [div, ovf, sel, piped_rn, piped_ser] {
+        for root in [div, ovf, sel, piped_rn, piped_ser, lone] {
             let expect = oracle.execute(&plan, root).map_err(|e| e.to_string());
             for cfg in par_configs() {
                 let got = db_with(cfg).execute(&plan, root).map_err(|e| e.to_string());

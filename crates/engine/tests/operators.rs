@@ -487,6 +487,52 @@ fn dag_sharing_evaluates_shared_node_once() {
     assert_eq!(db.stats().nodes_evaluated, 5);
 }
 
+/// `vec_nodes` counts plan nodes the way `nodes_evaluated` does: every
+/// member of a chain whose kernels ran, not one per evaluation — and a
+/// project-only chain into a composite-key (scalar-probe) join is scalar.
+#[test]
+fn vec_nodes_counts_chain_members() {
+    use ferry_engine::{ExecPath, ParConfig, VecMode};
+    let db = db();
+    db.set_par_config(ParConfig {
+        vec: VecMode::Force,
+        ..ParConfig::serial()
+    });
+    let mut p = Plan::new();
+    let t = emp_ref(&mut p);
+    let sel = p.select(t, Expr::bin(BinOp::Gt, Expr::col("sal"), Expr::lit(60i64)));
+    let cmp = p.compute(
+        sel,
+        "x2",
+        Expr::bin(BinOp::Mul, Expr::col("sal"), Expr::lit(2i64)),
+    );
+    let rn = p.rownum(cmp, "rn", vec![], vec![(cn("x2"), Dir::Asc)]);
+    db.reset_stats();
+    assert_eq!(exec(&db, &p, rn).len(), 3);
+    let st = db.stats();
+    // table → select → compute → rownum: one evaluation, four nodes
+    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 4));
+    let prof = &st.latest_profile().unwrap().nodes;
+    assert_eq!(prof.len(), 1);
+    assert_eq!(prof[0].path, ExecPath::Vectorized);
+    assert_eq!(prof[0].fused, ["table", "select", "compute", "rownum"]);
+
+    let t2 = emp_ref(&mut p);
+    let left = p.project(t2, vec![(cn("d"), cn("dept")), (cn("n"), cn("name"))]);
+    let keys = JoinCols {
+        left: vec![cn("d"), cn("n")],
+        right: vec![cn("dept"), cn("name")],
+    };
+    let j = p.equi_join(left, t, keys);
+    db.reset_stats();
+    assert_eq!(exec(&db, &p, j).len(), 4);
+    let st = db.stats();
+    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 0));
+    let tail = st.latest_profile().unwrap().nodes.last().unwrap().clone();
+    assert_eq!(tail.fused, ["table", "project", "join"]);
+    assert_eq!((tail.path, tail.batches), (ExecPath::Scalar, 0));
+}
+
 #[test]
 fn stats_track_rows() {
     let db = db();

@@ -15,7 +15,7 @@ use ferry_algebra::{
     AggFun, BinOp, Dir, Expr, JoinCols, NodeId, Plan, Rel, Row, Schema, Ty, Value,
 };
 use ferry_engine::{
-    shard_hash, shard_of, Database, DurabilityConfig, FsyncPolicy, FuseMode, ParConfig, VecMode,
+    shard_hash, shard_of, Database, DurabilityConfig, FsyncPolicy, ParConfig, VecMode,
 };
 use ferry_storage::{FaultFs, Vfs};
 use proptest::prelude::*;
@@ -334,7 +334,6 @@ fn group_by_on_shard_key_is_exact_including_order() {
         ParConfig {
             threads: 1,
             vec: VecMode::Off,
-            fuse: FuseMode::Off,
             ..ParConfig::default()
         },
         ParConfig {
@@ -444,18 +443,13 @@ fn diff_roots(plan: &mut Plan) -> Vec<NodeId> {
 
 fn matrix() -> Vec<ParConfig> {
     let mut cfgs = Vec::new();
-    for (vec, fuse) in [
-        (VecMode::Off, FuseMode::Off),
-        (VecMode::Force, FuseMode::Off),
-        (VecMode::Force, FuseMode::Force),
-    ] {
+    for vec in [VecMode::Off, VecMode::Force] {
         for threads in [1usize, 4] {
             cfgs.push(ParConfig {
                 threads,
                 min_rows: 1,
                 morsel_rows: 64,
                 vec,
-                fuse,
             });
         }
     }
@@ -504,7 +498,6 @@ fn sharded_and_unsharded_agree_cell_for_cell() {
                 oracle.set_par_config(ParConfig {
                     threads: 1,
                     vec: VecMode::Off,
-                    fuse: FuseMode::Off,
                     ..ParConfig::default()
                 });
                 roots
@@ -570,8 +563,8 @@ proptest! {
             ),
         ];
         for cfg in [
-            ParConfig { threads: 1, vec: VecMode::Off, fuse: FuseMode::Off, ..ParConfig::default() },
-            ParConfig { threads: 4, min_rows: 1, vec: VecMode::Force, fuse: FuseMode::Force, ..ParConfig::default() },
+            ParConfig { threads: 1, vec: VecMode::Off, ..ParConfig::default() },
+            ParConfig { threads: 4, min_rows: 1, vec: VecMode::Force, ..ParConfig::default() },
         ] {
             oracle.set_par_config(cfg);
             sharded.set_par_config(cfg);

@@ -22,7 +22,8 @@ pub const ENGINE_MORSEL_TASKS: &str = "engine.morsel_tasks";
 pub const ENGINE_PAR_NODES: &str = "engine.par_nodes";
 /// DAG wavefronts that evaluated two or more nodes concurrently.
 pub const ENGINE_PAR_WAVES: &str = "engine.par_waves";
-/// Node evaluations that took the vectorized path.
+/// Plan nodes covered by evaluations that took the vectorized path
+/// (chain members included).
 pub const ENGINE_VEC_NODES: &str = "engine.vec_nodes";
 /// Kernel batches executed by vectorized nodes.
 pub const ENGINE_KERNEL_BATCHES: &str = "engine.kernel_batches";

@@ -19,8 +19,9 @@
 //! executes exactly once, untimed — CI uses this to keep benches from
 //! bit-rotting without paying measurement time.
 //!
-//! Setting the `BENCH_JSON` environment variable to a file path makes the
-//! shim additionally **append one JSON line per benchmark** to that file:
+//! Setting the `BENCH_JSON` environment variable to a file path (read
+//! once, by [`Criterion::configure_from_args`]) makes the shim
+//! additionally **append one JSON line per benchmark** to that file:
 //! `{"bench":"<group>/<id>","median_ns":…,"mean_ns":…,"min_ns":…,
 //! "max_ns":…,"samples":…}`. The `bench_check` tool in `ferry-bench`
 //! diffs these lines against the medians recorded in `BENCH_engine.json`
@@ -106,7 +107,7 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
     test_mode: bool,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -186,12 +187,12 @@ impl BenchmarkGroup<'_> {
             max,
             samples.len()
         );
-        if let Some(path) = std::env::var_os("BENCH_JSON") {
+        if let Some(path) = &self.criterion.json {
             use std::io::Write;
             match std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(&path)
+                .open(path)
             {
                 Ok(mut f) => {
                     let _ = writeln!(
@@ -231,6 +232,8 @@ fn json_escape(s: &str) -> String {
 #[derive(Default)]
 pub struct Criterion {
     test_mode: bool,
+    /// JSON-lines sink (`BENCH_JSON`), if any.
+    json: Option<std::path::PathBuf>,
 }
 
 impl Criterion {
@@ -239,7 +242,7 @@ impl Criterion {
             name: name.into(),
             sample_size: 10,
             test_mode: self.test_mode,
-            _criterion: self,
+            criterion: self,
         }
     }
 
@@ -252,10 +255,13 @@ impl Criterion {
         self
     }
 
-    /// Honour the one command-line flag CI relies on: `--test` runs every
-    /// benchmark body once without timing (`cargo bench -- --test`).
+    /// Honour the one command-line flag CI relies on — `--test` runs every
+    /// benchmark body once without timing (`cargo bench -- --test`) — and
+    /// the `BENCH_JSON` sink. The process environment is read here and
+    /// nowhere else.
     pub fn configure_from_args(mut self) -> Self {
         self.test_mode = std::env::args().any(|a| a == "--test");
+        self.json = std::env::var_os("BENCH_JSON").map(Into::into);
         self
     }
 }
@@ -308,15 +314,16 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("criterion_shim_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        std::env::set_var("BENCH_JSON", &path);
-        test_benches();
-        std::env::remove_var("BENCH_JSON");
+        // the sink is handed in, not read from the process environment
+        // other test threads share
+        sample_bench(&mut Criterion {
+            json: Some(path.clone()),
+            ..Criterion::default()
+        });
         let text = std::fs::read_to_string(&path).expect("JSONL file written");
         let _ = std::fs::remove_file(&path);
-        // `harness_runs` may interleave and append too — demand at least
-        // the two benches of `sample_bench`, all well-formed
         let lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() >= 2, "got: {text}");
+        assert_eq!(lines.len(), 2, "got: {text}");
         assert!(lines
             .iter()
             .any(|l| l.contains("\"bench\":\"shim/sum/100\"")));

@@ -12,7 +12,7 @@ use ferry::prelude::*;
 use ferry_algebra::{BinOp, Expr, Plan, Schema, Ty, Value};
 use ferry_bench::table1::dsh_query;
 use ferry_bench::workload::paper_dataset;
-use ferry_engine::{Database, ParConfig, VecMode};
+use ferry_engine::{Database, ParConfig};
 use ferry_telemetry::AttrVal;
 
 fn traced_conn() -> Connection {
@@ -271,7 +271,6 @@ fn morsel_spans_propagate_across_worker_threads() {
         threads: 4,
         min_rows: 1,
         morsel_rows: 256,
-        vec: VecMode::Auto,
         ..ParConfig::default()
     });
     db.set_telemetry_config(TelemetryConfig::Full);
