@@ -26,8 +26,9 @@ const SYNC_DELAY: Duration = Duration::from_micros(200);
 
 fn open_db() -> (Arc<FaultFs>, Arc<Database>) {
     let vfs = Arc::new(FaultFs::new());
-    let db = Database::open_with_vfs(
+    let db = Database::open_vfs(
         vfs.clone() as Arc<dyn Vfs>,
+        0,
         DurabilityConfig::with_fsync(FsyncPolicy::Always),
     )
     .unwrap();

@@ -1,7 +1,8 @@
 //! Hash-partitioned shard benchmarks: what partition pruning buys a
 //! shard-key equality scan, what the shard-local path costs a group-by,
-//! and how fast four shard WALs replay next to one flat WAL. Not a
-//! paper artefact — the regression guard for the sharding layer.
+//! and how fast four shard WALs replay next to the one commit log of an
+//! unsharded database (stored as one shard). Not a paper artefact — the
+//! regression guard for the sharding layer.
 //!
 //! The `scan_pruned` / `scan_unsharded` pair is the acceptance check
 //! for the planner: both run the identical plan over the identical
@@ -10,7 +11,7 @@
 //! pruned *rows*, so it holds on any host regardless of core count.
 //! Recovery benches run over the in-memory `FaultFs` (codec + framing
 //! cost, not disk): on a single-core host parallel shard replay must
-//! not lose to single-WAL replay, and on multi-core hosts the four
+//! not lose to one-shard replay, and on multi-core hosts the four
 //! decoders run concurrently.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,10 +27,10 @@ const S: usize = 4;
 /// Rows in the scanned / grouped table.
 const N: usize = 200_000;
 /// Insert batches logged before the recovery benches (each batch is one
-/// committed WAL record; sharded databases split it across the shard
-/// WALs plus a commit marker). Bulk-load shaped — recovery time should
-/// be dominated by row payload decode, which both layouts share, not by
-/// per-frame framing, which the sharded layout pays 4× more often.
+/// commit: one frame at S = 1; split across the shard WALs plus a
+/// commit marker at S = 4). Bulk-load shaped — recovery time should be
+/// dominated by row payload decode, which both layouts share, not by
+/// per-frame framing, which the four-shard layout pays 4× more often.
 const BATCHES: usize = 64;
 const BATCH_ROWS: usize = 256;
 
@@ -117,15 +118,12 @@ fn wide_schema() -> Schema {
 }
 
 /// A durable database (sharded or flat) holding the full insert
-/// workload, returned as the VFS its WAL(s) live on.
+/// workload, returned as the VFS its logs live on.
 fn prebuilt(sharded: bool) -> Arc<FaultFs> {
     let vfs = Arc::new(FaultFs::new());
     let config = DurabilityConfig::with_fsync(FsyncPolicy::Os);
-    let db = if sharded {
-        Database::open_sharded_with_vfs(vfs.clone() as Arc<dyn Vfs>, S, config).expect("open")
-    } else {
-        Database::open_with_vfs(vfs.clone() as Arc<dyn Vfs>, config).expect("open")
-    };
+    let shards = if sharded { S } else { 0 };
+    let db = Database::open_vfs(vfs.clone() as Arc<dyn Vfs>, shards, config).expect("open");
     if sharded {
         db.create_table_sharded("orders", wide_schema(), vec!["k"], "k")
             .expect("create");
@@ -188,8 +186,8 @@ fn bench_sharding(c: &mut Criterion) {
         });
     }
 
-    // recovery: replaying four shard WALs vs one flat WAL of the same
-    // workload
+    // recovery: replaying four shard WALs vs the one-shard commit log
+    // of the same workload
     {
         let vfs = prebuilt(true);
         let config = DurabilityConfig::with_fsync(FsyncPolicy::Os);
@@ -198,9 +196,8 @@ fn bench_sharding(c: &mut Criterion) {
             &BATCHES,
             |bch, _| {
                 bch.iter(|| {
-                    let db =
-                        Database::open_sharded_with_vfs(vfs.clone() as Arc<dyn Vfs>, S, config)
-                            .expect("recover sharded");
+                    let db = Database::open_vfs(vfs.clone() as Arc<dyn Vfs>, S, config)
+                        .expect("recover sharded");
                     let t = db.table("orders").expect("orders");
                     assert_eq!(t.rows.rows().len(), BATCHES * BATCH_ROWS);
                     t.rows.rows().len()
@@ -213,7 +210,7 @@ fn bench_sharding(c: &mut Criterion) {
             &BATCHES,
             |bch, _| {
                 bch.iter(|| {
-                    let db = Database::open_with_vfs(flat_vfs.clone() as Arc<dyn Vfs>, config)
+                    let db = Database::open_vfs(flat_vfs.clone() as Arc<dyn Vfs>, 0, config)
                         .expect("recover flat");
                     let t = db.table("orders").expect("orders");
                     assert_eq!(t.rows.rows().len(), BATCHES * BATCH_ROWS);

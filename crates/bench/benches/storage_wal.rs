@@ -1,6 +1,8 @@
-//! Durability-layer micro-benchmarks: WAL append throughput under each
-//! fsync policy, and recovery by log replay vs. snapshot restore. Not a
-//! paper artefact — a regression guard for the storage substrate.
+//! Durability-layer micro-benchmarks: commit-log append throughput under
+//! each fsync policy, and recovery by log replay vs. snapshot restore,
+//! all on the one-shard store an unsharded database is written as (each
+//! commit one frame in the commit log). Not a paper artefact — a
+//! regression guard for the storage substrate.
 //!
 //! All benches run over the in-memory `FaultFs` so they measure the
 //! codec + framing + policy bookkeeping, not the host's disk; real-disk
@@ -9,13 +11,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ferry_algebra::{Row, Schema, Ty, Value};
-use ferry_storage::{DurabilityConfig, FaultFs, FsyncPolicy, Storage, Vfs, WalRecord};
+use ferry_storage::{DurabilityConfig, FaultFs, FsyncPolicy, Storage, Vfs, WalRecord, COMMIT_LOG};
 use ferry_telemetry::Registry;
 use std::sync::Arc;
 
-/// Number of insert records appended / replayed per iteration.
+/// Number of insert commits appended / replayed per iteration.
 const RECORDS: usize = 1_000;
-/// Rows per insert record.
+/// Rows per insert commit.
 const ROWS: usize = 8;
 
 fn schema() -> Schema {
@@ -37,6 +39,7 @@ fn rows(tag: usize) -> Vec<Row> {
 fn open(vfs: &Arc<FaultFs>, fsync: FsyncPolicy) -> Storage {
     Storage::open(
         vfs.clone() as Arc<dyn Vfs>,
+        1,
         DurabilityConfig::with_fsync(fsync),
         &Registry::default(),
     )
@@ -44,26 +47,49 @@ fn open(vfs: &Arc<FaultFs>, fsync: FsyncPolicy) -> Storage {
     .storage
 }
 
+/// Commit `rows(tag)` at their positions, durable per `fsync` on return
+/// (under `Always` the commit is acked by the group sync that covers it).
+fn commit(storage: &Storage, fsync: FsyncPolicy, tag: usize) {
+    let first = (tag * ROWS) as u64;
+    let rec = WalRecord::ShardRows {
+        gsn: 0,
+        table: "bench".into(),
+        idx: (first..first + ROWS as u64).collect(),
+        rows: rows(tag),
+    };
+    storage
+        .log_commit(Vec::new(), vec![(0, vec![rec])])
+        .expect("append");
+    if fsync == FsyncPolicy::Always {
+        storage.group_sync().expect("sync");
+    }
+}
+
 /// A log holding the whole workload: `create_table` + RECORDS inserts.
 fn prebuilt_log() -> Arc<FaultFs> {
     let vfs = Arc::new(FaultFs::new());
     let storage = open(&vfs, FsyncPolicy::Os);
-    storage
-        .log(&WalRecord::CreateTable {
-            name: "bench".into(),
-            schema: schema(),
-            keys: vec!["id".into()],
-        })
-        .unwrap();
+    let create = WalRecord::CreateTable {
+        name: "bench".into(),
+        schema: schema(),
+        keys: vec!["id".into()],
+    };
+    storage.log_commit(vec![create], Vec::new()).unwrap();
     for i in 0..RECORDS {
-        storage
-            .log(&WalRecord::Insert {
-                table: "bench".into(),
-                rows: rows(i),
-            })
-            .unwrap();
+        commit(&storage, FsyncPolicy::Os, i);
     }
+    storage.sync().unwrap();
     vfs
+}
+
+fn recover(vfs: &Arc<FaultFs>) -> ferry_storage::Recovered {
+    Storage::open(
+        vfs.clone() as Arc<dyn Vfs>,
+        1,
+        DurabilityConfig::default(),
+        &Registry::default(),
+    )
+    .expect("recover")
 }
 
 fn bench_storage(c: &mut Criterion) {
@@ -81,15 +107,10 @@ fn bench_storage(c: &mut Criterion) {
                 let vfs = Arc::new(FaultFs::new());
                 let storage = open(&vfs, policy);
                 for i in 0..RECORDS {
-                    storage
-                        .log(&WalRecord::Insert {
-                            table: "bench".into(),
-                            rows: rows(i),
-                        })
-                        .expect("append");
+                    commit(&storage, policy, i);
                 }
                 storage.sync().expect("sync");
-                vfs.written_len(ferry_storage::WAL_FILE)
+                vfs.written_len(COMMIT_LOG)
             })
         });
     }
@@ -102,13 +123,8 @@ fn bench_storage(c: &mut Criterion) {
             &RECORDS,
             |bch, _| {
                 bch.iter(|| {
-                    let r = Storage::open(
-                        vfs.clone() as Arc<dyn Vfs>,
-                        DurabilityConfig::default(),
-                        &Registry::default(),
-                    )
-                    .expect("recover");
-                    assert_eq!(r.report.wal_records_applied, RECORDS + 1);
+                    let r = recover(&vfs);
+                    assert_eq!(r.report.markers_applied, RECORDS + 1);
                     r.tables.len()
                 })
             },
@@ -118,26 +134,18 @@ fn bench_storage(c: &mut Criterion) {
     // the same state recovered from a snapshot instead of replay
     {
         let vfs = prebuilt_log();
-        let storage = open(&vfs, FsyncPolicy::Os);
-        let recovered = Storage::open(
-            vfs.clone() as Arc<dyn Vfs>,
-            DurabilityConfig::default(),
-            &Registry::default(),
-        )
-        .expect("recover");
-        storage.checkpoint(&recovered.tables).expect("checkpoint");
+        let recovered = recover(&vfs);
+        recovered
+            .storage
+            .checkpoint(&recovered.tables)
+            .expect("checkpoint");
         group.bench_with_input(
             BenchmarkId::new("recover_snapshot", RECORDS),
             &RECORDS,
             |bch, _| {
                 bch.iter(|| {
-                    let r = Storage::open(
-                        vfs.clone() as Arc<dyn Vfs>,
-                        DurabilityConfig::default(),
-                        &Registry::default(),
-                    )
-                    .expect("recover");
-                    assert_eq!(r.report.wal_records_applied, 0);
+                    let r = recover(&vfs);
+                    assert_eq!(r.report.markers_applied, 0);
                     r.tables.len()
                 })
             },

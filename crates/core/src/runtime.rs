@@ -243,8 +243,10 @@ impl Connection {
 
     /// Open (or create) a **durable** database rooted at `path` and wrap
     /// it in a connection: the catalog is recovered from its snapshot +
-    /// write-ahead log, and every subsequent mutation through this
-    /// connection is logged there before being acknowledged.
+    /// commit log, and every subsequent mutation through this connection
+    /// is logged there before being acknowledged. The directory is stored
+    /// as one shard, the same format [`open_sharded`](Connection::open_sharded)
+    /// writes with `shards == 1`.
     pub fn open_durable(
         path: impl AsRef<std::path::Path>,
         config: ferry_engine::DurabilityConfig,
@@ -254,7 +256,8 @@ impl Connection {
 
     /// [`open_durable`](Connection::open_durable) for a **hash-partitioned**
     /// database: base tables created with a shard key spread across
-    /// `shards` shard-local WALs and snapshots, recovered in parallel.
+    /// `shards` shard-local snapshots (and WALs, from two shards up),
+    /// recovered in parallel.
     /// `shards` is fixed at directory creation; reopening must pass the
     /// same value.
     pub fn open_sharded(
@@ -267,9 +270,9 @@ impl Connection {
         )?))
     }
 
-    /// Snapshot the catalog and compact the write-ahead log. Returns the
-    /// LSN the snapshot covers (0 for an in-memory database, where this
-    /// is a no-op).
+    /// Snapshot the catalog and compact the logs. Returns the GSN the
+    /// snapshot covers (0 for an in-memory database, where this is a
+    /// no-op).
     pub fn checkpoint(&self) -> Result<u64, FerryError> {
         Ok(self.db.checkpoint()?)
     }

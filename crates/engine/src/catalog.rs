@@ -13,21 +13,22 @@
 //! once), and commit by atomically installing the new version.
 //!
 //! Durability composes via **group commit**: under
-//! [`FsyncPolicy::Always`] a committing transaction appends its WAL
-//! record and then *enqueues* for durability instead of fsyncing itself.
-//! Whichever waiter finds the fsync slot free becomes the leader, runs
-//! one fsync covering every record appended so far (the WAL mutex is
-//! released during the fsync, so more committers keep enqueuing), then
-//! publishes the newest catalog version the fsync covered and wakes all
-//! waiters whose LSNs are now durable. Acked ⇒ durable is preserved —
-//! versions are *published to readers only after* their LSN is synced —
-//! while N concurrent writers share one fsync instead of paying N.
+//! [`FsyncPolicy::Always`] a committing transaction appends its commit
+//! (stamped with a GSN, the group sequence number) and then *enqueues*
+//! for durability instead of fsyncing itself. Whichever waiter finds the
+//! fsync slot free becomes the leader, runs one group fsync covering
+//! every commit appended so far (the log mutexes are released during the
+//! fsync, so more committers keep enqueuing), then publishes the newest
+//! catalog version the fsync covered and wakes all waiters whose GSNs
+//! are now durable. Acked ⇒ durable is preserved — versions are
+//! *published to readers only after* their GSN is synced — while N
+//! concurrent writers share one fsync instead of paying N.
 //!
-//! A failed group fsync keeps the PR-5 contract: the storage layer
-//! truncates the un-synced tail and poisons the WAL; here the pending
-//! queue is cleared, every waiter gets the error (nothing they were told
-//! failed can ever surface), and the commit head rolls back to the
-//! published version so the catalog agrees with the log.
+//! A failed group fsync keeps the fsync-failure contract: the storage
+//! layer truncates the un-synced tail and poisons its logs; here the
+//! pending queue is cleared, every waiter gets the error (nothing they
+//! were told failed can ever surface), and the commit head rolls back to
+//! the published version so the catalog agrees with the log.
 
 use crate::error::EngineError;
 use crate::exec;
@@ -37,11 +38,11 @@ use crate::stats::{ProfileRing, QueryProfile, QueryStats};
 use crate::sys::{self, DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP};
 use ferry_algebra::{infer_schema, NodeId, Plan, Rel, Row, RowBuf, Schema, Value};
 use ferry_storage::{
-    DurabilityConfig, FsyncPolicy, RecoveryReport, ShardRecoveryReport, ShardTableDef,
-    ShardTableImage, ShardedStorage, StdFs, Storage, StorageError, TableImage, Vfs, WalRecord,
+    DurabilityConfig, FsyncPolicy, RecoveryReport, StdFs, Storage, StorageError, TableDef,
+    TableImage, Vfs, WalRecord,
 };
 use ferry_telemetry::{names, Counter, Gauge, Histogram, Registry, Telemetry, TelemetryConfig};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering as AtOrd};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -262,41 +263,26 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// Storage images of every table, sorted for deterministic snapshot
-    /// bytes regardless of `HashMap` order.
+    /// Storage images of every table, sorted by name so identical states
+    /// write byte-identical snapshots regardless of `HashMap` order: rows
+    /// in global insert order, each tagged with its owning shard (shard 0
+    /// throughout an unsharded database, which is stored as one shard).
     fn images(&self) -> Vec<TableImage> {
         let mut images: Vec<TableImage> = self
             .tables
             .iter()
             .map(|(name, t)| TableImage {
-                name: name.clone(),
-                schema: t.schema.clone(),
-                keys: t.keys.clone(),
+                def: TableDef {
+                    name: name.clone(),
+                    schema: t.schema.clone(),
+                    keys: t.keys.clone(),
+                    shard_key: t.shard.as_ref().and_then(|sh| sh.key.clone()),
+                },
                 rows: t.rows.rows().to_vec(),
-            })
-            .collect();
-        images.sort_by(|a, b| a.name.cmp(&b.name));
-        images
-    }
-
-    /// Sharded-storage images of every table (sorted like [`Catalog::images`]):
-    /// rows in global insert order, each tagged with its owning shard.
-    fn shard_images(&self) -> Vec<ShardTableImage> {
-        let mut images: Vec<ShardTableImage> = self
-            .tables
-            .iter()
-            .map(|(name, t)| {
-                let sh = t.shard.as_ref().expect("sharded database table");
-                ShardTableImage {
-                    def: ShardTableDef {
-                        name: name.clone(),
-                        schema: t.schema.clone(),
-                        keys: t.keys.clone(),
-                        shard_key: sh.key.clone(),
-                    },
-                    rows: t.rows.rows().to_vec(),
-                    shard_of: sh.shard_of.clone(),
-                }
+                shard_of: match &t.shard {
+                    Some(sh) => sh.shard_of.clone(),
+                    None => vec![0; t.rows.len()],
+                },
             })
             .collect();
         images.sort_by(|a, b| a.def.name.cmp(&b.def.name));
@@ -304,98 +290,28 @@ impl Catalog {
     }
 }
 
-/// The durability substrate behind a database: one WAL + snapshot
-/// ([`Storage`]), or S shard WALs + a commit log + per-shard snapshots
-/// ([`ShardedStorage`]). The group-commit machinery above is shared —
-/// a sharded GSN is the LSN-equivalent watermark.
-#[derive(Debug)]
-enum Store {
-    Single(Storage),
-    Sharded(ShardedStorage),
-}
-
-impl Store {
-    fn config(&self) -> DurabilityConfig {
-        match self {
-            Store::Single(s) => s.config(),
-            Store::Sharded(s) => s.config(),
-        }
-    }
-
-    /// Highest LSN/GSN known durable.
-    fn synced(&self) -> u64 {
-        match self {
-            Store::Single(s) => s.synced_lsn(),
-            Store::Sharded(s) => s.durable_gsn(),
-        }
-    }
-
-    fn group_sync(&self) -> Result<u64, StorageError> {
-        match self {
-            Store::Single(s) => s.group_sync(),
-            Store::Sharded(s) => s.group_sync(),
-        }
-    }
-
-    fn poisoned(&self) -> bool {
-        match self {
-            Store::Single(s) => s.poisoned(),
-            Store::Sharded(s) => s.poisoned(),
-        }
-    }
-
-    fn checkpoint_due(&self) -> bool {
-        match self {
-            Store::Single(s) => s.checkpoint_due(),
-            Store::Sharded(s) => s.checkpoint_due(),
-        }
-    }
-
-    fn checkpoint(&self, head: &Catalog) -> Result<u64, StorageError> {
-        match self {
-            Store::Single(s) => s.checkpoint(&head.images()),
-            Store::Sharded(s) => s.checkpoint(&head.shard_images()),
-        }
-    }
-
-    /// Log one committed transaction's records; returns its LSN/GSN.
-    fn log(&self, tx: &mut Tx) -> Result<u64, StorageError> {
-        match self {
-            Store::Single(s) => s.log_batch(std::mem::take(&mut tx.recs)),
-            Store::Sharded(s) => {
-                let shard_rows: Vec<(usize, Vec<WalRecord>)> = std::mem::take(&mut tx.shard_recs)
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, recs)| !recs.is_empty())
-                    .collect();
-                s.log_commit(std::mem::take(&mut tx.recs), shard_rows)
-            }
-        }
-    }
-}
-
 /// Writer-side state guarded by the commit mutex: the newest committed
 /// catalog version. Under group commit this can run *ahead* of the
-/// published version while its LSN awaits the batch fsync.
+/// published version while its GSN awaits the batch fsync.
 #[derive(Debug)]
 struct Committer {
     head: Arc<Catalog>,
 }
 
 /// Group-commit state: the durable watermark, the fsync-leader slot, and
-/// the committed-but-unpublished versions awaiting their LSN.
+/// the committed-but-unpublished versions awaiting their GSN.
 #[derive(Debug, Default)]
 struct GroupCommit {
-    /// Highest LSN known durable (matches `Storage::synced_lsn`).
-    durable_lsn: u64,
+    /// Highest GSN known durable (matches `Storage::durable_gsn`).
+    durable_gsn: u64,
     /// Is a leader's fsync (or a checkpoint) in flight? At most one
     /// thread syncs at a time; everyone else waits on the condvar.
     syncing: bool,
-    /// Set when a group fsync failed: the WAL is poisoned, every pending
+    /// Set when a group fsync failed: the logs are poisoned, every pending
     /// commit was nacked, and all further durable commits fail until the
     /// database is reopened.
     poisoned: Option<String>,
-    /// `(lsn, version)` of committed transactions not yet published,
+    /// `(gsn, version)` of committed transactions not yet published,
     /// oldest first. Publishing pops every entry the fsync covered and
     /// installs the newest.
     pending: VecDeque<(u64, Arc<Catalog>)>,
@@ -444,16 +360,13 @@ pub struct Database {
     /// The durability substrate, when this database was opened with
     /// [`Database::open`] / [`Database::open_sharded`]. `None` =
     /// in-memory only (the default). Every transaction is appended to
-    /// its WAL(s) **before** being applied in memory (log-before-ack).
-    storage: Option<Store>,
+    /// its logs **before** being applied in memory (log-before-ack).
+    storage: Option<Storage>,
     /// Shard count of a hash-partitioned database (`0` = unsharded).
-    /// Set by `new_sharded` / `open_sharded*`, immutable afterwards.
+    /// Set by `new_sharded` / `open_sharded`, immutable afterwards.
     shards: u32,
     /// What recovery found and did, for databases opened durably.
     recovery: Option<RecoveryReport>,
-    /// The sharded sibling of `recovery` (databases opened with
-    /// [`Database::open_sharded`]).
-    shard_recovery: Option<ShardRecoveryReport>,
     /// The most recent *auto*-checkpoint failure. Mutations do not surface
     /// these (see [`Database::maybe_checkpoint`]); callers that care poll
     /// here or watch the `storage.checkpoint_failures` counter.
@@ -563,7 +476,6 @@ impl Database {
             storage: None,
             shards: 0,
             recovery: None,
-            shard_recovery: None,
             last_checkpoint_error: Mutex::new(None),
             slow: Mutex::new(VecDeque::new()),
             sys_tables: Mutex::new(HashMap::new()),
@@ -589,90 +501,53 @@ impl Database {
     }
 
     /// Open (or create) a **durable** database rooted at `path`: recover
-    /// the catalog from its snapshot + WAL, then log every subsequent
-    /// mutation there before acknowledging it.
+    /// the catalog from its snapshots + log, then log every subsequent
+    /// mutation there before acknowledging it. The database is unsharded
+    /// in memory and stored as one shard, so [`Database::open_sharded`]
+    /// with one shard opens the same directory.
     pub fn open(path: impl AsRef<Path>, config: DurabilityConfig) -> Result<Database, EngineError> {
         let vfs: Arc<dyn Vfs> = Arc::new(StdFs::new(path.as_ref())?);
-        Database::open_with_vfs(vfs, config)
-    }
-
-    /// [`Database::open`] over an explicit VFS — the entry point the
-    /// fault-injection harness uses with a `ferry_storage::FaultFs`.
-    pub fn open_with_vfs(
-        vfs: Arc<dyn Vfs>,
-        config: DurabilityConfig,
-    ) -> Result<Database, EngineError> {
-        let mut db = Database::new();
-        let recovered = Storage::open(vfs, config, db.telemetry.registry())?;
-        // recovered tables are installed directly (they were validated
-        // when first logged); each install bumps `schema_version`, so
-        // any plan cache keyed on a fresh database misses as it must
-        let mut cat = Catalog::default();
-        for img in recovered.tables {
-            let bytes: u64 = img.rows.iter().map(sys::row_bytes).sum();
-            cat.stats.insert(
-                img.name.clone(),
-                TableStats {
-                    bytes,
-                    wal_bytes: 0,
-                },
-            );
-            cat.tables.insert(
-                img.name,
-                BaseTable {
-                    schema: img.schema,
-                    keys: img.keys,
-                    rows: Arc::new(RowBuf::new(img.rows)),
-                    shard: None,
-                },
-            );
-            cat.schema_version += 1;
-            cat.epoch += 1;
-        }
-        db.metrics.epoch.set(cat.epoch as i64);
-        let cat = Arc::new(cat);
-        db.current = RwLock::new(cat.clone());
-        db.commit = Mutex::new(Committer { head: cat });
-        db.gc = Mutex::new(GroupCommit {
-            durable_lsn: recovered.storage.synced_lsn(),
-            ..GroupCommit::default()
-        });
-        db.storage = Some(Store::Single(recovered.storage));
-        db.recovery = Some(recovered.report);
-        Ok(db)
+        Database::open_vfs(vfs, 0, config)
     }
 
     /// Open (or create) a durable **hash-partitioned** database rooted
-    /// at `path`: S shard WALs + per-shard snapshots + one commit log,
-    /// recovered in parallel to the epoch-consistent cut (see
-    /// `ferry_storage::ShardedStorage`). `shards` must match the
-    /// on-disk shard count of an existing directory.
+    /// at `path`: S shard snapshots + one commit log (+ S shard WALs when
+    /// S ≥ 2), recovered in parallel to the epoch-consistent cut (see
+    /// `ferry_storage::Storage`). `shards` must match the on-disk shard
+    /// count of an existing directory.
     pub fn open_sharded(
         path: impl AsRef<Path>,
         shards: usize,
         config: DurabilityConfig,
     ) -> Result<Database, EngineError> {
+        if shards == 0 {
+            return Err(EngineError::Storage(StorageError::Corrupt(format!(
+                "shard count 0 out of range (1..={MAX_SHARDS})"
+            ))));
+        }
         let vfs: Arc<dyn Vfs> = Arc::new(StdFs::new(path.as_ref())?);
-        Database::open_sharded_with_vfs(vfs, shards, config)
+        Database::open_vfs(vfs, shards, config)
     }
 
-    /// [`Database::open_sharded`] over an explicit VFS (fault-injection
-    /// entry point).
-    pub fn open_sharded_with_vfs(
+    /// [`Database::open`] (`shards == 0`: unsharded, stored as one shard)
+    /// or [`Database::open_sharded`] over an explicit VFS — the entry
+    /// point the fault-injection harness uses with a
+    /// `ferry_storage::FaultFs`.
+    pub fn open_vfs(
         vfs: Arc<dyn Vfs>,
         shards: usize,
         config: DurabilityConfig,
     ) -> Result<Database, EngineError> {
-        let mut db = Database::new_sharded(shards)?;
-        let recovered = ShardedStorage::open(vfs, shards, config, db.telemetry.registry())?;
+        let mut db = match shards {
+            0 => Database::new(),
+            s => Database::new_sharded(s)?,
+        };
+        let recovered = Storage::open(vfs, shards.max(1), config, db.telemetry.registry())?;
+        // recovered tables are installed directly (they were validated
+        // when first logged); each install bumps `schema_version`, so
+        // any plan cache keyed on a fresh database misses as it must
         let mut cat = Catalog::default();
         for img in recovered.tables {
-            // the in-memory shard assignment is **re-derived** from the
-            // versioned hash rather than trusted from disk: ShardHash is
-            // stable across processes, so this reproduces the pre-crash
-            // assignment exactly (property-tested), and it also routes
-            // commit-log-resident rows (`NO_SHARD` from InstallTable
-            // payloads) onto real shards for the next checkpoint
             let bytes: u64 = img.rows.iter().map(sys::row_bytes).sum();
             cat.stats.insert(
                 img.def.name.clone(),
@@ -681,13 +556,22 @@ impl Database {
                     wal_bytes: 0,
                 },
             );
-            let table = BaseTable {
+            let mut table = BaseTable {
                 schema: img.def.schema,
                 keys: img.def.keys,
                 rows: Arc::new(RowBuf::new(img.rows)),
                 shard: None,
+            };
+            if shards > 0 {
+                // the in-memory shard assignment is **re-derived** from
+                // the versioned hash rather than trusted from disk:
+                // ShardHash is stable across processes, so this
+                // reproduces the pre-crash assignment exactly
+                // (property-tested), and it also routes commit-log-
+                // resident rows (`NO_SHARD` from InstallTable payloads)
+                // onto real shards for the next checkpoint
+                table = table.resharded(&img.def.name, img.def.shard_key.as_deref(), shards)?;
             }
-            .resharded(&img.def.name, img.def.shard_key.as_deref(), shards)?;
             cat.tables.insert(img.def.name, table);
             cat.schema_version += 1;
             cat.epoch += 1;
@@ -697,11 +581,11 @@ impl Database {
         db.current = RwLock::new(cat.clone());
         db.commit = Mutex::new(Committer { head: cat });
         db.gc = Mutex::new(GroupCommit {
-            durable_lsn: recovered.storage.durable_gsn(),
+            durable_gsn: recovered.storage.durable_gsn(),
             ..GroupCommit::default()
         });
-        db.storage = Some(Store::Sharded(recovered.storage));
-        db.shard_recovery = Some(recovered.report);
+        db.storage = Some(recovered.storage);
+        db.recovery = Some(recovered.report);
         Ok(db)
     }
 
@@ -758,11 +642,11 @@ impl Database {
     /// Run `f` as one atomic transaction. The closure mutates a private
     /// working version forked off the commit head (read-your-own-writes
     /// within the transaction); if it succeeds and changed anything, the
-    /// whole transaction is WAL-logged as **one record** (multi-operation
-    /// transactions as an atomic [`WalRecord::Batch`]) and the new
-    /// catalog version is installed for readers — after its LSN is
-    /// group-commit durable under [`FsyncPolicy::Always`], immediately
-    /// under the ack-before-durable policies. An `Err` from the closure
+    /// whole transaction is logged as **one commit** under one GSN (one
+    /// CRC-atomic frame per file it touches) and the new catalog version
+    /// is installed for readers — after its GSN is group-commit durable
+    /// under [`FsyncPolicy::Always`], immediately under the
+    /// ack-before-durable policies. An `Err` from the closure
     /// (or from logging) commits nothing: readers never saw the working
     /// version, and the head is unchanged.
     pub fn transact<T>(
@@ -778,8 +662,11 @@ impl Database {
                 schema_version: head.schema_version,
                 epoch: head.epoch + 1,
             },
-            recs: Vec::new(),
-            shard_recs: vec![Vec::new(); self.shards as usize],
+            ddl: Vec::new(),
+            shard_recs: match self.storage {
+                Some(_) => vec![Vec::new(); self.shards.max(1) as usize],
+                None => Vec::new(),
+            },
             durable: self.storage.is_some(),
             shards: self.shards,
             dirty: false,
@@ -789,8 +676,13 @@ impl Database {
             return Ok(out); // read-only: nothing to log or install
         }
         if let Some(storage) = &self.storage {
-            // log-before-ack: the WAL sees the transaction before memory
-            let lsn = storage.log(&mut tx)?;
+            // log-before-ack: the log sees the transaction before memory
+            let shard_rows = std::mem::take(&mut tx.shard_recs)
+                .into_iter()
+                .enumerate()
+                .filter(|(_, recs)| !recs.is_empty())
+                .collect();
+            let gsn = storage.log_commit(std::mem::take(&mut tx.ddl), shard_rows)?;
             let version = Arc::new(tx.work);
             commit.head = version.clone();
             if matches!(storage.config().fsync, FsyncPolicy::Always) {
@@ -798,8 +690,8 @@ impl Database {
                 // commit lock; publish happens when a leader covers us
                 let mut gc = self.gc.lock().unwrap();
                 if let Some(msg) = gc.poisoned.clone() {
-                    // a leader's fsync failed between our log_batch and
-                    // this enqueue: our record sits in the truncated
+                    // a leader's fsync failed between our log_commit and
+                    // this enqueue: our commit sits in the truncated
                     // tail and the pending queue was already cleared —
                     // fail the commit rather than enqueue into a
                     // poisoned database. Restore the head we forked
@@ -809,10 +701,10 @@ impl Database {
                     commit.head = head;
                     return Err(EngineError::Storage(StorageError::Io(msg)));
                 }
-                gc.pending.push_back((lsn, version));
+                gc.pending.push_back((gsn, version));
                 drop(gc);
                 drop(commit);
-                self.wait_durable(lsn)?;
+                self.wait_durable(gsn)?;
             } else {
                 // EveryN/Os ack before durability by contract
                 self.install(version);
@@ -884,24 +776,25 @@ impl Database {
 
     // ----------------------------------------------- group-commit core
 
-    /// Block until `lsn` is durable (or the WAL is poisoned). The first
+    /// Block until `gsn` is durable (or the logs are poisoned). The first
     /// waiter to find the fsync slot free becomes the **leader**: it runs
-    /// one fsync covering every appended record — crucially *without*
-    /// holding the WAL mutex, so concurrent committers keep enqueuing —
+    /// one group fsync covering every appended commit — crucially
+    /// *without* holding the log mutexes, so concurrent committers keep
+    /// enqueuing —
     /// publishes the newest covered catalog version, records the batch
     /// size, and wakes everyone. Other waiters sleep on the condvar.
-    fn wait_durable(&self, lsn: u64) -> Result<(), EngineError> {
+    fn wait_durable(&self, gsn: u64) -> Result<(), EngineError> {
         let storage = self.storage.as_ref().expect("durable commit path");
         let mut gc = self.gc.lock().unwrap();
         loop {
-            if gc.durable_lsn >= lsn {
-                // A leader's fsync can cover our LSN before our entry
-                // reached the queue (transact enqueues after log_batch
-                // returns, and the leader holds neither the WAL nor the
+            if gc.durable_gsn >= gsn {
+                // A leader's fsync can cover our GSN before our entry
+                // reached the queue (transact enqueues after log_commit
+                // returns, and the leader holds neither the logs nor the
                 // commit lock while syncing). That leader could not see
                 // our version, so drain everything the watermark covers
                 // here — publish-before-ack must hold on this path too.
-                let durable = gc.durable_lsn;
+                let durable = gc.durable_gsn;
                 self.publish_durable(&mut gc, durable);
                 return Ok(());
             }
@@ -928,9 +821,9 @@ impl Database {
                     let batch = held
                         .pending
                         .iter()
-                        .take_while(|(l, _)| *l <= synced)
+                        .take_while(|(g, _)| *g <= synced)
                         .count();
-                    span.attr("synced_lsn", synced).attr("batch", batch);
+                    span.attr("synced_gsn", synced).attr("batch", batch);
                     self.publish_durable(&mut held, synced);
                     if batch > 0 {
                         self.metrics.commit_batch.record(batch as u64);
@@ -938,16 +831,16 @@ impl Database {
                     drop(held);
                     self.gc_cv.notify_all();
                     gc = self.gc.lock().unwrap();
-                    // loop re-checks: our lsn is covered unless we raced
+                    // loop re-checks: our gsn is covered unless we raced
                     // a concurrent appender's newer target — then we wait
                     // or lead again
                 }
                 Err(e) => {
-                    // the WAL truncated the nacked tail and poisoned
-                    // itself (PR-5 contract). Fail every waiter first —
-                    // *then* roll the head back; the gap is safe because
-                    // any transact landing in it fails at log_batch on
-                    // the poisoned WAL without touching the head.
+                    // the store truncated the nacked tail and poisoned
+                    // itself. Fail every waiter first — *then* roll the
+                    // head back; the gap is safe because any transact
+                    // landing in it fails at log_commit on the poisoned
+                    // store without touching the head.
                     {
                         let mut held = self.gc.lock().unwrap();
                         held.syncing = false;
@@ -967,9 +860,9 @@ impl Database {
     /// Advance the durable watermark to `synced` and publish the newest
     /// pending version it covers. Caller holds the `gc` lock.
     fn publish_durable(&self, gc: &mut GroupCommit, synced: u64) {
-        gc.durable_lsn = gc.durable_lsn.max(synced);
+        gc.durable_gsn = gc.durable_gsn.max(synced);
         let mut newest = None;
-        while gc.pending.front().is_some_and(|(l, _)| *l <= synced) {
+        while gc.pending.front().is_some_and(|(g, _)| *g <= synced) {
             newest = Some(gc.pending.pop_front().expect("front checked").1);
         }
         if let Some(v) = newest {
@@ -999,34 +892,29 @@ impl Database {
         self.storage.is_some()
     }
 
-    /// The recovery timeline of a durable database (what the snapshot
-    /// provided, how many WAL records were replayed, torn-tail repair).
+    /// The recovery timeline of a durable database: snapshot loads, log
+    /// replay, the epoch-consistent cut and any torn tails repaired.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
     }
 
-    /// The recovery timeline of a durable **sharded** database: per-shard
-    /// snapshot loads, parallel WAL replay, the epoch-consistent cut.
-    pub fn shard_recovery_report(&self) -> Option<&ShardRecoveryReport> {
-        self.shard_recovery.as_ref()
-    }
-
-    /// Write a snapshot of the current catalog and compact the WAL.
+    /// Write a snapshot of the current catalog and compact the logs.
     /// No-op returning 0 for in-memory databases. Serialises with
     /// committers (commit lock) and with any in-flight group fsync
-    /// (sync slot), so the snapshot provably covers every logged record.
+    /// (sync slot), so the snapshot provably covers every logged commit.
+    /// Returns the GSN the snapshot covers.
     pub fn checkpoint(&self) -> Result<u64, EngineError> {
         let Some(storage) = &self.storage else {
             return Ok(0);
         };
         let mut commit = self.commit.lock().unwrap();
         self.begin_sync_slot()?;
-        let result = storage.checkpoint(&commit.head);
+        let result = storage.checkpoint(&commit.head.images());
         let mut gc = self.gc.lock().unwrap();
         gc.syncing = false;
         let out = match result {
-            Ok(lsn) => {
-                self.publish_durable(&mut gc, lsn);
+            Ok(gsn) => {
+                self.publish_durable(&mut gc, gsn);
                 // the snapshot covers every logged byte: re-mark each
                 // table's WAL contribution so `ferry.tables` reports
                 // bytes *since* this checkpoint
@@ -1035,12 +923,12 @@ impl Database {
                     marks.insert(name.clone(), st.wal_bytes);
                 }
                 drop(marks);
-                Ok(lsn)
+                Ok(gsn)
             }
             Err(e) => {
                 if storage.poisoned() {
                     // the barrier fsync failed: nacked tail truncated,
-                    // WAL poisoned — mirror that here and re-anchor the
+                    // logs poisoned — mirror that here and re-anchor the
                     // head on what readers (and the log) actually have
                     gc.pending.clear();
                     gc.poisoned = Some(e.to_string());
@@ -1048,8 +936,8 @@ impl Database {
                 } else {
                     // fsync succeeded, the snapshot write itself failed:
                     // everything synced is durable and publishable; the
-                    // WAL just keeps growing until a later checkpoint
-                    self.publish_durable(&mut gc, storage.synced());
+                    // logs just keep growing until a later checkpoint
+                    self.publish_durable(&mut gc, storage.durable_gsn());
                 }
                 Err(EngineError::Storage(e))
             }
@@ -1060,7 +948,7 @@ impl Database {
         out
     }
 
-    /// Force-fsync the WAL regardless of the configured policy (shutdown
+    /// Force-fsync the logs regardless of the configured policy (shutdown
     /// barrier). No-op for in-memory databases.
     pub fn sync(&self) -> Result<(), EngineError> {
         let Some(storage) = &self.storage else {
@@ -1089,15 +977,15 @@ impl Database {
         out
     }
 
-    /// Run the auto-checkpoint if `checkpoint_every` says the WAL budget
+    /// Run the auto-checkpoint if `checkpoint_every` says the log budget
     /// is spent. Called **after** the transaction committed, so the
     /// snapshot covers it. Failures are recorded, never returned: the
-    /// mutation itself is already WAL-durable and applied, so an error
-    /// from `insert`/`create_table` here would read as "mutation failed"
-    /// and invite a double-applying retry. The WAL keeps growing and the
-    /// next mutation retries the compaction.
+    /// mutation itself is already durable and applied, so an error from
+    /// `insert`/`create_table` here would read as "mutation failed" and
+    /// invite a double-applying retry. The logs keep growing and the next
+    /// mutation retries the compaction.
     fn maybe_checkpoint(&self) {
-        if self.storage.as_ref().is_some_and(Store::checkpoint_due) {
+        if self.storage.as_ref().is_some_and(Storage::checkpoint_due) {
             match self.checkpoint() {
                 Ok(_) => *self.last_checkpoint_error.lock().unwrap() = None,
                 Err(e) => {
@@ -1245,10 +1133,12 @@ impl Database {
     }
 
     /// `ferry.storage` property rows (`name`, `value`), sorted by name.
+    /// `synced_lsn` keeps its name but reports the durable GSN, the one
+    /// watermark of the store.
     fn storage_props(&self, cat: &Catalog) -> Vec<Row> {
         let gc = self.gc.lock().unwrap();
         let (durable, synced, poisoned) = match &self.storage {
-            Some(s) => (1, s.synced() as i64, s.poisoned() as i64),
+            Some(s) => (1, s.durable_gsn() as i64, s.poisoned() as i64),
             None => (0, 0, 0),
         };
         let pending = gc.pending.len() as i64;
@@ -1606,18 +1496,22 @@ impl<'db> Snapshot<'db> {
 }
 
 /// The working state of one open transaction: a private catalog version
-/// forked off the commit head, plus the WAL records that will log it.
+/// forked off the commit head, plus the records that will log it.
 /// Handed to the closure of [`Database::transact`]; mutations validate
 /// against — and are immediately visible in — the working version
 /// (read-your-own-writes), but nothing escapes until commit.
 #[derive(Debug)]
 pub struct Tx {
     work: Catalog,
-    recs: Vec<WalRecord>,
-    /// Sharded databases: per-shard [`WalRecord::ShardRows`] appends of
-    /// this transaction (index = shard; empty for unsharded databases).
+    /// DDL records, in transaction order (they ride in the commit frame).
+    ddl: Vec<WalRecord>,
+    /// Per-shard [`WalRecord::ShardRows`] appends of this transaction
+    /// (index = shard; an unsharded database stages everything for
+    /// shard 0, the one shard it is stored as). Every staged row follows
+    /// its table's last DDL in this transaction, so recovery may apply
+    /// DDL first and rows second.
     shard_recs: Vec<Vec<WalRecord>>,
-    /// Building WAL records costs a clone of inserted rows; in-memory
+    /// Building log records costs a clone of inserted rows; in-memory
     /// databases skip it.
     durable: bool,
     /// The database's shard count (`0` = unsharded).
@@ -1682,7 +1576,8 @@ impl Tx {
         }
         let keys: Vec<String> = keys.into_iter().map(String::from).collect();
         if self.durable {
-            self.recs.push(match &shard_key {
+            self.unstage(&name);
+            self.ddl.push(match &shard_key {
                 Some(sk) => WalRecord::CreateTableSharded {
                     name: name.clone(),
                     schema: schema.clone(),
@@ -1748,17 +1643,45 @@ impl Tx {
                 }
             }
         }
-        if self.shards > 0 {
-            return self.insert_sharded(name, rows);
-        }
         self.bump_stats(name, rows.iter().map(sys::row_bytes).sum());
-        if self.durable {
-            self.recs.push(WalRecord::Insert {
+        let table = self.work.tables.get_mut(name).expect("validated above");
+        let base = table.rows.len() as u64;
+        // per-shard positioned slices of this insert, in shard order.
+        // Positions are **absolute** in the table's global insert order,
+        // which is what makes recovery's re-application idempotent over
+        // snapshot state. Unsharded tables stage everything for shard 0.
+        let mut slices: BTreeMap<u32, (Vec<u64>, Vec<Row>)> = BTreeMap::new();
+        if let Some(shard) = table.shard.as_mut() {
+            // route every row to its shard (hash of the shard-key cell,
+            // or the table's home shard) and record the assignment
+            let key_idx = shard
+                .key
+                .as_deref()
+                .map(|k| table.schema.index_of(k).expect("validated at create"));
+            let sh = Arc::make_mut(shard);
+            for (i, row) in rows.iter().enumerate() {
+                let pos = base + i as u64;
+                let k = sh.push(pos as u32, key_idx.map(|c| &row[c]));
+                if self.durable {
+                    let slot = slices.entry(k).or_default();
+                    slot.0.push(pos);
+                    slot.1.push(row.clone());
+                }
+            }
+        } else if self.durable && !rows.is_empty() {
+            slices.insert(
+                0,
+                ((base..base + rows.len() as u64).collect(), rows.clone()),
+            );
+        }
+        for (k, (idx, staged)) in slices {
+            self.shard_recs[k as usize].push(WalRecord::ShardRows {
+                gsn: 0, // assigned by log_commit
                 table: name.to_string(),
-                rows: rows.clone(),
+                idx,
+                rows: staged,
             });
         }
-        let table = self.work.tables.get_mut(name).expect("validated above");
         // copy-on-write: the first insert into a table this transaction
         // copies its shared buffer once; later inserts mutate in place.
         // extend_rows also invalidates the buffer's columnar chunk cache.
@@ -1767,49 +1690,14 @@ impl Tx {
         Ok(())
     }
 
-    /// The sharded-database half of [`Tx::insert`]: route every row to
-    /// its shard (hash of the shard-key cell, or the table's home shard),
-    /// record the assignment in the working catalog, and stage one
-    /// positioned [`WalRecord::ShardRows`] per touched shard. Positions
-    /// are **absolute** in the table's global insert order, which is what
-    /// makes recovery's re-application idempotent over snapshot state.
-    fn insert_sharded(&mut self, name: &str, rows: Vec<Row>) -> Result<(), EngineError> {
-        self.bump_stats(name, rows.iter().map(sys::row_bytes).sum());
-        let table = self.work.tables.get_mut(name).expect("validated by insert");
-        let shard = table.shard.as_ref().expect("sharded database table");
-        let key_idx = shard
-            .key
-            .as_deref()
-            .map(|k| table.schema.index_of(k).expect("validated at create"));
-        let base = table.rows.len() as u64;
-        let sh = Arc::make_mut(table.shard.as_mut().expect("present above"));
-        // per-shard positioned slices of this insert, in shard order
-        let mut slices: HashMap<u32, (Vec<u64>, Vec<Row>)> = HashMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            let pos = base + i as u64;
-            let k = sh.push(pos as u32, key_idx.map(|c| &row[c]));
-            if self.durable {
-                let slot = slices.entry(k).or_default();
-                slot.0.push(pos);
-                slot.1.push(row.clone());
-            }
+    /// Drop the rows this transaction staged for `name`: the DDL about to
+    /// be logged replaces the table, so they belong to a table that no
+    /// longer exists — and recovery applies a commit's DDL before its
+    /// rows.
+    fn unstage(&mut self, name: &str) {
+        for recs in &mut self.shard_recs {
+            recs.retain(|r| !matches!(r, WalRecord::ShardRows { table, .. } if table == name));
         }
-        if self.durable {
-            let mut touched: Vec<u32> = slices.keys().copied().collect();
-            touched.sort_unstable();
-            for k in touched {
-                let (idx, rows) = slices.remove(&k).expect("key listed");
-                self.shard_recs[k as usize].push(WalRecord::ShardRows {
-                    gsn: 0, // assigned by log_commit
-                    table: name.to_string(),
-                    idx,
-                    rows,
-                });
-            }
-        }
-        Arc::make_mut(&mut table.rows).extend_rows(rows);
-        self.dirty = true;
-        Ok(())
     }
 
     /// Install a table without validation (see
@@ -1834,7 +1722,8 @@ impl Tx {
             }
         };
         if self.durable {
-            self.recs.push(WalRecord::InstallTable {
+            self.unstage(&name);
+            self.ddl.push(WalRecord::InstallTable {
                 name: name.clone(),
                 schema: table.schema.clone(),
                 keys: table.keys.clone(),

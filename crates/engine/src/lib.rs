@@ -61,9 +61,7 @@ pub mod vec_eval;
 
 pub use catalog::{BaseTable, Database, Snapshot, TableShards, TableStats, Tx};
 pub use error::EngineError;
-pub use ferry_storage::{
-    DurabilityConfig, FsyncPolicy, RecoveryReport, ShardRecoveryReport, StorageError,
-};
+pub use ferry_storage::{DurabilityConfig, FsyncPolicy, RecoveryReport, StorageError};
 pub use ferry_telemetry::{Telemetry, TelemetryConfig};
 pub use par::{ParConfig, VecMode};
 pub use shard::{

@@ -1,11 +1,13 @@
-//! Engine-level durability: `Database::open` / `open_with_vfs` round
-//! trips, crash recovery of acked mutations, and WAL compaction — the
+//! Engine-level durability: `Database::open` / `open_sharded` /
+//! `open_vfs` round trips, crash recovery of acked mutations, log
+//! compaction, and which directories each constructor opens — the
 //! wiring above `ferry-storage` that the storage crate's own fault suite
 //! cannot see.
 
 use ferry_algebra::{Row, RowBuf, Schema, Ty, Value};
-use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy};
-use ferry_storage::{Fault, FaultFs, Vfs, WAL_FILE};
+use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
+use ferry_storage::{shard_snap_file, Fault, FaultFs, Vfs, COMMIT_LOG, SHARD_META_FILE};
+use std::path::Path;
 use std::sync::Arc;
 
 fn v(i: i64) -> Value {
@@ -21,7 +23,7 @@ fn config() -> DurabilityConfig {
 }
 
 fn open(vfs: &Arc<FaultFs>, config: DurabilityConfig) -> Result<Database, EngineError> {
-    Database::open_with_vfs(vfs.clone() as Arc<dyn Vfs>, config)
+    Database::open_vfs(vfs.clone() as Arc<dyn Vfs>, 0, config)
 }
 
 fn seed_rows() -> Vec<Row> {
@@ -32,12 +34,18 @@ fn seed_rows() -> Vec<Row> {
     ]
 }
 
+fn people_schema() -> Schema {
+    Schema::of(&[("id", Ty::Int), ("name", Ty::Str)])
+}
+
+/// `people` + its seed rows as two commits; hash-partitioned on `id`
+/// when the database is sharded.
 fn create_people(db: &Database) {
-    db.create_table(
-        "people",
-        Schema::of(&[("id", Ty::Int), ("name", Ty::Str)]),
-        vec!["id"],
-    )
+    if db.shards() > 0 {
+        db.create_table_sharded("people", people_schema(), vec!["id"], "id")
+    } else {
+        db.create_table("people", people_schema(), vec!["id"])
+    }
     .unwrap();
     db.insert("people", seed_rows()).unwrap();
 }
@@ -54,6 +62,8 @@ fn durable_roundtrip_restores_tables_and_bumps_schema_version() {
             .unwrap();
     }
     let db = open(&vfs, config()).unwrap();
+    assert_eq!(db.shards(), 0, "stored as one shard, unsharded in memory");
+    assert!(db.table("people").unwrap().shard.is_none());
     assert_eq!(db.table("people").unwrap().rows.rows(), &seed_rows()[..]);
     assert_eq!(db.table("people").unwrap().keys, vec!["id".to_string()]);
     assert!(db.table("empty").unwrap().rows.rows().is_empty());
@@ -61,7 +71,8 @@ fn durable_roundtrip_restores_tables_and_bumps_schema_version() {
     // database cannot serve stale plans
     assert_eq!(db.schema_version(), 2);
     let report = db.recovery_report().unwrap();
-    assert_eq!(report.wal_records_applied, 3);
+    assert_eq!((report.shards, report.markers_applied), (1, 3));
+    assert_eq!(report.cut_gsn, 3);
     assert!(report.render().contains("recovery"));
 }
 
@@ -71,9 +82,9 @@ fn acked_mutations_survive_a_torn_write_crash() {
     let db = open(&vfs, config()).unwrap();
     create_people(&db);
     // tear the log mid-way through some future insert
-    let at = vfs.written_len(WAL_FILE) + 40;
+    let at = vfs.written_len(COMMIT_LOG) + 40;
     vfs.inject(Fault::TornAppend {
-        path: WAL_FILE.into(),
+        path: COMMIT_LOG.into(),
         at,
     });
     let mut acked = 3usize;
@@ -94,33 +105,29 @@ fn acked_mutations_survive_a_torn_write_crash() {
     // fsync policy Always: every acked insert is durable, the torn one
     // is truncated away at recovery
     assert_eq!(db.table("people").unwrap().rows.rows().len(), acked);
-    assert!(db
-        .recovery_report()
-        .unwrap()
-        .torn_tail_repaired_at
-        .is_some());
+    assert_eq!(db.recovery_report().unwrap().repairs, 1);
 }
 
 #[test]
-fn checkpoint_compacts_the_wal_and_recovery_uses_the_snapshot() {
+fn checkpoint_compacts_the_log_and_recovery_uses_the_snapshot() {
     let vfs = Arc::new(FaultFs::new());
     let db = open(&vfs, config()).unwrap();
     create_people(&db);
-    let before = vfs.written_len(WAL_FILE);
-    let covered_lsn = db.checkpoint().unwrap();
-    assert_eq!(covered_lsn, 2, "create + insert were logged");
+    let before = vfs.written_len(COMMIT_LOG);
+    let covered_gsn = db.checkpoint().unwrap();
+    assert_eq!(covered_gsn, 2, "create + insert were logged");
     assert!(
-        vfs.written_len(WAL_FILE) < before,
+        vfs.written_len(COMMIT_LOG) < before,
         "checkpoint must truncate the log"
     );
-    // a post-checkpoint mutation lands in the WAL tail
+    // a post-checkpoint mutation lands in the log tail
     db.insert("people", vec![vec![v(4), s("dan")]]).unwrap();
     drop(db);
     let db = open(&vfs, config()).unwrap();
     assert_eq!(db.table("people").unwrap().rows.rows().len(), 4);
     let report = db.recovery_report().unwrap();
-    assert_eq!(report.snapshot_tables, 1);
-    assert_eq!(report.wal_records_applied, 1, "only the tail is replayed");
+    assert_eq!(report.watermark_gsn, 2);
+    assert_eq!(report.markers_applied, 1, "only the tail is replayed");
 }
 
 #[test]
@@ -137,14 +144,14 @@ fn automatic_checkpoint_fires_on_the_configured_budget() {
     create_people(&db); // 2 records: create + insert
     db.insert("people", vec![vec![v(4), s("dan")]]).unwrap(); // 3rd: budget spent
     assert_eq!(
-        vfs.written_len(WAL_FILE),
+        vfs.written_len(COMMIT_LOG),
         8,
         "log compacted back to its magic"
     );
     drop(db);
     let db = open(&vfs, config()).unwrap();
     assert_eq!(db.table("people").unwrap().rows.rows().len(), 4);
-    assert_eq!(db.recovery_report().unwrap().wal_records_applied, 0);
+    assert_eq!(db.recovery_report().unwrap().markers_applied, 0);
 }
 
 #[test]
@@ -160,11 +167,11 @@ fn auto_checkpoint_failure_does_not_fail_the_applied_mutation() {
     .unwrap();
     // create_people logs 2 records, below the budget; the 3rd triggers
     // the auto-checkpoint — crash its snapshot write. The insert was
-    // already WAL-durable and applied, so it must ack: surfacing the
+    // already durable and applied, so it must ack: surfacing the
     // compaction failure would invite a retry that double-applies rows.
     create_people(&db);
     vfs.inject(Fault::TornAppend {
-        path: "snapshot".into(),
+        path: shard_snap_file(0),
         at: 0,
     });
     db.insert("people", vec![vec![v(4), s("dan")]]).unwrap();
@@ -210,6 +217,36 @@ fn install_table_is_logged_with_its_rows() {
     );
 }
 
+/// A transaction that inserts into a table and then replaces it logs
+/// the replacement's DDL and none of the dead rows: recovery applies a
+/// commit's DDL before its rows, at every shard count.
+#[test]
+fn replacing_a_table_inside_a_transaction_recovers_as_committed() {
+    for shards in [0, 1, 4] {
+        let vfs = Arc::new(FaultFs::new());
+        let reopen = || Database::open_vfs(vfs.clone() as Arc<dyn Vfs>, shards, config()).unwrap();
+        let db = reopen();
+        create_people(&db);
+        db.transact(|tx| {
+            tx.insert("people", vec![vec![v(9), s("gone")]])?;
+            tx.create_table("people", people_schema(), vec!["id"])?;
+            tx.insert("people", vec![vec![v(5), s("eve")]])?;
+            tx.insert("people", vec![vec![v(6), s("fay")]])
+        })
+        .unwrap();
+        let want = db.table("people").unwrap().rows.rows().to_vec();
+        assert_eq!(want, vec![vec![v(5), s("eve")], vec![v(6), s("fay")]]);
+        drop(db);
+        vfs.crash();
+        let db = reopen();
+        assert_eq!(
+            db.table("people").unwrap().rows.rows(),
+            &want[..],
+            "S={shards}"
+        );
+    }
+}
+
 #[test]
 fn in_memory_database_is_unaffected_by_the_durability_layer() {
     let db = Database::new();
@@ -222,7 +259,7 @@ fn in_memory_database_is_unaffected_by_the_durability_layer() {
 
 #[test]
 fn std_fs_directory_roundtrip() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("engine_durability_rt");
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("engine_durability_rt");
     let _ = std::fs::remove_dir_all(&dir);
     {
         let db = Database::open(&dir, config()).unwrap();
@@ -236,6 +273,59 @@ fn std_fs_directory_roundtrip() {
     }
     let db = Database::open(&dir, config()).unwrap();
     assert_eq!(db.table("people").unwrap().rows.rows().len(), 4);
-    assert_eq!(db.recovery_report().unwrap().snapshot_tables, 1);
+    assert_eq!(db.recovery_report().unwrap().watermark_gsn, 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every constructor against every directory: written by `open`, by
+/// `open_sharded` with one and with four shards, and in the retired
+/// single-WAL format. An open either returns every acked row — exactly
+/// when the shard count it asks for is the one on disk, `open` asking
+/// for one — or refuses with a typed error and writes nothing. It never
+/// returns `Ok` with tables missing.
+#[test]
+fn every_constructor_opens_every_directory_whole_or_refuses_typed() {
+    // 0 = `Database::open`, S = `Database::open_sharded(_, S, _)`
+    let open_as = |dir: &Path, shards: usize| match shards {
+        0 => Database::open(dir, config()),
+        s => Database::open_sharded(dir, s, config()),
+    };
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("engine_durability_matrix");
+    let _ = std::fs::remove_dir_all(&root);
+    for writer in [0usize, 1, 4] {
+        let dir = root.join(format!("written-by-{writer}"));
+        create_people(&open_as(&dir, writer).unwrap());
+        // the writer's own constructor last: no refused open may have
+        // damaged the directory
+        for reader in [4, 2, 0, 1, writer] {
+            let case = format!("written by {writer}, opened by {reader}");
+            match open_as(&dir, reader) {
+                Ok(db) => {
+                    assert_eq!(reader.max(1), writer.max(1), "{case}: opened");
+                    let rows = db.table("people").map(|t| t.rows.rows().to_vec());
+                    assert_eq!(rows, Some(seed_rows()), "{case}: rows missing");
+                }
+                Err(EngineError::Storage(StorageError::Unsupported(m))) => {
+                    assert_ne!(reader.max(1), writer.max(1), "{case}: refused: {m}");
+                }
+                Err(e) => panic!("{case}: untyped refusal {e}"),
+            }
+        }
+    }
+    // a directory of the retired format: its file set identifies it (its
+    // log shares the magic of today's logs; contents are irrelevant)
+    let legacy = root.join("legacy");
+    std::fs::create_dir_all(&legacy).unwrap();
+    std::fs::write(legacy.join("wal"), ferry_storage::wal::WAL_MAGIC).unwrap();
+    std::fs::write(legacy.join("snapshot"), b"retired snapshot").unwrap();
+    for reader in [0, 1, 4] {
+        match open_as(&legacy, reader) {
+            Err(EngineError::Storage(StorageError::Unsupported(m))) => {
+                assert!(m.contains("single-WAL"), "{m}")
+            }
+            other => panic!("legacy directory opened by {reader}: {other:?}"),
+        }
+    }
+    assert!(!legacy.join(SHARD_META_FILE).exists(), "refusal wrote meta");
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -9,7 +9,7 @@
 
 use ferry_algebra::{Schema, Ty, Value};
 use ferry_engine::{Database, DurabilityConfig, EngineError, FsyncPolicy};
-use ferry_storage::{Fault, FaultFs, Vfs, WAL_FILE};
+use ferry_storage::{Fault, FaultFs, Vfs, COMMIT_LOG};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -18,8 +18,9 @@ const WRITERS: usize = 8;
 const COMMITS_PER_WRITER: usize = 25;
 
 fn open(vfs: &Arc<FaultFs>) -> Database {
-    Database::open_with_vfs(
+    Database::open_vfs(
         vfs.clone() as Arc<dyn Vfs>,
+        0,
         DurabilityConfig::with_fsync(FsyncPolicy::Always),
     )
     .unwrap()
@@ -153,7 +154,7 @@ fn failed_group_fsync_nacks_every_waiter_and_publishes_nothing() {
     let epoch_before = db.epoch();
     vfs.set_sync_delay(Duration::from_micros(500));
     vfs.inject(Fault::FailFsync {
-        path: WAL_FILE.into(),
+        path: COMMIT_LOG.into(),
     });
 
     let handles: Vec<_> = (0..WRITERS)
@@ -169,7 +170,7 @@ fn failed_group_fsync_nacks_every_waiter_and_publishes_nothing() {
     vfs.set_sync_delay(Duration::ZERO);
 
     // the one-shot fault fails the first leader's fsync; every commit in
-    // that batch is nacked, and later commits die on the poisoned WAL
+    // that batch is nacked, and later commits die on the poisoned log
     assert!(
         results.iter().all(Result::is_err),
         "a commit was acked through a failed fsync: {results:?}"
@@ -247,8 +248,9 @@ fn checkpoint_races_group_committers_without_losing_acked_commits() {
 #[test]
 fn every_n_still_acks_before_durability_and_loses_at_most_the_window() {
     let vfs = Arc::new(FaultFs::new());
-    let db = Database::open_with_vfs(
+    let db = Database::open_vfs(
         vfs.clone() as Arc<dyn Vfs>,
+        0,
         DurabilityConfig {
             fsync: FsyncPolicy::EveryN(4),
             ..DurabilityConfig::default()
@@ -263,8 +265,9 @@ fn every_n_still_acks_before_durability_and_loses_at_most_the_window() {
     assert_eq!(db.table("ledger").unwrap().rows.len(), 10);
     drop(db);
     vfs.crash();
-    let db = Database::open_with_vfs(
+    let db = Database::open_vfs(
         vfs.clone() as Arc<dyn Vfs>,
+        0,
         DurabilityConfig::with_fsync(FsyncPolicy::EveryN(4)),
     )
     .unwrap();

@@ -28,7 +28,7 @@ fn config() -> DurabilityConfig {
 }
 
 fn open_sharded(vfs: &Arc<FaultFs>, shards: usize) -> Database {
-    Database::open_sharded_with_vfs(vfs.clone() as Arc<dyn Vfs>, shards, config()).unwrap()
+    Database::open_vfs(vfs.clone() as Arc<dyn Vfs>, shards, config()).unwrap()
 }
 
 fn orders_schema() -> Schema {
@@ -162,7 +162,7 @@ fn sharded_roundtrip_restores_tables_and_reports() {
     let nts = names.shard.as_ref().unwrap();
     assert!(nts.key.is_none());
     assert!(nts.shard_of.iter().all(|&k| k == nts.home));
-    let report = db.shard_recovery_report().expect("sharded recovery ran");
+    let report = db.recovery_report().expect("sharded recovery ran");
     assert_eq!(report.shards, S);
     assert!(report.render().contains("recovery"));
 }

@@ -11,18 +11,19 @@
 //!   torn-write detection;
 //! * [`wal`] — the append-only log of committed catalog mutations, with
 //!   monotone LSNs and a configurable [`FsyncPolicy`];
-//! * [`snapshot`] — full-catalog snapshots installed atomically,
-//!   enabling WAL compaction;
 //! * [`fs`] — the VFS the above are written against: [`fs::StdFs`] for
 //!   real directories and [`fs::FaultFs`], an in-memory file system with
 //!   crash semantics and scriptable fault injection (torn writes, bit
 //!   flips, short/failed fsyncs) that the recovery test suite drives;
-//! * [`Storage`] — the orchestrator: `open` = load snapshot ⊕ replay WAL
-//!   tail (repairing a torn final frame by truncation), `log` = append
-//!   before ack, `checkpoint` = snapshot + truncate the log.
+//! * [`Storage`] — the one store: `S` shard snapshots and a commit log
+//!   (plus one WAL per shard when `S ≥ 2`), group-committed under one
+//!   GSN sequence. An unsharded database is stored as one shard, where a
+//!   commit is one frame in one file; `open` = load snapshots ⊕ replay
+//!   to the epoch-consistent cut, `log_commit` = append before ack,
+//!   `checkpoint` = snapshot + truncate the logs.
 //!
 //! Recovery correctness is *proven by fault injection rather than
-//! asserted*: for arbitrary mutation sequences crashed at arbitrary
+//! asserted*: for arbitrary transaction sequences crashed at arbitrary
 //! points, `open` either restores a prefix-consistent state or fails
 //! with a typed [`StorageError`] — never a panic, never a divergent
 //! table (see `tests/faults.rs`).
@@ -30,26 +31,17 @@
 pub mod codec;
 pub mod frame;
 pub mod fs;
-pub mod shard;
-pub mod snapshot;
+pub mod store;
 pub mod wal;
 
 pub use fs::{Fault, FaultFs, StdFs, Vfs};
-pub use shard::{
-    shard_wal_file, ShardRecovered, ShardRecoveryReport, ShardTableDef, ShardTableImage,
-    ShardedStorage, COMMIT_LOG, MAX_SHARDS, NO_SHARD,
+pub use store::{
+    shard_snap_file, shard_wal_file, Recovered, RecoveryReport, Storage, TableDef, TableImage,
+    COMMIT_LOG, MAX_SHARDS, NO_SHARD, SHARD_META_FILE,
 };
-pub use wal::{WalRecord, WAL_FILE};
+pub use wal::WalRecord;
 
-use crate::frame::Tail;
-use crate::wal::{replay_wal, Wal, WAL_MAGIC};
-use ferry_algebra::{Row, Schema};
-use ferry_telemetry::{Counter, Registry};
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Anything that can go wrong persisting or recovering the catalog.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +55,10 @@ pub enum StorageError {
     /// are not a torn tail, bad magic, non-monotone LSNs, replay against
     /// a missing table. Recovery refuses to guess.
     Corrupt(String),
+    /// The directory is intact but not openable as asked: the retired
+    /// single-WAL format, or a shard count other than the one on disk.
+    /// Nothing was written to it.
+    Unsupported(String),
     /// A fault injected by [`fs::FaultFs`] — only ever seen by tests,
     /// where it marks the simulated crash point.
     Injected(String),
@@ -74,6 +70,7 @@ impl fmt::Display for StorageError {
             StorageError::Io(m) => write!(f, "storage I/O error: {m}"),
             StorageError::Codec(m) => write!(f, "storage codec error: {m}"),
             StorageError::Corrupt(m) => write!(f, "storage corruption: {m}"),
+            StorageError::Unsupported(m) => write!(f, "unsupported storage directory: {m}"),
             StorageError::Injected(m) => write!(f, "injected fault: {m}"),
         }
     }
@@ -84,7 +81,8 @@ impl std::error::Error for StorageError {}
 /// When WAL appends become durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// fsync after every record: an acked mutation survives any crash.
+    /// fsync before every ack (shared by concurrent committers through
+    /// group commit): an acked commit survives any crash.
     #[default]
     Always,
     /// fsync once per `n` records: bounded data loss, amortised cost.
@@ -99,8 +97,8 @@ pub enum FsyncPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DurabilityConfig {
     pub fsync: FsyncPolicy,
-    /// Checkpoint (snapshot + compact the WAL) automatically once the log
-    /// holds this many records. `None` = only explicit checkpoints.
+    /// Checkpoint (snapshot + compact the logs) automatically once they
+    /// hold this many records. `None` = only explicit checkpoints.
     pub checkpoint_every: Option<u64>,
 }
 
@@ -110,634 +108,5 @@ impl DurabilityConfig {
             fsync,
             ..DurabilityConfig::default()
         }
-    }
-}
-
-/// A storage-level view of one base table — the unit snapshots and
-/// recovery trade in. The engine converts to/from its richer catalog
-/// entry (`BaseTable`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableImage {
-    pub name: String,
-    pub schema: Schema,
-    pub keys: Vec<String>,
-    pub rows: Vec<Row>,
-}
-
-/// What `Storage::open` found and did — the recovery timeline rendered
-/// into an `explain_analyze`-style report.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecoveryReport {
-    /// LSN covered by the loaded snapshot (0 = no snapshot).
-    pub snapshot_lsn: u64,
-    pub snapshot_tables: usize,
-    pub snapshot_bytes: u64,
-    /// Frames decoded from the WAL, including ones the snapshot already
-    /// covered.
-    pub wal_frames: usize,
-    /// Records actually applied (LSN beyond the snapshot).
-    pub wal_records_applied: usize,
-    pub wal_bytes: u64,
-    /// Offset the WAL was truncated to after a torn tail (`None` = log
-    /// was clean).
-    pub torn_tail_repaired_at: Option<u64>,
-    /// Highest LSN in the recovered state.
-    pub last_lsn: u64,
-    pub elapsed_us: u64,
-}
-
-impl RecoveryReport {
-    /// Render the recovery timeline, one phase per line (the durable
-    /// sibling of `explain_analyze`'s span timeline).
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "-- recovery timeline ({}us) --", self.elapsed_us);
-        if self.snapshot_lsn > 0 || self.snapshot_tables > 0 {
-            let _ = writeln!(
-                out,
-                "load snapshot      lsn {:>6}  {} tables  {} bytes",
-                self.snapshot_lsn, self.snapshot_tables, self.snapshot_bytes
-            );
-        } else {
-            let _ = writeln!(out, "load snapshot      (none)");
-        }
-        let _ = writeln!(
-            out,
-            "replay wal tail    {} frames  {} applied  {} bytes",
-            self.wal_frames, self.wal_records_applied, self.wal_bytes
-        );
-        match self.torn_tail_repaired_at {
-            Some(at) => {
-                let _ = writeln!(out, "repair torn tail   truncated to byte {at}");
-            }
-            None => {
-                let _ = writeln!(out, "repair torn tail   (log clean)");
-            }
-        }
-        let _ = writeln!(out, "recovered state    last lsn {}", self.last_lsn);
-        out
-    }
-}
-
-/// The recovered catalog plus the attached, ready-to-append [`Storage`].
-#[derive(Debug)]
-pub struct Recovered {
-    pub storage: Storage,
-    pub tables: Vec<TableImage>,
-    pub report: RecoveryReport,
-}
-
-/// Handles into the telemetry registry the storage layer maintains.
-#[derive(Debug)]
-struct StorageMetrics {
-    wal_bytes: Arc<Counter>,
-    fsyncs: Arc<Counter>,
-    wal_records: Arc<Counter>,
-    snapshots: Arc<Counter>,
-    recoveries: Arc<Counter>,
-}
-
-impl StorageMetrics {
-    fn new(registry: &Registry) -> StorageMetrics {
-        // storage metric names are code-controlled, so a kind conflict is
-        // impossible; degrade to detached handles rather than panic if a
-        // foreign registrant ever claims one
-        let counter = |name: &str| registry.counter(name).unwrap_or_default();
-        StorageMetrics {
-            wal_bytes: counter("storage.wal_bytes"),
-            fsyncs: counter("storage.fsyncs"),
-            wal_records: counter("storage.wal_records"),
-            snapshots: counter("storage.snapshots"),
-            recoveries: counter("storage.recoveries"),
-        }
-    }
-}
-
-/// The durability orchestrator one `Database` owns: WAL appender,
-/// checkpointer, and the recovery entry point.
-///
-/// All methods take `&self`: the WAL sits behind a mutex so concurrent
-/// committers can append, and [`Storage::group_sync`] deliberately
-/// releases that mutex around the fsync itself — the window in which
-/// other appenders enqueue is what group commit batches over.
-#[derive(Debug)]
-pub struct Storage {
-    vfs: Arc<dyn Vfs>,
-    wal: Mutex<Wal>,
-    config: DurabilityConfig,
-    /// Operations in the WAL since the last checkpoint (drives
-    /// `checkpoint_every`).
-    wal_records_since_checkpoint: AtomicU64,
-    metrics: StorageMetrics,
-}
-
-impl Storage {
-    /// Open (or create) the durable state behind `vfs`: load the
-    /// snapshot if one exists, replay the WAL tail beyond it, repair a
-    /// torn final frame by truncating, and return the recovered tables
-    /// together with a [`Storage`] ready to append. Telemetry lands in
-    /// `registry` (`storage.*` counters) and a `storage.recover` span.
-    pub fn open(
-        vfs: Arc<dyn Vfs>,
-        config: DurabilityConfig,
-        registry: &Registry,
-    ) -> Result<Recovered, StorageError> {
-        let start = Instant::now();
-        let mut span = ferry_telemetry::span("storage.recover", "storage");
-        let metrics = StorageMetrics::new(registry);
-        let mut report = RecoveryReport::default();
-
-        // 1. snapshot
-        let mut tables: BTreeMap<String, TableImage> = BTreeMap::new();
-        if let Some(snap) = snapshot::read_snapshot(vfs.as_ref())? {
-            report.snapshot_lsn = snap.lsn;
-            report.snapshot_tables = snap.tables.len();
-            report.snapshot_bytes = snap.bytes;
-            for t in snap.tables {
-                tables.insert(t.name.clone(), t);
-            }
-        }
-
-        // 2. WAL replay (tail beyond the snapshot)
-        let wal_bytes = vfs.read(WAL_FILE)?;
-        let replay = replay_wal(wal_bytes.as_deref())?;
-        report.wal_frames = replay.records.len();
-        report.wal_bytes = replay.good_bytes;
-        let mut last_lsn = report.snapshot_lsn;
-        let mut applied_records = 0u64;
-        for (lsn, rec) in &replay.records {
-            if *lsn <= report.snapshot_lsn {
-                // pre-checkpoint records surviving a crash between
-                // snapshot install and log truncation
-                continue;
-            }
-            apply(&mut tables, rec)?;
-            last_lsn = *lsn;
-            applied_records += rec.op_count();
-            report.wal_records_applied += rec.op_count() as usize;
-        }
-
-        // 3. torn-tail repair + (re)create the log file
-        match replay.tail {
-            Tail::Torn { .. } if wal_bytes.is_some() => {
-                vfs.truncate(WAL_FILE, replay.good_bytes)?;
-                if replay.good_bytes == 0 {
-                    // even the magic was torn off: start the file over
-                    vfs.append(WAL_FILE, WAL_MAGIC)?;
-                }
-                vfs.sync(WAL_FILE)?;
-                report.torn_tail_repaired_at = Some(replay.good_bytes);
-            }
-            _ if wal_bytes.is_none() => {
-                vfs.append(WAL_FILE, WAL_MAGIC)?;
-                vfs.sync(WAL_FILE)?;
-            }
-            _ => {}
-        }
-
-        report.last_lsn = last_lsn;
-        report.elapsed_us = start.elapsed().as_micros() as u64;
-        metrics.recoveries.inc();
-        span.attr("tables", tables.len())
-            .attr("applied", applied_records)
-            .attr("last_lsn", last_lsn);
-
-        // after step 3 the file is exactly the valid region (recreated as
-        // a bare header when even the magic was torn) and fully synced
-        let wal_file_len = replay.good_bytes.max(WAL_MAGIC.len() as u64);
-        let wal = Wal::resume(
-            vfs.clone(),
-            WAL_FILE,
-            config.fsync,
-            last_lsn + 1,
-            wal_file_len,
-            metrics.wal_bytes.clone(),
-            metrics.fsyncs.clone(),
-        );
-        Ok(Recovered {
-            storage: Storage {
-                vfs,
-                wal: Mutex::new(wal),
-                config,
-                wal_records_since_checkpoint: AtomicU64::new(applied_records),
-                metrics,
-            },
-            tables: tables.into_values().collect(),
-            report,
-        })
-    }
-
-    /// Append one mutation to the WAL; durable per the configured
-    /// [`FsyncPolicy`] when this returns. The caller applies the mutation
-    /// in memory only after this succeeds (log-before-ack).
-    pub fn log(&self, rec: &WalRecord) -> Result<u64, StorageError> {
-        let lsn = self.wal.lock().unwrap().append(rec)?;
-        self.note_logged(rec.op_count());
-        Ok(lsn)
-    }
-
-    /// Append one transaction for group commit: a single operation is
-    /// logged as its bare record, several as one atomic
-    /// [`WalRecord::Batch`] frame. Under [`FsyncPolicy::Always`] *no*
-    /// fsync happens here — the caller must not ack until
-    /// [`Storage::group_sync`] (run by whichever committer becomes the
-    /// batch leader) reports the returned LSN durable.
-    pub fn log_batch(&self, mut recs: Vec<WalRecord>) -> Result<u64, StorageError> {
-        let rec = match recs.len() {
-            0 => return Err(StorageError::Codec("empty transaction batch".into())),
-            1 => recs.pop().expect("len checked"),
-            _ => WalRecord::Batch(recs),
-        };
-        let ops = rec.op_count();
-        let lsn = self.wal.lock().unwrap().append_deferred(&rec)?;
-        self.note_logged(ops);
-        Ok(lsn)
-    }
-
-    fn note_logged(&self, ops: u64) {
-        self.metrics.wal_records.add(ops);
-        self.wal_records_since_checkpoint
-            .fetch_add(ops, Ordering::Relaxed);
-    }
-
-    /// One fsync covering every record appended so far; returns the
-    /// highest LSN it made durable. The fsync itself runs *outside* the
-    /// WAL mutex so concurrent `log_batch` callers keep enqueuing into
-    /// the next batch — the overlap is the group-commit win. If the log
-    /// is already fully synced this is free (no fsync at all).
-    ///
-    /// Failure has exactly the PR-5 fsync-failure contract: the unsynced
-    /// tail (whose committers are being told "failed") is truncated back
-    /// to the synced prefix, the LSN allocator rolls back with it, and
-    /// the WAL is poisoned until reopen.
-    pub fn group_sync(&self) -> Result<u64, StorageError> {
-        let (lsn, bytes) = {
-            let wal = self.wal.lock().unwrap();
-            wal.check_poisoned()?;
-            let (lsn, bytes) = wal.sync_target();
-            if lsn <= wal.synced_lsn() {
-                return Ok(wal.synced_lsn());
-            }
-            (lsn, bytes)
-        };
-        match self.vfs.sync(WAL_FILE) {
-            Ok(()) => {
-                self.wal.lock().unwrap().mark_synced(lsn, bytes);
-                Ok(lsn)
-            }
-            Err(e) => {
-                self.wal.lock().unwrap().fail_sync();
-                Err(e)
-            }
-        }
-    }
-
-    /// Does the configured `checkpoint_every` call for a checkpoint now?
-    pub fn checkpoint_due(&self) -> bool {
-        self.config
-            .checkpoint_every
-            .is_some_and(|n| self.wal_records_since_checkpoint.load(Ordering::Relaxed) >= n.max(1))
-    }
-
-    /// Write a snapshot of `tables` at the current LSN and compact the
-    /// WAL down to its header. Crash-ordering: the snapshot is installed
-    /// atomically *first*; recovery skips WAL records at or below the
-    /// snapshot LSN, so a crash between the two steps double-applies
-    /// nothing. The WAL mutex is held throughout: the caller must ensure
-    /// no commit is in flight (the engine holds its commit lock), so the
-    /// snapshot provably covers every logged record.
-    pub fn checkpoint(&self, tables: &[TableImage]) -> Result<u64, StorageError> {
-        let mut span = ferry_telemetry::span("storage.checkpoint", "storage");
-        let mut wal = self.wal.lock().unwrap();
-        let lsn = wal.next_lsn() - 1;
-        // anything the policy left unsynced must be durable before the
-        // snapshot claims to cover it
-        wal.sync()?;
-        let bytes = snapshot::write_snapshot(self.vfs.as_ref(), lsn, tables)?;
-        wal.truncate_to_header()?;
-        self.wal_records_since_checkpoint
-            .store(0, Ordering::Relaxed);
-        self.metrics.snapshots.inc();
-        span.attr("lsn", lsn).attr("bytes", bytes);
-        Ok(lsn)
-    }
-
-    /// Force-fsync the WAL regardless of policy (shutdown hook).
-    pub fn sync(&self) -> Result<(), StorageError> {
-        self.group_sync().map(|_| ())
-    }
-
-    /// The LSN the next mutation will be assigned.
-    pub fn next_lsn(&self) -> u64 {
-        self.wal.lock().unwrap().next_lsn()
-    }
-
-    /// Highest LSN guaranteed durable under the configured policy.
-    pub fn synced_lsn(&self) -> u64 {
-        self.wal.lock().unwrap().synced_lsn()
-    }
-
-    /// Has the WAL refused further mutation I/O after an unrecoverable
-    /// write/fsync failure? Reopening the database is the only cure.
-    pub fn poisoned(&self) -> bool {
-        self.wal.lock().unwrap().poisoned()
-    }
-
-    pub fn config(&self) -> DurabilityConfig {
-        self.config
-    }
-
-    /// Current WAL size in bytes (monitoring / compaction heuristics).
-    pub fn wal_size(&self) -> Result<u64, StorageError> {
-        Ok(self.vfs.size(WAL_FILE)?.unwrap_or(0))
-    }
-}
-
-/// Apply one WAL record to the recovering catalog image. Replay is
-/// strict: a record referencing a missing table means the log and
-/// snapshot disagree — corruption, not a shrug.
-fn apply(tables: &mut BTreeMap<String, TableImage>, rec: &WalRecord) -> Result<(), StorageError> {
-    match rec {
-        WalRecord::CreateTable { name, schema, keys } => {
-            tables.insert(
-                name.clone(),
-                TableImage {
-                    name: name.clone(),
-                    schema: schema.clone(),
-                    keys: keys.clone(),
-                    rows: Vec::new(),
-                },
-            );
-        }
-        WalRecord::InstallTable {
-            name,
-            schema,
-            keys,
-            rows,
-        } => {
-            tables.insert(
-                name.clone(),
-                TableImage {
-                    name: name.clone(),
-                    schema: schema.clone(),
-                    keys: keys.clone(),
-                    rows: rows.clone(),
-                },
-            );
-        }
-        WalRecord::Batch(recs) => {
-            // one CRC frame ⇒ the whole batch decoded or none of it did;
-            // applying member-by-member here can therefore never expose
-            // a half-replayed transaction
-            for rec in recs {
-                apply(tables, rec)?;
-            }
-        }
-        WalRecord::Insert { table, rows } => {
-            let t = tables.get_mut(table).ok_or_else(|| {
-                StorageError::Corrupt(format!(
-                    "WAL inserts into {table} which neither snapshot nor log created"
-                ))
-            })?;
-            for row in rows {
-                if row.len() != t.schema.len() {
-                    return Err(StorageError::Corrupt(format!(
-                        "WAL insert into {table}: row width {} != schema width {}",
-                        row.len(),
-                        t.schema.len()
-                    )));
-                }
-            }
-            t.rows.extend(rows.iter().cloned());
-        }
-        WalRecord::CreateTableSharded { .. }
-        | WalRecord::ShardRows { .. }
-        | WalRecord::ShardCommit { .. } => {
-            // sharded records never belong in the single-log format; a
-            // sharded directory is opened via `ShardedStorage::open`
-            return Err(StorageError::Corrupt(
-                "sharded WAL record in an unsharded log".into(),
-            ));
-        }
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ferry_algebra::{Ty, Value};
-
-    fn open(vfs: &Arc<FaultFs>, config: DurabilityConfig) -> Recovered {
-        let registry = Registry::default();
-        Storage::open(vfs.clone() as Arc<dyn Vfs>, config, &registry).unwrap()
-    }
-
-    fn create_t() -> WalRecord {
-        WalRecord::CreateTable {
-            name: "t".into(),
-            schema: Schema::of(&[("k", Ty::Int)]),
-            keys: vec!["k".into()],
-        }
-    }
-
-    fn insert_t(k: i64) -> WalRecord {
-        WalRecord::Insert {
-            table: "t".into(),
-            rows: vec![vec![Value::Int(k)]],
-        }
-    }
-
-    #[test]
-    fn open_log_reopen_roundtrip() {
-        let vfs = Arc::new(FaultFs::new());
-        let r = open(&vfs, DurabilityConfig::default());
-        assert!(r.tables.is_empty());
-        assert_eq!(r.storage.log(&create_t()).unwrap(), 1);
-        assert_eq!(r.storage.log(&insert_t(7)).unwrap(), 2);
-        assert_eq!(r.storage.synced_lsn(), 2);
-
-        let r2 = open(&vfs, DurabilityConfig::default());
-        assert_eq!(r2.tables.len(), 1);
-        assert_eq!(r2.tables[0].rows, vec![vec![Value::Int(7)]]);
-        assert_eq!(r2.report.wal_records_applied, 2);
-        assert_eq!(r2.report.last_lsn, 2);
-        assert_eq!(r2.storage.next_lsn(), 3);
-        let text = r2.report.render();
-        assert!(text.contains("replay wal tail"), "{text}");
-        assert!(text.contains("last lsn 2"), "{text}");
-    }
-
-    #[test]
-    fn checkpoint_compacts_and_recovery_matches_full_replay() {
-        // two identical workloads: one checkpoints mid-way, one never
-        let full = Arc::new(FaultFs::new());
-        let compact = Arc::new(FaultFs::new());
-        let rf = open(&full, DurabilityConfig::default());
-        let rc = open(&compact, DurabilityConfig::default());
-        for s in [&rf.storage, &rc.storage] {
-            s.log(&create_t()).unwrap();
-            s.log(&insert_t(1)).unwrap();
-            s.log(&insert_t(2)).unwrap();
-        }
-        let images = open(&compact, DurabilityConfig::default()).tables;
-        let rc = open(&compact, DurabilityConfig::default());
-        rc.storage.checkpoint(&images).unwrap();
-        rc.storage.log(&insert_t(3)).unwrap();
-        rf.storage.log(&insert_t(3)).unwrap();
-
-        let full_state = open(&full, DurabilityConfig::default()).tables;
-        let compact_state = open(&compact, DurabilityConfig::default()).tables;
-        assert_eq!(full_state, compact_state);
-        // compacted log is shorter, snapshot carries the prefix
-        assert!(compact.written_len(WAL_FILE) < full.written_len(WAL_FILE));
-        // byte-identical snapshots of both recovered states
-        let a = FaultFs::new();
-        let b = FaultFs::new();
-        snapshot::write_snapshot(&a, 4, &full_state).unwrap();
-        snapshot::write_snapshot(&b, 4, &compact_state).unwrap();
-        assert_eq!(
-            a.read(snapshot::SNAP_FILE).unwrap().unwrap(),
-            b.read(snapshot::SNAP_FILE).unwrap().unwrap()
-        );
-    }
-
-    #[test]
-    fn checkpoint_due_follows_config() {
-        let vfs = Arc::new(FaultFs::new());
-        let r = open(
-            &vfs,
-            DurabilityConfig {
-                fsync: FsyncPolicy::Always,
-                checkpoint_every: Some(2),
-            },
-        );
-        r.storage.log(&create_t()).unwrap();
-        assert!(!r.storage.checkpoint_due());
-        r.storage.log(&insert_t(1)).unwrap();
-        assert!(r.storage.checkpoint_due());
-        let images = vec![TableImage {
-            name: "t".into(),
-            schema: Schema::of(&[("k", Ty::Int)]),
-            keys: vec!["k".into()],
-            rows: vec![vec![Value::Int(1)]],
-        }];
-        r.storage.checkpoint(&images).unwrap();
-        assert!(!r.storage.checkpoint_due());
-    }
-
-    #[test]
-    fn insert_into_unknown_table_is_corrupt() {
-        let vfs = Arc::new(FaultFs::new());
-        let r = open(&vfs, DurabilityConfig::default());
-        r.storage.log(&insert_t(1)).unwrap(); // storage does not validate
-        let registry = Registry::default();
-        let err = Storage::open(
-            vfs.clone() as Arc<dyn Vfs>,
-            DurabilityConfig::default(),
-            &registry,
-        )
-        .unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
-    }
-
-    #[test]
-    fn unsynced_tail_under_os_policy_is_lost_but_consistent() {
-        let vfs = Arc::new(FaultFs::new());
-        let cfg = DurabilityConfig::with_fsync(FsyncPolicy::Os);
-        let r = open(&vfs, cfg);
-        r.storage.log(&create_t()).unwrap();
-        r.storage.sync().unwrap(); // explicit barrier
-        r.storage.log(&insert_t(1)).unwrap();
-        r.storage.log(&insert_t(2)).unwrap(); // never synced
-        assert_eq!(r.storage.synced_lsn(), 1);
-        vfs.crash();
-        let r2 = open(&vfs, cfg);
-        assert_eq!(r2.tables.len(), 1);
-        assert!(r2.tables[0].rows.is_empty(), "unsynced inserts lost");
-        assert_eq!(r2.report.last_lsn, 1);
-    }
-
-    #[test]
-    fn log_batch_is_atomic_across_recovery_and_defers_the_fsync() {
-        let vfs = Arc::new(FaultFs::new());
-        let r = open(&vfs, DurabilityConfig::default());
-        let before = vfs.syncs();
-        // a two-operation transaction: one frame, one LSN, no inline sync
-        let lsn = r.storage.log_batch(vec![create_t(), insert_t(1)]).unwrap();
-        assert_eq!(lsn, 1);
-        assert_eq!(vfs.syncs() - before, 0, "Always sync deferred to leader");
-        assert_eq!(r.storage.synced_lsn(), 0);
-        // the leader's single fsync covers it, and later stale leaders
-        // are free (already synced)
-        assert_eq!(r.storage.group_sync().unwrap(), 1);
-        assert_eq!(vfs.syncs() - before, 1);
-        assert_eq!(r.storage.group_sync().unwrap(), 1);
-        assert_eq!(vfs.syncs() - before, 1, "fully-synced log skips fsync");
-        // ops (not frames) drive checkpoint_every and wal_records
-        vfs.crash();
-        let r2 = open(&vfs, DurabilityConfig::default());
-        assert_eq!(r2.tables.len(), 1);
-        assert_eq!(r2.tables[0].rows, vec![vec![Value::Int(1)]]);
-        assert_eq!(r2.report.wal_records_applied, 2);
-        assert_eq!(r2.report.last_lsn, 1);
-    }
-
-    #[test]
-    fn single_op_batch_logs_the_bare_record_format() {
-        // byte-for-byte compatibility: autocommits look exactly like the
-        // pre-batch log format
-        let via_batch = Arc::new(FaultFs::new());
-        let via_log = Arc::new(FaultFs::new());
-        let rb = open(&via_batch, DurabilityConfig::default());
-        let rl = open(&via_log, DurabilityConfig::default());
-        rb.storage.log_batch(vec![create_t()]).unwrap();
-        rb.storage.group_sync().unwrap();
-        rl.storage.log(&create_t()).unwrap();
-        assert_eq!(
-            via_batch.read(WAL_FILE).unwrap().unwrap(),
-            via_log.read(WAL_FILE).unwrap().unwrap()
-        );
-    }
-
-    #[test]
-    fn failed_group_sync_nacks_the_whole_tail_and_poisons() {
-        let vfs = Arc::new(FaultFs::new());
-        let r = open(&vfs, DurabilityConfig::default());
-        r.storage.log(&create_t()).unwrap(); // lsn 1, synced inline
-        let acked_len = vfs.written_len(WAL_FILE);
-        r.storage.log_batch(vec![insert_t(1), insert_t(2)]).unwrap();
-        vfs.inject(Fault::FailFsync {
-            path: WAL_FILE.into(),
-        });
-        assert!(matches!(r.storage.group_sync(), Err(StorageError::Io(_))));
-        assert!(r.storage.poisoned());
-        // the nacked batch is gone from the file: nothing a later fsync
-        // could durably commit behind the committers' backs
-        assert_eq!(vfs.written_len(WAL_FILE), acked_len);
-        assert_eq!(r.storage.next_lsn(), 2);
-        assert!(matches!(
-            r.storage.log_batch(vec![insert_t(3)]),
-            Err(StorageError::Io(_))
-        ));
-        vfs.crash();
-        let r2 = open(&vfs, DurabilityConfig::default());
-        assert_eq!(r2.tables.len(), 1);
-        assert!(r2.tables[0].rows.is_empty(), "nacked batch not replayed");
-    }
-
-    #[test]
-    fn storage_metrics_land_in_registry() {
-        let vfs: Arc<dyn Vfs> = Arc::new(FaultFs::new());
-        let registry = Registry::default();
-        let r = Storage::open(vfs, DurabilityConfig::default(), &registry).unwrap();
-        r.storage.log(&create_t()).unwrap();
-        r.storage.log(&insert_t(1)).unwrap();
-        let text = registry.render();
-        assert!(text.contains("storage.wal_records 2"), "{text}");
-        assert!(text.contains("storage.recoveries 1"), "{text}");
-        assert!(text.contains("storage.wal_bytes"), "{text}");
-        assert!(text.contains("storage.fsyncs"), "{text}");
     }
 }

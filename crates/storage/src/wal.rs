@@ -1,16 +1,19 @@
-//! The write-ahead log: every committed catalog mutation, in order.
+//! One append-only log file — the commit log or a shard WAL — and its
+//! record vocabulary.
 //!
 //! File layout: the 8-byte magic [`WAL_MAGIC`] (which embeds the codec
-//! version), then one [frame](crate::frame) per logged mutation. Each
+//! version), then one [frame](crate::frame) per logged record. Each
 //! frame payload is `[lsn: u64][record]` with the record encoded by
-//! [`codec`](crate::codec). LSNs are assigned here, start at 1, and are
-//! strictly monotone; replay rejects any other sequence as corruption.
+//! [`codec`](crate::codec). LSNs are per file, assigned here, start at
+//! 1, and are strictly monotone; replay rejects any other sequence as
+//! corruption.
 //!
 //! Appends are acknowledged only after the bytes are handed to the VFS
-//! and the [`FsyncPolicy`] has been satisfied — `Always` syncs every
-//! record, `EveryN(n)` amortises one fsync over `n` records, `Os` never
-//! syncs and leaves durability to the OS page cache (fastest, weakest:
-//! a crash can lose any suffix, but never the prefix property).
+//! and the [`FsyncPolicy`] has been satisfied — `Always` waits for the
+//! group-commit leader's fsync, `EveryN(n)` amortises one fsync over
+//! `n` records, `Os` never syncs and leaves durability to the OS page
+//! cache (fastest, weakest: a crash can lose any suffix, but never the
+//! prefix property).
 
 use crate::codec::{Dec, Enc};
 use crate::frame::{scan, write_frame, Tail};
@@ -22,9 +25,6 @@ use std::sync::Arc;
 
 /// Magic + format version of the WAL file ("FWAL" + version 0001).
 pub const WAL_MAGIC: &[u8; 8] = b"FWAL0001";
-
-/// Default WAL file name inside the storage directory.
-pub const WAL_FILE: &str = "wal";
 
 /// One logged catalog mutation — the durable mirror of the `Database`
 /// mutation API.
@@ -44,16 +44,14 @@ pub enum WalRecord {
         keys: Vec<String>,
         rows: Vec<Row>,
     },
-    /// `Database::insert` (type-checked row append).
-    Insert { table: String, rows: Vec<Row> },
-    /// One multi-operation transaction, logged as a single frame so the
-    /// CRC makes it all-or-nothing: a crash either replays the whole
-    /// batch or none of it. Single-operation transactions are logged as
-    /// their bare record (identical bytes to the pre-batch format).
+    /// Several records logged as a single frame so the CRC makes them
+    /// all-or-nothing: a crash either replays the whole batch or none of
+    /// it. A commit frame is one, and so is a shard's slice of a commit
+    /// that inserted more than once.
     Batch(Vec<WalRecord>),
-    /// Sharded-mode `create_table` with a declared shard key: rides in
-    /// the commit log so recovery learns the partitioning column before
-    /// any shard rows are applied. `shard_key` names a column of
+    /// `create_table` with a declared shard key: rides in the commit log
+    /// so recovery learns the partitioning column before any shard rows
+    /// are applied. `shard_key` names a column of
     /// `schema`; the engine's versioned `ShardHash` (not storage) maps
     /// rows to shards.
     CreateTableSharded {
@@ -62,11 +60,12 @@ pub enum WalRecord {
         keys: Vec<String>,
         shard_key: String,
     },
-    /// One shard's slice of a sharded transaction, appended to that
-    /// shard's WAL. `idx[i]` is the *absolute* position of `rows[i]` in
-    /// the table's global insert order, so parallel replay of all shard
-    /// logs reconstructs the exact unsharded row order; application is
-    /// positioned and therefore idempotent across checkpoint windows.
+    /// One shard's slice of a transaction's inserts, appended to that
+    /// shard's WAL — or, in a one-shard store, carried inside the commit
+    /// frame. `idx[i]` is the *absolute* position of `rows[i]` in the
+    /// table's global insert order, so parallel replay of all shard logs
+    /// reconstructs the exact insert order; application is positioned
+    /// and therefore idempotent across checkpoint windows.
     ShardRows {
         gsn: u64,
         table: String,
@@ -75,7 +74,8 @@ pub enum WalRecord {
     },
     /// The commit-log marker that seals group-sequence-number `gsn`:
     /// bit `k` of `mask` set means shard `k`'s WAL holds `ShardRows`
-    /// frames for this gsn. Recovery keeps a gsn only if every
+    /// frames for this gsn (always 0 in a one-shard store, whose rows
+    /// ride in the commit frame). Recovery keeps a gsn only if every
     /// participant shard's frames are present — the epoch-consistent
     /// cut.
     ShardCommit { gsn: u64, mask: u64 },
@@ -100,11 +100,6 @@ impl WalRecord {
                 e.str(name);
                 e.schema(schema);
                 e.strings(keys);
-                e.rows(rows);
-            }
-            WalRecord::Insert { table, rows } => {
-                e.u8(3);
-                e.str(table);
                 e.rows(rows);
             }
             WalRecord::Batch(recs) => {
@@ -171,10 +166,6 @@ impl WalRecord {
                 keys: d.strings()?,
                 rows: d.rows()?,
             },
-            3 => WalRecord::Insert {
-                table: d.str()?.to_string(),
-                rows: d.rows()?,
-            },
             4 => {
                 if in_batch {
                     return Err(StorageError::Codec("nested WAL batch record".to_string()));
@@ -229,9 +220,7 @@ impl WalRecord {
             WalRecord::CreateTable { .. }
             | WalRecord::CreateTableSharded { .. }
             | WalRecord::ShardCommit { .. } => 0,
-            WalRecord::InstallTable { rows, .. }
-            | WalRecord::Insert { rows, .. }
-            | WalRecord::ShardRows { rows, .. } => rows.len(),
+            WalRecord::InstallTable { rows, .. } | WalRecord::ShardRows { rows, .. } => rows.len(),
             WalRecord::Batch(recs) => recs.iter().map(WalRecord::row_count).sum(),
         }
     }
@@ -246,13 +235,13 @@ impl WalRecord {
     }
 }
 
-/// The appender half of the WAL. Holds the fsync policy, the LSN
+/// The appender half of one log file. Holds the fsync policy, the LSN
 /// allocator, and the metric handles it bumps on the hot path.
 #[derive(Debug)]
 pub struct Wal {
     vfs: Arc<dyn Vfs>,
-    /// VFS path of the log this handle appends to (`wal` for the single
-    /// log; `wal-{k}` / `commitlog` under sharded storage).
+    /// VFS path of the log this handle appends to (`commitlog` or
+    /// `wal-{k}`).
     file: String,
     policy: FsyncPolicy,
     next_lsn: u64,
@@ -270,7 +259,8 @@ pub struct Wal {
     /// (or any fsync failure — see [`Wal::sync`]): every further
     /// operation fails until the database is reopened.
     poisoned: bool,
-    wal_bytes: Arc<Counter>,
+    /// Every counter the bytes appended here are added to.
+    wal_bytes: Vec<Arc<Counter>>,
     fsyncs: Arc<Counter>,
 }
 
@@ -284,7 +274,7 @@ impl Wal {
         policy: FsyncPolicy,
         next_lsn: u64,
         file_len: u64,
-        wal_bytes: Arc<Counter>,
+        wal_bytes: Vec<Arc<Counter>>,
         fsyncs: Arc<Counter>,
     ) -> Wal {
         Wal {
@@ -313,42 +303,16 @@ impl Wal {
         Ok(())
     }
 
-    /// Append one record; returns its LSN. The record is durable per the
-    /// policy when this returns — callers ack their client only after.
+    /// Append one record; returns its LSN. Only the `EveryN` cadence
+    /// syncs here: under `Always` the fsync belongs to the group-commit
+    /// leader (one fsync for every record enqueued while it ran), so the
+    /// caller must not ack until [`Wal::mark_synced`] covers the LSN.
     /// On failure nothing is acked and nothing of the record can ever
     /// become durable: the file is rolled back to its pre-call length
     /// (on a failed write) or to the synced prefix (on a failed fsync),
     /// and if even that is impossible the handle is poisoned so no later
     /// append can flush the rejected bytes.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64, StorageError> {
-        let lsn = self.append_nosync(rec)?;
-        let due = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1) as u64,
-            FsyncPolicy::Os => false,
-        };
-        if due {
-            self.sync()?;
-        }
-        Ok(lsn)
-    }
-
-    /// [`Wal::append`] for group commit: the `Always` sync is *deferred*
-    /// to the batch leader (which fsyncs once for every record enqueued
-    /// while it ran), so only the `EveryN` cadence is honoured inline.
-    /// The caller must not ack until the leader reports the LSN durable.
-    pub(crate) fn append_deferred(&mut self, rec: &WalRecord) -> Result<u64, StorageError> {
-        let lsn = self.append_nosync(rec)?;
-        if let FsyncPolicy::EveryN(n) = self.policy {
-            if self.unsynced >= n.max(1) as u64 {
-                self.sync()?;
-            }
-        }
-        Ok(lsn)
-    }
-
-    /// Write the frame without any fsync; returns its LSN.
-    fn append_nosync(&mut self, rec: &WalRecord) -> Result<u64, StorageError> {
         self.check_poisoned()?;
         let lsn = self.next_lsn;
         let mut span = ferry_telemetry::span("wal.append", "storage");
@@ -372,9 +336,16 @@ impl Wal {
             return Err(e);
         }
         self.bytes_len += framed.len() as u64;
-        self.wal_bytes.add(framed.len() as u64);
+        for counter in &self.wal_bytes {
+            counter.add(framed.len() as u64);
+        }
         self.next_lsn += 1;
         self.unsynced += 1;
+        if let FsyncPolicy::EveryN(n) = self.policy {
+            if self.unsynced >= n.max(1) as u64 {
+                self.sync()?;
+            }
+        }
         Ok(lsn)
     }
 
@@ -474,10 +445,6 @@ impl Wal {
     pub fn poisoned(&self) -> bool {
         self.poisoned
     }
-
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
 }
 
 /// Result of reading a WAL file back.
@@ -562,15 +529,21 @@ mod tests {
     use crate::fs::{Fault, FaultFs};
     use ferry_algebra::{Ty, Value};
 
-    fn counters() -> (Arc<Counter>, Arc<Counter>) {
-        (Arc::new(Counter::default()), Arc::new(Counter::default()))
-    }
+    const LOG: &str = "log";
 
     fn fresh_wal(vfs: Arc<dyn Vfs>, policy: FsyncPolicy) -> Wal {
-        vfs.append(WAL_FILE, WAL_MAGIC).unwrap();
-        vfs.sync(WAL_FILE).unwrap();
-        let (b, f) = counters();
-        Wal::resume(vfs, WAL_FILE, policy, 1, WAL_MAGIC.len() as u64, b, f)
+        vfs.append(LOG, WAL_MAGIC).unwrap();
+        vfs.sync(LOG).unwrap();
+        let (bytes, fsyncs) = (Arc::new(Counter::default()), Arc::default());
+        Wal::resume(
+            vfs,
+            LOG,
+            policy,
+            1,
+            WAL_MAGIC.len() as u64,
+            vec![bytes],
+            fsyncs,
+        )
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -581,8 +554,10 @@ mod tests {
                 schema: schema.clone(),
                 keys: vec!["k".into()],
             },
-            WalRecord::Insert {
+            WalRecord::ShardRows {
+                gsn: 7,
                 table: "t".into(),
+                idx: vec![0, 3],
                 rows: vec![
                     vec![Value::Int(1), Value::str("one")],
                     vec![Value::Int(2), Value::str("two")],
@@ -597,6 +572,10 @@ mod tests {
         ]
     }
 
+    fn replay(vfs: &FaultFs) -> WalReplay {
+        replay_wal(Some(&vfs.read(LOG).unwrap().unwrap())).unwrap()
+    }
+
     #[test]
     fn append_replay_roundtrip() {
         let vfs = Arc::new(FaultFs::new());
@@ -605,9 +584,7 @@ mod tests {
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(wal.append(r).unwrap(), (i + 1) as u64);
         }
-        assert_eq!(wal.synced_lsn(), 3);
-        let bytes = vfs.read(WAL_FILE).unwrap().unwrap();
-        let replay = replay_wal(Some(&bytes)).unwrap();
+        let replay = replay(&vfs);
         assert_eq!(replay.tail, Tail::Clean);
         assert_eq!(
             replay.records,
@@ -620,7 +597,18 @@ mod tests {
 
     #[test]
     fn decode_roundtrips_flat_batch_but_rejects_nested() {
-        let flat = WalRecord::Batch(sample_records());
+        let mut members = sample_records();
+        members.push(WalRecord::CreateTableSharded {
+            name: "s".into(),
+            schema: Schema::of(&[("k", Ty::Int)]),
+            keys: vec!["k".into()],
+            shard_key: "k".into(),
+        });
+        members.push(WalRecord::ShardCommit {
+            gsn: 7,
+            mask: 0b1010,
+        });
+        let flat = WalRecord::Batch(members);
         let mut e = Enc::new();
         flat.encode(&mut e);
         let bytes = e.into_bytes();
@@ -644,9 +632,9 @@ mod tests {
     }
 
     #[test]
-    fn fsync_policies_sync_at_the_right_cadence() {
+    fn only_every_n_syncs_inline_and_leaders_mark_the_rest() {
         for (policy, expect_syncs) in [
-            (FsyncPolicy::Always, 3),
+            (FsyncPolicy::Always, 0),
             (FsyncPolicy::EveryN(2), 1),
             (FsyncPolicy::Os, 0),
         ] {
@@ -657,11 +645,18 @@ mod tests {
                 wal.append(&r).unwrap();
             }
             assert_eq!(vfs.syncs() - before, expect_syncs, "{policy:?}");
-            match policy {
-                FsyncPolicy::Always => assert_eq!(wal.synced_lsn(), 3),
-                FsyncPolicy::EveryN(2) => assert_eq!(wal.synced_lsn(), 2),
-                _ => assert_eq!(wal.synced_lsn(), 0),
-            }
+            let inline = if expect_syncs > 0 { 2 } else { 0 };
+            assert_eq!(wal.synced_lsn(), inline, "{policy:?}");
+            // the group-commit leader's fsync covers the rest
+            let (lsn, bytes) = wal.sync_target();
+            assert_eq!(lsn, 3);
+            vfs.sync(LOG).unwrap();
+            wal.mark_synced(lsn, bytes);
+            assert_eq!(wal.synced_lsn(), 3);
+            // a stale leader reporting an older target must not move
+            // watermarks backwards
+            wal.mark_synced(1, 8);
+            assert_eq!(wal.synced_lsn(), 3);
         }
     }
 
@@ -696,32 +691,47 @@ mod tests {
         let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
         let recs = sample_records();
         wal.append(&recs[0]).unwrap();
-        let acked_len = vfs.written_len(WAL_FILE);
-        vfs.inject(Fault::FailFsync {
-            path: WAL_FILE.into(),
-        });
-        assert!(matches!(wal.append(&recs[1]), Err(StorageError::Io(_))));
+        wal.sync().unwrap();
+        let acked_len = vfs.written_len(LOG);
+        vfs.inject(Fault::FailFsync { path: LOG.into() });
+        wal.append(&recs[1]).unwrap();
+        assert!(matches!(wal.sync(), Err(StorageError::Io(_))));
         // the nacked record is cut out of the file, so no later fsync —
         // by us or the OS — can ever durably commit it
-        assert_eq!(vfs.written_len(WAL_FILE), acked_len);
+        assert_eq!(vfs.written_len(LOG), acked_len);
         assert_eq!(wal.next_lsn(), 2, "the rejected LSN is rolled back");
         // and the handle refuses all further I/O until reopen
         assert!(wal.poisoned());
         assert!(matches!(wal.append(&recs[2]), Err(StorageError::Io(_))));
         assert!(matches!(wal.sync(), Err(StorageError::Io(_))));
-        assert_eq!(vfs.written_len(WAL_FILE), acked_len);
+        assert_eq!(vfs.written_len(LOG), acked_len);
         // replay (as a reopen would) sees exactly the acked prefix
-        let bytes = vfs.read(WAL_FILE).unwrap().unwrap();
-        let replay = replay_wal(Some(&bytes)).unwrap();
-        assert_eq!(replay.records, vec![(1, recs[0].clone())]);
+        assert_eq!(replay(&vfs).records, vec![(1, recs[0].clone())]);
+    }
+
+    #[test]
+    fn fail_sync_rolls_back_like_a_failed_inline_fsync() {
+        let vfs = Arc::new(FaultFs::new());
+        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
+        wal.append(&sample_records()[0]).unwrap();
+        wal.sync().unwrap();
+        let acked_len = vfs.written_len(LOG);
+        wal.append(&sample_records()[1]).unwrap();
+        wal.fail_sync();
+        assert!(wal.poisoned());
+        assert_eq!(vfs.written_len(LOG), acked_len);
+        assert_eq!(wal.next_lsn(), 2, "rejected LSN rolled back");
+        assert_eq!(replay(&vfs).records.len(), 1);
     }
 
     #[test]
     fn oversized_record_is_refused_and_its_lsn_reused() {
         let vfs = Arc::new(FaultFs::new());
         let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
-        let huge = WalRecord::Insert {
-            table: "t".into(),
+        let huge = WalRecord::InstallTable {
+            name: "t".into(),
+            schema: Schema::of(&[("s", Ty::Str)]),
+            keys: vec![],
             rows: vec![vec![Value::str(
                 "x".repeat(crate::frame::MAX_FRAME_LEN as usize + 1),
             )]],
@@ -730,7 +740,7 @@ mod tests {
         assert!(matches!(err, StorageError::Codec(_)), "{err}");
         // nothing was written or acked; the next record takes LSN 1
         assert!(!wal.poisoned());
-        assert_eq!(vfs.written_len(WAL_FILE), WAL_MAGIC.len() as u64);
+        assert_eq!(vfs.written_len(LOG), WAL_MAGIC.len() as u64);
         assert_eq!(wal.append(&sample_records()[0]).unwrap(), 1);
     }
 
@@ -743,9 +753,7 @@ mod tests {
         assert_eq!(batch.row_count(), 3);
         assert_eq!(wal.append(&batch).unwrap(), 1, "one LSN for the batch");
         assert_eq!(wal.next_lsn(), 2);
-        let bytes = vfs.read(WAL_FILE).unwrap().unwrap();
-        let replay = replay_wal(Some(&bytes)).unwrap();
-        assert_eq!(replay.records, vec![(1, batch)]);
+        assert_eq!(replay(&vfs).records, vec![(1, batch)]);
     }
 
     #[test]
@@ -755,90 +763,15 @@ mod tests {
         let vfs = Arc::new(FaultFs::new());
         let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
         wal.append(&sample_records()[0]).unwrap();
-        let intact = vfs.written_len(WAL_FILE);
+        let intact = vfs.written_len(LOG);
         wal.append(&WalRecord::Batch(sample_records()[1..].to_vec()))
             .unwrap();
-        let torn = intact + (vfs.written_len(WAL_FILE) - intact) / 2;
-        vfs.truncate(WAL_FILE, torn).unwrap();
-        let bytes = vfs.read(WAL_FILE).unwrap().unwrap();
-        let replay = replay_wal(Some(&bytes)).unwrap();
+        let torn = intact + (vfs.written_len(LOG) - intact) / 2;
+        vfs.truncate(LOG, torn).unwrap();
+        let replay = replay(&vfs);
         assert_eq!(replay.records.len(), 1, "only the pre-batch record");
         assert!(matches!(replay.tail, Tail::Torn { .. }));
         assert_eq!(replay.good_bytes, intact);
-    }
-
-    #[test]
-    fn deferred_append_skips_the_always_sync_until_marked() {
-        let vfs = Arc::new(FaultFs::new());
-        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
-        let before = vfs.syncs();
-        for r in sample_records() {
-            wal.append_deferred(&r).unwrap();
-        }
-        assert_eq!(vfs.syncs() - before, 0, "syncs are the leader's job");
-        assert_eq!(wal.synced_lsn(), 0);
-        let (lsn, bytes) = wal.sync_target();
-        assert_eq!(lsn, 3);
-        vfs.sync(WAL_FILE).unwrap();
-        wal.mark_synced(lsn, bytes);
-        assert_eq!(wal.synced_lsn(), 3);
-        // a stale leader reporting an older target must not move
-        // watermarks backwards
-        wal.mark_synced(1, 8);
-        assert_eq!(wal.synced_lsn(), 3);
-    }
-
-    #[test]
-    fn fail_sync_rolls_back_like_a_failed_inline_fsync() {
-        let vfs = Arc::new(FaultFs::new());
-        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
-        wal.append(&sample_records()[0]).unwrap();
-        let acked_len = vfs.written_len(WAL_FILE);
-        wal.append_deferred(&sample_records()[1]).unwrap();
-        wal.fail_sync();
-        assert!(wal.poisoned());
-        assert_eq!(vfs.written_len(WAL_FILE), acked_len);
-        assert_eq!(wal.next_lsn(), 2, "rejected LSN rolled back");
-        let bytes = vfs.read(WAL_FILE).unwrap().unwrap();
-        let replay = replay_wal(Some(&bytes)).unwrap();
-        assert_eq!(replay.records.len(), 1);
-    }
-
-    #[test]
-    fn sharded_records_roundtrip() {
-        let schema = Schema::of(&[("k", Ty::Int), ("v", Ty::Str)]);
-        let recs = vec![
-            WalRecord::CreateTableSharded {
-                name: "t".into(),
-                schema,
-                keys: vec!["k".into()],
-                shard_key: "k".into(),
-            },
-            WalRecord::ShardRows {
-                gsn: 7,
-                table: "t".into(),
-                idx: vec![0, 3, 5],
-                rows: vec![
-                    vec![Value::Int(1), Value::str("a")],
-                    vec![Value::Int(2), Value::str("b")],
-                    vec![Value::Int(3), Value::str("c")],
-                ],
-            },
-            WalRecord::ShardCommit {
-                gsn: 7,
-                mask: 0b1010,
-            },
-        ];
-        assert_eq!(recs[1].row_count(), 3);
-        assert_eq!(recs[2].row_count(), 0);
-        for rec in &recs {
-            let mut e = Enc::new();
-            rec.encode(&mut e);
-            let bytes = e.into_bytes();
-            let mut d = Dec::new(&bytes);
-            assert_eq!(&WalRecord::decode(&mut d).unwrap(), rec);
-            d.finish().unwrap();
-        }
     }
 
     #[test]
@@ -872,8 +805,8 @@ mod tests {
         rec.encode(&mut e);
         let mut framed = Vec::new();
         write_frame(&mut framed, &e.into_bytes()).unwrap();
-        vfs.append(WAL_FILE, &framed).unwrap();
-        let bytes = vfs.read(WAL_FILE).unwrap().unwrap();
+        vfs.append(LOG, &framed).unwrap();
+        let bytes = vfs.read(LOG).unwrap().unwrap();
         assert!(matches!(
             replay_wal(Some(&bytes)),
             Err(StorageError::Corrupt(_))

@@ -13,12 +13,13 @@ use ferry_algebra::{Schema, Ty, Value};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("ferry-persistence-demo");
 
-    // open (or recover) the database; every mutation below is WAL-logged
-    // and fsynced before it is acknowledged
+    // open (or recover) the database; every mutation below is logged and
+    // fsynced before it is acknowledged — one frame and one fsync per
+    // commit, since an unsharded database is stored as a single shard
     let conn = Connection::open_durable(&dir, DurabilityConfig::with_fsync(FsyncPolicy::Always))?;
 
     match conn.database().recovery_report() {
-        Some(report) if report.last_lsn > 0 => {
+        Some(report) if report.cut_gsn > 0 => {
             println!("recovered an existing database:\n{}", report.render())
         }
         _ => println!("fresh database at {}", dir.display()),
@@ -59,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("affordable products: {affordable:?}");
 
     // snapshot the catalog and compact the log; the next open restores
-    // from the snapshot and replays only the WAL tail
-    let covered_lsn = conn.checkpoint()?;
-    println!("checkpointed (snapshot covers lsn {covered_lsn})");
+    // from the snapshot and replays only the log tail
+    let covered_gsn = conn.checkpoint()?;
+    println!("checkpointed (snapshot covers gsn {covered_gsn})");
     Ok(())
 }

@@ -18,7 +18,7 @@ fn affordable(limit: i64) -> Q<Vec<String>> {
 }
 
 fn seed(conn: &Connection) {
-    // two autocommitted transactions: two WAL records, LSN 1 and 2
+    // two autocommitted transactions: two commits, GSN 1 and 2
     let db = conn.database();
     db.create_table(
         "products",
@@ -50,8 +50,8 @@ fn open_durable_roundtrip_with_checkpoint() {
             conn.from_q(&affordable(100)).unwrap(),
             vec!["banana".to_string(), "compass".to_string()]
         );
-        let lsn = conn.checkpoint().unwrap();
-        assert_eq!(lsn, 2, "create + insert were logged");
+        let gsn = conn.checkpoint().unwrap();
+        assert_eq!(gsn, 2, "create + insert were logged");
         conn.database()
             .insert(
                 "products",
@@ -67,16 +67,13 @@ fn open_durable_roundtrip_with_checkpoint() {
     let report_rendered = {
         let db = conn.database();
         let report = db.recovery_report().unwrap();
-        assert_eq!(report.snapshot_tables, 1);
-        assert_eq!(
-            report.wal_records_applied, 1,
-            "only the post-checkpoint tail"
-        );
+        assert_eq!(report.watermark_gsn, 2);
+        assert_eq!(report.markers_applied, 1, "only the post-checkpoint tail");
         report.render()
     };
     assert!(report_rendered.contains("recovery"));
 
-    // recovered catalog serves the same query, now with the WAL tail
+    // recovered catalog serves the same query, now with the log tail
     assert_eq!(
         conn.from_q(&affordable(100)).unwrap(),
         vec![

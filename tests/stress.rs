@@ -1,7 +1,8 @@
 //! Reader/writer stress: a durable database under sustained concurrent
 //! load, checked for snapshot isolation, group-commit durability and
 //! crash recovery. Heavier than the default suite — gated behind
-//! `--features stress` and run as its own CI step.
+//! `--features stress` and run as its own CI step. (Crash matrices over
+//! every log of the store live in `crates/storage/tests/faults.rs`.)
 #![cfg(feature = "stress")]
 
 use ferry::prelude::*;
@@ -107,216 +108,4 @@ fn durable_mixed_workload_stays_balanced_and_recovers() {
     );
     assert_eq!(conn.from_q(&ledger_query()).unwrap(), 0);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ------------------------------------------------------------------
-// Shard-crash fault matrix: tear one shard's WAL (or the commit log)
-// mid-group-commit at every interesting byte offset, reboot, and check
-// the recovered database is an epoch-consistent cut — every acked
-// commit intact in insert order, the torn commit gone from *all*
-// shards, and every surviving row still on its hash-assigned shard.
-// ------------------------------------------------------------------
-
-mod shard_crash {
-    use ferry_algebra::{Schema, Ty, Value};
-    use ferry_engine::{shard_of, Database, DurabilityConfig, FsyncPolicy};
-    use ferry_storage::{shard_wal_file, Fault, FaultFs, Vfs, COMMIT_LOG};
-    use std::sync::Arc;
-
-    const S: usize = 4;
-    /// Commits in the workload; each spreads rows over several shards.
-    const COMMITS: usize = 20;
-    const ROWS_PER_COMMIT: usize = 8;
-
-    fn schema() -> Schema {
-        Schema::of(&[("oid", Ty::Int), ("price", Ty::Int)])
-    }
-
-    fn commit_rows(c: usize) -> Vec<Vec<Value>> {
-        (0..ROWS_PER_COMMIT)
-            .map(|j| {
-                let oid = (c * ROWS_PER_COMMIT + j) as i64;
-                vec![Value::Int(oid), Value::Int(oid * 3 - 7)]
-            })
-            .collect()
-    }
-
-    fn open(vfs: &Arc<FaultFs>) -> Database {
-        Database::open_sharded_with_vfs(
-            vfs.clone() as Arc<dyn Vfs>,
-            S,
-            DurabilityConfig::with_fsync(FsyncPolicy::Always),
-        )
-        .expect("open sharded")
-    }
-
-    /// Run the workload until a commit fails (the armed fault downs the
-    /// machine) or it completes; returns the number of acked commits.
-    fn run_workload(vfs: &Arc<FaultFs>) -> usize {
-        let db = open(vfs);
-        db.create_table_sharded("items", schema(), vec!["oid"], "oid")
-            .expect("create");
-        for c in 0..COMMITS {
-            if db.insert("items", commit_rows(c)).is_err() {
-                return c;
-            }
-        }
-        COMMITS
-    }
-
-    /// Reboot after the crash and assert the epoch-consistent cut.
-    fn check_recovery(vfs: &Arc<FaultFs>, acked: usize, scenario: &str) {
-        vfs.crash();
-        let db = open(vfs);
-        let table = db.table("items").expect("items survives");
-        let rows = table.rows.rows().to_vec();
-        // the cut is commit-aligned and covers every acked commit (it
-        // may include the torn commit's predecessors only — never a
-        // partial commit)
-        assert_eq!(
-            rows.len() % ROWS_PER_COMMIT,
-            0,
-            "{scenario}: partial commit visible after recovery"
-        );
-        let cut = rows.len() / ROWS_PER_COMMIT;
-        assert!(
-            cut >= acked,
-            "{scenario}: acked commit lost ({cut} recovered < {acked} acked)"
-        );
-        assert!(
-            cut <= acked + 1,
-            "{scenario}: unacked tail appeared ({cut} recovered, {acked} acked)"
-        );
-        let want: Vec<Vec<Value>> = (0..cut).flat_map(commit_rows).collect();
-        assert_eq!(
-            rows, want,
-            "{scenario}: recovered rows diverge from the prefix"
-        );
-        // shard assignment survives recovery: every row hashes home
-        let ts = table.shard.as_ref().expect("sharded table");
-        for (pos, row) in rows.iter().enumerate() {
-            assert_eq!(
-                ts.shard_of[pos],
-                shard_of(&row[0], S),
-                "{scenario}: row {pos} recovered onto the wrong shard"
-            );
-        }
-        // recovery is idempotent: a second reboot sees the same state
-        let again = open(vfs);
-        assert_eq!(
-            again.table("items").expect("items").rows.rows(),
-            &rows[..],
-            "{scenario}: second recovery diverged"
-        );
-    }
-
-    #[test]
-    fn torn_shard_wal_mid_group_commit_keeps_the_cut_epoch_consistent() {
-        // clean run: learn each file's append extent after every commit
-        let clean = Arc::new(FaultFs::new());
-        assert_eq!(run_workload(&clean), COMMITS);
-        let files: Vec<String> = (0..S)
-            .map(|k| shard_wal_file(k))
-            .chain([COMMIT_LOG.to_string()])
-            .collect();
-        let mut extents: Vec<Vec<u64>> = vec![Vec::new(); files.len()];
-        {
-            // replay the workload commit-by-commit to record growth
-            let vfs = Arc::new(FaultFs::new());
-            let db = open(&vfs);
-            db.create_table_sharded("items", schema(), vec!["oid"], "oid")
-                .expect("create");
-            for c in 0..COMMITS {
-                db.insert("items", commit_rows(c)).expect("insert");
-                for (f, file) in files.iter().enumerate() {
-                    extents[f].push(vfs.written_len(file));
-                }
-                let _ = c;
-            }
-        }
-
-        // the matrix: tear every file inside three different commits, at
-        // the first byte, the midpoint and the last byte of the append
-        // window that commit produced on that file
-        let mut scenarios = 0usize;
-        for (f, file) in files.iter().enumerate() {
-            for &c in &[2usize, COMMITS / 2, COMMITS - 1] {
-                let lo = if c == 0 { 0 } else { extents[f][c - 1] };
-                let hi = extents[f][c];
-                if hi <= lo {
-                    continue; // this commit never touched this file
-                }
-                for at in [lo + 1, lo + (hi - lo) / 2, hi - 1] {
-                    if at <= lo || at > hi {
-                        continue;
-                    }
-                    let vfs = Arc::new(FaultFs::new());
-                    vfs.inject(Fault::TornAppend {
-                        path: file.clone(),
-                        at,
-                    });
-                    let acked = run_workload(&vfs);
-                    assert!(
-                        acked < COMMITS,
-                        "fault at {file}:{at} never fired (clean run acked all)"
-                    );
-                    check_recovery(&vfs, acked, &format!("{file} torn at {at}"));
-                    scenarios += 1;
-                }
-            }
-        }
-        assert!(
-            scenarios >= 20,
-            "matrix degenerated: only {scenarios} scenarios ran"
-        );
-    }
-
-    #[test]
-    fn latent_bit_flip_in_a_shard_wal_is_detected_or_cut_on_a_boundary() {
-        // 1. a flip in the *middle* of shard 1's log is mid-log
-        //    corruption — recovery must refuse, never silently cut
-        let vfs = Arc::new(FaultFs::new());
-        assert_eq!(run_workload(&vfs), COMMITS);
-        let target = shard_wal_file(1);
-        vfs.inject(Fault::BitFlip {
-            path: target.clone(),
-            offset: vfs.written_len(&target) / 2,
-            bit: 3,
-        });
-        vfs.crash();
-        let err = Database::open_sharded_with_vfs(
-            vfs.clone() as Arc<dyn Vfs>,
-            S,
-            DurabilityConfig::with_fsync(FsyncPolicy::Always),
-        );
-        assert!(
-            err.is_err(),
-            "mid-log corruption in a shard WAL must fail recovery loudly"
-        );
-
-        // 2. a flip in the log's *final frame* is indistinguishable from
-        //    a torn tail — the repair path truncates it and the cut
-        //    falls back to the last commit intact on every shard
-        let vfs = Arc::new(FaultFs::new());
-        assert_eq!(run_workload(&vfs), COMMITS);
-        vfs.inject(Fault::BitFlip {
-            path: target.clone(),
-            offset: vfs.written_len(&target) - 4,
-            bit: 5,
-        });
-        vfs.crash();
-        let db = open(&vfs);
-        let table = db.table("items").expect("items survives");
-        let rows = table.rows.rows();
-        assert_eq!(
-            rows.len() % ROWS_PER_COMMIT,
-            0,
-            "bit flip exposed a partial commit"
-        );
-        let cut = rows.len() / ROWS_PER_COMMIT;
-        assert!(cut < COMMITS, "damaged tail frame cannot survive");
-        assert!(cut >= COMMITS - 2, "cut fell further than the damage");
-        let want: Vec<Vec<Value>> = (0..cut).flat_map(commit_rows).collect();
-        assert_eq!(rows, &want[..], "recovered prefix diverges");
-    }
 }
