@@ -300,6 +300,30 @@ fn bench_engine(c: &mut Criterion) {
         bench_both(&mut group, "group_by_typed", M, &plan, g);
     }
 
+    // hash join N × N on a composite (Int, Str) key, one match per row:
+    // the shape of loop-lifting's iteration-context joins. The two sides
+    // are separate buffers listing the keys in different orders, so their
+    // string dictionaries number the tags differently
+    {
+        let tags = ["alpha", "beta", "gamma", "delta"];
+        let keyed = |i: usize| vec![Value::Int((i / 4) as i64), Value::str(tags[i % 4])];
+        let mut plan = Plan::new();
+        let l = plan.lit(
+            Schema::of(&[("a", Ty::Int), ("s", Ty::Str)]),
+            (0..N).map(keyed).collect(),
+        );
+        let r = plan.lit(
+            Schema::of(&[("b", Ty::Int), ("t", Ty::Str)]),
+            (0..N).map(|i| keyed(N - 1 - i)).collect(),
+        );
+        let on = JoinCols {
+            left: vec![cn("a"), cn("s")],
+            right: vec![cn("b"), cn("t")],
+        };
+        let j = plan.equi_join(l, r, on);
+        bench_both(&mut group, "equi_join_composite", N, &plan, j);
+    }
+
     group.finish();
 }
 

@@ -29,8 +29,17 @@
 //! a chain of one — with its scan below and its sink above, and
 //! [`eval_pipeline`] streams the input through the compiled chain
 //! ([`crate::vec_eval`]) in 1024-row batches; for the sinks (joins,
-//! windows, group-by, distinct, serialize) it is a typed branch inside
-//! their `eval_node` arm. `ParConfig::vectorize` gates both.
+//! windows, group-by, distinct, difference, serialize) it is a typed
+//! branch inside their `eval_node` arm. `ParConfig::vectorize` gates both.
+//!
+//! Every key-consuming sink — equi-, semi- and anti-join, difference,
+//! distinct, group-by — reaches typed keys through one kernel at any key
+//! arity: [`key_codes`] turns each key column into `u64` codes (column
+//! by column, probe strings translated into the build side's dictionary),
+//! [`KeyIndex`] and [`Keys::groups`] hash them into flat chains, and a
+//! composite key's candidates are verified column by column. Only chunks
+//! the kernel refuses (`Other`, or two sides stored in different
+//! variants) take the scalar `Value`-keyed path.
 
 use crate::catalog::{Snapshot, TableShards};
 use crate::error::EngineError;
@@ -44,9 +53,9 @@ use ferry_algebra::{
     AggFun, ColName, ColVec, Dir, Expr, Node, NodeId, Plan, Rel, Row, Schema, SortSpec, Value,
 };
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering as AtOrd};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Evaluate the DAG under `root` and return its relation. `prof`
@@ -1023,12 +1032,12 @@ fn key_ref<'a>(rel: &'a Rel, i: usize, idxs: &[usize]) -> Vec<&'a Value> {
 }
 
 /// One `u64` equality code per **visible** row of `rel` for the given
-/// chunk (a full-buffer column). `None` when the chunk's type does not
-/// admit codes — `Other` always, strings when `cross_buffer` comparability
-/// is required (dictionary codes are per-buffer). See [`ColVec::eq_code`]
-/// for the encoding; this is its batch form, one tight typed loop instead
-/// of a per-cell variant match.
-fn chunk_codes(rel: &Rel, chunk: &ColVec, cross_buffer: bool) -> Option<Vec<u64>> {
+/// chunk (a full-buffer column), or `None` for `Other` chunks. String
+/// codes are the chunk's own dictionary codes, comparable only within
+/// that chunk — [`key_codes`] translates them across buffers. See
+/// [`ColVec::eq_code`] for the encoding; this is its batch form, one tight
+/// typed loop instead of a per-cell variant match.
+fn chunk_codes(rel: &Rel, chunk: &ColVec) -> Option<Vec<u64>> {
     let n = rel.len();
     let mut out = Vec::with_capacity(n);
     match chunk {
@@ -1037,58 +1046,194 @@ fn chunk_codes(rel: &Rel, chunk: &ColVec, cross_buffer: bool) -> Option<Vec<u64>
         // total_cmp equality coincides with bit equality
         ColVec::Dbl(v) => out.extend((0..n).map(|i| v[rel.raw_row(i)].to_bits())),
         ColVec::Bool(v) => out.extend((0..n).map(|i| v[rel.raw_row(i)] as u64)),
-        ColVec::Str { codes, .. } if !cross_buffer => {
-            out.extend((0..n).map(|i| codes[rel.raw_row(i)] as u64));
-        }
-        _ => return None,
+        ColVec::Str { codes, .. } => out.extend((0..n).map(|i| codes[rel.raw_row(i)] as u64)),
+        ColVec::Other(_) => return None,
     }
     Some(out)
 }
 
-/// Row-major typed key codes for columns `cols` of `rel` — one
-/// `Vec<u64>` per visible row — or `None` when the config keeps the node
-/// scalar or any column's chunk does not admit codes.
-fn typed_codes(
-    rel: &Rel,
-    cols: &[usize],
-    cfg: &ParConfig,
-    cross_buffer: bool,
-) -> Option<Vec<Vec<u64>>> {
-    if !cfg.vectorize(rel.len()) || cols.is_empty() {
-        return None;
-    }
-    let code_cols: Vec<Vec<u64>> = cols
+/// Codes of a probe-side string column in the **build** chunk's code
+/// space: each distinct probe string is looked up in the build dictionary
+/// once. A string the build side lacks gets `MISSING + its probe code` —
+/// above every `u32` dictionary code, so it never matches a build row,
+/// yet distinct per string, so probe rows still compare among themselves.
+fn translated_codes(rel: &Rel, codes: &[u32], dict: &[Arc<str>], build: &[Arc<str>]) -> Vec<u64> {
+    const MISSING: u64 = 1 << 32;
+    const UNSEEN: u64 = u64::MAX;
+    let by_str: HashMap<&str, u32> = build
         .iter()
-        .map(|&c| chunk_codes(rel, &rel.typed_col(rel.raw_col(c)), cross_buffer))
-        .collect::<Option<_>>()?;
-    Some(
-        (0..rel.len())
-            .map(|i| code_cols.iter().map(|col| col[i]).collect())
-            .collect(),
-    )
+        .enumerate()
+        .map(|(c, s)| (s.as_ref(), c as u32))
+        .collect();
+    let mut trans = vec![UNSEEN; dict.len()];
+    (0..rel.len())
+        .map(|i| {
+            let c = codes[rel.raw_row(i)] as usize;
+            if trans[c] == UNSEEN {
+                trans[c] = by_str
+                    .get(dict[c].as_ref())
+                    .map_or(MISSING + c as u64, |&b| b as u64);
+            }
+            trans[c]
+        })
+        .collect()
 }
 
-/// The typed chunks for a single-column equi-join key pair, when both
-/// sides admit **cross-buffer** codes of the same storage variant (so
-/// code equality coincides with `Value` equality across the two buffers).
-fn join_codes(
-    l: &Rel,
-    r: &Rel,
-    li: &[usize],
-    ri: &[usize],
+/// Typed equality keys of one operator input: for each key column, one
+/// `u64` code per visible row (column-major). Two rows' keys are
+/// `Value`-equal iff every column's codes are equal.
+struct Keys {
+    rows: usize,
+    cols: Vec<Vec<u64>>,
+    /// Per-row hash of a composite key. `None` for a single column, whose
+    /// code is its own hash: equal hashes then mean equal keys, and
+    /// lookups skip verification.
+    hashes: Option<Vec<u64>>,
+}
+
+impl Keys {
+    fn new(cols: Vec<Vec<u64>>, rows: usize) -> Keys {
+        let hashes = (cols.len() != 1).then(|| {
+            let mut h = vec![0x243F_6A88_85A3_08D3u64; rows];
+            for col in &cols {
+                for (h, &c) in h.iter_mut().zip(col) {
+                    *h = (h.rotate_left(26) ^ c).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                }
+            }
+            h
+        });
+        Keys { rows, cols, hashes }
+    }
+
+    /// Each row's hash: the composite hash, or the single column's codes.
+    fn hashes(&self) -> &[u64] {
+        match &self.hashes {
+            Some(h) => h,
+            None => &self.cols[0],
+        }
+    }
+
+    /// Is row `i`'s key equal to `other`'s row `j`?
+    #[inline]
+    fn eq(&self, i: usize, other: &Keys, j: usize) -> bool {
+        self.cols.iter().zip(&other.cols).all(|(a, b)| a[i] == b[j])
+    }
+
+    /// Group rows by key, groups numbered in first-occurrence order: calls
+    /// `each(group)` for every row in turn and returns each group's first
+    /// row. The flat-chain index links the groups that share a hash.
+    fn groups(&self, mut each: impl FnMut(u32)) -> Vec<u32> {
+        let verify = self.hashes.is_some();
+        let mut head: HashMap<u64, u32, CodeHash> = HashMap::with_hasher(CodeHash);
+        let mut next: Vec<u32> = Vec::new();
+        let mut first: Vec<u32> = Vec::new();
+        for (i, &h) in self.hashes().iter().enumerate() {
+            let slot = head.entry(h).or_insert(NO_ROW);
+            let mut g = *slot;
+            while verify && g != NO_ROW && !self.eq(i, self, first[g as usize] as usize) {
+                g = next[g as usize];
+            }
+            if g == NO_ROW {
+                g = first.len() as u32;
+                first.push(i as u32);
+                next.push(*slot);
+                *slot = g;
+            }
+            each(g);
+        }
+        first
+    }
+}
+
+/// End of a flat chain.
+const NO_ROW: u32 = u32::MAX;
+
+/// The typed key kernel's one entry point: [`Keys`] for columns `pcols`
+/// of the probed input and, for a two-input operator, columns `bcols` of
+/// the build input — with the probe's strings translated into the build
+/// side's code space. `None` when the config keeps the node scalar (gated
+/// on the probe's rows) or a column refuses typed codes: an `Other` chunk,
+/// or a build column stored in another variant than its probe column
+/// (`Int` against `Nat` never compares equal, and their codes would).
+fn key_codes(
     cfg: &ParConfig,
-) -> Option<(Vec<u64>, Vec<u64>)> {
-    if li.len() != 1 || !cfg.vectorize(l.len()) {
+    (probe, pcols): (&Rel, &[usize]),
+    build: Option<(&Rel, &[usize])>,
+) -> Option<(Keys, Option<Keys>)> {
+    if !cfg.vectorize(probe.len()) {
         return None;
     }
-    let lch = l.typed_col(l.raw_col(li[0]));
-    let rch = r.typed_col(r.raw_col(ri[0]));
-    // different storage variants must never compare equal (scalar `Value`
-    // ordering separates domains); codes would collide, so bail
-    if std::mem::discriminant(lch.as_ref()) != std::mem::discriminant(rch.as_ref()) {
-        return None;
+    let mut pk = Vec::with_capacity(pcols.len());
+    let mut bk = Vec::with_capacity(pcols.len());
+    for (k, &pc) in pcols.iter().enumerate() {
+        let pch = probe.typed_col(probe.raw_col(pc));
+        // an empty build side matches nothing: native probe codes serve
+        let Some((b, bcols)) = build.filter(|(b, _)| !b.is_empty()) else {
+            pk.push(chunk_codes(probe, &pch)?);
+            continue;
+        };
+        let bch = b.typed_col(b.raw_col(bcols[k]));
+        pk.push(match (pch.as_ref(), bch.as_ref()) {
+            (ColVec::Str { codes, dict }, ColVec::Str { dict: into, .. })
+                if !Arc::ptr_eq(&pch, &bch) =>
+            {
+                translated_codes(probe, codes, dict, into)
+            }
+            (p, b) if std::mem::discriminant(p) == std::mem::discriminant(b) => {
+                chunk_codes(probe, p)?
+            }
+            _ => return None,
+        });
+        bk.push(chunk_codes(b, &bch)?);
     }
-    Some((chunk_codes(l, &lch, true)?, chunk_codes(r, &rch, true)?))
+    let bkeys = build.map(|(b, _)| Keys::new(bk, b.len()));
+    Some((Keys::new(pk, probe.len()), bkeys))
+}
+
+/// A build input's flat-chain hash index: one map entry per distinct hash
+/// plus a `next` link per build row — no per-key `Vec` allocations. Built
+/// in reverse so each chain links ascending build rows, and probes emit
+/// matches in build order.
+struct KeyIndex {
+    keys: Keys,
+    head: HashMap<u64, u32, CodeHash>,
+    next: Vec<u32>,
+}
+
+impl KeyIndex {
+    fn new(keys: Keys) -> KeyIndex {
+        let mut head: HashMap<u64, u32, CodeHash> =
+            HashMap::with_capacity_and_hasher(keys.rows, CodeHash);
+        let mut next: Vec<u32> = vec![NO_ROW; keys.rows];
+        for (j, &h) in keys.hashes().iter().enumerate().rev() {
+            let slot = head.entry(h).or_insert(NO_ROW);
+            next[j] = *slot;
+            *slot = j as u32;
+        }
+        KeyIndex { keys, head, next }
+    }
+
+    /// Build rows whose key equals `probe`'s row `i`, ascending.
+    #[inline]
+    fn matches<'a>(&'a self, probe: &'a Keys, i: usize) -> impl Iterator<Item = u32> + 'a {
+        let verify = self.keys.hashes.is_some();
+        let mut j = self.head.get(&probe.hashes()[i]).copied().unwrap_or(NO_ROW);
+        std::iter::from_fn(move || {
+            while j != NO_ROW {
+                let cur = j;
+                j = self.next[cur as usize];
+                if !verify || probe.eq(i, &self.keys, cur as usize) {
+                    return Some(cur);
+                }
+            }
+            None
+        })
+    }
+
+    #[inline]
+    fn contains(&self, probe: &Keys, i: usize) -> bool {
+        self.matches(probe, i).next().is_some()
+    }
 }
 
 /// Multiply-shift hasher for `u64` eq-code keys. The default SipHash is
@@ -1110,16 +1255,13 @@ struct CodeHasher(u64);
 
 impl std::hash::Hasher for CodeHasher {
     fn write(&mut self, bytes: &[u8]) {
-        // generic fallback (length prefixes of composite keys)
+        // required by the trait; every key hashed here is one `u64`
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         }
     }
     fn write_u64(&mut self, x: u64) {
         self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
     }
     fn finish(&self) -> u64 {
         // fold the multiply's well-mixed top bits into the bucket-index
@@ -1350,34 +1492,12 @@ fn eval_node(
             let rel = child(*input);
             let w = rel.width();
             let all: Vec<usize> = (0..w).collect();
-            // vectorized: dedup on typed eq-codes (u64 per cell; dictionary
-            // codes for strings — valid because all rows share one buffer)
-            // instead of hashing `Value` cells
-            if w == 1 && cfg.vectorize(rel.len()) {
-                // single column: flat u64 keys, no per-row allocation
-                if let Some(codes) = chunk_codes(rel, &rel.typed_col(rel.raw_col(0)), false) {
-                    let mut seen: HashSet<u64, CodeHash> =
-                        HashSet::with_capacity_and_hasher(rel.len(), CodeHash);
-                    let mut keep = Vec::new();
-                    for (i, &code) in codes.iter().enumerate() {
-                        if seen.insert(code) {
-                            keep.push(rel.raw_row(i) as u32);
-                        }
-                    }
-                    m.typed_sink(rel.len());
-                    return Ok(rel.with_sel(keep).with_schema(out_schema));
-                }
-            } else if let Some(codes) = typed_codes(rel, &all, cfg, false) {
-                let mut seen: HashMap<Vec<u64>, (), CodeHash> =
-                    HashMap::with_capacity_and_hasher(rel.len(), CodeHash);
-                let mut keep = Vec::new();
-                for (i, key) in codes.into_iter().enumerate() {
-                    if seen.insert(key, ()).is_none() {
-                        keep.push(rel.raw_row(i) as u32);
-                    }
-                }
+            // typed: keep each key group's first row
+            if let Some((keys, _)) = key_codes(cfg, (rel, &all), None) {
+                let firsts = keys.groups(|_| {});
+                let keep = firsts.iter().map(|&i| rel.raw_row(i as usize) as u32);
                 m.typed_sink(rel.len());
-                return Ok(rel.with_sel(keep).with_schema(out_schema));
+                return Ok(rel.with_sel(keep.collect()).with_schema(out_schema));
             }
             let mut seen: HashMap<Vec<&Value>, ()> = HashMap::with_capacity(rel.len());
             let mut keep = Vec::new();
@@ -1411,6 +1531,17 @@ fn eval_node(
             let r = child(*right);
             let w = l.width();
             let all: Vec<usize> = (0..w).collect();
+            // typed: the first row of each left key group no right row has
+            if let Some((lk, Some(rk))) = key_codes(cfg, (l, &all), Some((r, &all))) {
+                let exclude = KeyIndex::new(rk);
+                let keep = lk
+                    .groups(|_| {})
+                    .into_iter()
+                    .filter(|&i| !exclude.contains(&lk, i as usize))
+                    .map(|i| l.raw_row(i as usize) as u32);
+                m.typed_sink(l.len());
+                return Ok(l.with_sel(keep.collect()).with_schema(out_schema));
+            }
             let exclude: HashMap<Vec<&Value>, ()> =
                 (0..r.len()).map(|j| (key_ref(r, j, &all), ())).collect();
             let mut seen: HashMap<Vec<&Value>, ()> = HashMap::new();
@@ -1446,32 +1577,17 @@ fn eval_node(
             let r = child(*right);
             let li = resolve_cols(&l.schema, &on.left)?;
             let ri = resolve_cols(&r.schema, &on.right)?;
-            // typed probe: single-column keys over cross-buffer u64 codes
-            // hash and compare machine words instead of `Value` cells
-            if let Some((lcodes, rcodes)) = join_codes(l, r, &li, &ri, cfg) {
-                // flat-chain index: one map entry per distinct key plus a
-                // `next` link per build row — no per-key `Vec` allocations.
-                // Built in reverse so each chain links ascending build rows
-                // and the probe emits matches in the same order the nested
-                // `Vec<u32>` index would.
-                let mut head: HashMap<u64, u32, CodeHash> =
-                    HashMap::with_capacity_and_hasher(r.len(), CodeHash);
-                let mut next: Vec<u32> = vec![u32::MAX; r.len()];
-                for j in (0..rcodes.len()).rev() {
-                    let slot = head.entry(rcodes[j]).or_insert(u32::MAX);
-                    next[j] = *slot;
-                    *slot = j as u32;
-                }
+            // typed probe: hash and compare u64 key codes, not `Value` cells
+            if let Some((lk, Some(rk))) = key_codes(cfg, (l, &li), Some((r, &ri))) {
+                let index = KeyIndex::new(rk);
                 let rw = r.width();
                 let (rows, morsels) = par::map_morsels(cfg, l.len(), |range| {
                     let mut out = Vec::new();
                     for i in range {
-                        let mut j = head.get(&lcodes[i]).copied().unwrap_or(u32::MAX);
-                        while j != u32::MAX {
+                        for j in index.matches(&lk, i) {
                             let mut row = l.owned_row_with(i, rw);
                             r.extend_row(j as usize, &mut row);
                             out.push(row);
-                            j = next[j as usize];
                         }
                     }
                     Ok::<_, EngineError>(out)
@@ -1509,12 +1625,12 @@ fn eval_node(
             let li = resolve_cols(&l.schema, &on.left)?;
             let ri = resolve_cols(&r.schema, &on.right)?;
             // typed membership probe (see EquiJoin)
-            if let Some((lcodes, rcodes)) = join_codes(l, r, &li, &ri, cfg) {
-                let keys: HashSet<u64, CodeHash> = rcodes.into_iter().collect();
+            if let Some((lk, Some(rk))) = key_codes(cfg, (l, &li), Some((r, &ri))) {
+                let index = KeyIndex::new(rk);
                 let (keep, morsels) = par::map_morsels(cfg, l.len(), |range| {
                     let mut keep = Vec::new();
                     for i in range {
-                        if keys.contains(&lcodes[i]) != anti {
+                        if index.contains(&lk, i) != anti {
                             keep.push(l.raw_row(i) as u32);
                         }
                     }
@@ -1944,42 +2060,19 @@ fn group_by_typed(
         chunks.push(chunk);
         states.push(state);
     }
-    // phase 1: group ids in first-occurrence order, keyed on eq-codes
-    // (same-buffer: dictionary string codes are valid keys)
-    let mut gid: Vec<u32> = Vec::with_capacity(n);
-    let mut first_row: Vec<u32> = Vec::new();
-    if ki.is_empty() {
-        // global aggregate: one group holding every row (scalar semantics:
-        // no rows, no group)
-        if n > 0 {
-            gid.resize(n, 0);
-            first_row.push(0);
-        }
-    } else if ki.len() == 1 {
-        let Some(codes) = chunk_codes(rel, &rel.typed_col(rel.raw_col(ki[0])), false) else {
-            return Ok(None);
-        };
-        let mut groups: HashMap<u64, u32, CodeHash> = HashMap::with_hasher(CodeHash);
-        for (i, &c) in codes.iter().enumerate() {
-            let g = *groups.entry(c).or_insert_with(|| {
-                first_row.push(i as u32);
-                (first_row.len() - 1) as u32
-            });
-            gid.push(g);
-        }
+    // phase 1: group ids in first-occurrence order, keyed on eq-codes.
+    // Global aggregate: one group holding every row (scalar semantics: no
+    // rows, no group)
+    let (gid, first_row) = if ki.is_empty() {
+        (vec![0; n], if n > 0 { vec![0] } else { Vec::new() })
     } else {
-        let Some(keys) = typed_codes(rel, ki, cfg, false) else {
+        let Some((keys, _)) = key_codes(cfg, (rel, ki), None) else {
             return Ok(None);
         };
-        let mut groups: HashMap<Vec<u64>, u32, CodeHash> = HashMap::with_hasher(CodeHash);
-        for (i, key) in keys.into_iter().enumerate() {
-            let g = *groups.entry(key).or_insert_with(|| {
-                first_row.push(i as u32);
-                (first_row.len() - 1) as u32
-            });
-            gid.push(g);
-        }
-    }
+        let mut gid = Vec::with_capacity(n);
+        let firsts = keys.groups(|g| gid.push(g));
+        (gid, firsts)
+    };
     let ng = first_row.len();
     let raws: Vec<u32> = (0..n).map(|i| rel.raw_row(i) as u32).collect();
     // phase 2: batch aggregation, one typed pass per aggregate
@@ -2252,4 +2345,111 @@ fn group_by_sharded(
         out_schema.clone(),
         merged.into_iter().map(|(_, r)| r).collect(),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::par::VecMode;
+    use ferry_algebra::Ty;
+
+    /// Two buffers whose string dictionaries number shared strings
+    /// differently and hold strings the other lacks; duplicate keys on both
+    /// sides, `-0.0` beside `0.0`, `NaN` beside itself.
+    fn inputs() -> (Rel, Rel) {
+        let schema = Schema::of(&[("x", Ty::Int), ("s", Ty::Str), ("d", Ty::Dbl)]);
+        let row = |x: i64, s: &str, d: f64| vec![Value::Int(x), Value::str(s), Value::Dbl(d)];
+        let l = Rel::new(
+            schema.clone(),
+            vec![
+                row(1, "a", 0.0),
+                row(2, "b", -0.0),
+                row(1, "a", 0.0),
+                row(3, "z", f64::NAN),
+                row(2, "a", -0.0),
+                row(1, "b", f64::NAN),
+                row(3, "z", f64::NAN),
+            ],
+        );
+        let r = Rel::new(
+            schema,
+            vec![
+                row(2, "b", 0.0),
+                row(1, "a", 0.0),
+                row(1, "b", f64::NAN),
+                row(2, "b", -0.0),
+                row(1, "a", 0.0),
+                row(4, "y", 1.0),
+            ],
+        );
+        (l, r)
+    }
+
+    /// Every row's hash forced equal, so only verification tells keys apart.
+    fn collide(mut keys: Keys) -> Keys {
+        keys.hashes = Some(vec![0; keys.rows]);
+        keys
+    }
+
+    /// Scalar grouping: each row's group id in first-occurrence order.
+    fn scalar_gids(rel: &Rel, cols: &[usize]) -> Vec<u32> {
+        let mut ids: HashMap<Vec<&Value>, u32> = HashMap::new();
+        (0..rel.len())
+            .map(|i| {
+                let next = ids.len() as u32;
+                *ids.entry(key_ref(rel, i, cols)).or_insert(next)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn colliding_hashes_never_change_a_result() {
+        let cfg = ParConfig {
+            vec: VecMode::Force,
+            ..ParConfig::serial()
+        };
+        let (l, r) = inputs();
+        for cols in [vec![0], vec![1], vec![2], vec![0, 1], vec![0, 1, 2]] {
+            let (lk, rk) = key_codes(&cfg, (&l, &cols), Some((&r, &cols))).expect("typed keys");
+            let (lk, index) = (collide(lk), KeyIndex::new(collide(rk.expect("build keys"))));
+            let eq = |i: usize, j: usize| key_ref(&l, i, &cols) == key_ref(&r, j, &cols);
+            // equi-join: probe row, then ascending build row
+            let joined: Vec<(usize, u32)> = (0..l.len())
+                .flat_map(|i| index.matches(&lk, i).map(move |j| (i, j)))
+                .collect();
+            let want: Vec<(usize, u32)> = (0..l.len())
+                .flat_map(|i| {
+                    (0..r.len() as u32).filter_map(move |j| eq(i, j as usize).then_some((i, j)))
+                })
+                .collect();
+            assert_eq!(joined, want, "join {cols:?}");
+            // semi/anti-join
+            let semi: Vec<bool> = (0..l.len()).map(|i| index.contains(&lk, i)).collect();
+            let want: Vec<bool> = (0..l.len())
+                .map(|i| (0..r.len()).any(|j| eq(i, j)))
+                .collect();
+            assert_eq!(semi, want, "semi {cols:?}");
+            // group-by: group ids; distinct: each group's first row
+            let mut gid = Vec::new();
+            let firsts = lk.groups(|g| gid.push(g));
+            let want = scalar_gids(&l, &cols);
+            assert_eq!(gid, want, "group-by {cols:?}");
+            let want: Vec<u32> = (0..want.len())
+                .filter(|&i| !want[..i].contains(&want[i]))
+                .map(|i| i as u32)
+                .collect();
+            assert_eq!(firsts, want, "distinct {cols:?}");
+            // difference: first rows of the left groups no right row has
+            let keep: Vec<u32> = firsts
+                .iter()
+                .copied()
+                .filter(|&i| !index.contains(&lk, i as usize))
+                .collect();
+            let want: Vec<u32> = want
+                .into_iter()
+                .filter(|&i| !(0..r.len()).any(|j| eq(i as usize, j)))
+                .collect();
+            assert_eq!(keep, want, "difference {cols:?}");
+        }
+    }
 }

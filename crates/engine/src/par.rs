@@ -22,8 +22,8 @@ use std::sync::Mutex;
 /// (row-at-a-time `Bound` interpretation) implementation; the vectorized
 /// one is the chain program for `Select`/`Compute`/`Attach` runs (a lone
 /// operator is a chain of one — see `crate::exec`) and the typed sinks
-/// (joins, windows, group-by, distinct, serialize). See `crate::vec_eval`
-/// and `DESIGN.md`.
+/// (joins, windows, group-by, distinct, difference, serialize). See
+/// `crate::vec_eval` and `DESIGN.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VecMode {
     /// Vectorize when the input is large enough to amortise the one-off

@@ -249,9 +249,10 @@ fn schema_mixed(prefix: &str) -> Schema {
 }
 
 /// `-0.0` and `0.0` are distinct under the engine's total order (and
-/// distinct eq-codes), so both appear in the pool to pin Dbl group keys.
+/// distinct eq-codes), so both appear in the pool to pin Dbl group keys;
+/// `NaN` equals itself under that order, so it groups and joins.
 fn dbl_pool() -> Vec<f64> {
-    vec![-1.5, -0.0, 0.0, 0.25, 2.0, 1e300]
+    vec![-1.5, -0.0, 0.0, 0.25, 2.0, 1e300, f64::NAN]
 }
 
 fn mixed_row_strategy() -> impl Strategy<Value = (i64, f64, bool, String)> {
@@ -651,6 +652,166 @@ fn pipeline_chains_agree_on_large_input() {
     let lx = plan.lit(schema_mixed(""), mixed_rows(&l));
     let rx = plan.lit(schema_mixed("r"), mixed_rows(&r));
     let roots = pipeline_roots(&mut plan, lx, rx);
+    assert_differential(&plan, &roots);
+}
+
+// ---------------------------------------------------------------------
+// Key matrix: every key-consuming operator (equi/semi/anti join,
+// difference, distinct, group-by) at key arities 1, 2 and 4, over Int,
+// Str, Bool and Dbl columns. The two inputs are separate buffers whose
+// string pools overlap only partly, so string keys cross dictionaries and
+// some probe strings are absent from the build side. Small domains
+// duplicate keys on both sides (join match order is probe row, then
+// ascending build row), and explicit empty inputs cover either side.
+// ---------------------------------------------------------------------
+
+fn schema_keys(prefix: &str) -> Schema {
+    Schema::new(vec![
+        (format!("{prefix}x").into(), Ty::Int),
+        (format!("{prefix}s").into(), Ty::Str),
+        (format!("{prefix}p").into(), Ty::Bool),
+        (format!("{prefix}d").into(), Ty::Dbl),
+    ])
+}
+
+fn key_row_strategy(
+    strs: &'static [&'static str],
+) -> impl Strategy<Value = (i64, String, bool, f64)> {
+    (
+        -2i64..2,
+        proptest::sample::select(strs.to_vec()).prop_map(String::from),
+        any::<bool>(),
+        proptest::sample::select(dbl_pool()),
+    )
+}
+
+fn key_rows(rows: &[(i64, String, bool, f64)]) -> Vec<Vec<Value>> {
+    rows.iter()
+        .map(|(x, s, p, d)| {
+            vec![
+                Value::Int(*x),
+                Value::str(s.as_str()),
+                Value::Bool(*p),
+                Value::Dbl(*d),
+            ]
+        })
+        .collect()
+}
+
+fn on(left: &[&str], right: &[&str]) -> JoinCols {
+    JoinCols {
+        left: left.iter().map(|c| cn(c)).collect(),
+        right: right.iter().map(|c| cn(c)).collect(),
+    }
+}
+
+fn key_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
+    let none_l = plan.lit(schema_keys(""), vec![]);
+    let none_r = plan.lit(schema_keys("r"), vec![]);
+    let keys = [
+        on(&["s"], &["rs"]),
+        on(&["x", "s"], &["rx", "rs"]),
+        on(&["p", "d"], &["rp", "rd"]),
+        on(&["x", "s", "p", "d"], &["rx", "rs", "rp", "rd"]),
+    ];
+    let mut roots = Vec::new();
+    for k in &keys {
+        for (a, b) in [(l, r), (l, none_r), (none_l, r)] {
+            roots.push(plan.equi_join(a, b, k.clone()));
+            roots.push(plan.semi_join(a, b, k.clone()));
+            roots.push(plan.anti_join(a, b, k.clone()));
+        }
+    }
+    // both sides views of one buffer: string codes need no translation
+    let ls = plan.project(l, vec![(cn("ls"), cn("s")), (cn("lx"), cn("x"))]);
+    let ms = plan.project(l, vec![(cn("ms"), cn("s")), (cn("mx"), cn("x"))]);
+    roots.push(plan.equi_join(ls, ms, on(&["ls", "lx"], &["ms", "mx"])));
+    let pos = plan.select(l, Expr::bin(BinOp::Gt, Expr::col("x"), Expr::lit(0i64)));
+    roots.push(plan.difference(l, pos));
+    // multi-column set operations and grouping
+    roots.push(plan.difference(l, r));
+    roots.push(plan.difference(r, l));
+    roots.push(plan.difference(l, none_r));
+    roots.push(plan.difference(none_l, r));
+    let lsd = plan.project_keep(l, &[cn("s"), cn("d")]);
+    let rsd = plan.project_keep(r, &[cn("rs"), cn("rd")]);
+    roots.push(plan.difference(lsd, rsd));
+    let l_s = plan.project_keep(l, &[cn("s")]);
+    let r_s = plan.project_keep(r, &[cn("rs")]);
+    roots.push(plan.difference(l_s, r_s));
+    roots.push(plan.distinct(l));
+    roots.push(plan.distinct(lsd));
+    roots.push(plan.group_by(
+        l,
+        vec![cn("s"), cn("p"), cn("d")],
+        vec![
+            Aggregate {
+                fun: AggFun::CountAll,
+                input: None,
+                output: cn("n"),
+            },
+            Aggregate {
+                fun: AggFun::Sum,
+                input: Some(cn("x")),
+                output: cn("sum_x"),
+            },
+        ],
+    ));
+    roots.push(plan.group_by(
+        r,
+        vec![cn("rx"), cn("rs")],
+        vec![
+            Aggregate {
+                fun: AggFun::Min,
+                input: Some(cn("rd")),
+                output: cn("min_d"),
+            },
+            Aggregate {
+                fun: AggFun::Max,
+                input: Some(cn("rd")),
+                output: cn("max_d"),
+            },
+        ],
+    ));
+    roots
+}
+
+const LEFT_STRS: &[&str] = &["a", "b", "f", "c"];
+const RIGHT_STRS: &[&str] = &["c", "d", "b", "e"];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn key_operators_agree(
+        l in proptest::collection::vec(key_row_strategy(LEFT_STRS), 0..40),
+        r in proptest::collection::vec(key_row_strategy(RIGHT_STRS), 0..16),
+    ) {
+        let mut plan = Plan::new();
+        let lx = plan.lit(schema_keys(""), key_rows(&l));
+        let rx = plan.lit(schema_keys("r"), key_rows(&r));
+        let roots = key_roots(&mut plan, lx, rx);
+        assert_differential(&plan, &roots);
+    }
+}
+
+#[test]
+fn key_operators_agree_on_large_input() {
+    let pool = dbl_pool();
+    let row = |i: i64, strs: &[&str]| {
+        (
+            (i * 7) % 5 - 2,
+            strs[(i % strs.len() as i64) as usize].to_string(),
+            i % 3 == 0,
+            pool[((i * 3) % pool.len() as i64) as usize],
+        )
+    };
+    let l: Vec<_> = (0..3000i64).map(|i| row(i, LEFT_STRS)).collect();
+    let r: Vec<_> = (0..400i64).map(|i| row(i * 11 + 1, RIGHT_STRS)).collect();
+    let mut plan = Plan::new();
+    let lx = plan.lit(schema_keys(""), key_rows(&l));
+    let rx = plan.lit(schema_keys("r"), key_rows(&r));
+    let roots = key_roots(&mut plan, lx, rx);
     assert_differential(&plan, &roots);
 }
 

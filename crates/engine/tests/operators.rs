@@ -488,8 +488,9 @@ fn dag_sharing_evaluates_shared_node_once() {
 }
 
 /// `vec_nodes` counts plan nodes the way `nodes_evaluated` does: every
-/// member of a chain whose kernels ran, not one per evaluation — and a
-/// project-only chain into a composite-key (scalar-probe) join is scalar.
+/// member of a chain whose kernels ran, not one per evaluation. A
+/// project-only chain into a composite-key join rides the typed probe; into
+/// a join on a key the kernel refuses (`unit`), it is honestly scalar.
 #[test]
 fn vec_nodes_counts_chain_members() {
     use ferry_engine::{ExecPath, ParConfig, VecMode};
@@ -527,9 +528,28 @@ fn vec_nodes_counts_chain_members() {
     db.reset_stats();
     assert_eq!(exec(&db, &p, j).len(), 4);
     let st = db.stats();
-    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 0));
+    // table → project → join under the probe's slot, plus the build scan
+    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 3));
     let tail = st.latest_profile().unwrap().nodes.last().unwrap().clone();
     assert_eq!(tail.fused, ["table", "project", "join"]);
+    assert_eq!((tail.path, tail.batches), (ExecPath::Vectorized, 1));
+
+    // a `unit` column transposes to `ColVec::Other`, which no key code
+    // represents: the join takes the scalar probe, and says so
+    let units = Schema::of(&[("u", Ty::Unit), ("x", Ty::Int)]);
+    let lu = p.lit(
+        units,
+        vec![vec![Value::Unit, v(1)], vec![Value::Unit, v(2)]],
+    );
+    let lp = p.project(lu, vec![(cn("lu"), cn("u")), (cn("lx"), cn("x"))]);
+    let ru = p.lit(Schema::of(&[("ru", Ty::Unit)]), vec![vec![Value::Unit]]);
+    let uj = p.equi_join(lp, ru, JoinCols::single("lu", "ru"));
+    db.reset_stats();
+    assert_eq!(exec(&db, &p, uj).len(), 2);
+    let st = db.stats();
+    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 0));
+    let tail = st.latest_profile().unwrap().nodes.last().unwrap().clone();
+    assert_eq!(tail.fused, ["lit", "project", "join"]);
     assert_eq!((tail.path, tail.batches), (ExecPath::Scalar, 0));
 }
 
