@@ -4,15 +4,11 @@
 //! paper artefact — a regression guard for the substrate that all
 //! measured experiments run on.
 //!
-//! Each operator runs three times: `scalar` (serial row-at-a-time
-//! oracle, `VecMode::Off`), `fused` (serial, `VecMode::Auto`: chain
-//! programs + typed sinks — the id predates the removal of the unfused
-//! kernel path and stays so the pins in `BENCH_engine.json` keep
-//! comparing like with like) and `par4` (4 worker threads, morsel
-//! threshold lowered so the 50k–100k inputs actually split). `scalar` vs
-//! `fused` isolates the vectorized win on any host; the `par4` variants
-//! additionally measure the morsel scheduler on multi-core hosts (and
-//! its overhead on single-core ones).
+//! Each operator runs twice: `scalar` (the row-at-a-time oracle,
+//! `VecMode::Off`) and `fused` (`VecMode::Auto`: chain programs + typed
+//! sinks — the id predates the removal of the unfused kernel path and
+//! stays so the pins in `BENCH_engine.json` keep comparing like with
+//! like). `scalar` vs `fused` isolates the vectorized win.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ferry_algebra::{
@@ -26,26 +22,12 @@ fn int_table(rows: usize, modulus: i64) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// The engines under comparison: serial scalar (the oracle path), serial
-/// vectorized, and 4 workers with the parallelism threshold low enough
-/// for every benched input.
+/// The engines under comparison: scalar (the oracle path) and
+/// vectorized (the product default).
 fn engines() -> Vec<(&'static str, Database)> {
     let scalar_db = Database::new();
-    scalar_db.set_par_config(ParConfig {
-        threads: 1,
-        vec: VecMode::Off,
-        ..ParConfig::default()
-    });
-    let fused_db = Database::new();
-    fused_db.set_par_config(ParConfig::serial());
-    let par_db = Database::new();
-    par_db.set_par_config(ParConfig {
-        threads: 4,
-        min_rows: 1024,
-        morsel_rows: 0,
-        vec: VecMode::Auto,
-    });
-    vec![("scalar", scalar_db), ("fused", fused_db), ("par4", par_db)]
+    scalar_db.set_par_config(ParConfig { vec: VecMode::Off });
+    vec![("scalar", scalar_db), ("fused", Database::new())]
 }
 
 fn bench_both(

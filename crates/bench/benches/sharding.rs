@@ -1,12 +1,11 @@
 //! Hash-partitioned shard benchmarks: what partition pruning buys a
-//! shard-key equality scan, what the shard-local path costs a group-by,
-//! and how fast four shard WALs replay next to the one commit log of an
-//! unsharded database (stored as one shard). Not a paper artefact — the
-//! regression guard for the sharding layer.
+//! shard-key equality scan, and how fast four shard WALs replay next to
+//! the one commit log of an unsharded database (stored as one shard).
+//! Not a paper artefact — the regression guard for the sharding layer.
 //!
 //! The `scan_pruned` / `scan_unsharded` pair is the acceptance check
 //! for the planner: both run the identical plan over the identical
-//! rows, serial, on one core — the only difference is that the sharded
+//! rows on one thread — the only difference is that the sharded
 //! scan's selection vector covers one shard in four. The win is
 //! pruned *rows*, so it holds on any host regardless of core count.
 //! Recovery benches run over the in-memory `FaultFs` (codec + framing
@@ -15,16 +14,14 @@
 //! decoders run concurrently.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ferry_algebra::{
-    plan::cn, plan::Aggregate, AggFun, BinOp, Expr, NodeId, Plan, Schema, Ty, Value,
-};
-use ferry_engine::{Database, DurabilityConfig, FsyncPolicy, ParConfig};
+use ferry_algebra::{plan::cn, BinOp, Expr, NodeId, Plan, Schema, Ty, Value};
+use ferry_engine::{Database, DurabilityConfig, FsyncPolicy};
 use ferry_storage::{FaultFs, Vfs};
 use std::sync::Arc;
 
 /// Shard count under test everywhere in this file.
 const S: usize = 4;
-/// Rows in the scanned / grouped table.
+/// Rows in the scanned table.
 const N: usize = 200_000;
 /// Insert batches logged before the recovery benches (each batch is one
 /// commit: one frame at S = 1; split across the shard WALs plus a
@@ -44,17 +41,6 @@ fn rows(n: usize) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Config for the group-by pair: shard-local grouping only engages with
-/// worker threads (serially it is pure overhead and the planner skips
-/// it), so both sides run with four workers.
-fn par4() -> ParConfig {
-    ParConfig {
-        threads: 4,
-        min_rows: 1024,
-        ..ParConfig::default()
-    }
-}
-
 /// `orders(k, v)` loaded into either a sharded (on `k`) or flat engine.
 fn load(sharded: bool) -> Database {
     let db = if sharded {
@@ -62,7 +48,6 @@ fn load(sharded: bool) -> Database {
     } else {
         Database::new()
     };
-    db.set_par_config(ParConfig::serial());
     if sharded {
         db.create_table_sharded("orders", schema(), vec!["k"], "k")
             .expect("create");
@@ -82,32 +67,6 @@ fn scan_plan() -> (Plan, NodeId) {
         vec![cn("k")],
     );
     let root = plan.select(t, Expr::bin(BinOp::Eq, Expr::col("k"), Expr::lit(37i64)));
-    (plan, root)
-}
-
-fn group_plan() -> (Plan, NodeId) {
-    let mut plan = Plan::new();
-    let t = plan.table(
-        "orders",
-        vec![(cn("k"), Ty::Int), (cn("v"), Ty::Int)],
-        vec![cn("k")],
-    );
-    let root = plan.group_by(
-        t,
-        vec![cn("k")],
-        vec![
-            Aggregate {
-                fun: AggFun::CountAll,
-                input: None,
-                output: cn("n"),
-            },
-            Aggregate {
-                fun: AggFun::Sum,
-                input: Some(cn("v")),
-                output: cn("s"),
-            },
-        ],
-    );
     (plan, root)
 }
 
@@ -163,26 +122,6 @@ fn bench_sharding(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("scan_unsharded", N), &N, |bch, _| {
             bch.iter(|| flat.execute(&plan, root).expect("flat scan"))
-        });
-    }
-
-    // group-by on the shard key: shard-local partitions vs global table,
-    // both under four workers (the path the shard-local planner targets)
-    {
-        let (plan, root) = group_plan();
-        let sharded = load(true);
-        let flat = load(false);
-        sharded.set_par_config(par4());
-        flat.set_par_config(par4());
-        assert_eq!(
-            sharded.execute(&plan, root).expect("sharded group"),
-            flat.execute(&plan, root).expect("flat group")
-        );
-        group.bench_with_input(BenchmarkId::new("group_by", N), &N, |bch, _| {
-            bch.iter(|| sharded.execute(&plan, root).expect("sharded group"))
-        });
-        group.bench_with_input(BenchmarkId::new("group_by_unsharded", N), &N, |bch, _| {
-            bch.iter(|| flat.execute(&plan, root).expect("flat group"))
         });
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Each iteration does what an instrumented `from_q` does — begin a query
 //! (a no-op guard below `Full`), execute, end the query — over the
-//! `filter` and `compute_chain` plans of `engine_operators` (serial
+//! `filter` and `compute_chain` plans of `engine_operators` (default
 //! vectorized engine, so the `off` medians are directly comparable to the
 //! pinned `engine/filter_fused` / `engine/compute_chain_fused` baselines).
 //! `off` vs `counters` isolates the atomic-counter cost per dispatch;
@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ferry_algebra::{BinOp, ColName, Expr, NodeId, Plan, Schema, Ty, Value};
-use ferry_engine::{Database, ParConfig, TelemetryConfig, VecMode};
+use ferry_engine::{Database, TelemetryConfig};
 use std::sync::Arc;
 
 fn int_table(rows: usize, modulus: i64) -> Vec<Vec<Value>> {
@@ -24,11 +24,6 @@ fn int_table(rows: usize, modulus: i64) -> Vec<Vec<Value>> {
 
 fn db_at(config: TelemetryConfig) -> Database {
     let db = Database::new();
-    db.set_par_config(ParConfig {
-        threads: 1,
-        vec: VecMode::Auto,
-        ..ParConfig::default()
-    });
     db.set_telemetry_config(config);
     db
 }

@@ -97,8 +97,7 @@ impl Backend for AlgebraBackend {
 
     /// The direct path can do better than member-at-a-time: hand the whole
     /// bundle to the engine in one pass, so sub-plans shared between
-    /// members evaluate once and independent members overlap on the DAG
-    /// wavefront scheduler. Query accounting is identical to the default
+    /// members evaluate once. Query accounting is identical to the default
     /// (one query per member).
     fn execute_bundle(
         &self,

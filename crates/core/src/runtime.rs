@@ -626,8 +626,8 @@ impl Connection {
         for p in &r.profile.nodes {
             let _ = writeln!(
                 out,
-                "node {:>3}  {:<12} {:>9} rows  {:>3} morsels  {:?}",
-                p.node, p.label, p.rows, p.morsels, p.elapsed
+                "node {:>3}  {:<12} {:>9} rows  {:?}",
+                p.node, p.label, p.rows, p.elapsed
             );
         }
         let _ = writeln!(out, "trace: {}", r.trace_status(&telemetry));
@@ -757,9 +757,9 @@ impl Connection {
     /// [`explain`](Connection::explain) plus execution: run the bundle
     /// (under a forced telemetry trace, whatever the configured level)
     /// and render the engine's per-node profile — execution path (scalar
-    /// vs vectorized, with kernel batch count), wall time, output rows
-    /// and morsel count per operator — the aggregate parallelism
-    /// counters, and the compile → optimize → execute span timeline. The
+    /// vs vectorized, with kernel batch count), wall time and output rows
+    /// per operator — the aggregate execution-path counters, and the
+    /// compile → optimize → execute span timeline. The
     /// profiling analogue of SQL's `EXPLAIN ANALYZE`.
     pub fn explain_analyze<T: QA>(&self, q: &Q<T>) -> Result<String, FerryError> {
         use std::fmt::Write;
@@ -797,16 +797,15 @@ impl Connection {
                 };
                 let _ = writeln!(
                     out,
-                    "node {:>3}  {:<12} {:<10} {:>9} rows  {:>3} morsels  {:?}{}",
-                    p.node, label, path, p.rows, p.morsels, p.elapsed, shards
+                    "node {:>3}  {:<12} {:<10} {:>9} rows  {:?}{}",
+                    p.node, label, path, p.rows, p.elapsed, shards
                 );
             }
         }
         let _ = writeln!(
             out,
-            "parallel waves: {}  parallel nodes: {}  morsel tasks: {}  vec nodes: {}  kernel batches: {}  fused pipelines: {}  fused nodes: {}",
-            stats.par_waves, stats.par_nodes, stats.morsel_tasks, stats.vec_nodes, stats.kernel_batches,
-            stats.fused_pipelines, stats.fused_nodes
+            "vec nodes: {}  kernel batches: {}  fused pipelines: {}  fused nodes: {}",
+            stats.vec_nodes, stats.kernel_batches, stats.fused_pipelines, stats.fused_nodes
         );
         if stats.shard_rows + stats.shard_pruned > 0 {
             let _ = writeln!(
@@ -826,10 +825,9 @@ impl Connection {
         Ok(out)
     }
 
-    /// Configure the engine's morsel/wavefront parallelism for every
+    /// Configure the engine's execution path (`ParConfig::vec`) for every
     /// subsequent execution on this connection's database (shared by all
-    /// clones). `ParConfig::serial()` recovers the single-threaded
-    /// engine.
+    /// clones). `VecMode::Off` pins the scalar oracle.
     pub fn set_par_config(&self, cfg: ferry_engine::ParConfig) {
         self.db.set_par_config(cfg);
     }

@@ -629,8 +629,6 @@ fn explain_analyze_renders_the_node_profile() {
     assert!(text.contains("-- execution profile"), "{text}");
     assert!(text.contains("serialize"), "{text}");
     assert!(text.contains("rows"), "{text}");
-    assert!(text.contains("morsels"), "{text}");
-    assert!(text.contains("morsel tasks:"), "{text}");
     // every node names its execution path; a 5-row table under VecMode::
     // Auto stays scalar throughout
     assert!(text.contains("scalar"), "{text}");
@@ -642,9 +640,7 @@ fn explain_analyze_names_the_vectorized_path() {
     use ferry_engine::{ParConfig, VecMode};
     let c = conn();
     c.set_par_config(ParConfig {
-        threads: 1,
         vec: VecMode::Force,
-        ..ParConfig::default()
     });
     // `x % 2` forces a Compute node; under VecMode::Force it compiles to
     // a kernel and the profile must say so, batch count included
@@ -655,7 +651,7 @@ fn explain_analyze_names_the_vectorized_path() {
     assert!(text.contains("kernel batches:"), "{text}");
     let vec_line = text
         .lines()
-        .find(|l| l.starts_with("parallel waves:"))
+        .find(|l| l.starts_with("vec nodes:"))
         .expect("counter line");
     assert!(!vec_line.contains("vec nodes: 0"), "{text}");
 }
@@ -665,9 +661,7 @@ fn explain_analyze_names_fused_pipelines() {
     use ferry_engine::{ParConfig, VecMode};
     let c = conn();
     c.set_par_config(ParConfig {
-        threads: 1,
         vec: VecMode::Force,
-        ..ParConfig::default()
     });
     // filter → compute chains into the serialize sink; the profile must
     // name the group's members on one line whose path is `vec(batches)`
@@ -686,7 +680,7 @@ fn explain_analyze_names_fused_pipelines() {
     assert!(!text.contains("fused("), "{text}");
     let line = text
         .lines()
-        .find(|l| l.starts_with("parallel waves:"))
+        .find(|l| l.starts_with("vec nodes:"))
         .expect("counter line");
     assert!(!line.contains("fused pipelines: 0"), "{text}");
 }

@@ -32,10 +32,10 @@
 
 use crate::error::EngineError;
 use crate::exec;
-use crate::par::ParConfig;
 use crate::shard::{shard_of, table_home, MAX_SHARDS};
 use crate::stats::{ProfileRing, QueryProfile, QueryStats};
 use crate::sys::{self, DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP};
+use crate::vec_eval::ParConfig;
 use ferry_algebra::{infer_schema, NodeId, Plan, Rel, Row, RowBuf, Schema, Value};
 use ferry_storage::{
     DurabilityConfig, FsyncPolicy, RecoveryReport, StdFs, Storage, StorageError, TableDef,
@@ -70,8 +70,7 @@ pub struct BaseTable {
 }
 
 /// Where each row of one table lives across a sharded database's S
-/// shards. The planner prunes scans with `sels` and partitions
-/// shard-local aggregations with `shard_of`; the storage layer routes
+/// shards. The planner prunes scans with `sels`; the storage layer routes
 /// WAL appends and snapshot slices by the same assignment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableShards {
@@ -344,7 +343,7 @@ pub struct Database {
     gc_cv: Condvar,
     /// Fixed per-query dispatch latency in nanoseconds.
     dispatch_cost_ns: AtomicU64,
-    /// Morsel/wavefront parallelism knobs used by every dispatch.
+    /// Execution-path selection used by every dispatch.
     par: Mutex<ParConfig>,
     /// The observability hub: config, metrics registry, trace ring.
     /// Per-instance (no process globals), so concurrent databases and
@@ -393,9 +392,6 @@ struct EngineMetrics {
     rows_produced: Arc<Counter>,
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
-    morsel_tasks: Arc<Counter>,
-    par_nodes: Arc<Counter>,
-    par_waves: Arc<Counter>,
     vec_nodes: Arc<Counter>,
     kernel_batches: Arc<Counter>,
     fused_pipelines: Arc<Counter>,
@@ -424,9 +420,6 @@ impl EngineMetrics {
             rows_produced: counter(names::ENGINE_ROWS_PRODUCED),
             cache_hits: counter(names::RUNTIME_CACHE_HITS),
             cache_misses: counter(names::RUNTIME_CACHE_MISSES),
-            morsel_tasks: counter(names::ENGINE_MORSEL_TASKS),
-            par_nodes: counter(names::ENGINE_PAR_NODES),
-            par_waves: counter(names::ENGINE_PAR_WAVES),
             vec_nodes: counter(names::ENGINE_VEC_NODES),
             kernel_batches: counter(names::ENGINE_KERNEL_BATCHES),
             fused_pipelines: counter(names::ENGINE_FUSED_PIPELINES),
@@ -485,8 +478,8 @@ impl Database {
 
     /// An in-memory database whose base tables are hash-partitioned
     /// across `shards` logical shards: every table routes its rows by
-    /// the stable [`crate::shard::shard_hash`], the planner prunes
-    /// shard-key equality scans and runs shard-local aggregations. Use
+    /// the stable [`crate::shard::shard_hash`], and the planner prunes
+    /// shard-key equality scans. Use
     /// [`Database::open_sharded`] for the durable variant (one WAL +
     /// snapshot per shard).
     pub fn new_sharded(shards: usize) -> Result<Database, EngineError> {
@@ -1213,7 +1206,7 @@ impl Database {
             .store(cost.as_nanos() as u64, AtOrd::Relaxed);
     }
 
-    /// Set the parallelism configuration used by subsequent dispatches.
+    /// Set the execution configuration used by subsequent dispatches.
     pub fn set_par_config(&self, cfg: ParConfig) {
         *self.par.lock().unwrap() = cfg;
     }
@@ -1233,9 +1226,6 @@ impl Database {
             rows_produced: m.rows_produced.get(),
             cache_hits: m.cache_hits.get(),
             cache_misses: m.cache_misses.get(),
-            morsel_tasks: m.morsel_tasks.get(),
-            par_nodes: m.par_nodes.get(),
-            par_waves: m.par_waves.get(),
             vec_nodes: m.vec_nodes.get(),
             kernel_batches: m.kernel_batches.get(),
             fused_pipelines: m.fused_pipelines.get(),
@@ -1397,7 +1387,7 @@ impl<'db> Snapshot<'db> {
         })
     }
 
-    /// The parallelism knobs dispatches through this snapshot use.
+    /// The execution configuration dispatches through this snapshot use.
     pub fn par_config(&self) -> ParConfig {
         self.db.par_config()
     }
@@ -1414,8 +1404,7 @@ impl<'db> Snapshot<'db> {
     /// Dispatch a bundle of queries and collect the results in order.
     ///
     /// The whole bundle is evaluated in **one pass** over the shared plan
-    /// DAG: sub-plans common to several members run once, and independent
-    /// members overlap on the wavefront scheduler. Accounting is
+    /// DAG: sub-plans common to several members run once. Accounting is
     /// unchanged from dispatching each member separately — every root
     /// still counts as one query and is charged `dispatch_cost`, so the
     /// Table 1 avalanche numbers measure the same client/server protocol.
@@ -1439,12 +1428,10 @@ impl<'db> Snapshot<'db> {
         let db = self.db;
         let qid = db.next_query_id.fetch_add(1, AtOrd::Relaxed) + 1;
         let trace_id = ferry_telemetry::current_ctx().trace;
-        let threads = self.par_config().threads;
         let mut dispatch = ferry_telemetry::span("dispatch", "engine");
         dispatch
             .attr("query_id", qid)
             .attr("queries", roots.len())
-            .attr("threads", threads)
             .attr("epoch", self.cat.epoch);
         let start_ns = ferry_telemetry::now_ns();
         let dispatch_cost = Duration::from_nanos(db.dispatch_cost_ns.load(AtOrd::Relaxed));
@@ -1479,9 +1466,6 @@ impl<'db> Snapshot<'db> {
             m.rows_out.add(results.iter().map(|r| r.len() as u64).sum());
             m.nodes_evaluated.add(local.nodes_evaluated);
             m.rows_produced.add(local.rows_produced);
-            m.morsel_tasks.add(local.morsel_tasks);
-            m.par_nodes.add(local.par_nodes);
-            m.par_waves.add(local.par_waves);
             m.vec_nodes.add(local.vec_nodes);
             m.kernel_batches.add(local.kernel_batches);
             m.fused_pipelines.add(local.fused_pipelines);

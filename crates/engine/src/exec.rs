@@ -1,25 +1,21 @@
 //! Physical operators: bulk-at-a-time evaluation of a plan DAG.
 //!
-//! Three compounding execution strategies keep the bulk operators — the
-//! hot path of every loop-lifted bundle — fast:
+//! Two execution strategies keep the bulk operators — the hot path of
+//! every loop-lifted bundle — fast:
 //!
 //! 1. **Copy-free buffers.** Relations are views over `Arc`-shared row
 //!    buffers ([`Rel`]). `TableRef` and `Lit` hand out the catalog's /
 //!    plan's own buffer; `Select`, `Distinct`, semi/anti joins emit
 //!    *selection vectors*; `Project` and `Serialize` emit *column remaps*.
 //!    Rows are only materialised by operators that create new cells.
-//! 2. **Morsel-driven intra-operator parallelism** ([`crate::par`]):
-//!    predicate evaluation, row construction, join probes and sorts split
-//!    large inputs into ordered morsels executed by scoped worker threads.
-//! 3. **DAG wavefront scheduling**: the arena is topologically ordered, so
-//!    nodes group into dependency levels; independent siblings of one
-//!    level (including the sub-plans of different bundle members in
-//!    [`run_many`]) evaluate concurrently.
+//! 2. **One pass per bundle.** The arena is topologically ordered, so
+//!    [`run_many`] evaluates every needed node once, in index order, on
+//!    the calling thread: sub-plans shared between bundle members run
+//!    once, and each operator is one set-at-a-time pass over its inputs.
 //!
-//! All three are *observably deterministic*: morsel outputs reassemble in
-//! morsel order, sorts break ties on row position, and wavefronts only
-//! reorder wall-clock work, never results. `tests/differential.rs` checks
-//! serial and parallel runs cell-for-cell.
+//! A dispatch runs on the thread that calls it; concurrency lives between
+//! queries (MVCC readers, the server's worker pool), not inside one.
+//! Sorts break ties on row position, so every result is deterministic.
 //!
 //! Every operator has exactly **two** implementations. The scalar one
 //! ([`eval_node`], row-at-a-time over [`crate::eval`]) is the differential
@@ -41,21 +37,19 @@
 //! the kernel refuses (`Other`, or two sides stored in different
 //! variants) take the scalar `Value`-keyed path.
 
-use crate::catalog::{Snapshot, TableShards};
+use crate::catalog::Snapshot;
 use crate::error::EngineError;
 use crate::eval::{bind, eval, Bound};
-use crate::par::{self, ParConfig};
 use crate::shard::{all_shards_mask, shards_for_pred};
 use crate::stats::{ExecPath, NodeProfile, QueryStats};
-use crate::vec_eval::{ChainBuilder, ChainProg, Reg, StreamChunk, VirtSrc, BATCH_ROWS};
+use crate::vec_eval::{ChainBuilder, ChainProg, ParConfig, Reg, VirtSrc, BATCH_ROWS};
 use ferry_algebra::plan::Aggregate;
 use ferry_algebra::{
     AggFun, ColName, ColVec, Dir, Expr, Node, NodeId, Plan, Rel, Row, Schema, SortSpec, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering as AtOrd};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Evaluate the DAG under `root` and return its relation. `prof`
@@ -75,8 +69,8 @@ pub fn run(
 
 /// Evaluate the DAG under several roots **in one pass**: nodes shared
 /// between roots (common sub-plans of a query bundle) are evaluated once,
-/// and independent nodes of each dependency wavefront run concurrently.
-/// Returns one relation per root, in root order.
+/// in arena index order — children are always lower-indexed, so that
+/// order is topological. Returns one relation per root, in root order.
 pub fn run_many(
     snap: &Snapshot<'_>,
     plan: &Plan,
@@ -97,226 +91,110 @@ pub fn run_many(
     }
     let (pipelines, grouped) = form_pipelines(plan, roots, &needed);
     let shard_plan = plan_shards(snap, plan, roots, &needed, schemas);
-    // dependency levels: children are always lower-indexed, one forward
-    // scan. Pipeline-absorbed nodes still get levels (their parents need
-    // them) but no wave slot — the tail evaluates them.
-    let mut level = vec![0u32; plan.len()];
-    let mut waves: Vec<Vec<NodeId>> = Vec::new();
+    let mut results: Vec<Option<Rel>> = vec![None; plan.len()];
     for idx in 0..plan.len() {
-        if !needed[idx] {
+        // pipeline-absorbed nodes have no evaluation of their own — the
+        // group's tail evaluates them
+        if !needed[idx] || grouped[idx] {
             continue;
         }
         let id = NodeId(idx as u32);
-        let l = plan
-            .node(id)
-            .children()
-            .iter()
-            .map(|c| level[c.index()] + 1)
-            .max()
-            .unwrap_or(0);
-        level[idx] = l;
-        if grouped[idx] {
-            continue;
+        let (rel, m) = eval_timed(
+            snap,
+            plan,
+            id,
+            schemas,
+            &results,
+            &cfg,
+            &pipelines,
+            &shard_plan,
+        )?;
+        // a pipeline tail accounts for every member it evaluated
+        let covered = m.covered.max(1) as u64;
+        // vec iff a kernel batch or a typed sink ran; a pure column
+        // remap into a scalar sink is honestly scalar
+        let path = if m.batches > 0 {
+            stats.vec_nodes += covered;
+            ExecPath::Vectorized
+        } else {
+            ExecPath::Scalar
+        };
+        stats.nodes_evaluated += covered;
+        stats.rows_produced += rel.len() as u64;
+        if m.chained && covered > 1 {
+            stats.fused_pipelines += 1;
+            stats.fused_nodes += covered;
         }
-        if waves.len() <= l as usize {
-            waves.resize_with(l as usize + 1, Vec::new);
-        }
-        waves[l as usize].push(id);
-    }
-
-    let mut results: Vec<Option<Rel>> = vec![None; plan.len()];
-    for wave in &waves {
-        // Nodes of one wave are mutually independent (an ancestor is always
-        // on a strictly higher level). Evaluate the heavyweight ones on the
-        // worker pool, the trivial ones inline, then record in id order.
-        let mut outcomes: Vec<Option<(Rel, NodeMetrics)>> = vec![None; wave.len()];
-        let heavy: Vec<usize> = (0..wave.len())
-            .filter(|&k| {
-                let id = wave[k];
-                // a pipeline tail's work is sized by its chain input, not
-                // by its (never-materialised) direct children
-                let est = match pipelines.get(&id.index()) {
-                    Some(spec) => match spec.input {
-                        PipeInput::Scan(s) => est_input_rows(snap, plan, s, &results),
-                        PipeInput::Node(n) => {
-                            results[n.index()].as_ref().map(Rel::len).unwrap_or(0)
-                        }
-                    },
-                    None => est_input_rows(snap, plan, id, &results),
-                };
-                est >= cfg.min_rows.max(2)
+        stats.kernel_batches += m.batches as u64;
+        stats.shard_rows += m.shard_rows;
+        stats.shard_pruned += m.shard_pruned;
+        let label = plan.node(id).label();
+        // member labels in scan→sink order, for profiles and spans
+        let fused_labels: Vec<&'static str> = pipelines
+            .get(&idx)
+            .filter(|spec| spec.members > 1)
+            .map(|spec| {
+                let mut v = Vec::new();
+                if let PipeInput::Scan(s) = spec.input {
+                    v.push(plan.node(s).label());
+                }
+                v.extend(spec.mids.iter().map(|&mid| plan.node(mid).label()));
+                if let Some(sink) = spec.sink {
+                    v.push(plan.node(sink).label());
+                }
+                v
             })
-            .collect();
-        if cfg.threads > 1 && heavy.len() >= 2 {
-            stats.par_waves += 1;
-            let slots: Vec<WaveSlot> = heavy.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let results_ref = &results;
-            // forward the ambient trace context into the wave workers so
-            // their spans land in the dispatching query's trace
-            let ctx = ferry_telemetry::current_ctx();
-            std::thread::scope(|s| {
-                for _ in 0..cfg.threads.min(heavy.len()) {
-                    s.spawn(|| {
-                        let _t = ferry_telemetry::enter_ctx(ctx);
-                        loop {
-                            let w = next.fetch_add(1, AtOrd::Relaxed);
-                            if w >= heavy.len() {
-                                break;
-                            }
-                            let id = wave[heavy[w]];
-                            *slots[w].lock().unwrap() = Some(eval_timed(
-                                snap,
-                                plan,
-                                id,
-                                schemas,
-                                results_ref,
-                                &cfg,
-                                &pipelines,
-                                &shard_plan,
-                            ));
-                        }
-                    });
-                }
-            });
-            for (w, slot) in slots.into_iter().enumerate() {
-                let outcome = slot
-                    .into_inner()
-                    .unwrap()
-                    .expect("every wave slot is claimed")?;
-                outcomes[heavy[w]] = Some(outcome);
+            .unwrap_or_default();
+        if ferry_telemetry::tracing_active() {
+            // post-hoc span: the node was timed by eval_timed; record it
+            // under the dispatch span so every plan node shows up in the
+            // query trace
+            let mut attrs: Vec<(&'static str, ferry_telemetry::AttrVal)> = vec![
+                ("node", id.0.into()),
+                ("rows", (rel.len() as u64).into()),
+                ("path", path.to_string().into()),
+                ("batches", m.batches.into()),
+            ];
+            if m.shards_total > 0 {
+                attrs.push(("shards_scanned", m.shards_scanned.into()));
+                attrs.push(("shards_total", m.shards_total.into()));
             }
-        }
-        for (k, &id) in wave.iter().enumerate() {
-            if outcomes[k].is_none() {
-                outcomes[k] = Some(eval_timed(
-                    snap,
-                    plan,
-                    id,
-                    schemas,
-                    &results,
-                    &cfg,
-                    &pipelines,
-                    &shard_plan,
-                )?);
-            }
-        }
-        for (k, outcome) in outcomes.into_iter().enumerate() {
-            let (rel, m) = outcome.expect("wave fully evaluated");
-            let id = wave[k];
-            // a pipeline tail accounts for every member it evaluated
-            let covered = m.covered.max(1) as u64;
-            // vec iff a kernel batch or a typed sink ran; a pure column
-            // remap into a scalar sink is honestly scalar
-            let path = if m.batches > 0 {
-                stats.vec_nodes += covered;
-                ExecPath::Vectorized
+            let (span_label, event) = if fused_labels.is_empty() {
+                (label, "exec.node")
             } else {
-                ExecPath::Scalar
+                attrs.push(("nodes", fused_labels.join("→").into()));
+                ("pipeline", "exec.pipeline")
             };
-            stats.nodes_evaluated += covered;
-            stats.rows_produced += rel.len() as u64;
-            stats.morsel_tasks += m.morsels as u64;
-            if m.morsels > 1 {
-                stats.par_nodes += 1;
-            }
-            if m.chained && covered > 1 {
-                stats.fused_pipelines += 1;
-                stats.fused_nodes += covered;
-            }
-            stats.kernel_batches += m.batches as u64;
-            stats.shard_rows += m.shard_rows;
-            stats.shard_pruned += m.shard_pruned;
-            let label = plan.node(id).label();
-            // member labels in scan→sink order, for profiles and spans
-            let fused_labels: Vec<&'static str> = pipelines
-                .get(&id.index())
-                .filter(|spec| spec.members > 1)
-                .map(|spec| {
-                    let mut v = Vec::new();
-                    if let PipeInput::Scan(s) = spec.input {
-                        v.push(plan.node(s).label());
-                    }
-                    v.extend(spec.mids.iter().map(|&mid| plan.node(mid).label()));
-                    if let Some(sink) = spec.sink {
-                        v.push(plan.node(sink).label());
-                    }
-                    v
-                })
-                .unwrap_or_default();
-            if ferry_telemetry::tracing_active() {
-                // post-hoc span: the node was timed by eval_timed (maybe
-                // on a worker thread); record it here under the dispatch
-                // span so every plan node shows up in the query trace
-                let mut attrs: Vec<(&'static str, ferry_telemetry::AttrVal)> = vec![
-                    ("node", id.0.into()),
-                    ("rows", (rel.len() as u64).into()),
-                    ("morsels", m.morsels.into()),
-                    ("path", path.to_string().into()),
-                    ("batches", m.batches.into()),
-                ];
-                if m.shards_total > 0 {
-                    attrs.push(("shards_scanned", m.shards_scanned.into()));
-                    attrs.push(("shards_total", m.shards_total.into()));
-                }
-                let (span_label, event) = if fused_labels.is_empty() {
-                    (label, "exec.node")
-                } else {
-                    attrs.push(("nodes", fused_labels.join("→").into()));
-                    ("pipeline", "exec.pipeline")
-                };
-                ferry_telemetry::record_span(
-                    span_label,
-                    event,
-                    m.start_ns,
-                    m.elapsed.as_nanos() as u64,
-                    attrs,
-                );
-            }
-            prof.push(NodeProfile {
-                node: id.0,
-                label,
-                rows: rel.len() as u64,
-                elapsed: m.elapsed,
-                morsels: m.morsels,
-                path,
-                batches: m.batches,
-                fused: fused_labels,
-                shards_scanned: m.shards_scanned,
-                shards_total: m.shards_total,
-            });
-            results[id.index()] = Some(rel);
+            ferry_telemetry::record_span(
+                span_label,
+                event,
+                m.start_ns,
+                m.elapsed.as_nanos() as u64,
+                attrs,
+            );
         }
+        prof.push(NodeProfile {
+            node: id.0,
+            label,
+            rows: rel.len() as u64,
+            elapsed: m.elapsed,
+            path,
+            batches: m.batches,
+            fused: fused_labels,
+            shards_scanned: m.shards_scanned,
+            shards_total: m.shards_total,
+        });
+        results[idx] = Some(rel);
     }
     Ok(roots
         .iter()
-        .map(|r| {
-            results[r.index()]
-                .clone()
-                .expect("root evaluated by final wave")
-        })
+        .map(|r| results[r.index()].clone().expect("roots are evaluated"))
         .collect())
-}
-
-/// Rows the node will consume — child result sizes (already evaluated in
-/// earlier waves), or the base-table / literal size for leaves. Decides
-/// whether a node is worth a worker-pool slot.
-fn est_input_rows(snap: &Snapshot<'_>, plan: &Plan, id: NodeId, results: &[Option<Rel>]) -> usize {
-    match plan.node(id) {
-        Node::TableRef { name, .. } => snap.table(name).map(|t| t.rows.len()).unwrap_or(0),
-        Node::Lit { rows, .. } => rows.len(),
-        n => n
-            .children()
-            .iter()
-            .map(|c| results[c.index()].as_ref().map(Rel::len).unwrap_or(0))
-            .sum(),
-    }
 }
 
 /// Per-node execution metrics, folded into [`QueryStats`].
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeMetrics {
-    morsels: u32,
     /// Evaluation start on the telemetry clock (for post-hoc spans).
     start_ns: u64,
     elapsed: std::time::Duration,
@@ -346,22 +224,19 @@ impl NodeMetrics {
     }
 }
 
-/// Result slot a worker fills for one heavyweight wave member.
-type WaveSlot = Mutex<Option<Result<(Rel, NodeMetrics), EngineError>>>;
-
 /// Where a pipeline chain's input comes from.
 #[derive(Debug, Clone, Copy)]
 enum PipeInput {
     /// A single-consumer `TableRef`/`Lit` absorbed into the group,
     /// evaluated inline by the tail (zero-copy either way).
     Scan(NodeId),
-    /// An ordinary node evaluated by an earlier wave.
+    /// An ordinary node, evaluated before the tail.
     Node(NodeId),
 }
 
 /// A maximal chain — one chain operator at least — grouped structurally
-/// at dispatch time and evaluated by [`eval_pipeline`] under its tail's
-/// wave slot. Grouping is *advisory*: if any member's expression fails to
+/// at dispatch time and evaluated by [`eval_pipeline`] in its tail's
+/// place. Grouping is *advisory*: if any member's expression fails to
 /// lower to a kernel at evaluation time, the tail falls back to scalar
 /// node-at-a-time execution of exactly the same members — results never
 /// depend on grouping.
@@ -410,7 +285,7 @@ fn chain_child(n: &Node) -> Option<NodeId> {
 }
 
 /// Greedily group maximal chains, keyed by tail node index; also returns
-/// which nodes a group absorbed (they get no wave slot of their own).
+/// which nodes a group absorbed (they get no evaluation of their own).
 /// Walking tails top-down (descending index) gives each chain to its
 /// topmost consumer; a member must have exactly one consumer across all
 /// roots so absorbing it cannot recompute or starve a shared sub-plan.
@@ -470,7 +345,7 @@ fn form_pipelines(
         for &mid in &mids {
             grouped[mid.index()] = true;
         }
-        grouped[idx] = false; // the tail keeps its own wave slot
+        grouped[idx] = false; // the tail keeps its own evaluation
         pipelines.insert(
             idx,
             PipelineSpec {
@@ -484,18 +359,12 @@ fn form_pipelines(
     (pipelines, grouped)
 }
 
-/// The shard-aware planner pass: which scans can skip shards and which
-/// group-bys can run shard-locally. Computed once per dispatch from the
-/// plan's *structure* (before anything evaluates); evaluation consults it
-/// by node index. Always empty on unsharded databases.
-#[derive(Debug, Default)]
-struct ShardPlan {
-    /// `TableRef` index → shard scan decision, one entry per scan of a
-    /// sharded table (pruned or not — `explain_analyze` renders both).
-    scans: HashMap<usize, ScanShards>,
-    /// `GroupBy` index → shard-local grouping decision.
-    groups: HashMap<usize, GroupLocal>,
-}
+/// The shard-aware planner pass: which scans can skip shards. Computed
+/// once per dispatch from the plan's *structure* (before anything
+/// evaluates); evaluation consults it by `TableRef` index. One entry per
+/// scan of a sharded table (pruned or not — `explain_analyze` renders
+/// both), so it is always empty on unsharded databases.
+type ShardPlan = HashMap<usize, ScanShards>;
 
 /// Shard decision for one sharded base-table scan.
 #[derive(Debug)]
@@ -514,14 +383,6 @@ struct ScanShards {
     pruned_rows: u64,
 }
 
-/// A group-by whose keys include the table's shard key: groups are
-/// shard-disjoint, so each shard aggregates locally and the outputs
-/// concatenate without a cross-shard combine.
-#[derive(Debug)]
-struct GroupLocal {
-    shards: std::sync::Arc<TableShards>,
-}
-
 /// Build the [`ShardPlan`] for this dispatch.
 ///
 /// **Pruning** (sound by `ShardHash` preserving `Value` equality): a
@@ -531,13 +392,6 @@ struct GroupLocal {
 /// consumer, so no other reader of the table sees a reduced relation.
 /// The `Select` still evaluates its predicate over the surviving rows;
 /// pruning only removes rows the predicate could never accept.
-///
-/// **Shard-local grouping**: a `GroupBy` runs per-shard when its key
-/// columns trace through `Select`/`Project` views (which share the
-/// table's buffer and never re-materialise rows) down to a sharded
-/// `TableRef` and include the shard-key position. Equal key tuples then
-/// agree on the shard key, hence live in one shard — groups never span
-/// shards.
 fn plan_shards(
     snap: &Snapshot<'_>,
     plan: &Plan,
@@ -545,7 +399,7 @@ fn plan_shards(
     needed: &[bool],
     schemas: &[Schema],
 ) -> ShardPlan {
-    let mut sp = ShardPlan::default();
+    let mut sp = ShardPlan::new();
     let mut consumers = vec![0u32; plan.len()];
     for (idx, &need) in needed.iter().enumerate() {
         if !need {
@@ -569,7 +423,7 @@ fn plan_shards(
                     continue;
                 };
                 let total = ts.sels.len() as u32;
-                sp.scans.insert(
+                sp.insert(
                     idx,
                     ScanShards {
                         sel: None,
@@ -622,56 +476,11 @@ fn plan_shards(
                     let n = v.len();
                     (None, Some(v), n)
                 };
-                let entry = sp.scans.get_mut(&input.index()).expect("scan recorded");
+                let entry = sp.get_mut(&input.index()).expect("scan recorded");
                 entry.pruned_rows = ts.shard_of.len() as u64 - surviving as u64;
                 entry.scanned = scanned;
                 entry.single = single;
                 entry.sel = sel;
-            }
-            Node::GroupBy { input, keys, .. } => {
-                if keys.is_empty() {
-                    continue;
-                }
-                let mut names: Vec<ColName> = keys.clone();
-                let mut cur = *input;
-                let ts = loop {
-                    match plan.node(cur) {
-                        Node::Select { input, .. } => cur = *input,
-                        Node::Project { input, cols } => {
-                            // rewrite each key through the rename pairs
-                            let mapped = names
-                                .iter()
-                                .map(|n| {
-                                    cols.iter()
-                                        .find(|(new, _)| new == n)
-                                        .map(|(_, old)| old.clone())
-                                })
-                                .collect::<Option<Vec<_>>>();
-                            match mapped {
-                                Some(m) => names = m,
-                                None => break None,
-                            }
-                            cur = *input;
-                        }
-                        Node::TableRef { name, .. } => {
-                            let Some(table) = snap.table(name) else {
-                                break None;
-                            };
-                            let Some(ts) = &table.shard else { break None };
-                            let Some(key) = &ts.key else { break None };
-                            let Some(kpos) = table.schema.index_of(key) else {
-                                break None;
-                            };
-                            let tschema = &schemas[cur.index()];
-                            let hit = names.iter().any(|n| tschema.index_of(n) == Some(kpos));
-                            break hit.then(|| ts.clone());
-                        }
-                        _ => break None,
-                    }
-                };
-                if let Some(ts) = ts {
-                    sp.groups.insert(idx, GroupLocal { shards: ts });
-                }
             }
             _ => {}
         }
@@ -703,9 +512,9 @@ fn eval_timed(
     Ok((rel, m))
 }
 
-/// Evaluate a pipeline group under its tail's slot: compile the chain ops
+/// Evaluate a pipeline group in its tail's place: compile the chain ops
 /// into one batch program ([`ChainBuilder`]), stream the input through it
-/// morsel-by-morsel, and hand the chain's output straight to the sink.
+/// batch by batch, and hand the chain's output straight to the sink.
 /// Any refusal along the way (vectorization gated off, an expression that
 /// does not lower, a chunk variant surprise) falls back to evaluating the
 /// same members with the scalar operators — grouping never changes
@@ -732,7 +541,7 @@ fn eval_pipeline(
     };
     let chained = if cfg.vectorize(input.len()) {
         match build_chain(plan, input, &spec.mids, schemas) {
-            Some(prog) => stream_chain(input, &prog, cfg, m)?,
+            Some(prog) => stream_chain(input, &prog, m)?,
             None => None,
         }
     } else {
@@ -801,7 +610,6 @@ fn build_chain(plan: &Plan, input: &Rel, mids: &[NodeId], schemas: &[Schema]) ->
 fn stream_chain(
     input: &Rel,
     prog: &ChainProg,
-    cfg: &ParConfig,
     m: &mut NodeMetrics,
 ) -> Result<Option<Rel>, EngineError> {
     let out_schema = prog.out_schema().clone();
@@ -820,129 +628,80 @@ fn stream_chain(
     let Some(bound) = prog.bind(input) else {
         return Ok(None);
     };
-    let (chunks, morsels) = par::map_morsels(cfg, input.len(), |range| {
-        bound.run_range(range).map(|c| vec![c])
-    })?;
-    m.morsels += morsels;
-    m.batches += chunks.iter().map(|c| c.batches).sum::<u32>();
+    let mut chunk = bound.run()?;
+    m.batches += chunk.batches;
     // survivors become a selection vector + remap over the input's own
     // buffer — no row materialises
     if let Some(raw) = remap {
-        let mut sel: Vec<u32> = Vec::with_capacity(chunks.iter().map(|c| c.rows.len()).sum());
-        for c in &chunks {
-            sel.extend_from_slice(&c.rows);
-        }
-        return Ok(Some(input.with_sel(sel).with_cols(out_schema, raw)));
+        return Ok(Some(input.with_sel(chunk.rows).with_cols(out_schema, raw)));
     }
     // carries and constants create new cells: build the output rows
-    let total: usize = chunks.iter().map(|c| c.rows.len()).sum();
     let width = out_schema.cols().len();
     let buf = input.buffer();
-    let mut rows: Vec<Row> = Vec::with_capacity(total);
-    for chunk in &chunks {
-        for p in 0..chunk.rows.len() {
-            let raw = chunk.rows[p] as usize;
-            let mut row: Row = Vec::with_capacity(width);
-            for src in prog.out() {
-                row.push(match src {
-                    VirtSrc::Input(c) => buf[raw][input.raw_col(*c as usize)].clone(),
-                    VirtSrc::Carry(k) => chunk.carries[*k as usize].value(p),
-                    VirtSrc::Const(v) => v.clone(),
-                });
-            }
-            rows.push(row);
+    let mut rows: Vec<Row> = Vec::with_capacity(chunk.rows.len());
+    for (p, &raw) in chunk.rows.iter().enumerate() {
+        let mut row: Row = Vec::with_capacity(width);
+        for src in prog.out() {
+            row.push(match src {
+                VirtSrc::Input(c) => buf[raw as usize][input.raw_col(*c as usize)].clone(),
+                VirtSrc::Carry(k) => chunk.carries[*k as usize].value(p),
+                VirtSrc::Const(v) => v.clone(),
+            });
         }
+        rows.push(row);
     }
     let out = Rel::new(out_schema, rows);
     // seed the new buffer's chunk cache from what the chain already holds
-    // in columnar form, so a sink's typed path skips the transposition
-    let mut all_rows: Vec<u32> = Vec::with_capacity(total);
-    for c in &chunks {
-        all_rows.extend_from_slice(&c.rows);
-    }
+    // in columnar form, so a sink's typed path skips the transposition.
+    // A carried register moves into the cache, converted once however
+    // many output columns name it.
+    let mut carried: Vec<Option<Arc<ColVec>>> = vec![None; chunk.carries.len()];
     for (j, src) in prog.out().iter().enumerate() {
-        match src {
-            VirtSrc::Input(c) => {
-                if let Some(chunk) = input.cached_col(input.raw_col(*c as usize)) {
-                    out.seed_chunk(j, std::sync::Arc::new(chunk.gather(&all_rows)));
-                }
-            }
+        let col = match src {
+            VirtSrc::Input(c) => input
+                .cached_col(input.raw_col(*c as usize))
+                .map(|col| Arc::new(col.gather(&chunk.rows))),
             VirtSrc::Carry(k) => {
-                if let Some(cv) = carries_to_colvec(&chunks, *k as usize) {
-                    out.seed_chunk(j, std::sync::Arc::new(cv));
+                let k = *k as usize;
+                if carried[k].is_none() {
+                    let reg = std::mem::replace(&mut chunk.carries[k], Reg::Val(Vec::new()));
+                    carried[k] = reg_to_colvec(reg).map(Arc::new);
                 }
+                carried[k].clone()
             }
-            VirtSrc::Const(_) => {}
+            VirtSrc::Const(_) => None,
+        };
+        if let Some(col) = col {
+            out.seed_chunk(j, col);
         }
     }
     Ok(Some(out))
 }
 
-/// Concatenate carried column `k` of every morsel chunk into one typed
-/// [`ColVec`] (strings re-encode into a fresh dictionary). `None` for
+/// A carried register as a typed [`ColVec`]: numeric and boolean
+/// registers move, strings encode into a fresh dictionary. `None` for
 /// `Val` registers — `Other` chunks are cheap to rebuild and rarely hit.
-fn carries_to_colvec(chunks: &[StreamChunk], k: usize) -> Option<ColVec> {
-    match &chunks.first()?.carries[k] {
-        Reg::I64(_) => {
-            let mut out = Vec::new();
-            for c in chunks {
-                out.extend_from_slice(match &c.carries[k] {
-                    Reg::I64(v) => v,
-                    _ => return None,
+fn reg_to_colvec(reg: Reg) -> Option<ColVec> {
+    Some(match reg {
+        Reg::I64(v) => ColVec::Int(v),
+        Reg::U64(v) => ColVec::Nat(v),
+        Reg::F64(v) => ColVec::Dbl(v),
+        Reg::Bool(v) => ColVec::Bool(v),
+        Reg::Str(v) => {
+            let mut codes = Vec::with_capacity(v.len());
+            let mut dict: Vec<Arc<str>> = Vec::new();
+            let mut seen: HashMap<Arc<str>, u32> = HashMap::new();
+            for s in v {
+                let code = *seen.entry(s.clone()).or_insert_with(|| {
+                    dict.push(s);
+                    (dict.len() - 1) as u32
                 });
+                codes.push(code);
             }
-            Some(ColVec::Int(out))
+            ColVec::Str { codes, dict }
         }
-        Reg::U64(_) => {
-            let mut out = Vec::new();
-            for c in chunks {
-                out.extend_from_slice(match &c.carries[k] {
-                    Reg::U64(v) => v,
-                    _ => return None,
-                });
-            }
-            Some(ColVec::Nat(out))
-        }
-        Reg::F64(_) => {
-            let mut out = Vec::new();
-            for c in chunks {
-                out.extend_from_slice(match &c.carries[k] {
-                    Reg::F64(v) => v,
-                    _ => return None,
-                });
-            }
-            Some(ColVec::Dbl(out))
-        }
-        Reg::Bool(_) => {
-            let mut out = Vec::new();
-            for c in chunks {
-                out.extend_from_slice(match &c.carries[k] {
-                    Reg::Bool(v) => v,
-                    _ => return None,
-                });
-            }
-            Some(ColVec::Bool(out))
-        }
-        Reg::Str(_) => {
-            let mut codes = Vec::new();
-            let mut dict: Vec<std::sync::Arc<str>> = Vec::new();
-            let mut seen: HashMap<std::sync::Arc<str>, u32> = HashMap::new();
-            for c in chunks {
-                let Reg::Str(v) = &c.carries[k] else {
-                    return None;
-                };
-                for s in v {
-                    let code = *seen.entry(s.clone()).or_insert_with(|| {
-                        dict.push(s.clone());
-                        (dict.len() - 1) as u32
-                    });
-                    codes.push(code);
-                }
-            }
-            Some(ColVec::Str { codes, dict })
-        }
-        Reg::Val(_) => None,
-    }
+        Reg::Val(_) => return None,
+    })
 }
 
 fn child(results: &[Option<Rel>], id: NodeId) -> &Rel {
@@ -1324,10 +1083,18 @@ fn sort_codes(rel: &Rel, spec: &[(usize, Dir)], cfg: &ParConfig) -> Option<Vec<V
     Some(out)
 }
 
+/// Sort the index set `0..n` by `cmp`, which must break ties on the
+/// index itself: the order is then total and the sort deterministic.
+fn sort_indices(n: usize, cmp: impl Fn(u32, u32) -> Ordering) -> Vec<u32> {
+    let mut idxs: Vec<u32> = (0..n as u32).collect();
+    idxs.sort_unstable_by(|&a, &b| cmp(a, b));
+    idxs
+}
+
 /// Sort visible row indices by pre-computed code columns, original index
 /// as the final tiebreak (the typed twin of the `cmp_vis` comparators).
-fn sort_by_codes(cfg: &ParConfig, n: usize, cols: &[Vec<u64>]) -> (Vec<u32>, u32) {
-    par::sort_indices(cfg, n, |a, b| {
+fn sort_by_codes(n: usize, cols: &[Vec<u64>]) -> Vec<u32> {
+    sort_indices(n, |a, b| {
         for col in cols {
             match col[a as usize].cmp(&col[b as usize]) {
                 Ordering::Equal => {}
@@ -1391,7 +1158,7 @@ fn eval_node(
                     });
                 }
             }
-            let Some(ss) = shard.scans.get(&id.index()) else {
+            let Some(ss) = shard.get(&id.index()) else {
                 // zero-copy scan: the result shares the catalog's buffer
                 return Ok(Rel::from_shared(out_schema, table.rows.clone()));
             };
@@ -1426,16 +1193,12 @@ fn eval_node(
         Node::Lit { rows, .. } => Ok(Rel::from_shared(out_schema, rows.clone())),
         Node::Attach { input, value, .. } => {
             let rel = child(*input);
-            let (rows, morsels) = par::map_morsels(cfg, rel.len(), |range| {
-                let mut out = Vec::with_capacity(range.len());
-                for i in range {
-                    let mut r = rel.owned_row_with(i, 1);
-                    r.push(value.clone());
-                    out.push(r);
-                }
-                Ok::<_, EngineError>(out)
-            })?;
-            m.morsels += morsels;
+            let mut rows = Vec::with_capacity(rel.len());
+            for i in 0..rel.len() {
+                let mut r = rel.owned_row_with(i, 1);
+                r.push(value.clone());
+                rows.push(r);
+            }
             Ok(Rel::new(out_schema, rows))
         }
         Node::Project { input, cols } => {
@@ -1456,17 +1219,13 @@ fn eval_node(
             let rel = child(*input);
             let bound = bind_rel(expr, rel)?;
             let buf = rel.buffer();
-            let (rows, morsels) = par::map_morsels(cfg, rel.len(), |range| {
-                let mut out = Vec::with_capacity(range.len());
-                for i in range {
-                    let v = eval(&bound, &buf[rel.raw_row(i)])?;
-                    let mut r = rel.owned_row_with(i, 1);
-                    r.push(v);
-                    out.push(r);
-                }
-                Ok::<_, EngineError>(out)
-            })?;
-            m.morsels += morsels;
+            let mut rows = Vec::with_capacity(rel.len());
+            for i in 0..rel.len() {
+                let v = eval(&bound, &buf[rel.raw_row(i)])?;
+                let mut r = rel.owned_row_with(i, 1);
+                r.push(v);
+                rows.push(r);
+            }
             Ok(Rel::new(out_schema, rows))
         }
         Node::Select { input, pred } => {
@@ -1474,17 +1233,13 @@ fn eval_node(
             let rel = child(*input);
             let bound = bind_rel(pred, rel)?;
             let buf = rel.buffer();
-            let (keep, morsels) = par::map_morsels(cfg, rel.len(), |range| {
-                let mut keep = Vec::new();
-                for i in range {
-                    let raw = rel.raw_row(i);
-                    if eval(&bound, &buf[raw])? == Value::Bool(true) {
-                        keep.push(raw as u32);
-                    }
+            let mut keep = Vec::new();
+            for i in 0..rel.len() {
+                let raw = rel.raw_row(i);
+                if eval(&bound, &buf[raw])? == Value::Bool(true) {
+                    keep.push(raw as u32);
                 }
-                Ok::<_, EngineError>(keep)
-            })?;
-            m.morsels += morsels;
+            }
             Ok(rel.with_sel(keep).with_schema(out_schema))
         }
         Node::Distinct { input } => {
@@ -1558,18 +1313,14 @@ fn eval_node(
             let l = child(*left);
             let r = child(*right);
             let rw = r.width();
-            let (rows, morsels) = par::map_morsels(cfg, l.len(), |range| {
-                let mut out = Vec::with_capacity(range.len() * r.len());
-                for i in range {
-                    for j in 0..r.len() {
-                        let mut row = l.owned_row_with(i, rw);
-                        r.extend_row(j, &mut row);
-                        out.push(row);
-                    }
+            let mut rows = Vec::with_capacity(l.len() * r.len());
+            for i in 0..l.len() {
+                for j in 0..r.len() {
+                    let mut row = l.owned_row_with(i, rw);
+                    r.extend_row(j, &mut row);
+                    rows.push(row);
                 }
-                Ok::<_, EngineError>(out)
-            })?;
-            m.morsels += morsels;
+            }
             Ok(Rel::new(out_schema, rows))
         }
         Node::EquiJoin { left, right, on } => {
@@ -1581,18 +1332,14 @@ fn eval_node(
             if let Some((lk, Some(rk))) = key_codes(cfg, (l, &li), Some((r, &ri))) {
                 let index = KeyIndex::new(rk);
                 let rw = r.width();
-                let (rows, morsels) = par::map_morsels(cfg, l.len(), |range| {
-                    let mut out = Vec::new();
-                    for i in range {
-                        for j in index.matches(&lk, i) {
-                            let mut row = l.owned_row_with(i, rw);
-                            r.extend_row(j as usize, &mut row);
-                            out.push(row);
-                        }
+                let mut rows = Vec::new();
+                for i in 0..l.len() {
+                    for j in index.matches(&lk, i) {
+                        let mut row = l.owned_row_with(i, rw);
+                        r.extend_row(j as usize, &mut row);
+                        rows.push(row);
                     }
-                    Ok::<_, EngineError>(out)
-                })?;
-                m.morsels += morsels;
+                }
                 m.typed_sink(l.len());
                 return Ok(Rel::new(out_schema, rows));
             }
@@ -1602,20 +1349,16 @@ fn eval_node(
                 index.entry(key_ref(r, j, &ri)).or_default().push(j as u32);
             }
             let rw = r.width();
-            let (rows, morsels) = par::map_morsels(cfg, l.len(), |range| {
-                let mut out = Vec::new();
-                for i in range {
-                    if let Some(matches) = index.get(&key_ref(l, i, &li)) {
-                        for &j in matches {
-                            let mut row = l.owned_row_with(i, rw);
-                            r.extend_row(j as usize, &mut row);
-                            out.push(row);
-                        }
+            let mut rows = Vec::new();
+            for i in 0..l.len() {
+                if let Some(matches) = index.get(&key_ref(l, i, &li)) {
+                    for &j in matches {
+                        let mut row = l.owned_row_with(i, rw);
+                        r.extend_row(j as usize, &mut row);
+                        rows.push(row);
                     }
                 }
-                Ok::<_, EngineError>(out)
-            })?;
-            m.morsels += morsels;
+            }
             Ok(Rel::new(out_schema, rows))
         }
         Node::SemiJoin { left, right, on } | Node::AntiJoin { left, right, on } => {
@@ -1627,32 +1370,20 @@ fn eval_node(
             // typed membership probe (see EquiJoin)
             if let Some((lk, Some(rk))) = key_codes(cfg, (l, &li), Some((r, &ri))) {
                 let index = KeyIndex::new(rk);
-                let (keep, morsels) = par::map_morsels(cfg, l.len(), |range| {
-                    let mut keep = Vec::new();
-                    for i in range {
-                        if index.contains(&lk, i) != anti {
-                            keep.push(l.raw_row(i) as u32);
-                        }
-                    }
-                    Ok::<_, EngineError>(keep)
-                })?;
-                m.morsels += morsels;
+                let keep = (0..l.len())
+                    .filter(|&i| index.contains(&lk, i) != anti)
+                    .map(|i| l.raw_row(i) as u32)
+                    .collect();
                 m.typed_sink(l.len());
                 return Ok(l.with_sel(keep).with_schema(out_schema));
             }
             let keys: HashMap<Vec<&Value>, ()> =
                 (0..r.len()).map(|j| (key_ref(r, j, &ri), ())).collect();
             // the output is a selection vector over the left input
-            let (keep, morsels) = par::map_morsels(cfg, l.len(), |range| {
-                let mut keep = Vec::new();
-                for i in range {
-                    if keys.contains_key(&key_ref(l, i, &li)) != anti {
-                        keep.push(l.raw_row(i) as u32);
-                    }
-                }
-                Ok::<_, EngineError>(keep)
-            })?;
-            m.morsels += morsels;
+            let keep = (0..l.len())
+                .filter(|&i| keys.contains_key(&key_ref(l, i, &li)) != anti)
+                .map(|i| l.raw_row(i) as u32)
+                .collect();
             Ok(l.with_sel(keep).with_schema(out_schema))
         }
         Node::ThetaJoin { left, right, pred } => {
@@ -1661,20 +1392,16 @@ fn eval_node(
             let joint = l.schema.concat(&r.schema);
             let bound = bind(pred, &joint)?;
             let rw = r.width();
-            let (rows, morsels) = par::map_morsels(cfg, l.len(), |range| {
-                let mut out = Vec::new();
-                for i in range {
-                    for j in 0..r.len() {
-                        let mut row = l.owned_row_with(i, rw);
-                        r.extend_row(j, &mut row);
-                        if eval(&bound, &row)? == Value::Bool(true) {
-                            out.push(row);
-                        }
+            let mut rows = Vec::new();
+            for i in 0..l.len() {
+                for j in 0..r.len() {
+                    let mut row = l.owned_row_with(i, rw);
+                    r.extend_row(j, &mut row);
+                    if eval(&bound, &row)? == Value::Bool(true) {
+                        rows.push(row);
                     }
                 }
-                Ok::<_, EngineError>(out)
-            })?;
-            m.morsels += morsels;
+            }
             Ok(Rel::new(out_schema, rows))
         }
         Node::RowNum {
@@ -1709,27 +1436,12 @@ fn eval_node(
                         .transpose()
                 })
                 .collect::<Result<_, _>>()?;
-            // shard-local grouping: keys include the shard key, so groups
-            // never span shards — aggregate each shard independently.
-            // Worth it only when the parts actually run concurrently:
-            // serially, partitioning + per-part dispatch + the merge is
-            // pure overhead on top of the same aggregation work.
-            if cfg.threads > 1 {
-                if let Some(gl) = shard.groups.get(&id.index()) {
-                    if let Some(out) =
-                        group_by_sharded(rel, &ki, aggs, &ai, &out_schema, cfg, &gl.shards, m)
-                    {
-                        return Ok(out);
-                    }
-                }
-            }
-            if let Some((out, _firsts)) = group_by_typed(rel, &ki, aggs, &ai, &out_schema, cfg)? {
+            if let Some(out) = group_by_typed(rel, &ki, aggs, &ai, &out_schema, cfg)? {
                 m.typed_sink(rel.len());
                 return Ok(out);
             }
             // scalar: group rows by key, first-occurrence order
-            let (rows, _firsts) = group_by_scalar(rel, &ki, aggs, &ai)?;
-            Ok(Rel::new(out_schema, rows))
+            Ok(Rel::new(out_schema, group_by_scalar(rel, &ki, aggs, &ai)?))
         }
         Node::Serialize { input, order, cols } => {
             // order + projection as a pure view: sorted selection vector
@@ -1739,16 +1451,13 @@ fn eval_node(
             let spec = resolve_sort(&rel.schema, order)?;
             // typed sort codes when the order columns admit them (see
             // `sort_codes`); `Value` comparator otherwise
-            let (idxs, morsels) = match sort_codes(rel, &spec, cfg) {
+            let idxs = match sort_codes(rel, &spec, cfg) {
                 Some(cols) => {
                     m.typed_sink(rel.len());
-                    sort_by_codes(cfg, rel.len(), &cols)
+                    sort_by_codes(rel.len(), &cols)
                 }
-                None => par::sort_indices(cfg, rel.len(), |a, b| {
-                    cmp_vis(rel, a, b, &spec).then(a.cmp(&b))
-                }),
+                None => sort_indices(rel.len(), |a, b| cmp_vis(rel, a, b, &spec).then(a.cmp(&b))),
             };
-            m.morsels += morsels;
             let sel: Vec<u32> = idxs
                 .into_iter()
                 .map(|i| rel.raw_row(i as usize) as u32)
@@ -1775,8 +1484,8 @@ enum WindowKind {
 /// as final tiebreak makes numbering deterministic when the order spec has
 /// ties, matching what loop-lifting assumes of the back-end ("the database
 /// system is free to consider these bindings ... in any order" only where
-/// the result is order-insensitive). The sort itself runs on the morsel
-/// pool (chunk sort + merge); numbering is a cheap serial scan.
+/// the result is order-insensitive). Numbering is one scan over the
+/// sorted indices.
 fn windowed(
     rel: &Rel,
     part: &[ColName],
@@ -1797,8 +1506,7 @@ fn windowed(
     // equality coincides with `Value` equality by construction)
     let full: Vec<(usize, Dir)> = pi.iter().chain(spec.iter()).copied().collect();
     if let Some(cols) = sort_codes(rel, &full, cfg) {
-        let (idxs, morsels) = sort_by_codes(cfg, rel.len(), &cols);
-        m.morsels += morsels;
+        let idxs = sort_by_codes(rel.len(), &cols);
         m.typed_sink(rel.len());
         let np = pi.len();
         let mut rows: Vec<Row> = Vec::with_capacity(rel.len());
@@ -1839,12 +1547,11 @@ fn windowed(
         }
         return Ok(Rel::new(out_schema, rows));
     }
-    let (idxs, morsels) = par::sort_indices(cfg, rel.len(), |a, b| {
+    let idxs = sort_indices(rel.len(), |a, b| {
         cmp_vis(rel, a, b, &pi)
             .then_with(|| cmp_vis(rel, a, b, &spec))
             .then(a.cmp(&b))
     });
-    m.morsels += morsels;
     let part_idx: Vec<usize> = pi.iter().map(|&(c, _)| c).collect();
     let order_idx: Vec<usize> = spec.iter().map(|&(c, _)| c).collect();
     let mut rows: Vec<Row> = Vec::with_capacity(rel.len());
@@ -2015,9 +1722,7 @@ enum VAgg {
 /// Typed group-by: key rows by `u64` eq-codes, then run each aggregate as
 /// a tight loop over its typed chunk. Returns `Ok(None)` when any part of
 /// the node falls outside the typed domains (the scalar path then owns
-/// it, including its error behaviours — e.g. `AVG` over `Nat`). On
-/// success also returns each group's first-occurrence **visible** row
-/// index ([`group_by_sharded`] merges per-shard outputs on it).
+/// it, including its error behaviours — e.g. `AVG` over `Nat`).
 fn group_by_typed(
     rel: &Rel,
     ki: &[usize],
@@ -2025,7 +1730,7 @@ fn group_by_typed(
     ai: &[Option<usize>],
     out_schema: &Schema,
     cfg: &ParConfig,
-) -> Result<Option<(Rel, Vec<u32>)>, EngineError> {
+) -> Result<Option<Rel>, EngineError> {
     let n = rel.len();
     if !cfg.vectorize(n) {
         return Ok(None);
@@ -2191,26 +1896,23 @@ fn group_by_typed(
         }
         rows.push(row);
     }
-    Ok(Some((Rel::new(out_schema.clone(), rows), first_row)))
+    Ok(Some(Rel::new(out_schema.clone(), rows)))
 }
 
-/// The scalar group-by loop shared by the stock path and the per-shard
-/// parts of [`group_by_sharded`]: rows in first-occurrence group order,
-/// plus each group's first **visible** row index.
+/// The scalar group-by loop: one output row per group, in
+/// first-occurrence group order.
 fn group_by_scalar(
     rel: &Rel,
     ki: &[usize],
     aggs: &[Aggregate],
     ai: &[Option<usize>],
-) -> Result<(Vec<Row>, Vec<u32>), EngineError> {
+) -> Result<Vec<Row>, EngineError> {
     let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut firsts: Vec<u32> = Vec::new();
     let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
     for i in 0..rel.len() {
         let key: Vec<Value> = ki.iter().map(|&c| rel.cell(i, c).clone()).collect();
         let accs = groups.entry(key.clone()).or_insert_with(|| {
             order.push(key);
-            firsts.push(i as u32);
             aggs.iter().map(|a| Acc::new(a.fun)).collect()
         });
         for (acc, idx) in accs.iter_mut().zip(ai) {
@@ -2226,131 +1928,13 @@ fn group_by_scalar(
         }
         rows.push(row);
     }
-    Ok((rows, firsts))
-}
-
-/// Shard-local group-by. The planner proved the keys include the shard
-/// key, so equal key tuples agree on it and hash to one shard: groups are
-/// shard-disjoint, each shard's visible rows aggregate independently (the
-/// per-part feed order is the global order restricted to the part, so
-/// order-sensitive accumulators are bit-identical), and the per-shard
-/// outputs merge by global first-occurrence index into *exactly* the
-/// stock path's row order.
-///
-/// Returns `None` when the fast path does not apply — the input is no
-/// longer a pure view over the table's own buffer (a fused chain
-/// materialised rows), or fewer than two shards hold rows — **or when any
-/// part fails**: the stock global path then reruns the node and owns the
-/// exact result or error.
-#[allow(clippy::too_many_arguments)]
-fn group_by_sharded(
-    rel: &Rel,
-    ki: &[usize],
-    aggs: &[Aggregate],
-    ai: &[Option<usize>],
-    out_schema: &Schema,
-    cfg: &ParConfig,
-    ts: &TableShards,
-    m: &mut NodeMetrics,
-) -> Option<Rel> {
-    if ki.is_empty() || rel.buffer().len() != ts.shard_of.len() {
-        return None;
-    }
-    let s = ts.sels.len();
-    // An unfiltered, unprojected scan partitions into the table's cached
-    // dense per-shard buffers ([`TableShards::dense`]): contiguous rows,
-    // chunk caches shared across queries, and `sels[k]` doubles as the
-    // visible-index map (visible == raw on a pure scan). Otherwise,
-    // partition the visible rows by shard, keeping both the buffer
-    // position (the part's selection vector) and the visible index (the
-    // merge key back into global first-occurrence order).
-    let pure = rel.sel_map().is_none() && rel.col_map().is_none();
-    let mut parts: Vec<Vec<u32>> = Vec::new();
-    let mut part_vis: Vec<Vec<u32>> = Vec::new();
-    if !pure {
-        parts = vec![Vec::new(); s];
-        part_vis = vec![Vec::new(); s];
-        for i in 0..rel.len() {
-            let raw = rel.raw_row(i);
-            let k = ts.shard_of[raw] as usize;
-            parts[k].push(raw as u32);
-            part_vis[k].push(i as u32);
-        }
-    }
-    let occupied = |k: usize| !if pure { &ts.sels[k] } else { &parts[k] }.is_empty();
-    let live: Vec<usize> = (0..s).filter(|&k| occupied(k)).collect();
-    if live.len() < 2 {
-        return None;
-    }
-    type PartOut = Result<(Vec<Row>, Vec<u32>, u32), EngineError>;
-    let run_part = |k: usize| -> PartOut {
-        let (part, vis): (Rel, &[u32]) = if pure {
-            let buf = ts.dense(k, rel.buffer(), rel.width());
-            (Rel::from_shared(rel.schema.clone(), buf), &ts.sels[k])
-        } else {
-            (rel.with_sel(parts[k].clone()), &part_vis[k])
-        };
-        let (rows, firsts, batches) = match group_by_typed(&part, ki, aggs, ai, out_schema, cfg)? {
-            Some((out, firsts)) => {
-                let rows = (0..out.len()).map(|g| out.owned_row(g)).collect();
-                (rows, firsts, part.len().div_ceil(BATCH_ROWS) as u32)
-            }
-            None => {
-                let (rows, firsts) = group_by_scalar(&part, ki, aggs, ai)?;
-                (rows, firsts, 0)
-            }
-        };
-        // part-local visible index → global visible index
-        let firsts = firsts.iter().map(|&f| vis[f as usize]).collect();
-        Ok((rows, firsts, batches))
-    };
-    let outs: Vec<PartOut> = if cfg.threads > 1 {
-        let slots: Vec<Mutex<Option<PartOut>>> = live.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let ctx = ferry_telemetry::current_ctx();
-        std::thread::scope(|scope| {
-            for _ in 0..cfg.threads.min(live.len()) {
-                scope.spawn(|| {
-                    let _t = ferry_telemetry::enter_ctx(ctx);
-                    loop {
-                        let w = next.fetch_add(1, AtOrd::Relaxed);
-                        if w >= live.len() {
-                            break;
-                        }
-                        *slots[w].lock().unwrap() = Some(run_part(live[w]));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("every part slot is claimed"))
-            .collect()
-    } else {
-        live.iter().map(|&k| run_part(k)).collect()
-    };
-    let mut merged: Vec<(u32, Row)> = Vec::new();
-    let mut batches = 0u32;
-    for out in outs {
-        let (rows, firsts, b) = out.ok()?;
-        batches += b;
-        merged.extend(firsts.into_iter().zip(rows));
-    }
-    // global first-occurrence order (first indices are distinct: each
-    // group has exactly one, in exactly one shard)
-    merged.sort_unstable_by_key(|&(f, _)| f);
-    m.morsels += live.len() as u32;
-    m.batches += batches;
-    Some(Rel::new(
-        out_schema.clone(),
-        merged.into_iter().map(|(_, r)| r).collect(),
-    ))
+    Ok(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::VecMode;
+    use crate::vec_eval::VecMode;
     use ferry_algebra::Ty;
 
     /// Two buffers whose string dictionaries number shared strings
@@ -2406,7 +1990,6 @@ mod tests {
     fn colliding_hashes_never_change_a_result() {
         let cfg = ParConfig {
             vec: VecMode::Force,
-            ..ParConfig::serial()
         };
         let (l, r) = inputs();
         for cols in [vec![0], vec![1], vec![2], vec![0, 1], vec![0, 1, 2]] {

@@ -21,14 +21,13 @@
 
 //! ## Execution strategies
 //!
-//! The bulk operators run **copy-free** where the algebra allows it
-//! (scans, filters, projections and serialisation are `Arc`-shared views
-//! with selection vectors / column remaps), split large inputs into
-//! **morsels** executed by a scoped-thread worker pool ([`par`]), and
-//! evaluate independent DAG nodes — including the members of a query
-//! bundle — concurrently by dependency **wavefront**. All of it is
-//! observably deterministic; `ParConfig { threads: 1, .. }` recovers the
-//! pure serial engine.
+//! Two strategies: the bulk operators run **copy-free** where the algebra
+//! allows it (scans, filters, projections and serialisation are
+//! `Arc`-shared views with selection vectors / column remaps), and a
+//! dispatch evaluates its whole bundle in **one pass** over the plan DAG,
+//! so sub-plans shared between members run once. A dispatch runs on the
+//! thread that calls it; concurrency lives between queries (MVCC
+//! snapshots, the server's worker pool), not inside one.
 //!
 //! Row-wise operators additionally have one **vectorized** form
 //! ([`vec_eval`]): every maximal `Select`/`Project`/`Compute`/`Attach`
@@ -46,14 +45,13 @@
 //! histogram live in its metrics registry ([`QueryStats`] is the view
 //! `stats()` assembles from it), per-node profiles of the last 16
 //! dispatches sit in a [`ProfileRing`], and — under
-//! [`TelemetryConfig::Full`] — each dispatch, node evaluation and morsel
-//! records a span into the active query trace, worker threads included.
+//! [`TelemetryConfig::Full`] — each dispatch and node evaluation records
+//! a span into the active query trace.
 
 pub mod catalog;
 pub mod error;
 pub mod eval;
 pub mod exec;
-pub mod par;
 pub mod shard;
 pub mod stats;
 pub mod sys;
@@ -63,10 +61,10 @@ pub use catalog::{BaseTable, Database, Snapshot, TableShards, TableStats, Tx};
 pub use error::EngineError;
 pub use ferry_storage::{DurabilityConfig, FsyncPolicy, RecoveryReport, StorageError};
 pub use ferry_telemetry::{Telemetry, TelemetryConfig};
-pub use par::{ParConfig, VecMode};
 pub use shard::{
     all_shards_mask, shard_hash, shard_of, shards_for_pred, table_home, MAX_SHARDS,
     SHARD_HASH_VERSION,
 };
 pub use stats::{ExecPath, NodeProfile, ProfileRing, QueryProfile, QueryStats, PROFILE_RING_CAP};
 pub use sys::{DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP, SYS_PREFIX};
+pub use vec_eval::{ParConfig, VecMode};

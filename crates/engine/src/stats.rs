@@ -11,8 +11,8 @@
 //! `runtime.*`); [`QueryStats`] is the *view* `Database::stats()`
 //! assembles from it. Beyond the counters, the engine records a
 //! **per-node profile** of each dispatch — one [`NodeProfile`] per
-//! evaluated plan node with its wall-clock time, output rows and morsel
-//! count — retained for the last [`PROFILE_RING_CAP`] dispatches in a
+//! evaluated plan node with its wall-clock time, output rows and
+//! execution path — retained for the last [`PROFILE_RING_CAP`] dispatches in a
 //! [`ProfileRing`] keyed by query id. `Connection::explain_analyze`
 //! renders the latest entry.
 
@@ -56,9 +56,6 @@ pub struct NodeProfile {
     pub rows: u64,
     /// Wall-clock evaluation time for this node.
     pub elapsed: Duration,
-    /// Morsels the node's bulk work was split into (`0` for operators
-    /// without a morsel path, `1` for a serial run).
-    pub morsels: u32,
     /// Execution path the evaluation took (`Vectorized` iff `batches > 0`).
     pub path: ExecPath,
     /// Kernel batches executed (`0` on the scalar path).
@@ -92,7 +89,8 @@ pub struct QueryProfile {
     pub roots: u32,
     /// Wall-clock time of the whole dispatch.
     pub elapsed: Duration,
-    /// One entry per evaluated plan node, in evaluation (wave) order.
+    /// One entry per evaluated plan node, in evaluation (arena index)
+    /// order.
     pub nodes: Vec<NodeProfile>,
 }
 
@@ -193,14 +191,6 @@ pub struct QueryStats {
     /// … and misses: compilations that went through the full
     /// loop-lifting + optimisation pipeline.
     pub cache_misses: u64,
-    /// Total morsel tasks executed by bulk operators (one per contiguous
-    /// row range handed to a worker; serial runs count one morsel).
-    pub morsel_tasks: u64,
-    /// Nodes whose bulk work actually ran on more than one morsel.
-    pub par_nodes: u64,
-    /// DAG scheduling wavefronts that evaluated two or more nodes
-    /// concurrently.
-    pub par_waves: u64,
     /// Plan nodes covered by evaluations that took the vectorized path
     /// (every member of a pipeline chain counts, like `nodes_evaluated`).
     pub vec_nodes: u64,
@@ -241,9 +231,6 @@ impl QueryStats {
         self.rows_produced += other.rows_produced;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.morsel_tasks += other.morsel_tasks;
-        self.par_nodes += other.par_nodes;
-        self.par_waves += other.par_waves;
         self.vec_nodes += other.vec_nodes;
         self.kernel_batches += other.kernel_batches;
         self.fused_pipelines += other.fused_pipelines;
@@ -264,7 +251,6 @@ mod tests {
             label: "lit",
             rows: 1,
             elapsed: Duration::from_micros(3),
-            morsels: 1,
             path: ExecPath::Scalar,
             batches: 0,
             fused: Vec::new(),
@@ -293,9 +279,6 @@ mod tests {
             rows_produced: 100,
             cache_hits: 2,
             cache_misses: 1,
-            morsel_tasks: 7,
-            par_nodes: 2,
-            par_waves: 1,
             vec_nodes: 3,
             kernel_batches: 9,
             fused_pipelines: 1,
@@ -343,7 +326,6 @@ mod tests {
     fn absorb_sums_counters_and_merges_profiles() {
         let mut a = QueryStats {
             queries: 1,
-            morsel_tasks: 2,
             vec_nodes: 1,
             kernel_batches: 4,
             ..QueryStats::default()
@@ -351,7 +333,6 @@ mod tests {
         a.profiles.push(profile(1));
         let mut b = QueryStats {
             queries: 2,
-            morsel_tasks: 3,
             vec_nodes: 2,
             kernel_batches: 6,
             ..QueryStats::default()
@@ -360,7 +341,6 @@ mod tests {
         b.profiles.push(profile(3));
         a.absorb(b);
         assert_eq!(a.queries, 3);
-        assert_eq!(a.morsel_tasks, 5);
         assert_eq!(a.vec_nodes, 3);
         assert_eq!(a.kernel_batches, 10);
         assert_eq!(a.profiles.len(), 3);

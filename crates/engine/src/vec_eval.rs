@@ -11,9 +11,10 @@
 //! Kernels only ever run as stages of a **chain program**
 //! ([`ChainBuilder`] → [`ChainProg`]): the one vectorized form of a
 //! `Select`/`Project`/`Compute`/`Attach` run, a lone operator being a
-//! chain of one. `crate::exec` streams each morsel of the chain's input
-//! through every stage batch by batch; there is no node-at-a-time kernel
-//! dispatch beside it.
+//! chain of one. `crate::exec` streams the chain's input through every
+//! stage batch by batch; there is no node-at-a-time kernel dispatch
+//! beside it. [`ParConfig::vectorize`] decides when a chain or typed sink
+//! runs at all.
 //!
 //! ## Semantics contract
 //!
@@ -44,12 +45,53 @@ use crate::eval;
 use ferry_algebra::{BinOp, ColVec, Expr, Rel, Schema, Ty, UnOp, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Rows per kernel batch. Large enough to amortise dispatch, small enough
 /// that a batch's registers stay cache-resident.
 pub const BATCH_ROWS: usize = 1024;
+
+/// Execution-path selection. Every operator has the scalar
+/// (row-at-a-time `Bound` interpretation) implementation; the vectorized
+/// one is the chain program for `Select`/`Compute`/`Attach` runs (a lone
+/// operator is a chain of one — see `crate::exec`) and the typed sinks
+/// (joins, windows, group-by, distinct, difference, serialize). See
+/// `DESIGN.md`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum VecMode {
+    /// Vectorize when the input is large enough to amortise the one-off
+    /// column transposition; small inputs stay scalar.
+    #[default]
+    Auto,
+    /// Scalar only — the kernel-bail fallback doubles as the differential
+    /// oracle.
+    Off,
+    /// Vectorize whenever a kernel can be compiled, regardless of input
+    /// size (differential tests force this to cover tiny inputs).
+    Force,
+}
+
+/// Execution configuration carried by a `Database` (and settable through
+/// a `Connection`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ParConfig {
+    /// Scalar vs vectorized path selection.
+    pub vec: VecMode,
+}
+
+impl ParConfig {
+    /// Should a chain or typed sink over `n` input rows take the
+    /// vectorized path (assuming its kernels compile)? The `Auto` threshold
+    /// is deliberately low: the transposition is cached on the shared
+    /// buffer, so it amortises across operators, not just within one.
+    pub fn vectorize(&self, n: usize) -> bool {
+        match self.vec {
+            VecMode::Off => false,
+            VecMode::Force => n > 0,
+            VecMode::Auto => n >= 64,
+        }
+    }
+}
 
 fn ee(msg: impl Into<String>) -> EngineError {
     EngineError::Eval(msg.into())
@@ -1143,9 +1185,9 @@ impl ChainProg {
     }
 }
 
-/// The surviving rows and carried columns a chain produced for one
-/// morsel, in visible order. `rows` holds **buffer** row indices of the
-/// chain input; every carry register holds exactly `rows.len()` cells.
+/// The surviving rows and carried columns a chain produced, in visible
+/// order. `rows` holds **buffer** row indices of the chain input; every
+/// carry register holds exactly `rows.len()` cells.
 #[derive(Debug)]
 pub(crate) struct StreamChunk {
     pub(crate) rows: Vec<u32>,
@@ -1162,13 +1204,14 @@ pub(crate) struct BoundChain<'a> {
 }
 
 impl BoundChain<'_> {
-    /// Stream visible rows `range` of the input through every stage in
+    /// Stream every visible row of the input through every stage in
     /// [`BATCH_ROWS`]-sized batches: each batch is filtered and computed
     /// on while cache-hot, and only survivors are accumulated. Errors
     /// surface batch-major (lowest batch first), instruction-major within
     /// a batch — the same freedom [`compile`] documents for one kernel,
     /// extended across the chain's stages.
-    pub(crate) fn run_range(&self, range: Range<usize>) -> Result<StreamChunk, EngineError> {
+    pub(crate) fn run(&self) -> Result<StreamChunk, EngineError> {
+        let n = self.rel.len();
         let mut regs: Vec<Vec<Reg>> = self
             .prog
             .stages
@@ -1181,11 +1224,11 @@ impl BoundChain<'_> {
             carries: self.prog.carry_tys.iter().map(|&t| Reg::new(t)).collect(),
             batches: 0,
         };
-        let mut rows_b: Vec<u32> = Vec::with_capacity(BATCH_ROWS.min(range.len()));
+        let mut rows_b: Vec<u32> = Vec::with_capacity(BATCH_ROWS.min(n));
         let sel = self.rel.sel_map();
-        let mut i = range.start;
-        while i < range.end {
-            let hi = (i + BATCH_ROWS).min(range.end);
+        let mut i = 0;
+        while i < n {
+            let hi = (i + BATCH_ROWS).min(n);
             rows_b.clear();
             // bulk-copy the selection slice (filters below compact
             // `rows_b` in place, so it cannot stay borrowed)
@@ -1245,7 +1288,6 @@ impl BoundChain<'_> {
 mod tests {
     use super::*;
     use crate::eval::{bind, eval};
-    use crate::par::{ParConfig, VecMode};
     use ferry_algebra::Plan;
 
     fn schema() -> Schema {
@@ -1308,7 +1350,7 @@ mod tests {
         );
         let prog = b.finish();
         let bound = prog.bind(r).expect("chunks match the schema");
-        bound.run_range(0..r.len())
+        bound.run()
     }
 
     /// Kernel result == scalar oracle result, row for row.
@@ -1382,11 +1424,8 @@ mod tests {
         assert!(b.filter(&Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(10i64))));
         let prog = b.finish();
         let bound = prog.bind(&r).unwrap();
-        let keep = bound.run_range(0..r.len()).unwrap().rows;
+        let keep = bound.run().unwrap().rows;
         assert_eq!(keep, (0..10).collect::<Vec<u32>>());
-        // sub-ranges see only their rows
-        let keep = bound.run_range(5..20).unwrap().rows;
-        assert_eq!(keep, (5..10).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -1490,7 +1529,7 @@ mod tests {
         assert_eq!(prog.stage_count(), 4);
         assert!(prog.pure_input_out().is_none()); // y is carried, tag is const
         let bound = prog.bind(&r).unwrap();
-        let chunk = bound.run_range(0..r.len()).unwrap();
+        let chunk = bound.run().unwrap();
         assert_eq!(chunk.batches, 3);
         // oracle: rows 0..2000 with y = 2a+3, keep y < 1003 → a < 500
         assert_eq!(chunk.rows.len(), 500);
@@ -1519,7 +1558,7 @@ mod tests {
         assert!(b.filter(&Expr::bin(BinOp::Gt, Expr::col("d"), Expr::lit(25.0f64))));
         let prog = b.finish();
         assert_eq!(prog.pure_input_out(), Some(vec![0, 1]));
-        let chunk = prog.bind(&view).unwrap().run_range(0..view.len()).unwrap();
+        let chunk = prog.bind(&view).unwrap().run().unwrap();
         // d = i/2 > 25 → i > 50
         assert_eq!(chunk.rows, (51..100).collect::<Vec<u32>>());
     }
@@ -1535,7 +1574,7 @@ mod tests {
         let inv = Expr::bin(BinOp::Div, Expr::lit(100i64), Expr::col("a"));
         assert!(b.compute(&inv, &wide(&r.schema, ("inv", Ty::Int))));
         let prog = b.finish();
-        let chunk = prog.bind(&r).unwrap().run_range(0..r.len()).unwrap();
+        let chunk = prog.bind(&r).unwrap().run().unwrap();
         assert_eq!(chunk.rows.len(), 99);
         assert_eq!(chunk.carries[0].value(0), Value::Int(100));
         // unguarded: the zero row reaches the divide and raises the
@@ -1543,7 +1582,7 @@ mod tests {
         let mut b = ChainBuilder::new(&r.schema);
         assert!(b.compute(&inv, &wide(&r.schema, ("inv", Ty::Int))));
         let prog = b.finish();
-        let err = prog.bind(&r).unwrap().run_range(0..r.len()).unwrap_err();
+        let err = prog.bind(&r).unwrap().run().unwrap_err();
         assert_eq!(err, EngineError::Eval("division by zero".into()));
     }
 
@@ -1582,12 +1621,23 @@ mod tests {
         let root = plan.select(l, Expr::col("p"));
         for (vec, batches) in [(VecMode::Off, 0), (VecMode::Force, 1)] {
             let db = crate::Database::new();
-            db.set_par_config(ParConfig {
-                vec,
-                ..ParConfig::default()
-            });
+            db.set_par_config(ParConfig { vec });
             assert_eq!(db.execute(&plan, root).unwrap().len(), 100);
             assert_eq!(db.stats().kernel_batches, batches, "{vec:?}");
         }
+    }
+
+    #[test]
+    fn vec_mode_gates() {
+        let auto = ParConfig::default();
+        assert!(auto.vectorize(100_000));
+        assert!(!auto.vectorize(8));
+        let off = ParConfig { vec: VecMode::Off };
+        assert!(!off.vectorize(100_000));
+        let force = ParConfig {
+            vec: VecMode::Force,
+        };
+        assert!(force.vectorize(1));
+        assert!(!force.vectorize(0));
     }
 }

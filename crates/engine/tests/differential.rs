@@ -1,17 +1,17 @@
-//! Differential testing of the parallel + vectorized engine: every
-//! operator must produce **cell-for-cell identical** results — including
-//! sort and window tie-break order — whether it runs serially or split
-//! into morsels across worker threads, and whether it takes the scalar
-//! row-at-a-time path or the vectorized one (chain programs + typed
-//! sinks). The serial scalar engine (`VecMode::Off`, one thread) is the
-//! oracle; every other configuration in the cross product
+//! Differential testing of the vectorized engine: every operator must
+//! produce **cell-for-cell identical** results — including sort and
+//! window tie-break order — whether it takes the scalar row-at-a-time
+//! path or the vectorized one (chain programs + typed sinks). The scalar
+//! engine (`VecMode::Off`) is the oracle; both vectorized configurations
 //!
-//!   {oracle, vec} × {1 thread, 4 threads} × morsel sizes {1, 7, 1024}
+//!   `VecMode::Force` (every non-empty input) and `VecMode::Auto` (inputs
+//!   of 64 rows and up, the product default)
 //!
-//! must reproduce it exactly. Morsel outputs reassemble in morsel order,
-//! every sort comparator is a total order, and kernels reproduce scalar
-//! error semantics, so this is an invariant, not a statistical property;
-//! here we check it over random relations and degenerate morsel sizes.
+//! must reproduce it exactly. Every sort comparator is a total order and
+//! kernels reproduce scalar error semantics, so this is an invariant, not
+//! a statistical property; here we check it over random relations and a
+//! 5 000-row one whose four full 1024-row batches and ragged tail cover
+//! the chain program's batch boundaries.
 
 use ferry_algebra::{
     plan::{cn, Aggregate},
@@ -42,34 +42,16 @@ fn rel_rows(rows: &[(i64, i64, String)]) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// The oracle configuration: one thread, scalar row-at-a-time evaluation.
+/// The oracle configuration: scalar row-at-a-time evaluation.
 fn scalar_oracle() -> ParConfig {
-    ParConfig {
-        threads: 1,
-        vec: VecMode::Off,
-        ..ParConfig::default()
-    }
+    ParConfig { vec: VecMode::Off }
 }
 
-/// The configurations under test: {scalar, vectorized-forced} ×
-/// {serial, 4 workers} × degenerate morsel splits. `min_rows: 1` forces
-/// the parallel path and `VecMode::Force` the chain programs and typed
-/// sinks even on tiny proptest relations.
-fn par_configs() -> Vec<ParConfig> {
-    let mut cfgs = Vec::new();
-    for vec in [VecMode::Off, VecMode::Force] {
-        for threads in [1usize, 4] {
-            for morsel_rows in [1usize, 7, 1024] {
-                cfgs.push(ParConfig {
-                    threads,
-                    min_rows: 1,
-                    morsel_rows,
-                    vec,
-                });
-            }
-        }
-    }
-    cfgs
+/// The configurations under test. `VecMode::Force` takes the chain
+/// programs and typed sinks even on tiny proptest relations; `Auto`
+/// mixes both paths by input size, as the product does.
+fn vec_configs() -> [ParConfig; 2] {
+    [VecMode::Force, VecMode::Auto].map(|vec| ParConfig { vec })
 }
 
 /// One root per operator over left/right relations `l` and `r`.
@@ -165,18 +147,18 @@ fn assert_differential(plan: &Plan, roots: &[NodeId]) {
         .iter()
         .map(|&r| serial.execute(plan, r).expect("oracle execute"))
         .collect();
-    for cfg in par_configs() {
-        let par = db_with(cfg);
+    for cfg in vec_configs() {
+        let db = db_with(cfg);
         for (&root, expect) in roots.iter().zip(&baseline) {
-            let got = par.execute(plan, root).expect("execute under test");
+            let got = db.execute(plan, root).expect("execute under test");
             assert_eq!(
                 &got, expect,
                 "divergence at node {root:?} with {cfg:?}:\noracle:\n{expect}\nunder test:\n{got}"
             );
         }
-        // evaluate all roots as one bundle too: exercises the wavefront
-        // scheduler with genuinely concurrent siblings
-        let bundled = par.execute_bundle(plan, roots).expect("bundle execute");
+        // evaluate all roots as one bundle too: one pass over the shared
+        // DAG must give every member the result it gets alone
+        let bundled = db.execute_bundle(plan, roots).expect("bundle execute");
         for ((got, expect), &root) in bundled.iter().zip(&baseline).zip(roots) {
             assert_eq!(
                 got, expect,
@@ -190,7 +172,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
-    fn operators_agree_serial_vs_parallel(
+    fn operators_agree_scalar_vs_vectorized(
         l in proptest::collection::vec(row_strategy(), 0..40),
         r in proptest::collection::vec(row_strategy(), 0..12),
     ) {
@@ -202,9 +184,9 @@ proptest! {
     }
 }
 
-/// A larger deterministic relation (beyond any morsel size under test,
-/// with heavy duplication in the sort/partition keys) so the parallel
-/// sort's chunk-merge path and multi-morsel probes actually engage.
+/// A larger deterministic relation (several kernel batches and a ragged
+/// tail, with heavy duplication in the sort/partition keys) so chain
+/// programs cross batch boundaries and sorts resolve many ties.
 #[test]
 fn operators_agree_on_large_input() {
     let n = 5000i64;
@@ -875,7 +857,7 @@ fn runtime_errors_agree_across_paths() {
         let oracle = db_with(scalar_oracle());
         for root in [div, ovf, sel, piped_rn, piped_ser, lone] {
             let expect = oracle.execute(&plan, root).map_err(|e| e.to_string());
-            for cfg in par_configs() {
+            for cfg in vec_configs() {
                 let got = db_with(cfg).execute(&plan, root).map_err(|e| e.to_string());
                 assert_eq!(got, expect, "error divergence at {root:?} with {cfg:?}");
             }

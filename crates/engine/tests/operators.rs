@@ -497,7 +497,6 @@ fn vec_nodes_counts_chain_members() {
     let db = db();
     db.set_par_config(ParConfig {
         vec: VecMode::Force,
-        ..ParConfig::serial()
     });
     let mut p = Plan::new();
     let t = emp_ref(&mut p);

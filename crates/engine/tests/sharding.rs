@@ -1,6 +1,5 @@
 //! Hash-partitioned shards: routing stability, durable round trips,
-//! partition pruning, shard-local aggregation, and the sharded-vs-
-//! unsharded differential.
+//! partition pruning, and the sharded-vs-unsharded differential.
 //!
 //! The sharding layer is an *optimisation*, never an observable: a
 //! sharded database must return cell-for-cell the relations (and the
@@ -191,7 +190,7 @@ fn crash_mid_workload_keeps_every_acked_row_on_its_shard() {
 }
 
 // ---------------------------------------------------------------------
-// Tentpole: partition pruning and shard-local group-by
+// Partition pruning, and group-by on the shard key
 // ---------------------------------------------------------------------
 
 fn orders_scan(plan: &mut Plan) -> NodeId {
@@ -330,18 +329,7 @@ fn group_by_on_shard_key_is_exact_including_order() {
             output: cn("total"),
         }],
     );
-    for cfg in [
-        ParConfig {
-            threads: 1,
-            vec: VecMode::Off,
-            ..ParConfig::default()
-        },
-        ParConfig {
-            threads: 4,
-            min_rows: 1,
-            ..ParConfig::default()
-        },
-    ] {
+    for cfg in matrix() {
         db.set_par_config(cfg);
         plain.set_par_config(cfg);
         for root in [direct, filtered, renamed] {
@@ -349,16 +337,16 @@ fn group_by_on_shard_key_is_exact_including_order() {
             let want = plain.execute(&plan, root).unwrap();
             assert_eq!(
                 got, want,
-                "shard-local group-by diverged at {root:?} under {cfg:?}"
+                "sharded group-by diverged at {root:?} under {cfg:?}"
             );
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Satellite: sharded (S ∈ {1, 4}) vs unsharded differential — scans,
-// filters, group-bys on non-shard keys, and joins that force the
-// repartition (full-scan merge) path, across the whole config matrix.
+// Sharded (S ∈ {1, 4}) vs unsharded differential — scans, filters,
+// group-bys on shard and non-shard keys, and joins over the full shared
+// buffer, across every execution-path configuration.
 // ---------------------------------------------------------------------
 
 fn diff_roots(plan: &mut Plan) -> Vec<NodeId> {
@@ -374,7 +362,7 @@ fn diff_roots(plan: &mut Plan) -> Vec<NodeId> {
         plan.select(t, eq3.clone()),
         // range predicate: unprunable, full scan
         plan.select(t, Expr::bin(BinOp::Lt, Expr::col("cust"), Expr::lit(0i64))),
-        // group-by on the shard key: shard-local path
+        // group-by on the shard key
         plan.group_by(
             t,
             vec![cn("cust")],
@@ -391,8 +379,7 @@ fn diff_roots(plan: &mut Plan) -> Vec<NodeId> {
                 },
             ],
         ),
-        // group-by on a NON-shard key: needs the global (repartition)
-        // path — groups span shards
+        // group-by on a NON-shard key: groups span shards
         plan.group_by(
             t,
             vec![cn("tag")],
@@ -411,7 +398,7 @@ fn diff_roots(plan: &mut Plan) -> Vec<NodeId> {
         ),
         // join on the shard key against an unsharded build side
         plan.equi_join(t, names, JoinCols::single("cust", "id")),
-        // join on a non-shard key: both sides repartition (full scans)
+        // join on a non-shard key: full scans on both sides
         plan.equi_join(t, names, JoinCols::single("qty", "id")),
         plan.semi_join(t, names, JoinCols::single("cust", "id")),
         plan.serialize(
@@ -420,7 +407,7 @@ fn diff_roots(plan: &mut Plan) -> Vec<NodeId> {
             vec![cn("cust"), cn("qty"), cn("tag")],
         ),
     ];
-    // pruned scan feeding a shard-local group-by through a chain
+    // pruned scan feeding a group-by on the shard key through a chain
     let sel = plan.select(
         t,
         Expr::bin(
@@ -441,19 +428,10 @@ fn diff_roots(plan: &mut Plan) -> Vec<NodeId> {
     roots
 }
 
-fn matrix() -> Vec<ParConfig> {
-    let mut cfgs = Vec::new();
-    for vec in [VecMode::Off, VecMode::Force] {
-        for threads in [1usize, 4] {
-            cfgs.push(ParConfig {
-                threads,
-                min_rows: 1,
-                morsel_rows: 64,
-                vec,
-            });
-        }
-    }
-    cfgs
+/// Every execution-path configuration: the scalar oracle, forced
+/// vectorization, and the product default.
+fn matrix() -> [ParConfig; 3] {
+    [VecMode::Off, VecMode::Force, VecMode::Auto].map(|vec| ParConfig { vec })
 }
 
 fn seeded_dbs(n: i64) -> Vec<(String, Database)> {
@@ -495,11 +473,7 @@ fn sharded_and_unsharded_agree_cell_for_cell() {
         for cfg in matrix() {
             let baseline: Vec<Rel> = {
                 let (_, oracle) = &dbs[0];
-                oracle.set_par_config(ParConfig {
-                    threads: 1,
-                    vec: VecMode::Off,
-                    ..ParConfig::default()
-                });
+                oracle.set_par_config(ParConfig { vec: VecMode::Off });
                 roots
                     .iter()
                     .map(|&r| oracle.execute(&plan, r).unwrap())
@@ -562,10 +536,7 @@ proptest! {
                 vec![Aggregate { fun: AggFun::CountAll, input: None, output: cn("n") }],
             ),
         ];
-        for cfg in [
-            ParConfig { threads: 1, vec: VecMode::Off, ..ParConfig::default() },
-            ParConfig { threads: 4, min_rows: 1, vec: VecMode::Force, ..ParConfig::default() },
-        ] {
+        for cfg in matrix() {
             oracle.set_par_config(cfg);
             sharded.set_par_config(cfg);
             for root in roots {
@@ -581,8 +552,7 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Error parity: sharded execution reports the exact error of the
-// unsharded run (shard-local parts that fail fall back to the global
-// path, which owns lowest-error-row-wins semantics).
+// unsharded run (the first failing row's error, as in the scalar oracle).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -610,7 +580,7 @@ fn errors_match_the_unsharded_run_exactly() {
         vec![(cn("k"), Ty::Int), (cn("v"), Ty::Int)],
         vec![cn("k")],
     );
-    // SUM overflow inside a shard-local group-by
+    // SUM overflow inside a group-by on the shard key
     let ovf = plan.group_by(
         t,
         vec![cn("k")],

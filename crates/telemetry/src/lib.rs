@@ -10,8 +10,8 @@
 //!   Finished spans land in a *per-thread* buffer (one uncontended mutex
 //!   per thread — lock-cheap), tagged with a process-unique trace id, and
 //!   are drained into a bounded ring of recent [`QueryTrace`]s when the
-//!   trace ends. The ambient trace context propagates across the engine's
-//!   morsel/wavefront worker threads via [`current_ctx`]/[`enter_ctx`].
+//!   trace ends. Code that hands part of a query to another thread
+//!   forwards the ambient trace context via [`current_ctx`]/[`enter_ctx`].
 //! * **Metrics** ([`metrics`]): named [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed [`Histogram`]s (p50/p95/p99) in a [`Registry`].
 //!   `ferry_engine::QueryStats` is a view assembled from this registry.

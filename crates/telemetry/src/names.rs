@@ -16,12 +16,6 @@ pub const ENGINE_ROWS_OUT: &str = "engine.rows_out";
 pub const ENGINE_NODES_EVALUATED: &str = "engine.nodes_evaluated";
 /// Rows produced by intermediate operators (a rough work metric).
 pub const ENGINE_ROWS_PRODUCED: &str = "engine.rows_produced";
-/// Morsel tasks executed by bulk operators.
-pub const ENGINE_MORSEL_TASKS: &str = "engine.morsel_tasks";
-/// Nodes whose bulk work split across more than one morsel.
-pub const ENGINE_PAR_NODES: &str = "engine.par_nodes";
-/// DAG wavefronts that evaluated two or more nodes concurrently.
-pub const ENGINE_PAR_WAVES: &str = "engine.par_waves";
 /// Plan nodes covered by evaluations that took the vectorized path
 /// (chain members included).
 pub const ENGINE_VEC_NODES: &str = "engine.vec_nodes";
@@ -88,10 +82,7 @@ pub const ALL: &[&str] = &[
     ENGINE_FUSED_NODES,
     ENGINE_FUSED_PIPELINES,
     ENGINE_KERNEL_BATCHES,
-    ENGINE_MORSEL_TASKS,
     ENGINE_NODES_EVALUATED,
-    ENGINE_PAR_NODES,
-    ENGINE_PAR_WAVES,
     ENGINE_QUERIES,
     ENGINE_QUERY_LATENCY_NS,
     ENGINE_ROWS_OUT,
@@ -132,10 +123,7 @@ mod tests {
             "engine.fused_nodes",
             "engine.fused_pipelines",
             "engine.kernel_batches",
-            "engine.morsel_tasks",
             "engine.nodes_evaluated",
-            "engine.par_nodes",
-            "engine.par_waves",
             "engine.queries",
             "engine.query_latency_ns",
             "engine.rows_out",

@@ -12,7 +12,7 @@ use ferry::prelude::*;
 use ferry_algebra::{BinOp, Expr, Plan, Schema, Ty, Value};
 use ferry_bench::table1::dsh_query;
 use ferry_bench::workload::paper_dataset;
-use ferry_engine::{Database, ParConfig};
+use ferry_engine::Database;
 use ferry_telemetry::AttrVal;
 
 fn traced_conn() -> Connection {
@@ -264,15 +264,13 @@ fn trace_json_is_valid_chrome_trace_with_monotone_timestamps() {
     );
 }
 
+/// One query, one thread: a dispatch large enough to have run on worker
+/// threads under intra-query parallelism records every `exec.*` span on
+/// the thread that dispatched it, inside the query's trace, under the
+/// dispatch span.
 #[test]
-fn morsel_spans_propagate_across_worker_threads() {
+fn one_query_runs_on_the_dispatching_thread() {
     let db = Database::new();
-    db.set_par_config(ParConfig {
-        threads: 4,
-        min_rows: 1,
-        morsel_rows: 256,
-        ..ParConfig::default()
-    });
     db.set_telemetry_config(TelemetryConfig::Full);
 
     let mut plan = Plan::new();
@@ -289,29 +287,27 @@ fn morsel_spans_propagate_across_worker_threads() {
     std::mem::drop(guard); // `drop` the combinator shadows `mem::drop` here
 
     let trace = telemetry.latest_trace().unwrap();
-    let root_tid = trace.spans[0].tid;
     let dispatch = trace
         .spans
         .iter()
         .find(|s| s.cat == "engine")
         .expect("dispatch span");
-    let morsels: Vec<_> = trace
+    let parent_of = |id: u64| trace.spans.iter().find(|s| s.id == id).map(|s| s.parent);
+    let exec: Vec<_> = trace
         .spans
         .iter()
-        .filter(|s| s.cat == "exec.morsel")
+        .filter(|s| s.cat.starts_with("exec."))
         .collect();
-    assert!(
-        morsels.len() >= 2,
-        "10k rows at 256/morsel split: {morsels:?}"
-    );
-    for m in &morsels {
-        assert_eq!(m.trace, trace.trace_id, "worker spans joined the trace");
-        assert_eq!(m.parent, dispatch.id, "workers parent to the dispatch");
+    assert!(!exec.is_empty(), "the select records an exec span");
+    for s in &exec {
+        assert_eq!(s.tid, dispatch.tid, "{s:?} ran off the dispatching thread");
+        assert_eq!(s.trace, trace.trace_id, "{s:?} left the query's trace");
+        let mut up = s.parent;
+        while up != 0 && up != dispatch.id {
+            up = parent_of(up).unwrap_or(0);
+        }
+        assert_eq!(up, dispatch.id, "{s:?} is not under the dispatch span");
     }
-    assert!(
-        morsels.iter().any(|s| s.tid != root_tid),
-        "at least one morsel ran off the dispatching thread"
-    );
 }
 
 #[test]
@@ -372,7 +368,7 @@ fn explain_analyze_renders_report_profile_and_timeline() {
         out.contains("[exec.node]"),
         "executed nodes in timeline: {out}"
     );
-    assert!(out.contains("parallel waves:"), "{out}");
+    assert!(out.contains("vec nodes:"), "{out}");
 
     // plain explain carries the optimizer report too, without executing
     let conn2 = Connection::new(paper_dataset()).with_optimizer(ferry_optimizer::rewriter());
