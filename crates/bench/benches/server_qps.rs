@@ -1,12 +1,12 @@
 //! Loopback throughput of the wire protocol: prepared re-execution
 //! through `ferry-server`, one client and four concurrent clients.
 //!
-//! What one iteration pays: frame encode/decode both ways, one session
-//! round-trip through the bounded work queue and worker pool, one
-//! plan-cache hit, one engine dispatch over a pinned snapshot, and the
-//! chunked result stream back. The 4-client variant measures how the
-//! admission-controlled pool multiplexes concurrent sessions (on the
-//! 1-core CI host this is interleaving, not parallelism).
+//! What one iteration pays: frame encode/decode both ways, one
+//! statement-slot admission on the session's thread, one plan-cache
+//! hit, one engine dispatch over a pinned snapshot, and the chunked
+//! result stream back. The 4-client variant measures four sessions
+//! running their statements at once under the default four slots (on a
+//! 1-core host this is interleaving, not parallelism).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ferry::Connection;

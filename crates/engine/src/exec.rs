@@ -14,7 +14,7 @@
 //!    once, and each operator is one set-at-a-time pass over its inputs.
 //!
 //! A dispatch runs on the thread that calls it; concurrency lives between
-//! queries (MVCC readers, the server's worker pool), not inside one.
+//! queries (MVCC readers, the server's sessions), not inside one.
 //! Sorts break ties on row position, so every result is deterministic.
 //!
 //! Every operator has exactly **two** implementations. The scalar one

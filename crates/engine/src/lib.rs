@@ -27,7 +27,7 @@
 //! dispatch evaluates its whole bundle in **one pass** over the plan DAG,
 //! so sub-plans shared between members run once. A dispatch runs on the
 //! thread that calls it; concurrency lives between queries (MVCC
-//! snapshots, the server's worker pool), not inside one.
+//! snapshots, the server's sessions), not inside one.
 //!
 //! Row-wise operators additionally have one **vectorized** form
 //! ([`vec_eval`]): every maximal `Select`/`Project`/`Compute`/`Attach`

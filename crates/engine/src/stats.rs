@@ -155,19 +155,6 @@ impl ProfileRing {
     pub fn clear(&mut self) {
         self.ring.clear();
     }
-
-    /// Merge another ring into this one **by recency**: query ids are
-    /// database-monotone, so the merged ring is the newest `cap` profiles
-    /// of the union, oldest first.
-    pub fn merge(&mut self, other: ProfileRing) {
-        if other.ring.is_empty() {
-            return;
-        }
-        let mut all: Vec<QueryProfile> = self.ring.drain(..).chain(other.ring).collect();
-        all.sort_by_key(|p| p.query_id);
-        let skip = all.len().saturating_sub(self.cap);
-        self.ring.extend(all.into_iter().skip(skip));
-    }
 }
 
 /// Counters accumulated by a [`crate::Database`] across `execute` calls —
@@ -220,24 +207,6 @@ impl QueryStats {
     /// single-slot `profile` field held).
     pub fn latest_profile(&self) -> Option<&QueryProfile> {
         self.profiles.latest()
-    }
-
-    /// Fold another stats record into this one: aggregate counters sum,
-    /// profile rings merge by recency.
-    pub fn absorb(&mut self, other: QueryStats) {
-        self.queries += other.queries;
-        self.rows_out += other.rows_out;
-        self.nodes_evaluated += other.nodes_evaluated;
-        self.rows_produced += other.rows_produced;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.vec_nodes += other.vec_nodes;
-        self.kernel_batches += other.kernel_batches;
-        self.fused_pipelines += other.fused_pipelines;
-        self.fused_nodes += other.fused_nodes;
-        self.shard_rows += other.shard_rows;
-        self.shard_pruned += other.shard_pruned;
-        self.profiles.merge(other.profiles);
     }
 }
 
@@ -304,46 +273,5 @@ mod tests {
         assert_eq!(ring.latest().unwrap().query_id, 20);
         assert_eq!(ring.get(7).unwrap().query_id, 7);
         assert!(ring.get(4).is_none(), "evicted profile is gone");
-    }
-
-    #[test]
-    fn ring_merge_is_by_recency() {
-        let mut a = ProfileRing::new(4);
-        for q in [1, 3, 8] {
-            a.push(profile(q));
-        }
-        let mut b = ProfileRing::new(4);
-        for q in [2, 9, 10] {
-            b.push(profile(q));
-        }
-        a.merge(b);
-        let ids: Vec<u64> = a.iter().map(|p| p.query_id).collect();
-        // newest 4 of {1,3,8} ∪ {2,9,10}, oldest first
-        assert_eq!(ids, vec![3, 8, 9, 10]);
-    }
-
-    #[test]
-    fn absorb_sums_counters_and_merges_profiles() {
-        let mut a = QueryStats {
-            queries: 1,
-            vec_nodes: 1,
-            kernel_batches: 4,
-            ..QueryStats::default()
-        };
-        a.profiles.push(profile(1));
-        let mut b = QueryStats {
-            queries: 2,
-            vec_nodes: 2,
-            kernel_batches: 6,
-            ..QueryStats::default()
-        };
-        b.profiles.push(profile(2));
-        b.profiles.push(profile(3));
-        a.absorb(b);
-        assert_eq!(a.queries, 3);
-        assert_eq!(a.vec_nodes, 3);
-        assert_eq!(a.kernel_batches, 10);
-        assert_eq!(a.profiles.len(), 3);
-        assert_eq!(a.latest_profile().unwrap().query_id, 3);
     }
 }

@@ -17,14 +17,13 @@
 //! * [`proto`] — request/response messages and their binary encoding;
 //! * [`session`] — per-connection statement registry, SQL compilation
 //!   through the shared plan cache, the `ferry.connections` view;
-//! * [`pool`] — the bounded work queue and fixed worker pool;
-//! * [`server`] — accept loop, session threads, graceful shutdown;
+//! * [`server`] — accept loop, session threads that run their own
+//!   statements behind a statement-slot gate, graceful shutdown;
 //! * [`client`] — a small blocking client used by tests, benches and
 //!   `examples/client.rs`.
 
 pub mod client;
 pub mod frame;
-pub mod pool;
 pub mod proto;
 pub mod server;
 pub mod session;

@@ -69,11 +69,12 @@ pub enum ErrorCode {
     Sql = 4,
     /// Admission control: the connection limit is reached.
     Busy = 5,
-    /// Admission control: the work queue is full.
+    /// Admission control: every statement slot is busy and the line of
+    /// waiting sessions is full.
     QueueFull = 6,
     /// The server is draining; no new work is admitted.
     ShuttingDown = 7,
-    /// A server-side invariant failure (worker died, …).
+    /// A server-side invariant failure (the statement panicked, …).
     Internal = 8,
 }
 

@@ -1,28 +1,28 @@
 //! The server: accept loop, session threads, admission control, and
 //! drain-then-close shutdown.
 //!
-//! Threading model — one thread per live connection doing framing and
-//! bookkeeping, a fixed [`Pool`] doing all statement work (parse, bind,
-//! compile, execute). A session submits one job at a time and waits for
-//! it, so responses stay ordered per connection while the pool bounds
-//! total concurrent query work regardless of connection count.
+//! Threading model — one thread per live connection. It reads a frame,
+//! runs the statement (parse, bind, compile, execute) and writes the
+//! response, so responses stay ordered per connection and a request's
+//! spans all land on one thread.
 //!
 //! Admission control is two gates with typed refusals:
 //!
 //! 1. **connection limit** — accepts beyond `max_connections` get one
 //!    `Busy` error frame and are closed;
-//! 2. **work queue** — statement requests beyond `queue_depth` pending
-//!    jobs get a `QueueFull` error frame (the connection survives).
+//! 2. **statement slots** — at most `workers` statements execute at
+//!    once and at most `queue_depth` sessions wait for a slot, first
+//!    come, first served; one more gets a `QueueFull` error frame (the
+//!    connection survives).
 //!
 //! Shutdown drains: the stop flag refuses new accepts and new requests
-//! (`ShuttingDown`), in-flight requests finish and their responses are
-//! written, session threads are joined, then the pool drains its queue
-//! and stops. Embedders handle SIGTERM by calling
-//! [`ServerHandle::shutdown`] (no signal-handling crate in this
-//! offline workspace); dropping the handle does the same.
+//! (`ShuttingDown`), in-flight and waiting statements finish and their
+//! responses are written, then session threads are joined. Embedders
+//! handle SIGTERM by calling [`ServerHandle::shutdown`] (no
+//! signal-handling crate in this offline workspace); dropping the
+//! handle does the same.
 
 use crate::frame::{self, FrameError, Poll};
-use crate::pool::Pool;
 use crate::proto::{self, ErrorCode, ProtoError, Request, Response};
 use crate::session::{
     prepare_statement, run_statement, Reject, SessionInfo, SessionRegistry, Statements,
@@ -32,8 +32,9 @@ use ferry_algebra::{Row, Schema};
 use ferry_telemetry::{names, Counter, Gauge, Histogram};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -43,9 +44,9 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Live-connection ceiling; accepts beyond it are refused `Busy`.
     pub max_connections: usize,
-    /// Worker threads executing statements.
+    /// Statements executing at once.
     pub workers: usize,
-    /// Pending-job ceiling; submissions beyond it are refused
+    /// Sessions that may wait for a statement slot; one more is refused
     /// `QueueFull`.
     pub queue_depth: usize,
     /// Rows per `RowBatch` frame.
@@ -89,8 +90,79 @@ struct Shared {
     stop: AtomicBool,
     registry: Arc<SessionRegistry>,
     sessions: Mutex<Vec<JoinHandle<()>>>,
-    pool: Pool,
+    admission: Admission,
     m: Metrics,
+}
+
+/// The statement-slot gate: a counter of running statements and a
+/// ticket line of waiting sessions. Tickets make the line first come,
+/// first served; the line's length is `server.queue_depth` and each
+/// admission's wait is one `server.queue_wait_ns` sample.
+struct Admission {
+    slots: usize,
+    line: u64,
+    state: Mutex<Tickets>,
+    freed: Condvar,
+    depth: Arc<Gauge>,
+    wait: Arc<Histogram>,
+}
+
+#[derive(Default)]
+struct Tickets {
+    running: usize,
+    /// Tickets handed out and tickets admitted: `issued - admitted`
+    /// sessions are waiting.
+    issued: u64,
+    admitted: u64,
+}
+
+/// One held statement slot, released on drop — unwinding included. No
+/// code panics while holding the `Tickets` lock, and each update leaves
+/// the counters valid, so a poisoned lock is recovered, never a panic.
+struct Permit<'a>(&'a Admission);
+
+impl Admission {
+    /// Wait for a slot; `None` when the line is already full.
+    fn enter(&self) -> Option<(Permit<'_>, Duration)> {
+        let queued = Instant::now();
+        let mut t = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let ticket = t.issued;
+        let must_wait = t.running >= self.slots || t.admitted != ticket;
+        if must_wait && ticket - t.admitted >= self.line {
+            return None;
+        }
+        t.issued += 1;
+        if must_wait {
+            self.depth.add(1);
+            t = self
+                .freed
+                .wait_while(t, |t| t.running >= self.slots || t.admitted != ticket)
+                .unwrap_or_else(PoisonError::into_inner);
+            self.depth.add(-1);
+        }
+        t.admitted += 1;
+        t.running += 1;
+        if t.issued != t.admitted {
+            // the next ticket may find a slot free too
+            self.freed.notify_all();
+        }
+        drop(t);
+        let waited = queued.elapsed();
+        self.wait.record(waited.as_nanos() as u64);
+        Some((Permit(self), waited))
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut t = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        t.running -= 1;
+        let waiting = t.issued != t.admitted;
+        drop(t);
+        if waiting {
+            self.0.freed.notify_all();
+        }
+    }
 }
 
 /// Namespace for [`Server::bind`].
@@ -137,14 +209,21 @@ impl Server {
             )
             .map_err(|e| io::Error::other(e.to_string()))?;
 
-        let pool = Pool::new(cfg.workers, cfg.queue_depth, depth, wait);
+        let admission = Admission {
+            slots: cfg.workers.max(1),
+            line: cfg.queue_depth.max(1) as u64,
+            state: Mutex::default(),
+            freed: Condvar::new(),
+            depth,
+            wait,
+        };
         let shared = Arc::new(Shared {
             conn,
             cfg,
             stop: AtomicBool::new(false),
             registry,
             sessions: Mutex::new(Vec::new()),
-            pool,
+            admission,
             m,
         });
         let accept = {
@@ -189,8 +268,8 @@ impl ServerHandle {
     }
 
     /// Drain-then-close: refuse new accepts and new requests, let
-    /// in-flight requests finish and flush, join every session thread,
-    /// then drain and stop the worker pool.
+    /// in-flight and waiting statements finish and flush, then join
+    /// every session thread.
     pub fn shutdown(mut self) {
         self.do_shutdown();
     }
@@ -205,7 +284,6 @@ impl ServerHandle {
         for h in sessions {
             let _ = h.join();
         }
-        self.shared.pool.shutdown();
     }
 }
 
@@ -403,36 +481,30 @@ fn finish_request(shared: &Shared, info: &SessionInfo, started: Instant) {
     info.queries.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Ship a job to the worker pool and wait for its result, turning a
-/// full queue into the typed `QueueFull` refusal. Ordering: a session
-/// has at most one job in flight, so responses arrive in request order.
-fn offload<T: Send + 'static>(
+/// Run one statement on this session's thread once it holds a slot,
+/// turning a full line into the typed `QueueFull` refusal. The
+/// statement runs under `catch_unwind`: a panic answers `Internal`, and
+/// the session and its slot survive.
+fn admitted<T>(
     shared: &Shared,
     info: &SessionInfo,
-    job: impl FnOnce() -> Result<T, Reject> + Send + 'static,
+    stmt: impl FnOnce() -> Result<T, Reject>,
 ) -> Result<T, Reject> {
-    let (tx, rx) = mpsc::channel();
-    let boxed = Box::new(move |waited: Duration| {
-        let _ = tx.send((waited, job()));
-    });
-    shared.pool.submit(boxed).map_err(|_| {
+    let Some((_permit, waited)) = shared.admission.enter() else {
         shared.m.rejects.inc();
-        Reject::new(ErrorCode::QueueFull, "work queue is full")
-    })?;
-    match rx.recv() {
-        Ok((waited, result)) => {
-            info.queue_wait_us
-                .fetch_add(waited.as_micros() as i64, Ordering::Relaxed);
-            result
-        }
-        // the sender dropped without answering: the job panicked
-        // mid-statement (the worker survives; see pool.rs) or the pool
-        // shut down underneath us
-        Err(_) => Err(Reject::new(
+        return Err(Reject::new(
+            ErrorCode::QueueFull,
+            "every statement slot is busy and the wait line is full",
+        ));
+    };
+    info.queue_wait_us
+        .fetch_add(waited.as_micros() as i64, Ordering::Relaxed);
+    catch_unwind(AssertUnwindSafe(stmt)).unwrap_or_else(|_| {
+        Err(Reject::new(
             ErrorCode::Internal,
-            "statement execution aborted (worker panic or pool shutdown)",
-        )),
-    }
+            "statement execution aborted by a panic",
+        ))
+    })
 }
 
 /// Stream a result as `ResultHeader`, bounded `RowBatch` chunks, and
@@ -480,11 +552,8 @@ fn handle_request(
             ok
         }
         Request::Prepare { sql } => {
-            let result = statement_gate(shared).and_then(|()| {
-                let conn = shared.conn.clone();
-                let text = sql.clone();
-                offload(shared, info, move || prepare_statement(&conn, &text))
-            });
+            let result = statement_gate(shared)
+                .and_then(|()| admitted(shared, info, || prepare_statement(&shared.conn, &sql)));
             let resp = match result {
                 Ok((nparams, schema)) => {
                     let stmt = stmts.insert(Arc::from(sql.as_str()), nparams);
@@ -501,9 +570,8 @@ fn handle_request(
             let result = statement_gate(shared)
                 .and_then(|()| stmts.get(stmt))
                 .and_then(|prepared| {
-                    let conn = shared.conn.clone();
-                    offload(shared, info, move || {
-                        run_statement(&conn, &prepared.sql, prepared.params, &params)
+                    admitted(shared, info, || {
+                        run_statement(&shared.conn, &prepared.sql, prepared.params, &params)
                     })
                 });
             let ok = respond_result(stream, shared, result);
@@ -512,10 +580,9 @@ fn handle_request(
         }
         Request::Query { sql, params } => {
             let result = statement_gate(shared).and_then(|()| {
-                let conn = shared.conn.clone();
-                offload(shared, info, move || {
+                admitted(shared, info, || {
                     let nparams = crate::session::placeholder_count(&sql)?;
-                    run_statement(&conn, &sql, nparams, &params)
+                    run_statement(&shared.conn, &sql, nparams, &params)
                 })
             });
             let ok = respond_result(stream, shared, result);
@@ -525,8 +592,9 @@ fn handle_request(
     }
 }
 
-/// New statement work is refused once shutdown has begun; requests
-/// already offloaded before the flag flipped drain normally.
+/// New statement work is refused once shutdown has begun; statements
+/// already running or waiting for a slot when the flag flipped drain
+/// normally.
 fn statement_gate(shared: &Shared) -> Result<(), Reject> {
     if shared.stop.load(Ordering::SeqCst) {
         shared.m.rejects.inc();

@@ -3,9 +3,9 @@
 //! table describing the live session set.
 //!
 //! A session owns a map of statement ids to SQL templates. The heavy
-//! work — parse, bind, compile, execute — runs on the worker pool via
-//! the free functions here, which need only a [`Connection`] clone and
-//! the statement text. Compilation goes through
+//! work — parse, bind, compile, execute — runs on the session's thread
+//! via the free functions here, which need only the shared
+//! [`Connection`] and the statement text. Compilation goes through
 //! `Connection::prepare_raw`, keyed by a content hash of the SQL text,
 //! so wire statements share the runtime plan cache with DSL programs
 //! and show up (with hit counts) in `ferry.plan_cache`.
@@ -67,7 +67,7 @@ pub struct SessionInfo {
     pub statements: AtomicI64,
     /// Requests served (Prepare/Execute/Query/Metrics).
     pub queries: AtomicI64,
-    /// Total time this session's work spent queued, µs.
+    /// Total time this session's statements waited for a slot, µs.
     pub queue_wait_us: AtomicI64,
 }
 
@@ -382,9 +382,9 @@ pub(crate) struct PreparedStmt {
     pub params: usize,
 }
 
-/// Session-thread-side statement registry. The heavy lifting happens on
-/// workers via [`prepare_statement`] / [`run_statement`]; this struct
-/// only assigns ids and resolves them back to templates.
+/// A session's statement registry. The heavy lifting happens in
+/// [`prepare_statement`] / [`run_statement`]; this struct only assigns
+/// ids and resolves them back to templates.
 #[derive(Debug, Default)]
 pub(crate) struct Statements {
     held: HashMap<u32, PreparedStmt>,
@@ -412,7 +412,7 @@ impl Statements {
     }
 }
 
-/// Worker-side half of `Prepare`: validate placeholders and (for
+/// The work of `Prepare`: validate placeholders and (for
 /// parameterless statements) compile eagerly so errors and the result
 /// schema surface at prepare time. Parameterised statements defer
 /// compilation to execute time — their literals aren't known yet — and
@@ -427,7 +427,7 @@ pub(crate) fn prepare_statement(conn: &Connection, sql: &str) -> SResult<(usize,
     }
 }
 
-/// Worker-side half of `Execute`/`Query`: substitute, compile-or-fetch,
+/// The work of `Execute`/`Query`: substitute, compile-or-fetch,
 /// dispatch.
 pub(crate) fn run_statement(
     conn: &Connection,

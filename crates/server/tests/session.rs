@@ -1,16 +1,21 @@
 //! End-to-end session behaviour over loopback: concurrent clients get
 //! byte-identical results vs in-process execution, prepared statements
 //! hit the shared plan cache, the server answers questions about itself
-//! (`ferry.connections`, metrics) over its own wire, overload is a
-//! typed refusal, and shutdown drains.
+//! (`ferry.connections`, metrics) over its own wire, statements run on
+//! their session's thread behind an exact admission gate, overload is a
+//! typed refusal, a panicking statement is a typed `Internal`, and
+//! shutdown drains.
 
 use ferry::Connection;
 use ferry_algebra::{Row, Schema, Ty, Value};
 use ferry_engine::Database;
 use ferry_server::proto::ErrorCode;
-use ferry_server::{Client, ClientError, Server, ServerConfig, ServerHandle};
+use ferry_server::{Client, ClientError, ResultSet, Server, ServerConfig, ServerHandle};
 use ferry_storage::codec::Enc;
-use std::time::Duration;
+use ferry_telemetry::{names, Gauge};
+use std::net::SocketAddr;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn seeded_connection() -> Connection {
     let db = Database::new();
@@ -36,6 +41,74 @@ fn start(cfg: ServerConfig) -> (Connection, ServerHandle) {
     let conn = seeded_connection();
     let handle = Server::bind(conn.clone(), "127.0.0.1:0", cfg).unwrap();
     (conn, handle)
+}
+
+/// How long a test waits for something that should take milliseconds.
+const PATIENCE: Duration = Duration::from_secs(10);
+
+/// A statement held inside execution: [`HOLD`] scans `ferry.hold`, a
+/// one-row system table whose provider reports the scanning thread's
+/// name on `entered`, then blocks until the test sends on `release`.
+struct Hold {
+    entered: mpsc::Receiver<String>,
+    release: mpsc::Sender<()>,
+}
+
+const HOLD: &str = "SELECT h.n AS n FROM ferry.hold AS h;";
+
+fn hold_table(conn: &Connection) -> Hold {
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    one_row_table(conn, "ferry.hold", move || {
+        let thread = std::thread::current().name().unwrap_or("").to_string();
+        entered_tx.send(thread).unwrap();
+        release_rx.lock().unwrap().recv().unwrap();
+    });
+    Hold { entered, release }
+}
+
+/// Register `name` as a system table of one `n = 1` row whose scan
+/// first runs `scan` on the executing thread.
+fn one_row_table(conn: &Connection, name: &str, scan: impl Fn() + Send + Sync + 'static) {
+    conn.database()
+        .register_system_table(
+            name,
+            Schema::of(&[("n", Ty::Int)]),
+            vec!["n".to_string()],
+            Arc::new(move || {
+                scan();
+                vec![vec![Value::Int(1)]]
+            }),
+        )
+        .unwrap();
+}
+
+fn one_row(rs: Result<ResultSet, ClientError>) {
+    assert_eq!(rs.unwrap().rows, vec![vec![Value::Int(1)]]);
+}
+
+fn queue_depth(conn: &Connection) -> Arc<Gauge> {
+    conn.telemetry()
+        .registry()
+        .gauge(names::SERVER_QUEUE_DEPTH)
+        .unwrap()
+}
+
+/// A client whose session is registered: one round trip done, so
+/// sessions connected this way get ascending ids.
+fn connected(addr: SocketAddr) -> Client {
+    let mut c = Client::connect(addr).unwrap();
+    one_row(c.query("SELECT 1 AS x"));
+    c
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + PATIENCE;
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// The differential suite's deterministic query shapes (every one
@@ -389,43 +462,146 @@ fn finished_sessions_are_reaped_under_connection_churn() {
 }
 
 #[test]
+fn statements_run_on_their_session_thread() {
+    let (conn, handle) = start(ServerConfig::default());
+    let hold = hold_table(&conn);
+    hold.release.send(()).unwrap(); // the scan returns at once
+    let mut c = Client::connect(handle.addr()).unwrap();
+    one_row(c.query(HOLD));
+    let thread = hold.entered.recv_timeout(PATIENCE).unwrap();
+    assert!(
+        thread.starts_with("ferry-session-"),
+        "the statement ran on {thread:?}, not its session's thread"
+    );
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn admission_is_exact_under_a_held_statement() {
+    let cfg = ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..ServerConfig::default()
+    };
+    let (conn, handle) = start(cfg);
+    let hold = hold_table(&conn);
+    let depth = queue_depth(&conn);
+    let (mut runner, mut waiter, mut third) = (
+        connected(handle.addr()),
+        connected(handle.addr()),
+        connected(handle.addr()),
+    );
+    // the runner holds the only slot…
+    let running = std::thread::spawn(move || {
+        let rs = runner.query(HOLD);
+        (runner, rs)
+    });
+    hold.entered.recv_timeout(PATIENCE).unwrap();
+    // …the waiter fills the only place in line…
+    let waiting = std::thread::spawn(move || {
+        let rs = waiter.query(HOLD);
+        (waiter, rs)
+    });
+    wait_until("the waiter to queue", || depth.get() == 1);
+    // …so one more statement is refused, and its session survives
+    let err = third.query("SELECT 1 AS x").unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClientError::Server {
+                code: ErrorCode::QueueFull,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    // release the runner; the waiter takes the freed slot
+    hold.release.send(()).unwrap();
+    hold.entered.recv_timeout(PATIENCE).unwrap();
+    hold.release.send(()).unwrap();
+    let (_runner, rs) = running.join().unwrap();
+    one_row(rs);
+    let (mut waiter, rs) = waiting.join().unwrap();
+    one_row(rs);
+    assert_eq!(depth.get(), 0);
+    one_row(third.query("SELECT 1 AS x"));
+    // the wait is attributed to the waiter's own session (ids ascend in
+    // connection order: runner, waiter, third)
+    let rs = waiter
+        .query(
+            "SELECT c.id AS id, c.queue_wait_us AS w \
+             FROM ferry.connections AS c ORDER BY id ASC;",
+        )
+        .unwrap();
+    assert_eq!(rs.rows.len(), 3);
+    match rs.rows[1][1] {
+        Value::Int(w) => assert!(w > 0, "the waiter's queue_wait_us is {w}"),
+        ref other => panic!("queue_wait_us should be Int, got {other:?}"),
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn a_panicking_statement_answers_internal_and_frees_its_slot() {
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let (conn, handle) = start(cfg);
+    one_row_table(&conn, "ferry.boom", || panic!("provider exploded"));
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let err = c
+        .query("SELECT b.n AS n FROM ferry.boom AS b;")
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClientError::Server {
+                code: ErrorCode::Internal,
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    // the session survives and the only slot was released: this session
+    // and another one both still get statements through
+    one_row(c.query("SELECT 1 AS x"));
+    one_row(
+        Client::connect(handle.addr())
+            .unwrap()
+            .query("SELECT 1 AS x"),
+    );
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_and_refuses_late_arrivals() {
     let cfg = ServerConfig {
         workers: 1,
         queue_depth: 4,
         ..ServerConfig::default()
     };
-    let (_conn, handle) = start(cfg);
+    let (conn, handle) = start(cfg);
+    let hold = hold_table(&conn);
+    let depth = queue_depth(&conn);
     let addr = handle.addr();
-    // two in-flight queries: one running on the single worker, one queued
-    let inflight: Vec<_> = (0..2)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
-                c.query(
-                    "SELECT a.name AS x, b.name AS y, d.name AS z \
-                     FROM emp AS a, emp AS b, emp AS d \
-                     ORDER BY x ASC, y ASC, z ASC;",
-                )
-            })
-        })
-        .collect();
-    // let the requests reach the server before pulling the plug
-    std::thread::sleep(Duration::from_millis(150));
-    handle.shutdown();
-    for t in inflight {
-        // drained work completes with real results; a request that
-        // raced the stop flag gets the typed refusal — never a hang,
-        // never a torn response
-        match t.join().unwrap() {
-            Ok(rs) => assert_eq!(rs.rows.len(), 27),
-            Err(ClientError::Server {
-                code: ErrorCode::ShuttingDown,
-                ..
-            }) => {}
-            Err(other) => panic!("shutdown tore a response: {other:?}"),
-        }
-    }
+    // one statement running inside the held scan, one waiting for the slot
+    let runner = std::thread::spawn(move || Client::connect(addr).unwrap().query(HOLD));
+    hold.entered.recv_timeout(PATIENCE).unwrap();
+    let waiter = std::thread::spawn(move || Client::connect(addr).unwrap().query(HOLD));
+    wait_until("the waiter to queue", || depth.get() == 1);
+    let stopping = std::thread::spawn(move || handle.shutdown());
+    // the listener closes only after the stop flag is up
+    wait_until("the listener to close", || Client::connect(addr).is_err());
+    hold.release.send(()).unwrap();
+    hold.release.send(()).unwrap();
+    // both drain with their rows — never a refusal, a hang or a torn
+    // response
+    one_row(runner.join().unwrap());
+    one_row(waiter.join().unwrap());
+    stopping.join().unwrap();
     // the listener is gone: late arrivals cannot connect, or are cut
     // before being served
     match Client::connect(addr) {

@@ -7,11 +7,10 @@
 //!
 //! * **Span tracing** ([`span`]): a query-scoped trace is a tree of
 //!   [`SpanRecord`]s with wall-clock start/duration and typed attributes.
-//!   Finished spans land in a *per-thread* buffer (one uncontended mutex
-//!   per thread — lock-cheap), tagged with a process-unique trace id, and
-//!   are drained into a bounded ring of recent [`QueryTrace`]s when the
-//!   trace ends. Code that hands part of a query to another thread
-//!   forwards the ambient trace context via [`current_ctx`]/[`enter_ctx`].
+//!   Finished spans land in a thread-local buffer, tagged with a
+//!   process-unique trace id, and are drained into a bounded ring of
+//!   recent [`QueryTrace`]s when the trace ends on the thread that began
+//!   it — a query runs on one thread, so its spans do too.
 //! * **Metrics** ([`metrics`]): named [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed [`Histogram`]s (p50/p95/p99) in a [`Registry`].
 //!   `ferry_engine::QueryStats` is a view assembled from this registry.
@@ -38,8 +37,7 @@ pub use metrics::{
 };
 pub use report::{OptReport, PassStat};
 pub use span::{
-    current_ctx, enter_ctx, now_ns, record_span, span, tracing_active, AttrVal, CtxGuard, Span,
-    SpanRecord, TraceCtx,
+    current_ctx, now_ns, record_span, span, tracing_active, AttrVal, Span, SpanRecord, TraceCtx,
 };
 pub use trace::{QueryTrace, Telemetry, TraceGuard};
 

@@ -43,11 +43,11 @@ pub const RUNTIME_CACHE_MISSES: &str = "runtime.cache_misses";
 pub const SERVER_ACCEPTS: &str = "server.accepts";
 /// Live server sessions right now (gauge).
 pub const SERVER_CONNECTIONS: &str = "server.connections";
-/// Work items queued for the worker pool right now (gauge).
+/// Sessions waiting for a statement slot right now (gauge).
 pub const SERVER_QUEUE_DEPTH: &str = "server.queue_depth";
-/// Time a request spent queued before a worker picked it up (histogram).
+/// Time a statement waited for a slot before it ran (histogram).
 pub const SERVER_QUEUE_WAIT_NS: &str = "server.queue_wait_ns";
-/// Admission-control refusals: connection limit (`Busy`), work-queue
+/// Admission-control refusals: connection limit (`Busy`), wait-line
 /// limit (`QueueFull`) and shutdown-window (`ShuttingDown`) rejections.
 pub const SERVER_REJECTS: &str = "server.rejects";
 /// Wall time from request frame decoded to response frames written

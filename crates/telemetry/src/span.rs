@@ -1,25 +1,21 @@
-//! Span recording: trace context, per-thread buffers, and the RAII
-//! [`Span`] guard.
+//! Span recording: trace context, the thread's span buffer, and the
+//! RAII [`Span`] guard.
 //!
 //! A *trace context* (`(trace id, parent span id)`) is thread-local.
-//! [`crate::Telemetry::begin_query`] installs it on the calling thread;
-//! worker pools forward it into their scoped threads by capturing
-//! [`current_ctx`] before spawning and calling [`enter_ctx`] inside the
-//! worker. When no context is installed every recording entry point is a
-//! no-op after one thread-local read — that is the entire disabled-mode
-//! cost of an instrumentation point.
+//! [`crate::Telemetry::begin_query`] installs it on the calling thread,
+//! and every span of the trace is recorded on that thread: a query —
+//! and a server request — runs on one thread from start to end. When no
+//! context is installed every recording entry point is a no-op after one
+//! thread-local read — that is the entire disabled-mode cost of an
+//! instrumentation point.
 //!
-//! Finished spans are pushed onto the recording thread's own buffer (an
-//! `Arc<Mutex<Vec<_>>>` registered once per thread in a global list — the
-//! mutex is uncontended in steady state, hence "lock-cheap"). Ending a
-//! trace drains every registered buffer for spans carrying that trace id;
-//! buffers of dead threads survive in the registry until drained, then
-//! get pruned.
+//! Finished spans are pushed onto a thread-local buffer; ending a trace
+//! drains that trace's spans from the buffer of the thread it ends on.
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Spans per thread buffer before new records are dropped — a backstop
@@ -129,15 +125,12 @@ impl TraceCtx {
     }
 }
 
-type ThreadBuf = Mutex<Vec<SpanRecord>>;
-
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
-static BUFFERS: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
 
 thread_local! {
     static CTX: Cell<TraceCtx> = const { Cell::new(TraceCtx::INACTIVE) };
-    static LOCAL_BUF: RefCell<Option<Arc<ThreadBuf>>> = const { RefCell::new(None) };
+    static BUF: RefCell<Vec<SpanRecord>> = const { RefCell::new(Vec::new()) };
     static THREAD_ID: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -170,8 +163,7 @@ pub(crate) fn next_span_id_pub() -> u64 {
     next_span_id()
 }
 
-/// The calling thread's ambient trace context (copy it into worker
-/// threads, then [`enter_ctx`] there).
+/// The calling thread's ambient trace context.
 pub fn current_ctx() -> TraceCtx {
     CTX.with(|c| c.get())
 }
@@ -186,67 +178,23 @@ pub(crate) fn set_ctx(ctx: TraceCtx) -> TraceCtx {
     CTX.with(|c| c.replace(ctx))
 }
 
-/// Install `ctx` on the current thread until the guard drops (restoring
-/// whatever was there before). No-op guard when `ctx` is inactive.
-pub fn enter_ctx(ctx: TraceCtx) -> CtxGuard {
-    if !ctx.is_active() {
-        return CtxGuard { prev: None };
-    }
-    CtxGuard {
-        prev: Some(set_ctx(ctx)),
-    }
-}
-
-/// Restores the previous trace context on drop. `!Send` by construction
-/// (holds nothing, but semantically thread-bound — do not move it).
-pub struct CtxGuard {
-    prev: Option<TraceCtx>,
-}
-
-impl Drop for CtxGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev {
-            set_ctx(prev);
-        }
-    }
-}
-
-/// Push one finished record onto this thread's buffer, registering the
-/// buffer globally on first use.
+/// Push one finished record onto this thread's buffer.
 pub(crate) fn push_record(rec: SpanRecord) {
-    LOCAL_BUF.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let buf = slot.get_or_insert_with(|| {
-            let buf: Arc<ThreadBuf> = Arc::new(Mutex::new(Vec::new()));
-            BUFFERS.lock().unwrap().push(buf.clone());
-            buf
-        });
-        let mut v = buf.lock().unwrap();
-        if v.len() < THREAD_BUF_CAP {
-            v.push(rec);
+    BUF.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        if buf.len() < THREAD_BUF_CAP {
+            buf.push(rec);
         }
     });
 }
 
-/// Extract every buffered span of `trace` from every thread buffer, and
-/// prune buffers whose owning thread died with nothing left in them.
+/// Extract every span of `trace` from this thread's buffer.
 pub(crate) fn drain_trace(trace: u64) -> Vec<SpanRecord> {
-    let mut out = Vec::new();
-    let mut bufs = BUFFERS.lock().unwrap();
-    bufs.retain(|buf| {
-        let mut v = buf.lock().unwrap();
-        let mut i = 0;
-        while i < v.len() {
-            if v[i].trace == trace {
-                out.push(v.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        // keep buffers of live threads (the thread_local holds a 2nd Arc)
-        Arc::strong_count(buf) > 1 || !v.is_empty()
-    });
-    out
+    BUF.with(|buf| {
+        buf.borrow_mut()
+            .extract_if(.., |s| s.trace == trace)
+            .collect()
+    })
 }
 
 /// An in-flight span: started now, recorded when dropped. Inert (zero
@@ -382,7 +330,7 @@ mod tests {
     #[test]
     fn spans_nest_and_restore_parent() {
         let trace = next_trace_id();
-        let _g = enter_ctx(TraceCtx { trace, parent: 0 });
+        set_ctx(TraceCtx { trace, parent: 0 });
         let outer_id;
         {
             let outer = span("outer", "test");
@@ -396,6 +344,7 @@ mod tests {
             assert_eq!(current_ctx().parent, outer_id);
         }
         assert_eq!(current_ctx().parent, 0);
+        set_ctx(TraceCtx::INACTIVE);
         let spans = drain_trace(trace);
         assert_eq!(spans.len(), 2);
         let outer = spans.iter().find(|s| s.name == "outer").unwrap();
@@ -406,44 +355,26 @@ mod tests {
     }
 
     #[test]
-    fn ctx_propagates_into_threads() {
+    fn a_trace_drains_only_its_own_threads_spans() {
         let trace = next_trace_id();
-        let _g = enter_ctx(TraceCtx { trace, parent: 7 });
-        let ctx = current_ctx();
         std::thread::scope(|s| {
             s.spawn(|| {
-                assert!(!tracing_active());
-                let _w = enter_ctx(ctx);
-                assert!(tracing_active());
-                let _s = span("worker", "test");
+                set_ctx(TraceCtx { trace, parent: 0 });
+                let _s = span("elsewhere", "test");
             });
         });
-        let spans = drain_trace(trace);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].parent, 7);
-        assert_eq!(spans[0].trace, trace);
-        // the worker's thread id differs from ours
-        assert_ne!(spans[0].tid, thread_id());
+        assert!(drain_trace(trace).is_empty());
     }
 
     #[test]
     fn drain_takes_only_the_requested_trace() {
         let t1 = next_trace_id();
         let t2 = next_trace_id();
-        {
-            let _g = enter_ctx(TraceCtx {
-                trace: t1,
-                parent: 0,
-            });
-            let _s = span("one", "test");
+        for (trace, name) in [(t1, "one"), (t2, "two")] {
+            set_ctx(TraceCtx { trace, parent: 0 });
+            let _s = span(name, "test");
         }
-        {
-            let _g = enter_ctx(TraceCtx {
-                trace: t2,
-                parent: 0,
-            });
-            let _s = span("two", "test");
-        }
+        set_ctx(TraceCtx::INACTIVE);
         let got1 = drain_trace(t1);
         assert_eq!(got1.len(), 1);
         assert_eq!(got1[0].name, "one");

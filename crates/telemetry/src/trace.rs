@@ -19,7 +19,7 @@ use crate::{AttrVal, Registry, TelemetryConfig};
 pub const TRACE_RING_CAP: usize = 16;
 
 /// One completed query trace: the synthesized root span plus every span
-/// recorded (on any thread) while the trace was active.
+/// recorded on the tracing thread while the trace was active.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryTrace {
     /// Process-unique trace id (matches `SpanRecord::trace`).
@@ -202,10 +202,10 @@ struct ActiveTrace {
     prev: TraceCtx,
 }
 
-/// Ends the trace on drop: restores the previous context, drains every
-/// thread buffer for this trace's spans, synthesizes the root `"query"`
-/// span, and pushes the completed [`QueryTrace`] into the ring. Must be
-/// dropped on the thread that began the trace.
+/// Ends the trace on drop: restores the previous context, drains this
+/// trace's spans from the thread's buffer, synthesizes the root
+/// `"query"` span, and pushes the completed [`QueryTrace`] into the
+/// ring. Must be dropped on the thread that began the trace.
 pub struct TraceGuard {
     active: Option<ActiveTrace>,
 }

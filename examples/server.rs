@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let cfg = ServerConfig::default();
     println!(
-        "admission control: {} connections, {} workers, queue depth {}",
+        "admission control: {} connections, {} statements at once, up to {} waiting for a slot",
         cfg.max_connections, cfg.workers, cfg.queue_depth
     );
     let handle = Server::bind(conn, addr.as_str(), cfg)?;
