@@ -92,6 +92,11 @@ pub enum Expr {
     Case(Arc<Expr>, Arc<Expr>, Arc<Expr>),
     /// Type cast between numeric domains (`Int` ⇄ `Dbl` ⇄ `Nat`).
     Cast(Ty, Arc<Expr>),
+    /// A statement parameter: 0-based slot (`$1` is slot 0) and the type
+    /// the SQL binder inferred for it. A plan holding one is a template;
+    /// [`Plan::bind_params`](crate::Plan::bind_params) turns it into a
+    /// runnable plan of constants.
+    Param(u32, Ty),
 }
 
 impl Expr {
@@ -137,7 +142,7 @@ impl Expr {
                     out.push(c.clone());
                 }
             }
-            Expr::Const(_) => {}
+            Expr::Const(_) | Expr::Param(..) => {}
             Expr::Bin(_, l, r) => {
                 l.columns(out);
                 r.columns(out);
@@ -157,6 +162,7 @@ impl Expr {
         match self {
             Expr::Col(c) => schema.ty_of(c),
             Expr::Const(v) => Some(v.ty()),
+            Expr::Param(_, ty) => Some(*ty),
             Expr::Bin(op, l, r) => {
                 let lt = l.infer_ty(schema)?;
                 let rt = r.infer_ty(schema)?;
@@ -190,7 +196,87 @@ impl Expr {
             }
         }
     }
+
+    /// Every parameter occurrence in this expression, as `(slot, type)`.
+    pub(crate) fn params(&self, out: &mut Vec<(u32, Ty)>) {
+        match self {
+            Expr::Param(slot, ty) => out.push((*slot, *ty)),
+            Expr::Col(_) | Expr::Const(_) => {}
+            Expr::Bin(_, l, r) => {
+                l.params(out);
+                r.params(out);
+            }
+            Expr::Un(_, e) | Expr::Cast(_, e) => e.params(out),
+            Expr::Case(c, t, e) => {
+                c.params(out);
+                t.params(out);
+                e.params(out);
+            }
+        }
+    }
+
+    /// This expression with every parameter replaced by its value from
+    /// `params` (indexed by slot). A value must have its slot's type; the
+    /// one coercion is the binder's literal repair, a non-negative `Int`
+    /// for a `Nat` slot.
+    pub(crate) fn bind_params(&self, params: &[Value]) -> Result<Expr, ParamError> {
+        let bind = |e: &Arc<Expr>| e.bind_params(params).map(Arc::new);
+        Ok(match self {
+            Expr::Param(slot, ty) => {
+                let v = params.get(*slot as usize).ok_or(ParamError::Arity {
+                    expected: *slot as usize + 1,
+                    got: params.len(),
+                })?;
+                Expr::Const(match (ty, v) {
+                    (Ty::Nat, Value::Int(i)) if *i >= 0 => Value::Nat(*i as u64),
+                    _ if v.ty() == *ty => v.clone(),
+                    _ => {
+                        return Err(ParamError::Type {
+                            slot: *slot,
+                            expected: *ty,
+                            got: v.ty(),
+                        })
+                    }
+                })
+            }
+            Expr::Col(_) | Expr::Const(_) => self.clone(),
+            Expr::Bin(op, l, r) => Expr::Bin(*op, bind(l)?, bind(r)?),
+            Expr::Un(op, e) => Expr::Un(*op, bind(e)?),
+            Expr::Case(c, t, e) => Expr::Case(bind(c)?, bind(t)?, bind(e)?),
+            Expr::Cast(ty, e) => Expr::Cast(*ty, bind(e)?),
+        })
+    }
 }
+
+/// Why a parameter binding was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParamError {
+    /// The statement takes `expected` parameters; `got` were supplied.
+    Arity { expected: usize, got: usize },
+    /// The value bound to `slot` has the wrong type.
+    Type { slot: u32, expected: Ty, got: Ty },
+}
+
+impl fmt::Display for ParamError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParamError::Arity { expected, got } => {
+                write!(f, "statement expects {expected} parameters, got {got}")
+            }
+            ParamError::Type {
+                slot,
+                expected,
+                got,
+            } => write!(
+                f,
+                "parameter ${} expects a {expected} value, got {got}",
+                *slot as u64 + 1
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ParamError {}
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -202,6 +288,7 @@ impl fmt::Display for Expr {
             Expr::Un(UnOp::Neg, e) => write!(f, "-({e})"),
             Expr::Case(c, t, e) => write!(f, "CASE WHEN {c} THEN {t} ELSE {e} END"),
             Expr::Cast(ty, e) => write!(f, "CAST({e} AS {ty})"),
+            Expr::Param(slot, _) => write!(f, "${}", *slot as u64 + 1),
         }
     }
 }

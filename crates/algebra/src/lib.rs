@@ -39,7 +39,7 @@ pub mod schema;
 pub mod value;
 
 pub use chunk::ColVec;
-pub use expr::{AggFun, BinOp, Expr, UnOp};
+pub use expr::{AggFun, BinOp, Expr, ParamError, UnOp};
 pub use infer::{infer_node, infer_schema, validate, InferError};
 pub use plan::{Dir, JoinCols, Node, NodeId, Plan, SortSpec};
 pub use rel::{NoSuchColumn, Rel, Row, RowBuf};

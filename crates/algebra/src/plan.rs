@@ -5,10 +5,11 @@
 //! forward scan of the arena is a topological order — both the engine and
 //! the optimizer rely on this.
 
-use crate::expr::{AggFun, Expr};
+use crate::expr::{AggFun, Expr, ParamError};
 use crate::rel::{Row, RowBuf};
 use crate::schema::{ColName, Schema};
-use crate::value::Value;
+use crate::value::{Ty, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Index of a node within a [`Plan`].
@@ -226,6 +227,23 @@ impl Node {
         }
     }
 
+    /// The scalar expression this operator evaluates, if any.
+    fn expr(&self) -> Option<&Expr> {
+        match self {
+            Node::Compute { expr, .. } => Some(expr),
+            Node::Select { pred, .. } | Node::ThetaJoin { pred, .. } => Some(pred),
+            _ => None,
+        }
+    }
+
+    fn expr_mut(&mut self) -> Option<&mut Expr> {
+        match self {
+            Node::Compute { expr, .. } => Some(expr),
+            Node::Select { pred, .. } | Node::ThetaJoin { pred, .. } => Some(pred),
+            _ => None,
+        }
+    }
+
     /// Short operator mnemonic for printing.
     pub fn label(&self) -> &'static str {
         match self {
@@ -315,6 +333,45 @@ impl Plan {
         self.reachable(root).len()
     }
 
+    /// Every parameter occurrence in the arena, as `(slot, type)`, in
+    /// node order.
+    pub fn params(&self) -> Vec<(u32, Ty)> {
+        let mut out = Vec::new();
+        for e in self.nodes.iter().filter_map(Node::expr) {
+            e.params(&mut out);
+        }
+        out
+    }
+
+    /// Bind a template's parameters: the plan with every `Expr::Param`
+    /// replaced by the constant `params[slot]`. The arity is one more
+    /// than the highest slot in the arena; any other `params.len()` is
+    /// refused, as is a value whose type differs from its slot's — but a
+    /// non-negative `Int` binds to a `Nat` slot, the binder's literal
+    /// repair. A parameterless plan binds to itself, uncopied.
+    pub fn bind_params(&self, params: &[Value]) -> Result<Cow<'_, Plan>, ParamError> {
+        let arity = self
+            .params()
+            .iter()
+            .map(|(slot, _)| *slot as usize + 1)
+            .max()
+            .unwrap_or(0);
+        if params.len() != arity {
+            return Err(ParamError::Arity {
+                expected: arity,
+                got: params.len(),
+            });
+        }
+        if arity == 0 {
+            return Ok(Cow::Borrowed(self));
+        }
+        let mut plan = self.clone();
+        for e in plan.nodes.iter_mut().filter_map(Node::expr_mut) {
+            *e = e.bind_params(params)?;
+        }
+        Ok(Cow::Owned(plan))
+    }
+
     // ----- builder conveniences (used by the compiler, the SQL binder and
     // ----- by tests; they keep call sites readable) -----
 
@@ -330,7 +387,7 @@ impl Plan {
     pub fn table(
         &mut self,
         name: impl Into<String>,
-        cols: Vec<(ColName, crate::value::Ty)>,
+        cols: Vec<(ColName, Ty)>,
         keys: Vec<ColName>,
     ) -> NodeId {
         self.add(Node::TableRef {
@@ -449,7 +506,7 @@ pub fn cn(s: &str) -> ColName {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Ty;
+    use crate::expr::BinOp;
 
     #[test]
     fn arena_is_topologically_ordered() {
@@ -492,6 +549,74 @@ mod tests {
     #[should_panic]
     fn join_cols_must_pair() {
         let _ = JoinCols::new(vec![cn("a")], vec![]);
+    }
+
+    /// `SELECT … WHERE x >= $1 AND n = $2` over `(x Int, n Nat)`.
+    fn template() -> (Plan, NodeId) {
+        let mut p = Plan::new();
+        let t = p.lit(
+            Schema::of(&[("x", Ty::Int), ("n", Ty::Nat)]),
+            vec![vec![Value::Int(5), Value::Nat(1)]],
+        );
+        let pred = Expr::and(
+            Expr::bin(BinOp::Ge, Expr::col("x"), Expr::Param(0, Ty::Int)),
+            Expr::eq(Expr::col("n"), Expr::Param(1, Ty::Nat)),
+        );
+        let s = p.select(t, pred);
+        (p, s)
+    }
+
+    #[test]
+    fn bind_params_replaces_every_slot_with_a_constant() {
+        let (p, s) = template();
+        assert_eq!(p.params(), vec![(0, Ty::Int), (1, Ty::Nat)]);
+        // an Int >= 0 binds to a Nat slot, as a literal would
+        let bound = p.bind_params(&[Value::Int(3), Value::Int(1)]).unwrap();
+        assert!(bound.params().is_empty());
+        let Node::Select { pred, .. } = bound.node(s) else {
+            panic!()
+        };
+        assert_eq!(pred.to_string(), "((x >= 3) AND (n = @1))");
+        // the template itself is untouched
+        assert_eq!(p.params().len(), 2);
+    }
+
+    #[test]
+    fn bind_params_refuses_wrong_arity_and_types() {
+        let (p, _) = template();
+        assert_eq!(
+            p.bind_params(&[Value::Int(3)]).unwrap_err(),
+            ParamError::Arity {
+                expected: 2,
+                got: 1
+            }
+        );
+        assert!(matches!(
+            p.bind_params(&[Value::Int(3), Value::Nat(1), Value::Int(0)]),
+            Err(ParamError::Arity { .. })
+        ));
+        assert_eq!(
+            p.bind_params(&[Value::str("3"), Value::Nat(1)])
+                .unwrap_err(),
+            ParamError::Type {
+                slot: 0,
+                expected: Ty::Int,
+                got: Ty::Str
+            }
+        );
+        // a negative Int is no surrogate
+        assert!(matches!(
+            p.bind_params(&[Value::Int(3), Value::Int(-1)]),
+            Err(ParamError::Type { slot: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn parameterless_plans_bind_to_themselves() {
+        let mut p = Plan::new();
+        p.lit(Schema::of(&[("x", Ty::Int)]), vec![]);
+        assert!(matches!(p.bind_params(&[]), Ok(Cow::Borrowed(_))));
+        assert!(p.bind_params(&[Value::Int(1)]).is_err());
     }
 
     #[test]

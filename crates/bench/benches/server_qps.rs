@@ -1,12 +1,17 @@
 //! Loopback throughput of the wire protocol: prepared re-execution
-//! through `ferry-server`, one client and four concurrent clients.
+//! through `ferry-server` — one client, four concurrent clients, and one
+//! client whose parameter changes on every execution.
 //!
 //! What one iteration pays: frame encode/decode both ways, one
 //! statement-slot admission on the session's thread, one plan-cache
 //! hit, one engine dispatch over a pinned snapshot, and the chunked
-//! result stream back. The 4-client variant measures four sessions
-//! running their statements at once under the default four slots (on a
-//! 1-core host this is interleaving, not parallelism).
+//! result stream back (≈ 500 rows). The 4-client variant measures four
+//! sessions running their statements at once under the default four
+//! slots (on a 1-core host this is interleaving, not parallelism). The
+//! varying-parameter variant runs the same statement as a template,
+//! `WHERE n.v >= $1` with `$1` cycling through 0..1000: every execution
+//! is still the one plan-cache hit, plus binding `$1` into a copy of the
+//! plan — so it should sit within noise of the fixed statement.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ferry::Connection;
@@ -19,6 +24,8 @@ use std::sync::mpsc;
 const ROWS: i64 = 1000;
 const STMT: &str = "SELECT n.k AS k, n.v AS v FROM nums AS n \
                     WHERE n.v >= 500 ORDER BY k ASC;";
+const TEMPLATE: &str = "SELECT n.k AS k, n.v AS v FROM nums AS n \
+                        WHERE n.v >= $1 ORDER BY k ASC;";
 
 fn start_server() -> ServerHandle {
     let db = Database::new();
@@ -89,6 +96,24 @@ fn bench_server_qps(c: &mut Criterion) {
         group.bench_function(format!("qps_1client/{ROWS}"), |b| {
             b.iter(|| {
                 let rs = client.execute(stmt, &[]).unwrap();
+                black_box(rs.rows.len())
+            })
+        });
+        let _ = client.close();
+    }
+
+    {
+        let mut client = Client::connect(addr).unwrap();
+        let (stmt, _) = client.prepare(TEMPLATE).unwrap();
+        let mut v = 0;
+        group.bench_function(format!("qps_varying_params/{ROWS}"), |b| {
+            b.iter(|| {
+                // a stride coprime to ROWS visits every value, and the
+                // shim's ~20 timed iterations spread over the whole
+                // range (≈ 500 rows at the median, like STMT) instead
+                // of sitting at its low end
+                v = (v + 617) % ROWS;
+                let rs = client.execute(stmt, &[Value::Int(v)]).unwrap();
                 black_box(rs.rows.len())
             })
         });

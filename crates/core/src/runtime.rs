@@ -441,9 +441,10 @@ impl Connection {
 
     /// Cap the plan cache at `capacity` bundles (least-recently-used
     /// eviction; minimum 1). The default is 1024 — bounded so workloads
-    /// that compile many distinct statements (e.g. wire statements whose
-    /// parameters are substituted into the text) cannot grow server
-    /// memory without limit.
+    /// that compile many distinct statements or programs (a wire client
+    /// may send any number of distinct SQL texts; a statement's varying
+    /// parameters share its one entry) cannot grow server memory without
+    /// limit.
     pub fn set_plan_cache_capacity(&self, capacity: usize) {
         let mut cache = self.cache.lock().unwrap();
         cache.capacity = capacity.max(1);

@@ -17,6 +17,9 @@ pub enum EngineError {
     NoSuchColumn { col: String, schema: String },
     /// A runtime evaluation error (division by zero, numeric overflow, …).
     Eval(String),
+    /// The plan still holds statement parameter `slot` (0-based): a
+    /// template dispatched without `Plan::bind_params`.
+    UnboundParam(u32),
     /// The durability layer failed (WAL append, fsync, recovery). The
     /// in-memory catalog is unchanged when a mutation reports this —
     /// mutations log before they apply.
@@ -35,6 +38,9 @@ impl fmt::Display for EngineError {
                 write!(f, "no such column {col} in schema {schema}")
             }
             EngineError::Eval(m) => write!(f, "evaluation error: {m}"),
+            EngineError::UnboundParam(slot) => {
+                write!(f, "parameter ${} was never bound", *slot as u64 + 1)
+            }
             EngineError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }

@@ -22,7 +22,9 @@ pub enum Bound {
 /// Resolve column names in `expr` against `schema`. Plans are validated
 /// before execution, so a missing column means a malformed plan slipped
 /// past (or around) schema inference — reported as
-/// [`EngineError::NoSuchColumn`], never a panic.
+/// [`EngineError::NoSuchColumn`], never a panic. Parameters are bound
+/// before dispatch; one that is still here is
+/// [`EngineError::UnboundParam`].
 pub fn bind(expr: &Expr, schema: &Schema) -> Result<Bound, EngineError> {
     match expr {
         Expr::Col(c) => {
@@ -47,6 +49,7 @@ pub fn bind(expr: &Expr, schema: &Schema) -> Result<Bound, EngineError> {
             Box::new(bind(e, schema)?),
         )),
         Expr::Cast(ty, e) => Ok(Bound::Cast(*ty, Box::new(bind(e, schema)?))),
+        Expr::Param(slot, _) => Err(EngineError::UnboundParam(*slot)),
     }
 }
 
@@ -244,6 +247,12 @@ mod tests {
             Err(EngineError::NoSuchColumn { col, .. }) => assert_eq!(col, "ghost"),
             other => panic!("expected NoSuchColumn, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_unbound_parameter_is_an_error_not_a_panic() {
+        let e = Expr::bin(BinOp::Ge, Expr::col("a"), Expr::Param(1, Ty::Int));
+        assert_eq!(run(e).unwrap_err(), EngineError::UnboundParam(1));
     }
 
     #[test]

@@ -507,6 +507,8 @@ impl Compiler<'_> {
                 self.instrs.push(Instr::CastVal { ty: *ty, a, dst });
                 Some((dst, *ty))
             }
+            // unbound: the scalar path reports it
+            Expr::Param(..) => None,
         }
     }
 
@@ -574,6 +576,7 @@ impl Compiler<'_> {
 fn infallible(e: &Expr, schema: &Schema) -> bool {
     match e {
         Expr::Col(_) | Expr::Const(_) => true,
+        Expr::Param(..) => false,
         Expr::Bin(op, l, r) => {
             if !infallible(l, schema) || !infallible(r, schema) {
                 return false;

@@ -487,6 +487,29 @@ fn dag_sharing_evaluates_shared_node_once() {
     assert_eq!(db.stats().nodes_evaluated, 5);
 }
 
+/// Parameters are bound before dispatch: a template that reaches the
+/// engine anyway is a typed error on every path, never a panic.
+#[test]
+fn an_unbound_parameter_is_a_typed_error() {
+    use ferry_engine::{EngineError, ParConfig, VecMode};
+    let db = db();
+    for vec in [VecMode::Off, VecMode::Force] {
+        db.set_par_config(ParConfig { vec });
+        let mut p = Plan::new();
+        let t = emp_ref(&mut p);
+        let pred = Expr::bin(BinOp::Ge, Expr::col("sal"), Expr::Param(0, Ty::Int));
+        let sel = p.select(t, pred);
+        let c = p.compute(sel, "x", Expr::Param(0, Ty::Int));
+        for root in [sel, c] {
+            assert_eq!(
+                db.execute(&p, root).unwrap_err(),
+                EngineError::UnboundParam(0),
+                "{vec:?}"
+            );
+        }
+    }
+}
+
 /// `vec_nodes` counts plan nodes the way `nodes_evaluated` does: every
 /// member of a chain whose kernels ran, not one per evaluation. A
 /// project-only chain into a composite-key join rides the typed probe; into

@@ -142,10 +142,11 @@ pub fn fold_constants(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
 
 /// Conservative expression simplification: never turns a non-erroring
 /// expression into an erroring one or vice versa (division by zero etc. is
-/// left in place).
+/// left in place). A parameter is an opaque leaf: its value differs per
+/// dispatch, so nothing folds through it.
 pub fn simplify(e: &Expr) -> Expr {
     match e {
-        Expr::Col(_) | Expr::Const(_) => e.clone(),
+        Expr::Col(_) | Expr::Const(_) | Expr::Param(..) => e.clone(),
         Expr::Un(UnOp::Not, x) => match simplify(x) {
             Expr::Const(Value::Bool(b)) => Expr::Const(Value::Bool(!b)),
             Expr::Un(UnOp::Not, inner) => (*inner).clone(),
@@ -649,4 +650,89 @@ pub(crate) fn prune_columns_with(
         let id = out.add(produced);
         Emit::Forward(out.project(id, cols))
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::props;
+    use ferry_algebra::plan::cn;
+    use ferry_algebra::{Dir, Row, Ty};
+    use ferry_engine::Database;
+
+    /// `σ(k = key)(t) ⋈_{k = k2} [(1, 'one')]`, plus `w = v + key`.
+    fn keyed(key: Expr) -> (Plan, NodeId, NodeId) {
+        let mut p = Plan::new();
+        let t = p.table(
+            "t",
+            vec![(cn("k"), Ty::Int), (cn("v"), Ty::Int)],
+            vec![cn("k")],
+        );
+        let sel = p.select(t, Expr::eq(Expr::col("k"), key.clone()));
+        let one = p.lit(
+            Schema::of(&[("k2", Ty::Int), ("tag", Ty::Str)]),
+            vec![vec![Value::Int(1), Value::str("one")]],
+        );
+        let j = p.equi_join(sel, one, JoinCols::single("k", "k2"));
+        let c = p.compute(j, "w", Expr::bin(BinOp::Add, Expr::col("v"), key));
+        let cols = ["k", "v", "w", "tag"].map(cn).to_vec();
+        let root = p.serialize(c, vec![(cn("v"), Dir::Asc)], cols);
+        (p, sel, root)
+    }
+
+    fn run(db: &Database, plan: &Plan, root: NodeId) -> Vec<Row> {
+        db.snapshot()
+            .execute(plan, root)
+            .unwrap()
+            .rows()
+            .into_owned()
+    }
+
+    #[test]
+    fn a_parameter_is_never_folded_nor_a_known_constant() {
+        let param = Expr::Param(0, Ty::Int);
+        // no folding through a parameter, where a literal folds
+        let cmp = Expr::eq(param.clone(), Expr::lit(3i64));
+        assert_eq!(simplify(&cmp), cmp);
+        assert_eq!(
+            simplify(&Expr::eq(Expr::lit(3i64), Expr::lit(3i64))),
+            Expr::lit(true)
+        );
+        // σ(k = $1) plants no constant; its literal twin does
+        let (p, sel, _) = keyed(param.clone());
+        assert_eq!(props::infer(&p).unwrap()[sel.index()].const_of("k"), None);
+        let (p, sel, _) = keyed(Expr::lit(2i64));
+        assert_eq!(
+            props::infer(&p).unwrap()[sel.index()].const_of("k"),
+            Some(&Value::Int(2))
+        );
+
+        // the optimized template, bound, is its optimized literal twin
+        let db = Database::new();
+        db.create_table(
+            "t",
+            Schema::of(&[("k", Ty::Int), ("v", Ty::Int)]),
+            vec!["k"],
+        )
+        .unwrap();
+        let rows = [(1, 10), (1, 20), (2, 30), (3, 40)];
+        db.insert(
+            "t",
+            rows.iter()
+                .map(|&(k, v)| vec![Value::Int(k), Value::Int(v)])
+                .collect(),
+        )
+        .unwrap();
+        let (p, _, root) = keyed(param);
+        let (template, roots) = crate::optimize(&p, &[root]);
+        assert!(!template.params().is_empty());
+        for k in [1i64, 2] {
+            let bound = template.bind_params(&[Value::Int(k)]).unwrap();
+            let (lp, _, lroot) = keyed(Expr::lit(k));
+            let (twin, troots) = crate::optimize(&lp, &[lroot]);
+            let got = run(&db, &bound, roots[0]);
+            assert_eq!(got, run(&db, &twin, troots[0]), "k = {k}");
+            assert_eq!(got.len(), if k == 1 { 2 } else { 0 });
+        }
+    }
 }

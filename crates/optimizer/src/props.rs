@@ -20,7 +20,7 @@
 //! | `Attach` | + the new column | kept | kept |
 //! | `Compute` | + the column, if its inputs are constant and it folds | kept | kept |
 //! | `Project`, `Serialize` | of retained columns | kept | those fully retained |
-//! | `Select` | + `col = lit` conjuncts | lost (`∅` key stays) | kept |
+//! | `Select` | + `col = lit` conjuncts (a parameter is no literal) | lost (`∅` key stays) | kept |
 //! | `Distinct` | kept | kept | + all columns |
 //! | `RowNum` | kept; `@1` over ≤ 1 row | kept | + `part ∪ {col}` |
 //! | `RowRank`, `DenseRank` | kept; `@1` over ≤ 1 row | kept | kept |

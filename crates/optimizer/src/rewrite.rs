@@ -113,7 +113,7 @@ impl Schemas {
 pub(crate) fn map_cols(e: &Expr, f: &impl Fn(&ColName) -> Option<Expr>) -> Option<Expr> {
     Some(match e {
         Expr::Col(c) => f(c)?,
-        Expr::Const(_) => e.clone(),
+        Expr::Const(_) | Expr::Param(..) => e.clone(),
         Expr::Bin(op, l, r) => Expr::Bin(*op, Arc::new(map_cols(l, f)?), Arc::new(map_cols(r, f)?)),
         Expr::Un(op, x) => Expr::Un(*op, Arc::new(map_cols(x, f)?)),
         Expr::Case(c, t, e) => Expr::Case(

@@ -19,11 +19,15 @@ pub const PROTO_VERSION: u8 = 1;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Compile SQL text into a session-held prepared statement.
-    /// Placeholders `$1..$n` take [`Value`] parameters at execute time.
+    /// Placeholders `$1..$n` are typed parameters of the one compiled
+    /// plan; they take [`Value`]s at execute time.
     Prepare { sql: String },
-    /// Execute a prepared statement with positional parameters.
+    /// Execute a prepared statement: `params[i]` is bound to `$(i+1)` in
+    /// the statement's cached plan — no text is re-parsed. A wrong
+    /// count or a value of the wrong type is an `Sql` error.
     Execute { stmt: u32, params: Vec<Value> },
-    /// One-shot prepare + execute (still plan-cached by content).
+    /// One-shot prepare + execute (still plan-cached by content, so a
+    /// repeated template with new `params` is a cache hit).
     Query { sql: String, params: Vec<Value> },
     /// Fetch the Prometheus exposition of the server's registry.
     Metrics,
@@ -34,10 +38,8 @@ pub enum Request {
 /// What the server answers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// `Prepare` succeeded. For parameterless statements `schema` is the
-    /// statement's result schema; parameterised statements defer
-    /// inference to execute time and report an empty schema here (the
-    /// `ResultHeader` always carries the real one).
+    /// `Prepare` succeeded; `schema` is the statement's result schema,
+    /// parameterised or not.
     PrepareOk { stmt: u32, schema: Schema },
     /// First frame of a result stream.
     ResultHeader { schema: Schema },
@@ -61,7 +63,7 @@ pub enum ErrorCode {
     /// The request could not be decoded (bad tag, bad body).
     Malformed = 1,
     /// Decodable but outside what this server supports (wrong protocol
-    /// version, unsupported parameter type).
+    /// version).
     Unsupported = 2,
     /// `Execute` named a statement id this session never prepared.
     UnknownStatement = 3,

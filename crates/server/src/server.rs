@@ -25,7 +25,7 @@
 use crate::frame::{self, FrameError, Poll};
 use crate::proto::{self, ErrorCode, ProtoError, Request, Response};
 use crate::session::{
-    prepare_statement, run_statement, Reject, SessionInfo, SessionRegistry, Statements,
+    prepare_sql, run_statement, Reject, SessionInfo, SessionRegistry, Statements,
 };
 use ferry::Connection;
 use ferry_algebra::{Row, Schema};
@@ -553,10 +553,10 @@ fn handle_request(
         }
         Request::Prepare { sql } => {
             let result = statement_gate(shared)
-                .and_then(|()| admitted(shared, info, || prepare_statement(&shared.conn, &sql)));
+                .and_then(|()| admitted(shared, info, || prepare_sql(&shared.conn, &sql)));
             let resp = match result {
-                Ok((nparams, schema)) => {
-                    let stmt = stmts.insert(Arc::from(sql.as_str()), nparams);
+                Ok((_, schema)) => {
+                    let stmt = stmts.insert(Arc::from(sql.as_str()));
                     info.statements.store(stmts.len() as i64, Ordering::Relaxed);
                     Response::PrepareOk { stmt, schema }
                 }
@@ -569,10 +569,8 @@ fn handle_request(
         Request::Execute { stmt, params } => {
             let result = statement_gate(shared)
                 .and_then(|()| stmts.get(stmt))
-                .and_then(|prepared| {
-                    admitted(shared, info, || {
-                        run_statement(&shared.conn, &prepared.sql, prepared.params, &params)
-                    })
+                .and_then(|sql| {
+                    admitted(shared, info, || run_statement(&shared.conn, &sql, &params))
                 });
             let ok = respond_result(stream, shared, result);
             finish_request(shared, info, started);
@@ -580,10 +578,7 @@ fn handle_request(
         }
         Request::Query { sql, params } => {
             let result = statement_gate(shared).and_then(|()| {
-                admitted(shared, info, || {
-                    let nparams = crate::session::placeholder_count(&sql)?;
-                    run_statement(&shared.conn, &sql, nparams, &params)
-                })
+                admitted(shared, info, || run_statement(&shared.conn, &sql, &params))
             });
             let ok = respond_result(stream, shared, result);
             finish_request(shared, info, started);

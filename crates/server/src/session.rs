@@ -10,23 +10,21 @@
 //! so wire statements share the runtime plan cache with DSL programs
 //! and show up (with hit counts) in `ferry.plan_cache`.
 //!
-//! Parameters are positional `$1..$n` placeholders, substituted into
-//! the statement text as SQL literals *before* the cache lookup:
-//! repeating an execution with identical parameters is a cache hit,
-//! different parameters compile (and cache) their own plan. The plan
-//! cache is capacity-bounded with LRU eviction, so a workload (or a
-//! hostile client) cycling through distinct parameter values recycles
-//! cache slots instead of growing server memory without bound. String
-//! parameters are escaped by quote doubling; the supported dialect is
-//! ASCII, so non-ASCII strings are refused with a typed error rather
-//! than silently mangled.
+//! Parameters are positional `$1..$n` placeholders. A statement compiles
+//! once, as a template: the binder types each `$n` and the plan holds it
+//! as `Expr::Param`. `Prepare` compiles it and reports its real result
+//! schema; every `Execute` (or parameterised `Query`) fetches that one
+//! plan from the cache and binds its values into a copy
+//! (`Plan::bind_params`) before dispatch. A parameter is a value, never
+//! text, so any `Value` of the slot's type is accepted; a wrong arity or
+//! type is a typed `Sql` refusal.
 
 use crate::proto::{ErrorCode, Response};
 use ferry::shred::{CompiledBundle, QueryDesc, VLayout};
 use ferry::{Connection, FerryError};
-use ferry_algebra::{validate, Row, Schema, Ty, Value};
+use ferry_algebra::{validate, Plan, Row, Schema, Ty, Value};
 use ferry_engine::DispatchCtx;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -160,19 +158,22 @@ fn sql_reject(e: impl std::fmt::Display) -> Reject {
     Reject::new(ErrorCode::Sql, e.to_string())
 }
 
-/// Parse + bind `sql` and wrap the plan as a single-query
-/// [`CompiledBundle`] so it can live in the runtime plan cache and
-/// dispatch with full `ferry.queries` attribution.
+/// Parse + bind `sql` — a template: its `$n` stay parameters — and wrap
+/// the optimized plan as a single-query [`CompiledBundle`] so it can live
+/// in the runtime plan cache and dispatch with full `ferry.queries`
+/// attribution.
 fn compile_sql(conn: &Connection, sql: &str, hash: u64) -> Result<CompiledBundle, FerryError> {
     let snap = conn.snapshot();
     let stmt = ferry_sql::parser::parse(sql).map_err(|e| FerryError::Engine(e.to_string()))?;
     let (plan, root) =
         ferry_sql::binder::bind(&snap, &stmt).map_err(|e| FerryError::Engine(e.to_string()))?;
     let (plan, root, opt) = match conn.plan_rewriter() {
-        Some(rw) => {
-            let (plan, roots, report) = rw(&plan, &[root]);
-            (plan, roots[0], report)
-        }
+        // the plan states its own arity (`Plan::bind_params`), so a
+        // rewrite that folded a parameter away is not taken
+        Some(rw) => match rw(&plan, &[root]) {
+            (opt, roots, report) if slots(&opt) == slots(&plan) => (opt, roots[0], report),
+            _ => (plan, root, None),
+        },
         None => (plan, root, None),
     };
     Ok(CompiledBundle {
@@ -188,8 +189,15 @@ fn compile_sql(conn: &Connection, sql: &str, hash: u64) -> Result<CompiledBundle
     })
 }
 
+/// The parameter slots a plan references.
+fn slots(plan: &Plan) -> BTreeSet<u32> {
+    plan.params().into_iter().map(|(slot, _)| slot).collect()
+}
+
 /// Compile-or-fetch `sql` through the shared plan cache; returns the
-/// bundle and its statically inferred result schema.
+/// bundle and its statically inferred result schema. Keyed by the
+/// template text, so every execution of a statement — whatever its
+/// parameters — fetches the one plan.
 pub(crate) fn prepare_sql(conn: &Connection, sql: &str) -> SResult<(Arc<CompiledBundle>, Schema)> {
     let hash = sql_hash(sql);
     // the statement text rides along as the collision guard: a cache
@@ -203,202 +211,46 @@ pub(crate) fn prepare_sql(conn: &Connection, sql: &str) -> SResult<(Arc<Compiled
     Ok((bundle, schema))
 }
 
-/// Execute `sql` (already parameter-substituted) against a freshly
-/// pinned MVCC snapshot. One call = one engine dispatch = one
-/// internally consistent response.
-pub(crate) fn run_sql(conn: &Connection, sql: &str) -> SResult<(Schema, Vec<Row>)> {
+/// The work of `Execute`/`Query`: fetch the template's plan, bind
+/// `params` into it, and run it against a freshly pinned MVCC snapshot.
+/// One call = one engine dispatch = one internally consistent response.
+pub(crate) fn run_statement(
+    conn: &Connection,
+    sql: &str,
+    params: &[Value],
+) -> SResult<(Schema, Vec<Row>)> {
     let (bundle, schema) = prepare_sql(conn, sql)?;
+    let plan = bundle.plan.bind_params(params).map_err(sql_reject)?;
     let snap = conn.snapshot();
     let ctx = DispatchCtx {
         plan_hash: bundle.exp_hash,
         opt: bundle.opt.as_ref(),
     };
     let rels = snap
-        .execute_bundle_ctx(&bundle.plan, &[bundle.queries[0].root], ctx)
+        .execute_bundle_ctx(&plan, &[bundle.queries[0].root], ctx)
         .map_err(sql_reject)?;
     let rel = rels.into_iter().next().expect("one root, one relation");
     Ok((schema, rel.rows().into_owned()))
 }
 
-// ------------------------------------------------------------ parameters
-
-/// Largest placeholder number a statement may reference. The cap keeps
-/// digit accumulation overflow-free (a hostile `$9…9` with enough
-/// digits would otherwise wrap in release builds and panic in debug)
-/// and bounds per-statement parameter bookkeeping.
-pub(crate) const MAX_PLACEHOLDER: usize = 10_000;
-
-/// Read the digits of a `$n` placeholder whose `$` has just been
-/// consumed. Typed `Sql` rejections for a missing/zero number and for
-/// numbers beyond [`MAX_PLACEHOLDER`] — never a wrap or a panic.
-fn read_placeholder(chars: &mut std::iter::Peekable<std::str::Chars>) -> SResult<usize> {
-    let mut n = 0usize;
-    let mut digits = 0;
-    while let Some(d) = chars.peek().and_then(|c| c.to_digit(10)) {
-        chars.next();
-        n = n * 10 + d as usize; // cap below keeps this far from overflow
-        digits += 1;
-        if n > MAX_PLACEHOLDER {
-            return Err(Reject::new(
-                ErrorCode::Sql,
-                format!("placeholder number exceeds the ${MAX_PLACEHOLDER} limit"),
-            ));
-        }
-    }
-    if digits == 0 || n == 0 {
-        return Err(Reject::new(
-            ErrorCode::Sql,
-            "`$` must be followed by a positional parameter number (1-based)",
-        ));
-    }
-    Ok(n)
-}
-
-/// Highest `$n` placeholder referenced in `sql` (0 = parameterless).
-/// String literals are skipped; a `$` not followed by a digit is a
-/// malformed statement.
-pub(crate) fn placeholder_count(sql: &str) -> SResult<usize> {
-    let mut max = 0usize;
-    let mut chars = sql.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '\'' => {
-                // consume the literal; '' is an escaped quote
-                loop {
-                    match chars.next() {
-                        None => {
-                            return Err(Reject::new(ErrorCode::Sql, "unterminated string literal"))
-                        }
-                        Some('\'') => {
-                            if chars.peek() == Some(&'\'') {
-                                chars.next();
-                            } else {
-                                break;
-                            }
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-            '$' => {
-                max = max.max(read_placeholder(&mut chars)?);
-            }
-            _ => {}
-        }
-    }
-    Ok(max)
-}
-
-/// Render one parameter as a SQL literal of the supported dialect.
-fn render_param(v: &Value) -> SResult<String> {
-    match v {
-        Value::Int(i) => Ok(i.to_string()),
-        Value::Bool(true) => Ok("TRUE".to_string()),
-        Value::Bool(false) => Ok("FALSE".to_string()),
-        Value::Dbl(d) => {
-            if !d.is_finite() {
-                return Err(Reject::new(
-                    ErrorCode::Unsupported,
-                    "non-finite double parameters are not expressible as SQL literals",
-                ));
-            }
-            // {:?} is the shortest round-tripping spelling; it always
-            // carries a '.' or an exponent, so it lexes as a float
-            Ok(format!("{d:?}"))
-        }
-        Value::Str(s) => {
-            if !s.is_ascii() {
-                return Err(Reject::new(
-                    ErrorCode::Unsupported,
-                    "non-ASCII string parameters are not supported by the dialect",
-                ));
-            }
-            Ok(format!("'{}'", s.replace('\'', "''")))
-        }
-        Value::Unit | Value::Nat(_) => Err(Reject::new(
-            ErrorCode::Unsupported,
-            format!("{v:?} is not usable as a statement parameter"),
-        )),
-    }
-}
-
-/// Substitute `$1..$n` placeholders with `params` rendered as literals.
-/// Placeholders inside string literals are left alone.
-pub(crate) fn substitute(sql: &str, params: &[Value]) -> SResult<String> {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '\'' => {
-                out.push('\'');
-                loop {
-                    match chars.next() {
-                        None => {
-                            return Err(Reject::new(ErrorCode::Sql, "unterminated string literal"))
-                        }
-                        Some('\'') => {
-                            out.push('\'');
-                            if chars.peek() == Some(&'\'') {
-                                out.push('\'');
-                                chars.next();
-                            } else {
-                                break;
-                            }
-                        }
-                        Some(c) => out.push(c),
-                    }
-                }
-            }
-            '$' => {
-                let n = read_placeholder(&mut chars)?;
-                if n > params.len() {
-                    return Err(Reject::new(
-                        ErrorCode::Sql,
-                        format!(
-                            "parameter ${n} out of range (statement has {})",
-                            params.len()
-                        ),
-                    ));
-                }
-                // parenthesised so a negative literal composes under
-                // any surrounding operator
-                out.push('(');
-                out.push_str(&render_param(&params[n - 1])?);
-                out.push(')');
-            }
-            c => out.push(c),
-        }
-    }
-    Ok(out)
-}
-
 // -------------------------------------------------------------- sessions
 
-/// One prepared statement held by a session: the SQL template plus the
-/// number of positional parameters it takes.
-#[derive(Debug, Clone)]
-pub(crate) struct PreparedStmt {
-    pub sql: Arc<str>,
-    pub params: usize,
-}
-
-/// A session's statement registry. The heavy lifting happens in
-/// [`prepare_statement`] / [`run_statement`]; this struct only assigns
-/// ids and resolves them back to templates.
+/// A session's statement registry: ids to SQL templates. The plans live
+/// in the shared plan cache, keyed by the template text.
 #[derive(Debug, Default)]
 pub(crate) struct Statements {
-    held: HashMap<u32, PreparedStmt>,
+    held: HashMap<u32, Arc<str>>,
     next: u32,
 }
 
 impl Statements {
-    pub fn insert(&mut self, sql: Arc<str>, params: usize) -> u32 {
+    pub fn insert(&mut self, sql: Arc<str>) -> u32 {
         self.next += 1;
-        self.held.insert(self.next, PreparedStmt { sql, params });
+        self.held.insert(self.next, sql);
         self.next
     }
 
-    pub fn get(&self, id: u32) -> SResult<PreparedStmt> {
+    pub fn get(&self, id: u32) -> SResult<Arc<str>> {
         self.held.get(&id).cloned().ok_or_else(|| {
             Reject::new(
                 ErrorCode::UnknownStatement,
@@ -412,118 +264,9 @@ impl Statements {
     }
 }
 
-/// The work of `Prepare`: validate placeholders and (for
-/// parameterless statements) compile eagerly so errors and the result
-/// schema surface at prepare time. Parameterised statements defer
-/// compilation to execute time — their literals aren't known yet — and
-/// report an empty schema.
-pub(crate) fn prepare_statement(conn: &Connection, sql: &str) -> SResult<(usize, Schema)> {
-    let nparams = placeholder_count(sql)?;
-    if nparams == 0 {
-        let (_, schema) = prepare_sql(conn, sql)?;
-        Ok((0, schema))
-    } else {
-        Ok((nparams, Schema::new(Vec::new())))
-    }
-}
-
-/// The work of `Execute`/`Query`: substitute, compile-or-fetch,
-/// dispatch.
-pub(crate) fn run_statement(
-    conn: &Connection,
-    sql: &str,
-    nparams: usize,
-    params: &[Value],
-) -> SResult<(Schema, Vec<Row>)> {
-    if params.len() != nparams {
-        return Err(Reject::new(
-            ErrorCode::Sql,
-            format!(
-                "statement expects {nparams} parameters, got {}",
-                params.len()
-            ),
-        ));
-    }
-    let text: String;
-    let sql = if nparams == 0 {
-        sql
-    } else {
-        text = substitute(sql, params)?;
-        &text
-    };
-    run_sql(conn, sql)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn placeholders_are_counted_outside_strings() {
-        assert_eq!(placeholder_count("SELECT 1 AS x").unwrap(), 0);
-        assert_eq!(placeholder_count("SELECT $1 AS x, $2 AS y").unwrap(), 2);
-        assert_eq!(placeholder_count("SELECT '$9' AS x, $3 AS y").unwrap(), 3);
-        assert!(placeholder_count("SELECT $ AS x").is_err());
-        assert!(placeholder_count("SELECT $0 AS x").is_err());
-        assert!(placeholder_count("SELECT 'oops").is_err());
-    }
-
-    #[test]
-    fn huge_placeholder_numbers_are_typed_rejections_not_overflows() {
-        // enough digits to overflow u64 accumulation if unchecked
-        let sql = "SELECT $99999999999999999999999 AS x";
-        let r = placeholder_count(sql);
-        assert!(
-            matches!(r, Err(ref rej) if rej.code == ErrorCode::Sql),
-            "{r:?}"
-        );
-        let r = substitute(sql, &[Value::Int(1)]);
-        assert!(
-            matches!(r, Err(ref rej) if rej.code == ErrorCode::Sql),
-            "{r:?}"
-        );
-        // the cap itself is inclusive
-        assert_eq!(
-            placeholder_count(&format!("SELECT ${MAX_PLACEHOLDER} AS x")).unwrap(),
-            MAX_PLACEHOLDER
-        );
-        assert!(placeholder_count(&format!("SELECT ${} AS x", MAX_PLACEHOLDER + 1)).is_err());
-    }
-
-    #[test]
-    fn substitution_renders_literals() {
-        let out = substitute(
-            "SELECT $1 AS a, $2 AS b, $3 AS c, $4 AS d",
-            &[
-                Value::Int(-5),
-                Value::str("it's"),
-                Value::Bool(true),
-                Value::Dbl(1.5),
-            ],
-        )
-        .unwrap();
-        assert_eq!(
-            out,
-            "SELECT (-5) AS a, ('it''s') AS b, (TRUE) AS c, (1.5) AS d"
-        );
-        // placeholders inside string literals survive untouched
-        let out = substitute("SELECT '$1' AS a, $1 AS b", &[Value::Int(7)]).unwrap();
-        assert_eq!(out, "SELECT '$1' AS a, (7) AS b");
-    }
-
-    #[test]
-    fn unsupported_parameters_are_typed_rejections() {
-        for v in [Value::Unit, Value::Nat(3)] {
-            let r = substitute("SELECT $1 AS x", &[v]);
-            assert!(matches!(r, Err(ref rej) if rej.code == ErrorCode::Unsupported));
-        }
-        let r = substitute("SELECT $1 AS x", &[Value::Dbl(f64::NAN)]);
-        assert!(matches!(r, Err(ref rej) if rej.code == ErrorCode::Unsupported));
-        let r = substitute("SELECT $1 AS x", &[Value::str("héllo")]);
-        assert!(matches!(r, Err(ref rej) if rej.code == ErrorCode::Unsupported));
-        let r = substitute("SELECT $2 AS x", &[Value::Int(1)]);
-        assert!(matches!(r, Err(ref rej) if rej.code == ErrorCode::Sql));
-    }
 
     #[test]
     fn sql_hash_is_stable_and_content_addressed() {

@@ -1,6 +1,8 @@
 //! End-to-end session behaviour over loopback: concurrent clients get
 //! byte-identical results vs in-process execution, prepared statements
-//! hit the shared plan cache, the server answers questions about itself
+//! hit the shared plan cache — one plan per statement, whatever its
+//! parameters — parameter refusals are typed, the server answers
+//! questions about itself
 //! (`ferry.connections`, metrics) over its own wire, statements run on
 //! their session's thread behind an exact admission gate, overload is a
 //! typed refusal, a panicking statement is a typed `Internal`, and
@@ -208,7 +210,7 @@ fn prepared_reexecution_hits_the_shared_plan_cache() {
 }
 
 #[test]
-fn parameterised_statements_substitute_and_execute() {
+fn parameterised_statements_bind_and_execute() {
     let (_conn, handle) = start(ServerConfig::default());
     let mut c = Client::connect(handle.addr()).unwrap();
     let (stmt, _) = c
@@ -353,25 +355,175 @@ fn overload_never_hangs_and_refusals_are_typed() {
     handle.shutdown();
 }
 
+/// The seeded `emp` rows as (dept, name, sal).
+const EMP: [(&str, &str, i64); 3] = [("eng", "ada", 90), ("eng", "bob", 70), ("ops", "cy", 50)];
+
+fn sql_refusal<T: std::fmt::Debug>(r: Result<T, ClientError>) -> String {
+    match r {
+        Err(ClientError::Server {
+            code: ErrorCode::Sql,
+            message,
+        }) => message,
+        other => panic!("expected a typed Sql refusal, got {other:?}"),
+    }
+}
+
 #[test]
-fn varying_parameters_cannot_grow_the_plan_cache_without_bound() {
+fn varying_parameters_share_one_plan() {
     let (conn, handle) = start(ServerConfig::default());
-    conn.set_plan_cache_capacity(8);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let (stmt, _) = c
+        .prepare(
+            "SELECT e.name AS who FROM emp AS e \
+             WHERE e.sal >= $1 AND e.dept = $2 ORDER BY who ASC;",
+        )
+        .unwrap();
+    let cached = conn.plan_cache_len();
+    for i in 0..200i64 {
+        let (sal, dept) = (i % 100, ["eng", "ops"][(i / 100) as usize]);
+        let rs = c
+            .execute(stmt, &[Value::Int(sal), Value::str(dept)])
+            .unwrap();
+        let want: Vec<Row> = EMP
+            .iter()
+            .filter(|(d, _, s)| *d == dept && *s >= sal)
+            .map(|(_, n, _)| vec![Value::str(*n)])
+            .collect();
+        assert_eq!(rs.rows, want, "sal >= {sal}, dept = {dept}");
+        assert_eq!(
+            conn.plan_cache_len(),
+            cached,
+            "execution {i} compiled a plan"
+        );
+    }
+    // one cache entry serves every pair: the template's, with a hit per
+    // execution (asked through a parameterised statement, too)
+    let rs = c
+        .query_params(
+            "SELECT p.hits AS hits FROM ferry.plan_cache AS p WHERE p.hits >= $1;",
+            &[Value::Int(200)],
+        )
+        .unwrap();
+    assert_eq!(rs.rows.len(), 1, "{:?}", rs.rows);
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn parameterised_prepare_reports_its_schema() {
+    let (_conn, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let (stmt, schema) = c
+        .prepare(
+            "SELECT e.name AS who, e.sal + $1 AS raised FROM emp AS e \
+             WHERE e.dept = $2 ORDER BY who ASC;",
+        )
+        .unwrap();
+    assert_eq!(schema, Schema::of(&[("who", Ty::Str), ("raised", Ty::Int)]));
+    let rs = c
+        .execute(stmt, &[Value::Int(5), Value::str("ops")])
+        .unwrap();
+    assert_eq!(rs.schema, schema);
+    assert_eq!(rs.rows, vec![vec![Value::str("cy"), Value::Int(55)]]);
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn parameter_refusals_are_typed() {
+    let (_conn, handle) = start(ServerConfig::default());
     let mut c = Client::connect(handle.addr()).unwrap();
     let (stmt, _) = c
         .prepare("SELECT e.name AS who FROM emp AS e WHERE e.sal >= $1 ORDER BY who ASC;")
         .unwrap();
-    // every distinct parameter value substitutes its own statement text
-    // (its own cache key); the LRU bound must hold regardless
-    for i in 0..50 {
-        let rs = c.execute(stmt, &[Value::Int(i)]).unwrap();
-        assert!(rs.rows.len() <= 3);
+    // wrong arity, both ways
+    sql_refusal(c.execute(stmt, &[]));
+    sql_refusal(c.execute(stmt, &[Value::Int(1), Value::Int(2)]));
+    // a Str for an Int slot
+    let msg = sql_refusal(c.execute(stmt, &[Value::str("60")]));
+    assert!(msg.contains("$1"), "{msg}");
+    // refused at Prepare: an untypable parameter, a gap in the
+    // numbering, a number beyond u32
+    for bad in [
+        "SELECT $1 AS x;",
+        "SELECT e.name AS who FROM emp AS e WHERE e.sal >= $1 AND e.sal < $3;",
+        "SELECT e.name AS who FROM emp AS e WHERE e.sal >= $99999999999999999999;",
+    ] {
+        sql_refusal(c.prepare(bad));
     }
-    assert!(
-        conn.plan_cache_len() <= 8,
-        "plan cache must stay bounded under varying parameters, len = {}",
-        conn.plan_cache_len()
-    );
+    // inside a string literal, `$1` is text: the statement takes nothing
+    let rs = c.query("SELECT '$1' AS x;").unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::str("$1")]]);
+    sql_refusal(c.query_params("SELECT '$1' AS x;", &[Value::Int(1)]));
+    // every refusal left the session intact
+    assert_eq!(c.execute(stmt, &[Value::Int(80)]).unwrap().rows.len(), 1);
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn parameters_are_values_not_text() {
+    let (conn, handle) = start(ServerConfig::default());
+    conn.database()
+        .create_table(
+            "pts",
+            Schema::of(&[("id", Ty::Int), ("x", Ty::Dbl)]),
+            vec!["id"],
+        )
+        .unwrap();
+    conn.database()
+        .insert(
+            "pts",
+            vec![
+                vec![Value::Int(1), Value::Dbl(0.125)],
+                vec![Value::Int(2), Value::Dbl(0.5)],
+                vec![Value::Int(3), Value::Dbl(-2.0)],
+            ],
+        )
+        .unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    // a non-ASCII string
+    let rs = c
+        .query_params(
+            "SELECT e.name || $1 AS tagged FROM emp AS e WHERE e.dept = 'ops';",
+            &[Value::str("·héllo ✓")],
+        )
+        .unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::str("cy·héllo ✓")]]);
+    // a Dbl against a Dbl column
+    let rs = c
+        .query_params(
+            "SELECT p.id AS id FROM pts AS p WHERE p.x < $1 ORDER BY id ASC;",
+            &[Value::Dbl(0.25)],
+        )
+        .unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Int(1)], vec![Value::Int(3)]]);
+    // an Int >= 0 against a Nat surrogate, and the Nat itself
+    let by_rank = "SELECT r.who AS who FROM \
+                   (SELECT e.name AS who, ROW_NUMBER () OVER (ORDER BY e.name ASC) AS rn_nat \
+                    FROM emp AS e) AS r WHERE r.rn_nat = $1;";
+    for v in [Value::Int(2), Value::Nat(2)] {
+        let rs = c.query_params(by_rank, &[v]).unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::str("bob")]]);
+    }
+    sql_refusal(c.query_params(by_rank, &[Value::Int(-1)]));
+    c.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn a_parameter_the_optimizer_folds_away_still_counts() {
+    let conn = seeded_connection().with_optimizer(ferry_optimizer::rewriter());
+    let handle = Server::bind(conn, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(handle.addr()).unwrap();
+    // `TRUE OR …` folds to TRUE and takes `$1` with it; the statement
+    // still takes one Int
+    let (stmt, _) = c
+        .prepare("SELECT e.name AS who FROM emp AS e WHERE TRUE OR e.sal = $1 ORDER BY who ASC;")
+        .unwrap();
+    assert_eq!(c.execute(stmt, &[Value::Int(7)]).unwrap().rows.len(), 3);
+    sql_refusal(c.execute(stmt, &[]));
+    sql_refusal(c.execute(stmt, &[Value::str("7")]));
     c.close().unwrap();
     handle.shutdown();
 }

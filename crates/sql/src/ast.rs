@@ -97,6 +97,9 @@ pub enum SqlExpr {
     Float(f64),
     Str(String),
     Bool(bool),
+    /// Statement parameter `$n` (1-based, as written). The binder types
+    /// it from the operand it meets or the `CAST` around it.
+    Param(u32),
     Bin(SqlBinOp, Box<SqlExpr>, Box<SqlExpr>),
     Not(Box<SqlExpr>),
     Neg(Box<SqlExpr>),
@@ -286,6 +289,7 @@ impl fmt::Display for SqlExpr {
             }
             SqlExpr::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
             SqlExpr::Bool(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
+            SqlExpr::Param(n) => write!(f, "${n}"),
             SqlExpr::Bin(op, l, r) => {
                 let sym = match op {
                     SqlBinOp::Add => "+",

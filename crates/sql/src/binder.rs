@@ -6,6 +6,11 @@
 //! window functions and grouped aggregation to their algebra operators,
 //! and repairs literal types against the `_nat`-suffix convention of the
 //! generated dialect.
+//!
+//! A statement parameter `$n` becomes `Expr::Param(n - 1, ty)`. Its type
+//! comes from the other operand of the binary operator it meets, or from
+//! the `CAST` around it; anywhere else it is a bind error. Every slot
+//! `$1..$max` must occur, so a statement's arity is bounded by its text.
 
 use crate::ast::*;
 use crate::SqlError;
@@ -76,7 +81,23 @@ pub fn bind(db: &Snapshot<'_>, stmt: &Statement) -> Result<(Plan, NodeId), SqlEr
         .collect::<Result<_, _>>()?;
     let cols: Vec<ColName> = schema.names().cloned().collect();
     let root = b.plan.serialize(node, order, cols);
+    check_param_slots(&b.plan)?;
     Ok((b.plan, root))
+}
+
+/// Refuse a gap in the parameter numbering (`$1` and `$3` without `$2`).
+fn check_param_slots(plan: &Plan) -> Result<(), SqlError> {
+    let mut slots: Vec<u32> = plan.params().into_iter().map(|(s, _)| s).collect();
+    slots.sort_unstable();
+    slots.dedup();
+    match slots.iter().zip(0..).find(|(s, i)| *s != i) {
+        Some((_, missing)) => Err(SqlError::Bind(format!(
+            "parameter ${} is never used, but ${} is",
+            missing + 1,
+            *slots.last().expect("a gap needs a higher slot") as u64 + 1
+        ))),
+        None => Ok(()),
+    }
 }
 
 struct Binder<'a> {
@@ -618,6 +639,7 @@ fn bind_expr_with(
         SqlExpr::Float(f) => AExpr::lit(*f),
         SqlExpr::Str(s) => AExpr::lit(s.as_str()),
         SqlExpr::Bool(b) => AExpr::lit(*b),
+        SqlExpr::Param(n) => return Err(untyped_param(*n)),
         SqlExpr::Neg(x) => AExpr::Un(UnOp::Neg, Arc::new(bind_expr_with(x, resolve, schema)?)),
         SqlExpr::Not(x) => AExpr::not(bind_expr_with(x, resolve, schema)?),
         SqlExpr::Case { when, then, els } => AExpr::case(
@@ -626,7 +648,6 @@ fn bind_expr_with(
             bind_expr_with(els, resolve, schema)?,
         ),
         SqlExpr::Cast { expr, ty } => {
-            let inner = bind_expr_with(expr, resolve, schema)?;
             let t = match ty {
                 SqlTy::Bigint => Ty::Int,
                 SqlTy::Double => Ty::Dbl,
@@ -634,6 +655,12 @@ fn bind_expr_with(
                 SqlTy::Varchar => Ty::Str,
                 SqlTy::Boolean => Ty::Bool,
             };
+            // a cast types the parameter inside it; the cast itself is
+            // then the identity
+            if let SqlExpr::Param(n) = expr.as_ref() {
+                return param(*n, t);
+            }
+            let inner = bind_expr_with(expr, resolve, schema)?;
             if matches!(t, Ty::Str | Ty::Bool) {
                 // only numeric casts occur in the dialect; a cast to the
                 // expression's own type is the identity
@@ -647,8 +674,21 @@ fn bind_expr_with(
             }
         }
         SqlExpr::Bin(op, l, r) => {
-            let mut lb = bind_expr_with(l, resolve, schema)?;
-            let mut rb = bind_expr_with(r, resolve, schema)?;
+            let bind = |e| bind_expr_with(e, resolve, schema);
+            // a parameter takes the type of the operand it meets
+            let (mut lb, mut rb) = match (l.as_ref(), r.as_ref()) {
+                (SqlExpr::Param(n), SqlExpr::Param(_)) => return Err(untyped_param(*n)),
+                (SqlExpr::Param(n), other) => {
+                    let other = bind(other)?;
+                    (param_beside(*n, &other, schema)?, other)
+                }
+                (other, SqlExpr::Param(n)) => {
+                    let other = bind(other)?;
+                    let p = param_beside(*n, &other, schema)?;
+                    (other, p)
+                }
+                (l, r) => (bind(l)?, bind(r)?),
+            };
             // literal ↔ surrogate repair: `pos = 1` compares Nat with an
             // integer literal
             let lt = lb.infer_ty(schema);
@@ -694,6 +734,27 @@ fn bind_expr_with(
             return Err(SqlError::Bind("aggregate outside GROUP BY binding".into()))
         }
     })
+}
+
+/// Parameter `$n` (1-based) of type `ty`.
+fn param(n: u32, ty: Ty) -> Result<AExpr, SqlError> {
+    let slot = n
+        .checked_sub(1)
+        .ok_or_else(|| SqlError::Bind("parameters are numbered from $1".into()))?;
+    Ok(AExpr::Param(slot, ty))
+}
+
+/// Parameter `$n` typed by the operand `other` it meets.
+fn param_beside(n: u32, other: &AExpr, schema: &Schema) -> Result<AExpr, SqlError> {
+    let ty = other.infer_ty(schema).ok_or_else(|| untyped_param(n))?;
+    param(n, ty)
+}
+
+fn untyped_param(n: u32) -> SqlError {
+    SqlError::Bind(format!(
+        "cannot infer the type of parameter ${n}: compare it with, or compute it \
+         against, a typed operand, or CAST it"
+    ))
 }
 
 /// Coerce an expression to the wanted type when a safe coercion exists.

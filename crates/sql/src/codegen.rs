@@ -580,6 +580,7 @@ impl<'a> Gen<'a> {
                 self.render_expr(x, scopes)?,
                 sql_type(*ty)?
             ),
+            Expr::Param(..) => e.to_string(),
         })
     }
 }

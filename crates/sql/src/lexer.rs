@@ -11,6 +11,8 @@ pub enum Tok {
     Int(i64),
     Float(f64),
     Str(String),
+    /// A statement parameter `$n`, numbered from 1 as written.
+    Param(u32),
     LParen,
     RParen,
     Comma,
@@ -151,6 +153,30 @@ pub fn lex(input: &str) -> Result<Vec<Tok>, SqlError> {
                 i += 1;
                 out.push(Tok::Ident(s));
             }
+            '$' => {
+                // a parameter; inside a string literal `$` is text (above)
+                let start = i + 1;
+                i = start;
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    i += 1;
+                }
+                let text = &input[start..i];
+                let n: u32 = match text.parse() {
+                    Ok(n) if n > 0 => n,
+                    Ok(_) => return Err(SqlError::Lex("parameters are numbered from $1".into())),
+                    Err(_) if text.is_empty() => {
+                        return Err(SqlError::Lex(
+                            "`$` must be followed by a parameter number".into(),
+                        ))
+                    }
+                    Err(_) => {
+                        return Err(SqlError::Lex(format!(
+                            "parameter number ${text} is out of range"
+                        )))
+                    }
+                };
+                out.push(Tok::Param(n));
+            }
             c if c.is_ascii_digit() => {
                 let start = i;
                 while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
@@ -238,6 +264,22 @@ mod tests {
         assert_eq!(toks[1], Tok::Ne);
         assert_eq!(toks[2], Tok::Float(2000.0));
         assert_eq!(toks[3], Tok::Concat);
+    }
+
+    #[test]
+    fn lexes_parameters_outside_strings() {
+        let toks = lex("x >= $1 AND y = '$2' || $10").unwrap();
+        assert_eq!(toks[2], Tok::Param(1));
+        assert_eq!(toks[6], Tok::Str("$2".into()));
+        assert_eq!(toks[8], Tok::Param(10));
+        assert_eq!(lex("$4294967295").unwrap(), vec![Tok::Param(u32::MAX)]);
+    }
+
+    #[test]
+    fn malformed_parameters_are_lex_errors() {
+        for bad in ["$", "$ 1", "$0", "$4294967296", "$99999999999999999999"] {
+            assert!(matches!(lex(bad), Err(SqlError::Lex(_))), "{bad}");
+        }
     }
 
     #[test]

@@ -374,6 +374,7 @@ impl Parser {
             Tok::Int(i) => Ok(SqlExpr::Int(i)),
             Tok::Float(f) => Ok(SqlExpr::Float(f)),
             Tok::Str(s) => Ok(SqlExpr::Str(s)),
+            Tok::Param(n) => Ok(SqlExpr::Param(n)),
             Tok::LParen => {
                 let e = self.expr()?;
                 self.expect(&Tok::RParen)?;

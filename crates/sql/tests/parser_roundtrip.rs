@@ -1,6 +1,7 @@
 //! Parser totality on the dialect: for randomised SQL ASTs,
-//! `parse(print(ast)) == ast`. This pins the parser and printer to the
-//! same grammar and guards against precedence/keyword regressions.
+//! `parse(print(ast)) == ast`, statement parameters `$n` included. This
+//! pins the parser and printer to the same grammar and guards against
+//! precedence/keyword regressions.
 
 use ferry_sql::ast::*;
 use ferry_sql::parser::parse;
@@ -20,6 +21,7 @@ fn leaf_expr() -> impl Strategy<Value = SqlExpr> {
         (0i64..100).prop_map(|i| SqlExpr::Float(i as f64 + 0.5)),
         "[a-z ]{0,6}".prop_map(SqlExpr::Str),
         any::<bool>().prop_map(SqlExpr::Bool),
+        (1u32..u32::MAX).prop_map(SqlExpr::Param),
     ]
 }
 

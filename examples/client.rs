@@ -31,13 +31,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {row:?}");
     }
 
-    // prepared statement, re-executed with different parameters — the
-    // compiled plan is cached server-side by content
+    // prepared statement, compiled once at prepare; every execution
+    // binds its parameter into that one cached plan, so the three runs
+    // below are three hits on one plan-cache entry
     let (stmt, _) = c.prepare(
         "SELECT e.name AS who, e.sal AS sal FROM emp AS e \
          WHERE e.sal >= $1 ORDER BY sal DESC;",
     )?;
-    for floor in [80, 60, 60] {
+    for floor in [80, 60, 70] {
         let rs = c.execute(stmt, &[Value::Int(floor)])?;
         println!("sal >= {floor}: {} row(s)", rs.rows.len());
     }
