@@ -28,7 +28,6 @@ fn open_db() -> (Arc<FaultFs>, Arc<Database>) {
     let vfs = Arc::new(FaultFs::new());
     let db = Database::open_vfs(
         vfs.clone() as Arc<dyn Vfs>,
-        0,
         DurabilityConfig::with_fsync(FsyncPolicy::Always),
     )
     .unwrap();

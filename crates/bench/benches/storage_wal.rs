@@ -1,7 +1,6 @@
 //! Durability-layer micro-benchmarks: commit-log append throughput under
-//! each fsync policy, and recovery by log replay vs. snapshot restore,
-//! all on the one-shard store an unsharded database is written as (each
-//! commit one frame in the commit log). Not a paper artefact — a
+//! each fsync policy, and recovery by log replay vs. snapshot restore
+//! (each commit one frame in the commit log). Not a paper artefact — a
 //! regression guard for the storage substrate.
 //!
 //! All benches run over the in-memory `FaultFs` so they measure the
@@ -39,7 +38,6 @@ fn rows(tag: usize) -> Vec<Row> {
 fn open(vfs: &Arc<FaultFs>, fsync: FsyncPolicy) -> Storage {
     Storage::open(
         vfs.clone() as Arc<dyn Vfs>,
-        1,
         DurabilityConfig::with_fsync(fsync),
         &Registry::default(),
     )
@@ -57,9 +55,7 @@ fn commit(storage: &Storage, fsync: FsyncPolicy, tag: usize) {
         idx: (first..first + ROWS as u64).collect(),
         rows: rows(tag),
     };
-    storage
-        .log_commit(Vec::new(), vec![(0, vec![rec])])
-        .expect("append");
+    storage.log_commit(Vec::new(), vec![rec]).expect("append");
     if fsync == FsyncPolicy::Always {
         storage.group_sync().expect("sync");
     }
@@ -85,7 +81,6 @@ fn prebuilt_log() -> Arc<FaultFs> {
 fn recover(vfs: &Arc<FaultFs>) -> ferry_storage::Recovered {
     Storage::open(
         vfs.clone() as Arc<dyn Vfs>,
-        1,
         DurabilityConfig::default(),
         &Registry::default(),
     )

@@ -244,30 +244,12 @@ impl Connection {
     /// Open (or create) a **durable** database rooted at `path` and wrap
     /// it in a connection: the catalog is recovered from its snapshot +
     /// commit log, and every subsequent mutation through this connection
-    /// is logged there before being acknowledged. The directory is stored
-    /// as one shard, the same format [`open_sharded`](Connection::open_sharded)
-    /// writes with `shards == 1`.
+    /// is logged there before being acknowledged.
     pub fn open_durable(
         path: impl AsRef<std::path::Path>,
         config: ferry_engine::DurabilityConfig,
     ) -> Result<Connection, FerryError> {
         Ok(Connection::new(Database::open(path, config)?))
-    }
-
-    /// [`open_durable`](Connection::open_durable) for a **hash-partitioned**
-    /// database: base tables created with a shard key spread across
-    /// `shards` shard-local snapshots (and WALs, from two shards up),
-    /// recovered in parallel.
-    /// `shards` is fixed at directory creation; reopening must pass the
-    /// same value.
-    pub fn open_sharded(
-        path: impl AsRef<std::path::Path>,
-        shards: usize,
-        config: ferry_engine::DurabilityConfig,
-    ) -> Result<Connection, FerryError> {
-        Ok(Connection::new(Database::open_sharded(
-            path, shards, config,
-        )?))
     }
 
     /// Snapshot the catalog and compact the logs. Returns the GSN the
@@ -791,15 +773,10 @@ impl Connection {
                 } else {
                     format!("pipeline[{}]", p.fused.join("\u{2192}"))
                 };
-                let shards = if p.shards_total > 0 {
-                    format!("  shards: {}/{} scanned", p.shards_scanned, p.shards_total)
-                } else {
-                    String::new()
-                };
                 let _ = writeln!(
                     out,
-                    "node {:>3}  {:<12} {:<10} {:>9} rows  {:?}{}",
-                    p.node, label, path, p.rows, p.elapsed, shards
+                    "node {:>3}  {:<12} {:<10} {:>9} rows  {:?}",
+                    p.node, label, path, p.rows, p.elapsed
                 );
             }
         }
@@ -808,13 +785,6 @@ impl Connection {
             "vec nodes: {}  kernel batches: {}  fused pipelines: {}  fused nodes: {}",
             stats.vec_nodes, stats.kernel_batches, stats.fused_pipelines, stats.fused_nodes
         );
-        if stats.shard_rows + stats.shard_pruned > 0 {
-            let _ = writeln!(
-                out,
-                "shard rows: {}  shard pruned: {}",
-                stats.shard_rows, stats.shard_pruned
-            );
-        }
         let recorded = telemetry
             .traces()
             .into_iter()

@@ -21,7 +21,6 @@ fn missing_key_column_is_an_error_not_a_panic() {
             schema: Schema::of(&[("a", Ty::Int)]),
             keys: vec!["zzz".to_string()],
             rows: std::sync::Arc::new(RowBuf::new(vec![vec![Value::Int(1)]])),
-            shard: None,
         },
     )
     .unwrap();
@@ -52,7 +51,6 @@ fn non_atomic_cell_is_an_error_not_a_panic() {
             schema: Schema::of(&[("a", Ty::Nat)]),
             keys: vec!["a".to_string()],
             rows: std::sync::Arc::new(RowBuf::new(vec![vec![Value::Nat(7)]])),
-            shard: None,
         },
     )
     .unwrap();

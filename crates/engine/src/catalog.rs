@@ -32,7 +32,6 @@
 
 use crate::error::EngineError;
 use crate::exec;
-use crate::shard::{shard_of, table_home, MAX_SHARDS};
 use crate::stats::{ProfileRing, QueryProfile, QueryStats};
 use crate::sys::{self, DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP};
 use crate::vec_eval::ParConfig;
@@ -42,7 +41,7 @@ use ferry_storage::{
     TableImage, Vfs, WalRecord,
 };
 use ferry_telemetry::{names, Counter, Gauge, Histogram, Registry, Telemetry, TelemetryConfig};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering as AtOrd};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -63,168 +62,6 @@ pub struct BaseTable {
     /// over these columns.
     pub keys: Vec<String>,
     pub rows: Arc<RowBuf>,
-    /// Hash-partition state when this table lives in a **sharded**
-    /// database (`None` in unsharded databases). Kept row-aligned with
-    /// `rows` by every insert.
-    pub shard: Option<Arc<TableShards>>,
-}
-
-/// Where each row of one table lives across a sharded database's S
-/// shards. The planner prunes scans with `sels`; the storage layer routes
-/// WAL appends and snapshot slices by the same assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableShards {
-    /// The declared partitioning column, `None` for tables created
-    /// without one — their rows all live on the `home` shard.
-    pub key: Option<String>,
-    /// Home shard of an unsharded table (stable hash of the table name).
-    pub home: u32,
-    /// Owning shard of each buffer row (aligned with `BaseTable::rows`).
-    pub shard_of: Vec<u32>,
-    /// Ascending buffer positions per shard — the pruned-scan selection
-    /// vectors. `sels.len()` is the database's shard count S.
-    pub sels: Vec<Vec<u32>>,
-    /// Lazily-built dense per-shard row buffers (the physical partitions).
-    /// A scan pruned to a *single* shard returns `dense[k]` instead of a
-    /// selection vector over the global buffer, so its chunk cache — and
-    /// everything vectorized downstream — works on contiguous data. Space
-    /// for time: populated shards duplicate their rows; any insert
-    /// invalidates ([`DenseCache`] resets on clone, `push` takes the
-    /// touched slot).
-    dense: DenseCache,
-}
-
-/// The per-shard dense-buffer cache of one [`TableShards`]. Interior
-/// mutability (`OnceLock`) lets concurrent readers race to build a
-/// partition; a manual `Clone` that yields *empty* slots keeps the
-/// copy-on-write insert path (`Arc::make_mut`) from inheriting buffers
-/// that no longer match `sels`.
-struct DenseCache(Vec<std::sync::OnceLock<Arc<RowBuf>>>);
-
-impl DenseCache {
-    fn new(shards: usize) -> DenseCache {
-        DenseCache((0..shards).map(|_| std::sync::OnceLock::new()).collect())
-    }
-}
-
-impl Clone for DenseCache {
-    fn clone(&self) -> DenseCache {
-        DenseCache::new(self.0.len())
-    }
-}
-
-impl PartialEq for DenseCache {
-    /// Caches never participate in equality — they are derived state.
-    fn eq(&self, _: &DenseCache) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for DenseCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let built: Vec<usize> = (0..self.0.len())
-            .filter(|&k| self.0[k].get().is_some())
-            .collect();
-        write!(f, "DenseCache(built: {built:?})")
-    }
-}
-
-impl BaseTable {
-    /// This table with its shard assignment (re)built for an S-shard
-    /// database by hashing every row's shard-key cell — the recovery /
-    /// install normalisation path. Errors when the declared key column
-    /// is not in the schema.
-    fn resharded(
-        mut self,
-        name: &str,
-        shard_key: Option<&str>,
-        shards: usize,
-    ) -> Result<BaseTable, EngineError> {
-        let key_idx = match shard_key {
-            Some(k) => Some(
-                self.schema
-                    .index_of(k)
-                    .ok_or_else(|| EngineError::TableMismatch {
-                        table: name.to_string(),
-                        detail: format!("shard key column {k} not in schema {}", self.schema),
-                    })?,
-            ),
-            None => None,
-        };
-        let mut sh = TableShards::new(
-            shard_key.map(String::from),
-            table_home(name, shards),
-            shards,
-        );
-        for (pos, row) in self.rows.rows().iter().enumerate() {
-            sh.push(pos as u32, key_idx.map(|c| &row[c]));
-        }
-        self.shard = Some(Arc::new(sh));
-        Ok(self)
-    }
-}
-
-impl TableShards {
-    /// Empty shard state for a new table in an S-shard database.
-    fn new(key: Option<String>, home: u32, shards: usize) -> TableShards {
-        TableShards {
-            key,
-            home,
-            shard_of: Vec::new(),
-            sels: vec![Vec::new(); shards],
-            dense: DenseCache::new(shards),
-        }
-    }
-
-    /// Route one appended row (buffer position `pos`, shard-key cell
-    /// `cell` when the table is keyed) and record it.
-    fn push(&mut self, pos: u32, cell: Option<&ferry_algebra::Value>) -> u32 {
-        let k = match (&self.key, cell) {
-            (Some(_), Some(v)) => shard_of(v, self.sels.len()),
-            _ => self.home,
-        };
-        self.shard_of.push(k);
-        self.sels[k as usize].push(pos);
-        // the shard's dense buffer (if built on this unpublished clone)
-        // no longer covers the appended row
-        self.dense.0[k as usize].take();
-        k
-    }
-
-    /// Shard `k`'s rows of `buf` as a dense buffer, in buffer order
-    /// (within-shard order equals global insert order restricted to the
-    /// shard, so a scan of this equals the selection-vector view of the
-    /// same shard). Built on first use and cached; chunk caches are
-    /// seeded by gathering whatever columns `buf` has already transposed,
-    /// so a warm table stays transposed through partitioning. A shard
-    /// holding *every* row (unkeyed tables on their home shard) shares
-    /// `buf` itself rather than copying it.
-    pub fn dense(&self, k: usize, buf: &Arc<RowBuf>, ncols: usize) -> Arc<RowBuf> {
-        let sel = &self.sels[k];
-        if sel.len() == buf.rows().len() {
-            return buf.clone();
-        }
-        self.dense.0[k]
-            .get_or_init(|| {
-                let rows = buf.rows();
-                let part = Arc::new(RowBuf::new(
-                    sel.iter().map(|&i| rows[i as usize].clone()).collect(),
-                ));
-                for col in 0..ncols {
-                    if let Some(chunk) = buf.cached_col(col) {
-                        part.seed_chunk(col, Arc::new(chunk.gather(sel)));
-                    }
-                }
-                part
-            })
-            .clone()
-    }
-
-    /// Is shard `k`'s dense partition currently built? (`ferry.shards`
-    /// residency column; purely observational, never builds.)
-    pub fn dense_resident(&self, k: usize) -> bool {
-        self.dense.0.get(k).is_some_and(|s| s.get().is_some())
-    }
 }
 
 /// Incrementally-maintained size statistics of one base table, versioned
@@ -263,9 +100,7 @@ pub struct Catalog {
 
 impl Catalog {
     /// Storage images of every table, sorted by name so identical states
-    /// write byte-identical snapshots regardless of `HashMap` order: rows
-    /// in global insert order, each tagged with its owning shard (shard 0
-    /// throughout an unsharded database, which is stored as one shard).
+    /// write byte-identical snapshots regardless of `HashMap` order.
     fn images(&self) -> Vec<TableImage> {
         let mut images: Vec<TableImage> = self
             .tables
@@ -275,13 +110,8 @@ impl Catalog {
                     name: name.clone(),
                     schema: t.schema.clone(),
                     keys: t.keys.clone(),
-                    shard_key: t.shard.as_ref().and_then(|sh| sh.key.clone()),
                 },
                 rows: t.rows.rows().to_vec(),
-                shard_of: match &t.shard {
-                    Some(sh) => sh.shard_of.clone(),
-                    None => vec![0; t.rows.len()],
-                },
             })
             .collect();
         images.sort_by(|a, b| a.def.name.cmp(&b.def.name));
@@ -357,13 +187,10 @@ pub struct Database {
     /// Dispatch id allocator (`QueryProfile::query_id`; monotone, 1-based).
     next_query_id: AtomicU64,
     /// The durability substrate, when this database was opened with
-    /// [`Database::open`] / [`Database::open_sharded`]. `None` =
-    /// in-memory only (the default). Every transaction is appended to
-    /// its logs **before** being applied in memory (log-before-ack).
+    /// [`Database::open`]. `None` = in-memory only (the default). Every
+    /// transaction is appended to its log **before** being applied in
+    /// memory (log-before-ack).
     storage: Option<Storage>,
-    /// Shard count of a hash-partitioned database (`0` = unsharded).
-    /// Set by `new_sharded` / `open_sharded`, immutable afterwards.
-    shards: u32,
     /// What recovery found and did, for databases opened durably.
     recovery: Option<RecoveryReport>,
     /// The most recent *auto*-checkpoint failure. Mutations do not surface
@@ -396,8 +223,6 @@ struct EngineMetrics {
     kernel_batches: Arc<Counter>,
     fused_pipelines: Arc<Counter>,
     fused_nodes: Arc<Counter>,
-    shard_rows: Arc<Counter>,
-    shard_pruned: Arc<Counter>,
     checkpoint_failures: Arc<Counter>,
     query_latency_ns: Arc<Histogram>,
     /// The published catalog epoch (gauge, monotone under one process).
@@ -424,8 +249,6 @@ impl EngineMetrics {
             kernel_batches: counter(names::ENGINE_KERNEL_BATCHES),
             fused_pipelines: counter(names::ENGINE_FUSED_PIPELINES),
             fused_nodes: counter(names::ENGINE_FUSED_NODES),
-            shard_rows: counter(names::ENGINE_SHARD_ROWS),
-            shard_pruned: counter(names::ENGINE_SHARD_PRUNED),
             checkpoint_failures: counter(names::STORAGE_CHECKPOINT_FAILURES),
             query_latency_ns: registry
                 .histogram(names::ENGINE_QUERY_LATENCY_NS)
@@ -467,7 +290,6 @@ impl Database {
             profiles: Mutex::new(ProfileRing::default()),
             next_query_id: AtomicU64::new(0),
             storage: None,
-            shards: 0,
             recovery: None,
             last_checkpoint_error: Mutex::new(None),
             slow: Mutex::new(VecDeque::new()),
@@ -476,66 +298,19 @@ impl Database {
         }
     }
 
-    /// An in-memory database whose base tables are hash-partitioned
-    /// across `shards` logical shards: every table routes its rows by
-    /// the stable [`crate::shard::shard_hash`], and the planner prunes
-    /// shard-key equality scans. Use
-    /// [`Database::open_sharded`] for the durable variant (one WAL +
-    /// snapshot per shard).
-    pub fn new_sharded(shards: usize) -> Result<Database, EngineError> {
-        if shards == 0 || shards > MAX_SHARDS {
-            return Err(EngineError::Storage(StorageError::Corrupt(format!(
-                "shard count {shards} out of range (1..={MAX_SHARDS})"
-            ))));
-        }
-        let mut db = Database::new();
-        db.shards = shards as u32;
-        Ok(db)
-    }
-
     /// Open (or create) a **durable** database rooted at `path`: recover
-    /// the catalog from its snapshots + log, then log every subsequent
-    /// mutation there before acknowledging it. The database is unsharded
-    /// in memory and stored as one shard, so [`Database::open_sharded`]
-    /// with one shard opens the same directory.
+    /// the catalog from its snapshot + log, then log every subsequent
+    /// mutation there before acknowledging it.
     pub fn open(path: impl AsRef<Path>, config: DurabilityConfig) -> Result<Database, EngineError> {
         let vfs: Arc<dyn Vfs> = Arc::new(StdFs::new(path.as_ref())?);
-        Database::open_vfs(vfs, 0, config)
+        Database::open_vfs(vfs, config)
     }
 
-    /// Open (or create) a durable **hash-partitioned** database rooted
-    /// at `path`: S shard snapshots + one commit log (+ S shard WALs when
-    /// S ≥ 2), recovered in parallel to the epoch-consistent cut (see
-    /// `ferry_storage::Storage`). `shards` must match the on-disk shard
-    /// count of an existing directory.
-    pub fn open_sharded(
-        path: impl AsRef<Path>,
-        shards: usize,
-        config: DurabilityConfig,
-    ) -> Result<Database, EngineError> {
-        if shards == 0 {
-            return Err(EngineError::Storage(StorageError::Corrupt(format!(
-                "shard count 0 out of range (1..={MAX_SHARDS})"
-            ))));
-        }
-        let vfs: Arc<dyn Vfs> = Arc::new(StdFs::new(path.as_ref())?);
-        Database::open_vfs(vfs, shards, config)
-    }
-
-    /// [`Database::open`] (`shards == 0`: unsharded, stored as one shard)
-    /// or [`Database::open_sharded`] over an explicit VFS — the entry
-    /// point the fault-injection harness uses with a
-    /// `ferry_storage::FaultFs`.
-    pub fn open_vfs(
-        vfs: Arc<dyn Vfs>,
-        shards: usize,
-        config: DurabilityConfig,
-    ) -> Result<Database, EngineError> {
-        let mut db = match shards {
-            0 => Database::new(),
-            s => Database::new_sharded(s)?,
-        };
-        let recovered = Storage::open(vfs, shards.max(1), config, db.telemetry.registry())?;
+    /// [`Database::open`] over an explicit VFS — the entry point the
+    /// fault-injection harness uses with a `ferry_storage::FaultFs`.
+    pub fn open_vfs(vfs: Arc<dyn Vfs>, config: DurabilityConfig) -> Result<Database, EngineError> {
+        let mut db = Database::new();
+        let recovered = Storage::open(vfs, config, db.telemetry.registry())?;
         // recovered tables are installed directly (they were validated
         // when first logged); each install bumps `schema_version`, so
         // any plan cache keyed on a fresh database misses as it must
@@ -549,23 +324,14 @@ impl Database {
                     wal_bytes: 0,
                 },
             );
-            let mut table = BaseTable {
-                schema: img.def.schema,
-                keys: img.def.keys,
-                rows: Arc::new(RowBuf::new(img.rows)),
-                shard: None,
-            };
-            if shards > 0 {
-                // the in-memory shard assignment is **re-derived** from
-                // the versioned hash rather than trusted from disk:
-                // ShardHash is stable across processes, so this
-                // reproduces the pre-crash assignment exactly
-                // (property-tested), and it also routes commit-log-
-                // resident rows (`NO_SHARD` from InstallTable payloads)
-                // onto real shards for the next checkpoint
-                table = table.resharded(&img.def.name, img.def.shard_key.as_deref(), shards)?;
-            }
-            cat.tables.insert(img.def.name, table);
+            cat.tables.insert(
+                img.def.name,
+                BaseTable {
+                    schema: img.def.schema,
+                    keys: img.def.keys,
+                    rows: Arc::new(RowBuf::new(img.rows)),
+                },
+            );
             cat.schema_version += 1;
             cat.epoch += 1;
         }
@@ -580,11 +346,6 @@ impl Database {
         db.storage = Some(recovered.storage);
         db.recovery = Some(recovered.report);
         Ok(db)
-    }
-
-    /// Shard count of a hash-partitioned database (`0` = unsharded).
-    pub fn shards(&self) -> usize {
-        self.shards as usize
     }
 
     // ------------------------------------------------------------ reads
@@ -656,12 +417,8 @@ impl Database {
                 epoch: head.epoch + 1,
             },
             ddl: Vec::new(),
-            shard_recs: match self.storage {
-                Some(_) => vec![Vec::new(); self.shards.max(1) as usize],
-                None => Vec::new(),
-            },
+            rows: Vec::new(),
             durable: self.storage.is_some(),
-            shards: self.shards,
             dirty: false,
         };
         let out = f(&mut tx)?;
@@ -670,12 +427,8 @@ impl Database {
         }
         if let Some(storage) = &self.storage {
             // log-before-ack: the log sees the transaction before memory
-            let shard_rows = std::mem::take(&mut tx.shard_recs)
-                .into_iter()
-                .enumerate()
-                .filter(|(_, recs)| !recs.is_empty())
-                .collect();
-            let gsn = storage.log_commit(std::mem::take(&mut tx.ddl), shard_rows)?;
+            let (ddl, rows) = (std::mem::take(&mut tx.ddl), std::mem::take(&mut tx.rows));
+            let gsn = storage.log_commit(ddl, rows)?;
             let version = Arc::new(tx.work);
             commit.head = version.clone();
             if matches!(storage.config().fsync, FsyncPolicy::Always) {
@@ -711,20 +464,6 @@ impl Database {
         }
         self.maybe_checkpoint();
         Ok(out)
-    }
-
-    /// Create (or replace) a **hash-partitioned** base table whose rows
-    /// route to shards by the value of `shard_key` — a single-operation
-    /// [`Database::transact`]. Only valid on a sharded database.
-    pub fn create_table_sharded(
-        &self,
-        name: impl Into<String>,
-        schema: Schema,
-        keys: Vec<&str>,
-        shard_key: &str,
-    ) -> Result<(), EngineError> {
-        let name = name.into();
-        self.transact(|tx| tx.create_table_sharded(name, schema, keys, shard_key))
     }
 
     /// Create (or replace) a base table — a single-operation
@@ -1136,13 +875,12 @@ impl Database {
         };
         let pending = gc.pending.len() as i64;
         drop(gc);
-        let props: [(&str, i64); 8] = [
+        let props: [(&str, i64); 7] = [
             ("durable", durable),
             ("epoch", cat.epoch as i64),
             ("pending_commits", pending),
             ("poisoned", poisoned),
             ("schema_version", cat.schema_version as i64),
-            ("shards", self.shards as i64),
             ("synced_lsn", synced),
             ("tables", cat.tables.len() as i64),
         ];
@@ -1230,8 +968,6 @@ impl Database {
             kernel_batches: m.kernel_batches.get(),
             fused_pipelines: m.fused_pipelines.get(),
             fused_nodes: m.fused_nodes.get(),
-            shard_rows: m.shard_rows.get(),
-            shard_pruned: m.shard_pruned.get(),
             profiles: self.profiles.lock().unwrap().clone(),
         }
     }
@@ -1302,7 +1038,7 @@ impl<'db> Snapshot<'db> {
     /// Materialise system table `name` — a live snapshot of its source
     /// (metrics registry, profile ring, catalog, storage state, …) as a
     /// throwaway [`BaseTable`], or `None` if `name` is no system table.
-    /// Catalog-resident state (`ferry.tables`, `ferry.shards`) reads
+    /// Catalog-resident state (`ferry.tables`) reads
     /// **this snapshot's** pinned version; telemetry-resident state reads
     /// the live hub (not transactional — see [`crate::sys`] docs). The
     /// executor calls this only after the pinned catalog missed, so base
@@ -1333,39 +1069,14 @@ impl<'db> Snapshot<'db> {
                         let since_ckpt = st
                             .wal_bytes
                             .saturating_sub(marks.get(n).copied().unwrap_or(0));
-                        let (shard_key, shards) = match &t.shard {
-                            Some(sh) => (sh.key.clone().unwrap_or_default(), sh.sels.len() as i64),
-                            None => (String::new(), 0),
-                        };
                         vec![
                             Value::Int(st.bytes as i64),
                             Value::str(n.clone()),
                             Value::Int(t.rows.len() as i64),
-                            Value::str(shard_key),
-                            Value::Int(shards),
                             Value::Int(since_ckpt as i64),
                         ]
                     })
                     .collect()
-            }
-            "ferry.shards" => {
-                let mut names: Vec<&String> = self.cat.tables.keys().collect();
-                names.sort_unstable();
-                let mut rows = Vec::new();
-                for n in names {
-                    let Some(sh) = &self.cat.tables[n].shard else {
-                        continue;
-                    };
-                    for (k, sel) in sh.sels.iter().enumerate() {
-                        rows.push(vec![
-                            Value::Bool(sh.dense_resident(k)),
-                            Value::Int(sel.len() as i64),
-                            Value::Int(k as i64),
-                            Value::str(n.clone()),
-                        ]);
-                    }
-                }
-                rows
             }
             _ => {
                 let def = db.sys_tables.lock().unwrap().get(name).cloned()?;
@@ -1374,7 +1085,6 @@ impl<'db> Snapshot<'db> {
                     schema: def.schema,
                     keys: def.keys,
                     rows: Arc::new(RowBuf::new(rows)),
-                    shard: None,
                 });
             }
         };
@@ -1383,7 +1093,6 @@ impl<'db> Snapshot<'db> {
             schema,
             keys,
             rows: Arc::new(RowBuf::new(rows)),
-            shard: None,
         })
     }
 
@@ -1470,8 +1179,6 @@ impl<'db> Snapshot<'db> {
             m.kernel_batches.add(local.kernel_batches);
             m.fused_pipelines.add(local.fused_pipelines);
             m.fused_nodes.add(local.fused_nodes);
-            m.shard_rows.add(local.shard_rows);
-            m.shard_pruned.add(local.shard_pruned);
             m.query_latency_ns.record(elapsed_ns);
             db.profiles.lock().unwrap().push(profile);
         }
@@ -1489,59 +1196,25 @@ pub struct Tx {
     work: Catalog,
     /// DDL records, in transaction order (they ride in the commit frame).
     ddl: Vec<WalRecord>,
-    /// Per-shard [`WalRecord::ShardRows`] appends of this transaction
-    /// (index = shard; an unsharded database stages everything for
-    /// shard 0, the one shard it is stored as). Every staged row follows
-    /// its table's last DDL in this transaction, so recovery may apply
-    /// DDL first and rows second.
-    shard_recs: Vec<Vec<WalRecord>>,
+    /// The [`WalRecord::ShardRows`] appends of this transaction, one per
+    /// insert. Every staged row follows its table's last DDL in this
+    /// transaction, so recovery may apply DDL first and rows second.
+    rows: Vec<WalRecord>,
     /// Building log records costs a clone of inserted rows; in-memory
     /// databases skip it.
     durable: bool,
-    /// The database's shard count (`0` = unsharded).
-    shards: u32,
     dirty: bool,
 }
 
 impl Tx {
-    /// Create (or replace) a base table. In a sharded database the table
-    /// is *unsharded*: all its rows live on one home shard.
+    /// Create (or replace) a base table.
     pub fn create_table(
         &mut self,
         name: impl Into<String>,
         schema: Schema,
         keys: Vec<&str>,
     ) -> Result<(), EngineError> {
-        self.create_table_impl(name.into(), schema, keys, None)
-    }
-
-    /// Create (or replace) a **hash-partitioned** base table: every row
-    /// routes to `shard_hash(row[shard_key]) mod S`. Errors on an
-    /// unsharded database or when `shard_key` is not in the schema.
-    pub fn create_table_sharded(
-        &mut self,
-        name: impl Into<String>,
-        schema: Schema,
-        keys: Vec<&str>,
-        shard_key: &str,
-    ) -> Result<(), EngineError> {
         let name = name.into();
-        if self.shards == 0 {
-            return Err(EngineError::TableMismatch {
-                table: name,
-                detail: "sharded table on an unsharded database".into(),
-            });
-        }
-        self.create_table_impl(name, schema, keys, Some(shard_key.to_string()))
-    }
-
-    fn create_table_impl(
-        &mut self,
-        name: String,
-        schema: Schema,
-        keys: Vec<&str>,
-        shard_key: Option<String>,
-    ) -> Result<(), EngineError> {
         for k in &keys {
             if !schema.contains(k) {
                 return Err(EngineError::TableMismatch {
@@ -1550,38 +1223,15 @@ impl Tx {
                 });
             }
         }
-        if let Some(sk) = &shard_key {
-            if !schema.contains(sk) {
-                return Err(EngineError::TableMismatch {
-                    table: name,
-                    detail: format!("shard key column {sk} not in schema {schema}"),
-                });
-            }
-        }
         let keys: Vec<String> = keys.into_iter().map(String::from).collect();
         if self.durable {
             self.unstage(&name);
-            self.ddl.push(match &shard_key {
-                Some(sk) => WalRecord::CreateTableSharded {
-                    name: name.clone(),
-                    schema: schema.clone(),
-                    keys: keys.clone(),
-                    shard_key: sk.clone(),
-                },
-                None => WalRecord::CreateTable {
-                    name: name.clone(),
-                    schema: schema.clone(),
-                    keys: keys.clone(),
-                },
+            self.ddl.push(WalRecord::CreateTable {
+                name: name.clone(),
+                schema: schema.clone(),
+                keys: keys.clone(),
             });
         }
-        let shard = (self.shards > 0).then(|| {
-            Arc::new(TableShards::new(
-                shard_key,
-                table_home(&name, self.shards as usize),
-                self.shards as usize,
-            ))
-        });
         // create-or-replace: size stats restart with the empty table
         self.work.stats.insert(name.clone(), TableStats::default());
         self.work.tables.insert(
@@ -1590,7 +1240,6 @@ impl Tx {
                 schema,
                 keys,
                 rows: Arc::new(RowBuf::default()),
-                shard,
             },
         );
         self.work.schema_version += 1;
@@ -1629,41 +1278,15 @@ impl Tx {
         }
         self.bump_stats(name, rows.iter().map(sys::row_bytes).sum());
         let table = self.work.tables.get_mut(name).expect("validated above");
-        let base = table.rows.len() as u64;
-        // per-shard positioned slices of this insert, in shard order.
-        // Positions are **absolute** in the table's global insert order,
-        // which is what makes recovery's re-application idempotent over
-        // snapshot state. Unsharded tables stage everything for shard 0.
-        let mut slices: BTreeMap<u32, (Vec<u64>, Vec<Row>)> = BTreeMap::new();
-        if let Some(shard) = table.shard.as_mut() {
-            // route every row to its shard (hash of the shard-key cell,
-            // or the table's home shard) and record the assignment
-            let key_idx = shard
-                .key
-                .as_deref()
-                .map(|k| table.schema.index_of(k).expect("validated at create"));
-            let sh = Arc::make_mut(shard);
-            for (i, row) in rows.iter().enumerate() {
-                let pos = base + i as u64;
-                let k = sh.push(pos as u32, key_idx.map(|c| &row[c]));
-                if self.durable {
-                    let slot = slices.entry(k).or_default();
-                    slot.0.push(pos);
-                    slot.1.push(row.clone());
-                }
-            }
-        } else if self.durable && !rows.is_empty() {
-            slices.insert(
-                0,
-                ((base..base + rows.len() as u64).collect(), rows.clone()),
-            );
-        }
-        for (k, (idx, staged)) in slices {
-            self.shard_recs[k as usize].push(WalRecord::ShardRows {
+        if self.durable && !rows.is_empty() {
+            // positions are absolute in the table's insert order: this
+            // insert appends at the table's end
+            let base = table.rows.len() as u64;
+            self.rows.push(WalRecord::ShardRows {
                 gsn: 0, // assigned by log_commit
                 table: name.to_string(),
-                idx,
-                rows: staged,
+                idx: (base..base + rows.len() as u64).collect(),
+                rows: rows.clone(),
             });
         }
         // copy-on-write: the first insert into a table this transaction
@@ -1679,9 +1302,8 @@ impl Tx {
     /// longer exists — and recovery applies a commit's DDL before its
     /// rows.
     fn unstage(&mut self, name: &str) {
-        for recs in &mut self.shard_recs {
-            recs.retain(|r| !matches!(r, WalRecord::ShardRows { table, .. } if table == name));
-        }
+        self.rows
+            .retain(|r| !matches!(r, WalRecord::ShardRows { table, .. } if table == name));
     }
 
     /// Install a table without validation (see
@@ -1692,19 +1314,6 @@ impl Tx {
         table: BaseTable,
     ) -> Result<(), EngineError> {
         let name = name.into();
-        // sharded database: an installed table is always *unsharded*
-        // (home-routed) — its WAL record carries no shard key, so a
-        // recovered database would route future inserts differently if
-        // a declared key survived only in memory. Hash-partitioned
-        // tables must come from `create_table_sharded` + `insert`.
-        let table = if self.shards > 0 {
-            table.resharded(&name, None, self.shards as usize)?
-        } else {
-            BaseTable {
-                shard: None,
-                ..table
-            }
-        };
         if self.durable {
             self.unstage(&name);
             self.ddl.push(WalRecord::InstallTable {

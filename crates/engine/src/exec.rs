@@ -40,7 +40,6 @@
 use crate::catalog::Snapshot;
 use crate::error::EngineError;
 use crate::eval::{bind, eval, Bound};
-use crate::shard::{all_shards_mask, shards_for_pred};
 use crate::stats::{ExecPath, NodeProfile, QueryStats};
 use crate::vec_eval::{ChainBuilder, ChainProg, ParConfig, Reg, VirtSrc, BATCH_ROWS};
 use ferry_algebra::plan::Aggregate;
@@ -90,7 +89,6 @@ pub fn run_many(
         stack.extend(plan.node(id).children());
     }
     let (pipelines, grouped) = form_pipelines(plan, roots, &needed);
-    let shard_plan = plan_shards(snap, plan, roots, &needed, schemas);
     let mut results: Vec<Option<Rel>> = vec![None; plan.len()];
     for idx in 0..plan.len() {
         // pipeline-absorbed nodes have no evaluation of their own — the
@@ -99,16 +97,7 @@ pub fn run_many(
             continue;
         }
         let id = NodeId(idx as u32);
-        let (rel, m) = eval_timed(
-            snap,
-            plan,
-            id,
-            schemas,
-            &results,
-            &cfg,
-            &pipelines,
-            &shard_plan,
-        )?;
+        let (rel, m) = eval_timed(snap, plan, id, schemas, &results, &cfg, &pipelines)?;
         // a pipeline tail accounts for every member it evaluated
         let covered = m.covered.max(1) as u64;
         // vec iff a kernel batch or a typed sink ran; a pure column
@@ -126,8 +115,6 @@ pub fn run_many(
             stats.fused_nodes += covered;
         }
         stats.kernel_batches += m.batches as u64;
-        stats.shard_rows += m.shard_rows;
-        stats.shard_pruned += m.shard_pruned;
         let label = plan.node(id).label();
         // member labels in scan→sink order, for profiles and spans
         let fused_labels: Vec<&'static str> = pipelines
@@ -155,10 +142,6 @@ pub fn run_many(
                 ("path", path.to_string().into()),
                 ("batches", m.batches.into()),
             ];
-            if m.shards_total > 0 {
-                attrs.push(("shards_scanned", m.shards_scanned.into()));
-                attrs.push(("shards_total", m.shards_total.into()));
-            }
             let (span_label, event) = if fused_labels.is_empty() {
                 (label, "exec.node")
             } else {
@@ -181,8 +164,6 @@ pub fn run_many(
             path,
             batches: m.batches,
             fused: fused_labels,
-            shards_scanned: m.shards_scanned,
-            shards_total: m.shards_total,
         });
         results[idx] = Some(rel);
     }
@@ -206,15 +187,6 @@ struct NodeMetrics {
     covered: u32,
     /// The pipeline's chain program ran (no member fell back to scalar).
     chained: bool,
-    /// Shards this evaluation actually read (sharded base-table scans
-    /// only; `shards_total` stays `0` on unsharded tables).
-    shards_scanned: u32,
-    /// The table's shard count, when the scan hit a sharded table.
-    shards_total: u32,
-    /// Rows read from sharded base tables (post-pruning).
-    shard_rows: u64,
-    /// Rows partition pruning skipped without reading.
-    shard_pruned: u64,
 }
 
 impl NodeMetrics {
@@ -359,136 +331,6 @@ fn form_pipelines(
     (pipelines, grouped)
 }
 
-/// The shard-aware planner pass: which scans can skip shards. Computed
-/// once per dispatch from the plan's *structure* (before anything
-/// evaluates); evaluation consults it by `TableRef` index. One entry per
-/// scan of a sharded table (pruned or not — `explain_analyze` renders
-/// both), so it is always empty on unsharded databases.
-type ShardPlan = HashMap<usize, ScanShards>;
-
-/// Shard decision for one sharded base-table scan.
-#[derive(Debug)]
-struct ScanShards {
-    /// Buffer rows to scan (ascending), when pruning dropped at least one
-    /// shard; `None` scans the whole table.
-    sel: Option<Vec<u32>>,
-    /// The surviving shard when pruning pinned exactly one: the scan
-    /// returns the shard's cached dense partition
-    /// ([`TableShards::dense`]) instead of a selection vector, so the
-    /// batch drivers run over contiguous rows.
-    single: Option<u32>,
-    scanned: u32,
-    total: u32,
-    /// Rows the dropped shards hold (skipped without reading).
-    pruned_rows: u64,
-}
-
-/// Build the [`ShardPlan`] for this dispatch.
-///
-/// **Pruning** (sound by `ShardHash` preserving `Value` equality): a
-/// `Select` whose predicate constrains the shard-key column to a shard
-/// subset ([`shards_for_pred`]) restricts its `TableRef`'s scan to those
-/// shards' rows — but only when the `Select` is the scan's *sole*
-/// consumer, so no other reader of the table sees a reduced relation.
-/// The `Select` still evaluates its predicate over the surviving rows;
-/// pruning only removes rows the predicate could never accept.
-fn plan_shards(
-    snap: &Snapshot<'_>,
-    plan: &Plan,
-    roots: &[NodeId],
-    needed: &[bool],
-    schemas: &[Schema],
-) -> ShardPlan {
-    let mut sp = ShardPlan::new();
-    let mut consumers = vec![0u32; plan.len()];
-    for (idx, &need) in needed.iter().enumerate() {
-        if !need {
-            continue;
-        }
-        for c in plan.node(NodeId(idx as u32)).children() {
-            consumers[c.index()] += 1;
-        }
-    }
-    for r in roots {
-        consumers[r.index()] += 1;
-    }
-    for (idx, &need) in needed.iter().enumerate().take(plan.len()) {
-        if !need {
-            continue;
-        }
-        match plan.node(NodeId(idx as u32)) {
-            // record every sharded scan (unpruned entries feed explain)
-            Node::TableRef { name, .. } => {
-                let Some(ts) = snap.table(name).and_then(|t| t.shard.as_ref()) else {
-                    continue;
-                };
-                let total = ts.sels.len() as u32;
-                sp.insert(
-                    idx,
-                    ScanShards {
-                        sel: None,
-                        single: None,
-                        scanned: total,
-                        total,
-                        pruned_rows: 0,
-                    },
-                );
-            }
-            Node::Select { input, pred } => {
-                if consumers[input.index()] != 1 {
-                    continue;
-                }
-                let Node::TableRef { name, .. } = plan.node(*input) else {
-                    continue;
-                };
-                let Some(table) = snap.table(name) else {
-                    continue;
-                };
-                let Some(ts) = &table.shard else { continue };
-                let Some(key) = &ts.key else { continue };
-                // the predicate names the *plan's* columns; TableRef maps
-                // them positionally onto the catalog schema
-                let Some(kpos) = table.schema.index_of(key) else {
-                    continue;
-                };
-                let (plan_key, _) = &schemas[input.index()].cols()[kpos];
-                let s = ts.sels.len();
-                let Some(mask) = shards_for_pred(pred, plan_key, s) else {
-                    continue;
-                };
-                let mask = mask & all_shards_mask(s);
-                let scanned = mask.count_ones();
-                if scanned as usize >= s {
-                    continue;
-                }
-                let (single, sel, surviving) = if scanned == 1 {
-                    // the dense fast path needs no selection vector
-                    let k = mask.trailing_zeros();
-                    (Some(k), None, ts.sels[k as usize].len())
-                } else {
-                    // multi-shard survivor set: re-sort the shards' buffer
-                    // positions so the scan keeps global insert order
-                    let mut v: Vec<u32> = (0..s)
-                        .filter(|&k| mask >> k & 1 == 1)
-                        .flat_map(|k| ts.sels[k].iter().copied())
-                        .collect();
-                    v.sort_unstable();
-                    let n = v.len();
-                    (None, Some(v), n)
-                };
-                let entry = sp.get_mut(&input.index()).expect("scan recorded");
-                entry.pruned_rows = ts.shard_of.len() as u64 - surviving as u64;
-                entry.scanned = scanned;
-                entry.single = single;
-                entry.sel = sel;
-            }
-            _ => {}
-        }
-    }
-    sp
-}
-
-#[allow(clippy::too_many_arguments)]
 fn eval_timed(
     snap: &Snapshot<'_>,
     plan: &Plan,
@@ -497,7 +339,6 @@ fn eval_timed(
     results: &[Option<Rel>],
     cfg: &ParConfig,
     pipelines: &HashMap<usize, PipelineSpec>,
-    shard: &ShardPlan,
 ) -> Result<(Rel, NodeMetrics), EngineError> {
     let mut m = NodeMetrics {
         start_ns: ferry_telemetry::now_ns(),
@@ -505,8 +346,8 @@ fn eval_timed(
     };
     let start = Instant::now();
     let rel = match pipelines.get(&id.index()) {
-        Some(spec) => eval_pipeline(snap, plan, spec, schemas, results, cfg, shard, &mut m),
-        None => eval_node(snap, plan, id, schemas, results, None, cfg, shard, &mut m),
+        Some(spec) => eval_pipeline(snap, plan, spec, schemas, results, cfg, &mut m),
+        None => eval_node(snap, plan, id, schemas, results, None, cfg, &mut m),
     }?;
     m.elapsed = start.elapsed();
     Ok((rel, m))
@@ -519,7 +360,6 @@ fn eval_timed(
 /// does not lower, a chunk variant surprise) falls back to evaluating the
 /// same members with the scalar operators — grouping never changes
 /// results.
-#[allow(clippy::too_many_arguments)]
 fn eval_pipeline(
     snap: &Snapshot<'_>,
     plan: &Plan,
@@ -527,14 +367,13 @@ fn eval_pipeline(
     schemas: &[Schema],
     results: &[Option<Rel>],
     cfg: &ParConfig,
-    shard: &ShardPlan,
     m: &mut NodeMetrics,
 ) -> Result<Rel, EngineError> {
     m.covered = spec.members;
     let scanned;
     let (input_id, input) = match spec.input {
         PipeInput::Scan(s) => {
-            scanned = eval_node(snap, plan, s, schemas, results, None, cfg, shard, m)?;
+            scanned = eval_node(snap, plan, s, schemas, results, None, cfg, m)?;
             (s, &scanned)
         }
         PipeInput::Node(n) => (n, child(results, n)),
@@ -557,9 +396,7 @@ fn eval_pipeline(
             let mut cur: Option<Rel> = None;
             for &mid in &spec.mids {
                 let over = Some((below, cur.as_ref().unwrap_or(input)));
-                cur = Some(eval_node(
-                    snap, plan, mid, schemas, results, over, cfg, shard, m,
-                )?);
+                cur = Some(eval_node(snap, plan, mid, schemas, results, over, cfg, m)?);
                 below = mid;
             }
             cur.expect("chains have mids")
@@ -568,7 +405,7 @@ fn eval_pipeline(
     match spec.sink {
         Some(sink) => {
             let over = Some((*spec.mids.last().expect("chains have mids"), &top));
-            eval_node(snap, plan, sink, schemas, results, over, cfg, shard, m)
+            eval_node(snap, plan, sink, schemas, results, over, cfg, m)
         }
         None => Ok(top),
     }
@@ -1114,7 +951,6 @@ fn eval_node(
     results: &[Option<Rel>],
     over: Option<(NodeId, &Rel)>,
     cfg: &ParConfig,
-    shard: &ShardPlan,
     m: &mut NodeMetrics,
 ) -> Result<Rel, EngineError> {
     let out_schema = schemas[id.index()].clone();
@@ -1158,36 +994,8 @@ fn eval_node(
                     });
                 }
             }
-            let Some(ss) = shard.get(&id.index()) else {
-                // zero-copy scan: the result shares the catalog's buffer
-                return Ok(Rel::from_shared(out_schema, table.rows.clone()));
-            };
-            m.shards_scanned = ss.scanned;
-            m.shards_total = ss.total;
-            if let Some(k) = ss.single {
-                // pruned to one shard: scan its cached dense partition —
-                // contiguous rows, shared (and transposed) across queries
-                let ts = table.shard.as_ref().expect("sharded scan planned");
-                let part = ts.dense(k as usize, &table.rows, table.schema.len());
-                m.shard_rows += part.rows().len() as u64;
-                m.shard_pruned += ss.pruned_rows;
-                return Ok(Rel::from_shared(out_schema, part));
-            }
-            let out = Rel::from_shared(out_schema, table.rows.clone());
-            match &ss.sel {
-                // pruned scan: a selection vector over the table's own
-                // buffer listing only the surviving shards' rows — the
-                // dropped shards are never touched
-                Some(sel) => {
-                    m.shard_rows += sel.len() as u64;
-                    m.shard_pruned += ss.pruned_rows;
-                    Ok(out.with_sel(sel.clone()))
-                }
-                None => {
-                    m.shard_rows += out.len() as u64;
-                    Ok(out)
-                }
-            }
+            // zero-copy scan: the result shares the catalog's buffer
+            Ok(Rel::from_shared(out_schema, table.rows.clone()))
         }
         // zero-copy: every execution shares the plan's literal buffer
         Node::Lit { rows, .. } => Ok(Rel::from_shared(out_schema, rows.clone())),

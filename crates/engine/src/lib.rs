@@ -52,19 +52,14 @@ pub mod catalog;
 pub mod error;
 pub mod eval;
 pub mod exec;
-pub mod shard;
 pub mod stats;
 pub mod sys;
 pub mod vec_eval;
 
-pub use catalog::{BaseTable, Database, Snapshot, TableShards, TableStats, Tx};
+pub use catalog::{BaseTable, Database, Snapshot, TableStats, Tx};
 pub use error::EngineError;
 pub use ferry_storage::{DurabilityConfig, FsyncPolicy, RecoveryReport, StorageError};
 pub use ferry_telemetry::{Telemetry, TelemetryConfig};
-pub use shard::{
-    all_shards_mask, shard_hash, shard_of, shards_for_pred, table_home, MAX_SHARDS,
-    SHARD_HASH_VERSION,
-};
 pub use stats::{ExecPath, NodeProfile, ProfileRing, QueryProfile, QueryStats, PROFILE_RING_CAP};
 pub use sys::{DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP, SYS_PREFIX};
 pub use vec_eval::{ParConfig, VecMode};

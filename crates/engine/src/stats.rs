@@ -66,11 +66,6 @@ pub struct NodeProfile {
     /// chain program ran or the members fell back to scalar — `path`
     /// says which happened.
     pub fused: Vec<&'static str>,
-    /// Shards the node's scan actually read (sharded base tables only;
-    /// `0/0` everywhere else — `shards_total > 0` flags a sharded scan).
-    pub shards_scanned: u32,
-    /// The scanned table's shard count (`0` off sharded tables).
-    pub shards_total: u32,
 }
 
 /// The per-node profile of **one** dispatch (`execute` / `execute_bundle`
@@ -188,11 +183,6 @@ pub struct QueryStats {
     pub fused_pipelines: u64,
     /// Plan nodes those groups covered (tails included).
     pub fused_nodes: u64,
-    /// Rows read from sharded base-table scans (post-pruning).
-    pub shard_rows: u64,
-    /// Rows partition pruning skipped without reading (their shards were
-    /// excluded by shard-key predicates).
-    pub shard_pruned: u64,
     /// Per-node profiles of the most recent dispatches (ring of
     /// [`PROFILE_RING_CAP`], oldest first).
     pub profiles: ProfileRing,
@@ -223,8 +213,6 @@ mod tests {
             path: ExecPath::Scalar,
             batches: 0,
             fused: Vec::new(),
-            shards_scanned: 0,
-            shards_total: 0,
         }
     }
 
@@ -252,8 +240,6 @@ mod tests {
             kernel_batches: 9,
             fused_pipelines: 1,
             fused_nodes: 3,
-            shard_rows: 8,
-            shard_pruned: 24,
             ..QueryStats::default()
         };
         s.profiles.push(profile(1));

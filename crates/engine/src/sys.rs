@@ -1,7 +1,7 @@
 //! System tables: the database describing itself as relations.
 //!
 //! The paper's thesis — *database-supported program execution* — turned
-//! inward: telemetry, catalog, shard, storage and slow-query state are
+//! inward: telemetry, catalog, storage and slow-query state are
 //! exposed as ordinary tables under the reserved `ferry.` namespace, so
 //! the standard `Q<T>` DSL (filters, group-bys, joins, `explain_analyze`)
 //! is the observability query language. No second API surface.
@@ -45,7 +45,6 @@ pub const INTRINSIC: &[&str] = &[
     "ferry.histograms",
     "ferry.metrics",
     "ferry.queries",
-    "ferry.shards",
     "ferry.slow_queries",
     "ferry.storage",
     "ferry.tables",
@@ -89,20 +88,9 @@ pub fn schema_of(name: &str) -> Option<(Schema, Vec<String>)> {
                 ("bytes", Ty::Int),
                 ("name", Ty::Str),
                 ("rows", Ty::Int),
-                ("shard_key", Ty::Str),
-                ("shards", Ty::Int),
                 ("wal_bytes", Ty::Int),
             ],
             &["name"],
-        ),
-        "ferry.shards" => (
-            &[
-                ("dense", Ty::Bool),
-                ("rows", Ty::Int),
-                ("shard", Ty::Int),
-                ("table", Ty::Str),
-            ],
-            &["table", "shard"],
         ),
         "ferry.storage" => (&[("name", Ty::Str), ("value", Ty::Int)], &["name"]),
         "ferry.slow_queries" => (

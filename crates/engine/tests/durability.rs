@@ -1,12 +1,11 @@
-//! Engine-level durability: `Database::open` / `open_sharded` /
-//! `open_vfs` round trips, crash recovery of acked mutations, log
-//! compaction, and which directories each constructor opens — the
-//! wiring above `ferry-storage` that the storage crate's own fault suite
+//! Engine-level durability: `Database::open` / `open_vfs` round trips,
+//! crash recovery of acked mutations and log compaction — the wiring
+//! above `ferry-storage` that the storage crate's own fault suite
 //! cannot see.
 
 use ferry_algebra::{Row, RowBuf, Schema, Ty, Value};
-use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
-use ferry_storage::{shard_snap_file, Fault, FaultFs, Vfs, COMMIT_LOG, SHARD_META_FILE};
+use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy};
+use ferry_storage::{Fault, FaultFs, Vfs, COMMIT_LOG, SNAPSHOT_FILE};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -23,7 +22,7 @@ fn config() -> DurabilityConfig {
 }
 
 fn open(vfs: &Arc<FaultFs>, config: DurabilityConfig) -> Result<Database, EngineError> {
-    Database::open_vfs(vfs.clone() as Arc<dyn Vfs>, 0, config)
+    Database::open_vfs(vfs.clone() as Arc<dyn Vfs>, config)
 }
 
 fn seed_rows() -> Vec<Row> {
@@ -38,15 +37,10 @@ fn people_schema() -> Schema {
     Schema::of(&[("id", Ty::Int), ("name", Ty::Str)])
 }
 
-/// `people` + its seed rows as two commits; hash-partitioned on `id`
-/// when the database is sharded.
+/// `people` + its seed rows as two commits.
 fn create_people(db: &Database) {
-    if db.shards() > 0 {
-        db.create_table_sharded("people", people_schema(), vec!["id"], "id")
-    } else {
-        db.create_table("people", people_schema(), vec!["id"])
-    }
-    .unwrap();
+    db.create_table("people", people_schema(), vec!["id"])
+        .unwrap();
     db.insert("people", seed_rows()).unwrap();
 }
 
@@ -62,8 +56,6 @@ fn durable_roundtrip_restores_tables_and_bumps_schema_version() {
             .unwrap();
     }
     let db = open(&vfs, config()).unwrap();
-    assert_eq!(db.shards(), 0, "stored as one shard, unsharded in memory");
-    assert!(db.table("people").unwrap().shard.is_none());
     assert_eq!(db.table("people").unwrap().rows.rows(), &seed_rows()[..]);
     assert_eq!(db.table("people").unwrap().keys, vec!["id".to_string()]);
     assert!(db.table("empty").unwrap().rows.rows().is_empty());
@@ -71,7 +63,7 @@ fn durable_roundtrip_restores_tables_and_bumps_schema_version() {
     // database cannot serve stale plans
     assert_eq!(db.schema_version(), 2);
     let report = db.recovery_report().unwrap();
-    assert_eq!((report.shards, report.markers_applied), (1, 3));
+    assert_eq!(report.markers_applied, 3);
     assert_eq!(report.cut_gsn, 3);
     assert!(report.render().contains("recovery"));
 }
@@ -171,7 +163,7 @@ fn auto_checkpoint_failure_does_not_fail_the_applied_mutation() {
     // compaction failure would invite a retry that double-applies rows.
     create_people(&db);
     vfs.inject(Fault::TornAppend {
-        path: shard_snap_file(0),
+        path: SNAPSHOT_FILE.into(),
         at: 0,
     });
     db.insert("people", vec![vec![v(4), s("dan")]]).unwrap();
@@ -205,7 +197,6 @@ fn install_table_is_logged_with_its_rows() {
                 schema: Schema::of(&[("n", Ty::Int)]),
                 keys: vec!["n".into()],
                 rows: Arc::new(RowBuf::new(vec![vec![v(7)], vec![v(8)]])),
-                shard: None,
             },
         )
         .unwrap();
@@ -219,32 +210,25 @@ fn install_table_is_logged_with_its_rows() {
 
 /// A transaction that inserts into a table and then replaces it logs
 /// the replacement's DDL and none of the dead rows: recovery applies a
-/// commit's DDL before its rows, at every shard count.
+/// commit's DDL before its rows.
 #[test]
 fn replacing_a_table_inside_a_transaction_recovers_as_committed() {
-    for shards in [0, 1, 4] {
-        let vfs = Arc::new(FaultFs::new());
-        let reopen = || Database::open_vfs(vfs.clone() as Arc<dyn Vfs>, shards, config()).unwrap();
-        let db = reopen();
-        create_people(&db);
-        db.transact(|tx| {
-            tx.insert("people", vec![vec![v(9), s("gone")]])?;
-            tx.create_table("people", people_schema(), vec!["id"])?;
-            tx.insert("people", vec![vec![v(5), s("eve")]])?;
-            tx.insert("people", vec![vec![v(6), s("fay")]])
-        })
-        .unwrap();
-        let want = db.table("people").unwrap().rows.rows().to_vec();
-        assert_eq!(want, vec![vec![v(5), s("eve")], vec![v(6), s("fay")]]);
-        drop(db);
-        vfs.crash();
-        let db = reopen();
-        assert_eq!(
-            db.table("people").unwrap().rows.rows(),
-            &want[..],
-            "S={shards}"
-        );
-    }
+    let vfs = Arc::new(FaultFs::new());
+    let db = open(&vfs, config()).unwrap();
+    create_people(&db);
+    db.transact(|tx| {
+        tx.insert("people", vec![vec![v(9), s("gone")]])?;
+        tx.create_table("people", people_schema(), vec!["id"])?;
+        tx.insert("people", vec![vec![v(5), s("eve")]])?;
+        tx.insert("people", vec![vec![v(6), s("fay")]])
+    })
+    .unwrap();
+    let want = db.table("people").unwrap().rows.rows().to_vec();
+    assert_eq!(want, vec![vec![v(5), s("eve")], vec![v(6), s("fay")]]);
+    drop(db);
+    vfs.crash();
+    let db = open(&vfs, config()).unwrap();
+    assert_eq!(db.table("people").unwrap().rows.rows(), &want[..]);
 }
 
 #[test]
@@ -277,55 +261,14 @@ fn std_fs_directory_roundtrip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every constructor against every directory: written by `open`, by
-/// `open_sharded` with one and with four shards, and in the retired
-/// single-WAL format. An open either returns every acked row — exactly
-/// when the shard count it asks for is the one on disk, `open` asking
-/// for one — or refuses with a typed error and writes nothing. It never
-/// returns `Ok` with tables missing.
+/// A durable database registers no per-shard metric: its Prometheus
+/// exposition names only the one store's counters.
 #[test]
-fn every_constructor_opens_every_directory_whole_or_refuses_typed() {
-    // 0 = `Database::open`, S = `Database::open_sharded(_, S, _)`
-    let open_as = |dir: &Path, shards: usize| match shards {
-        0 => Database::open(dir, config()),
-        s => Database::open_sharded(dir, s, config()),
-    };
-    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("engine_durability_matrix");
-    let _ = std::fs::remove_dir_all(&root);
-    for writer in [0usize, 1, 4] {
-        let dir = root.join(format!("written-by-{writer}"));
-        create_people(&open_as(&dir, writer).unwrap());
-        // the writer's own constructor last: no refused open may have
-        // damaged the directory
-        for reader in [4, 2, 0, 1, writer] {
-            let case = format!("written by {writer}, opened by {reader}");
-            match open_as(&dir, reader) {
-                Ok(db) => {
-                    assert_eq!(reader.max(1), writer.max(1), "{case}: opened");
-                    let rows = db.table("people").map(|t| t.rows.rows().to_vec());
-                    assert_eq!(rows, Some(seed_rows()), "{case}: rows missing");
-                }
-                Err(EngineError::Storage(StorageError::Unsupported(m))) => {
-                    assert_ne!(reader.max(1), writer.max(1), "{case}: refused: {m}");
-                }
-                Err(e) => panic!("{case}: untyped refusal {e}"),
-            }
-        }
-    }
-    // a directory of the retired format: its file set identifies it (its
-    // log shares the magic of today's logs; contents are irrelevant)
-    let legacy = root.join("legacy");
-    std::fs::create_dir_all(&legacy).unwrap();
-    std::fs::write(legacy.join("wal"), ferry_storage::wal::WAL_MAGIC).unwrap();
-    std::fs::write(legacy.join("snapshot"), b"retired snapshot").unwrap();
-    for reader in [0, 1, 4] {
-        match open_as(&legacy, reader) {
-            Err(EngineError::Storage(StorageError::Unsupported(m))) => {
-                assert!(m.contains("single-WAL"), "{m}")
-            }
-            other => panic!("legacy directory opened by {reader}: {other:?}"),
-        }
-    }
-    assert!(!legacy.join(SHARD_META_FILE).exists(), "refusal wrote meta");
-    let _ = std::fs::remove_dir_all(&root);
+fn the_exposition_carries_no_shard_metrics() {
+    let vfs = Arc::new(FaultFs::new());
+    let db = open(&vfs, config()).unwrap();
+    create_people(&db);
+    let text = db.telemetry().registry().render_prometheus();
+    assert!(text.contains("storage_wal_bytes"), "{text}");
+    assert!(!text.contains("shard"), "{text}");
 }

@@ -20,7 +20,6 @@ const COMMITS_PER_WRITER: usize = 25;
 fn open(vfs: &Arc<FaultFs>) -> Database {
     Database::open_vfs(
         vfs.clone() as Arc<dyn Vfs>,
-        0,
         DurabilityConfig::with_fsync(FsyncPolicy::Always),
     )
     .unwrap()
@@ -250,7 +249,6 @@ fn every_n_still_acks_before_durability_and_loses_at_most_the_window() {
     let vfs = Arc::new(FaultFs::new());
     let db = Database::open_vfs(
         vfs.clone() as Arc<dyn Vfs>,
-        0,
         DurabilityConfig {
             fsync: FsyncPolicy::EveryN(4),
             ..DurabilityConfig::default()
@@ -267,7 +265,6 @@ fn every_n_still_acks_before_durability_and_loses_at_most_the_window() {
     vfs.crash();
     let db = Database::open_vfs(
         vfs.clone() as Arc<dyn Vfs>,
-        0,
         DurabilityConfig::with_fsync(FsyncPolicy::EveryN(4)),
     )
     .unwrap();

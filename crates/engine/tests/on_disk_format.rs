@@ -1,0 +1,192 @@
+//! Directories written by an earlier build of the engine, checked in
+//! under `tests/fixtures/`, and what this build does with each:
+//!
+//! * `one-shard` — written by `Database::open`: a table created,
+//!   inserted into twice and replaced inside a transaction, an empty
+//!   table, an installed table, a checkpoint, then one more insert left
+//!   in the log. It opens with every row, and replaying the same script
+//!   into a fresh directory writes byte-identical files.
+//! * `one-shard-keyed` — a one-shard store whose tables were created with
+//!   a shard key: `CreateTableSharded` records in the log, a key in
+//!   `shard-meta`. It opens with every row; the keys are ignored.
+//! * `four-shards` — a store of four hash-partitioned shards. It is
+//!   refused `Unsupported`, and every file is left as it was.
+//! * `single-wal` — the retired `wal` + `snapshot` format. Refused the
+//!   same way.
+
+use ferry_algebra::{Row, RowBuf, Schema, Ty, Value};
+use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+fn config() -> DurabilityConfig {
+    DurabilityConfig::with_fsync(FsyncPolicy::Always)
+}
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// Every file of `dir` and its bytes.
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// A scratch copy of fixture `name` (opening a directory may repair it;
+/// the checked-in one must stay as written).
+fn copy(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join("on_disk_format")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, bytes) in files(&fixture(name)) {
+        std::fs::write(dir.join(file), bytes).unwrap();
+    }
+    dir
+}
+
+fn rows_of(db: &Database, table: &str) -> Vec<Row> {
+    db.table(table)
+        .unwrap_or_else(|| panic!("table {table} missing"))
+        .rows
+        .rows()
+        .to_vec()
+}
+
+fn person(id: i64, name: &str, score: f64) -> Row {
+    vec![Value::Int(id), Value::str(name), Value::Dbl(score)]
+}
+
+fn people_schema() -> Schema {
+    Schema::of(&[("id", Ty::Int), ("name", Ty::Str), ("score", Ty::Dbl)])
+}
+
+/// The script that wrote the `one-shard` fixture.
+fn one_shard_script(db: &Database) {
+    db.create_table("people", people_schema(), vec!["id"])
+        .unwrap();
+    db.insert(
+        "people",
+        vec![person(1, "ada", 1.5), person(2, "bob", -0.0)],
+    )
+    .unwrap();
+    db.insert("people", vec![person(3, "cy", 2.25)]).unwrap();
+    db.transact(|tx| {
+        tx.insert("people", vec![person(9, "gone", 0.0)])?;
+        tx.create_table("people", people_schema(), vec!["id"])?;
+        tx.insert("people", vec![person(5, "eve", 3.0)])?;
+        tx.insert("people", vec![person(6, "fay", 4.5)])
+    })
+    .unwrap();
+    db.create_table("empty", Schema::of(&[("x", Ty::Int)]), vec!["x"])
+        .unwrap();
+    db.install_table(
+        "imported",
+        BaseTable {
+            schema: Schema::of(&[("n", Ty::Int), ("ok", Ty::Bool)]),
+            keys: vec!["n".into()],
+            rows: Arc::new(RowBuf::new(vec![
+                vec![Value::Int(7), Value::Bool(true)],
+                vec![Value::Int(8), Value::Bool(false)],
+            ])),
+        },
+    )
+    .unwrap();
+    db.checkpoint().unwrap();
+    db.insert("people", vec![person(10, "gil", 5.0)]).unwrap();
+}
+
+#[test]
+fn a_one_shard_directory_opens_with_every_row_and_writes_nothing() {
+    let dir = copy("one-shard");
+    let db = Database::open(&dir, config()).unwrap();
+    assert_eq!(
+        rows_of(&db, "people"),
+        vec![
+            person(5, "eve", 3.0),
+            person(6, "fay", 4.5),
+            person(10, "gil", 5.0)
+        ]
+    );
+    assert!(rows_of(&db, "empty").is_empty());
+    assert_eq!(
+        rows_of(&db, "imported"),
+        vec![
+            vec![Value::Int(7), Value::Bool(true)],
+            vec![Value::Int(8), Value::Bool(false)],
+        ]
+    );
+    let report = db.recovery_report().unwrap();
+    assert_eq!((report.watermark_gsn, report.markers_applied), (6, 1));
+    drop(db);
+    assert_eq!(files(&dir), files(&fixture("one-shard")));
+}
+
+#[test]
+fn replaying_the_script_writes_byte_identical_files() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("on_disk_format_replay");
+    let _ = std::fs::remove_dir_all(&dir);
+    one_shard_script(&Database::open(&dir, config()).unwrap());
+    let (want, got) = (files(&fixture("one-shard")), files(&dir));
+    assert_eq!(
+        want.keys().collect::<Vec<_>>(),
+        got.keys().collect::<Vec<_>>()
+    );
+    for (file, bytes) in &want {
+        assert!(got[file] == *bytes, "{file} differs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_keyed_one_shard_directory_opens_with_every_row() {
+    let dir = copy("one-shard-keyed");
+    let orders = vec![
+        vec![Value::Int(1), Value::str("ada")],
+        vec![Value::Int(2), Value::str("bob")],
+        vec![Value::Int(3), Value::str("ada")],
+        vec![Value::Int(4), Value::str("cy")],
+    ];
+    let items = vec![
+        vec![Value::Int(1), Value::Int(4)],
+        vec![Value::Int(3), Value::Int(2)],
+    ];
+    {
+        let db = Database::open(&dir, config()).unwrap();
+        assert_eq!(rows_of(&db, "orders"), orders);
+        assert_eq!(rows_of(&db, "items"), items);
+        // the store keeps working: the next checkpoint rewrites the
+        // metadata without the keys
+        db.insert("items", vec![vec![Value::Int(4), Value::Int(1)]])
+            .unwrap();
+        db.checkpoint().unwrap();
+    }
+    let db = Database::open(&dir, config()).unwrap();
+    assert_eq!(rows_of(&db, "orders"), orders);
+    assert_eq!(rows_of(&db, "items").len(), 3);
+}
+
+#[test]
+fn multi_shard_and_single_wal_directories_are_refused_untouched() {
+    for name in ["four-shards", "single-wal"] {
+        let dir = copy(name);
+        let before = files(&dir);
+        assert_eq!(before, files(&fixture(name)));
+        match Database::open(&dir, config()) {
+            Err(EngineError::Storage(StorageError::Unsupported(_))) => {}
+            other => panic!("{name}: {other:?}"),
+        }
+        assert_eq!(files(&dir), before, "{name}: a refusal writes nothing");
+    }
+}

@@ -149,10 +149,20 @@ fn ferry_queries_matches_the_profile_ring() {
 }
 
 #[test]
-fn ferry_tables_and_shards_match_the_catalog() {
+fn ferry_tables_matches_the_catalog() {
     let db = seeded();
+    let (schema, keys) = db.system_table_info("ferry.tables").unwrap();
+    assert_eq!(
+        schema,
+        Schema::of(&[
+            ("bytes", Ty::Int),
+            ("name", Ty::Str),
+            ("rows", Ty::Int),
+            ("wal_bytes", Ty::Int),
+        ])
+    );
+    assert_eq!(keys, vec!["name".to_string()]);
     let rows = scan(&db, "ferry.tables");
-    // (bytes, name, rows, shard_key, shards, wal_bytes)
     assert_eq!(rows.len(), 1);
     let emp_bytes = db
         .table("emp")
@@ -172,10 +182,8 @@ fn ferry_tables_and_shards_match_the_catalog() {
     assert_eq!(rows[0][0], Value::Int(emp_bytes as i64));
     assert_eq!(rows[0][1], Value::str("emp"));
     assert_eq!(rows[0][2], Value::Int(2));
-    assert_eq!(rows[0][3], Value::str("")); // unsharded
-    assert_eq!(rows[0][4], Value::Int(0));
-    assert_eq!(rows[0][5], Value::Int(0)); // in-memory: no WAL
-    assert!(scan(&db, "ferry.shards").is_empty(), "no sharded tables");
+    assert_eq!(rows[0][3], Value::Int(0)); // in-memory: no WAL
+    assert!(db.system_table_info("ferry.shards").is_none());
 
     // incrementally maintained: an insert moves rows and bytes
     db.insert(
@@ -187,41 +195,6 @@ fn ferry_tables_and_shards_match_the_catalog() {
     assert_eq!(rows[0][2], Value::Int(3));
     let Value::Int(b) = rows[0][0] else { panic!() };
     assert!(b as u64 > emp_bytes, "bytes grew with the insert");
-}
-
-#[test]
-fn ferry_shards_reports_per_shard_placement() {
-    let db = Database::new_sharded(4).unwrap();
-    db.create_table_sharded(
-        "kv",
-        Schema::of(&[("k", Ty::Int), ("v", Ty::Int)]),
-        vec!["k"],
-        "k",
-    )
-    .unwrap();
-    db.insert(
-        "kv",
-        (0..32)
-            .map(|i| vec![Value::Int(i), Value::Int(i * 10)])
-            .collect(),
-    )
-    .unwrap();
-    let rows = scan(&db, "ferry.shards");
-    // (dense, rows, shard, table): all four shards listed, in shard order
-    assert_eq!(rows.len(), 4);
-    let mut total = 0i64;
-    for (k, row) in rows.iter().enumerate() {
-        let Value::Int(n) = row[1] else { panic!() };
-        total += n;
-        assert_eq!(row[2], Value::Int(k as i64));
-        assert_eq!(row[3], Value::str("kv"));
-    }
-    assert_eq!(total, 32, "every row lives in exactly one shard");
-    // ferry.tables agrees on the shard topology
-    let tables = scan(&db, "ferry.tables");
-    assert_eq!(tables[0][1], Value::str("kv"));
-    assert_eq!(tables[0][3], Value::str("k"));
-    assert_eq!(tables[0][4], Value::Int(4));
 }
 
 #[test]
@@ -241,6 +214,10 @@ fn ferry_storage_reports_engine_properties() {
     assert_eq!(get("tables"), 1);
     assert_eq!(get("poisoned"), 0);
     assert_eq!(get("epoch"), db.epoch() as i64);
+    assert!(
+        !rows.iter().any(|r| r[0] == Value::str("shards")),
+        "one store: no shard count"
+    );
     // sorted by name (key order)
     let names: Vec<&Value> = rows.iter().map(|r| &r[0]).collect();
     let mut sorted = names.clone();

@@ -15,12 +15,10 @@
 //!   real directories and [`fs::FaultFs`], an in-memory file system with
 //!   crash semantics and scriptable fault injection (torn writes, bit
 //!   flips, short/failed fsyncs) that the recovery test suite drives;
-//! * [`Storage`] — the one store: `S` shard snapshots and a commit log
-//!   (plus one WAL per shard when `S ≥ 2`), group-committed under one
-//!   GSN sequence. An unsharded database is stored as one shard, where a
-//!   commit is one frame in one file; `open` = load snapshots ⊕ replay
-//!   to the epoch-consistent cut, `log_commit` = append before ack,
-//!   `checkpoint` = snapshot + truncate the logs.
+//! * [`Storage`] — the store: one snapshot and one commit log,
+//!   group-committed under one GSN sequence; a commit is one frame in
+//!   one file. `open` = load the snapshot ⊕ replay the log, `log_commit`
+//!   = append before ack, `checkpoint` = snapshot + truncate the log.
 //!
 //! Recovery correctness is *proven by fault injection rather than
 //! asserted*: for arbitrary transaction sequences crashed at arbitrary
@@ -36,8 +34,8 @@ pub mod wal;
 
 pub use fs::{Fault, FaultFs, StdFs, Vfs};
 pub use store::{
-    shard_snap_file, shard_wal_file, Recovered, RecoveryReport, Storage, TableDef, TableImage,
-    COMMIT_LOG, MAX_SHARDS, NO_SHARD, SHARD_META_FILE,
+    Recovered, RecoveryReport, Storage, TableDef, TableImage, COMMIT_LOG, SHARD_META_FILE,
+    SNAPSHOT_FILE,
 };
 pub use wal::WalRecord;
 
@@ -55,8 +53,8 @@ pub enum StorageError {
     /// are not a torn tail, bad magic, non-monotone LSNs, replay against
     /// a missing table. Recovery refuses to guess.
     Corrupt(String),
-    /// The directory is intact but not openable as asked: the retired
-    /// single-WAL format, or a shard count other than the one on disk.
+    /// The directory is intact but not openable: the retired single-WAL
+    /// format, or a store of several hash-partitioned shards.
     /// Nothing was written to it.
     Unsupported(String),
     /// A fault injected by [`fs::FaultFs`] — only ever seen by tests,

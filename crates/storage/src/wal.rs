@@ -1,5 +1,4 @@
-//! One append-only log file — the commit log or a shard WAL — and its
-//! record vocabulary.
+//! One append-only log file — the commit log — and its record vocabulary.
 //!
 //! File layout: the 8-byte magic [`WAL_MAGIC`] (which embeds the codec
 //! version), then one [frame](crate::frame) per logged record. Each
@@ -46,43 +45,36 @@ pub enum WalRecord {
     },
     /// Several records logged as a single frame so the CRC makes them
     /// all-or-nothing: a crash either replays the whole batch or none of
-    /// it. A commit frame is one, and so is a shard's slice of a commit
-    /// that inserted more than once.
+    /// it. A commit frame is one.
     Batch(Vec<WalRecord>),
-    /// `create_table` with a declared shard key: rides in the commit log
-    /// so recovery learns the partitioning column before any shard rows
-    /// are applied. `shard_key` names a column of
-    /// `schema`; the engine's versioned `ShardHash` (not storage) maps
-    /// rows to shards.
+    /// A create that also names a partitioning column. Recovery reads it
+    /// as a [`WalRecord::CreateTable`] and ignores `shard_key`; the engine
+    /// never writes it.
     CreateTableSharded {
         name: String,
         schema: Schema,
         keys: Vec<String>,
         shard_key: String,
     },
-    /// One shard's slice of a transaction's inserts, appended to that
-    /// shard's WAL — or, in a one-shard store, carried inside the commit
-    /// frame. `idx[i]` is the *absolute* position of `rows[i]` in the
-    /// table's global insert order, so parallel replay of all shard logs
-    /// reconstructs the exact insert order; application is positioned
-    /// and therefore idempotent across checkpoint windows.
+    /// One insert of a transaction, carried inside its commit frame.
+    /// `idx[i]` is the *absolute* position of `rows[i]` in the table's
+    /// insert order: each insert appends at the table's end, so the
+    /// positions of one table are dense and ascending.
     ShardRows {
         gsn: u64,
         table: String,
         idx: Vec<u64>,
         rows: Vec<Row>,
     },
-    /// The commit-log marker that seals group-sequence-number `gsn`:
-    /// bit `k` of `mask` set means shard `k`'s WAL holds `ShardRows`
-    /// frames for this gsn (always 0 in a one-shard store, whose rows
-    /// ride in the commit frame). Recovery keeps a gsn only if every
-    /// participant shard's frames are present — the epoch-consistent
-    /// cut.
+    /// The marker that ends a commit frame and seals group sequence
+    /// number `gsn`. `mask` names the shard WALs holding the commit's
+    /// rows in a multi-shard store; a one-shard store writes 0 and
+    /// recovery refuses any other value as corrupt.
     ShardCommit { gsn: u64, mask: u64 },
 }
 
 impl WalRecord {
-    fn encode(&self, e: &mut Enc) {
+    pub(crate) fn encode(&self, e: &mut Enc) {
         match self {
             WalRecord::CreateTable { name, schema, keys } => {
                 e.u8(1);
@@ -240,8 +232,7 @@ impl WalRecord {
 #[derive(Debug)]
 pub struct Wal {
     vfs: Arc<dyn Vfs>,
-    /// VFS path of the log this handle appends to (`commitlog` or
-    /// `wal-{k}`).
+    /// VFS path of the log this handle appends to.
     file: String,
     policy: FsyncPolicy,
     next_lsn: u64,
@@ -259,8 +250,8 @@ pub struct Wal {
     /// (or any fsync failure — see [`Wal::sync`]): every further
     /// operation fails until the database is reopened.
     poisoned: bool,
-    /// Every counter the bytes appended here are added to.
-    wal_bytes: Vec<Arc<Counter>>,
+    /// The counter the bytes appended here are added to.
+    wal_bytes: Arc<Counter>,
     fsyncs: Arc<Counter>,
 }
 
@@ -274,7 +265,7 @@ impl Wal {
         policy: FsyncPolicy,
         next_lsn: u64,
         file_len: u64,
-        wal_bytes: Vec<Arc<Counter>>,
+        wal_bytes: Arc<Counter>,
         fsyncs: Arc<Counter>,
     ) -> Wal {
         Wal {
@@ -336,9 +327,7 @@ impl Wal {
             return Err(e);
         }
         self.bytes_len += framed.len() as u64;
-        for counter in &self.wal_bytes {
-            counter.add(framed.len() as u64);
-        }
+        self.wal_bytes.add(framed.len() as u64);
         self.next_lsn += 1;
         self.unsynced += 1;
         if let FsyncPolicy::EveryN(n) = self.policy {
@@ -452,10 +441,6 @@ impl Wal {
 pub struct WalReplay {
     /// The decoded records, in LSN order.
     pub records: Vec<(u64, WalRecord)>,
-    /// On-disk size of each record's frame (header included), aligned
-    /// with `records` — lets sharded recovery compute the byte offset of
-    /// any frame (for cut-point truncation) without re-encoding.
-    pub frame_lens: Vec<u64>,
     /// Tail classification from the frame scanner.
     pub tail: Tail,
     /// Byte length of the valid region (magic + good frames); a torn
@@ -473,7 +458,6 @@ pub fn replay_wal(bytes: Option<&[u8]>) -> Result<WalReplay, StorageError> {
         None => {
             return Ok(WalReplay {
                 records: Vec::new(),
-                frame_lens: Vec::new(),
                 tail: Tail::Clean,
                 good_bytes: 0,
             })
@@ -484,7 +468,6 @@ pub fn replay_wal(bytes: Option<&[u8]>) -> Result<WalReplay, StorageError> {
         // a crash can tear even the magic of a freshly created log
         return Ok(WalReplay {
             records: Vec::new(),
-            frame_lens: Vec::new(),
             tail: Tail::Torn { offset: 0 },
             good_bytes: 0,
         });
@@ -499,7 +482,6 @@ pub fn replay_wal(bytes: Option<&[u8]>) -> Result<WalReplay, StorageError> {
     let body = &bytes[WAL_MAGIC.len()..];
     let out = scan(body)?;
     let mut records = Vec::with_capacity(out.frames.len());
-    let mut frame_lens = Vec::with_capacity(out.frames.len());
     let mut last_lsn = 0u64;
     for payload in out.frames {
         let mut d = Dec::new(payload);
@@ -513,11 +495,9 @@ pub fn replay_wal(bytes: Option<&[u8]>) -> Result<WalReplay, StorageError> {
         }
         last_lsn = lsn;
         records.push((lsn, rec));
-        frame_lens.push(payload.len() as u64 + crate::frame::FRAME_HEADER as u64);
     }
     Ok(WalReplay {
         records,
-        frame_lens,
         tail: out.tail,
         good_bytes: WAL_MAGIC.len() as u64 + out.good_bytes,
     })
@@ -535,15 +515,7 @@ mod tests {
         vfs.append(LOG, WAL_MAGIC).unwrap();
         vfs.sync(LOG).unwrap();
         let (bytes, fsyncs) = (Arc::new(Counter::default()), Arc::default());
-        Wal::resume(
-            vfs,
-            LOG,
-            policy,
-            1,
-            WAL_MAGIC.len() as u64,
-            vec![bytes],
-            fsyncs,
-        )
+        Wal::resume(vfs, LOG, policy, 1, WAL_MAGIC.len() as u64, bytes, fsyncs)
     }
 
     fn sample_records() -> Vec<WalRecord> {

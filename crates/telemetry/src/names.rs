@@ -25,10 +25,6 @@ pub const ENGINE_KERNEL_BATCHES: &str = "engine.kernel_batches";
 pub const ENGINE_FUSED_PIPELINES: &str = "engine.fused_pipelines";
 /// Plan nodes absorbed into fused pipelines.
 pub const ENGINE_FUSED_NODES: &str = "engine.fused_nodes";
-/// Rows read from sharded base-table scans (post-pruning).
-pub const ENGINE_SHARD_ROWS: &str = "engine.shard.rows";
-/// Rows partition pruning skipped without reading.
-pub const ENGINE_SHARD_PRUNED: &str = "engine.shard.pruned";
 /// Per-dispatch wall time (histogram, log₂ buckets).
 pub const ENGINE_QUERY_LATENCY_NS: &str = "engine.query_latency_ns";
 /// The published catalog epoch (gauge, monotone under one process).
@@ -70,8 +66,6 @@ pub const STORAGE_RECOVERIES: &str = "storage.recoveries";
 pub const STORAGE_CHECKPOINT_FAILURES: &str = "storage.checkpoint_failures";
 /// Transactions made durable per group-commit fsync (histogram).
 pub const STORAGE_COMMIT_BATCH_RECORDS: &str = "storage.commit_batch_records";
-/// Bytes appended across all shard-local WALs of a sharded database.
-pub const STORAGE_SHARD_WAL_BYTES: &str = "storage.shard.wal_bytes";
 
 /// Every metric name the workspace registers, sorted. The golden test
 /// below pins this list; `Registry::render_prometheus` output for a
@@ -87,8 +81,6 @@ pub const ALL: &[&str] = &[
     ENGINE_QUERY_LATENCY_NS,
     ENGINE_ROWS_OUT,
     ENGINE_ROWS_PRODUCED,
-    ENGINE_SHARD_PRUNED,
-    ENGINE_SHARD_ROWS,
     ENGINE_VEC_NODES,
     RUNTIME_CACHE_HITS,
     RUNTIME_CACHE_MISSES,
@@ -103,7 +95,6 @@ pub const ALL: &[&str] = &[
     STORAGE_COMMIT_BATCH_RECORDS,
     STORAGE_FSYNCS,
     STORAGE_RECOVERIES,
-    STORAGE_SHARD_WAL_BYTES,
     STORAGE_SNAPSHOTS,
     STORAGE_WAL_BYTES,
     STORAGE_WAL_RECORDS,
@@ -128,8 +119,6 @@ mod tests {
             "engine.query_latency_ns",
             "engine.rows_out",
             "engine.rows_produced",
-            "engine.shard.pruned",
-            "engine.shard.rows",
             "engine.vec_nodes",
             "runtime.cache_hits",
             "runtime.cache_misses",
@@ -144,7 +133,6 @@ mod tests {
             "storage.commit_batch_records",
             "storage.fsyncs",
             "storage.recoveries",
-            "storage.shard.wal_bytes",
             "storage.snapshots",
             "storage.wal_bytes",
             "storage.wal_records",

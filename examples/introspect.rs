@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ferry.tables — the catalog describing itself (columns, like every
     // table the DSL sees, in alphabetical order)
     println!("== ferry.tables ==");
-    let tables: Vec<(i64, String, i64, String, i64, i64)> = conn.from_q(&table("ferry.tables"))?;
-    for (bytes, name, rows, _shard_key, _shards, _wal) in &tables {
+    let tables: Vec<(i64, String, i64, i64)> = conn.from_q(&table("ferry.tables"))?;
+    for (bytes, name, rows, _wal) in &tables {
         println!("  {name:<12} {rows:>6} rows  {bytes:>8} bytes");
     }
 

@@ -14,8 +14,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join("ferry-persistence-demo");
 
     // open (or recover) the database; every mutation below is logged and
-    // fsynced before it is acknowledged — one frame and one fsync per
-    // commit, since an unsharded database is stored as a single shard
+    // fsynced before it is acknowledged — one frame in the commit log and
+    // one fsync per commit
     let conn = Connection::open_durable(&dir, DurabilityConfig::with_fsync(FsyncPolicy::Always))?;
 
     match conn.database().recovery_report() {

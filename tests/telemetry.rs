@@ -369,6 +369,7 @@ fn explain_analyze_renders_report_profile_and_timeline() {
         "executed nodes in timeline: {out}"
     );
     assert!(out.contains("vec nodes:"), "{out}");
+    assert!(!out.contains("shard"), "no shard counters: {out}");
 
     // plain explain carries the optimizer report too, without executing
     let conn2 = Connection::new(paper_dataset()).with_optimizer(ferry_optimizer::rewriter());
