@@ -4,17 +4,18 @@
 //! paper artefact — a regression guard for the substrate that all
 //! measured experiments run on.
 //!
-//! Each operator runs twice: `scalar` (the row-at-a-time oracle,
-//! `VecMode::Off`) and `fused` (`VecMode::Auto`: chain programs + typed
-//! sinks — the id predates the removal of the unfused kernel path and
-//! stays so the pins in `BENCH_engine.json` keep comparing like with
-//! like). `scalar` vs `fused` isolates the vectorized win.
+//! Each operator runs on the production path, chain programs + typed
+//! sinks, under the ids `{operator}_fused/{rows}` — the suffix predates
+//! the removal of the unfused kernel path and stays so the pins in
+//! `BENCH_engine.json` keep comparing like with like. The row-at-a-time
+//! oracle (`VecMode::Off`) is timed by no bench: no production query
+//! runs it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ferry_algebra::{
     plan::cn, plan::Aggregate, AggFun, BinOp, Dir, Expr, JoinCols, NodeId, Plan, Schema, Ty, Value,
 };
-use ferry_engine::{Database, ParConfig, VecMode};
+use ferry_engine::Database;
 
 fn int_table(rows: usize, modulus: i64) -> Vec<Vec<Value>> {
     (0..rows)
@@ -22,28 +23,19 @@ fn int_table(rows: usize, modulus: i64) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// The engines under comparison: scalar (the oracle path) and
-/// vectorized (the product default).
-fn engines() -> Vec<(&'static str, Database)> {
-    let scalar_db = Database::new();
-    scalar_db.set_par_config(ParConfig { vec: VecMode::Off });
-    vec![("scalar", scalar_db), ("fused", Database::new())]
-}
-
-fn bench_both(
+fn bench_fused(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
     n: usize,
     plan: &Plan,
     root: NodeId,
 ) {
-    for (mode, db) in engines() {
-        group.bench_with_input(
-            BenchmarkId::new(format!("{name}_{mode}"), n),
-            &n,
-            |bch, _| bch.iter(|| db.execute(plan, root).expect(name)),
-        );
-    }
+    let db = Database::new();
+    group.bench_with_input(
+        BenchmarkId::new(format!("{name}_fused"), n),
+        &n,
+        |bch, _| bch.iter(|| db.execute(plan, root).expect(name)),
+    );
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -63,7 +55,7 @@ fn bench_engine(c: &mut Criterion) {
             int_table(N, 50_000),
         );
         let j = plan.equi_join(l, r, JoinCols::single("a", "b"));
-        bench_both(&mut group, "equi_join", N, &plan, j);
+        bench_fused(&mut group, "equi_join", N, &plan, j);
     }
 
     // ROW_NUMBER over a 10-partition table
@@ -74,7 +66,7 @@ fn bench_engine(c: &mut Criterion) {
             int_table(N, 10),
         );
         let rn = plan.rownum(l, "pos", vec![cn("k")], vec![(cn("a"), Dir::Asc)]);
-        bench_both(&mut group, "rownum", N, &plan, rn);
+        bench_fused(&mut group, "rownum", N, &plan, rn);
     }
 
     // grouped aggregation, 10 groups
@@ -100,7 +92,7 @@ fn bench_engine(c: &mut Criterion) {
                 },
             ],
         );
-        bench_both(&mut group, "group_by", N, &plan, g);
+        bench_fused(&mut group, "group_by", N, &plan, g);
     }
 
     // duplicate elimination with heavy duplication
@@ -112,7 +104,7 @@ fn bench_engine(c: &mut Criterion) {
         );
         let l = plan.project(l0, vec![(cn("k"), cn("k"))]);
         let d = plan.distinct(l);
-        bench_both(&mut group, "distinct", N, &plan, d);
+        bench_fused(&mut group, "distinct", N, &plan, d);
     }
 
     // filter → project → sort at 100k rows: the copy-free chain — a
@@ -125,11 +117,11 @@ fn bench_engine(c: &mut Criterion) {
             int_table(M, 10),
         );
         let f = plan.select(l, Expr::bin(BinOp::Lt, Expr::col("k"), Expr::lit(5i64)));
-        bench_both(&mut group, "filter", M, &plan, f);
+        bench_fused(&mut group, "filter", M, &plan, f);
         let pr = plan.project(f, vec![(cn("a"), cn("a"))]);
-        bench_both(&mut group, "project", M, &plan, pr);
+        bench_fused(&mut group, "project", M, &plan, pr);
         let ser = plan.serialize(pr, vec![(cn("a"), Dir::Desc)], vec![cn("a")]);
-        bench_both(&mut group, "serialize", M, &plan, ser);
+        bench_fused(&mut group, "serialize", M, &plan, ser);
     }
 
     // an 8-operator arithmetic chain at 100k rows: the expression-bound
@@ -169,14 +161,14 @@ fn bench_engine(c: &mut Criterion) {
             Expr::lit(1i64),
         );
         let cch = plan.compute(l, "y", e);
-        bench_both(&mut group, "compute_chain", M, &plan, cch);
+        bench_fused(&mut group, "compute_chain", M, &plan, cch);
     }
 
     // compute → filter-on-the-computed-column → row numbering at 100k
-    // rows: the chain-program showcase. Node at a time (the scalar
-    // oracle), the compute materialises all 100k rows before the filter
-    // throws 70% of them away; chained, batches stream through the
-    // kernels and only survivors are ever built
+    // rows: the chain-program showcase. Batches stream through the
+    // kernels and only survivors are ever built, where node at a time the
+    // compute would materialise all 100k rows before the filter throws 70%
+    // of them away
     {
         let mut plan = Plan::new();
         let l = plan.lit(
@@ -201,7 +193,7 @@ fn bench_engine(c: &mut Criterion) {
             ),
         );
         let rn = plan.rownum(f, "pos", vec![cn("k")], vec![(cn("y"), Dir::Asc)]);
-        bench_both(&mut group, "filter_rownum", M, &plan, rn);
+        bench_fused(&mut group, "filter_rownum", M, &plan, rn);
     }
 
     // scan → filter → join-probe: 100k probe rows filtered to 10k, joined
@@ -222,12 +214,11 @@ fn bench_engine(c: &mut Criterion) {
             Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(10_000i64)),
         );
         let j = plan.equi_join(f, build, JoinCols::single("a", "b"));
-        bench_both(&mut group, "scan_filter_join_probe", M, &plan, j);
+        bench_fused(&mut group, "scan_filter_join_probe", M, &plan, j);
     }
 
     // filter selectivity sweep at 100k rows: 1% / 50% / 99% of rows kept.
-    // The kernel→selection-vector path pays per *input* row; the
-    // scalar path additionally allocates per *output* row
+    // The kernel→selection-vector path pays per *input* row
     {
         let mut plan = Plan::new();
         let l = plan.lit(
@@ -236,7 +227,7 @@ fn bench_engine(c: &mut Criterion) {
         );
         for (tag, cutoff) in [("1", 1_000i64), ("50", 50_000), ("99", 99_000)] {
             let f = plan.select(l, Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(cutoff)));
-            bench_both(&mut group, &format!("filter_sel{tag}"), M, &plan, f);
+            bench_fused(&mut group, &format!("filter_sel{tag}"), M, &plan, f);
         }
     }
 
@@ -279,7 +270,7 @@ fn bench_engine(c: &mut Criterion) {
                 },
             ],
         );
-        bench_both(&mut group, "group_by_typed", M, &plan, g);
+        bench_fused(&mut group, "group_by_typed", M, &plan, g);
     }
 
     // hash join N × N on a composite (Int, Str) key, one match per row:
@@ -303,7 +294,7 @@ fn bench_engine(c: &mut Criterion) {
             right: vec![cn("b"), cn("t")],
         };
         let j = plan.equi_join(l, r, on);
-        bench_both(&mut group, "equi_join_composite", N, &plan, j);
+        bench_fused(&mut group, "equi_join_composite", N, &plan, j);
     }
 
     group.finish();

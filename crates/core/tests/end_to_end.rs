@@ -629,21 +629,37 @@ fn explain_analyze_renders_the_node_profile() {
     assert!(text.contains("-- execution profile"), "{text}");
     assert!(text.contains("serialize"), "{text}");
     assert!(text.contains("rows"), "{text}");
-    // every node names its execution path; a 5-row table under VecMode::
-    // Auto stays scalar throughout
+    // every node names its execution path, which is the mode: under the
+    // default `VecMode::On` even a 5-row table runs vectorized, and a
+    // view-only node shows `vec(0)`
+    assert!(!text.contains("scalar"), "{text}");
+    assert!(text.contains("vec(0)"), "{text}");
+    let vec_line = text
+        .lines()
+        .find(|l| l.starts_with("vec nodes:"))
+        .expect("counter line");
+    assert!(!vec_line.contains("vec nodes: 0"), "{text}");
+}
+
+#[test]
+fn explain_analyze_names_the_oracle_path() {
+    use ferry_engine::{ParConfig, VecMode};
+    let c = conn();
+    c.set_par_config(ParConfig { vec: VecMode::Off });
+    let text = c
+        .explain_analyze(&group_with(|x: Q<i64>| x % toq(&2i64), nums()))
+        .unwrap();
     assert!(text.contains("scalar"), "{text}");
+    assert!(!text.contains("vec("), "{text}");
     assert!(text.contains("vec nodes: 0"), "{text}");
 }
 
 #[test]
 fn explain_analyze_names_the_vectorized_path() {
-    use ferry_engine::{ParConfig, VecMode};
     let c = conn();
-    c.set_par_config(ParConfig {
-        vec: VecMode::Force,
-    });
-    // `x % 2` forces a Compute node; under VecMode::Force it compiles to
-    // a kernel and the profile must say so, batch count included
+    // `x % 2` forces a Compute node; under the default VecMode::On it
+    // compiles to a kernel and the profile must say so, batch count
+    // included
     let text = c
         .explain_analyze(&map(|x: Q<i64>| x % toq(&2i64), nums()))
         .unwrap();
@@ -658,11 +674,7 @@ fn explain_analyze_names_the_vectorized_path() {
 
 #[test]
 fn explain_analyze_names_fused_pipelines() {
-    use ferry_engine::{ParConfig, VecMode};
     let c = conn();
-    c.set_par_config(ParConfig {
-        vec: VecMode::Force,
-    });
     // filter → compute chains into the serialize sink; the profile must
     // name the group's members on one line whose path is `vec(batches)`
     // (chain batches plus the typed sink's)

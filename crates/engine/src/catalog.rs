@@ -484,13 +484,14 @@ impl Database {
         self.transact(|tx| tx.insert(name, rows))
     }
 
-    /// Install a table **without** the `create_table` validation — the
+    /// Install a table **without** the `create_table` key validation — the
     /// restore-from-snapshot escape hatch. The caller is responsible for
-    /// the invariants (`keys ⊆ schema`, row cells typed per schema);
-    /// consumers such as `Connection::interpreter_tables` must therefore
-    /// report violations as errors rather than assume them impossible.
-    /// On a durable database the full table (rows included) is WAL-logged
-    /// before installation, which is why this can fail.
+    /// `keys ⊆ schema`; consumers such as `Connection::interpreter_tables`
+    /// must therefore report violations as errors rather than assume them
+    /// impossible. Rows are checked like an insert's (width and cell
+    /// types, [`EngineError::TableMismatch`]), so every stored column is
+    /// type-uniform. On a durable database the full table (rows included)
+    /// is WAL-logged before installation, which is why this can fail.
     pub fn install_table(
         &self,
         name: impl Into<String>,
@@ -1206,6 +1207,21 @@ pub struct Tx {
     dirty: bool,
 }
 
+/// Refuse rows that do not have `schema`'s shape (the storage layer's
+/// [`ferry_storage::row_shape_error`], which recovery runs too).
+fn check_rows(table: &str, schema: &Schema, rows: &[Row]) -> Result<(), EngineError> {
+    match rows
+        .iter()
+        .find_map(|r| ferry_storage::row_shape_error(schema, r))
+    {
+        Some(detail) => Err(EngineError::TableMismatch {
+            table: table.to_string(),
+            detail,
+        }),
+        None => Ok(()),
+    }
+}
+
 impl Tx {
     /// Create (or replace) a base table.
     pub fn create_table(
@@ -1256,26 +1272,7 @@ impl Tx {
             .tables
             .get(name)
             .ok_or_else(|| EngineError::NoSuchTable(name.to_string()))?;
-        for row in &rows {
-            if row.len() != table.schema.len() {
-                return Err(EngineError::TableMismatch {
-                    table: name.to_string(),
-                    detail: format!(
-                        "row width {} != schema width {}",
-                        row.len(),
-                        table.schema.len()
-                    ),
-                });
-            }
-            for (v, (c, t)) in row.iter().zip(table.schema.cols()) {
-                if v.ty() != *t {
-                    return Err(EngineError::TableMismatch {
-                        table: name.to_string(),
-                        detail: format!("column {c}: value {v} is not {t}"),
-                    });
-                }
-            }
-        }
+        check_rows(name, &table.schema, &rows)?;
         self.bump_stats(name, rows.iter().map(sys::row_bytes).sum());
         let table = self.work.tables.get_mut(name).expect("validated above");
         if self.durable && !rows.is_empty() {
@@ -1306,14 +1303,16 @@ impl Tx {
             .retain(|r| !matches!(r, WalRecord::ShardRows { table, .. } if table == name));
     }
 
-    /// Install a table without validation (see
-    /// [`Database::install_table`]).
+    /// Install a table without `create_table`'s key validation (see
+    /// [`Database::install_table`]); its rows are checked like an
+    /// insert's.
     pub fn install_table(
         &mut self,
         name: impl Into<String>,
         table: BaseTable,
     ) -> Result<(), EngineError> {
         let name = name.into();
+        check_rows(&name, &table.schema, table.rows.rows())?;
         if self.durable {
             self.unstage(&name);
             self.ddl.push(WalRecord::InstallTable {

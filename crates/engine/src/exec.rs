@@ -17,37 +17,41 @@
 //! queries (MVCC readers, the server's sessions), not inside one.
 //! Sorts break ties on row position, so every result is deterministic.
 //!
-//! Every operator has exactly **two** implementations. The scalar one
-//! ([`eval_node`], row-at-a-time over [`crate::eval`]) is the differential
-//! oracle and the fallback. The vectorized one is, for the row-wise
-//! operators, the **chain program**: [`form_pipelines`] groups each
-//! maximal `Select`/`Project`/`Compute`/`Attach` run — a lone operator is
-//! a chain of one — with its scan below and its sink above, and
-//! [`eval_pipeline`] streams the input through the compiled chain
-//! ([`crate::vec_eval`]) in 1024-row batches; for the sinks (joins,
-//! windows, group-by, distinct, difference, serialize) it is a typed
-//! branch inside their `eval_node` arm. `ParConfig::vectorize` gates both.
+//! Production runs **one** implementation per operator, at every input
+//! size. For the row-wise operators it is the **chain program**:
+//! [`form_pipelines`] groups each maximal `Select`/`Project`/`Compute`/
+//! `Attach` run — a lone operator is a chain of one — with its scan below
+//! and its sink above, and [`eval_pipeline`] streams the input through
+//! the compiled chain ([`crate::vec_eval`]) in 1024-row batches. For the
+//! sinks (joins, windows, group-by, distinct, difference, serialize) it
+//! is the typed branch of their [`eval_node`] arm. The scalar arms
+//! (row-at-a-time over [`crate::eval`]) are the differential oracle:
+//! they run only under `VecMode::Off`, which forms no pipelines, and a
+//! sink picks its scalar arm by that mode alone. The chain compiler
+//! refuses no well-typed expression (see the guard rule in
+//! [`crate::vec_eval`]), and the code kernels below take every column.
 //!
 //! Every key-consuming sink — equi-, semi- and anti-join, difference,
 //! distinct, group-by — reaches typed keys through one kernel at any key
-//! arity: [`key_codes`] turns each key column into `u64` codes (column
-//! by column, probe strings translated into the build side's dictionary),
+//! arity: [`chunk_codes`] turns each key column into `u64` codes (column
+//! by column; for two inputs, [`key_codes`] translates probe strings into
+//! the build side's dictionary),
 //! [`KeyIndex`] and [`Keys::groups`] hash them into flat chains, and a
-//! composite key's candidates are verified column by column. Only chunks
-//! the kernel refuses (`Other`, or two sides stored in different
-//! variants) take the scalar `Value`-keyed path.
+//! composite key's candidates are verified column by column. A `unit`
+//! key column is one constant code.
 
 use crate::catalog::Snapshot;
 use crate::error::EngineError;
 use crate::eval::{bind, eval, Bound};
 use crate::stats::{ExecPath, NodeProfile, QueryStats};
-use crate::vec_eval::{ChainBuilder, ChainProg, ParConfig, Reg, VirtSrc, BATCH_ROWS};
+use crate::vec_eval::{ChainBuilder, ChainProg, ParConfig, Reg, VecMode, VirtSrc, BATCH_ROWS};
 use ferry_algebra::plan::Aggregate;
 use ferry_algebra::{
     AggFun, ColName, ColVec, Dir, Expr, Node, NodeId, Plan, Rel, Row, Schema, SortSpec, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -88,7 +92,12 @@ pub fn run_many(
         }
         stack.extend(plan.node(id).children());
     }
-    let (pipelines, grouped) = form_pipelines(plan, roots, &needed);
+    // a node's path is the mode; the oracle forms no pipelines, so every
+    // node runs its own scalar operator
+    let ((pipelines, grouped), path) = match cfg.vec {
+        VecMode::On => (form_pipelines(plan, roots, &needed), ExecPath::Vectorized),
+        VecMode::Off => ((HashMap::new(), vec![false; plan.len()]), ExecPath::Scalar),
+    };
     let mut results: Vec<Option<Rel>> = vec![None; plan.len()];
     for idx in 0..plan.len() {
         // pipeline-absorbed nodes have no evaluation of their own — the
@@ -97,20 +106,26 @@ pub fn run_many(
             continue;
         }
         let id = NodeId(idx as u32);
-        let (rel, m) = eval_timed(snap, plan, id, schemas, &results, &cfg, &pipelines)?;
+        let mut m = NodeMetrics {
+            start_ns: ferry_telemetry::now_ns(),
+            ..NodeMetrics::default()
+        };
+        let start = Instant::now();
+        let rel = match pipelines.get(&idx) {
+            Some(spec) => eval_pipeline(snap, plan, spec, schemas, &results, &cfg, &mut m),
+            None => eval_node(snap, plan, id, schemas, &results, None, &cfg, &mut m),
+        }?;
+        m.elapsed = start.elapsed();
         // a pipeline tail accounts for every member it evaluated
         let covered = m.covered.max(1) as u64;
-        // vec iff a kernel batch or a typed sink ran; a pure column
-        // remap into a scalar sink is honestly scalar
-        let path = if m.batches > 0 {
+        // under `On` a view-only node (a scan, a remap) runs no row code
+        // of either kind and counts as vec
+        if path == ExecPath::Vectorized {
             stats.vec_nodes += covered;
-            ExecPath::Vectorized
-        } else {
-            ExecPath::Scalar
-        };
+        }
         stats.nodes_evaluated += covered;
         stats.rows_produced += rel.len() as u64;
-        if m.chained && covered > 1 {
+        if covered > 1 {
             stats.fused_pipelines += 1;
             stats.fused_nodes += covered;
         }
@@ -133,7 +148,7 @@ pub fn run_many(
             })
             .unwrap_or_default();
         if ferry_telemetry::tracing_active() {
-            // post-hoc span: the node was timed by eval_timed; record it
+            // post-hoc span: the node was timed above; record it
             // under the dispatch span so every plan node shows up in the
             // query trace
             let mut attrs: Vec<(&'static str, ferry_telemetry::AttrVal)> = vec![
@@ -179,14 +194,12 @@ struct NodeMetrics {
     /// Evaluation start on the telemetry clock (for post-hoc spans).
     start_ns: u64,
     elapsed: std::time::Duration,
-    /// Kernel batches executed by chain programs and typed sinks; `0`
-    /// means the whole evaluation stayed scalar.
+    /// Kernel batches executed by chain programs and typed sinks (`0`
+    /// for a view-only node, an empty input, or the scalar oracle).
     batches: u32,
     /// Plan nodes this evaluation covered: `0` for ordinary nodes, the
-    /// group size for pipeline tails (chain program or fallback).
+    /// group size for pipeline tails.
     covered: u32,
-    /// The pipeline's chain program ran (no member fell back to scalar).
-    chained: bool,
 }
 
 impl NodeMetrics {
@@ -208,10 +221,8 @@ enum PipeInput {
 
 /// A maximal chain — one chain operator at least — grouped structurally
 /// at dispatch time and evaluated by [`eval_pipeline`] in its tail's
-/// place. Grouping is *advisory*: if any member's expression fails to
-/// lower to a kernel at evaluation time, the tail falls back to scalar
-/// node-at-a-time execution of exactly the same members — results never
-/// depend on grouping.
+/// place. Results never depend on grouping: the oracle evaluates the
+/// same members one at a time.
 #[derive(Debug)]
 struct PipelineSpec {
     input: PipeInput,
@@ -331,35 +342,9 @@ fn form_pipelines(
     (pipelines, grouped)
 }
 
-fn eval_timed(
-    snap: &Snapshot<'_>,
-    plan: &Plan,
-    id: NodeId,
-    schemas: &[Schema],
-    results: &[Option<Rel>],
-    cfg: &ParConfig,
-    pipelines: &HashMap<usize, PipelineSpec>,
-) -> Result<(Rel, NodeMetrics), EngineError> {
-    let mut m = NodeMetrics {
-        start_ns: ferry_telemetry::now_ns(),
-        ..NodeMetrics::default()
-    };
-    let start = Instant::now();
-    let rel = match pipelines.get(&id.index()) {
-        Some(spec) => eval_pipeline(snap, plan, spec, schemas, results, cfg, &mut m),
-        None => eval_node(snap, plan, id, schemas, results, None, cfg, &mut m),
-    }?;
-    m.elapsed = start.elapsed();
-    Ok((rel, m))
-}
-
 /// Evaluate a pipeline group in its tail's place: compile the chain ops
 /// into one batch program ([`ChainBuilder`]), stream the input through it
 /// batch by batch, and hand the chain's output straight to the sink.
-/// Any refusal along the way (vectorization gated off, an expression that
-/// does not lower, a chunk variant surprise) falls back to evaluating the
-/// same members with the scalar operators — grouping never changes
-/// results.
 fn eval_pipeline(
     snap: &Snapshot<'_>,
     plan: &Plan,
@@ -371,37 +356,15 @@ fn eval_pipeline(
 ) -> Result<Rel, EngineError> {
     m.covered = spec.members;
     let scanned;
-    let (input_id, input) = match spec.input {
+    let input = match spec.input {
         PipeInput::Scan(s) => {
             scanned = eval_node(snap, plan, s, schemas, results, None, cfg, m)?;
-            (s, &scanned)
+            &scanned
         }
-        PipeInput::Node(n) => (n, child(results, n)),
+        PipeInput::Node(n) => child(results, n),
     };
-    let chained = if cfg.vectorize(input.len()) {
-        match build_chain(plan, input, &spec.mids, schemas) {
-            Some(prog) => stream_chain(input, &prog, m)?,
-            None => None,
-        }
-    } else {
-        None
-    };
-    m.chained = chained.is_some();
-    let top = match chained {
-        Some(rel) => rel,
-        // structural grouping was advisory — run the members one at a
-        // time, each handed its predecessor's output as its child
-        None => {
-            let mut below = input_id;
-            let mut cur: Option<Rel> = None;
-            for &mid in &spec.mids {
-                let over = Some((below, cur.as_ref().unwrap_or(input)));
-                cur = Some(eval_node(snap, plan, mid, schemas, results, over, cfg, m)?);
-                below = mid;
-            }
-            cur.expect("chains have mids")
-        }
-    };
+    let prog = build_chain(plan, input, &spec.mids, schemas)?;
+    let top = stream_chain(input, &prog, m)?;
     match spec.sink {
         Some(sink) => {
             let over = Some((*spec.mids.last().expect("chains have mids"), &top));
@@ -411,44 +374,39 @@ fn eval_pipeline(
     }
 }
 
-/// Compile the chain ops into one batch program, or `None` when any
-/// member refuses (expression doesn't lower, schema surprise).
-fn build_chain(plan: &Plan, input: &Rel, mids: &[NodeId], schemas: &[Schema]) -> Option<ChainProg> {
+/// Compile the chain ops into one batch program. It fails only as the
+/// members' oracle operators would before touching a row.
+fn build_chain(
+    plan: &Plan,
+    input: &Rel,
+    mids: &[NodeId],
+    schemas: &[Schema],
+) -> Result<ChainProg, EngineError> {
     let mut b = ChainBuilder::new(&input.schema);
     for &id in mids {
         let out_schema = &schemas[id.index()];
-        let ok = match plan.node(id) {
-            Node::Select { pred, .. } => b.filter(pred),
-            Node::Compute { expr, .. } => b.compute(expr, out_schema),
+        match plan.node(id) {
+            Node::Select { pred, .. } => b.filter(pred)?,
+            Node::Compute { expr, .. } => b.compute(expr, out_schema)?,
             Node::Project { cols, .. } => {
                 let idxs = cols
                     .iter()
-                    .map(|(_, old)| b.schema().index_of(old))
-                    .collect::<Option<Vec<_>>>()?;
+                    .map(|(_, old)| {
+                        let s = b.schema();
+                        s.index_of(old).ok_or_else(|| no_such_col(s, old))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
                 b.project(&idxs, out_schema);
-                true
             }
-            Node::Attach { value, .. } => {
-                b.attach(value, out_schema);
-                true
-            }
-            _ => false,
-        };
-        if !ok {
-            return None;
+            Node::Attach { value, .. } => b.attach(value, out_schema),
+            other => unreachable!("pipelines group chain ops only, not {}", other.label()),
         }
     }
-    Some(b.finish())
+    Ok(b.finish())
 }
 
 /// Stream `input` through the chain program and materialise its output.
-/// `Ok(None)` when binding fails (a chunk variant contradicts the
-/// schema) — the caller falls back to the scalar operators.
-fn stream_chain(
-    input: &Rel,
-    prog: &ChainProg,
-    m: &mut NodeMetrics,
-) -> Result<Option<Rel>, EngineError> {
+fn stream_chain(input: &Rel, prog: &ChainProg, m: &mut NodeMetrics) -> Result<Rel, EngineError> {
     let out_schema = prog.out_schema().clone();
     // pure-input output: the chain's columns are a remap of the input's
     let remap: Option<Vec<u32>> = prog.pure_input_out().map(|cols| {
@@ -458,19 +416,16 @@ fn stream_chain(
     });
     // ... and with no kernels the chain is nothing else
     if prog.stage_count() == 0 {
-        if let Some(raw) = &remap {
-            return Ok(Some(input.with_cols(out_schema, raw.clone())));
+        if let Some(raw) = remap {
+            return Ok(input.with_cols(out_schema, raw));
         }
     }
-    let Some(bound) = prog.bind(input) else {
-        return Ok(None);
-    };
-    let mut chunk = bound.run()?;
+    let mut chunk = prog.bind(input).run()?;
     m.batches += chunk.batches;
     // survivors become a selection vector + remap over the input's own
     // buffer — no row materialises
     if let Some(raw) = remap {
-        return Ok(Some(input.with_sel(chunk.rows).with_cols(out_schema, raw)));
+        return Ok(input.with_sel(chunk.rows).with_cols(out_schema, raw));
     }
     // carries and constants create new cells: build the output rows
     let width = out_schema.cols().len();
@@ -512,7 +467,7 @@ fn stream_chain(
             out.seed_chunk(j, col);
         }
     }
-    Ok(Some(out))
+    Ok(out)
 }
 
 /// A carried register as a typed [`ColVec`]: numeric and boolean
@@ -628,12 +583,12 @@ fn key_ref<'a>(rel: &'a Rel, i: usize, idxs: &[usize]) -> Vec<&'a Value> {
 }
 
 /// One `u64` equality code per **visible** row of `rel` for the given
-/// chunk (a full-buffer column), or `None` for `Other` chunks. String
-/// codes are the chunk's own dictionary codes, comparable only within
-/// that chunk — [`key_codes`] translates them across buffers. See
-/// [`ColVec::eq_code`] for the encoding; this is its batch form, one tight
-/// typed loop instead of a per-cell variant match.
-fn chunk_codes(rel: &Rel, chunk: &ColVec) -> Option<Vec<u64>> {
+/// chunk (a full-buffer column). String codes are the chunk's own
+/// dictionary codes, comparable only within that chunk — [`key_codes`]
+/// translates them across buffers. See [`ColVec::eq_code`] for the
+/// encoding; this is its batch form, one tight typed loop instead of a
+/// per-cell variant match.
+fn chunk_codes(rel: &Rel, chunk: &ColVec) -> Vec<u64> {
     let n = rel.len();
     let mut out = Vec::with_capacity(n);
     match chunk {
@@ -643,9 +598,11 @@ fn chunk_codes(rel: &Rel, chunk: &ColVec) -> Option<Vec<u64>> {
         ColVec::Dbl(v) => out.extend((0..n).map(|i| v[rel.raw_row(i)].to_bits())),
         ColVec::Bool(v) => out.extend((0..n).map(|i| v[rel.raw_row(i)] as u64)),
         ColVec::Str { codes, .. } => out.extend((0..n).map(|i| codes[rel.raw_row(i)] as u64)),
-        ColVec::Other(_) => return None,
+        // stored columns are type-uniform, so an `Other` chunk is a `unit`
+        // column — every cell equal, one code — or an empty buffer's
+        ColVec::Other(_) => out.resize(n, 0),
     }
-    Some(out)
+    out
 }
 
 /// Codes of a probe-side string column in the **build** chunk's code
@@ -688,6 +645,16 @@ struct Keys {
 }
 
 impl Keys {
+    /// One input's keys on columns `cols` (distinct, group-by), in its
+    /// own code space.
+    fn of(rel: &Rel, cols: &[usize]) -> Keys {
+        let codes = cols
+            .iter()
+            .map(|&c| chunk_codes(rel, &rel.typed_col(rel.raw_col(c))))
+            .collect();
+        Keys::new(codes, rel.len())
+    }
+
     fn new(cols: Vec<Vec<u64>>, rows: usize) -> Keys {
         let hashes = (cols.len() != 1).then(|| {
             let mut h = vec![0x243F_6A88_85A3_08D3u64; rows];
@@ -744,46 +711,43 @@ impl Keys {
 /// End of a flat chain.
 const NO_ROW: u32 = u32::MAX;
 
-/// The typed key kernel's one entry point: [`Keys`] for columns `pcols`
-/// of the probed input and, for a two-input operator, columns `bcols` of
-/// the build input — with the probe's strings translated into the build
-/// side's code space. `None` when the config keeps the node scalar (gated
-/// on the probe's rows) or a column refuses typed codes: an `Other` chunk,
-/// or a build column stored in another variant than its probe column
-/// (`Int` against `Nat` never compares equal, and their codes would).
+/// The typed key kernel for a two-input operator: [`Keys`] for columns
+/// `pcols` of the probed input and columns `bcols` of the build input,
+/// with the probe's strings translated into the build side's code space.
+/// Join keys are typed alike (`infer_schema`) and stored columns are
+/// type-uniform, so two non-empty sides store a key in one variant;
+/// anything else is an internal error.
 fn key_codes(
-    cfg: &ParConfig,
     (probe, pcols): (&Rel, &[usize]),
-    build: Option<(&Rel, &[usize])>,
-) -> Option<(Keys, Option<Keys>)> {
-    if !cfg.vectorize(probe.len()) {
-        return None;
-    }
+    (build, bcols): (&Rel, &[usize]),
+) -> Result<(Keys, Keys), EngineError> {
     let mut pk = Vec::with_capacity(pcols.len());
-    let mut bk = Vec::with_capacity(pcols.len());
-    for (k, &pc) in pcols.iter().enumerate() {
+    let mut bk = Vec::with_capacity(bcols.len());
+    for (&pc, &bc) in pcols.iter().zip(bcols) {
         let pch = probe.typed_col(probe.raw_col(pc));
-        // an empty build side matches nothing: native probe codes serve
-        let Some((b, bcols)) = build.filter(|(b, _)| !b.is_empty()) else {
-            pk.push(chunk_codes(probe, &pch)?);
-            continue;
-        };
-        let bch = b.typed_col(b.raw_col(bcols[k]));
+        let bch = build.typed_col(build.raw_col(bc));
+        bk.push(chunk_codes(build, &bch));
         pk.push(match (pch.as_ref(), bch.as_ref()) {
+            // an empty side matches nothing: native codes serve
+            _ if probe.is_empty() || build.is_empty() => chunk_codes(probe, &pch),
             (ColVec::Str { codes, dict }, ColVec::Str { dict: into, .. })
                 if !Arc::ptr_eq(&pch, &bch) =>
             {
                 translated_codes(probe, codes, dict, into)
             }
             (p, b) if std::mem::discriminant(p) == std::mem::discriminant(b) => {
-                chunk_codes(probe, p)?
+                chunk_codes(probe, p)
             }
-            _ => return None,
+            _ => {
+                return Err(EngineError::Eval(format!(
+                    "internal: key columns {} and {} are stored in different variants",
+                    probe.schema.cols()[pc].0,
+                    build.schema.cols()[bc].0
+                )))
+            }
         });
-        bk.push(chunk_codes(b, &bch)?);
     }
-    let bkeys = build.map(|(b, _)| Keys::new(bk, b.len()));
-    Some((Keys::new(pk, probe.len()), bkeys))
+    Ok((Keys::new(pk, probe.len()), Keys::new(bk, build.len())))
 }
 
 /// A build input's flat-chain hash index: one map entry per distinct hash
@@ -873,12 +837,9 @@ impl std::hash::Hasher for CodeHasher {
 /// bit transform below preserves bit-for-bit, and strings by dictionary
 /// **rank** (chunk dictionaries are first-occurrence order, so they are
 /// remapped through a rank table sorted on the strings themselves).
-/// `Desc` keys are bitwise-complemented. `None` when the config keeps the
-/// node scalar or any column's storage does not admit codes.
-fn sort_codes(rel: &Rel, spec: &[(usize, Dir)], cfg: &ParConfig) -> Option<Vec<Vec<u64>>> {
-    if spec.is_empty() || !cfg.vectorize(rel.len()) {
-        return None;
-    }
+/// `Desc` keys are bitwise-complemented. A `unit` column (and an empty
+/// buffer's) is one constant code.
+fn sort_codes(rel: &Rel, spec: &[(usize, Dir)]) -> Vec<Vec<u64>> {
     let n = rel.len();
     let mut out = Vec::with_capacity(spec.len());
     for &(c, d) in spec {
@@ -908,7 +869,7 @@ fn sort_codes(rel: &Rel, spec: &[(usize, Dir)], cfg: &ParConfig) -> Option<Vec<V
                 }
                 col.extend((0..n).map(|i| rank[codes[rel.raw_row(i)] as usize]));
             }
-            _ => return None,
+            ColVec::Other(_) => col.resize(n, 0),
         }
         if matches!(d, Dir::Desc) {
             for c in col.iter_mut() {
@@ -917,7 +878,7 @@ fn sort_codes(rel: &Rel, spec: &[(usize, Dir)], cfg: &ParConfig) -> Option<Vec<V
         }
         out.push(col);
     }
-    Some(out)
+    out
 }
 
 /// Sort the index set `0..n` by `cmp`, which must break ties on the
@@ -954,6 +915,8 @@ fn eval_node(
     m: &mut NodeMetrics,
 ) -> Result<Rel, EngineError> {
     let out_schema = schemas[id.index()].clone();
+    // the sinks' scalar arms are the oracle's, and nothing else's
+    let oracle = cfg.vec == VecMode::Off;
     // a pipeline tail hands its chain output in as `over`, standing in
     // for the (never materialised) result of the child it names
     let child = |c: NodeId| match over {
@@ -1056,8 +1019,8 @@ fn eval_node(
             let w = rel.width();
             let all: Vec<usize> = (0..w).collect();
             // typed: keep each key group's first row
-            if let Some((keys, _)) = key_codes(cfg, (rel, &all), None) {
-                let firsts = keys.groups(|_| {});
+            if !oracle {
+                let firsts = Keys::of(rel, &all).groups(|_| {});
                 let keep = firsts.iter().map(|&i| rel.raw_row(i as usize) as u32);
                 m.typed_sink(rel.len());
                 return Ok(rel.with_sel(keep.collect()).with_schema(out_schema));
@@ -1095,7 +1058,8 @@ fn eval_node(
             let w = l.width();
             let all: Vec<usize> = (0..w).collect();
             // typed: the first row of each left key group no right row has
-            if let Some((lk, Some(rk))) = key_codes(cfg, (l, &all), Some((r, &all))) {
+            if !oracle {
+                let (lk, rk) = key_codes((l, &all), (r, &all))?;
                 let exclude = KeyIndex::new(rk);
                 let keep = lk
                     .groups(|_| {})
@@ -1137,7 +1101,8 @@ fn eval_node(
             let li = resolve_cols(&l.schema, &on.left)?;
             let ri = resolve_cols(&r.schema, &on.right)?;
             // typed probe: hash and compare u64 key codes, not `Value` cells
-            if let Some((lk, Some(rk))) = key_codes(cfg, (l, &li), Some((r, &ri))) {
+            if !oracle {
+                let (lk, rk) = key_codes((l, &li), (r, &ri))?;
                 let index = KeyIndex::new(rk);
                 let rw = r.width();
                 let mut rows = Vec::new();
@@ -1176,7 +1141,8 @@ fn eval_node(
             let li = resolve_cols(&l.schema, &on.left)?;
             let ri = resolve_cols(&r.schema, &on.right)?;
             // typed membership probe (see EquiJoin)
-            if let Some((lk, Some(rk))) = key_codes(cfg, (l, &li), Some((r, &ri))) {
+            if !oracle {
+                let (lk, rk) = key_codes((l, &li), (r, &ri))?;
                 let index = KeyIndex::new(rk);
                 let keep = (0..l.len())
                     .filter(|&i| index.contains(&lk, i) != anti)
@@ -1216,17 +1182,25 @@ fn eval_node(
             input, part, order, ..
         } => {
             let rel = child(*input);
-            windowed(rel, part, order, out_schema, WindowKind::RowNum, cfg, m)
+            windowed(rel, part, order, out_schema, WindowKind::RowNum, oracle, m)
         }
         Node::RowRank { input, order, .. } => {
             let rel = child(*input);
-            windowed(rel, &[], order, out_schema, WindowKind::Rank, cfg, m)
+            windowed(rel, &[], order, out_schema, WindowKind::Rank, oracle, m)
         }
         Node::DenseRank {
             input, part, order, ..
         } => {
             let rel = child(*input);
-            windowed(rel, part, order, out_schema, WindowKind::DenseRank, cfg, m)
+            windowed(
+                rel,
+                part,
+                order,
+                out_schema,
+                WindowKind::DenseRank,
+                oracle,
+                m,
+            )
         }
         Node::GroupBy { input, keys, aggs } => {
             let rel = child(*input);
@@ -1244,9 +1218,9 @@ fn eval_node(
                         .transpose()
                 })
                 .collect::<Result<_, _>>()?;
-            if let Some(out) = group_by_typed(rel, &ki, aggs, &ai, &out_schema, cfg)? {
+            if !oracle {
                 m.typed_sink(rel.len());
-                return Ok(out);
+                return group_by_typed(rel, &ki, aggs, &ai, out_schema);
             }
             // scalar: group rows by key, first-occurrence order
             Ok(Rel::new(out_schema, group_by_scalar(rel, &ki, aggs, &ai)?))
@@ -1257,14 +1231,13 @@ fn eval_node(
             // the input's own buffer cells
             let rel = child(*input);
             let spec = resolve_sort(&rel.schema, order)?;
-            // typed sort codes when the order columns admit them (see
-            // `sort_codes`); `Value` comparator otherwise
-            let idxs = match sort_codes(rel, &spec, cfg) {
-                Some(cols) => {
-                    m.typed_sink(rel.len());
-                    sort_by_codes(rel.len(), &cols)
-                }
-                None => sort_indices(rel.len(), |a, b| cmp_vis(rel, a, b, &spec).then(a.cmp(&b))),
+            // typed sort codes (see `sort_codes`); the oracle compares
+            // `Value`s
+            let idxs = if oracle {
+                sort_indices(rel.len(), |a, b| cmp_vis(rel, a, b, &spec).then(a.cmp(&b)))
+            } else {
+                m.typed_sink(rel.len());
+                sort_by_codes(rel.len(), &sort_codes(rel, &spec))
             };
             let sel: Vec<u32> = idxs
                 .into_iter()
@@ -1300,7 +1273,7 @@ fn windowed(
     order: &[SortSpec],
     out_schema: Schema,
     kind: WindowKind,
-    cfg: &ParConfig,
+    oracle: bool,
     m: &mut NodeMetrics,
 ) -> Result<Rel, EngineError> {
     let pi: Vec<(usize, Dir)> = resolve_cols(&rel.schema, part)?
@@ -1308,80 +1281,54 @@ fn windowed(
         .map(|c| (c, Dir::Asc))
         .collect();
     let spec = resolve_sort(&rel.schema, order)?;
-    // typed fast path: order-preserving u64 sort codes for `(part, order)`
-    // replace per-pair `Value` comparisons, and the same codes drive the
-    // partition/order boundary tests of the numbering scan below (code
-    // equality coincides with `Value` equality by construction)
-    let full: Vec<(usize, Dir)> = pi.iter().chain(spec.iter()).copied().collect();
-    if let Some(cols) = sort_codes(rel, &full, cfg) {
-        let idxs = sort_by_codes(rel.len(), &cols);
-        m.typed_sink(rel.len());
-        let np = pi.len();
-        let mut rows: Vec<Row> = Vec::with_capacity(rel.len());
-        let mut prev: Option<usize> = None;
-        let mut row_number = 0u64;
-        let mut rank_value = 0u64;
-        for i in idxs {
-            let i = i as usize;
-            let same_part = prev.is_some_and(|p| cols[..np].iter().all(|c| c[i] == c[p]));
-            if !same_part {
-                row_number = 0;
-                rank_value = 0;
-            }
-            row_number += 1;
-            let fresh_order = !same_part
-                || cols[np..]
-                    .iter()
-                    .any(|c| c[i] != c[prev.expect("same part")]);
-            let n = match kind {
-                WindowKind::RowNum => row_number,
-                WindowKind::Rank => {
-                    if fresh_order {
-                        rank_value = row_number;
-                    }
-                    rank_value
-                }
-                WindowKind::DenseRank => {
-                    if fresh_order {
-                        rank_value += 1;
-                    }
-                    rank_value
-                }
-            };
-            let mut out = rel.owned_row_with(i, 1);
-            out.push(Value::Nat(n));
-            rows.push(out);
-            prev = Some(i);
-        }
-        return Ok(Rel::new(out_schema, rows));
+    // one sort key, partition columns first; the numbering scan tests its
+    // partition span `0..np` and its order span `np..` for boundaries
+    let full: Vec<(usize, Dir)> = pi.iter().chain(&spec).copied().collect();
+    let spans = (pi.len(), full.len());
+    if oracle {
+        let idxs = sort_indices(rel.len(), |a, b| cmp_vis(rel, a, b, &full).then(a.cmp(&b)));
+        let same = |p: usize, i: usize, span: Range<usize>| {
+            full[span]
+                .iter()
+                .all(|&(c, _)| rel.cell(p, c) == rel.cell(i, c))
+        };
+        return Ok(number(rel, idxs, spans, kind, same, out_schema));
     }
-    let idxs = sort_indices(rel.len(), |a, b| {
-        cmp_vis(rel, a, b, &pi)
-            .then_with(|| cmp_vis(rel, a, b, &spec))
-            .then(a.cmp(&b))
-    });
-    let part_idx: Vec<usize> = pi.iter().map(|&(c, _)| c).collect();
-    let order_idx: Vec<usize> = spec.iter().map(|&(c, _)| c).collect();
-    let mut rows: Vec<Row> = Vec::with_capacity(rel.len());
-    let mut prev_part: Option<Vec<&Value>> = None;
-    let mut prev_order: Option<Vec<&Value>> = None;
+    // order-preserving u64 sort codes replace per-pair `Value`
+    // comparisons, and drive the boundary tests too (code equality
+    // coincides with `Value` equality by construction)
+    m.typed_sink(rel.len());
+    let codes = sort_codes(rel, &full);
+    let idxs = sort_by_codes(rel.len(), &codes);
+    let same = |p: usize, i: usize, span: Range<usize>| codes[span].iter().all(|c| c[p] == c[i]);
+    Ok(number(rel, idxs, spans, kind, same, out_schema))
+}
+
+/// Number the visible rows of `rel` taken in sorted order `idxs`.
+/// `same(p, i, span)` says whether rows `p` and `i` agree on the sort
+/// columns `span` of the partition span `0..np` or the order span
+/// `np..width`.
+fn number(
+    rel: &Rel,
+    idxs: Vec<u32>,
+    (np, width): (usize, usize),
+    kind: WindowKind,
+    same: impl Fn(usize, usize, Range<usize>) -> bool,
+    out_schema: Schema,
+) -> Rel {
+    let mut rows: Vec<Row> = Vec::with_capacity(idxs.len());
+    let mut prev: Option<usize> = None;
     let mut row_number = 0u64;
     let mut rank_value = 0u64;
     for i in idxs {
         let i = i as usize;
-        let p = key_ref(rel, i, &part_idx);
-        let o = key_ref(rel, i, &order_idx);
-        if prev_part.as_ref() != Some(&p) {
+        let same_part = prev.is_some_and(|p| same(p, i, 0..np));
+        if !same_part {
             row_number = 0;
             rank_value = 0;
-            prev_order = None;
-            prev_part = Some(p);
         }
         row_number += 1;
-        let fresh_order = prev_order.as_ref() != Some(&o);
-        if fresh_order {
-            prev_order = Some(o);
-        }
+        let fresh_order = !same_part || prev.is_some_and(|p| !same(p, i, np..width));
         let n = match kind {
             WindowKind::RowNum => row_number,
             WindowKind::Rank => {
@@ -1400,8 +1347,9 @@ fn windowed(
         let mut out = rel.owned_row_with(i, 1);
         out.push(Value::Nat(n));
         rows.push(out);
+        prev = Some(i);
     }
-    Ok(Rel::new(out_schema, rows))
+    Rel::new(out_schema, rows)
 }
 
 /// Aggregate accumulator.
@@ -1528,20 +1476,21 @@ enum VAgg {
 }
 
 /// Typed group-by: key rows by `u64` eq-codes, then run each aggregate as
-/// a tight loop over its typed chunk. Returns `Ok(None)` when any part of
-/// the node falls outside the typed domains (the scalar path then owns
-/// it, including its error behaviours — e.g. `AVG` over `Nat`).
+/// a tight loop over its typed chunk. `infer_schema` admits only the
+/// aggregate/domain pairs planned below, and stored columns are
+/// type-uniform, so any other pair is an internal error.
 fn group_by_typed(
     rel: &Rel,
     ki: &[usize],
     aggs: &[Aggregate],
     ai: &[Option<usize>],
-    out_schema: &Schema,
-    cfg: &ParConfig,
-) -> Result<Option<Rel>, EngineError> {
+    out_schema: Schema,
+) -> Result<Rel, EngineError> {
     let n = rel.len();
-    if !cfg.vectorize(n) {
-        return Ok(None);
+    if n == 0 {
+        // no rows, no group — keyed or global (an empty buffer's chunks
+        // are `Other` whatever the type, so plan nothing)
+        return Ok(Rel::new(out_schema, Vec::new()));
     }
     // per-aggregate plan: the input chunk plus the accumulator kind its
     // storage variant admits
@@ -1568,7 +1517,12 @@ fn group_by_typed(
             },
             (AggFun::All, Some(ColVec::Bool(_))) => VAgg::All(Vec::new()),
             (AggFun::Any, Some(ColVec::Bool(_))) => VAgg::Any(Vec::new()),
-            _ => return Ok(None),
+            (fun, _) => {
+                return Err(EngineError::Eval(format!(
+                    "internal: no typed {fun:?} over {:?}",
+                    a.input
+                )))
+            }
         };
         chunks.push(chunk);
         states.push(state);
@@ -1577,11 +1531,9 @@ fn group_by_typed(
     // Global aggregate: one group holding every row (scalar semantics: no
     // rows, no group)
     let (gid, first_row) = if ki.is_empty() {
-        (vec![0; n], if n > 0 { vec![0] } else { Vec::new() })
+        (vec![0; n], vec![0])
     } else {
-        let Some((keys, _)) = key_codes(cfg, (rel, ki), None) else {
-            return Ok(None);
-        };
+        let keys = Keys::of(rel, ki);
         let mut gid = Vec::with_capacity(n);
         let firsts = keys.groups(|g| gid.push(g));
         (gid, firsts)
@@ -1704,7 +1656,7 @@ fn group_by_typed(
         }
         rows.push(row);
     }
-    Ok(Some(Rel::new(out_schema.clone(), rows)))
+    Ok(Rel::new(out_schema, rows))
 }
 
 /// The scalar group-by loop: one output row per group, in
@@ -1742,7 +1694,6 @@ fn group_by_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vec_eval::VecMode;
     use ferry_algebra::Ty;
 
     /// Two buffers whose string dictionaries number shared strings
@@ -1796,13 +1747,10 @@ mod tests {
 
     #[test]
     fn colliding_hashes_never_change_a_result() {
-        let cfg = ParConfig {
-            vec: VecMode::Force,
-        };
         let (l, r) = inputs();
         for cols in [vec![0], vec![1], vec![2], vec![0, 1], vec![0, 1, 2]] {
-            let (lk, rk) = key_codes(&cfg, (&l, &cols), Some((&r, &cols))).expect("typed keys");
-            let (lk, index) = (collide(lk), KeyIndex::new(collide(rk.expect("build keys"))));
+            let (lk, rk) = key_codes((&l, &cols), (&r, &cols)).expect("typed keys");
+            let (lk, index) = (collide(lk), KeyIndex::new(collide(rk)));
             let eq = |i: usize, j: usize| key_ref(&l, i, &cols) == key_ref(&r, j, &cols);
             // equi-join: probe row, then ascending build row
             let joined: Vec<(usize, u32)> = (0..l.len())

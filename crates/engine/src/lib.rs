@@ -29,14 +29,13 @@
 //! thread that calls it; concurrency lives between queries (MVCC
 //! snapshots, the server's sessions), not inside one.
 //!
-//! Row-wise operators additionally have one **vectorized** form
-//! ([`vec_eval`]): every maximal `Select`/`Project`/`Compute`/`Attach`
-//! run — a lone operator included — compiles to a chain of register-based
-//! kernel programs that streams typed column chunks 1024 rows per batch
-//! into its sink, with the scalar row-at-a-time interpreter retained as
-//! both kernel-bail fallback and differential oracle. `ParConfig::vec`
-//! selects the path; the per-dispatch [`QueryProfile`] records which one
-//! each evaluation took.
+//! Row-wise operators run in **vectorized** form ([`vec_eval`]): every
+//! maximal `Select`/`Project`/`Compute`/`Attach` run — a lone operator
+//! included — compiles to a chain of register-based kernel programs that
+//! streams typed column chunks 1024 rows per batch into its sink, at
+//! every input size. The scalar row-at-a-time interpreter is kept as the
+//! differential oracle only: `ParConfig::vec` (`VecMode::Off`) selects
+//! it, and the per-dispatch [`QueryProfile`] records the path.
 //!
 //! ## Observability
 //!

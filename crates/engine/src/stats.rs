@@ -21,17 +21,18 @@ use std::fmt;
 use std::time::Duration;
 
 /// Which execution path one evaluation — a plan node, or a pipeline
-/// chain under its tail — took. The vectorized implementations pick per
-/// input (kernels compiled, chunk types usable, input large enough — see
-/// `ParConfig::vectorize`); everything else is scalar.
+/// chain under its tail — took. It is the dispatch's `VecMode`: `On`
+/// runs every node on its one production implementation, `Off` on the
+/// scalar oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
-    /// Row-at-a-time `Bound` interpretation — the fallback and the
-    /// differential oracle.
+    /// Row-at-a-time `Bound` interpretation — the differential oracle
+    /// (`VecMode::Off`).
     #[default]
     Scalar,
-    /// At least one kernel batch (`vec_eval` chain program) or typed sink
-    /// (columnar join / window / group-by / distinct / sort codes) ran.
+    /// The production path (`VecMode::On`): chain programs and typed
+    /// sinks. A view-only node (a scan, a remap) runs no row code of
+    /// either kind and is on it too, with zero batches.
     Vectorized,
 }
 
@@ -56,15 +57,15 @@ pub struct NodeProfile {
     pub rows: u64,
     /// Wall-clock evaluation time for this node.
     pub elapsed: Duration,
-    /// Execution path the evaluation took (`Vectorized` iff `batches > 0`).
+    /// Execution path the evaluation took (the dispatch's mode).
     pub path: ExecPath,
-    /// Kernel batches executed (`0` on the scalar path).
+    /// Kernel batches executed (`0` on the scalar path, for a view-only
+    /// node, and for an empty input).
     pub batches: u32,
     /// When this node is the tail of a pipeline group of two or more
     /// plan nodes: the member operators' labels in scan→sink order
-    /// (empty for plain nodes and chains of one). Present whether the
-    /// chain program ran or the members fell back to scalar — `path`
-    /// says which happened.
+    /// (empty for plain nodes and chains of one; the oracle forms no
+    /// groups).
     pub fused: Vec<&'static str>,
 }
 
@@ -173,13 +174,14 @@ pub struct QueryStats {
     /// … and misses: compilations that went through the full
     /// loop-lifting + optimisation pipeline.
     pub cache_misses: u64,
-    /// Plan nodes covered by evaluations that took the vectorized path
-    /// (every member of a pipeline chain counts, like `nodes_evaluated`).
+    /// Plan nodes covered by evaluations on the production path — every
+    /// node under `VecMode::On`, none under `Off` (every member of a
+    /// pipeline chain counts, like `nodes_evaluated`).
     pub vec_nodes: u64,
     /// Total kernel batches executed by vectorized evaluations.
     pub kernel_batches: u64,
-    /// Pipeline groups of two or more plan nodes whose chain program ran
-    /// (one batch loop from scan to sink, no intermediate relations).
+    /// Pipeline groups of two or more plan nodes (one batch loop from scan
+    /// to sink, no intermediate relations).
     pub fused_pipelines: u64,
     /// Plan nodes those groups covered (tails included).
     pub fused_nodes: u64,

@@ -13,26 +13,39 @@
 //! `Select`/`Project`/`Compute`/`Attach` run, a lone operator being a
 //! chain of one. `crate::exec` streams the chain's input through every
 //! stage batch by batch; there is no node-at-a-time kernel dispatch
-//! beside it. [`ParConfig::vectorize`] decides when a chain or typed sink
-//! runs at all.
+//! beside it. Under [`VecMode::On`] every chain runs this way, whatever
+//! its input size; the scalar operators run only under [`VecMode::Off`],
+//! as the differential oracle.
 //!
 //! ## Semantics contract
 //!
 //! The kernels are *observably identical* to the scalar oracle — same
 //! values, same errors (message strings included) — with one deliberate
-//! freedom: when several rows of one batch fail, the reported row may
-//! differ (scalar walks rows outer-most, kernels walk instructions
-//! outer-most). Three scalar behaviours cannot be reproduced by a
-//! straight-line batch program, so [`compile`] refuses those expressions
-//! and the chain falls back to the scalar operators:
+//! freedom: when several rows, or several stages of one chain, fail, the
+//! reported error may differ (scalar walks rows outer-most, kernels walk
+//! instructions outer-most). [`compile`] refuses no well-typed
+//! expression; the scalar behaviours a straight-line batch program does
+//! not have on its own follow the **guard rule**:
 //!
-//! - `AND`/`OR` short-circuiting: a kernel evaluates both sides for the
-//!   whole batch, so a *fallible* right-hand side (one that can raise,
-//!   e.g. a division) must not be vectorized.
-//! - `CASE` evaluates only the taken branch per row; kernels pre-evaluate
-//!   both, so fallible branches bail out.
-//! - `Nat` division/modulo are not defined by the scalar oracle (they hit
-//!   its catch-all error) — kernels don't invent them.
+//! - Scalar `AND`/`OR` evaluate their right side only on rows the left
+//!   side did not decide, and `CASE` evaluates only the taken branch. A
+//!   kernel runs every instruction over the whole batch, so a right side
+//!   or a branch is compiled under a *guard*: the mask of the rows that
+//!   reach it (left side true for `AND`, false for `OR`, condition true
+//!   or false for a branch), and-ed with any enclosing guard. An
+//!   instruction that can raise raises only for a row its guard admits;
+//!   for any other row it writes a placeholder that nothing selects. A
+//!   region builds its mask once, and only if it holds such an
+//!   instruction.
+//! - `Nat` division/modulo are not defined by the scalar oracle: they
+//!   lower to the element-wise oracle instruction, which raises the
+//!   oracle's own "not applicable" error for every row it admits.
+//! - An unbound parameter is [`EngineError::UnboundParam`] from
+//!   [`compile`], as the oracle's `bind` reports before it touches a row.
+//!
+//! `infer_schema` rejects an ill-typed expression before dispatch; one
+//! that reached a kernel anyway would fail with the internal
+//! register-confusion error when a batch runs, never fall back.
 //!
 //! Everything else — checked `Int`/`Nat` arithmetic with the oracle's
 //! exact error strings, `wrapping_div` after the zero check (pinning the
@@ -51,50 +64,39 @@ use std::sync::Arc;
 /// that a batch's registers stay cache-resident.
 pub const BATCH_ROWS: usize = 1024;
 
-/// Execution-path selection. Every operator has the scalar
-/// (row-at-a-time `Bound` interpretation) implementation; the vectorized
-/// one is the chain program for `Select`/`Compute`/`Attach` runs (a lone
-/// operator is a chain of one — see `crate::exec`) and the typed sinks
-/// (joins, windows, group-by, distinct, difference, serialize). See
-/// `DESIGN.md`.
+/// Execution-path selection. Production runs one implementation per
+/// operator: the chain program for `Select`/`Project`/`Compute`/`Attach`
+/// runs (a lone operator is a chain of one — see `crate::exec`) and the
+/// typed sinks (joins, windows, group-by, distinct, difference,
+/// serialize). The row-at-a-time `Bound` interpretation is kept as the
+/// differential oracle. See `DESIGN.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VecMode {
-    /// Vectorize when the input is large enough to amortise the one-off
-    /// column transposition; small inputs stay scalar.
+    /// Chain programs and typed sinks, at every input size.
     #[default]
-    Auto,
-    /// Scalar only — the kernel-bail fallback doubles as the differential
-    /// oracle.
+    On,
+    /// The scalar oracle: no pipelines, every node through its scalar
+    /// operator. For the differential suite.
     Off,
-    /// Vectorize whenever a kernel can be compiled, regardless of input
-    /// size (differential tests force this to cover tiny inputs).
-    Force,
 }
 
 /// Execution configuration carried by a `Database` (and settable through
 /// a `Connection`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParConfig {
-    /// Scalar vs vectorized path selection.
+    /// Production path or scalar oracle.
     pub vec: VecMode,
-}
-
-impl ParConfig {
-    /// Should a chain or typed sink over `n` input rows take the
-    /// vectorized path (assuming its kernels compile)? The `Auto` threshold
-    /// is deliberately low: the transposition is cached on the shared
-    /// buffer, so it amortises across operators, not just within one.
-    pub fn vectorize(&self, n: usize) -> bool {
-        match self.vec {
-            VecMode::Off => false,
-            VecMode::Force => n > 0,
-            VecMode::Auto => n >= 64,
-        }
-    }
 }
 
 fn ee(msg: impl Into<String>) -> EngineError {
     EngineError::Eval(msg.into())
+}
+
+/// An expression `infer_schema` rejects reached the kernel compiler.
+fn mistyped(e: &Expr) -> EngineError {
+    ee(format!(
+        "internal: ill-typed expression {e} reached the kernel compiler"
+    ))
 }
 
 /// A batch register: one column of intermediate results, type-specialized
@@ -145,6 +147,19 @@ impl Reg {
             (_, v) => return Err(ee(format!("kernel register type confusion on {v}"))),
         }
         Ok(())
+    }
+
+    /// Push the placeholder a failing row outside its guard writes (see
+    /// the guard rule in the module docs): nothing selects it.
+    fn push_placeholder(&mut self) {
+        match self {
+            Reg::I64(o) => o.push(0),
+            Reg::U64(o) => o.push(0),
+            Reg::F64(o) => o.push(0.0),
+            Reg::Bool(o) => o.push(false),
+            Reg::Str(o) => o.push(Arc::from("")),
+            Reg::Val(o) => o.push(Value::Unit),
+        }
     }
 
     fn clear(&mut self) {
@@ -223,129 +238,143 @@ impl Reg {
     }
 }
 
-/// One kernel instruction. Operands `a`/`b`/`cond`/… always index
-/// registers allocated *before* `dst` (the compiler allocates the result
-/// register after its operands), which the interpreter exploits to split
-/// borrows.
+/// One kernel instruction. Operands `a`/`b`/`cond`/… and the admitted
+/// mask always index registers allocated *before* `dst` (the compiler
+/// allocates the result register after its operands and its guard),
+/// which the interpreter exploits to split borrows.
 #[derive(Debug, Clone)]
 enum Instr {
     /// Gather chunk `slot` at the batch's buffer rows into `dst`.
     Load {
-        slot: u16,
-        dst: u16,
+        slot: u32,
+        dst: u32,
     },
     /// Copy carried column `carry` (batch-local, already compacted to the
     /// batch's surviving rows) into `dst`.
     LoadCarry {
-        carry: u16,
-        dst: u16,
+        carry: u32,
+        dst: u32,
     },
     /// Broadcast a constant across the batch.
     Splat {
         v: Value,
-        dst: u16,
+        dst: u32,
+    },
+    /// `dst = parent && cond == when`: the row mask of a guarded region
+    /// (`parent` is the enclosing region's mask, `None` for every row).
+    Guard {
+        parent: Option<u32>,
+        cond: u32,
+        when: bool,
+        dst: u32,
+    },
+    /// From here on, an instruction that can raise does so only for the
+    /// rows of mask register `mask` (`None`: every row) and writes a
+    /// placeholder for the others.
+    Admit {
+        mask: Option<u32>,
     },
     /// Checked `Int` arithmetic with the scalar oracle's semantics
     /// (including `wrapping_div`/`wrapping_rem` after the zero check).
     ArithI64 {
         op: BinOp,
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     /// Checked `Nat` arithmetic (`Add`/`Sub`/`Mul` only).
     ArithU64 {
         op: BinOp,
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     /// `Dbl` arithmetic; `Div`/`Mod` still error on a zero divisor.
     ArithF64 {
         op: BinOp,
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     CmpI64 {
         op: BinOp,
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     CmpU64 {
         op: BinOp,
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     /// `total_cmp` ordering — `Value` comparison semantics, not IEEE.
     CmpF64 {
         op: BinOp,
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     CmpBool {
         op: BinOp,
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     CmpStr {
         op: BinOp,
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     AndMask {
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     OrMask {
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
     NotMask {
-        a: u16,
-        dst: u16,
+        a: u32,
+        dst: u32,
     },
     NegI64 {
-        a: u16,
-        dst: u16,
+        a: u32,
+        dst: u32,
     },
     NegF64 {
-        a: u16,
-        dst: u16,
+        a: u32,
+        dst: u32,
     },
     Concat {
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
-    /// `cond ? t : e` element-wise. Both branches are pre-evaluated;
-    /// [`compile`] only emits this when they are infallible.
+    /// `cond ? t : e` element-wise; each branch was computed under its
+    /// own guard.
     SelectCase {
-        cond: u16,
-        t: u16,
-        e: u16,
-        dst: u16,
+        cond: u32,
+        t: u32,
+        e: u32,
+        dst: u32,
     },
     /// Element-wise cast through the scalar oracle.
     CastVal {
         ty: Ty,
-        a: u16,
-        dst: u16,
+        a: u32,
+        dst: u32,
     },
-    /// Element-wise fallback through the scalar `bin_op` oracle (unit
-    /// comparisons and other slow domains).
+    /// Element-wise `bin_op` through the scalar oracle (unit comparisons,
+    /// `Nat` division and modulo).
     BinVal {
         op: BinOp,
-        a: u16,
-        b: u16,
-        dst: u16,
+        a: u32,
+        b: u32,
+        dst: u32,
     },
 }
 
@@ -358,10 +387,8 @@ pub struct Kernel {
     reg_tys: Vec<Ty>,
     /// Buffer column index per load slot.
     cols: Vec<u32>,
-    /// Schema type per load slot (checked against chunk variants).
-    col_tys: Vec<Ty>,
     /// Register holding the expression result.
-    out: u16,
+    out: u32,
 }
 
 /// Where a chain-visible column really lives. Stage kernels
@@ -374,7 +401,7 @@ pub(crate) enum VirtSrc {
     /// Visible column `c` of the chain's input relation.
     Input(u32),
     /// Carried column `k` (result of the `k`-th Compute stage).
-    Carry(u16),
+    Carry(u32),
     /// A constant attached mid-chain.
     Const(Value),
 }
@@ -384,7 +411,17 @@ pub(crate) enum VirtSrc {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum LoadKey {
     Buf(u32),
-    Carry(u16),
+    Carry(u32),
+}
+
+/// A guarded region of the expression being compiled: the rows where
+/// register `cond` equals `when`, within the enclosing region. `mask` is
+/// the region's row mask once an instruction that can raise needed it.
+#[derive(Debug, Clone, Copy)]
+struct Region {
+    cond: u32,
+    when: bool,
+    mask: Option<u32>,
 }
 
 struct Compiler<'a> {
@@ -394,220 +431,174 @@ struct Compiler<'a> {
     instrs: Vec<Instr>,
     reg_tys: Vec<Ty>,
     cols: Vec<u32>,
-    col_tys: Vec<Ty>,
     /// load source → register already holding it.
-    loaded: HashMap<LoadKey, (u16, Ty)>,
+    loaded: HashMap<LoadKey, (u32, Ty)>,
+    /// The guarded regions around the code being compiled, outermost
+    /// first.
+    regions: Vec<Region>,
+    /// The mask the last `Admit` emitted put in force.
+    admitted: Option<u32>,
 }
 
 impl Compiler<'_> {
-    fn reg(&mut self, ty: Ty) -> Option<u16> {
-        if self.reg_tys.len() >= u16::MAX as usize {
-            return None;
-        }
+    fn reg(&mut self, ty: Ty) -> u32 {
         self.reg_tys.push(ty);
-        Some((self.reg_tys.len() - 1) as u16)
+        (self.reg_tys.len() - 1) as u32
+    }
+
+    /// Allocate a `ty` result register and emit `make(dst)`. An
+    /// instruction that `can_raise` is admitted under the innermost
+    /// region's mask, built before `dst` so it precedes it.
+    fn emit(&mut self, ty: Ty, can_raise: bool, make: impl FnOnce(u32) -> Instr) -> (u32, Ty) {
+        if can_raise {
+            let mask = self.mask(self.regions.len());
+            if mask != self.admitted {
+                self.instrs.push(Instr::Admit { mask });
+                self.admitted = mask;
+            }
+        }
+        let dst = self.reg(ty);
+        self.instrs.push(make(dst));
+        (dst, ty)
+    }
+
+    /// The row mask of the `depth` outermost regions (`None` at depth 0:
+    /// every row), emitting the `Guard` instructions it still lacks. A
+    /// mask's operands were computed before its region began, so
+    /// emitting it mid-region is sound.
+    fn mask(&mut self, depth: usize) -> Option<u32> {
+        let region = *self.regions.get(depth.checked_sub(1)?)?;
+        if region.mask.is_some() {
+            return region.mask;
+        }
+        let parent = self.mask(depth - 1);
+        let (dst, _) = self.emit(Ty::Bool, false, |dst| Instr::Guard {
+            parent,
+            cond: region.cond,
+            when: region.when,
+            dst,
+        });
+        self.regions[depth - 1].mask = Some(dst);
+        Some(dst)
+    }
+
+    /// Compile `e` for the rows where register `cond` equals `when`.
+    fn guarded(&mut self, cond: u32, when: bool, e: &Expr) -> Result<(u32, Ty), EngineError> {
+        self.regions.push(Region {
+            cond,
+            when,
+            mask: None,
+        });
+        let out = self.compile(e);
+        self.regions.pop();
+        out
     }
 
     /// Emit (or reuse) a load of chain-input column `col` typed `ty`.
-    fn load_col(&mut self, col: u32, ty: Ty) -> Option<(u16, Ty)> {
+    fn load_col(&mut self, col: u32, ty: Ty) -> (u32, Ty) {
         if let Some(&hit) = self.loaded.get(&LoadKey::Buf(col)) {
-            return Some(hit);
+            return hit;
         }
-        let dst = self.reg(ty)?;
-        let slot = self.cols.len() as u16;
+        let slot = self.cols.len() as u32;
         self.cols.push(col);
-        self.col_tys.push(ty);
-        self.instrs.push(Instr::Load { slot, dst });
-        self.loaded.insert(LoadKey::Buf(col), (dst, ty));
-        Some((dst, ty))
+        let hit = self.emit(ty, false, |dst| Instr::Load { slot, dst });
+        self.loaded.insert(LoadKey::Buf(col), hit);
+        hit
     }
 
-    fn compile(&mut self, e: &Expr) -> Option<(u16, Ty)> {
+    fn compile(&mut self, e: &Expr) -> Result<(u32, Ty), EngineError> {
         match e {
             Expr::Col(name) => {
-                let idx = self.schema.index_of(name)?;
+                let idx = self
+                    .schema
+                    .index_of(name)
+                    .ok_or_else(|| EngineError::NoSuchColumn {
+                        col: name.to_string(),
+                        schema: self.schema.to_string(),
+                    })?;
                 let ty = self.schema.cols()[idx].1;
-                match self.virt[idx].clone() {
+                Ok(match self.virt[idx].clone() {
                     VirtSrc::Input(c) => self.load_col(c, ty),
                     VirtSrc::Carry(k) => {
                         if let Some(&hit) = self.loaded.get(&LoadKey::Carry(k)) {
-                            return Some(hit);
+                            return Ok(hit);
                         }
-                        let dst = self.reg(ty)?;
-                        self.instrs.push(Instr::LoadCarry { carry: k, dst });
-                        self.loaded.insert(LoadKey::Carry(k), (dst, ty));
-                        Some((dst, ty))
+                        let hit = self.emit(ty, false, |dst| Instr::LoadCarry { carry: k, dst });
+                        self.loaded.insert(LoadKey::Carry(k), hit);
+                        hit
                     }
-                    VirtSrc::Const(v) => {
-                        if v.ty() != ty {
-                            return None;
-                        }
-                        let dst = self.reg(ty)?;
-                        self.instrs.push(Instr::Splat { v, dst });
-                        Some((dst, ty))
-                    }
-                }
+                    VirtSrc::Const(v) => self.emit(ty, false, |dst| Instr::Splat { v, dst }),
+                })
             }
             Expr::Const(v) => {
-                let ty = v.ty();
-                let dst = self.reg(ty)?;
-                self.instrs.push(Instr::Splat { v: v.clone(), dst });
-                Some((dst, ty))
+                Ok(self.emit(v.ty(), false, |dst| Instr::Splat { v: v.clone(), dst }))
             }
+            Expr::Param(slot, _) => Err(EngineError::UnboundParam(*slot)),
             Expr::Bin(op, l, r) => self.compile_bin(*op, l, r),
-            Expr::Un(UnOp::Not, e) => {
-                let (a, ty) = self.compile(e)?;
-                if ty != Ty::Bool {
-                    return None;
-                }
-                let dst = self.reg(Ty::Bool)?;
-                self.instrs.push(Instr::NotMask { a, dst });
-                Some((dst, Ty::Bool))
+            Expr::Un(UnOp::Not, x) => {
+                let (a, _) = self.compile(x)?;
+                Ok(self.emit(Ty::Bool, false, |dst| Instr::NotMask { a, dst }))
             }
-            Expr::Un(UnOp::Neg, e) => {
-                let (a, ty) = self.compile(e)?;
-                let dst = self.reg(ty)?;
+            Expr::Un(UnOp::Neg, x) => {
+                let (a, ty) = self.compile(x)?;
                 match ty {
-                    Ty::Int => self.instrs.push(Instr::NegI64 { a, dst }),
-                    Ty::Dbl => self.instrs.push(Instr::NegF64 { a, dst }),
-                    _ => return None,
+                    Ty::Int => Ok(self.emit(ty, true, |dst| Instr::NegI64 { a, dst })),
+                    Ty::Dbl => Ok(self.emit(ty, false, |dst| Instr::NegF64 { a, dst })),
+                    _ => Err(mistyped(e)),
                 }
-                Some((dst, ty))
             }
-            Expr::Case(c, t, e) => {
-                // scalar CASE evaluates only the taken branch — kernels
-                // evaluate both, so fallible branches must stay scalar
-                if !infallible(t, self.schema) || !infallible(e, self.schema) {
-                    return None;
-                }
-                let (cond, ct) = self.compile(c)?;
-                if ct != Ty::Bool {
-                    return None;
-                }
-                let (tr, tt) = self.compile(t)?;
-                let (er, et) = self.compile(e)?;
-                if tt != et {
-                    return None;
-                }
-                let dst = self.reg(tt)?;
-                self.instrs.push(Instr::SelectCase {
-                    cond,
-                    t: tr,
-                    e: er,
-                    dst,
-                });
-                Some((dst, tt))
+            Expr::Case(c, t, f) => {
+                let (cond, _) = self.compile(c)?;
+                // each branch runs only on the rows that take it
+                let (t, ty) = self.guarded(cond, true, t)?;
+                let (f, _) = self.guarded(cond, false, f)?;
+                Ok(self.emit(ty, false, |dst| Instr::SelectCase { cond, t, e: f, dst }))
             }
-            Expr::Cast(ty, e) => {
-                let (a, et) = self.compile(e)?;
+            Expr::Cast(ty, x) => {
+                let (a, et) = self.compile(x)?;
                 if et == *ty {
-                    return Some((a, et)); // identity cast: reuse the register
+                    return Ok((a, et)); // identity cast: reuse the register
                 }
-                let dst = self.reg(*ty)?;
-                self.instrs.push(Instr::CastVal { ty: *ty, a, dst });
-                Some((dst, *ty))
+                let ty = *ty;
+                Ok(self.emit(ty, true, |dst| Instr::CastVal { ty, a, dst }))
             }
-            // unbound: the scalar path reports it
-            Expr::Param(..) => None,
         }
     }
 
-    fn compile_bin(&mut self, op: BinOp, l: &Expr, r: &Expr) -> Option<(u16, Ty)> {
+    fn compile_bin(&mut self, op: BinOp, l: &Expr, r: &Expr) -> Result<(u32, Ty), EngineError> {
+        let (a, lt) = self.compile(l)?;
         if op.is_logic() {
-            // scalar AND/OR short-circuits the right side — a fallible
-            // right side must not be batch-evaluated
-            if !infallible(r, self.schema) {
-                return None;
-            }
-            let (a, lt) = self.compile(l)?;
-            let (b, rt) = self.compile(r)?;
-            if lt != Ty::Bool || rt != Ty::Bool {
-                return None;
-            }
-            let dst = self.reg(Ty::Bool)?;
-            self.instrs.push(match op {
+            // the right side runs only on the rows the left side did not
+            // decide: true ones for AND, false ones for OR
+            let (b, _) = self.guarded(a, op == BinOp::And, r)?;
+            return Ok(self.emit(Ty::Bool, false, |dst| match op {
                 BinOp::And => Instr::AndMask { a, b, dst },
                 _ => Instr::OrMask { a, b, dst },
-            });
-            return Some((dst, Ty::Bool));
+            }));
         }
-        let (a, lt) = self.compile(l)?;
-        let (b, rt) = self.compile(r)?;
-        if lt != rt {
-            return None; // the oracle never coerces across domains
-        }
+        let (b, _) = self.compile(r)?;
         if op.is_cmp() {
-            let dst = self.reg(Ty::Bool)?;
-            self.instrs.push(match lt {
+            return Ok(self.emit(Ty::Bool, false, |dst| match lt {
                 Ty::Int => Instr::CmpI64 { op, a, b, dst },
                 Ty::Nat => Instr::CmpU64 { op, a, b, dst },
                 Ty::Dbl => Instr::CmpF64 { op, a, b, dst },
                 Ty::Bool => Instr::CmpBool { op, a, b, dst },
                 Ty::Str => Instr::CmpStr { op, a, b, dst },
                 Ty::Unit => Instr::BinVal { op, a, b, dst },
-            });
-            return Some((dst, Ty::Bool));
+            }));
         }
         if op == BinOp::Concat {
-            if lt != Ty::Str {
-                return None;
-            }
-            let dst = self.reg(Ty::Str)?;
-            self.instrs.push(Instr::Concat { a, b, dst });
-            return Some((dst, Ty::Str));
+            return Ok(self.emit(Ty::Str, false, |dst| Instr::Concat { a, b, dst }));
         }
         debug_assert!(op.is_arith());
-        let dst = self.reg(lt)?;
-        self.instrs.push(match lt {
+        let can_raise = lt != Ty::Dbl || matches!(op, BinOp::Div | BinOp::Mod);
+        Ok(self.emit(lt, can_raise, |dst| match lt {
             Ty::Int => Instr::ArithI64 { op, a, b, dst },
-            // Nat Div/Mod are undefined in the scalar oracle
-            Ty::Nat if !matches!(op, BinOp::Div | BinOp::Mod) => Instr::ArithU64 { op, a, b, dst },
-            Ty::Dbl => Instr::ArithF64 { op, a, b, dst },
-            _ => return None,
-        });
-        Some((dst, lt))
-    }
-}
-
-/// Can evaluating `e` ever raise? Conservative: `false` only when the
-/// expression provably cannot error on any row (comparisons, logic,
-/// concat, `Dbl` add/sub/mul, widening casts). Checked integer arithmetic,
-/// divisions and narrowing casts are fallible.
-fn infallible(e: &Expr, schema: &Schema) -> bool {
-    match e {
-        Expr::Col(_) | Expr::Const(_) => true,
-        Expr::Param(..) => false,
-        Expr::Bin(op, l, r) => {
-            if !infallible(l, schema) || !infallible(r, schema) {
-                return false;
-            }
-            if op.is_cmp() || op.is_logic() || *op == BinOp::Concat {
-                return true;
-            }
-            // arithmetic: only Dbl Add/Sub/Mul cannot raise
-            matches!(l.infer_ty(schema), Some(Ty::Dbl))
-                && matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul)
-        }
-        Expr::Un(UnOp::Not, e) => infallible(e, schema),
-        Expr::Un(UnOp::Neg, e) => {
-            // Int negation overflows on i64::MIN
-            infallible(e, schema) && matches!(e.infer_ty(schema), Some(Ty::Dbl))
-        }
-        Expr::Case(c, t, e) => {
-            infallible(c, schema) && infallible(t, schema) && infallible(e, schema)
-        }
-        Expr::Cast(ty, e) => {
-            if !infallible(e, schema) {
-                return false;
-            }
-            match (e.infer_ty(schema), ty) {
-                (Some(et), ty) if et == *ty => true,
-                // widening casts never raise
-                (Some(Ty::Int | Ty::Nat | Ty::Bool), Ty::Dbl) => true,
-                (Some(Ty::Bool), Ty::Int | Ty::Nat) => true,
-                _ => false,
-            }
-        }
+            // the oracle defines no Nat division: it raises its own error
+            Ty::Nat if matches!(op, BinOp::Div | BinOp::Mod) => Instr::BinVal { op, a, b, dst },
+            Ty::Nat => Instr::ArithU64 { op, a, b, dst },
+            _ => Instr::ArithF64 { op, a, b, dst },
+        }))
     }
 }
 
@@ -615,41 +606,30 @@ fn infallible(e: &Expr, schema: &Schema) -> bool {
 /// resolve through `virt` to chain-input columns, carried stage results,
 /// or constants) to a kernel program. The `cols` of the result index the
 /// chain input's **visible** columns; [`ChainProg::bind`] maps them to
-/// buffer columns. `None` means the expression must stay on the scalar
-/// path — see the module docs for the exact bail-out conditions.
-pub(crate) fn compile(expr: &Expr, schema: &Schema, virt: &[VirtSrc]) -> Option<Kernel> {
+/// buffer columns. Every well-typed expression compiles; the errors are
+/// the oracle's `bind` errors (a missing column, an unbound parameter).
+pub(crate) fn compile(
+    expr: &Expr,
+    schema: &Schema,
+    virt: &[VirtSrc],
+) -> Result<Kernel, EngineError> {
     let mut c = Compiler {
         schema,
         virt,
         instrs: Vec::new(),
         reg_tys: Vec::new(),
         cols: Vec::new(),
-        col_tys: Vec::new(),
         loaded: HashMap::new(),
+        regions: Vec::new(),
+        admitted: None,
     };
     let (out, _) = c.compile(expr)?;
-    Some(Kernel {
+    Ok(Kernel {
         instrs: c.instrs,
         reg_tys: c.reg_tys,
         cols: c.cols,
-        col_tys: c.col_tys,
         out,
     })
-}
-
-/// Does the chunk's storage variant match the slot's schema type? A
-/// mismatch (possible only for buffers built outside schema validation)
-/// sends the chain to the scalar path.
-fn variant_matches(ty: Ty, chunk: &ColVec) -> bool {
-    matches!(
-        (ty, chunk),
-        (Ty::Int, ColVec::Int(_))
-            | (Ty::Nat, ColVec::Nat(_))
-            | (Ty::Dbl, ColVec::Dbl(_))
-            | (Ty::Bool, ColVec::Bool(_))
-            | (Ty::Str, ColVec::Str { .. })
-            | (Ty::Unit, ColVec::Other(_))
-    )
 }
 
 /// Map a comparison operator to its `Ordering` predicate.
@@ -665,7 +645,7 @@ fn cmp_keep(op: BinOp) -> fn(Ordering) -> bool {
 }
 
 /// Split the register file at `dst` (operands always precede results).
-fn split_dst(regs: &mut [Reg], dst: u16) -> (&[Reg], &mut Reg) {
+fn split_dst(regs: &mut [Reg], dst: u32) -> (&[Reg], &mut Reg) {
     let (lo, hi) = regs.split_at_mut(dst as usize);
     (lo, &mut hi[0])
 }
@@ -674,7 +654,33 @@ fn confusion() -> EngineError {
     ee("kernel register type confusion")
 }
 
-macro_rules! zip_bin {
+/// The row mask in guard register `g` (`None`: every row).
+fn mask(lo: &[Reg], g: Option<u32>) -> Result<Option<&[bool]>, EngineError> {
+    match g.map(|g| &lo[g as usize]) {
+        None => Ok(None),
+        Some(Reg::Bool(m)) => Ok(Some(m)),
+        Some(_) => Err(confusion()),
+    }
+}
+
+/// Does the guard admit row `k`? Only an admitted row may raise.
+#[inline]
+fn admits(guard: Option<&[bool]>, k: usize) -> bool {
+    guard.is_none_or(|g| g[k])
+}
+
+/// `o[k] = if c[k] { t[k] } else { e[k] }`.
+fn pick<T: Clone>(c: &[bool], t: &[T], e: &[T], o: &mut Vec<T>) {
+    o.clear();
+    o.extend(
+        c.iter()
+            .zip(t.iter().zip(e))
+            .map(|(&c, (t, e))| if c { t } else { e }.clone()),
+    );
+}
+
+/// `o[k] = f(a[k], b[k])` for an `f` that cannot fail.
+macro_rules! zip_map {
     ($lo:expr, $out:expr, $a:expr, $b:expr, $in_pat:path, $out_pat:path, $f:expr) => {{
         let ($in_pat(xa), $in_pat(xb), $out_pat(o)) =
             (&$lo[*$a as usize], &$lo[*$b as usize], $out)
@@ -682,8 +688,25 @@ macro_rules! zip_bin {
             return Err(confusion());
         };
         o.clear();
-        for (x, y) in xa.iter().zip(xb) {
-            o.push($f(*x, *y)?);
+        o.extend(xa.iter().zip(xb).map(|(x, y)| $f(*x, *y)));
+    }};
+}
+
+/// `o[k] = f(a[k], b[k])` for a checked `f`: a failing row raises if the
+/// guard admits it and writes the placeholder `T::default()` otherwise.
+macro_rules! zip_checked {
+    ($lo:expr, $out:expr, $a:expr, $b:expr, $guard:expr, $pat:path, $f:expr) => {{
+        let guard = mask($lo, $guard)?;
+        let ($pat(xa), $pat(xb), $pat(o)) = (&$lo[*$a as usize], &$lo[*$b as usize], $out) else {
+            return Err(confusion());
+        };
+        o.clear();
+        for (k, (x, y)) in xa.iter().zip(xb).enumerate() {
+            o.push(match $f(*x, *y) {
+                Ok(v) => v,
+                Err(e) if admits(guard, k) => return Err(e),
+                Err(_) => Default::default(),
+            });
         }
     }};
 }
@@ -709,16 +732,6 @@ impl Kernel {
         self.reg_tys[self.out as usize]
     }
 
-    /// Are these chunks (one per load slot) usable by this program?
-    pub fn accepts(&self, chunks: &[Arc<ColVec>]) -> bool {
-        chunks.len() == self.col_tys.len()
-            && self
-                .col_tys
-                .iter()
-                .zip(chunks)
-                .all(|(&t, c)| variant_matches(t, c))
-    }
-
     /// Execute the program for one batch: `rows` holds the **buffer** row
     /// indices of the batch, `chunks` the full-buffer columns per load
     /// slot, `carries[k]` the batch-local result of an earlier chain
@@ -732,8 +745,10 @@ impl Kernel {
         regs: &mut [Reg],
     ) -> Result<(), EngineError> {
         let n = rows.len();
+        let mut admitted = None;
         for instr in &self.instrs {
             match instr {
+                Instr::Admit { mask } => admitted = *mask,
                 Instr::LoadCarry { carry, dst } => {
                     regs[*dst as usize].copy_from(&carries[*carry as usize])?;
                 }
@@ -777,26 +792,44 @@ impl Kernel {
                         _ => return Err(confusion()),
                     }
                 }
+                Instr::Guard {
+                    parent,
+                    cond,
+                    when,
+                    dst,
+                } => {
+                    let (lo, out) = split_dst(regs, *dst);
+                    let parent = mask(lo, *parent)?;
+                    let (Reg::Bool(c), Reg::Bool(o)) = (&lo[*cond as usize], out) else {
+                        return Err(confusion());
+                    };
+                    o.clear();
+                    o.extend(
+                        c.iter()
+                            .enumerate()
+                            .map(|(k, &c)| c == *when && admits(parent, k)),
+                    );
+                }
                 Instr::ArithI64 { op, a, b, dst } => {
                     let (lo, out) = split_dst(regs, *dst);
                     match op {
                         BinOp::Add => {
-                            zip_bin!(lo, out, a, b, Reg::I64, Reg::I64, |x: i64, y: i64| {
+                            zip_checked!(lo, out, a, b, admitted, Reg::I64, |x: i64, y: i64| {
                                 x.checked_add(y).ok_or_else(|| ee("integer overflow in +"))
                             })
                         }
                         BinOp::Sub => {
-                            zip_bin!(lo, out, a, b, Reg::I64, Reg::I64, |x: i64, y: i64| {
+                            zip_checked!(lo, out, a, b, admitted, Reg::I64, |x: i64, y: i64| {
                                 x.checked_sub(y).ok_or_else(|| ee("integer overflow in -"))
                             })
                         }
                         BinOp::Mul => {
-                            zip_bin!(lo, out, a, b, Reg::I64, Reg::I64, |x: i64, y: i64| {
+                            zip_checked!(lo, out, a, b, admitted, Reg::I64, |x: i64, y: i64| {
                                 x.checked_mul(y).ok_or_else(|| ee("integer overflow in *"))
                             })
                         }
                         BinOp::Div => {
-                            zip_bin!(lo, out, a, b, Reg::I64, Reg::I64, |x: i64, y: i64| {
+                            zip_checked!(lo, out, a, b, admitted, Reg::I64, |x: i64, y: i64| {
                                 if y == 0 {
                                     Err(ee("division by zero"))
                                 } else {
@@ -805,7 +838,7 @@ impl Kernel {
                                 }
                             })
                         }
-                        _ => zip_bin!(lo, out, a, b, Reg::I64, Reg::I64, |x: i64, y: i64| {
+                        _ => zip_checked!(lo, out, a, b, admitted, Reg::I64, |x: i64, y: i64| {
                             if y == 0 {
                                 Err(ee("modulo by zero"))
                             } else {
@@ -818,16 +851,16 @@ impl Kernel {
                     let (lo, out) = split_dst(regs, *dst);
                     match op {
                         BinOp::Add => {
-                            zip_bin!(lo, out, a, b, Reg::U64, Reg::U64, |x: u64, y: u64| {
+                            zip_checked!(lo, out, a, b, admitted, Reg::U64, |x: u64, y: u64| {
                                 x.checked_add(y).ok_or_else(|| ee("nat overflow in +"))
                             })
                         }
                         BinOp::Sub => {
-                            zip_bin!(lo, out, a, b, Reg::U64, Reg::U64, |x: u64, y: u64| {
+                            zip_checked!(lo, out, a, b, admitted, Reg::U64, |x: u64, y: u64| {
                                 x.checked_sub(y).ok_or_else(|| ee("nat underflow in -"))
                             })
                         }
-                        _ => zip_bin!(lo, out, a, b, Reg::U64, Reg::U64, |x: u64, y: u64| {
+                        _ => zip_checked!(lo, out, a, b, admitted, Reg::U64, |x: u64, y: u64| {
                             x.checked_mul(y).ok_or_else(|| ee("nat overflow in *"))
                         }),
                     }
@@ -835,23 +868,11 @@ impl Kernel {
                 Instr::ArithF64 { op, a, b, dst } => {
                     let (lo, out) = split_dst(regs, *dst);
                     match op {
-                        BinOp::Add => {
-                            zip_bin!(lo, out, a, b, Reg::F64, Reg::F64, |x: f64, y: f64| {
-                                Ok::<_, EngineError>(x + y)
-                            })
-                        }
-                        BinOp::Sub => {
-                            zip_bin!(lo, out, a, b, Reg::F64, Reg::F64, |x: f64, y: f64| {
-                                Ok::<_, EngineError>(x - y)
-                            })
-                        }
-                        BinOp::Mul => {
-                            zip_bin!(lo, out, a, b, Reg::F64, Reg::F64, |x: f64, y: f64| {
-                                Ok::<_, EngineError>(x * y)
-                            })
-                        }
+                        BinOp::Add => zip_map!(lo, out, a, b, Reg::F64, Reg::F64, |x, y| x + y),
+                        BinOp::Sub => zip_map!(lo, out, a, b, Reg::F64, Reg::F64, |x, y| x - y),
+                        BinOp::Mul => zip_map!(lo, out, a, b, Reg::F64, Reg::F64, |x, y| x * y),
                         BinOp::Div => {
-                            zip_bin!(lo, out, a, b, Reg::F64, Reg::F64, |x: f64, y: f64| {
+                            zip_checked!(lo, out, a, b, admitted, Reg::F64, |x: f64, y: f64| {
                                 if y == 0.0 {
                                     Err(ee("division by zero"))
                                 } else {
@@ -859,7 +880,7 @@ impl Kernel {
                                 }
                             })
                         }
-                        _ => zip_bin!(lo, out, a, b, Reg::F64, Reg::F64, |x: f64, y: f64| {
+                        _ => zip_checked!(lo, out, a, b, admitted, Reg::F64, |x: f64, y: f64| {
                             if y == 0.0 {
                                 Err(ee("modulo by zero"))
                             } else {
@@ -871,30 +892,36 @@ impl Kernel {
                 Instr::CmpI64 { op, a, b, dst } => {
                     let keep = cmp_keep(*op);
                     let (lo, out) = split_dst(regs, *dst);
-                    zip_bin!(lo, out, a, b, Reg::I64, Reg::Bool, |x: i64, y: i64| {
-                        Ok::<_, EngineError>(keep(x.cmp(&y)))
-                    });
+                    zip_map!(lo, out, a, b, Reg::I64, Reg::Bool, |x: i64, y: i64| keep(
+                        x.cmp(&y)
+                    ));
                 }
                 Instr::CmpU64 { op, a, b, dst } => {
                     let keep = cmp_keep(*op);
                     let (lo, out) = split_dst(regs, *dst);
-                    zip_bin!(lo, out, a, b, Reg::U64, Reg::Bool, |x: u64, y: u64| {
-                        Ok::<_, EngineError>(keep(x.cmp(&y)))
-                    });
+                    zip_map!(lo, out, a, b, Reg::U64, Reg::Bool, |x: u64, y: u64| keep(
+                        x.cmp(&y)
+                    ));
                 }
                 Instr::CmpF64 { op, a, b, dst } => {
                     let keep = cmp_keep(*op);
                     let (lo, out) = split_dst(regs, *dst);
-                    zip_bin!(lo, out, a, b, Reg::F64, Reg::Bool, |x: f64, y: f64| {
-                        Ok::<_, EngineError>(keep(x.total_cmp(&y)))
-                    });
+                    zip_map!(lo, out, a, b, Reg::F64, Reg::Bool, |x: f64, y: f64| keep(
+                        x.total_cmp(&y)
+                    ));
                 }
                 Instr::CmpBool { op, a, b, dst } => {
                     let keep = cmp_keep(*op);
                     let (lo, out) = split_dst(regs, *dst);
-                    zip_bin!(lo, out, a, b, Reg::Bool, Reg::Bool, |x: bool, y: bool| {
-                        Ok::<_, EngineError>(keep(x.cmp(&y)))
-                    });
+                    zip_map!(
+                        lo,
+                        out,
+                        a,
+                        b,
+                        Reg::Bool,
+                        Reg::Bool,
+                        |x: bool, y: bool| keep(x.cmp(&y))
+                    );
                 }
                 Instr::CmpStr { op, a, b, dst } => {
                     let keep = cmp_keep(*op);
@@ -909,15 +936,11 @@ impl Kernel {
                 }
                 Instr::AndMask { a, b, dst } => {
                     let (lo, out) = split_dst(regs, *dst);
-                    zip_bin!(lo, out, a, b, Reg::Bool, Reg::Bool, |x: bool, y: bool| {
-                        Ok::<_, EngineError>(x && y)
-                    });
+                    zip_map!(lo, out, a, b, Reg::Bool, Reg::Bool, |x, y| x && y);
                 }
                 Instr::OrMask { a, b, dst } => {
                     let (lo, out) = split_dst(regs, *dst);
-                    zip_bin!(lo, out, a, b, Reg::Bool, Reg::Bool, |x: bool, y: bool| {
-                        Ok::<_, EngineError>(x || y)
-                    });
+                    zip_map!(lo, out, a, b, Reg::Bool, Reg::Bool, |x, y| x || y);
                 }
                 Instr::NotMask { a, dst } => {
                     let (lo, out) = split_dst(regs, *dst);
@@ -929,15 +952,19 @@ impl Kernel {
                 }
                 Instr::NegI64 { a, dst } => {
                     let (lo, out) = split_dst(regs, *dst);
+                    let guard = mask(lo, admitted)?;
                     let (Reg::I64(xa), Reg::I64(o)) = (&lo[*a as usize], out) else {
                         return Err(confusion());
                     };
                     o.clear();
-                    for &x in xa {
-                        o.push(
-                            x.checked_neg()
-                                .ok_or_else(|| ee("integer overflow in negation"))?,
-                        );
+                    for (k, &x) in xa.iter().enumerate() {
+                        o.push(match x.checked_neg() {
+                            Some(v) => v,
+                            None if admits(guard, k) => {
+                                return Err(ee("integer overflow in negation"))
+                            }
+                            None => 0,
+                        });
                     }
                 }
                 Instr::NegF64 { a, dst } => {
@@ -969,51 +996,39 @@ impl Kernel {
                         return Err(confusion());
                     };
                     match (&lo[*t as usize], &lo[*e as usize], out) {
-                        (Reg::I64(t), Reg::I64(e), Reg::I64(o)) => {
-                            o.clear();
-                            o.extend((0..n).map(|k| if c[k] { t[k] } else { e[k] }));
-                        }
-                        (Reg::U64(t), Reg::U64(e), Reg::U64(o)) => {
-                            o.clear();
-                            o.extend((0..n).map(|k| if c[k] { t[k] } else { e[k] }));
-                        }
-                        (Reg::F64(t), Reg::F64(e), Reg::F64(o)) => {
-                            o.clear();
-                            o.extend((0..n).map(|k| if c[k] { t[k] } else { e[k] }));
-                        }
-                        (Reg::Bool(t), Reg::Bool(e), Reg::Bool(o)) => {
-                            o.clear();
-                            o.extend((0..n).map(|k| if c[k] { t[k] } else { e[k] }));
-                        }
-                        (Reg::Str(t), Reg::Str(e), Reg::Str(o)) => {
-                            o.clear();
-                            o.extend(
-                                (0..n).map(|k| if c[k] { t[k].clone() } else { e[k].clone() }),
-                            );
-                        }
-                        (Reg::Val(t), Reg::Val(e), Reg::Val(o)) => {
-                            o.clear();
-                            o.extend(
-                                (0..n).map(|k| if c[k] { t[k].clone() } else { e[k].clone() }),
-                            );
-                        }
+                        (Reg::I64(t), Reg::I64(e), Reg::I64(o)) => pick(c, t, e, o),
+                        (Reg::U64(t), Reg::U64(e), Reg::U64(o)) => pick(c, t, e, o),
+                        (Reg::F64(t), Reg::F64(e), Reg::F64(o)) => pick(c, t, e, o),
+                        (Reg::Bool(t), Reg::Bool(e), Reg::Bool(o)) => pick(c, t, e, o),
+                        (Reg::Str(t), Reg::Str(e), Reg::Str(o)) => pick(c, t, e, o),
+                        (Reg::Val(t), Reg::Val(e), Reg::Val(o)) => pick(c, t, e, o),
                         _ => return Err(confusion()),
                     }
                 }
                 Instr::CastVal { ty, a, dst } => {
                     let (lo, out) = split_dst(regs, *dst);
+                    let guard = mask(lo, admitted)?;
                     let src = &lo[*a as usize];
                     out.clear();
                     for k in 0..n {
-                        out.push(eval::cast(*ty, src.value(k))?)?;
+                        match eval::cast(*ty, src.value(k)) {
+                            Ok(v) => out.push(v)?,
+                            Err(e) if admits(guard, k) => return Err(e),
+                            Err(_) => out.push_placeholder(),
+                        }
                     }
                 }
                 Instr::BinVal { op, a, b, dst } => {
                     let (lo, out) = split_dst(regs, *dst);
+                    let guard = mask(lo, admitted)?;
                     let (xa, xb) = (&lo[*a as usize], &lo[*b as usize]);
                     out.clear();
                     for k in 0..n {
-                        out.push(eval::bin_op(*op, xa.value(k), xb.value(k))?)?;
+                        match eval::bin_op(*op, xa.value(k), xb.value(k)) {
+                            Ok(v) => out.push(v)?,
+                            Err(e) if admits(guard, k) => return Err(e),
+                            Err(_) => out.push_placeholder(),
+                        }
                     }
                 }
             }
@@ -1039,10 +1054,10 @@ impl Stage {
 }
 
 /// Incremental compiler for a Select/Project/Compute/Attach chain.
-/// Feed it the chain's operators bottom-up; each step returns `false`
-/// when that operator cannot join the chain (expression doesn't lower,
-/// type surprise, too many carries) — the caller then abandons the chain
-/// and falls back to the scalar operators.
+/// Feed it the chain's operators bottom-up. A stage fails only with the
+/// error the oracle's operator would report before touching a row (a
+/// missing column, an unbound parameter) or an internal error for an
+/// expression `infer_schema` rejects.
 #[derive(Debug)]
 pub(crate) struct ChainBuilder {
     /// Schema visible after the stages accepted so far.
@@ -1071,36 +1086,27 @@ impl ChainBuilder {
         &self.schema
     }
 
-    /// Add a Select stage. The predicate must lower to a boolean kernel.
-    pub(crate) fn filter(&mut self, pred: &Expr) -> bool {
-        let Some(kernel) = compile(pred, &self.schema, &self.virt) else {
-            return false;
-        };
-        if kernel.out_ty() != Ty::Bool {
-            return false;
-        }
+    /// Add a Select stage (a boolean predicate).
+    pub(crate) fn filter(&mut self, pred: &Expr) -> Result<(), EngineError> {
+        let kernel = compile(pred, &self.schema, &self.virt)?;
         self.stages.push(Stage::Filter(kernel));
-        true
+        Ok(())
     }
 
     /// Add a Compute stage: evaluate `expr` and expose it as the last
     /// column of `out_schema` (the Compute node's output schema).
-    pub(crate) fn compute(&mut self, expr: &Expr, out_schema: &Schema) -> bool {
-        let Some(kernel) = compile(expr, &self.schema, &self.virt) else {
-            return false;
-        };
-        let Some(&(_, ty)) = out_schema.cols().last() else {
-            return false;
-        };
-        if kernel.out_ty() != ty || self.carry_tys.len() >= u16::MAX as usize {
-            return false;
+    pub(crate) fn compute(&mut self, expr: &Expr, out_schema: &Schema) -> Result<(), EngineError> {
+        let kernel = compile(expr, &self.schema, &self.virt)?;
+        let ty = kernel.out_ty();
+        if out_schema.cols().last().map(|(_, t)| *t) != Some(ty) {
+            return Err(mistyped(expr));
         }
-        let k = self.carry_tys.len() as u16;
+        let k = self.carry_tys.len() as u32;
         self.carry_tys.push(ty);
         self.stages.push(Stage::Compute(kernel));
         self.virt.push(VirtSrc::Carry(k));
         self.schema = out_schema.clone();
-        true
+        Ok(())
     }
 
     /// Add a Project stage: visible column `j` of `out_schema` is current
@@ -1163,28 +1169,27 @@ impl ChainProg {
             .collect()
     }
 
-    /// Bind the stage kernels to `rel`'s cached column chunks, or `None`
-    /// when a chunk's storage variant contradicts the schema (the caller
-    /// falls back to scalar execution).
-    pub(crate) fn bind<'a>(&'a self, rel: &'a Rel) -> Option<BoundChain<'a>> {
-        let mut chunks = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            let k = stage.kernel();
-            let cs: Vec<Arc<ColVec>> = k
-                .columns()
-                .iter()
-                .map(|&c| rel.typed_col(rel.raw_col(c as usize)))
-                .collect();
-            if !k.accepts(&cs) {
-                return None;
-            }
-            chunks.push(cs);
-        }
-        Some(BoundChain {
+    /// Bind the stage kernels to `rel`'s cached column chunks. Stored
+    /// columns are type-uniform, so a non-empty chunk's variant is its
+    /// schema type's; an empty input runs no batch.
+    pub(crate) fn bind<'a>(&'a self, rel: &'a Rel) -> BoundChain<'a> {
+        let chunks = self
+            .stages
+            .iter()
+            .map(|stage| {
+                stage
+                    .kernel()
+                    .columns()
+                    .iter()
+                    .map(|&c| rel.typed_col(rel.raw_col(c as usize)))
+                    .collect()
+            })
+            .collect();
+        BoundChain {
             prog: self,
             rel,
             chunks,
-        })
+        }
     }
 }
 
@@ -1286,7 +1291,6 @@ impl BoundChain<'_> {
         Ok(out)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1334,38 +1338,44 @@ mod tests {
     }
 
     /// Lower `e` over `s` with every column a plain chain input.
-    fn lower(e: &Expr, s: &Schema) -> Option<Kernel> {
+    fn lower(e: &Expr, s: &Schema) -> Result<Kernel, EngineError> {
         let virt: Vec<VirtSrc> = (0..s.len() as u32).map(VirtSrc::Input).collect();
         compile(e, s, &virt)
-    }
-
-    fn lowers(e: &Expr, s: &Schema) -> bool {
-        lower(e, s).is_some()
     }
 
     /// `e` as a one-stage Compute chain over `r`, run over all of it.
     fn compute_chain(e: &Expr, r: &Rel) -> Result<StreamChunk, EngineError> {
         let ty = e.infer_ty(&r.schema).expect("typed expression");
         let mut b = ChainBuilder::new(&r.schema);
-        assert!(
-            b.compute(e, &wide(&r.schema, ("out", ty))),
-            "expected a kernel for {e:?}"
-        );
-        let prog = b.finish();
-        let bound = prog.bind(r).expect("chunks match the schema");
-        bound.run()
+        b.compute(e, &wide(&r.schema, ("out", ty)))?;
+        b.finish().bind(r).run()
     }
 
-    /// Kernel result == scalar oracle result, row for row.
-    fn assert_matches_oracle(e: &Expr, r: &Rel) {
-        let chunk = compute_chain(e, r).unwrap();
-        assert!(chunk.batches >= 1);
+    /// `e` over every row of `r` by the kernel, or its error.
+    fn kernel_column(e: &Expr, r: &Rel) -> Result<Vec<Value>, EngineError> {
+        let chunk = compute_chain(e, r)?;
         assert_eq!(chunk.rows.len(), r.len());
-        let bound = bind(e, &r.schema).unwrap();
-        for i in 0..r.len() {
-            let want = eval(&bound, &r.owned_row(i)).unwrap();
-            assert_eq!(chunk.carries[0].value(i), want, "row {i} of {e:?}");
-        }
+        Ok((0..r.len()).map(|i| chunk.carries[0].value(i)).collect())
+    }
+
+    /// `e` over every row of `r` by the scalar oracle, or its first error.
+    fn oracle_column(e: &Expr, r: &Rel) -> Result<Vec<Value>, EngineError> {
+        let bound = bind(e, &r.schema)?;
+        (0..r.len())
+            .map(|i| eval(&bound, &r.owned_row(i)))
+            .collect()
+    }
+
+    /// Kernel result == scalar oracle result, row for row (errors by
+    /// message).
+    fn assert_agrees(e: &Expr, r: &Rel) {
+        assert_eq!(kernel_column(e, r), oracle_column(e, r), "{e}");
+    }
+
+    /// … and neither fails.
+    fn assert_matches_oracle(e: &Expr, r: &Rel) {
+        assert!(oracle_column(e, r).is_ok(), "{e} fails in the oracle");
+        assert_agrees(e, r);
     }
 
     #[test]
@@ -1424,10 +1434,9 @@ mod tests {
     fn filter_chain_yields_selection_vector() {
         let r = rel(100);
         let mut b = ChainBuilder::new(&r.schema);
-        assert!(b.filter(&Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(10i64))));
-        let prog = b.finish();
-        let bound = prog.bind(&r).unwrap();
-        let keep = bound.run().unwrap().rows;
+        b.filter(&Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(10i64)))
+            .unwrap();
+        let keep = b.finish().bind(&r).run().unwrap().rows;
         assert_eq!(keep, (0..10).collect::<Vec<u32>>());
     }
 
@@ -1442,43 +1451,62 @@ mod tests {
         assert_eq!(err, EngineError::Eval("integer overflow in +".into()));
     }
 
+    /// The guard rule: the right side of `AND`/`OR` and each `CASE`
+    /// branch raise only on the rows that reach them (nested too), and a
+    /// row that reaches a failing instruction raises the oracle's error.
     #[test]
-    fn short_circuit_and_fallible_case_bail_to_scalar() {
-        let s = schema();
-        // (a = 0) OR (1/a = 1): scalar short-circuits, kernel must refuse
-        let fallible = Expr::eq(
-            Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::col("a")),
-            Expr::lit(1i64),
+    fn guarded_logic_and_case_agree_with_oracle() {
+        let (a, p) = (Expr::col("a"), Expr::col("p"));
+        let div = |x: Expr| Expr::bin(BinOp::Div, Expr::lit(12i64), x);
+        let inv = |x: Expr| Expr::eq(div(x), Expr::lit(1i64));
+        let is0 = |x: Expr| Expr::eq(x, Expr::lit(0i64));
+        let pos = Expr::bin(BinOp::Gt, a.clone(), Expr::lit(0i64));
+        let a1 = Expr::bin(BinOp::Sub, a.clone(), Expr::lit(1i64));
+        let neg = Expr::Un(UnOp::Neg, Arc::new(a.clone()));
+        let r = rel(100); // a = 0 on row 0 only, where p holds
+        for e in [
+            Expr::bin(BinOp::Or, is0(a.clone()), inv(a.clone())),
+            Expr::case(pos.clone(), div(a.clone()), neg),
+            // three regions deep
+            Expr::and(
+                pos,
+                Expr::case(
+                    p.clone(),
+                    inv(a.clone()),
+                    Expr::bin(BinOp::Or, is0(a1.clone()), inv(a1)),
+                ),
+            ),
+        ] {
+            assert_matches_oracle(&e, &r);
+        }
+        let reached = Expr::and(p, inv(a));
+        assert_agrees(&reached, &r);
+        assert_eq!(
+            kernel_column(&reached, &r).unwrap_err(),
+            ee("division by zero")
         );
-        let guarded = Expr::bin(
-            BinOp::Or,
-            Expr::eq(Expr::col("a"), Expr::lit(0i64)),
-            fallible.clone(),
-        );
-        assert!(!lowers(&guarded, &s));
-        // CASE with a fallible branch must refuse too
-        let case = Expr::case(Expr::col("p"), fallible, Expr::lit(true));
-        assert!(!lowers(&case, &s));
-        // infallible variants of both do compile
-        let ok = Expr::bin(
-            BinOp::Or,
-            Expr::eq(Expr::col("a"), Expr::lit(0i64)),
-            Expr::col("p"),
-        );
-        assert!(lowers(&ok, &s));
     }
 
     #[test]
-    fn nat_div_and_mod_bail_to_scalar() {
-        let s = Schema::of(&[("n", Ty::Nat)]);
-        assert!(!lowers(
-            &Expr::bin(BinOp::Div, Expr::col("n"), Expr::col("n")),
-            &s
-        ));
-        assert!(lowers(
-            &Expr::bin(BinOp::Add, Expr::col("n"), Expr::col("n")),
-            &s
-        ));
+    fn nat_div_and_mod_raise_the_oracle_error() {
+        let s = Schema::of(&[("n", Ty::Nat), ("p", Ty::Bool)]);
+        let rows = (0..70).map(|i| vec![Value::Nat(i + 4), Value::Bool(i == 3)]);
+        let r = Rel::new(s, rows.collect());
+        for op in [BinOp::Div, BinOp::Mod] {
+            let e = Expr::bin(op, Expr::col("n"), Expr::lit(Value::Nat(2)));
+            // under a guard only the one row that reaches it raises
+            let case = Expr::case(Expr::col("p"), e.clone(), Expr::col("n"));
+            let never = Expr::case(Expr::lit(false), e.clone(), Expr::col("n"));
+            for (e, row) in [(e, "@4"), (case, "@7")] {
+                assert_agrees(&e, &r);
+                let err = kernel_column(&e, &r).unwrap_err().to_string();
+                assert!(
+                    err.contains(&format!("not applicable to {row} and @2")),
+                    "{err}"
+                );
+            }
+            assert_matches_oracle(&never, &r);
+        }
     }
 
     #[test]
@@ -1486,6 +1514,17 @@ mod tests {
         let s = schema();
         let e = Expr::bin(BinOp::Mul, Expr::col("a"), Expr::col("a"));
         assert_eq!(lower(&e, &s).unwrap().columns(), &[0]);
+        // a region builds its mask once, and only if it can raise
+        let guards = |e: &Expr| {
+            let k = lower(&Expr::and(Expr::col("p"), e.clone()), &s).unwrap();
+            k.instrs
+                .iter()
+                .filter(|i| matches!(i, Instr::Guard { .. }))
+                .count()
+        };
+        let div = |x: &str, y: &str| Expr::bin(BinOp::Div, Expr::col(x), Expr::col(y));
+        assert_eq!(guards(&Expr::eq(div("a", "b"), div("b", "a"))), 1);
+        assert_eq!(guards(&Expr::col("p")), 0);
     }
 
     #[test]
@@ -1508,21 +1547,24 @@ mod tests {
         let r = rel(3000); // several batches
         let mut b = ChainBuilder::new(&r.schema);
         // SELECT a < 2000
-        assert!(b.filter(&Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(2000i64))));
+        b.filter(&Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(2000i64)))
+            .unwrap();
         // COMPUTE y = a * 2 + b
         let y = Expr::bin(
             BinOp::Add,
             Expr::bin(BinOp::Mul, Expr::col("a"), Expr::lit(2i64)),
             Expr::col("b"),
         );
-        assert!(b.compute(&y, &wide(&r.schema, ("y", Ty::Int))));
+        b.compute(&y, &wide(&r.schema, ("y", Ty::Int))).unwrap();
         // SELECT y % 2 = 1 (a*2+3 is always odd: keeps everything — then
         // a tighter one) and SELECT y < 1003 (drops most rows)
-        assert!(b.filter(&Expr::eq(
+        b.filter(&Expr::eq(
             Expr::bin(BinOp::Mod, Expr::col("y"), Expr::lit(2i64)),
-            Expr::lit(1i64)
-        )));
-        assert!(b.filter(&Expr::bin(BinOp::Lt, Expr::col("y"), Expr::lit(1003i64))));
+            Expr::lit(1i64),
+        ))
+        .unwrap();
+        b.filter(&Expr::bin(BinOp::Lt, Expr::col("y"), Expr::lit(1003i64)))
+            .unwrap();
         // PROJECT (y, s) then ATTACH tag = "t"
         let s2 = Schema::of(&[("y", Ty::Int), ("s", Ty::Str)]);
         b.project(&[6, 4], &s2);
@@ -1531,7 +1573,7 @@ mod tests {
         let prog = b.finish();
         assert_eq!(prog.stage_count(), 4);
         assert!(prog.pure_input_out().is_none()); // y is carried, tag is const
-        let bound = prog.bind(&r).unwrap();
+        let bound = prog.bind(&r);
         let chunk = bound.run().unwrap();
         assert_eq!(chunk.batches, 3);
         // oracle: rows 0..2000 with y = 2a+3, keep y < 1003 → a < 500
@@ -1558,10 +1600,11 @@ mod tests {
         let r = rel(100);
         let view = r.with_cols(Schema::of(&[("b", Ty::Int), ("d", Ty::Dbl)]), vec![1, 2]);
         let mut b = ChainBuilder::new(&view.schema);
-        assert!(b.filter(&Expr::bin(BinOp::Gt, Expr::col("d"), Expr::lit(25.0f64))));
+        b.filter(&Expr::bin(BinOp::Gt, Expr::col("d"), Expr::lit(25.0f64)))
+            .unwrap();
         let prog = b.finish();
         assert_eq!(prog.pure_input_out(), Some(vec![0, 1]));
-        let chunk = prog.bind(&view).unwrap().run().unwrap();
+        let chunk = prog.bind(&view).run().unwrap();
         // d = i/2 > 25 → i > 50
         assert_eq!(chunk.rows, (51..100).collect::<Vec<u32>>());
     }
@@ -1573,74 +1616,70 @@ mod tests {
         let r = rel(100);
         // guarded: a != 0 filtered first, then 1/a computes cleanly
         let mut b = ChainBuilder::new(&r.schema);
-        assert!(b.filter(&Expr::bin(BinOp::Gt, Expr::col("a"), Expr::lit(0i64))));
+        b.filter(&Expr::bin(BinOp::Gt, Expr::col("a"), Expr::lit(0i64)))
+            .unwrap();
         let inv = Expr::bin(BinOp::Div, Expr::lit(100i64), Expr::col("a"));
-        assert!(b.compute(&inv, &wide(&r.schema, ("inv", Ty::Int))));
+        b.compute(&inv, &wide(&r.schema, ("inv", Ty::Int))).unwrap();
         let prog = b.finish();
-        let chunk = prog.bind(&r).unwrap().run().unwrap();
+        let chunk = prog.bind(&r).run().unwrap();
         assert_eq!(chunk.rows.len(), 99);
         assert_eq!(chunk.carries[0].value(0), Value::Int(100));
         // unguarded: the zero row reaches the divide and raises the
         // scalar oracle's message
         let mut b = ChainBuilder::new(&r.schema);
-        assert!(b.compute(&inv, &wide(&r.schema, ("inv", Ty::Int))));
+        b.compute(&inv, &wide(&r.schema, ("inv", Ty::Int))).unwrap();
         let prog = b.finish();
-        let err = prog.bind(&r).unwrap().run().unwrap_err();
+        let err = prog.bind(&r).run().unwrap_err();
         assert_eq!(err, EngineError::Eval("division by zero".into()));
     }
 
-    /// Compute stages that don't lower refuse fusion instead of lying.
+    /// The builder takes every well-typed stage; it refuses only what
+    /// the oracle refuses before touching a row, with the oracle's error.
     #[test]
-    fn chain_builder_bails_on_unvectorizable_stages() {
+    fn chain_builder_refuses_only_what_the_oracle_refuses() {
         let r = rel(10);
         let mut b = ChainBuilder::new(&r.schema);
-        // OR with fallible RHS cannot batch-evaluate
-        let fallible = Expr::eq(
-            Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::col("a")),
-            Expr::lit(1i64),
-        );
-        assert!(!b.filter(&Expr::bin(BinOp::Or, Expr::col("p"), fallible.clone())));
-        // non-bool filter refuses
-        assert!(!b.filter(&Expr::col("a")));
-        // compute of a non-lowering expression (fallible CASE branch)
-        // refuses
-        let case = Expr::case(
-            Expr::col("p"),
-            Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::col("a")),
-            Expr::lit(1i64),
-        );
-        let s1 = Schema::of(&[("x", Ty::Int)]);
-        assert!(!b.compute(&case, &s1));
-        // the builder is still usable after refusals
-        assert!(b.filter(&Expr::col("p")));
+        let inv = Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::col("a"));
+        let fallible = Expr::eq(inv.clone(), Expr::lit(1i64));
+        b.filter(&Expr::bin(BinOp::Or, Expr::col("p"), fallible))
+            .unwrap();
+        let pos = Expr::bin(BinOp::Gt, Expr::col("a"), Expr::lit(0i64));
+        let case = Expr::case(pos, inv, Expr::lit(1i64));
+        b.compute(&case, &wide(&r.schema, ("x", Ty::Int))).unwrap();
+        let param = Expr::Param(2, Ty::Bool);
+        assert_eq!(b.filter(&param), Err(EngineError::UnboundParam(2)));
+        let ghost = Expr::col("ghost");
+        assert_eq!(b.filter(&ghost), Err(bind(&ghost, b.schema()).unwrap_err()));
+        // `p` OR …, then x: rows 0, 2, 4, … and the CASE's value
+        let chunk = b.finish().bind(&r).run().unwrap();
+        assert_eq!(chunk.rows, [0, 1, 2, 4, 6, 8]);
+        assert_eq!(chunk.carries[0].value(1), Value::Int(1));
+        // an ill-typed stage, which `infer_schema` stops before dispatch,
+        // fails when it runs: no fallback
+        let mut b = ChainBuilder::new(&r.schema);
+        b.filter(&Expr::col("a")).unwrap();
+        let err = b.finish().bind(&r).run().unwrap_err();
+        assert_eq!(err, confusion());
     }
 
-    /// The `VecMode` gate sits in front of the chain: `Off` runs a lone
-    /// Select on the scalar operator, `Force` as a chain of one.
+    /// `On` (the default) runs a lone Select as a chain of one at every
+    /// input size, `Off` on the scalar operator; both agree.
     #[test]
-    fn vec_mode_off_runs_no_chain() {
-        let mut plan = Plan::new();
-        let l = plan.lit(schema(), rel(200).rows().into_owned());
-        let root = plan.select(l, Expr::col("p"));
-        for (vec, batches) in [(VecMode::Off, 0), (VecMode::Force, 1)] {
-            let db = crate::Database::new();
-            db.set_par_config(ParConfig { vec });
-            assert_eq!(db.execute(&plan, root).unwrap().len(), 100);
-            assert_eq!(db.stats().kernel_batches, batches, "{vec:?}");
+    fn vec_modes_agree_and_only_on_runs_chains() {
+        assert_eq!(ParConfig::default().vec, VecMode::On);
+        for n in [0, 1, 63, 64, 200] {
+            let mut plan = Plan::new();
+            let l = plan.lit(schema(), rel(n).rows().into_owned());
+            let root = plan.select(l, Expr::col("p"));
+            let mut got = Vec::new();
+            for (vec, batches) in [(VecMode::Off, 0), (VecMode::On, u64::from(n > 0))] {
+                let db = crate::Database::new();
+                db.set_par_config(ParConfig { vec });
+                got.push(db.execute(&plan, root).unwrap());
+                assert_eq!(db.stats().kernel_batches, batches, "{vec:?} at {n}");
+            }
+            assert_eq!(got[0], got[1], "{n} rows");
+            assert_eq!(got[0].len(), (n as usize).div_ceil(2));
         }
-    }
-
-    #[test]
-    fn vec_mode_gates() {
-        let auto = ParConfig::default();
-        assert!(auto.vectorize(100_000));
-        assert!(!auto.vectorize(8));
-        let off = ParConfig { vec: VecMode::Off };
-        assert!(!off.vectorize(100_000));
-        let force = ParConfig {
-            vec: VecMode::Force,
-        };
-        assert!(force.vectorize(1));
-        assert!(!force.vectorize(0));
     }
 }

@@ -2,16 +2,14 @@
 //! produce **cell-for-cell identical** results — including sort and
 //! window tie-break order — whether it takes the scalar row-at-a-time
 //! path or the vectorized one (chain programs + typed sinks). The scalar
-//! engine (`VecMode::Off`) is the oracle; both vectorized configurations
-//!
-//!   `VecMode::Force` (every non-empty input) and `VecMode::Auto` (inputs
-//!   of 64 rows and up, the product default)
-//!
-//! must reproduce it exactly. Every sort comparator is a total order and
-//! kernels reproduce scalar error semantics, so this is an invariant, not
-//! a statistical property; here we check it over random relations and a
-//! 5 000-row one whose four full 1024-row batches and ragged tail cover
-//! the chain program's batch boundaries.
+//! engine (`VecMode::Off`) is the oracle; the production configuration
+//! (`VecMode::On`, vectorized at every input size) must reproduce it
+//! exactly. Every sort comparator is a total order and kernels reproduce
+//! scalar error semantics, so this is an invariant, not a statistical
+//! property; here we check it over random relations, a 5 000-row one
+//! whose four full 1024-row batches and ragged tail cover the chain
+//! program's batch boundaries, and fixed roots at 0, 1, 63, 64 and
+//! 1 025 rows for the shapes the guard rule and the code kernels exist for.
 
 use ferry_algebra::{
     plan::{cn, Aggregate},
@@ -47,11 +45,10 @@ fn scalar_oracle() -> ParConfig {
     ParConfig { vec: VecMode::Off }
 }
 
-/// The configurations under test. `VecMode::Force` takes the chain
-/// programs and typed sinks even on tiny proptest relations; `Auto`
-/// mixes both paths by input size, as the product does.
-fn vec_configs() -> [ParConfig; 2] {
-    [VecMode::Force, VecMode::Auto].map(|vec| ParConfig { vec })
+/// The configuration under test: chain programs and typed sinks at
+/// every input size, as the product runs.
+fn production() -> ParConfig {
+    ParConfig { vec: VecMode::On }
 }
 
 /// One root per operator over left/right relations `l` and `r`.
@@ -147,24 +144,30 @@ fn assert_differential(plan: &Plan, roots: &[NodeId]) {
         .iter()
         .map(|&r| serial.execute(plan, r).expect("oracle execute"))
         .collect();
-    for cfg in vec_configs() {
-        let db = db_with(cfg);
-        for (&root, expect) in roots.iter().zip(&baseline) {
-            let got = db.execute(plan, root).expect("execute under test");
-            assert_eq!(
-                &got, expect,
-                "divergence at node {root:?} with {cfg:?}:\noracle:\n{expect}\nunder test:\n{got}"
-            );
-        }
-        // evaluate all roots as one bundle too: one pass over the shared
-        // DAG must give every member the result it gets alone
-        let bundled = db.execute_bundle(plan, roots).expect("bundle execute");
-        for ((got, expect), &root) in bundled.iter().zip(&baseline).zip(roots) {
-            assert_eq!(
-                got, expect,
-                "bundle divergence at node {root:?} with {cfg:?}"
-            );
-        }
+    let db = db_with(production());
+    for (&root, expect) in roots.iter().zip(&baseline) {
+        let got = db.execute(plan, root).expect("execute under test");
+        assert_eq!(
+            &got, expect,
+            "divergence at node {root:?}:\noracle:\n{expect}\nunder test:\n{got}"
+        );
+    }
+    // evaluate all roots as one bundle too: one pass over the shared DAG
+    // must give every member the result it gets alone
+    let bundled = db.execute_bundle(plan, roots).expect("bundle execute");
+    for ((got, expect), &root) in bundled.iter().zip(&baseline).zip(roots) {
+        assert_eq!(got, expect, "bundle divergence at node {root:?}");
+    }
+}
+
+/// Execute every root alone under the oracle and under test and demand
+/// the same relation or the same error message.
+fn assert_same_outcome(plan: &Plan, roots: &[NodeId]) {
+    let (oracle, db) = (db_with(scalar_oracle()), db_with(production()));
+    for &root in roots {
+        let expect = oracle.execute(plan, root).map_err(|e| e.to_string());
+        let got = db.execute(plan, root).map_err(|e| e.to_string());
+        assert_eq!(got, expect, "divergence at node {root:?}");
     }
 }
 
@@ -301,8 +304,7 @@ fn mixed_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
         ),
         // SelectCase with infallible branches
         plan.compute(l, "c1", Expr::case(p.clone(), x.clone(), Expr::lit(0i64))),
-        // CASE with a *fallible* branch: kernel compilation bails, the
-        // node must silently take the scalar path
+        // CASE with a *fallible* branch: each branch runs under its guard
         plan.compute(
             l,
             "c2",
@@ -322,7 +324,7 @@ fn mixed_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
         plan.compute(l, "w", Expr::cast(Ty::Dbl, x.clone())),
         // Unit column: ColVec::Other → Vec<Value> fallback registers
         plan.compute(l, "u2", Expr::col("u")),
-        // distinct over the full mixed schema (Unit key ⇒ scalar fallback)
+        // distinct over the full mixed schema (a Unit key is one code)
         plan.distinct(l),
         // typed distinct over Int+Bool only
         plan.distinct(xp),
@@ -474,7 +476,7 @@ fn mixed_type_operators_agree_on_large_input() {
 // groups into one batch program (scan → Select*/Compute/Project/
 // Attach → window / join-probe / serialize / group-by sink), and lone
 // operators behind pipeline breakers (chains of one). Under
-// `VecMode::Force` these run the streaming loop; the oracle evaluates
+// `VecMode::On` these run the streaming loop; the oracle evaluates
 // the same nodes one at a time — results must be cell-for-cell identical
 // either way.
 // ---------------------------------------------------------------------
@@ -854,13 +856,243 @@ fn runtime_errors_agree_across_paths() {
             "z",
             Expr::bin(BinOp::Div, Expr::col("x"), Expr::lit(0i64)),
         );
-        let oracle = db_with(scalar_oracle());
-        for root in [div, ovf, sel, piped_rn, piped_ser, lone] {
-            let expect = oracle.execute(&plan, root).map_err(|e| e.to_string());
-            for cfg in vec_configs() {
-                let got = db_with(cfg).execute(&plan, root).map_err(|e| e.to_string());
-                assert_eq!(got, expect, "error divergence at {root:?} with {cfg:?}");
+        assert_same_outcome(&plan, &[div, ovf, sel, piped_rn, piped_ser, lone]);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The shapes the guard rule and the code kernels exist for, at 0, 1,
+// 63, 64 and 1 025 rows: a division or an overflow reachable only on
+// rows `AND`/`OR`/`CASE` do not short-circuit (nested and not), `Nat`
+// division and modulo, `unit` keys in every key-consuming operator and
+// in sorts, and unbound parameters. Each root has one possible error message, so the outcome —
+// relation or message — must agree.
+// ---------------------------------------------------------------------
+
+/// `x` cycles through -3..=3, `n` through 0..5; `u` is `unit`.
+fn guard_rel(prefix: &str, rows: usize) -> (Schema, Vec<Vec<Value>>) {
+    let schema = Schema::new(vec![
+        (format!("{prefix}x").into(), Ty::Int),
+        (format!("{prefix}n").into(), Ty::Nat),
+        (format!("{prefix}p").into(), Ty::Bool),
+        (format!("{prefix}u").into(), Ty::Unit),
+        (format!("{prefix}s").into(), Ty::Str),
+    ]);
+    let rows = (0..rows)
+        .map(|i| {
+            vec![
+                Value::Int(i as i64 % 7 - 3),
+                Value::Nat(i as u64 % 5),
+                Value::Bool(i % 3 == 0),
+                Value::Unit,
+                Value::str(["a", "b"][i % 2]),
+            ]
+        })
+        .collect();
+    (schema, rows)
+}
+
+const ROW_COUNTS: [usize; 5] = [0, 1, 63, 64, 1025];
+
+#[test]
+fn guarded_logic_and_case_agree() {
+    let x = || Expr::col("x");
+    let int = |i: i64| Expr::lit(i);
+    let div = |a: Expr, b: Expr| Expr::bin(BinOp::Div, a, b);
+    let gt = |a: Expr, b: Expr| Expr::bin(BinOp::Gt, a, b);
+    let or = |a: Expr, b: Expr| Expr::bin(BinOp::Or, a, b);
+    let x_1 = || Expr::bin(BinOp::Sub, x(), int(1));
+    let big = || Expr::bin(BinOp::Mul, x(), int(i64::MAX));
+    for rows in ROW_COUNTS {
+        let (schema, data) = guard_rel("", rows);
+        let mut plan = Plan::new();
+        let l = plan.lit(schema, data);
+        let roots = vec![
+            // the division is guarded away on the rows where x = 0
+            plan.select(l, or(Expr::eq(x(), int(0)), gt(div(int(12), x()), int(1)))),
+            plan.select(
+                l,
+                Expr::and(
+                    Expr::bin(BinOp::Ne, x(), int(0)),
+                    gt(div(int(12), x()), int(1)),
+                ),
+            ),
+            plan.compute(
+                l,
+                "q",
+                Expr::case(Expr::eq(x(), int(0)), int(0), div(int(12), x())),
+            ),
+            // the overflow is guarded away: only x = 0 and x = 1 multiply
+            plan.compute(
+                l,
+                "o",
+                Expr::case(or(Expr::eq(x(), int(0)), Expr::eq(x(), int(1))), big(), x()),
+            ),
+            // a narrowing cast is guarded away on the negatives
+            plan.compute(
+                l,
+                "c",
+                Expr::case(
+                    Expr::bin(BinOp::Ge, x(), int(0)),
+                    Expr::cast(Ty::Nat, x()),
+                    Expr::lit(Value::Nat(0)),
+                ),
+            ),
+            // nested three deep: x != 0 AND CASE p THEN 12/x > 0 ELSE
+            // (x = 1 OR 12/(x - 1) > 0)
+            plan.select(
+                l,
+                Expr::and(
+                    Expr::bin(BinOp::Ne, x(), int(0)),
+                    Expr::case(
+                        Expr::col("p"),
+                        gt(div(int(12), x()), int(0)),
+                        or(Expr::eq(x(), int(1)), gt(div(int(12), x_1()), int(0))),
+                    ),
+                ),
+            ),
+            // reached failures: x in {2, 3} overflows (rows 5, 6, …), and
+            // p AND x = 1 divides by zero (row 18 first)
+            plan.select(l, or(Expr::bin(BinOp::Lt, x(), int(2)), gt(big(), int(0)))),
+            plan.select(
+                l,
+                Expr::and(
+                    Expr::col("p"),
+                    Expr::case(
+                        gt(x(), int(0)),
+                        gt(div(int(12), x_1()), int(0)),
+                        Expr::lit(true),
+                    ),
+                ),
+            ),
+        ];
+        // the same guards mid-chain, into a sink
+        let c = plan.compute(
+            l,
+            "q",
+            Expr::case(Expr::eq(x(), int(0)), int(0), div(int(12), x())),
+        );
+        let f = plan.select(
+            c,
+            or(Expr::eq(x(), int(0)), gt(div(Expr::col("q"), x()), int(0))),
+        );
+        let sink = plan.rownum(f, "rn", vec![cn("s")], vec![(cn("q"), Dir::Desc)]);
+        let mut roots = roots;
+        roots.push(sink);
+        assert_same_outcome(&plan, &roots);
+    }
+}
+
+#[test]
+fn nat_division_agrees() {
+    let n = || Expr::col("n");
+    let two = || Expr::lit(Value::Nat(2));
+    for rows in ROW_COUNTS {
+        let (schema, data) = guard_rel("", rows);
+        let mut plan = Plan::new();
+        let l = plan.lit(schema, data);
+        let mut roots = Vec::new();
+        for op in [BinOp::Div, BinOp::Mod] {
+            roots.push(plan.compute(l, "q", Expr::bin(op, n(), two())));
+            roots.push(plan.select(l, Expr::eq(Expr::bin(op, n(), two()), n())));
+            // reached only where x > 2 (row 6 first), or never
+            let guarded = Expr::case(
+                Expr::bin(BinOp::Gt, Expr::col("x"), Expr::lit(2i64)),
+                Expr::bin(op, n(), two()),
+                n(),
+            );
+            roots.push(plan.compute(l, "g", guarded));
+            let never = Expr::case(Expr::lit(false), Expr::bin(op, n(), two()), n());
+            roots.push(plan.compute(l, "z", never));
+        }
+        assert_same_outcome(&plan, &roots);
+    }
+}
+
+#[test]
+fn unit_keys_agree() {
+    for rows in ROW_COUNTS {
+        let (ls, ld) = guard_rel("", rows);
+        let (rs, rd) = guard_rel("r", 5);
+        let mut plan = Plan::new();
+        let l = plan.lit(ls, ld);
+        let r = plan.lit(rs, rd);
+        let none = plan.lit(guard_rel("r", 0).0, vec![]);
+        let lu = plan.project_keep(l, &[cn("u"), cn("x")]);
+        let ru = plan.project(r, vec![(cn("u"), cn("ru")), (cn("x"), cn("rx"))]);
+        let mut roots = Vec::new();
+        for b in [r, none] {
+            for on in [
+                JoinCols::single("u", "ru"),
+                JoinCols {
+                    left: vec![cn("u"), cn("x")],
+                    right: vec![cn("ru"), cn("rx")],
+                },
+            ] {
+                roots.push(plan.equi_join(l, b, on.clone()));
+                roots.push(plan.semi_join(l, b, on.clone()));
+                roots.push(plan.anti_join(l, b, on));
             }
         }
+        roots.push(plan.group_by(
+            l,
+            vec![cn("u")],
+            vec![
+                Aggregate {
+                    fun: AggFun::CountAll,
+                    input: None,
+                    output: cn("cnt"),
+                },
+                Aggregate {
+                    fun: AggFun::Max,
+                    input: Some(cn("u")),
+                    output: cn("max_u"),
+                },
+            ],
+        ));
+        roots.push(plan.group_by(
+            l,
+            vec![cn("u"), cn("s")],
+            vec![Aggregate {
+                fun: AggFun::Sum,
+                input: Some(cn("x")),
+                output: cn("sum_x"),
+            }],
+        ));
+        roots.push(plan.distinct(lu));
+        roots.push(plan.difference(lu, ru));
+        roots.push(plan.difference(ru, lu));
+        roots.push(plan.serialize(
+            l,
+            vec![(cn("u"), Dir::Asc), (cn("x"), Dir::Desc)],
+            vec![cn("x"), cn("u")],
+        ));
+        roots.push(plan.rownum(l, "rn", vec![cn("u")], vec![(cn("u"), Dir::Desc)]));
+        roots.push(plan.dense_rank(l, "dr", vec![cn("u")], vec![(cn("x"), Dir::Asc)]));
+        assert_same_outcome(&plan, &roots);
+        assert_differential(&plan, &roots);
+    }
+}
+
+#[test]
+fn unbound_parameters_agree() {
+    let param = || Expr::Param(0, Ty::Int);
+    for rows in ROW_COUNTS {
+        let (schema, data) = guard_rel("", rows);
+        let mut plan = Plan::new();
+        let l = plan.lit(schema, data);
+        let sel = plan.select(l, Expr::bin(BinOp::Ge, Expr::col("x"), param()));
+        let cmp = plan.compute(l, "y", Expr::bin(BinOp::Add, Expr::col("x"), param()));
+        // second stage of a chain, and inside a guarded branch
+        let keep = plan.select(l, Expr::col("p"));
+        let deep = plan.compute(
+            keep,
+            "z",
+            Expr::case(Expr::lit(false), param(), Expr::col("x")),
+        );
+        let sink = plan.serialize(deep, vec![(cn("z"), Dir::Asc)], vec![cn("z")]);
+        assert_same_outcome(&plan, &[sel, cmp, deep, sink]);
+        let err = db_with(production()).execute(&plan, sink).unwrap_err();
+        assert_eq!(err, ferry_engine::EngineError::UnboundParam(0));
     }
 }

@@ -208,6 +208,37 @@ fn install_table_is_logged_with_its_rows() {
     );
 }
 
+/// `install_table` checks its rows as an insert does: a short row or a
+/// mistyped cell is a `TableMismatch`, and nothing reaches the log or the
+/// catalog. Missing key columns stay unchecked (the escape hatch).
+#[test]
+fn a_mistyped_install_is_refused_and_logs_nothing() {
+    let vfs = Arc::new(FaultFs::new());
+    let db = open(&vfs, config()).unwrap();
+    let before = vfs.read(COMMIT_LOG).unwrap();
+    for rows in [vec![vec![v(7)]], vec![vec![v(7), v(8)]]] {
+        let err = db
+            .install_table(
+                "imported",
+                BaseTable {
+                    schema: people_schema(),
+                    keys: vec!["zzz".into()],
+                    rows: Arc::new(RowBuf::new(rows)),
+                },
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::TableMismatch { table, .. } if table == "imported"),
+            "{err}"
+        );
+    }
+    assert_eq!(vfs.read(COMMIT_LOG).unwrap(), before, "nothing logged");
+    assert!(db.table("imported").is_none());
+    drop(db);
+    let db = open(&vfs, config()).unwrap();
+    assert!(db.table("imported").is_none());
+}
+
 /// A transaction that inserts into a table and then replaces it logs
 /// the replacement's DDL and none of the dead rows: recovery applies a
 /// commit's DDL before its rows.

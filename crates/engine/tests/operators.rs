@@ -493,7 +493,7 @@ fn dag_sharing_evaluates_shared_node_once() {
 fn an_unbound_parameter_is_a_typed_error() {
     use ferry_engine::{EngineError, ParConfig, VecMode};
     let db = db();
-    for vec in [VecMode::Off, VecMode::Force] {
+    for vec in [VecMode::Off, VecMode::On] {
         db.set_par_config(ParConfig { vec });
         let mut p = Plan::new();
         let t = emp_ref(&mut p);
@@ -511,16 +511,14 @@ fn an_unbound_parameter_is_a_typed_error() {
 }
 
 /// `vec_nodes` counts plan nodes the way `nodes_evaluated` does: every
-/// member of a chain whose kernels ran, not one per evaluation. A
-/// project-only chain into a composite-key join rides the typed probe; into
-/// a join on a key the kernel refuses (`unit`), it is honestly scalar.
+/// member of a chain, not one per evaluation. A node's path is the mode:
+/// under `VecMode::On` every evaluated node counts — a view-only build
+/// scan, which runs no row code of either kind, and a join on `unit`
+/// keys (one constant code) included — and under `Off` none does.
 #[test]
 fn vec_nodes_counts_chain_members() {
     use ferry_engine::{ExecPath, ParConfig, VecMode};
     let db = db();
-    db.set_par_config(ParConfig {
-        vec: VecMode::Force,
-    });
     let mut p = Plan::new();
     let t = emp_ref(&mut p);
     let sel = p.select(t, Expr::bin(BinOp::Gt, Expr::col("sal"), Expr::lit(60i64)));
@@ -551,13 +549,17 @@ fn vec_nodes_counts_chain_members() {
     assert_eq!(exec(&db, &p, j).len(), 4);
     let st = db.stats();
     // table → project → join under the probe's slot, plus the build scan
-    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 3));
-    let tail = st.latest_profile().unwrap().nodes.last().unwrap().clone();
+    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 4));
+    let prof = &st.latest_profile().unwrap().nodes;
+    assert_eq!(
+        (prof[0].label, prof[0].path, prof[0].batches),
+        ("table", ExecPath::Vectorized, 0)
+    );
+    let tail = prof.last().unwrap().clone();
     assert_eq!(tail.fused, ["table", "project", "join"]);
     assert_eq!((tail.path, tail.batches), (ExecPath::Vectorized, 1));
 
-    // a `unit` column transposes to `ColVec::Other`, which no key code
-    // represents: the join takes the scalar probe, and says so
+    // a `unit` key column is one constant code: the typed probe takes it
     let units = Schema::of(&[("u", Ty::Unit), ("x", Ty::Int)]);
     let lu = p.lit(
         units,
@@ -569,10 +571,22 @@ fn vec_nodes_counts_chain_members() {
     db.reset_stats();
     assert_eq!(exec(&db, &p, uj).len(), 2);
     let st = db.stats();
-    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 0));
+    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 4));
     let tail = st.latest_profile().unwrap().nodes.last().unwrap().clone();
     assert_eq!(tail.fused, ["lit", "project", "join"]);
-    assert_eq!((tail.path, tail.batches), (ExecPath::Scalar, 0));
+    assert_eq!((tail.path, tail.batches), (ExecPath::Vectorized, 1));
+
+    // the oracle forms no groups and counts nothing as vec
+    db.set_par_config(ParConfig { vec: VecMode::Off });
+    db.reset_stats();
+    assert_eq!(exec(&db, &p, uj).len(), 2);
+    let st = db.stats();
+    assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 0));
+    let prof = &st.latest_profile().unwrap().nodes;
+    assert_eq!(prof.len(), 4);
+    assert!(prof
+        .iter()
+        .all(|n| n.path == ExecPath::Scalar && n.batches == 0 && n.fused.is_empty()));
 }
 
 #[test]

@@ -34,8 +34,8 @@ pub mod wal;
 
 pub use fs::{Fault, FaultFs, StdFs, Vfs};
 pub use store::{
-    Recovered, RecoveryReport, Storage, TableDef, TableImage, COMMIT_LOG, SHARD_META_FILE,
-    SNAPSHOT_FILE,
+    row_shape_error, Recovered, RecoveryReport, Storage, TableDef, TableImage, COMMIT_LOG,
+    SHARD_META_FILE, SNAPSHOT_FILE,
 };
 pub use wal::WalRecord;
 

@@ -29,16 +29,18 @@
 //! installing the two. Every later commit is applied whole. A table's
 //! positions are dense and in insert order — each insert appends at the
 //! table's end and DDL restarts it — so a row positioned past its table's
-//! end is refused as corrupt instead of allocated. A torn final frame is
-//! truncated away: no one was acked for it, because acks wait for the
-//! fsync.
+//! end is refused as corrupt instead of allocated. So is a row whose shape
+//! contradicts its table's definition ([`row_shape_error`]: the width, and
+//! each cell's type): the engine's typed kernels rely on every stored
+//! column being type-uniform. A torn final frame is truncated away: no one
+//! was acked for it, because acks wait for the fsync.
 
 use crate::codec::{Dec, Enc};
 use crate::frame::{scan, write_frame, Tail};
 use crate::fs::Vfs;
 use crate::wal::{replay_wal, Wal, WAL_MAGIC};
 use crate::{DurabilityConfig, StorageError, WalRecord};
-use ferry_algebra::{Row, Schema};
+use ferry_algebra::{Row, Schema, Value};
 use ferry_telemetry::{Counter, Registry};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -391,6 +393,35 @@ fn set_row(rows: &mut Vec<Row>, pos: u64, row: Row) -> Result<(), StorageError> 
     Ok(())
 }
 
+/// The one row-shape check: `None` when `row` has `schema`'s width and
+/// every cell the type its column declares, otherwise what is wrong. The
+/// engine's `Tx::insert` and `Tx::install_table` refuse a mismatch with
+/// `TableMismatch`; recovery refuses it as [`StorageError::Corrupt`].
+pub fn row_shape_error(schema: &Schema, row: &[Value]) -> Option<String> {
+    if row.len() != schema.len() {
+        return Some(format!(
+            "row width {} != schema width {}",
+            row.len(),
+            schema.len()
+        ));
+    }
+    row.iter()
+        .zip(schema.cols())
+        .find(|(v, (_, t))| v.ty() != *t)
+        .map(|(v, (c, t))| format!("column {c}: value {v} is not {t}"))
+}
+
+/// Refuse recovered rows of `def`'s table that fail [`row_shape_error`].
+fn check_rows(def: &TableDef, rows: &[Row]) -> Result<(), StorageError> {
+    match rows.iter().find_map(|r| row_shape_error(&def.schema, r)) {
+        Some(why) => Err(StorageError::Corrupt(format!(
+            "rows for {}: {why}",
+            def.name
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// One decoded commit-log frame: its DDL records, its rows, and the GSN
 /// its marker seals.
 struct CommitFrame {
@@ -476,7 +507,7 @@ fn ddl_def(rec: WalRecord) -> Result<(TableDef, Vec<Row>), StorageError> {
 }
 
 /// Apply one `ShardRows` record. Rows must target a defined table and
-/// match its width — a CRC-valid frame that does not is a writer bug,
+/// have its shape — a CRC-valid frame that does not is a writer bug,
 /// and recovery refuses to guess.
 fn apply_rows(
     defs: &BTreeMap<String, TableDef>,
@@ -497,13 +528,7 @@ fn apply_rows(
             "rows for {table} which nothing created"
         )));
     };
-    if let Some(row) = payload.iter().find(|r| r.len() != def.schema.len()) {
-        return Err(StorageError::Corrupt(format!(
-            "rows for {table}: width {} != schema width {}",
-            row.len(),
-            def.schema.len()
-        )));
-    }
+    check_rows(def, &payload)?;
     let t = rows.entry(table).or_default();
     for (pos, row) in idx.into_iter().zip(payload) {
         set_row(t, pos, row)?;
@@ -592,6 +617,7 @@ impl Storage {
                     totals.remove(&name);
                 }
                 if !covered {
+                    check_rows(&def, &payload)?;
                     rows.insert(name.clone(), payload);
                 }
                 defs.insert(name, def);
@@ -611,10 +637,13 @@ impl Storage {
         report.cut_gsn = cut;
         report.markers_applied = applied_commits;
 
-        // 4. reassemble the tables and verify against the metadata
+        // 4. reassemble the tables and verify against the metadata (the
+        //    shape check here is the snapshot rows'; logged rows were
+        //    checked as they applied)
         let mut tables = Vec::with_capacity(defs.len());
         for (name, def) in defs {
             let out_rows = rows.remove(&name).unwrap_or_default();
+            check_rows(&def, &out_rows)?;
             if let Some(total) = totals.get(&name) {
                 if (out_rows.len() as u64) < *total {
                     return Err(StorageError::Corrupt(format!(
@@ -1096,5 +1125,77 @@ mod tests {
             "{err}"
         );
         assert_eq!(files(&vfs), before, "a refused open writes nothing");
+    }
+
+    /// A snapshot or a commit whose rows contradict their table's schema —
+    /// a short row, a mistyped cell — is refused as corrupt before
+    /// anything is written.
+    #[test]
+    fn a_row_shaped_unlike_its_table_is_corrupt() {
+        let two = TableDef {
+            name: "t".into(),
+            schema: Schema::of(&[("a", Ty::Int), ("b", Ty::Int)]),
+            keys: vec![],
+        };
+        let short = vec![Value::Int(1)];
+        let mistyped = vec![Value::str("x"), Value::Int(1)];
+        let refused = |vfs: &Arc<FaultFs>, want: &str| {
+            let before = files(vfs);
+            let err = try_open(vfs).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corrupt(m) if m.contains(want)),
+                "{err}"
+            );
+            assert_eq!(files(vfs), before, "a refused open writes nothing");
+        };
+        // the snapshot: a checkpoint of rows the definition contradicts,
+        // at 3 rows and at 100
+        for (row, want) in [
+            (&short, "row width 1 != schema width 2"),
+            (&mistyped, "column a: value 'x' is not int"),
+        ] {
+            for n in [3, 100] {
+                let vfs = Arc::new(FaultFs::new());
+                let r = open(&vfs);
+                let image = TableImage {
+                    def: two.clone(),
+                    rows: vec![row.clone(); n],
+                };
+                r.storage.checkpoint(&[image]).unwrap();
+                drop(r);
+                refused(&vfs, want);
+            }
+        }
+        // the commit log: a mistyped cell in appended rows, a short row in
+        // an installed table
+        let vfs = Arc::new(FaultFs::new());
+        let r = open(&vfs);
+        let create = WalRecord::CreateTable {
+            name: "t".into(),
+            schema: two.schema.clone(),
+            keys: vec![],
+        };
+        let rows = WalRecord::ShardRows {
+            gsn: 0,
+            table: "t".into(),
+            idx: vec![0, 1],
+            rows: vec![vec![Value::Int(1), Value::Int(2)], mistyped.clone()],
+        };
+        r.storage.log_commit(vec![create], vec![rows]).unwrap();
+        r.storage.group_sync().unwrap();
+        drop(r);
+        refused(&vfs, "column a: value 'x' is not int");
+        let vfs = Arc::new(FaultFs::new());
+        let r = open(&vfs);
+        let install = WalRecord::InstallTable {
+            name: "t".into(),
+            schema: two.schema.clone(),
+            keys: vec![],
+            rows: vec![short.clone()],
+        };
+        r.storage.log_commit(vec![install], Vec::new()).unwrap();
+        r.storage.group_sync().unwrap();
+        drop(r);
+        refused(&vfs, "row width 1 != schema width 2");
     }
 }
