@@ -45,17 +45,14 @@ fn open(vfs: &Arc<FaultFs>, fsync: FsyncPolicy) -> Storage {
     .storage
 }
 
-/// Commit `rows(tag)` at their positions, durable per `fsync` on return
-/// (under `Always` the commit is acked by the group sync that covers it).
+/// Commit `rows(tag)`, durable per `fsync` on return (under `Always` the
+/// commit is acked by the group sync that covers it).
 fn commit(storage: &Storage, fsync: FsyncPolicy, tag: usize) {
-    let first = (tag * ROWS) as u64;
-    let rec = WalRecord::ShardRows {
-        gsn: 0,
+    let rec = WalRecord::Rows {
         table: "bench".into(),
-        idx: (first..first + ROWS as u64).collect(),
         rows: rows(tag),
     };
-    storage.log_commit(Vec::new(), vec![rec]).expect("append");
+    storage.log_commit(&[rec]).expect("append");
     if fsync == FsyncPolicy::Always {
         storage.group_sync().expect("sync");
     }
@@ -70,7 +67,7 @@ fn prebuilt_log() -> Arc<FaultFs> {
         schema: schema(),
         keys: vec!["id".into()],
     };
-    storage.log_commit(vec![create], Vec::new()).unwrap();
+    storage.log_commit(&[create]).unwrap();
     for i in 0..RECORDS {
         commit(&storage, FsyncPolicy::Os, i);
     }
@@ -119,7 +116,7 @@ fn bench_storage(c: &mut Criterion) {
             |bch, _| {
                 bch.iter(|| {
                     let r = recover(&vfs);
-                    assert_eq!(r.report.markers_applied, RECORDS + 1);
+                    assert_eq!(r.report.commits_applied, RECORDS + 1);
                     r.tables.len()
                 })
             },
@@ -140,7 +137,7 @@ fn bench_storage(c: &mut Criterion) {
             |bch, _| {
                 bch.iter(|| {
                     let r = recover(&vfs);
-                    assert_eq!(r.report.markers_applied, 0);
+                    assert_eq!(r.report.commits_applied, 0);
                     r.tables.len()
                 })
             },

@@ -14,13 +14,13 @@
 //!
 //! Durability composes via **group commit**: under
 //! [`FsyncPolicy::Always`] a committing transaction appends its commit
-//! (stamped with a GSN, the group sequence number) and then *enqueues*
-//! for durability instead of fsyncing itself. Whichever waiter finds the
-//! fsync slot free becomes the leader, runs one group fsync covering
-//! every commit appended so far (the log mutexes are released during the
-//! fsync, so more committers keep enqueuing), then publishes the newest
-//! catalog version the fsync covered and wakes all waiters whose GSNs
-//! are now durable. Acked ⇒ durable is preserved — versions are
+//! (its GSN, the group sequence number, is the commit frame's LSN) and
+//! then *enqueues* for durability instead of fsyncing itself. Whichever
+//! waiter finds the fsync slot free becomes the leader, runs one group
+//! fsync covering every commit appended so far (the log mutex is released
+//! during the fsync, so more committers keep enqueuing), then publishes
+//! the newest catalog version the fsync covered and wakes all waiters
+//! whose GSNs are now durable. Acked ⇒ durable is preserved — versions are
 //! *published to readers only after* their GSN is synced — while N
 //! concurrent writers share one fsync instead of paying N.
 //!
@@ -396,8 +396,8 @@ impl Database {
     /// Run `f` as one atomic transaction. The closure mutates a private
     /// working version forked off the commit head (read-your-own-writes
     /// within the transaction); if it succeeds and changed anything, the
-    /// whole transaction is logged as **one commit** under one GSN (one
-    /// CRC-atomic frame per file it touches) and the new catalog version
+    /// whole transaction is logged as **one commit** — one CRC-atomic
+    /// frame, whose LSN is its GSN — and the new catalog version
     /// is installed for readers — after its GSN is group-commit durable
     /// under [`FsyncPolicy::Always`], immediately under the
     /// ack-before-durable policies. An `Err` from the closure
@@ -427,8 +427,9 @@ impl Database {
         }
         if let Some(storage) = &self.storage {
             // log-before-ack: the log sees the transaction before memory
-            let (ddl, rows) = (std::mem::take(&mut tx.ddl), std::mem::take(&mut tx.rows));
-            let gsn = storage.log_commit(ddl, rows)?;
+            let mut members = std::mem::take(&mut tx.ddl);
+            members.append(&mut tx.rows);
+            let gsn = storage.log_commit(&members)?;
             let version = Arc::new(tx.work);
             commit.head = version.clone();
             if matches!(storage.config().fsync, FsyncPolicy::Always) {
@@ -866,8 +867,6 @@ impl Database {
     }
 
     /// `ferry.storage` property rows (`name`, `value`), sorted by name.
-    /// `synced_lsn` keeps its name but reports the durable GSN, the one
-    /// watermark of the store.
     fn storage_props(&self, cat: &Catalog) -> Vec<Row> {
         let gc = self.gc.lock().unwrap();
         let (durable, synced, poisoned) = match &self.storage {
@@ -1197,9 +1196,9 @@ pub struct Tx {
     work: Catalog,
     /// DDL records, in transaction order (they ride in the commit frame).
     ddl: Vec<WalRecord>,
-    /// The [`WalRecord::ShardRows`] appends of this transaction, one per
+    /// The [`WalRecord::Rows`] appends of this transaction, one per
     /// insert. Every staged row follows its table's last DDL in this
-    /// transaction, so recovery may apply DDL first and rows second.
+    /// transaction, so the commit frame may carry all DDL first.
     rows: Vec<WalRecord>,
     /// Building log records costs a clone of inserted rows; in-memory
     /// databases skip it.
@@ -1276,13 +1275,8 @@ impl Tx {
         self.bump_stats(name, rows.iter().map(sys::row_bytes).sum());
         let table = self.work.tables.get_mut(name).expect("validated above");
         if self.durable && !rows.is_empty() {
-            // positions are absolute in the table's insert order: this
-            // insert appends at the table's end
-            let base = table.rows.len() as u64;
-            self.rows.push(WalRecord::ShardRows {
-                gsn: 0, // assigned by log_commit
+            self.rows.push(WalRecord::Rows {
                 table: name.to_string(),
-                idx: (base..base + rows.len() as u64).collect(),
                 rows: rows.clone(),
             });
         }
@@ -1300,7 +1294,7 @@ impl Tx {
     /// rows.
     fn unstage(&mut self, name: &str) {
         self.rows
-            .retain(|r| !matches!(r, WalRecord::ShardRows { table, .. } if table == name));
+            .retain(|r| !matches!(r, WalRecord::Rows { table, .. } if table == name));
     }
 
     /// Install a table without `create_table`'s key validation (see

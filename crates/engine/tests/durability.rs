@@ -63,7 +63,7 @@ fn durable_roundtrip_restores_tables_and_bumps_schema_version() {
     // database cannot serve stale plans
     assert_eq!(db.schema_version(), 2);
     let report = db.recovery_report().unwrap();
-    assert_eq!(report.markers_applied, 3);
+    assert_eq!(report.commits_applied, 3);
     assert_eq!(report.cut_gsn, 3);
     assert!(report.render().contains("recovery"));
 }
@@ -119,7 +119,7 @@ fn checkpoint_compacts_the_log_and_recovery_uses_the_snapshot() {
     assert_eq!(db.table("people").unwrap().rows.rows().len(), 4);
     let report = db.recovery_report().unwrap();
     assert_eq!(report.watermark_gsn, 2);
-    assert_eq!(report.markers_applied, 1, "only the tail is replayed");
+    assert_eq!(report.commits_applied, 1, "only the tail is replayed");
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn automatic_checkpoint_fires_on_the_configured_budget() {
     drop(db);
     let db = open(&vfs, config()).unwrap();
     assert_eq!(db.table("people").unwrap().rows.rows().len(), 4);
-    assert_eq!(db.recovery_report().unwrap().markers_applied, 0);
+    assert_eq!(db.recovery_report().unwrap().commits_applied, 0);
 }
 
 #[test]

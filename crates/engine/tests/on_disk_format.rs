@@ -1,14 +1,18 @@
 //! Directories written by an earlier build of the engine, checked in
 //! under `tests/fixtures/`, and what this build does with each:
 //!
-//! * `one-shard` — written by `Database::open`: a table created,
-//!   inserted into twice and replaced inside a transaction, an empty
-//!   table, an installed table, a checkpoint, then one more insert left
-//!   in the log. It opens with every row, and replaying the same script
-//!   into a fresh directory writes byte-identical files.
-//! * `one-shard-keyed` — a one-shard store whose tables were created with
-//!   a shard key: `CreateTableSharded` records in the log, a key in
-//!   `shard-meta`. It opens with every row; the keys are ignored.
+//! * `one-shard-v2` — written by this build's `Database::open`: a table
+//!   created, inserted into twice and replaced inside a transaction, an
+//!   empty table, an installed table, a checkpoint, then one more insert
+//!   left in the log. It opens with every row, and replaying the same
+//!   script into a fresh directory writes byte-identical files.
+//! * `one-shard` — the same script written by an earlier build: v1
+//!   commit frames (positioned rows, a GSN marker) and an `FSSH0001`
+//!   snapshot. It opens with every row and writes nothing; `upgrade.rs`
+//!   commits on top of it.
+//! * `one-shard-keyed` — a v1 store whose tables were created with a
+//!   shard key: tag-5 creates in the log, a key in `shard-meta`. It opens
+//!   with every row; the keys are ignored.
 //! * `four-shards` — a store of four hash-partitioned shards. It is
 //!   refused `Unsupported`, and every file is left as it was.
 //! * `single-wal` — the retired `wal` + `snapshot` format. Refused the
@@ -72,7 +76,7 @@ fn people_schema() -> Schema {
     Schema::of(&[("id", Ty::Int), ("name", Ty::Str), ("score", Ty::Dbl)])
 }
 
-/// The script that wrote the `one-shard` fixture.
+/// The script that wrote the `one-shard` and `one-shard-v2` fixtures.
 fn one_shard_script(db: &Database) {
     db.create_table("people", people_schema(), vec!["id"])
         .unwrap();
@@ -109,7 +113,13 @@ fn one_shard_script(db: &Database) {
 
 #[test]
 fn a_one_shard_directory_opens_with_every_row_and_writes_nothing() {
-    let dir = copy("one-shard");
+    for name in ["one-shard", "one-shard-v2"] {
+        opens_with_every_row_and_writes_nothing(name);
+    }
+}
+
+fn opens_with_every_row_and_writes_nothing(name: &str) {
+    let dir = copy(name);
     let db = Database::open(&dir, config()).unwrap();
     assert_eq!(
         rows_of(&db, "people"),
@@ -128,9 +138,9 @@ fn a_one_shard_directory_opens_with_every_row_and_writes_nothing() {
         ]
     );
     let report = db.recovery_report().unwrap();
-    assert_eq!((report.watermark_gsn, report.markers_applied), (6, 1));
+    assert_eq!((report.watermark_gsn, report.commits_applied), (6, 1));
     drop(db);
-    assert_eq!(files(&dir), files(&fixture("one-shard")));
+    assert_eq!(files(&dir), files(&fixture(name)), "{name}");
 }
 
 #[test]
@@ -138,7 +148,7 @@ fn replaying_the_script_writes_byte_identical_files() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("on_disk_format_replay");
     let _ = std::fs::remove_dir_all(&dir);
     one_shard_script(&Database::open(&dir, config()).unwrap());
-    let (want, got) = (files(&fixture("one-shard")), files(&dir));
+    let (want, got) = (files(&fixture("one-shard-v2")), files(&dir));
     assert_eq!(
         want.keys().collect::<Vec<_>>(),
         got.keys().collect::<Vec<_>>()

@@ -9,16 +9,17 @@
 //! * [`codec`] — versioned binary encoding of the data model;
 //! * [`frame`] — length-prefixed, CRC-32-checksummed frames, the unit of
 //!   torn-write detection;
-//! * [`wal`] — the append-only log of committed catalog mutations, with
-//!   monotone LSNs and a configurable [`FsyncPolicy`];
+//! * [`wal`] — the append-only log of committed catalog mutations, one
+//!   frame per commit, with monotone LSNs and a configurable
+//!   [`FsyncPolicy`];
 //! * [`fs`] — the VFS the above are written against: [`fs::StdFs`] for
 //!   real directories and [`fs::FaultFs`], an in-memory file system with
 //!   crash semantics and scriptable fault injection (torn writes, bit
 //!   flips, short/failed fsyncs) that the recovery test suite drives;
-//! * [`Storage`] — the store: one snapshot and one commit log,
-//!   group-committed under one GSN sequence; a commit is one frame in
-//!   one file. `open` = load the snapshot ⊕ replay the log, `log_commit`
-//!   = append before ack, `checkpoint` = snapshot + truncate the log.
+//! * [`Storage`] — the store: one snapshot and one commit log; a commit
+//!   is one frame in one file, and the frame's LSN is the commit's GSN.
+//!   `open` = load the snapshot ⊕ replay the log, `log_commit` = append
+//!   before ack, `checkpoint` = snapshot + truncate the log.
 //!
 //! Recovery correctness is *proven by fault injection rather than
 //! asserted*: for arbitrary transaction sequences crashed at arbitrary
@@ -35,7 +36,7 @@ pub mod wal;
 pub use fs::{Fault, FaultFs, StdFs, Vfs};
 pub use store::{
     row_shape_error, Recovered, RecoveryReport, Storage, TableDef, TableImage, COMMIT_LOG,
-    SHARD_META_FILE, SNAPSHOT_FILE,
+    META_FILE, SNAPSHOT_FILE,
 };
 pub use wal::WalRecord;
 

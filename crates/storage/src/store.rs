@@ -1,22 +1,21 @@
-//! The store: one snapshot and one commit log, group-committed under one
-//! GSN (group sequence number) sequence.
+//! The store: one snapshot and one commit log. A commit is one frame, and
+//! the frame's LSN is the commit's sequence number (its GSN).
 //!
 //! A storage directory holds:
 //!
-//! * [`SHARD_META_FILE`] — replace-installed metadata: a shard count
-//!   (always 1), the checkpoint watermark GSN, and every table's
-//!   definition (schema, keys, row count at the watermark);
+//! * [`META_FILE`] — replace-installed metadata: a shard count (always 1),
+//!   the checkpoint watermark GSN, and every table's definition (schema,
+//!   keys, row count at the watermark);
 //! * [`COMMIT_LOG`] — a [`Wal`](crate::wal::Wal) of *commit frames*: each
-//!   commit is one CRC-atomic frame carrying its DDL records, its rows
-//!   ([`WalRecord::ShardRows`]) and a trailing [`WalRecord::ShardCommit`]
-//!   marker `{gsn, mask: 0}` — one frame in one file, made durable by one
-//!   fsync;
-//! * [`SNAPSHOT_FILE`] — the checkpointed rows of every non-empty table,
-//!   each tagged with its position in the table's insert order.
+//!   commit is one CRC-atomic frame carrying its DDL records, then its
+//!   inserts ([`WalRecord::Rows`]) — one frame in one file, made durable
+//!   by one fsync;
+//! * [`SNAPSHOT_FILE`] — the checkpointed rows of every non-empty table.
 //!
-//! The file and record names say "shard" because the format can describe
-//! several shards; this layer reads and writes its one-shard form only. A
-//! `shard-meta` declaring more shards is refused with
+//! The file names are those of the earlier sharded store, which this
+//! layer still reads in its one-shard form (the v1 commit frames and the
+//! `FSSH0001` snapshot; see [`crate::wal`] for the frame rules). A
+//! metadata file declaring more shards is refused with
 //! [`StorageError::Unsupported`], and so is a directory of the retired
 //! single-WAL format (`wal` + `snapshot`, no metadata — its log shares the
 //! `FWAL0001` magic, so the file set, not the bytes, identifies it).
@@ -26,14 +25,14 @@
 //! order. A commit the snapshot already covers (GSN at or below the
 //! snapshot's) contributes only its DDL to the table definitions: the
 //! metadata lags the snapshot when a checkpoint crashed between
-//! installing the two. Every later commit is applied whole. A table's
-//! positions are dense and in insert order — each insert appends at the
-//! table's end and DDL restarts it — so a row positioned past its table's
-//! end is refused as corrupt instead of allocated. So is a row whose shape
-//! contradicts its table's definition ([`row_shape_error`]: the width, and
-//! each cell's type): the engine's typed kernels rely on every stored
-//! column being type-uniform. A torn final frame is truncated away: no one
-//! was acked for it, because acks wait for the fsync.
+//! installing the two. Every later commit is applied whole, its members
+//! in order. A row whose shape contradicts its table's definition
+//! ([`row_shape_error`]: the width, and each cell's type) is refused as
+//! corrupt: the engine's typed kernels rely on every stored column being
+//! type-uniform. A torn final frame is truncated away: no one was acked
+//! for it, because acks wait for the fsync. The appender resumes one past
+//! the recovered cut, so LSNs stay monotone across a log an earlier build
+//! wrote, whose GSNs were never below their LSNs.
 
 use crate::codec::{Dec, Enc};
 use crate::frame::{scan, write_frame, Tail};
@@ -51,16 +50,20 @@ use std::time::Instant;
 pub const COMMIT_LOG: &str = "commitlog";
 
 /// Replace-installed metadata file.
-pub const SHARD_META_FILE: &str = "shard-meta";
+pub const META_FILE: &str = "shard-meta";
 
 /// The snapshot file.
 pub const SNAPSHOT_FILE: &str = "snap-0";
 
 /// Magic + format version of the metadata file.
-pub const SHARD_META_MAGIC: &[u8; 8] = b"FSMT0001";
+pub const META_MAGIC: &[u8; 8] = b"FSMT0001";
 
-/// Magic + format version of the snapshot file.
-pub const SHARD_SNAP_MAGIC: &[u8; 8] = b"FSSH0001";
+/// Magic + format version of the snapshot file: each table's rows.
+pub const SNAP_MAGIC: &[u8; 8] = b"FSSH0002";
+
+/// The snapshot an earlier build wrote: each row also carries its
+/// position, which must run `0..n`.
+const SNAP_MAGIC_V1: &[u8; 8] = b"FSSH0001";
 
 /// The files of the retired single-WAL format.
 const LEGACY_FILES: [&str; 2] = ["wal", "snapshot"];
@@ -89,7 +92,7 @@ pub struct RecoveryReport {
     /// Last GSN in the recovered state.
     pub cut_gsn: u64,
     /// Commits applied past the watermark.
-    pub markers_applied: usize,
+    pub commits_applied: usize,
     /// Frames decoded from the commit log.
     pub wal_frames: usize,
     pub wal_bytes: u64,
@@ -113,8 +116,8 @@ impl RecoveryReport {
         );
         let _ = writeln!(
             out,
-            "replay log         {} frames  {} bytes  {} markers applied",
-            self.wal_frames, self.wal_bytes, self.markers_applied
+            "replay log         {} frames  {} bytes  {} commits applied",
+            self.wal_frames, self.wal_bytes, self.commits_applied
         );
         let _ = writeln!(
             out,
@@ -162,23 +165,16 @@ impl StorageMetrics {
 /// The durability orchestrator one `Database` owns: the commit log and
 /// its snapshot.
 ///
-/// All methods take `&self`: the log sits behind a mutex so concurrent
-/// committers can append, and [`Storage::group_sync`] deliberately
-/// releases it around the fsync itself — the window in which other
-/// appenders enqueue is what group commit batches over.
+/// All methods take `&self`: the log sits behind a mutex, so concurrent
+/// committers can append — each frame's LSN, the commit's GSN, is
+/// assigned under it — and [`Storage::group_sync`] deliberately releases
+/// it around the fsync itself: the window in which other appenders
+/// enqueue is what group commit batches over.
 #[derive(Debug)]
 pub struct Storage {
     vfs: Arc<dyn Vfs>,
     commit: Mutex<Wal>,
     config: DurabilityConfig,
-    /// Last allocated group sequence number.
-    next_gsn: AtomicU64,
-    /// Highest GSN whose commit frame is fully appended (stored while
-    /// holding the commit-log lock, so a load ordered before capturing
-    /// the sync target is covered by that target).
-    completed_gsn: AtomicU64,
-    /// Highest GSN the group fsync protocol has made durable.
-    durable_gsn: AtomicU64,
     records_since_checkpoint: AtomicU64,
     metrics: StorageMetrics,
 }
@@ -194,7 +190,7 @@ struct Meta {
 
 fn write_meta(vfs: &dyn Vfs, meta: &Meta) -> Result<(), StorageError> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(SHARD_META_MAGIC);
+    buf.extend_from_slice(META_MAGIC);
     let mut head = Enc::new();
     head.u32(1); // shard count
     head.u64(meta.watermark);
@@ -209,19 +205,18 @@ fn write_meta(vfs: &dyn Vfs, meta: &Meta) -> Result<(), StorageError> {
         e.u64(*total);
         write_frame(&mut buf, &e.into_bytes())?;
     }
-    vfs.replace(SHARD_META_FILE, &buf)
+    vfs.replace(META_FILE, &buf)
 }
 
 fn read_meta(vfs: &dyn Vfs) -> Result<Option<Meta>, StorageError> {
-    let bytes = match vfs.read(SHARD_META_FILE)? {
+    let bytes = match vfs.read(META_FILE)? {
         None => return Ok(None),
         Some(b) => b,
     };
-    if bytes.len() < SHARD_META_MAGIC.len() || &bytes[..SHARD_META_MAGIC.len()] != SHARD_META_MAGIC
-    {
+    if bytes.len() < META_MAGIC.len() || &bytes[..META_MAGIC.len()] != META_MAGIC {
         return Err(StorageError::Corrupt("bad shard-meta magic".into()));
     }
-    let out = scan(&bytes[SHARD_META_MAGIC.len()..])?;
+    let out = scan(&bytes[META_MAGIC.len()..])?;
     if out.tail != Tail::Clean {
         return Err(StorageError::Corrupt(
             "shard-meta has a damaged frame (meta is installed atomically)".into(),
@@ -282,7 +277,7 @@ fn read_meta(vfs: &dyn Vfs) -> Result<Option<Meta>, StorageError> {
 fn write_snapshot(vfs: &dyn Vfs, gsn: u64, images: &[TableImage]) -> Result<u64, StorageError> {
     let tables: Vec<&TableImage> = images.iter().filter(|img| !img.rows.is_empty()).collect();
     let mut buf = Vec::new();
-    buf.extend_from_slice(SHARD_SNAP_MAGIC);
+    buf.extend_from_slice(SNAP_MAGIC);
     let mut head = Enc::new();
     head.u64(gsn);
     head.u32(tables.len() as u32);
@@ -290,10 +285,6 @@ fn write_snapshot(vfs: &dyn Vfs, gsn: u64, images: &[TableImage]) -> Result<u64,
     for img in tables {
         let mut e = Enc::new();
         e.str(&img.def.name);
-        e.u64(img.rows.len() as u64);
-        for pos in 0..img.rows.len() as u64 {
-            e.u64(pos);
-        }
         e.rows(&img.rows);
         // a table over MAX_FRAME_LEN refuses to snapshot (typed error)
         // rather than writing a frame recovery could never read back
@@ -318,11 +309,12 @@ fn read_snapshot(vfs: &dyn Vfs) -> Result<Snapshot, StorageError> {
         None => return Ok(Snapshot::default()),
         Some(b) => b,
     };
-    if bytes.len() < SHARD_SNAP_MAGIC.len() || &bytes[..SHARD_SNAP_MAGIC.len()] != SHARD_SNAP_MAGIC
-    {
-        return Err(StorageError::Corrupt(format!("bad magic in {file}")));
-    }
-    let out = scan(&bytes[SHARD_SNAP_MAGIC.len()..])?;
+    let v1 = match bytes.get(..SNAP_MAGIC.len()) {
+        Some(m) if m == SNAP_MAGIC => false,
+        Some(m) if m == SNAP_MAGIC_V1 => true,
+        _ => return Err(StorageError::Corrupt(format!("bad magic in {file}"))),
+    };
+    let out = scan(&bytes[SNAP_MAGIC.len()..])?;
     if out.tail != Tail::Clean {
         return Err(StorageError::Corrupt(format!(
             "{file} has a damaged frame (snapshots are installed atomically)"
@@ -337,33 +329,34 @@ fn read_snapshot(vfs: &dyn Vfs) -> Result<Snapshot, StorageError> {
     let count = d.u32()? as usize;
     d.finish()?;
     let mut rows = HashMap::with_capacity(count.min(1 << 16));
-    let mut tables = 0usize;
     for payload in frames {
         let mut d = Dec::new(payload);
         let name = d.str()?.to_string();
-        let n = d.u64()?;
-        let mut idx = Vec::with_capacity(n.min(1 << 20) as usize);
-        for _ in 0..n {
-            idx.push(d.u64()?);
+        let positions = if v1 { d.u64()? } else { 0 };
+        for want in 0..positions {
+            let pos = d.u64()?;
+            if pos != want {
+                return Err(StorageError::Corrupt(format!(
+                    "{file}: row {want} of {name} positioned at {pos}"
+                )));
+            }
         }
-        let payload = d.rows()?;
+        let table = d.rows()?;
         d.finish()?;
-        if idx.len() != payload.len() {
+        if v1 && table.len() as u64 != positions {
             return Err(StorageError::Corrupt(format!(
-                "{file}: {} positions for {} rows",
-                idx.len(),
-                payload.len()
+                "{file}: {positions} positions for {} rows",
+                table.len()
             )));
         }
-        let table: &mut Vec<Row> = rows.entry(name).or_default();
-        for (pos, row) in idx.into_iter().zip(payload) {
-            set_row(table, pos, row)?;
+        if rows.insert(name, table).is_some() {
+            return Err(StorageError::Corrupt(format!("{file} holds a table twice")));
         }
-        tables += 1;
     }
-    if tables != count {
+    if rows.len() != count {
         return Err(StorageError::Corrupt(format!(
-            "{file} declares {count} tables but holds {tables}"
+            "{file} declares {count} tables but holds {}",
+            rows.len()
         )));
     }
     Ok(Snapshot {
@@ -374,24 +367,6 @@ fn read_snapshot(vfs: &dyn Vfs) -> Result<Snapshot, StorageError> {
 }
 
 // ------------------------------------------------------------- recovery
-
-/// Write `row` at position `pos` of a recovering table: overwrite a row
-/// already there or append at the end. A position past the end is a
-/// hole no writer leaves, and allocating up to it would let one crafted
-/// record exhaust memory — it is refused as corrupt.
-fn set_row(rows: &mut Vec<Row>, pos: u64, row: Row) -> Result<(), StorageError> {
-    match usize::try_from(pos) {
-        Ok(p) if p < rows.len() => rows[p] = row,
-        Ok(p) if p == rows.len() => rows.push(row),
-        _ => {
-            return Err(StorageError::Corrupt(format!(
-                "row position {pos} lies past the table's {} rows",
-                rows.len()
-            )))
-        }
-    }
-    Ok(())
-}
 
 /// The one row-shape check: `None` when `row` has `schema`'s width and
 /// every cell the type its column declares, otherwise what is wrong. The
@@ -422,107 +397,17 @@ fn check_rows(def: &TableDef, rows: &[Row]) -> Result<(), StorageError> {
     }
 }
 
-/// One decoded commit-log frame: its DDL records, its rows, and the GSN
-/// its marker seals.
-struct CommitFrame {
-    lsn: u64,
-    ddl: Vec<WalRecord>,
-    rows: Vec<WalRecord>,
-    gsn: u64,
-}
-
-/// Validate the commit log's replayed records (a bare marker, or a batch
-/// of DDL, same-GSN `ShardRows` and a trailing marker; GSN-monotone),
-/// consuming them into owned [`CommitFrame`]s.
-fn index_commit_log(records: Vec<(u64, WalRecord)>) -> Result<Vec<CommitFrame>, StorageError> {
-    let mut out = Vec::with_capacity(records.len());
-    let mut last_gsn = 0u64;
-    for (lsn, rec) in records {
-        let mut members = match rec {
-            WalRecord::Batch(members) => members,
-            other => vec![other],
-        };
-        let Some(WalRecord::ShardCommit { gsn, mask }) = members.pop() else {
-            return Err(StorageError::Corrupt(
-                "malformed commit frame (expected DDL*, rows*, ShardCommit)".into(),
-            ));
-        };
-        if mask != 0 {
-            return Err(StorageError::Corrupt(format!(
-                "commit gsn {gsn} references shard WALs (mask {mask:#x}), \
-                 which a one-shard store does not keep"
-            )));
-        }
-        let (mut ddl, mut rows) = (Vec::new(), Vec::new());
-        for m in members {
-            match m {
-                WalRecord::CreateTable { .. }
-                | WalRecord::CreateTableSharded { .. }
-                | WalRecord::InstallTable { .. } => ddl.push(m),
-                WalRecord::ShardRows { gsn: g, .. } if g == gsn => rows.push(m),
-                other => {
-                    return Err(StorageError::Corrupt(format!(
-                        "unexpected record {other:?} in commit frame gsn {gsn}"
-                    )))
-                }
-            }
-        }
-        if gsn <= last_gsn {
-            return Err(StorageError::Corrupt(format!(
-                "commit log: non-monotone GSN {gsn} after {last_gsn}"
-            )));
-        }
-        last_gsn = gsn;
-        out.push(CommitFrame {
-            lsn,
-            ddl,
-            rows,
-            gsn,
-        });
-    }
-    Ok(out)
-}
-
-/// Split one DDL record into the definition it installs and the rows the
-/// table restarts with. Create and install are create-or-replace, as in
-/// the engine; a create that named a shard key is a plain create.
-fn ddl_def(rec: WalRecord) -> Result<(TableDef, Vec<Row>), StorageError> {
-    Ok(match rec {
-        WalRecord::CreateTable { name, schema, keys }
-        | WalRecord::CreateTableSharded {
-            name, schema, keys, ..
-        } => (TableDef { name, schema, keys }, Vec::new()),
-        WalRecord::InstallTable {
-            name,
-            schema,
-            keys,
-            rows,
-        } => (TableDef { name, schema, keys }, rows),
-        other => {
-            return Err(StorageError::Corrupt(format!(
-                "record {other:?} is not commit-log DDL"
-            )))
-        }
-    })
-}
-
-/// Apply one `ShardRows` record. Rows must target a defined table and
-/// have its shape — a CRC-valid frame that does not is a writer bug,
-/// and recovery refuses to guess.
+/// Append one insert's `payload` to `table`. The table must be defined
+/// and the rows must have its shape, and a v1 insert must be positioned
+/// at the table's end (`v1_base`) — a CRC-valid frame that breaks any of
+/// this is a writer bug, and recovery refuses to guess.
 fn apply_rows(
     defs: &BTreeMap<String, TableDef>,
     rows: &mut HashMap<String, Vec<Row>>,
-    rec: WalRecord,
+    table: String,
+    payload: Vec<Row>,
+    v1_base: Option<u64>,
 ) -> Result<(), StorageError> {
-    let WalRecord::ShardRows {
-        table,
-        idx,
-        rows: payload,
-        ..
-    } = rec
-    else {
-        unreachable!("indexing validated ShardRows");
-    };
     let Some(def) = defs.get(&table) else {
         return Err(StorageError::Corrupt(format!(
             "rows for {table} which nothing created"
@@ -530,9 +415,14 @@ fn apply_rows(
     };
     check_rows(def, &payload)?;
     let t = rows.entry(table).or_default();
-    for (pos, row) in idx.into_iter().zip(payload) {
-        set_row(t, pos, row)?;
+    if let Some(base) = v1_base.filter(|b| *b != t.len() as u64) {
+        return Err(StorageError::Corrupt(format!(
+            "rows for {} positioned at {base}, but the table holds {} rows",
+            def.name,
+            t.len()
+        )));
     }
+    t.extend(payload);
     Ok(())
 }
 
@@ -564,7 +454,7 @@ impl Storage {
                     if vfs.size(file)?.is_some() {
                         return Err(StorageError::Unsupported(format!(
                             "`{file}` marks the retired single-WAL format \
-                             (`wal` + `snapshot`, no `{SHARD_META_FILE}`), \
+                             (`wal` + `snapshot`, no `{META_FILE}`), \
                              which this build no longer reads"
                         )));
                     }
@@ -589,9 +479,9 @@ impl Storage {
         }
         report.snapshot_bytes = snap.bytes;
         let mut replay = replay_wal(vfs.read(COMMIT_LOG)?.as_deref())?;
-        report.wal_frames = replay.records.len();
+        report.wal_frames = replay.commits.len();
         report.wal_bytes = replay.good_bytes;
-        let commits = index_commit_log(std::mem::take(&mut replay.records))?;
+        let commits = std::mem::take(&mut replay.commits);
 
         // 3. rebuild state: defs from meta, rows from the snapshot, then
         //    commit-by-commit replay in GSN order
@@ -603,13 +493,36 @@ impl Storage {
         }
         let mut rows = snap.rows;
         let mut cut = snap.gsn;
-        let mut applied_commits = 0usize;
         let mut applied_ops = 0u64;
-        let next_lsn = commits.last().map_or(1, |c| c.lsn + 1);
+        let last_lsn = commits.last().map_or(0, |c| c.lsn);
         for commit in commits {
             let covered = commit.gsn <= snap.gsn;
-            for rec in commit.ddl {
-                let (def, payload) = ddl_def(rec)?;
+            let mut v1_bases = commit.v1_bases.into_iter();
+            for rec in commit.members {
+                applied_ops += 1;
+                let (def, payload) = match rec {
+                    WalRecord::Rows {
+                        table,
+                        rows: payload,
+                    } => {
+                        let v1_base = v1_bases.next();
+                        if !covered {
+                            apply_rows(&defs, &mut rows, table, payload, v1_base)?;
+                        }
+                        continue;
+                    }
+                    // create and install are create-or-replace, as in the
+                    // engine
+                    WalRecord::CreateTable { name, schema, keys } => {
+                        (TableDef { name, schema, keys }, Vec::new())
+                    }
+                    WalRecord::InstallTable {
+                        name,
+                        schema,
+                        keys,
+                        rows,
+                    } => (TableDef { name, schema, keys }, rows),
+                };
                 let name = def.name.clone();
                 if commit.gsn > meta.watermark {
                     // re-created since the checkpoint: its recorded row
@@ -621,21 +534,13 @@ impl Storage {
                     rows.insert(name.clone(), payload);
                 }
                 defs.insert(name, def);
-                applied_ops += 1;
-            }
-            for rec in commit.rows {
-                if !covered {
-                    apply_rows(&defs, &mut rows, rec)?;
-                }
-                applied_ops += 1;
             }
             cut = cut.max(commit.gsn);
             if commit.gsn > meta.watermark {
-                applied_commits += 1;
+                report.commits_applied += 1;
             }
         }
         report.cut_gsn = cut;
-        report.markers_applied = applied_commits;
 
         // 4. reassemble the tables and verify against the metadata (the
         //    shape check here is the snapshot rows'; logged rows were
@@ -684,12 +589,13 @@ impl Storage {
             replay.good_bytes
         };
 
-        // 6. resume the appender past the kept extent
+        // 6. resume the appender one past the cut (and past every LSN
+        //    kept): the next commit's GSN
         let commit = Mutex::new(Wal::resume(
             vfs.clone(),
             COMMIT_LOG,
             config.fsync,
-            next_lsn,
+            last_lsn.max(cut) + 1,
             file_len,
             metrics.wal_bytes.clone(),
             metrics.fsyncs.clone(),
@@ -705,9 +611,6 @@ impl Storage {
                 vfs,
                 commit,
                 config,
-                next_gsn: AtomicU64::new(cut),
-                completed_gsn: AtomicU64::new(cut),
-                durable_gsn: AtomicU64::new(cut),
                 records_since_checkpoint: AtomicU64::new(applied_ops),
                 metrics,
             },
@@ -716,48 +619,17 @@ impl Storage {
         })
     }
 
-    /// Log one transaction; returns its GSN. The commit frame carries
-    /// `ddl`, then `rows` — [`WalRecord::ShardRows`] appends whose `gsn`
-    /// fields are assigned here — then the marker: one CRC-atomic frame,
-    /// so the commit is all-or-nothing. A commit with nothing to log (an
-    /// empty insert) is a bare marker.
+    /// Log one transaction as one CRC-atomic commit frame holding
+    /// `members` — its DDL, then its [`WalRecord::Rows`] — in order, so
+    /// the commit is all-or-nothing; returns the frame's LSN, the
+    /// commit's GSN. A commit with nothing to log is an empty frame.
     ///
     /// Under [`FsyncPolicy::Always`](crate::FsyncPolicy::Always) *no*
     /// fsync happens here: the caller must not ack until
     /// [`Storage::group_sync`] reports the GSN durable.
-    pub fn log_commit(
-        &self,
-        ddl: Vec<WalRecord>,
-        rows: Vec<WalRecord>,
-    ) -> Result<u64, StorageError> {
-        let gsn = self.next_gsn.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut members = ddl;
-        for mut rec in rows {
-            match &mut rec {
-                WalRecord::ShardRows { gsn: g, .. } => *g = gsn,
-                other => {
-                    return Err(StorageError::Codec(format!(
-                        "row payload must be ShardRows, got {other:?}"
-                    )))
-                }
-            }
-            members.push(rec);
-        }
-        let ops = members.iter().map(WalRecord::op_count).sum::<u64>();
-        let marker = WalRecord::ShardCommit { gsn, mask: 0 };
-        let frame = if members.is_empty() {
-            marker
-        } else {
-            members.push(marker);
-            WalRecord::Batch(members)
-        };
-        {
-            let mut commit = self.commit.lock().unwrap();
-            commit.append(&frame)?;
-            // ordered inside the lock: a group-sync leader that reads
-            // this gsn afterwards will capture a sync target covering it
-            self.completed_gsn.store(gsn, Ordering::SeqCst);
-        }
+    pub fn log_commit(&self, members: &[WalRecord]) -> Result<u64, StorageError> {
+        let gsn = self.commit.lock().unwrap().append(members)?;
+        let ops = members.len() as u64;
         self.metrics.wal_records.add(ops);
         self.records_since_checkpoint
             .fetch_add(ops, Ordering::Relaxed);
@@ -773,27 +645,27 @@ impl Storage {
     /// the synced prefix, roll the LSN allocator back with it, poison
     /// until reopen).
     pub fn group_sync(&self) -> Result<u64, StorageError> {
-        // the completed watermark is read first: its commit frame was
-        // appended before this load, so the target captured below
-        // covers it
-        let completed = self.completed_gsn.load(Ordering::SeqCst);
-        let target = {
+        let (lsn, bytes) = {
             let commit = self.commit.lock().unwrap();
             commit.check_poisoned()?;
             let (lsn, bytes) = commit.sync_target();
-            (lsn > commit.synced_lsn()).then_some((lsn, bytes))
+            if lsn <= commit.synced_lsn() {
+                return Ok(commit.synced_lsn());
+            }
+            (lsn, bytes)
         };
-        if let Some((lsn, bytes)) = target {
-            match self.vfs.sync(COMMIT_LOG) {
-                Ok(()) => self.commit.lock().unwrap().mark_synced(lsn, bytes),
-                Err(e) => {
-                    self.commit.lock().unwrap().fail_sync();
-                    return Err(e);
-                }
+        let synced = self.vfs.sync(COMMIT_LOG);
+        let mut commit = self.commit.lock().unwrap();
+        match synced {
+            Ok(()) => {
+                commit.mark_synced(lsn, bytes);
+                Ok(commit.synced_lsn())
+            }
+            Err(e) => {
+                commit.fail_sync();
+                Err(e)
             }
         }
-        self.durable_gsn.fetch_max(completed, Ordering::SeqCst);
-        Ok(self.durable_gsn.load(Ordering::SeqCst))
     }
 
     /// Does the configured `checkpoint_every` call for a checkpoint now?
@@ -805,7 +677,8 @@ impl Storage {
 
     /// Checkpoint: sync the log, write the snapshot, install the
     /// metadata, then truncate the log. The caller must hold its commit
-    /// lock (no transaction in flight).
+    /// lock (no transaction in flight). Returns the watermark: the GSN of
+    /// the last commit, which the snapshot covers.
     ///
     /// Crash-ordering: the snapshot first and the metadata second (each
     /// replaced atomically), the log truncation last — so a crash leaves
@@ -815,8 +688,11 @@ impl Storage {
         let mut span = ferry_telemetry::span("storage.checkpoint", "storage");
         // anything the policy left unsynced must be durable before the
         // snapshot claims to cover it
-        self.commit.lock().unwrap().sync()?;
-        let watermark = self.completed_gsn.load(Ordering::SeqCst);
+        let watermark = {
+            let mut commit = self.commit.lock().unwrap();
+            commit.sync()?;
+            commit.synced_lsn()
+        };
         let bytes = write_snapshot(self.vfs.as_ref(), watermark, images)?;
         write_meta(
             self.vfs.as_ref(),
@@ -830,7 +706,6 @@ impl Storage {
         )?;
         self.commit.lock().unwrap().truncate_to_header()?;
         self.records_since_checkpoint.store(0, Ordering::Relaxed);
-        self.durable_gsn.fetch_max(watermark, Ordering::SeqCst);
         self.metrics.snapshots.inc();
         span.attr("gsn", watermark).attr("bytes", bytes);
         Ok(watermark)
@@ -841,15 +716,10 @@ impl Storage {
         self.group_sync().map(|_| ())
     }
 
-    /// Highest GSN guaranteed durable — the watermark `ferry.storage`
-    /// reports as `synced_lsn`.
+    /// Highest GSN guaranteed durable: the commit log's synced LSN, which
+    /// `ferry.storage` reports as `synced_lsn`.
     pub fn durable_gsn(&self) -> u64 {
-        self.durable_gsn.load(Ordering::SeqCst)
-    }
-
-    /// The GSN the next commit will be assigned.
-    pub fn next_gsn(&self) -> u64 {
-        self.next_gsn.load(Ordering::SeqCst) + 1
+        self.commit.lock().unwrap().synced_lsn()
     }
 
     /// Has the log refused further I/O after an unrecoverable
@@ -867,6 +737,7 @@ impl Storage {
 mod tests {
     use super::*;
     use crate::fs::FaultFs;
+    use crate::wal::tests::{batch, v1_marker, v1_rows};
     use ferry_algebra::{Ty, Value};
 
     fn try_open(vfs: &Arc<FaultFs>) -> Result<Recovered, StorageError> {
@@ -889,100 +760,166 @@ mod tests {
         }
     }
 
-    fn rows_rec(positions: &[u64]) -> WalRecord {
-        WalRecord::ShardRows {
-            gsn: 0,
+    fn ints(ks: &[i64]) -> Vec<Row> {
+        ks.iter().map(|k| vec![Value::Int(*k)]).collect()
+    }
+
+    fn rows_rec(ks: &[i64]) -> WalRecord {
+        WalRecord::Rows {
             table: "t".into(),
-            idx: positions.to_vec(),
-            rows: positions
-                .iter()
-                .map(|p| vec![Value::Int(*p as i64)])
-                .collect(),
+            rows: ints(ks),
         }
     }
 
     /// Every file of the store and its bytes.
     fn files(vfs: &FaultFs) -> Vec<(&'static str, Option<Vec<u8>>)> {
-        [SHARD_META_FILE, COMMIT_LOG, SNAPSHOT_FILE]
+        [META_FILE, COMMIT_LOG, SNAPSHOT_FILE]
             .into_iter()
             .map(|f| (f, vfs.read(f).unwrap()))
             .collect()
     }
 
-    /// Append one hand-encoded commit-log frame with LSN `lsn`.
-    fn append_frame(vfs: &FaultFs, lsn: u64, rec: &WalRecord) {
+    /// Append one hand-encoded commit-log frame payload.
+    fn append_frame(vfs: &FaultFs, payload: &[u8]) {
         let mut log = vfs.read(COMMIT_LOG).unwrap().unwrap();
-        let mut e = Enc::new();
-        e.u64(lsn);
-        rec.encode(&mut e);
-        write_frame(&mut log, &e.into_bytes()).unwrap();
+        write_frame(&mut log, payload).unwrap();
         vfs.replace(COMMIT_LOG, &log).unwrap();
     }
 
+    /// A store whose commit 1 created `t` and inserted `ks`.
+    fn store_with_t(ks: &[i64]) -> Arc<FaultFs> {
+        let vfs = Arc::new(FaultFs::new());
+        let r = open(&vfs);
+        let mut members = vec![create_t()];
+        if !ks.is_empty() {
+            members.push(rows_rec(ks));
+        }
+        r.storage.log_commit(&members).unwrap();
+        r.storage.group_sync().unwrap();
+        vfs
+    }
+
+    /// Opening `vfs` is refused `Corrupt` naming `want`, and writes nothing.
+    fn refused(vfs: &Arc<FaultFs>, want: &str) {
+        let before = files(vfs);
+        let err = try_open(vfs).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt(m) if m.contains(want)),
+            "{err}"
+        );
+        assert_eq!(files(vfs), before, "a refused open writes nothing");
+    }
+
     #[test]
-    fn a_commit_is_one_frame_and_reopens_in_insert_order() {
+    fn a_commit_is_one_frame_whose_lsn_is_its_gsn() {
         let vfs = Arc::new(FaultFs::new());
         let r = open(&vfs);
         assert!(r.tables.is_empty());
-        let gsn = r
-            .storage
-            .log_commit(vec![create_t()], vec![rows_rec(&[0, 1]), rows_rec(&[2])])
-            .unwrap();
-        assert_eq!(gsn, 1);
+        let members = [create_t(), rows_rec(&[0, 1]), rows_rec(&[2])];
+        assert_eq!(r.storage.log_commit(&members).unwrap(), 1);
         assert_eq!(r.storage.group_sync().unwrap(), 1);
         assert_eq!(r.storage.durable_gsn(), 1);
         let log = replay_wal(vfs.read(COMMIT_LOG).unwrap().as_deref()).unwrap();
-        assert_eq!(log.records.len(), 1);
-        assert!(matches!(
-            &log.records[0].1,
-            WalRecord::Batch(m) if matches!(m[..], [
-                WalRecord::CreateTable { .. },
-                WalRecord::ShardRows { gsn: 1, .. },
-                WalRecord::ShardRows { gsn: 1, .. },
-                WalRecord::ShardCommit { gsn: 1, mask: 0 },
-            ])
-        ));
+        assert_eq!(log.commits.len(), 1);
+        assert_eq!((log.commits[0].lsn, log.commits[0].gsn), (1, 1));
+        assert_eq!(log.commits[0].members, members);
 
         vfs.crash();
         let r2 = open(&vfs);
         assert_eq!(r2.tables.len(), 1);
-        assert_eq!(
-            r2.tables[0].rows,
-            vec![
-                vec![Value::Int(0)],
-                vec![Value::Int(1)],
-                vec![Value::Int(2)]
-            ]
-        );
+        assert_eq!(r2.tables[0].rows, ints(&[0, 1, 2]));
         assert_eq!(r2.report.cut_gsn, 1);
-        assert_eq!(r2.storage.next_gsn(), 2);
-        assert!(r2.report.render().contains("recovery timeline"));
+        assert!(r2.report.render().contains("1 commits applied"));
+        assert_eq!(r2.storage.log_commit(&[]).unwrap(), 2);
+    }
+
+    /// A log an earlier build wrote: v1 frames (GSN in the marker, at or
+    /// above the LSN), then current frames appended one past the cut.
+    #[test]
+    fn a_v1_log_reads_and_new_commits_resume_past_its_gsns() {
+        let vfs = Arc::new(FaultFs::new());
+        drop(open(&vfs));
+        append_frame(
+            &vfs,
+            &batch(1, 3, |e| {
+                create_t().encode(e);
+                v1_rows(e, 5, "t", &[0, 1], &ints(&[0, 1]));
+                v1_marker(e, 5, 0);
+            }),
+        );
+        let r = open(&vfs);
+        assert_eq!(r.tables[0].rows, ints(&[0, 1]));
+        assert_eq!(r.report.cut_gsn, 5);
+        assert_eq!(r.storage.durable_gsn(), 5);
+        assert_eq!(r.storage.log_commit(&[rows_rec(&[2])]).unwrap(), 6);
+        r.storage.group_sync().unwrap();
+        vfs.crash();
+        let r = open(&vfs);
+        assert_eq!(r.tables[0].rows, ints(&[0, 1, 2]));
+        assert_eq!((r.report.cut_gsn, r.report.commits_applied), (6, 2));
     }
 
     #[test]
-    fn a_marker_naming_shard_wals_is_corrupt() {
-        let vfs = Arc::new(FaultFs::new());
-        let r = open(&vfs);
-        r.storage.log_commit(vec![create_t()], Vec::new()).unwrap();
-        r.storage.group_sync().unwrap();
-        drop(r);
-        append_frame(&vfs, 2, &WalRecord::ShardCommit { gsn: 2, mask: 1 });
-        let before = files(&vfs);
-        let err = try_open(&vfs).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
-        assert_eq!(files(&vfs), before);
+    fn v1_frames_that_break_a_rule_are_corrupt_and_touch_nothing() {
+        let far = 1_000_000_000u64;
+        // (the store's rows before the v1 frame, its rows record's gsn
+        // and positions, its marker's mask, what the refusal names)
+        for (ks, gsn, idx, mask, want) in [
+            (&[7][..], 2, &[0][..], 0, "positioned at 0"), // overwrite
+            (&[], 2, &[far][..], 0, "1000000000"),
+            (&[], 2, &[0][..], 1, "mask 0x1"),
+            (&[], 3, &[0][..], 0, "gsn 3"),
+        ] {
+            let vfs = store_with_t(ks);
+            append_frame(
+                &vfs,
+                &batch(2, 2, |e| {
+                    v1_rows(e, gsn, "t", idx, &ints(&[1]));
+                    v1_marker(e, 2, mask);
+                }),
+            );
+            refused(&vfs, want);
+        }
+    }
+
+    #[test]
+    fn a_v1_snapshot_reads_only_positions_0_to_n() {
+        for (idx, ok) in [(&[0, 1][..], true), (&[0, 1_000_000_000][..], false)] {
+            let vfs = store_with_t(&[]);
+            let mut buf = SNAP_MAGIC_V1.to_vec();
+            let mut head = Enc::new();
+            head.u64(0);
+            head.u32(1);
+            write_frame(&mut buf, &head.into_bytes()).unwrap();
+            let mut e = Enc::new();
+            e.str("t");
+            e.u64(idx.len() as u64);
+            for i in idx {
+                e.u64(*i);
+            }
+            e.rows(&ints(&[4, 5]));
+            write_frame(&mut buf, &e.into_bytes()).unwrap();
+            vfs.replace(SNAPSHOT_FILE, &buf).unwrap();
+            if ok {
+                // the log's commit 1 is past the snapshot's gsn 0: it
+                // re-creates `t` empty
+                assert!(open(&vfs).tables[0].rows.is_empty());
+            } else {
+                refused(&vfs, "1000000000");
+            }
+        }
     }
 
     #[test]
     fn multi_shard_and_legacy_directories_are_refused_untouched() {
         let vfs = Arc::new(FaultFs::new());
-        let mut buf = SHARD_META_MAGIC.to_vec();
+        let mut buf = META_MAGIC.to_vec();
         let mut head = Enc::new();
         head.u32(4);
         head.u64(0);
         head.u32(0);
         write_frame(&mut buf, &head.into_bytes()).unwrap();
-        vfs.replace(SHARD_META_FILE, &buf).unwrap();
+        vfs.replace(META_FILE, &buf).unwrap();
         let before = files(&vfs);
         let err = try_open(&vfs).unwrap_err();
         assert!(matches!(err, StorageError::Unsupported(_)), "{err}");
@@ -995,26 +932,27 @@ mod tests {
             matches!(&err, StorageError::Unsupported(m) if m.contains("single-WAL")),
             "{err}"
         );
-        assert_eq!(legacy.size(SHARD_META_FILE).unwrap(), None);
+        assert_eq!(legacy.size(META_FILE).unwrap(), None);
     }
 
     #[test]
     fn a_keyed_create_and_a_meta_shard_key_read_as_a_plain_table() {
         let vfs = Arc::new(FaultFs::new());
-        let r = open(&vfs);
-        let keyed = |name: &str| WalRecord::CreateTableSharded {
-            name: name.into(),
-            schema: Schema::of(&[("k", Ty::Int)]),
-            keys: vec!["k".into()],
-            shard_key: "k".into(),
-        };
-        r.storage
-            .log_commit(vec![keyed("t")], vec![rows_rec(&[0])])
-            .unwrap();
-        r.storage.group_sync().unwrap();
-        drop(r);
+        drop(open(&vfs));
+        append_frame(
+            &vfs,
+            &batch(1, 3, |e| {
+                e.u8(5);
+                e.str("t");
+                e.schema(&Schema::of(&[("k", Ty::Int)]));
+                e.strings(&["k".to_string()]);
+                e.str("k");
+                v1_rows(e, 1, "t", &[0], &ints(&[0]));
+                v1_marker(e, 1, 0);
+            }),
+        );
         // a metadata file whose table declares a shard key (tag 1)
-        let mut buf = SHARD_META_MAGIC.to_vec();
+        let mut buf = META_MAGIC.to_vec();
         let mut head = Enc::new();
         head.u32(1);
         head.u64(0);
@@ -1028,11 +966,12 @@ mod tests {
         e.str("k");
         e.u64(0);
         write_frame(&mut buf, &e.into_bytes()).unwrap();
-        vfs.replace(SHARD_META_FILE, &buf).unwrap();
+        vfs.replace(META_FILE, &buf).unwrap();
         let r = open(&vfs);
         let names: Vec<&str> = r.tables.iter().map(|t| t.def.name.as_str()).collect();
         assert_eq!(names, ["t", "u"]);
-        assert_eq!(r.tables[0].rows, vec![vec![Value::Int(0)]]);
+        assert_eq!(r.tables[0].def.keys, ["k"]);
+        assert_eq!(r.tables[0].rows, ints(&[0]));
     }
 
     #[test]
@@ -1040,23 +979,16 @@ mod tests {
         let vfs = Arc::new(FaultFs::new());
         let r = open(&vfs);
         r.storage
-            .log_commit(
-                vec![WalRecord::InstallTable {
-                    name: "u".into(),
-                    schema: Schema::of(&[("x", Ty::Int)]),
-                    keys: vec![],
-                    rows: vec![vec![Value::Int(5)], vec![Value::Int(6)]],
-                }],
-                Vec::new(),
-            )
+            .log_commit(&[WalRecord::InstallTable {
+                name: "u".into(),
+                schema: Schema::of(&[("x", Ty::Int)]),
+                keys: vec![],
+                rows: ints(&[5, 6]),
+            }])
             .unwrap();
         r.storage.group_sync().unwrap();
         vfs.crash();
-        let r2 = open(&vfs);
-        assert_eq!(
-            r2.tables[0].rows,
-            vec![vec![Value::Int(5)], vec![Value::Int(6)]]
-        );
+        assert_eq!(open(&vfs).tables[0].rows, ints(&[5, 6]));
     }
 
     #[test]
@@ -1072,59 +1004,12 @@ mod tests {
         let counter = || registry.counter("storage.wal_bytes").unwrap().get();
         let (len0, bytes0) = (vfs.written_len(COMMIT_LOG), counter());
         r.storage
-            .log_commit(vec![create_t()], vec![rows_rec(&[0, 1])])
+            .log_commit(&[create_t(), rows_rec(&[0, 1])])
             .unwrap();
         r.storage.group_sync().unwrap();
         let grown = vfs.written_len(COMMIT_LOG) - len0;
         assert!(grown > 0);
         assert_eq!(counter() - bytes0, grown);
-    }
-
-    #[test]
-    fn a_row_positioned_past_its_table_is_corrupt_and_allocates_nothing() {
-        let far = 1_000_000_000u64;
-        // a commit frame inserting at position 1e9 of an empty table
-        let vfs = Arc::new(FaultFs::new());
-        let r = open(&vfs);
-        r.storage.log_commit(vec![create_t()], Vec::new()).unwrap();
-        r.storage.group_sync().unwrap();
-        drop(r);
-        let mut rows = rows_rec(&[far]);
-        if let WalRecord::ShardRows { gsn, .. } = &mut rows {
-            *gsn = 2;
-        }
-        let frame = WalRecord::Batch(vec![rows, WalRecord::ShardCommit { gsn: 2, mask: 0 }]);
-        append_frame(&vfs, 2, &frame);
-        let before = files(&vfs);
-        let err = try_open(&vfs).unwrap_err();
-        assert!(
-            matches!(&err, StorageError::Corrupt(m) if m.contains("1000000000")),
-            "{err}"
-        );
-        assert_eq!(files(&vfs), before, "a refused open writes nothing");
-
-        // a snapshot entry at position 1e9
-        let vfs = Arc::new(FaultFs::new());
-        drop(open(&vfs));
-        let mut buf = SHARD_SNAP_MAGIC.to_vec();
-        let mut head = Enc::new();
-        head.u64(0);
-        head.u32(1);
-        write_frame(&mut buf, &head.into_bytes()).unwrap();
-        let mut e = Enc::new();
-        e.str("t");
-        e.u64(1);
-        e.u64(far);
-        e.rows(&[vec![Value::Int(1)]]);
-        write_frame(&mut buf, &e.into_bytes()).unwrap();
-        vfs.replace(SNAPSHOT_FILE, &buf).unwrap();
-        let before = files(&vfs);
-        let err = try_open(&vfs).unwrap_err();
-        assert!(
-            matches!(&err, StorageError::Corrupt(m) if m.contains("1000000000")),
-            "{err}"
-        );
-        assert_eq!(files(&vfs), before, "a refused open writes nothing");
     }
 
     /// A snapshot or a commit whose rows contradict their table's schema —
@@ -1139,15 +1024,6 @@ mod tests {
         };
         let short = vec![Value::Int(1)];
         let mistyped = vec![Value::str("x"), Value::Int(1)];
-        let refused = |vfs: &Arc<FaultFs>, want: &str| {
-            let before = files(vfs);
-            let err = try_open(vfs).unwrap_err();
-            assert!(
-                matches!(&err, StorageError::Corrupt(m) if m.contains(want)),
-                "{err}"
-            );
-            assert_eq!(files(vfs), before, "a refused open writes nothing");
-        };
         // the snapshot: a checkpoint of rows the definition contradicts,
         // at 3 rows and at 100
         for (row, want) in [
@@ -1175,13 +1051,11 @@ mod tests {
             schema: two.schema.clone(),
             keys: vec![],
         };
-        let rows = WalRecord::ShardRows {
-            gsn: 0,
+        let rows = WalRecord::Rows {
             table: "t".into(),
-            idx: vec![0, 1],
             rows: vec![vec![Value::Int(1), Value::Int(2)], mistyped.clone()],
         };
-        r.storage.log_commit(vec![create], vec![rows]).unwrap();
+        r.storage.log_commit(&[create, rows]).unwrap();
         r.storage.group_sync().unwrap();
         drop(r);
         refused(&vfs, "column a: value 'x' is not int");
@@ -1193,7 +1067,7 @@ mod tests {
             keys: vec![],
             rows: vec![short.clone()],
         };
-        r.storage.log_commit(vec![install], Vec::new()).unwrap();
+        r.storage.log_commit(&[install]).unwrap();
         r.storage.group_sync().unwrap();
         drop(r);
         refused(&vfs, "row width 1 != schema width 2");

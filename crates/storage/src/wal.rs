@@ -1,11 +1,21 @@
 //! One append-only log file — the commit log — and its record vocabulary.
 //!
 //! File layout: the 8-byte magic [`WAL_MAGIC`] (which embeds the codec
-//! version), then one [frame](crate::frame) per logged record. Each
-//! frame payload is `[lsn: u64][record]` with the record encoded by
-//! [`codec`](crate::codec). LSNs are per file, assigned here, start at
-//! 1, and are strictly monotone; replay rejects any other sequence as
-//! corruption.
+//! version), then one [frame](crate::frame) per commit. Each frame
+//! payload is `[lsn: u64][4][n: u64][member]*` — the commit's records,
+//! encoded by [`codec`](crate::codec). LSNs are assigned here under the
+//! log lock, start at 1, and are strictly monotone; replay rejects any
+//! other sequence as corruption. A commit's LSN is its sequence number.
+//!
+//! **Frames an earlier build wrote** (v1) are still read; nothing writes
+//! them. A v1 frame ends in a tag-7 marker `{gsn, mask}` that carries the
+//! commit's sequence number (a bare marker when the commit logged
+//! nothing), writes each insert as a tag-6 record `{gsn, table,
+//! positions, rows}`, and may create a table naming a shard key (tag 5,
+//! read as a plain create). The marker must be last and its mask 0, every
+//! tag-6 record must carry the marker's GSN, and its positions must run
+//! consecutively; recovery checks that they start at the table's length.
+//! Anything else is [`StorageError::Corrupt`].
 //!
 //! Appends are acknowledged only after the bytes are handed to the VFS
 //! and the [`FsyncPolicy`] has been satisfied — `Always` waits for the
@@ -25,8 +35,8 @@ use std::sync::Arc;
 /// Magic + format version of the WAL file ("FWAL" + version 0001).
 pub const WAL_MAGIC: &[u8; 8] = b"FWAL0001";
 
-/// One logged catalog mutation — the durable mirror of the `Database`
-/// mutation API.
+/// One logged catalog mutation — a member of a commit frame, the durable
+/// mirror of the `Database` mutation API.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// `Database::create_table` (validated; table starts empty).
@@ -43,34 +53,8 @@ pub enum WalRecord {
         keys: Vec<String>,
         rows: Vec<Row>,
     },
-    /// Several records logged as a single frame so the CRC makes them
-    /// all-or-nothing: a crash either replays the whole batch or none of
-    /// it. A commit frame is one.
-    Batch(Vec<WalRecord>),
-    /// A create that also names a partitioning column. Recovery reads it
-    /// as a [`WalRecord::CreateTable`] and ignores `shard_key`; the engine
-    /// never writes it.
-    CreateTableSharded {
-        name: String,
-        schema: Schema,
-        keys: Vec<String>,
-        shard_key: String,
-    },
-    /// One insert of a transaction, carried inside its commit frame.
-    /// `idx[i]` is the *absolute* position of `rows[i]` in the table's
-    /// insert order: each insert appends at the table's end, so the
-    /// positions of one table are dense and ascending.
-    ShardRows {
-        gsn: u64,
-        table: String,
-        idx: Vec<u64>,
-        rows: Vec<Row>,
-    },
-    /// The marker that ends a commit frame and seals group sequence
-    /// number `gsn`. `mask` names the shard WALs holding the commit's
-    /// rows in a multi-shard store; a one-shard store writes 0 and
-    /// recovery refuses any other value as corrupt.
-    ShardCommit { gsn: u64, mask: u64 },
+    /// One insert: `rows` appended at the end of `table`.
+    Rows { table: String, rows: Vec<Row> },
 }
 
 impl WalRecord {
@@ -94,113 +78,35 @@ impl WalRecord {
                 e.strings(keys);
                 e.rows(rows);
             }
-            WalRecord::Batch(recs) => {
-                e.u8(4);
-                e.u64(recs.len() as u64);
-                for rec in recs {
-                    rec.encode(e);
-                }
-            }
-            WalRecord::CreateTableSharded {
-                name,
-                schema,
-                keys,
-                shard_key,
-            } => {
-                e.u8(5);
-                e.str(name);
-                e.schema(schema);
-                e.strings(keys);
-                e.str(shard_key);
-            }
-            WalRecord::ShardRows {
-                gsn,
-                table,
-                idx,
-                rows,
-            } => {
-                e.u8(6);
-                e.u64(*gsn);
+            WalRecord::Rows { table, rows } => {
+                e.u8(3);
                 e.str(table);
-                e.u64(idx.len() as u64);
-                for i in idx {
-                    e.u64(*i);
-                }
                 e.rows(rows);
-            }
-            WalRecord::ShardCommit { gsn, mask } => {
-                e.u8(7);
-                e.u64(*gsn);
-                e.u64(*mask);
             }
         }
     }
 
-    fn decode(d: &mut Dec<'_>) -> Result<WalRecord, StorageError> {
-        Self::decode_nested(d, false)
-    }
-
-    /// `decode`, tracking whether we are already inside a batch. The
-    /// engine never writes `Batch` inside `Batch`, so a nested tag-4
-    /// frame is corruption — rejecting it also bounds the recursion
-    /// depth (a crafted ~10-bytes-per-level log would otherwise
-    /// overflow the stack during recovery instead of erroring).
-    fn decode_nested(d: &mut Dec<'_>, in_batch: bool) -> Result<WalRecord, StorageError> {
-        Ok(match d.u8()? {
-            1 => WalRecord::CreateTable {
-                name: d.str()?.to_string(),
-                schema: d.schema()?,
-                keys: d.strings()?,
-            },
+    /// Decode the member whose `tag` was just read. A batch (tag 4) is
+    /// never a member, so a nested one is refused here — which also
+    /// bounds the recursion a crafted log could ask for.
+    fn decode(d: &mut Dec<'_>, tag: u8) -> Result<WalRecord, StorageError> {
+        Ok(match tag {
+            1 | 5 => {
+                let (name, schema, keys) = (d.str()?.to_string(), d.schema()?, d.strings()?);
+                if tag == 5 {
+                    d.str()?; // a v1 shard key, ignored
+                }
+                WalRecord::CreateTable { name, schema, keys }
+            }
             2 => WalRecord::InstallTable {
                 name: d.str()?.to_string(),
                 schema: d.schema()?,
                 keys: d.strings()?,
                 rows: d.rows()?,
             },
-            4 => {
-                if in_batch {
-                    return Err(StorageError::Codec("nested WAL batch record".to_string()));
-                }
-                let n = d.u64()?;
-                let mut recs = Vec::with_capacity(n.min(1 << 20) as usize);
-                for _ in 0..n {
-                    recs.push(WalRecord::decode_nested(d, true)?);
-                }
-                WalRecord::Batch(recs)
-            }
-            5 => WalRecord::CreateTableSharded {
-                name: d.str()?.to_string(),
-                schema: d.schema()?,
-                keys: d.strings()?,
-                shard_key: d.str()?.to_string(),
-            },
-            6 => {
-                let gsn = d.u64()?;
-                let table = d.str()?.to_string();
-                let n = d.u64()?;
-                let mut idx = Vec::with_capacity(n.min(1 << 20) as usize);
-                for _ in 0..n {
-                    idx.push(d.u64()?);
-                }
-                let rows = d.rows()?;
-                if idx.len() != rows.len() {
-                    return Err(StorageError::Codec(format!(
-                        "shard rows record carries {} positions for {} rows",
-                        idx.len(),
-                        rows.len()
-                    )));
-                }
-                WalRecord::ShardRows {
-                    gsn,
-                    table,
-                    idx,
-                    rows,
-                }
-            }
-            7 => WalRecord::ShardCommit {
-                gsn: d.u64()?,
-                mask: d.u64()?,
+            3 => WalRecord::Rows {
+                table: d.str()?.to_string(),
+                rows: d.rows()?,
             },
             t => return Err(StorageError::Codec(format!("unknown WAL record tag {t}"))),
         })
@@ -209,21 +115,100 @@ impl WalRecord {
     /// Rows carried by this record (for span/report accounting).
     pub fn row_count(&self) -> usize {
         match self {
-            WalRecord::CreateTable { .. }
-            | WalRecord::CreateTableSharded { .. }
-            | WalRecord::ShardCommit { .. } => 0,
-            WalRecord::InstallTable { rows, .. } | WalRecord::ShardRows { rows, .. } => rows.len(),
-            WalRecord::Batch(recs) => recs.iter().map(WalRecord::row_count).sum(),
+            WalRecord::CreateTable { .. } => 0,
+            WalRecord::InstallTable { rows, .. } | WalRecord::Rows { rows, .. } => rows.len(),
         }
     }
+}
 
-    /// Operations carried by this record (1 for bare records, the batch
-    /// length for [`WalRecord::Batch`]) — the `storage.wal_records` unit.
-    pub fn op_count(&self) -> u64 {
-        match self {
-            WalRecord::Batch(recs) => recs.iter().map(WalRecord::op_count).sum(),
-            _ => 1,
+/// One commit frame read back from the log.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Commit {
+    pub lsn: u64,
+    /// The commit's sequence number: its LSN, or a v1 frame's marker GSN.
+    pub gsn: u64,
+    /// DDL and rows, in frame order.
+    pub members: Vec<WalRecord>,
+    /// A v1 frame's position of each [`WalRecord::Rows`] member's first
+    /// row, in member order; empty for a current frame.
+    pub v1_bases: Vec<u64>,
+}
+
+/// A v1 marker's GSN; its shard mask must be 0.
+fn v1_marker(d: &mut Dec<'_>) -> Result<u64, StorageError> {
+    let (gsn, mask) = (d.u64()?, d.u64()?);
+    if mask != 0 {
+        return Err(StorageError::Corrupt(format!(
+            "commit gsn {gsn} references shard WALs (mask {mask:#x}), \
+             which a one-shard store does not keep"
+        )));
+    }
+    Ok(gsn)
+}
+
+/// Decode the record of the frame logged at `lsn` (see the module docs
+/// for the v1 rules).
+fn decode_commit(lsn: u64, d: &mut Dec<'_>) -> Result<Commit, StorageError> {
+    let corrupt = |why: String| Err(StorageError::Corrupt(format!("frame lsn {lsn}: {why}")));
+    let mut c = Commit {
+        lsn,
+        gsn: lsn,
+        members: Vec::new(),
+        v1_bases: Vec::new(),
+    };
+    let n = match d.u8()? {
+        4 => d.u64()?,
+        7 => {
+            c.gsn = v1_marker(d)?;
+            return Ok(c);
         }
+        t => return corrupt(format!("a commit frame cannot start with record tag {t}")),
+    };
+    let (mut marker, mut v1_gsns, mut v2_rows) = (None, Vec::new(), false);
+    for _ in 0..n {
+        if marker.is_some() {
+            return corrupt("a v1 commit marker is not the frame's last record".into());
+        }
+        match d.u8()? {
+            6 => {
+                v1_gsns.push(d.u64()?);
+                let table = d.str()?.to_string();
+                let count = d.u64()?;
+                let base = if count == 0 { 0 } else { d.u64()? };
+                for i in 1..count {
+                    let pos = d.u64()?;
+                    if pos != base.wrapping_add(i) {
+                        return corrupt(format!("rows for {table} jump to position {pos}"));
+                    }
+                }
+                let rows = d.rows()?;
+                if rows.len() as u64 != count {
+                    return corrupt(format!("{count} positions for {} rows", rows.len()));
+                }
+                if count > 0 {
+                    c.v1_bases.push(base);
+                    c.members.push(WalRecord::Rows { table, rows });
+                }
+            }
+            7 => marker = Some(v1_marker(d)?),
+            tag => {
+                let m = WalRecord::decode(d, tag)?;
+                v2_rows |= matches!(m, WalRecord::Rows { .. });
+                c.members.push(m);
+            }
+        }
+    }
+    match marker {
+        None if v1_gsns.is_empty() => Ok(c),
+        None => corrupt("v1 rows without a commit marker".into()),
+        Some(_) if v2_rows => corrupt("a v1 frame holds current-format rows".into()),
+        Some(gsn) => match v1_gsns.into_iter().find(|g| *g != gsn) {
+            Some(g) => corrupt(format!("rows carry gsn {g}, their marker {gsn}")),
+            None => {
+                c.gsn = gsn;
+                Ok(c)
+            }
+        },
     }
 }
 
@@ -294,30 +279,37 @@ impl Wal {
         Ok(())
     }
 
-    /// Append one record; returns its LSN. Only the `EveryN` cadence
-    /// syncs here: under `Always` the fsync belongs to the group-commit
-    /// leader (one fsync for every record enqueued while it ran), so the
-    /// caller must not ack until [`Wal::mark_synced`] covers the LSN.
-    /// On failure nothing is acked and nothing of the record can ever
-    /// become durable: the file is rolled back to its pre-call length
-    /// (on a failed write) or to the synced prefix (on a failed fsync),
-    /// and if even that is impossible the handle is poisoned so no later
-    /// append can flush the rejected bytes.
-    pub fn append(&mut self, rec: &WalRecord) -> Result<u64, StorageError> {
+    /// Append one commit frame holding `members`, in order — a single
+    /// CRC-atomic frame, so a crash replays all of them or none; returns
+    /// its LSN. Only the `EveryN` cadence syncs here: under `Always` the
+    /// fsync belongs to the group-commit leader (one fsync for every
+    /// frame enqueued while it ran), so the caller must not ack until
+    /// [`Wal::mark_synced`] covers the LSN. On failure nothing is acked
+    /// and nothing of the frame can ever become durable: the file is
+    /// rolled back to its pre-call length (on a failed write) or to the
+    /// synced prefix (on a failed fsync), and if even that is impossible
+    /// the handle is poisoned so no later append can flush the rejected
+    /// bytes.
+    pub fn append(&mut self, members: &[WalRecord]) -> Result<u64, StorageError> {
         self.check_poisoned()?;
         let lsn = self.next_lsn;
         let mut span = ferry_telemetry::span("wal.append", "storage");
         let mut e = Enc::new();
         e.u64(lsn);
-        rec.encode(&mut e);
+        e.u8(4);
+        e.u64(members.len() as u64);
+        for m in members {
+            m.encode(&mut e);
+        }
         let payload = e.into_bytes();
         let mut framed = Vec::with_capacity(payload.len() + 8);
-        // an oversized record is refused before any I/O: state unchanged,
+        // an oversized frame is refused before any I/O: state unchanged,
         // the LSN is reused by the next append
         write_frame(&mut framed, &payload)?;
-        span.attr("lsn", lsn)
-            .attr("bytes", framed.len())
-            .attr("rows", rec.row_count());
+        span.attr("lsn", lsn).attr("bytes", framed.len()).attr(
+            "rows",
+            members.iter().map(WalRecord::row_count).sum::<usize>(),
+        );
         if let Err(e) = self.vfs.append(&self.file, &framed) {
             // the write may have landed partially; cut back to the last
             // known-good length, else refuse all further I/O
@@ -388,12 +380,7 @@ impl Wal {
                 Ok(())
             }
             Err(e) => {
-                if self.vfs.truncate(&self.file, self.synced_bytes).is_ok() {
-                    self.bytes_len = self.synced_bytes;
-                    self.next_lsn = self.synced_lsn + 1;
-                    self.unsynced = 0;
-                }
-                self.poisoned = true;
+                self.fail_sync();
                 Err(e)
             }
         }
@@ -439,8 +426,8 @@ impl Wal {
 /// Result of reading a WAL file back.
 #[derive(Debug)]
 pub struct WalReplay {
-    /// The decoded records, in LSN order.
-    pub records: Vec<(u64, WalRecord)>,
+    /// The decoded commits, in LSN order.
+    pub commits: Vec<Commit>,
     /// Tail classification from the frame scanner.
     pub tail: Tail,
     /// Byte length of the valid region (magic + good frames); a torn
@@ -451,13 +438,13 @@ pub struct WalReplay {
 /// Decode the WAL from raw file bytes. `None` input (no file yet) is an
 /// empty log. Frame-level damage at the tail is reported as [`Tail::Torn`]
 /// (the caller repairs by truncating); anything else — bad magic, decode
-/// failure inside a CRC-valid frame, non-monotone LSNs, valid frames
-/// after a bad one — is [`StorageError::Corrupt`]/[`StorageError::Codec`].
+/// failure inside a CRC-valid frame, non-monotone LSNs or GSNs, valid
+/// frames after a bad one — is [`StorageError::Corrupt`]/[`StorageError::Codec`].
 pub fn replay_wal(bytes: Option<&[u8]>) -> Result<WalReplay, StorageError> {
     let bytes = match bytes {
         None => {
             return Ok(WalReplay {
-                records: Vec::new(),
+                commits: Vec::new(),
                 tail: Tail::Clean,
                 good_bytes: 0,
             })
@@ -467,7 +454,7 @@ pub fn replay_wal(bytes: Option<&[u8]>) -> Result<WalReplay, StorageError> {
     if bytes.len() < WAL_MAGIC.len() {
         // a crash can tear even the magic of a freshly created log
         return Ok(WalReplay {
-            records: Vec::new(),
+            commits: Vec::new(),
             tail: Tail::Torn { offset: 0 },
             good_bytes: 0,
         });
@@ -481,35 +468,72 @@ pub fn replay_wal(bytes: Option<&[u8]>) -> Result<WalReplay, StorageError> {
     }
     let body = &bytes[WAL_MAGIC.len()..];
     let out = scan(body)?;
-    let mut records = Vec::with_capacity(out.frames.len());
-    let mut last_lsn = 0u64;
+    let mut commits: Vec<Commit> = Vec::with_capacity(out.frames.len());
     for payload in out.frames {
         let mut d = Dec::new(payload);
         let lsn = d.u64()?;
-        let rec = WalRecord::decode(&mut d)?;
+        let commit = decode_commit(lsn, &mut d)?;
         d.finish()?;
-        if lsn <= last_lsn {
+        let last = commits.last().map_or((0, 0), |c| (c.lsn, c.gsn));
+        if lsn <= last.0 || commit.gsn <= last.1 {
             return Err(StorageError::Corrupt(format!(
-                "non-monotone LSN {lsn} after {last_lsn}"
+                "non-monotone commit log: lsn {lsn} gsn {} after lsn {} gsn {}",
+                commit.gsn, last.0, last.1
             )));
         }
-        last_lsn = lsn;
-        records.push((lsn, rec));
+        commits.push(commit);
     }
     Ok(WalReplay {
-        records,
+        commits,
         tail: out.tail,
         good_bytes: WAL_MAGIC.len() as u64 + out.good_bytes,
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fs::{Fault, FaultFs};
     use ferry_algebra::{Ty, Value};
 
     const LOG: &str = "log";
+
+    /// Hand-encode a v1 rows record (tag 6) — nothing else writes one.
+    pub(crate) fn v1_rows(e: &mut Enc, gsn: u64, table: &str, idx: &[u64], rows: &[Row]) {
+        e.u8(6);
+        e.u64(gsn);
+        e.str(table);
+        e.u64(idx.len() as u64);
+        for i in idx {
+            e.u64(*i);
+        }
+        e.rows(rows);
+    }
+
+    /// Hand-encode a v1 commit marker (tag 7).
+    pub(crate) fn v1_marker(e: &mut Enc, gsn: u64, mask: u64) {
+        e.u8(7);
+        e.u64(gsn);
+        e.u64(mask);
+    }
+
+    /// A frame payload at `lsn` whose batch of `n` members `body` encodes.
+    pub(crate) fn batch(lsn: u64, n: u64, body: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u64(lsn);
+        e.u8(4);
+        e.u64(n);
+        body(&mut e);
+        e.into_bytes()
+    }
+
+    fn decode(payload: &[u8]) -> Result<Commit, StorageError> {
+        let mut d = Dec::new(payload);
+        let lsn = d.u64()?;
+        let c = decode_commit(lsn, &mut d)?;
+        d.finish()?;
+        Ok(c)
+    }
 
     fn fresh_wal(vfs: Arc<dyn Vfs>, policy: FsyncPolicy) -> Wal {
         vfs.append(LOG, WAL_MAGIC).unwrap();
@@ -526,10 +550,8 @@ mod tests {
                 schema: schema.clone(),
                 keys: vec!["k".into()],
             },
-            WalRecord::ShardRows {
-                gsn: 7,
+            WalRecord::Rows {
                 table: "t".into(),
-                idx: vec![0, 3],
                 rows: vec![
                     vec![Value::Int(1), Value::str("one")],
                     vec![Value::Int(2), Value::str("two")],
@@ -544,6 +566,16 @@ mod tests {
         ]
     }
 
+    /// The current-format commit `members` logged at `lsn`.
+    fn commit(lsn: u64, members: &[WalRecord]) -> Commit {
+        Commit {
+            lsn,
+            gsn: lsn,
+            members: members.to_vec(),
+            v1_bases: Vec::new(),
+        }
+    }
+
     fn replay(vfs: &FaultFs) -> WalReplay {
         replay_wal(Some(&vfs.read(LOG).unwrap().unwrap())).unwrap()
     }
@@ -554,53 +586,121 @@ mod tests {
         let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
         let recs = sample_records();
         for (i, r) in recs.iter().enumerate() {
-            assert_eq!(wal.append(r).unwrap(), (i + 1) as u64);
+            assert_eq!(wal.append(std::slice::from_ref(r)).unwrap(), (i + 1) as u64);
         }
+        assert_eq!(wal.append(&[]).unwrap(), 4, "an empty commit is a frame");
         let replay = replay(&vfs);
         assert_eq!(replay.tail, Tail::Clean);
-        assert_eq!(
-            replay.records,
-            recs.into_iter()
-                .enumerate()
-                .map(|(i, r)| ((i + 1) as u64, r))
-                .collect::<Vec<_>>()
-        );
+        let mut want: Vec<Commit> = (1..=3)
+            .map(|i| commit(i, &recs[i as usize - 1..][..1]))
+            .collect();
+        want.push(commit(4, &[]));
+        assert_eq!(replay.commits, want);
     }
 
     #[test]
-    fn decode_roundtrips_flat_batch_but_rejects_nested() {
-        let mut members = sample_records();
-        members.push(WalRecord::CreateTableSharded {
-            name: "s".into(),
-            schema: Schema::of(&[("k", Ty::Int)]),
-            keys: vec!["k".into()],
-            shard_key: "k".into(),
+    fn a_nested_batch_is_a_codec_error() {
+        // a batch is never a member, so a nested tag-4 record must fail as
+        // a codec error rather than recurse (a ~10-byte-per-level chain
+        // would otherwise overflow the stack during recovery)
+        let payload = batch(1, 1, |e| {
+            e.u8(4);
+            e.u64(0);
         });
-        members.push(WalRecord::ShardCommit {
-            gsn: 7,
-            mask: 0b1010,
-        });
-        let flat = WalRecord::Batch(members);
-        let mut e = Enc::new();
-        flat.encode(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        assert_eq!(WalRecord::decode(&mut d).unwrap(), flat);
-        d.finish().unwrap();
+        assert!(matches!(decode(&payload), Err(StorageError::Codec(_))));
+    }
 
-        // the engine never writes Batch-inside-Batch, so a nested tag-4
-        // frame is corruption — and must fail as a codec error rather
-        // than recurse (a ~10-byte-per-level chain would otherwise
-        // overflow the stack during recovery)
-        let nested = WalRecord::Batch(vec![WalRecord::Batch(sample_records())]);
+    #[test]
+    fn a_v1_frame_reads_as_its_members_under_its_marker_gsn() {
+        let rows = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
+        let schema = Schema::of(&[("k", Ty::Int)]);
+        let payload = batch(3, 4, |e| {
+            // a keyed create (tag 5): read as a plain create
+            e.u8(5);
+            e.str("t");
+            e.schema(&schema);
+            e.strings(&["k".to_string()]);
+            e.str("k");
+            v1_rows(e, 9, "t", &[0, 1], &rows);
+            v1_rows(e, 9, "t", &[], &[]);
+            v1_marker(e, 9, 0);
+        });
+        let create = WalRecord::CreateTable {
+            name: "t".into(),
+            schema,
+            keys: vec!["k".into()],
+        };
+        let want = Commit {
+            lsn: 3,
+            gsn: 9,
+            members: vec![
+                create,
+                WalRecord::Rows {
+                    table: "t".into(),
+                    rows,
+                },
+            ],
+            v1_bases: vec![0],
+        };
+        assert_eq!(decode(&payload).unwrap(), want);
+        // a bare marker is a v1 commit that logged nothing
         let mut e = Enc::new();
-        nested.encode(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        assert!(matches!(
-            WalRecord::decode(&mut d),
-            Err(StorageError::Codec(_))
-        ));
+        e.u64(4);
+        v1_marker(&mut e, 10, 0);
+        assert_eq!(decode(&e.into_bytes()).unwrap().members, vec![]);
+    }
+
+    #[test]
+    fn v1_frames_breaking_a_rule_are_corrupt() {
+        let one = vec![vec![Value::Int(1)]];
+        let two = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("mask", batch(1, 1, |e| v1_marker(e, 1, 0b1010))),
+            (
+                "gsn",
+                batch(1, 2, |e| {
+                    v1_rows(e, 2, "t", &[0], &one);
+                    v1_marker(e, 1, 0);
+                }),
+            ),
+            (
+                "count",
+                batch(1, 2, |e| {
+                    v1_rows(e, 1, "t", &[0], &two);
+                    v1_marker(e, 1, 0);
+                }),
+            ),
+            (
+                "jump",
+                batch(1, 2, |e| {
+                    v1_rows(e, 1, "t", &[0, 2], &two);
+                    v1_marker(e, 1, 0);
+                }),
+            ),
+            (
+                "not last",
+                batch(1, 2, |e| {
+                    v1_marker(e, 1, 0);
+                    v1_rows(e, 1, "t", &[0], &one);
+                }),
+            ),
+            ("no marker", batch(1, 1, |e| v1_rows(e, 1, "t", &[0], &one))),
+            (
+                "mixed",
+                batch(1, 2, |e| {
+                    WalRecord::Rows {
+                        table: "t".into(),
+                        rows: one.clone(),
+                    }
+                    .encode(e);
+                    v1_marker(e, 1, 0);
+                }),
+            ),
+        ];
+        for (case, payload) in cases {
+            let err = decode(&payload).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "{case}: {err}");
+        }
     }
 
     #[test]
@@ -614,7 +714,7 @@ mod tests {
             let mut wal = fresh_wal(vfs.clone(), policy);
             let before = vfs.syncs(); // the magic write syncs once
             for r in sample_records() {
-                wal.append(&r).unwrap();
+                wal.append(&[r]).unwrap();
             }
             assert_eq!(vfs.syncs() - before, expect_syncs, "{policy:?}");
             let inline = if expect_syncs > 0 { 2 } else { 0 };
@@ -635,10 +735,10 @@ mod tests {
     #[test]
     fn empty_and_missing_logs_replay_empty() {
         let replay = replay_wal(None).unwrap();
-        assert!(replay.records.is_empty());
+        assert!(replay.commits.is_empty());
         assert_eq!(replay.tail, Tail::Clean);
         let replay = replay_wal(Some(WAL_MAGIC)).unwrap();
-        assert!(replay.records.is_empty());
+        assert!(replay.commits.is_empty());
         assert_eq!(replay.good_bytes, 8);
     }
 
@@ -662,11 +762,11 @@ mod tests {
         let vfs = Arc::new(FaultFs::new());
         let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
         let recs = sample_records();
-        wal.append(&recs[0]).unwrap();
+        wal.append(&recs[..1]).unwrap();
         wal.sync().unwrap();
         let acked_len = vfs.written_len(LOG);
         vfs.inject(Fault::FailFsync { path: LOG.into() });
-        wal.append(&recs[1]).unwrap();
+        wal.append(&recs[1..2]).unwrap();
         assert!(matches!(wal.sync(), Err(StorageError::Io(_))));
         // the nacked record is cut out of the file, so no later fsync —
         // by us or the OS — can ever durably commit it
@@ -674,26 +774,26 @@ mod tests {
         assert_eq!(wal.next_lsn(), 2, "the rejected LSN is rolled back");
         // and the handle refuses all further I/O until reopen
         assert!(wal.poisoned());
-        assert!(matches!(wal.append(&recs[2]), Err(StorageError::Io(_))));
+        assert!(matches!(wal.append(&recs[2..]), Err(StorageError::Io(_))));
         assert!(matches!(wal.sync(), Err(StorageError::Io(_))));
         assert_eq!(vfs.written_len(LOG), acked_len);
         // replay (as a reopen would) sees exactly the acked prefix
-        assert_eq!(replay(&vfs).records, vec![(1, recs[0].clone())]);
+        assert_eq!(replay(&vfs).commits, vec![commit(1, &recs[..1])]);
     }
 
     #[test]
     fn fail_sync_rolls_back_like_a_failed_inline_fsync() {
         let vfs = Arc::new(FaultFs::new());
         let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
-        wal.append(&sample_records()[0]).unwrap();
+        wal.append(&sample_records()[..1]).unwrap();
         wal.sync().unwrap();
         let acked_len = vfs.written_len(LOG);
-        wal.append(&sample_records()[1]).unwrap();
+        wal.append(&sample_records()[1..2]).unwrap();
         wal.fail_sync();
         assert!(wal.poisoned());
         assert_eq!(vfs.written_len(LOG), acked_len);
         assert_eq!(wal.next_lsn(), 2, "rejected LSN rolled back");
-        assert_eq!(replay(&vfs).records.len(), 1);
+        assert_eq!(replay(&vfs).commits.len(), 1);
     }
 
     #[test]
@@ -708,80 +808,55 @@ mod tests {
                 "x".repeat(crate::frame::MAX_FRAME_LEN as usize + 1),
             )]],
         };
-        let err = wal.append(&huge).unwrap_err();
+        let err = wal.append(&[huge]).unwrap_err();
         assert!(matches!(err, StorageError::Codec(_)), "{err}");
         // nothing was written or acked; the next record takes LSN 1
         assert!(!wal.poisoned());
         assert_eq!(vfs.written_len(LOG), WAL_MAGIC.len() as u64);
-        assert_eq!(wal.append(&sample_records()[0]).unwrap(), 1);
+        assert_eq!(wal.append(&sample_records()[..1]).unwrap(), 1);
     }
 
     #[test]
-    fn batch_record_is_one_frame_and_roundtrips() {
+    fn a_commit_is_one_frame_and_roundtrips() {
         let vfs = Arc::new(FaultFs::new());
         let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
-        let batch = WalRecord::Batch(sample_records());
-        assert_eq!(batch.op_count(), 3);
-        assert_eq!(batch.row_count(), 3);
-        assert_eq!(wal.append(&batch).unwrap(), 1, "one LSN for the batch");
+        let recs = sample_records();
+        assert_eq!(wal.append(&recs).unwrap(), 1, "one LSN for the commit");
         assert_eq!(wal.next_lsn(), 2);
-        assert_eq!(replay(&vfs).records, vec![(1, batch)]);
+        assert_eq!(replay(&vfs).commits, vec![commit(1, &recs)]);
     }
 
     #[test]
-    fn torn_batch_frame_replays_none_of_its_operations() {
-        // a batch is all-or-nothing: tearing any byte of its single frame
+    fn torn_commit_frame_replays_none_of_its_operations() {
+        // a commit is all-or-nothing: tearing any byte of its single frame
         // drops the whole transaction at replay, never a prefix of it
         let vfs = Arc::new(FaultFs::new());
         let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
-        wal.append(&sample_records()[0]).unwrap();
+        wal.append(&sample_records()[..1]).unwrap();
         let intact = vfs.written_len(LOG);
-        wal.append(&WalRecord::Batch(sample_records()[1..].to_vec()))
-            .unwrap();
+        wal.append(&sample_records()[1..]).unwrap();
         let torn = intact + (vfs.written_len(LOG) - intact) / 2;
         vfs.truncate(LOG, torn).unwrap();
         let replay = replay(&vfs);
-        assert_eq!(replay.records.len(), 1, "only the pre-batch record");
+        assert_eq!(replay.commits.len(), 1, "only the first commit");
         assert!(matches!(replay.tail, Tail::Torn { .. }));
         assert_eq!(replay.good_bytes, intact);
     }
 
     #[test]
-    fn shard_rows_position_count_mismatch_is_codec_error() {
-        // hand-encode a tag-6 record whose idx list is shorter than its
-        // row payload — recovery must reject it, not misalign positions
-        let mut e = Enc::new();
-        e.u8(6);
-        e.u64(1); // gsn
-        e.str("t");
-        e.u64(1); // one position...
-        e.u64(0);
-        e.rows(&[vec![Value::Int(1)], vec![Value::Int(2)]]); // ...two rows
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        assert!(matches!(
-            WalRecord::decode(&mut d),
-            Err(StorageError::Codec(_))
-        ));
-    }
-
-    #[test]
-    fn non_monotone_lsn_is_corrupt() {
-        let vfs = Arc::new(FaultFs::new());
-        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
-        let rec = &sample_records()[0];
-        wal.append(rec).unwrap();
-        // duplicate LSN 1 by appending a hand-built frame
-        let mut e = Enc::new();
-        e.u64(1);
-        rec.encode(&mut e);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &e.into_bytes()).unwrap();
-        vfs.append(LOG, &framed).unwrap();
-        let bytes = vfs.read(LOG).unwrap().unwrap();
-        assert!(matches!(
-            replay_wal(Some(&bytes)),
-            Err(StorageError::Corrupt(_))
-        ));
+    fn non_monotone_lsn_or_gsn_is_corrupt() {
+        // a duplicate LSN, and a current frame whose LSN does not pass the
+        // GSN of the v1 frame before it
+        for (lsn, v1_gsn) in [(1, 1), (2, 5)] {
+            let vfs = Arc::new(FaultFs::new());
+            vfs.append(LOG, WAL_MAGIC).unwrap();
+            let mut log = WAL_MAGIC.to_vec();
+            write_frame(&mut log, &batch(1, 1, |e| v1_marker(e, v1_gsn, 0))).unwrap();
+            write_frame(&mut log, &batch(lsn, 0, |_| {})).unwrap();
+            assert!(
+                matches!(replay_wal(Some(&log)), Err(StorageError::Corrupt(_))),
+                "lsn {lsn} after v1 gsn {v1_gsn}"
+            );
+        }
     }
 }

@@ -21,7 +21,7 @@ use ferry_algebra::{Row, Schema, Ty, Value};
 use ferry_storage::wal::replay_wal;
 use ferry_storage::{
     DurabilityConfig, Fault, FaultFs, FsyncPolicy, Recovered, Storage, StorageError, TableDef,
-    TableImage, Vfs, WalRecord, COMMIT_LOG, SHARD_META_FILE, SNAPSHOT_FILE,
+    TableImage, Vfs, WalRecord, COMMIT_LOG, META_FILE, SNAPSHOT_FILE,
 };
 use ferry_telemetry::Registry;
 use proptest::TestRng;
@@ -44,11 +44,9 @@ fn stride() -> usize {
 /// One operation of a generated transaction.
 #[derive(Clone, Debug)]
 enum Op {
-    /// Create-or-replace; `keyed` logs the create record that also names
-    /// a shard key, which recovery reads as a plain create.
+    /// Create-or-replace.
     Create {
         table: String,
-        keyed: bool,
     },
     /// Replace wholesale with `rows`.
     Install {
@@ -70,38 +68,30 @@ struct Table {
 
 type State = BTreeMap<String, Table>;
 
-/// What the engine logs for one transaction: DDL and positioned rows.
-type Commit = (Vec<WalRecord>, Vec<WalRecord>);
+/// What the engine logs for one transaction: the commit frame's
+/// members, DDL then rows.
+type Commit = Vec<WalRecord>;
 
 fn schema() -> Schema {
     Schema::of(&[("k", Ty::Int), ("v", Ty::Str)])
 }
 
 /// Apply one transaction to the model and return what the engine logs
-/// for it: DDL in order, and the positioned rows of every insert that
-/// follows its table's last DDL in the transaction (earlier ones belong
-/// to a table the DDL replaced).
+/// for it: DDL in order, then the rows of every insert that follows its
+/// table's last DDL in the transaction (earlier ones belong to a table
+/// the DDL replaced).
 fn apply(state: &mut State, tx: &[Op]) -> Commit {
     let mut ddl = Vec::new();
     let mut staged: Vec<WalRecord> = Vec::new();
     for op in tx {
         match op {
-            Op::Create { table, keyed } => {
+            Op::Create { table } => {
                 unstage(&mut staged, table);
-                let (name, keys) = (table.clone(), vec!["k".to_string()]);
-                ddl.push(if *keyed {
-                    WalRecord::CreateTableSharded {
-                        name,
-                        schema: schema(),
-                        keys: keys.clone(),
-                        shard_key: "k".into(),
-                    }
-                } else {
-                    WalRecord::CreateTable {
-                        name,
-                        schema: schema(),
-                        keys: keys.clone(),
-                    }
+                let keys = vec!["k".to_string()];
+                ddl.push(WalRecord::CreateTable {
+                    name: table.clone(),
+                    schema: schema(),
+                    keys: keys.clone(),
                 });
                 let t = Table {
                     keys,
@@ -128,22 +118,20 @@ fn apply(state: &mut State, tx: &[Op]) -> Commit {
                 if rows.is_empty() {
                     continue;
                 }
-                let base = t.rows.len() as u64;
-                staged.push(WalRecord::ShardRows {
-                    gsn: 0,
+                staged.push(WalRecord::Rows {
                     table: table.clone(),
-                    idx: (base..base + rows.len() as u64).collect(),
                     rows: rows.clone(),
                 });
                 t.rows.extend(rows.iter().cloned());
             }
         }
     }
-    (ddl, staged)
+    ddl.append(&mut staged);
+    ddl
 }
 
 fn unstage(staged: &mut Vec<WalRecord>, name: &str) {
-    staged.retain(|r| !matches!(r, WalRecord::ShardRows { table, .. } if table == name));
+    staged.retain(|r| !matches!(r, WalRecord::Rows { table, .. } if table == name));
 }
 
 // -------------------------------------------------- workload generation
@@ -171,10 +159,12 @@ fn workload(rng: &mut TestRng, n: usize) -> Vec<Vec<Op>> {
             let tag = i * 3 + j;
             let name = format!("t{}", rng.below(3));
             let op = match if live.is_empty() { 0 } else { rng.below(10) } {
-                0 | 1 => Op::Create {
-                    table: name,
-                    keyed: rng.bool(),
-                },
+                0 | 1 => {
+                    // an unused draw: it keeps each seed's workload, and
+                    // so the crash-point counts, comparable across builds
+                    rng.bool();
+                    Op::Create { table: name }
+                }
                 2 => Op::Install {
                     table: name,
                     rows: gen_rows(rng, tag),
@@ -234,8 +224,7 @@ impl Run {
         policy: FsyncPolicy,
     ) -> (usize, Option<StorageError>) {
         for i in txs.clone() {
-            let (ddl, rows) = self.commits[i].clone();
-            let acked = storage.log_commit(ddl, rows).and_then(|gsn| {
+            let acked = storage.log_commit(&self.commits[i]).and_then(|gsn| {
                 if policy == FsyncPolicy::Always {
                     let synced = storage.group_sync()?;
                     assert!(synced >= gsn, "group_sync returned a stale GSN");
@@ -437,7 +426,7 @@ const WINDOWS: [Window; 4] = [
     Window::Done,
     Window::BeforeTruncate,
     Window::Replace(SNAPSHOT_FILE),
-    Window::Replace(SHARD_META_FILE),
+    Window::Replace(META_FILE),
 ];
 
 /// Checkpoint after every prefix of a workload, crashing in every window
@@ -573,7 +562,7 @@ fn a_commit_costs_one_frame_and_one_fsync() {
     let r = run.open(&vfs, FsyncPolicy::Always).unwrap();
     let frames = || {
         let log = vfs.read(COMMIT_LOG).unwrap();
-        replay_wal(log.as_deref()).unwrap().records.len()
+        replay_wal(log.as_deref()).unwrap().commits.len()
     };
     for i in 0..6 {
         let (syncs, before) = (vfs.syncs(), frames());

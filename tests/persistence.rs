@@ -68,7 +68,7 @@ fn open_durable_roundtrip_with_checkpoint() {
         let db = conn.database();
         let report = db.recovery_report().unwrap();
         assert_eq!(report.watermark_gsn, 2);
-        assert_eq!(report.markers_applied, 1, "only the post-checkpoint tail");
+        assert_eq!(report.commits_applied, 1, "only the post-checkpoint tail");
         report.render()
     };
     assert!(report_rendered.contains("recovery"));
