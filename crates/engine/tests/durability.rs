@@ -4,7 +4,7 @@
 //! cannot see.
 
 use ferry_algebra::{Row, RowBuf, Schema, Ty, Value};
-use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy};
+use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
 use ferry_storage::{Fault, FaultFs, Vfs, COMMIT_LOG, SNAPSHOT_FILE};
 use std::path::Path;
 use std::sync::Arc;
@@ -289,6 +289,46 @@ fn std_fs_directory_roundtrip() {
     let db = Database::open(&dir, config()).unwrap();
     assert_eq!(db.table("people").unwrap().rows.rows().len(), 4);
     assert_eq!(db.recovery_report().unwrap().watermark_gsn, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `replace` sidecar a crash left behind is not an installed file: a
+/// directory holding only `meta.tmp` opens as a fresh store. Any other
+/// file without a `meta` marks a directory this build did not write, and
+/// the open is refused naming it, with every file left as it was.
+#[test]
+fn a_directory_is_fresh_only_when_it_holds_nothing_but_sidecars() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("engine_durability_fresh");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("meta.tmp"), b"half").unwrap();
+    {
+        let db = Database::open(&dir, config()).unwrap();
+        assert!(db.table_names().is_empty());
+        create_people(&db);
+    }
+    let db = Database::open(&dir, config()).unwrap();
+    assert_eq!(db.table("people").unwrap().rows.rows(), &seed_rows()[..]);
+    drop(db);
+
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("meta.tmp"), b"half").unwrap();
+    std::fs::write(dir.join("notes.txt"), b"mine").unwrap();
+    match Database::open(&dir, config()) {
+        Err(EngineError::Storage(StorageError::Unsupported(m))) => {
+            assert!(m.contains("notes.txt") && !m.contains("meta.tmp"), "{m}")
+        }
+        other => panic!("{other:?}"),
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["meta.tmp", "notes.txt"]);
+    assert_eq!(std::fs::read(dir.join("meta.tmp")).unwrap(), b"half");
+    assert_eq!(std::fs::read(dir.join("notes.txt")).unwrap(), b"mine");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

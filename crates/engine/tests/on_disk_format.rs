@@ -1,22 +1,17 @@
-//! Directories written by an earlier build of the engine, checked in
-//! under `tests/fixtures/`, and what this build does with each:
+//! Directories checked in under `tests/fixtures/`, and what this build
+//! does with each. This build reads only the layout it writes (`meta`,
+//! `snapshot`, `log`):
 //!
-//! * `one-shard-v2` — written by this build's `Database::open`: a table
-//!   created, inserted into twice and replaced inside a transaction, an
-//!   empty table, an installed table, a checkpoint, then one more insert
-//!   left in the log. It opens with every row, and replaying the same
-//!   script into a fresh directory writes byte-identical files.
-//! * `one-shard` — the same script written by an earlier build: v1
-//!   commit frames (positioned rows, a GSN marker) and an `FSSH0001`
-//!   snapshot. It opens with every row and writes nothing; `upgrade.rs`
-//!   commits on top of it.
-//! * `one-shard-keyed` — a v1 store whose tables were created with a
-//!   shard key: tag-5 creates in the log, a key in `shard-meta`. It opens
-//!   with every row; the keys are ignored.
-//! * `four-shards` — a store of four hash-partitioned shards. It is
-//!   refused `Unsupported`, and every file is left as it was.
-//! * `single-wal` — the retired `wal` + `snapshot` format. Refused the
-//!   same way.
+//! * `store` — written by this build's `Database::open` running
+//!   [`fixture_script`]: a table created, inserted into twice and
+//!   replaced inside a transaction, an empty table, an installed table, a
+//!   checkpoint, then one more insert left in the log. It opens with every
+//!   row and writes nothing, and replaying the script into a fresh
+//!   directory writes byte-identical files. A change to the encoding
+//!   fails that replay on purpose.
+//! * `one-shard-v2` — the same script written by the previous build, in
+//!   its layout (`shard-meta`, `snap-0`, `commitlog`). It is refused
+//!   `Unsupported`, and every file is left as it was.
 
 use ferry_algebra::{Row, RowBuf, Schema, Ty, Value};
 use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
@@ -76,8 +71,8 @@ fn people_schema() -> Schema {
     Schema::of(&[("id", Ty::Int), ("name", Ty::Str), ("score", Ty::Dbl)])
 }
 
-/// The script that wrote the `one-shard` and `one-shard-v2` fixtures.
-fn one_shard_script(db: &Database) {
+/// The script that wrote the `store` and `one-shard-v2` fixtures.
+fn fixture_script(db: &Database) {
     db.create_table("people", people_schema(), vec!["id"])
         .unwrap();
     db.insert(
@@ -112,14 +107,8 @@ fn one_shard_script(db: &Database) {
 }
 
 #[test]
-fn a_one_shard_directory_opens_with_every_row_and_writes_nothing() {
-    for name in ["one-shard", "one-shard-v2"] {
-        opens_with_every_row_and_writes_nothing(name);
-    }
-}
-
-fn opens_with_every_row_and_writes_nothing(name: &str) {
-    let dir = copy(name);
+fn the_store_fixture_opens_with_every_row_and_writes_nothing() {
+    let dir = copy("store");
     let db = Database::open(&dir, config()).unwrap();
     assert_eq!(
         rows_of(&db, "people"),
@@ -140,15 +129,15 @@ fn opens_with_every_row_and_writes_nothing(name: &str) {
     let report = db.recovery_report().unwrap();
     assert_eq!((report.watermark_gsn, report.commits_applied), (6, 1));
     drop(db);
-    assert_eq!(files(&dir), files(&fixture(name)), "{name}");
+    assert_eq!(files(&dir), files(&fixture("store")));
 }
 
 #[test]
 fn replaying_the_script_writes_byte_identical_files() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("on_disk_format_replay");
     let _ = std::fs::remove_dir_all(&dir);
-    one_shard_script(&Database::open(&dir, config()).unwrap());
-    let (want, got) = (files(&fixture("one-shard-v2")), files(&dir));
+    fixture_script(&Database::open(&dir, config()).unwrap());
+    let (want, got) = (files(&fixture("store")), files(&dir));
     assert_eq!(
         want.keys().collect::<Vec<_>>(),
         got.keys().collect::<Vec<_>>()
@@ -160,43 +149,15 @@ fn replaying_the_script_writes_byte_identical_files() {
 }
 
 #[test]
-fn a_keyed_one_shard_directory_opens_with_every_row() {
-    let dir = copy("one-shard-keyed");
-    let orders = vec![
-        vec![Value::Int(1), Value::str("ada")],
-        vec![Value::Int(2), Value::str("bob")],
-        vec![Value::Int(3), Value::str("ada")],
-        vec![Value::Int(4), Value::str("cy")],
-    ];
-    let items = vec![
-        vec![Value::Int(1), Value::Int(4)],
-        vec![Value::Int(3), Value::Int(2)],
-    ];
-    {
-        let db = Database::open(&dir, config()).unwrap();
-        assert_eq!(rows_of(&db, "orders"), orders);
-        assert_eq!(rows_of(&db, "items"), items);
-        // the store keeps working: the next checkpoint rewrites the
-        // metadata without the keys
-        db.insert("items", vec![vec![Value::Int(4), Value::Int(1)]])
-            .unwrap();
-        db.checkpoint().unwrap();
-    }
-    let db = Database::open(&dir, config()).unwrap();
-    assert_eq!(rows_of(&db, "orders"), orders);
-    assert_eq!(rows_of(&db, "items").len(), 3);
-}
-
-#[test]
-fn multi_shard_and_single_wal_directories_are_refused_untouched() {
-    for name in ["four-shards", "single-wal"] {
-        let dir = copy(name);
-        let before = files(&dir);
-        assert_eq!(before, files(&fixture(name)));
-        match Database::open(&dir, config()) {
-            Err(EngineError::Storage(StorageError::Unsupported(_))) => {}
-            other => panic!("{name}: {other:?}"),
+fn the_previous_layout_is_refused_untouched() {
+    let dir = copy("one-shard-v2");
+    let before = files(&dir);
+    assert_eq!(before, files(&fixture("one-shard-v2")));
+    match Database::open(&dir, config()) {
+        Err(EngineError::Storage(StorageError::Unsupported(m))) => {
+            assert!(m.contains("commitlog, shard-meta, snap-0"), "{m}")
         }
-        assert_eq!(files(&dir), before, "{name}: a refusal writes nothing");
+        other => panic!("{other:?}"),
     }
+    assert_eq!(files(&dir), before, "a refusal writes nothing");
 }

@@ -1,4 +1,4 @@
-//! Versioned binary codec for the algebra's data model.
+//! Binary codec for the algebra's data model.
 //!
 //! Everything the WAL and snapshot files persist — [`Value`]s, rows,
 //! [`Schema`]s and the table/log records built from them — is encoded by
@@ -7,17 +7,21 @@
 //! build), and a hand-rolled format keeps the on-disk representation an
 //! explicit, documented contract rather than a derive artefact.
 //!
-//! The format is versioned by [`CODEC_VERSION`], stamped into every file
-//! header (see [`frame`](crate::frame)). Decoders reject unknown versions
-//! with a typed error instead of guessing.
+//! The encoding has no version of its own: each file's 8-byte magic
+//! (`FSMT0002`, `FSSH0002`, `FWAL0001`) names the one layout this build
+//! writes and reads, and a decoder rejects anything else with a typed
+//! error instead of guessing.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use crate::StorageError;
 use ferry_algebra::{Row, Schema, Ty, Value};
 use std::sync::Arc;
-
-/// Version of the record encoding below. Bump on any layout change and
-/// keep a decoder for every version ever shipped.
-pub const CODEC_VERSION: u8 = 1;
 
 fn err(detail: impl Into<String>) -> StorageError {
     StorageError::Codec(detail.into())
@@ -139,17 +143,19 @@ impl Enc {
 /// frames that slip past the CRC (or hostile files) must never panic.
 #[derive(Debug)]
 pub struct Dec<'a> {
-    buf: &'a [u8],
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
+    /// Bytes consumed so far (for error messages).
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
     pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+        Dec { rest: buf, pos: 0 }
     }
 
     pub fn is_done(&self) -> bool {
-        self.pos == self.buf.len()
+        self.rest.is_empty()
     }
 
     /// The input must be fully consumed — trailing bytes in a record mean
@@ -160,38 +166,52 @@ impl<'a> Dec<'a> {
         } else {
             Err(err(format!(
                 "{} trailing bytes after record",
-                self.buf.len() - self.pos
+                self.rest.len()
             )))
         }
     }
 
+    fn truncated(&self, n: usize) -> StorageError {
+        err(format!(
+            "truncated record: need {n} bytes at offset {}, have {}",
+            self.pos,
+            self.rest.len()
+        ))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        if self.buf.len() - self.pos < n {
-            return Err(err(format!(
-                "truncated record: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let rest = self.rest;
+        let (s, rest) = rest.split_at_checked(n).ok_or_else(|| self.truncated(n))?;
+        self.rest = rest;
         self.pos += n;
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StorageError> {
+        let rest = self.rest;
+        let (a, rest) = rest
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated(N))?;
+        self.rest = rest;
+        self.pos += N;
+        Ok(*a)
+    }
+
     pub fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     pub fn u32(&mut self) -> Result<u32, StorageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub fn u64(&mut self) -> Result<u64, StorageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub fn i64(&mut self) -> Result<i64, StorageError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     pub fn f64(&mut self) -> Result<f64, StorageError> {
@@ -203,10 +223,10 @@ impl<'a> Dec<'a> {
     /// corrupted count cannot trigger a huge allocation.
     fn count(&mut self, elem_min: usize) -> Result<usize, StorageError> {
         let n = self.u32()? as usize;
-        if n * elem_min > self.buf.len() - self.pos {
+        if n * elem_min > self.rest.len() {
             return Err(err(format!(
                 "count {n} exceeds remaining input ({} bytes)",
-                self.buf.len() - self.pos
+                self.rest.len()
             )));
         }
         Ok(n)
@@ -277,6 +297,12 @@ impl<'a> Dec<'a> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
 

@@ -23,6 +23,13 @@
 //!   recovery must fail with a typed error rather than silently drop
 //!   committed suffixes.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use crate::StorageError;
 
 /// Bytes of the `[len][crc]` prefix of every frame.
@@ -48,7 +55,9 @@ const PROBE_WINDOW: usize = FRAME_HEADER + MAX_FRAME_LEN as usize;
 const PROBE_CRC_BUDGET: u64 = 4 * MAX_FRAME_LEN as u64;
 
 /// CRC-32 (IEEE, reflected, polynomial 0xEDB88320), table-driven. The
-/// table is built at compile time.
+/// table is built at compile time, so its indexing cannot panic at run
+/// time: an out-of-range index would fail the build.
+#[allow(clippy::indexing_slicing)]
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -73,7 +82,10 @@ const CRC_TABLE: [u32; 256] = {
 pub fn crc32(seed: u32, bytes: &[u8]) -> u32 {
     let mut crc = !seed;
     for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        // the index is masked to 0..=255, and the table has 256 entries
+        #[allow(clippy::indexing_slicing)]
+        let entry = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        crc = (crc >> 8) ^ entry;
     }
     !crc
 }
@@ -117,22 +129,17 @@ pub struct ScanOutcome<'a> {
     pub good_bytes: u64,
 }
 
-/// Does a frame with a valid checksum start at `buf[at..]`?
-fn valid_frame_at(buf: &[u8], at: usize) -> bool {
-    if buf.len() - at < FRAME_HEADER {
-        return false;
-    }
-    let len = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+/// The payload of the frame at the start of `buf`, if one with a valid
+/// checksum starts there.
+fn frame_at(buf: &[u8]) -> Option<&[u8]> {
+    let ([l0, l1, l2, l3, c0, c1, c2, c3], rest) = buf.split_first_chunk::<FRAME_HEADER>()?;
+    let len = u32::from_le_bytes([*l0, *l1, *l2, *l3]);
     if len > MAX_FRAME_LEN {
-        return false;
+        return None;
     }
-    let len = len as usize;
-    if buf.len() - at - FRAME_HEADER < len {
-        return false;
-    }
-    let stored = u32::from_le_bytes(buf[at + 4..at + 8].try_into().unwrap());
-    let payload = &buf[at + FRAME_HEADER..at + FRAME_HEADER + len];
-    crc32(crc32(0, &(len as u32).to_le_bytes()), payload) == stored
+    let payload = rest.get(..len as usize)?;
+    let stored = u32::from_le_bytes([*c0, *c1, *c2, *c3]);
+    (crc32(crc32(0, &len.to_le_bytes()), payload) == stored).then_some(payload)
 }
 
 /// Walk `buf` frame by frame. Returns the valid payload sequence and the
@@ -142,10 +149,9 @@ pub fn scan(buf: &[u8]) -> Result<ScanOutcome<'_>, StorageError> {
     let mut frames = Vec::new();
     let mut pos = 0usize;
     while pos < buf.len() {
-        if valid_frame_at(buf, pos) {
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            frames.push(&buf[pos + FRAME_HEADER..pos + FRAME_HEADER + len]);
-            pos += FRAME_HEADER + len;
+        if let Some(payload) = buf.get(pos..).and_then(frame_at) {
+            frames.push(payload);
+            pos += FRAME_HEADER + payload.len();
             continue;
         }
         // The frame at `pos` is bad. Torn tail or mid-log corruption?
@@ -158,15 +164,19 @@ pub fn scan(buf: &[u8]) -> Result<ScanOutcome<'_>, StorageError> {
         let window_end = max_start.min(pos.saturating_add(PROBE_WINDOW));
         let mut budget = PROBE_CRC_BUDGET;
         for probe in pos + 1..=window_end {
-            let len = u32::from_le_bytes(buf[probe..probe + 4].try_into().unwrap());
+            let Some(tail) = buf.get(probe..) else { break };
+            let Some((len, _)) = tail.split_first_chunk() else {
+                break;
+            };
+            let len = u32::from_le_bytes(*len);
             if len > MAX_FRAME_LEN
-                || buf.len() - probe - FRAME_HEADER < len as usize
+                || tail.len().saturating_sub(FRAME_HEADER) < len as usize
                 || u64::from(len) > budget
             {
                 continue;
             }
             budget -= u64::from(len);
-            if valid_frame_at(buf, probe) {
+            if frame_at(tail).is_some() {
                 return Err(StorageError::Corrupt(format!(
                     "invalid frame at offset {pos} followed by a valid frame at {probe}: \
                      mid-log corruption, not a torn tail"
@@ -187,6 +197,12 @@ pub fn scan(buf: &[u8]) -> Result<ScanOutcome<'_>, StorageError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
 

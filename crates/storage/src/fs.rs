@@ -1,5 +1,5 @@
 //! The storage VFS: a minimal file-system surface the WAL and snapshot
-//! layers are written against, with three implementations:
+//! layers are written against, with two implementations:
 //!
 //! * [`StdFs`] — real files under a root directory (what
 //!   `Database::open` uses);
@@ -10,8 +10,8 @@
 //!   runs whole workloads against it, "crashes" the machine, and reopens.
 //!
 //! The trait is deliberately tiny — append, read, truncate, atomic
-//! replace — because that is all a WAL + snapshot design needs, and every
-//! operation has well-defined crash behaviour.
+//! replace, list — because that is all a WAL + snapshot design needs, and
+//! every operation has well-defined crash behaviour.
 
 use crate::StorageError;
 use std::collections::HashMap;
@@ -25,7 +25,7 @@ fn io_err(path: &str, op: &str, e: std::io::Error) -> StorageError {
 }
 
 /// The file operations durable storage is built from. Paths are plain
-/// relative names (`"wal"`, `"snapshot"`); implementations anchor them.
+/// relative names (`"log"`, `"snapshot"`); implementations anchor them.
 pub trait Vfs: Send + Sync + fmt::Debug {
     /// Full contents of `path`, or `None` if it does not exist.
     fn read(&self, path: &str) -> Result<Option<Vec<u8>>, StorageError>;
@@ -39,11 +39,15 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     /// sidecar, fsync, rename). After a crash the file holds either the
     /// old contents or the new — never a mixture.
     fn replace(&self, path: &str, data: &[u8]) -> Result<(), StorageError>;
-    /// Size of `path` in bytes, or `None` if it does not exist.
-    fn size(&self, path: &str) -> Result<Option<u64>, StorageError>;
+    /// The names of the files this VFS holds, sorted. A `replace` sidecar
+    /// is not an installed file and is left out.
+    fn list(&self) -> Result<Vec<String>, StorageError>;
 }
 
 // ----------------------------------------------------------------- StdFs
+
+/// The suffix of the sidecar [`StdFs::replace`] writes before its rename.
+const SIDECAR: &str = ".tmp";
 
 /// Real files under a root directory.
 #[derive(Debug)]
@@ -117,7 +121,7 @@ impl Vfs for StdFs {
     }
 
     fn replace(&self, path: &str, data: &[u8]) -> Result<(), StorageError> {
-        let tmp = self.path(&format!("{path}.tmp"));
+        let tmp = self.path(&format!("{path}{SIDECAR}"));
         {
             let mut f =
                 std::fs::File::create(&tmp).map_err(|e| io_err(path, "create sidecar", e))?;
@@ -130,12 +134,21 @@ impl Vfs for StdFs {
         self.sync_root()
     }
 
-    fn size(&self, path: &str) -> Result<Option<u64>, StorageError> {
-        match std::fs::metadata(self.path(path)) {
-            Ok(m) => Ok(Some(m.len())),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(io_err(path, "stat", e)),
+    fn list(&self) -> Result<Vec<String>, StorageError> {
+        let err = |e| io_err(&self.root.display().to_string(), "list", e);
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(&self.root).map_err(err)? {
+            let name = entry
+                .map_err(err)?
+                .file_name()
+                .to_string_lossy()
+                .into_owned();
+            if !name.ends_with(SIDECAR) {
+                names.push(name);
+            }
         }
+        names.sort();
+        Ok(names)
     }
 }
 
@@ -370,9 +383,11 @@ impl Vfs for FaultFs {
         Ok(())
     }
 
-    fn size(&self, path: &str) -> Result<Option<u64>, StorageError> {
+    fn list(&self) -> Result<Vec<String>, StorageError> {
         let st = self.state.lock().unwrap();
-        Ok(st.files.get(path).map(|f| f.data.len() as u64))
+        let mut names: Vec<String> = st.files.keys().cloned().collect();
+        names.sort();
+        Ok(names)
     }
 }
 
@@ -470,7 +485,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let fs = StdFs::new(&root).unwrap();
         assert_eq!(fs.read("wal").unwrap(), None);
-        assert_eq!(fs.size("wal").unwrap(), None);
+        assert!(fs.list().unwrap().is_empty());
         fs.append("wal", b"hello ").unwrap();
         fs.append("wal", b"world").unwrap();
         fs.sync("wal").unwrap();
@@ -479,7 +494,9 @@ mod tests {
         assert_eq!(fs.read("wal").unwrap().unwrap(), b"hello");
         fs.replace("snapshot", b"snap").unwrap();
         assert_eq!(fs.read("snapshot").unwrap().unwrap(), b"snap");
-        assert_eq!(fs.size("snapshot").unwrap(), Some(4));
+        // a sidecar a crash left behind is not an installed file
+        std::fs::write(root.join("meta.tmp"), b"half").unwrap();
+        assert_eq!(fs.list().unwrap(), ["snapshot", "wal"]);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -16,10 +16,13 @@
 //!   real directories and [`fs::FaultFs`], an in-memory file system with
 //!   crash semantics and scriptable fault injection (torn writes, bit
 //!   flips, short/failed fsyncs) that the recovery test suite drives;
-//! * [`Storage`] — the store: one snapshot and one commit log; a commit
-//!   is one frame in one file, and the frame's LSN is the commit's GSN.
-//!   `open` = load the snapshot ⊕ replay the log, `log_commit` = append
-//!   before ack, `checkpoint` = snapshot + truncate the log.
+//! * [`Storage`] — the store: one directory of three files (`meta`,
+//!   `snapshot`, `log`) in one layout, written by one code path and read
+//!   by one; a commit is one frame in one file, and the frame's LSN is the
+//!   commit's GSN. `open` = load the snapshot ⊕ replay the log,
+//!   `log_commit` = append before ack, `checkpoint` = snapshot + truncate
+//!   the log. A directory this build did not write is refused before a
+//!   byte is written.
 //!
 //! Recovery correctness is *proven by fault injection rather than
 //! asserted*: for arbitrary transaction sequences crashed at arbitrary
@@ -54,9 +57,10 @@ pub enum StorageError {
     /// are not a torn tail, bad magic, non-monotone LSNs, replay against
     /// a missing table. Recovery refuses to guess.
     Corrupt(String),
-    /// The directory is intact but not openable: the retired single-WAL
-    /// format, or a store of several hash-partitioned shards.
-    /// Nothing was written to it.
+    /// The directory is not a store this build wrote: its `meta` starts
+    /// with other bytes than this build's magic, or it has no `meta` but
+    /// holds files. The message names what was found; nothing was
+    /// written.
     Unsupported(String),
     /// A fault injected by [`fs::FaultFs`] — only ever seen by tests,
     /// where it marks the simulated crash point.
@@ -96,8 +100,8 @@ pub enum FsyncPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DurabilityConfig {
     pub fsync: FsyncPolicy,
-    /// Checkpoint (snapshot + compact the logs) automatically once they
-    /// hold this many records. `None` = only explicit checkpoints.
+    /// Checkpoint (snapshot + truncate the log) automatically once it
+    /// holds this many records. `None` = only explicit checkpoints.
     pub checkpoint_every: Option<u64>,
 }
 

@@ -1,25 +1,25 @@
 //! The store: one snapshot and one commit log. A commit is one frame, and
 //! the frame's LSN is the commit's sequence number (its GSN).
 //!
-//! A storage directory holds:
+//! A storage directory holds three files, and this build reads no other
+//! layout:
 //!
-//! * [`META_FILE`] — replace-installed metadata: a shard count (always 1),
-//!   the checkpoint watermark GSN, and every table's definition (schema,
-//!   keys, row count at the watermark);
+//! * [`META_FILE`] (`FSMT0002`) — replace-installed metadata: the
+//!   checkpoint watermark GSN and every table's definition (schema, keys,
+//!   row count at the watermark);
 //! * [`COMMIT_LOG`] — a [`Wal`](crate::wal::Wal) of *commit frames*: each
 //!   commit is one CRC-atomic frame carrying its DDL records, then its
 //!   inserts ([`WalRecord::Rows`]) — one frame in one file, made durable
 //!   by one fsync;
-//! * [`SNAPSHOT_FILE`] — the checkpointed rows of every non-empty table.
+//! * [`SNAPSHOT_FILE`] (`FSSH0002`) — the checkpointed rows of every
+//!   non-empty table.
 //!
-//! The file names are those of the earlier sharded store, which this
-//! layer still reads in its one-shard form (the v1 commit frames and the
-//! `FSSH0001` snapshot; see [`crate::wal`] for the frame rules). A
-//! metadata file declaring more shards is refused with
-//! [`StorageError::Unsupported`], and so is a directory of the retired
-//! single-WAL format (`wal` + `snapshot`, no metadata — its log shares the
-//! `FWAL0001` magic, so the file set, not the bytes, identifies it).
-//! Either refusal writes nothing.
+//! **Refusal.** The metadata is installed before any other file, so a
+//! directory is this build's own exactly when its `meta` starts with
+//! [`META_MAGIC`], and fresh exactly when it holds no file at all
+//! ([`Vfs::list`]). Anything else — an earlier build's layout, a foreign
+//! file — is refused with [`StorageError::Unsupported`] naming what was
+//! found, before anything is written.
 //!
 //! **Recovery** loads the snapshot, then walks the commit log in GSN
 //! order. A commit the snapshot already covers (GSN at or below the
@@ -31,8 +31,8 @@
 //! corrupt: the engine's typed kernels rely on every stored column being
 //! type-uniform. A torn final frame is truncated away: no one was acked
 //! for it, because acks wait for the fsync. The appender resumes one past
-//! the recovered cut, so LSNs stay monotone across a log an earlier build
-//! wrote, whose GSNs were never below their LSNs.
+//! the recovered cut, so LSNs keep rising past a checkpoint that emptied
+//! the log.
 
 use crate::codec::{Dec, Enc};
 use crate::frame::{scan, write_frame, Tail};
@@ -47,26 +47,19 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The commit log's file name inside the storage directory.
-pub const COMMIT_LOG: &str = "commitlog";
+pub const COMMIT_LOG: &str = "log";
 
 /// Replace-installed metadata file.
-pub const META_FILE: &str = "shard-meta";
+pub const META_FILE: &str = "meta";
 
 /// The snapshot file.
-pub const SNAPSHOT_FILE: &str = "snap-0";
+pub const SNAPSHOT_FILE: &str = "snapshot";
 
-/// Magic + format version of the metadata file.
-pub const META_MAGIC: &[u8; 8] = b"FSMT0001";
+/// Magic + format version of the metadata file — and so of the directory.
+pub const META_MAGIC: &[u8; 8] = b"FSMT0002";
 
 /// Magic + format version of the snapshot file: each table's rows.
 pub const SNAP_MAGIC: &[u8; 8] = b"FSSH0002";
-
-/// The snapshot an earlier build wrote: each row also carries its
-/// position, which must run `0..n`.
-const SNAP_MAGIC_V1: &[u8; 8] = b"FSSH0001";
-
-/// The files of the retired single-WAL format.
-const LEGACY_FILES: [&str; 2] = ["wal", "snapshot"];
 
 /// One table's definition as the store persists it.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,7 +185,6 @@ fn write_meta(vfs: &dyn Vfs, meta: &Meta) -> Result<(), StorageError> {
     let mut buf = Vec::new();
     buf.extend_from_slice(META_MAGIC);
     let mut head = Enc::new();
-    head.u32(1); // shard count
     head.u64(meta.watermark);
     head.u32(meta.tables.len() as u32);
     write_frame(&mut buf, &head.into_bytes())?;
@@ -201,71 +193,63 @@ fn write_meta(vfs: &dyn Vfs, meta: &Meta) -> Result<(), StorageError> {
         e.str(&def.name);
         e.schema(&def.schema);
         e.strings(&def.keys);
-        e.u8(0); // no shard key
         e.u64(*total);
         write_frame(&mut buf, &e.into_bytes())?;
     }
     vfs.replace(META_FILE, &buf)
 }
 
+/// The metadata, or `None` for a fresh directory: one that holds no file.
+/// A directory this build did not write is refused `Unsupported`.
 fn read_meta(vfs: &dyn Vfs) -> Result<Option<Meta>, StorageError> {
-    let bytes = match vfs.read(META_FILE)? {
-        None => return Ok(None),
-        Some(b) => b,
+    let Some(bytes) = vfs.read(META_FILE)? else {
+        let found = vfs.list()?;
+        if found.is_empty() {
+            return Ok(None);
+        }
+        return Err(StorageError::Unsupported(format!(
+            "no `{META_FILE}`, but the directory holds {}: not a store this build wrote",
+            found.join(", ")
+        )));
     };
-    if bytes.len() < META_MAGIC.len() || &bytes[..META_MAGIC.len()] != META_MAGIC {
-        return Err(StorageError::Corrupt("bad shard-meta magic".into()));
-    }
-    let out = scan(&bytes[META_MAGIC.len()..])?;
+    let Some(body) = bytes.strip_prefix(META_MAGIC) else {
+        let found = bytes.get(..META_MAGIC.len()).unwrap_or(&bytes);
+        return Err(StorageError::Unsupported(format!(
+            "`{META_FILE}` starts with `{}`, not `{}`: \
+             written by another build, which this one does not read",
+            found.escape_ascii(),
+            META_MAGIC.escape_ascii()
+        )));
+    };
+    let out = scan(body)?;
     if out.tail != Tail::Clean {
-        return Err(StorageError::Corrupt(
-            "shard-meta has a damaged frame (meta is installed atomically)".into(),
-        ));
+        return Err(StorageError::Corrupt(format!(
+            "{META_FILE} has a damaged frame (it is installed atomically)"
+        )));
     }
     let mut frames = out.frames.into_iter();
     let head = frames
         .next()
-        .ok_or_else(|| StorageError::Corrupt("shard-meta missing head frame".into()))?;
+        .ok_or_else(|| StorageError::Corrupt(format!("{META_FILE} missing head frame")))?;
     let mut d = Dec::new(head);
-    let shards = d.u32()?;
     let watermark = d.u64()?;
     let count = d.u32()? as usize;
     d.finish()?;
-    match shards {
-        0 => return Err(StorageError::Corrupt("shard-meta declares 0 shards".into())),
-        1 => {}
-        s => {
-            return Err(StorageError::Unsupported(format!(
-                "directory is stored as {s} hash-partitioned shards; \
-                 this build reads one-shard stores only"
-            )))
-        }
-    }
     let mut tables = Vec::with_capacity(count.min(1 << 16));
     for payload in frames {
         let mut d = Dec::new(payload);
-        let name = d.str()?.to_string();
-        let schema = d.schema()?;
-        let keys = d.strings()?;
-        // a declared shard key (tag 1) is read past and ignored
-        match d.u8()? {
-            0 => {}
-            1 => {
-                d.str()?;
-            }
-            t => {
-                return Err(StorageError::Corrupt(format!(
-                    "bad shard-key tag {t} in shard-meta"
-                )))
-            }
-        }
+        let def = TableDef {
+            name: d.str()?.to_string(),
+            schema: d.schema()?,
+            keys: d.strings()?,
+        };
         let total = d.u64()?;
         d.finish()?;
-        tables.push((TableDef { name, schema, keys }, total));
+        tables.push((def, total));
     }
     if tables.len() != count {
         return Err(StorageError::Corrupt(format!(
-            "shard-meta declares {count} tables but holds {}",
+            "{META_FILE} declares {count} tables but holds {}",
             tables.len()
         )));
     }
@@ -309,12 +293,10 @@ fn read_snapshot(vfs: &dyn Vfs) -> Result<Snapshot, StorageError> {
         None => return Ok(Snapshot::default()),
         Some(b) => b,
     };
-    let v1 = match bytes.get(..SNAP_MAGIC.len()) {
-        Some(m) if m == SNAP_MAGIC => false,
-        Some(m) if m == SNAP_MAGIC_V1 => true,
-        _ => return Err(StorageError::Corrupt(format!("bad magic in {file}"))),
+    let Some(body) = bytes.strip_prefix(SNAP_MAGIC) else {
+        return Err(StorageError::Corrupt(format!("bad magic in {file}")));
     };
-    let out = scan(&bytes[SNAP_MAGIC.len()..])?;
+    let out = scan(body)?;
     if out.tail != Tail::Clean {
         return Err(StorageError::Corrupt(format!(
             "{file} has a damaged frame (snapshots are installed atomically)"
@@ -332,23 +314,8 @@ fn read_snapshot(vfs: &dyn Vfs) -> Result<Snapshot, StorageError> {
     for payload in frames {
         let mut d = Dec::new(payload);
         let name = d.str()?.to_string();
-        let positions = if v1 { d.u64()? } else { 0 };
-        for want in 0..positions {
-            let pos = d.u64()?;
-            if pos != want {
-                return Err(StorageError::Corrupt(format!(
-                    "{file}: row {want} of {name} positioned at {pos}"
-                )));
-            }
-        }
         let table = d.rows()?;
         d.finish()?;
-        if v1 && table.len() as u64 != positions {
-            return Err(StorageError::Corrupt(format!(
-                "{file}: {positions} positions for {} rows",
-                table.len()
-            )));
-        }
         if rows.insert(name, table).is_some() {
             return Err(StorageError::Corrupt(format!("{file} holds a table twice")));
         }
@@ -398,15 +365,13 @@ fn check_rows(def: &TableDef, rows: &[Row]) -> Result<(), StorageError> {
 }
 
 /// Append one insert's `payload` to `table`. The table must be defined
-/// and the rows must have its shape, and a v1 insert must be positioned
-/// at the table's end (`v1_base`) — a CRC-valid frame that breaks any of
-/// this is a writer bug, and recovery refuses to guess.
+/// and the rows must have its shape — a CRC-valid frame that breaks this
+/// is a writer bug, and recovery refuses to guess.
 fn apply_rows(
     defs: &BTreeMap<String, TableDef>,
     rows: &mut HashMap<String, Vec<Row>>,
     table: String,
     payload: Vec<Row>,
-    v1_base: Option<u64>,
 ) -> Result<(), StorageError> {
     let Some(def) = defs.get(&table) else {
         return Err(StorageError::Corrupt(format!(
@@ -414,15 +379,7 @@ fn apply_rows(
         )));
     };
     check_rows(def, &payload)?;
-    let t = rows.entry(table).or_default();
-    if let Some(base) = v1_base.filter(|b| *b != t.len() as u64) {
-        return Err(StorageError::Corrupt(format!(
-            "rows for {} positioned at {base}, but the table holds {} rows",
-            def.name,
-            t.len()
-        )));
-    }
-    t.extend(payload);
+    rows.entry(table).or_default().extend(payload);
     Ok(())
 }
 
@@ -432,10 +389,10 @@ impl Storage {
     /// (rows in insert order). Telemetry lands in `registry`
     /// (`storage.*` counters) and a `storage.recover` span.
     ///
-    /// A directory stored as several shards, or in the retired
-    /// single-WAL format, is refused with [`StorageError::Unsupported`];
-    /// damage that is not a torn tail is [`StorageError::Corrupt`]. Every
-    /// refusal comes before anything is written.
+    /// A directory this build did not write is refused with
+    /// [`StorageError::Unsupported`] (see the module docs); damage that is
+    /// not a torn tail is [`StorageError::Corrupt`]. Every refusal comes
+    /// before anything is written.
     pub fn open(
         vfs: Arc<dyn Vfs>,
         config: DurabilityConfig,
@@ -446,19 +403,10 @@ impl Storage {
         let metrics = StorageMetrics::new(registry);
         let mut report = RecoveryReport::default();
 
-        // 1. metadata (written at creation, so its absence means fresh)
+        // 1. metadata (installed first at creation: absent means fresh)
         let meta = match read_meta(vfs.as_ref())? {
             Some(m) => m,
             None => {
-                for file in LEGACY_FILES {
-                    if vfs.size(file)?.is_some() {
-                        return Err(StorageError::Unsupported(format!(
-                            "`{file}` marks the retired single-WAL format \
-                             (`wal` + `snapshot`, no `{META_FILE}`), \
-                             which this build no longer reads"
-                        )));
-                    }
-                }
                 let m = Meta {
                     watermark: 0,
                     tables: Vec::new(),
@@ -478,7 +426,10 @@ impl Storage {
             )));
         }
         report.snapshot_bytes = snap.bytes;
-        let mut replay = replay_wal(vfs.read(COMMIT_LOG)?.as_deref())?;
+        let log = vfs.read(COMMIT_LOG)?;
+        let log_exists = log.is_some();
+        let mut replay = replay_wal(log.as_deref())?;
+        drop(log);
         report.wal_frames = replay.commits.len();
         report.wal_bytes = replay.good_bytes;
         let commits = std::mem::take(&mut replay.commits);
@@ -494,10 +445,8 @@ impl Storage {
         let mut rows = snap.rows;
         let mut cut = snap.gsn;
         let mut applied_ops = 0u64;
-        let last_lsn = commits.last().map_or(0, |c| c.lsn);
         for commit in commits {
-            let covered = commit.gsn <= snap.gsn;
-            let mut v1_bases = commit.v1_bases.into_iter();
+            let covered = commit.lsn <= snap.gsn;
             for rec in commit.members {
                 applied_ops += 1;
                 let (def, payload) = match rec {
@@ -505,9 +454,8 @@ impl Storage {
                         table,
                         rows: payload,
                     } => {
-                        let v1_base = v1_bases.next();
                         if !covered {
-                            apply_rows(&defs, &mut rows, table, payload, v1_base)?;
+                            apply_rows(&defs, &mut rows, table, payload)?;
                         }
                         continue;
                     }
@@ -524,7 +472,7 @@ impl Storage {
                     } => (TableDef { name, schema, keys }, rows),
                 };
                 let name = def.name.clone();
-                if commit.gsn > meta.watermark {
+                if commit.lsn > meta.watermark {
                     // re-created since the checkpoint: its recorded row
                     // count no longer bounds it
                     totals.remove(&name);
@@ -535,8 +483,8 @@ impl Storage {
                 }
                 defs.insert(name, def);
             }
-            cut = cut.max(commit.gsn);
-            if commit.gsn > meta.watermark {
+            cut = cut.max(commit.lsn);
+            if commit.lsn > meta.watermark {
                 report.commits_applied += 1;
             }
         }
@@ -569,16 +517,14 @@ impl Storage {
         }
 
         // 5. repair the log: truncate a torn tail, recreate a missing file
-        let file_len = if vfs.size(COMMIT_LOG)?.is_none() {
+        let file_len = if replay.good_bytes == 0 {
+            // no log yet, or even its magic was torn off: start it over
+            if log_exists {
+                vfs.truncate(COMMIT_LOG, 0)?;
+                report.repairs += 1;
+            }
             vfs.append(COMMIT_LOG, WAL_MAGIC)?;
             vfs.sync(COMMIT_LOG)?;
-            WAL_MAGIC.len() as u64
-        } else if replay.good_bytes == 0 {
-            // even the magic was torn off: start the file over
-            vfs.truncate(COMMIT_LOG, 0)?;
-            vfs.append(COMMIT_LOG, WAL_MAGIC)?;
-            vfs.sync(COMMIT_LOG)?;
-            report.repairs += 1;
             WAL_MAGIC.len() as u64
         } else {
             if replay.tail != Tail::Clean {
@@ -589,13 +535,12 @@ impl Storage {
             replay.good_bytes
         };
 
-        // 6. resume the appender one past the cut (and past every LSN
-        //    kept): the next commit's GSN
+        // 6. resume the appender one past the cut: the next commit's GSN
         let commit = Mutex::new(Wal::resume(
             vfs.clone(),
             COMMIT_LOG,
             config.fsync,
-            last_lsn.max(cut) + 1,
+            cut + 1,
             file_len,
             metrics.wal_bytes.clone(),
             metrics.fsyncs.clone(),
@@ -737,7 +682,6 @@ impl Storage {
 mod tests {
     use super::*;
     use crate::fs::FaultFs;
-    use crate::wal::tests::{batch, v1_marker, v1_rows};
     use ferry_algebra::{Ty, Value};
 
     fn try_open(vfs: &Arc<FaultFs>) -> Result<Recovered, StorageError> {
@@ -771,43 +715,22 @@ mod tests {
         }
     }
 
-    /// Every file of the store and its bytes.
-    fn files(vfs: &FaultFs) -> Vec<(&'static str, Option<Vec<u8>>)> {
-        [META_FILE, COMMIT_LOG, SNAPSHOT_FILE]
+    /// Every file of the directory and its bytes.
+    fn files(vfs: &FaultFs) -> Vec<(String, Option<Vec<u8>>)> {
+        let names = vfs.list().unwrap();
+        names
             .into_iter()
-            .map(|f| (f, vfs.read(f).unwrap()))
+            .map(|f| (f.clone(), vfs.read(&f).unwrap()))
             .collect()
     }
 
-    /// Append one hand-encoded commit-log frame payload.
-    fn append_frame(vfs: &FaultFs, payload: &[u8]) {
-        let mut log = vfs.read(COMMIT_LOG).unwrap().unwrap();
-        write_frame(&mut log, payload).unwrap();
-        vfs.replace(COMMIT_LOG, &log).unwrap();
-    }
-
-    /// A store whose commit 1 created `t` and inserted `ks`.
-    fn store_with_t(ks: &[i64]) -> Arc<FaultFs> {
-        let vfs = Arc::new(FaultFs::new());
-        let r = open(&vfs);
-        let mut members = vec![create_t()];
-        if !ks.is_empty() {
-            members.push(rows_rec(ks));
-        }
-        r.storage.log_commit(&members).unwrap();
-        r.storage.group_sync().unwrap();
-        vfs
-    }
-
-    /// Opening `vfs` is refused `Corrupt` naming `want`, and writes nothing.
-    fn refused(vfs: &Arc<FaultFs>, want: &str) {
+    /// Opening `vfs` fails naming `want`, and writes nothing.
+    fn refused(vfs: &Arc<FaultFs>, want: &str) -> StorageError {
         let before = files(vfs);
         let err = try_open(vfs).unwrap_err();
-        assert!(
-            matches!(&err, StorageError::Corrupt(m) if m.contains(want)),
-            "{err}"
-        );
+        assert!(err.to_string().contains(want), "{err}");
         assert_eq!(files(vfs), before, "a refused open writes nothing");
+        err
     }
 
     #[test]
@@ -821,7 +744,7 @@ mod tests {
         assert_eq!(r.storage.durable_gsn(), 1);
         let log = replay_wal(vfs.read(COMMIT_LOG).unwrap().as_deref()).unwrap();
         assert_eq!(log.commits.len(), 1);
-        assert_eq!((log.commits[0].lsn, log.commits[0].gsn), (1, 1));
+        assert_eq!(log.commits[0].lsn, 1);
         assert_eq!(log.commits[0].members, members);
 
         vfs.crash();
@@ -833,145 +756,51 @@ mod tests {
         assert_eq!(r2.storage.log_commit(&[]).unwrap(), 2);
     }
 
-    /// A log an earlier build wrote: v1 frames (GSN in the marker, at or
-    /// above the LSN), then current frames appended one past the cut.
     #[test]
-    fn a_v1_log_reads_and_new_commits_resume_past_its_gsns() {
+    fn a_fresh_store_installs_its_meta_first() {
         let vfs = Arc::new(FaultFs::new());
-        drop(open(&vfs));
-        append_frame(
-            &vfs,
-            &batch(1, 3, |e| {
-                create_t().encode(e);
-                v1_rows(e, 5, "t", &[0, 1], &ints(&[0, 1]));
-                v1_marker(e, 5, 0);
-            }),
-        );
-        let r = open(&vfs);
-        assert_eq!(r.tables[0].rows, ints(&[0, 1]));
-        assert_eq!(r.report.cut_gsn, 5);
-        assert_eq!(r.storage.durable_gsn(), 5);
-        assert_eq!(r.storage.log_commit(&[rows_rec(&[2])]).unwrap(), 6);
-        r.storage.group_sync().unwrap();
+        vfs.inject(crate::Fault::TornAppend {
+            path: COMMIT_LOG.into(),
+            at: 0,
+        });
+        assert!(try_open(&vfs).is_err());
         vfs.crash();
-        let r = open(&vfs);
-        assert_eq!(r.tables[0].rows, ints(&[0, 1, 2]));
-        assert_eq!((r.report.cut_gsn, r.report.commits_applied), (6, 2));
+        let meta = vfs.read(META_FILE).unwrap().unwrap();
+        assert_eq!(meta.get(..8), Some(&META_MAGIC[..]));
+        // the interrupted creation reopens as this build's own store
+        assert!(open(&vfs).tables.is_empty());
+        assert_eq!(vfs.list().unwrap(), [COMMIT_LOG, META_FILE]);
     }
 
+    /// A directory with no `meta` opens only when it holds no file at all:
+    /// an earlier build's single-WAL layout is refused, and so is a lone
+    /// foreign file, each naming what it found.
     #[test]
-    fn v1_frames_that_break_a_rule_are_corrupt_and_touch_nothing() {
-        let far = 1_000_000_000u64;
-        // (the store's rows before the v1 frame, its rows record's gsn
-        // and positions, its marker's mask, what the refusal names)
-        for (ks, gsn, idx, mask, want) in [
-            (&[7][..], 2, &[0][..], 0, "positioned at 0"), // overwrite
-            (&[], 2, &[far][..], 0, "1000000000"),
-            (&[], 2, &[0][..], 1, "mask 0x1"),
-            (&[], 3, &[0][..], 0, "gsn 3"),
-        ] {
-            let vfs = store_with_t(ks);
-            append_frame(
-                &vfs,
-                &batch(2, 2, |e| {
-                    v1_rows(e, gsn, "t", idx, &ints(&[1]));
-                    v1_marker(e, 2, mask);
-                }),
-            );
-            refused(&vfs, want);
-        }
-    }
-
-    #[test]
-    fn a_v1_snapshot_reads_only_positions_0_to_n() {
-        for (idx, ok) in [(&[0, 1][..], true), (&[0, 1_000_000_000][..], false)] {
-            let vfs = store_with_t(&[]);
-            let mut buf = SNAP_MAGIC_V1.to_vec();
-            let mut head = Enc::new();
-            head.u64(0);
-            head.u32(1);
-            write_frame(&mut buf, &head.into_bytes()).unwrap();
-            let mut e = Enc::new();
-            e.str("t");
-            e.u64(idx.len() as u64);
-            for i in idx {
-                e.u64(*i);
-            }
-            e.rows(&ints(&[4, 5]));
-            write_frame(&mut buf, &e.into_bytes()).unwrap();
-            vfs.replace(SNAPSHOT_FILE, &buf).unwrap();
-            if ok {
-                // the log's commit 1 is past the snapshot's gsn 0: it
-                // re-creates `t` empty
-                assert!(open(&vfs).tables[0].rows.is_empty());
-            } else {
-                refused(&vfs, "1000000000");
-            }
-        }
-    }
-
-    #[test]
-    fn multi_shard_and_legacy_directories_are_refused_untouched() {
-        let vfs = Arc::new(FaultFs::new());
-        let mut buf = META_MAGIC.to_vec();
-        let mut head = Enc::new();
-        head.u32(4);
-        head.u64(0);
-        head.u32(0);
-        write_frame(&mut buf, &head.into_bytes()).unwrap();
-        vfs.replace(META_FILE, &buf).unwrap();
-        let before = files(&vfs);
-        let err = try_open(&vfs).unwrap_err();
-        assert!(matches!(err, StorageError::Unsupported(_)), "{err}");
-        assert_eq!(files(&vfs), before);
-
+    fn a_directory_without_meta_and_with_files_is_refused() {
         let legacy = Arc::new(FaultFs::new());
         legacy.append("wal", WAL_MAGIC).unwrap();
-        let err = try_open(&legacy).unwrap_err();
-        assert!(
-            matches!(&err, StorageError::Unsupported(m) if m.contains("single-WAL")),
-            "{err}"
-        );
-        assert_eq!(legacy.size(META_FILE).unwrap(), None);
+        legacy.replace("snapshot", b"FSNP0001").unwrap();
+        let err = refused(&legacy, "snapshot, wal");
+        assert!(matches!(err, StorageError::Unsupported(_)), "{err}");
+
+        let foreign = Arc::new(FaultFs::new());
+        foreign.replace("notes.txt", b"hello").unwrap();
+        let err = refused(&foreign, "notes.txt");
+        assert!(matches!(err, StorageError::Unsupported(_)), "{err}");
     }
 
     #[test]
-    fn a_keyed_create_and_a_meta_shard_key_read_as_a_plain_table() {
+    fn a_meta_of_another_format_is_refused() {
         let vfs = Arc::new(FaultFs::new());
-        drop(open(&vfs));
-        append_frame(
-            &vfs,
-            &batch(1, 3, |e| {
-                e.u8(5);
-                e.str("t");
-                e.schema(&Schema::of(&[("k", Ty::Int)]));
-                e.strings(&["k".to_string()]);
-                e.str("k");
-                v1_rows(e, 1, "t", &[0], &ints(&[0]));
-                v1_marker(e, 1, 0);
-            }),
-        );
-        // a metadata file whose table declares a shard key (tag 1)
-        let mut buf = META_MAGIC.to_vec();
-        let mut head = Enc::new();
-        head.u32(1);
-        head.u64(0);
-        head.u32(1);
-        write_frame(&mut buf, &head.into_bytes()).unwrap();
-        let mut e = Enc::new();
-        e.str("u");
-        e.schema(&Schema::of(&[("k", Ty::Int)]));
-        e.strings(&[]);
-        e.u8(1);
-        e.str("k");
-        e.u64(0);
-        write_frame(&mut buf, &e.into_bytes()).unwrap();
-        vfs.replace(META_FILE, &buf).unwrap();
         let r = open(&vfs);
-        let names: Vec<&str> = r.tables.iter().map(|t| t.def.name.as_str()).collect();
-        assert_eq!(names, ["t", "u"]);
-        assert_eq!(r.tables[0].def.keys, ["k"]);
-        assert_eq!(r.tables[0].rows, ints(&[0]));
+        r.storage.log_commit(&[create_t(), rows_rec(&[1])]).unwrap();
+        r.storage.group_sync().unwrap();
+        drop(r);
+        let mut meta = vfs.read(META_FILE).unwrap().unwrap();
+        meta[..8].copy_from_slice(b"FSMT0001");
+        vfs.replace(META_FILE, &meta).unwrap();
+        let err = refused(&vfs, "FSMT0001");
+        assert!(matches!(err, StorageError::Unsupported(_)), "{err}");
     }
 
     #[test]
@@ -1039,7 +868,8 @@ mod tests {
                 };
                 r.storage.checkpoint(&[image]).unwrap();
                 drop(r);
-                refused(&vfs, want);
+                let err = refused(&vfs, want);
+                assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
             }
         }
         // the commit log: a mistyped cell in appended rows, a short row in
@@ -1058,7 +888,8 @@ mod tests {
         r.storage.log_commit(&[create, rows]).unwrap();
         r.storage.group_sync().unwrap();
         drop(r);
-        refused(&vfs, "column a: value 'x' is not int");
+        let err = refused(&vfs, "column a: value 'x' is not int");
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
         let vfs = Arc::new(FaultFs::new());
         let r = open(&vfs);
         let install = WalRecord::InstallTable {
@@ -1070,6 +901,7 @@ mod tests {
         r.storage.log_commit(&[install]).unwrap();
         r.storage.group_sync().unwrap();
         drop(r);
-        refused(&vfs, "row width 1 != schema width 2");
+        let err = refused(&vfs, "row width 1 != schema width 2");
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
 }

@@ -1,21 +1,12 @@
 //! One append-only log file — the commit log — and its record vocabulary.
 //!
-//! File layout: the 8-byte magic [`WAL_MAGIC`] (which embeds the codec
-//! version), then one [frame](crate::frame) per commit. Each frame
-//! payload is `[lsn: u64][4][n: u64][member]*` — the commit's records,
-//! encoded by [`codec`](crate::codec). LSNs are assigned here under the
-//! log lock, start at 1, and are strictly monotone; replay rejects any
-//! other sequence as corruption. A commit's LSN is its sequence number.
-//!
-//! **Frames an earlier build wrote** (v1) are still read; nothing writes
-//! them. A v1 frame ends in a tag-7 marker `{gsn, mask}` that carries the
-//! commit's sequence number (a bare marker when the commit logged
-//! nothing), writes each insert as a tag-6 record `{gsn, table,
-//! positions, rows}`, and may create a table naming a shard key (tag 5,
-//! read as a plain create). The marker must be last and its mask 0, every
-//! tag-6 record must carry the marker's GSN, and its positions must run
-//! consecutively; recovery checks that they start at the table's length.
-//! Anything else is [`StorageError::Corrupt`].
+//! File layout: the 8-byte magic [`WAL_MAGIC`], then one
+//! [frame](crate::frame) per commit. Each frame payload is `[lsn: u64][4]
+//! [n: u64][member]*` — a batch of the commit's records, encoded by
+//! [`codec`](crate::codec), whose member tags are 1–3. LSNs are assigned
+//! here under the log lock, start at 1, and are strictly monotone; replay
+//! rejects any other sequence as corruption. A commit's LSN is its
+//! sequence number.
 //!
 //! Appends are acknowledged only after the bytes are handed to the VFS
 //! and the [`FsyncPolicy`] has been satisfied — `Always` waits for the
@@ -23,6 +14,13 @@
 //! `n` records, `Os` never syncs and leaves durability to the OS page
 //! cache (fastest, weakest: a crash can lose any suffix, but never the
 //! prefix property).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use crate::codec::{Dec, Enc};
 use crate::frame::{scan, write_frame, Tail};
@@ -91,13 +89,11 @@ impl WalRecord {
     /// bounds the recursion a crafted log could ask for.
     fn decode(d: &mut Dec<'_>, tag: u8) -> Result<WalRecord, StorageError> {
         Ok(match tag {
-            1 | 5 => {
-                let (name, schema, keys) = (d.str()?.to_string(), d.schema()?, d.strings()?);
-                if tag == 5 {
-                    d.str()?; // a v1 shard key, ignored
-                }
-                WalRecord::CreateTable { name, schema, keys }
-            }
+            1 => WalRecord::CreateTable {
+                name: d.str()?.to_string(),
+                schema: d.schema()?,
+                keys: d.strings()?,
+            },
             2 => WalRecord::InstallTable {
                 name: d.str()?.to_string(),
                 schema: d.schema()?,
@@ -124,92 +120,27 @@ impl WalRecord {
 /// One commit frame read back from the log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Commit {
+    /// The frame's LSN: the commit's sequence number.
     pub lsn: u64,
-    /// The commit's sequence number: its LSN, or a v1 frame's marker GSN.
-    pub gsn: u64,
     /// DDL and rows, in frame order.
     pub members: Vec<WalRecord>,
-    /// A v1 frame's position of each [`WalRecord::Rows`] member's first
-    /// row, in member order; empty for a current frame.
-    pub v1_bases: Vec<u64>,
 }
 
-/// A v1 marker's GSN; its shard mask must be 0.
-fn v1_marker(d: &mut Dec<'_>) -> Result<u64, StorageError> {
-    let (gsn, mask) = (d.u64()?, d.u64()?);
-    if mask != 0 {
+/// Decode the batch of the frame logged at `lsn`.
+fn decode_commit(lsn: u64, d: &mut Dec<'_>) -> Result<Commit, StorageError> {
+    let tag = d.u8()?;
+    if tag != 4 {
         return Err(StorageError::Corrupt(format!(
-            "commit gsn {gsn} references shard WALs (mask {mask:#x}), \
-             which a one-shard store does not keep"
+            "frame lsn {lsn}: a commit frame cannot start with record tag {tag}"
         )));
     }
-    Ok(gsn)
-}
-
-/// Decode the record of the frame logged at `lsn` (see the module docs
-/// for the v1 rules).
-fn decode_commit(lsn: u64, d: &mut Dec<'_>) -> Result<Commit, StorageError> {
-    let corrupt = |why: String| Err(StorageError::Corrupt(format!("frame lsn {lsn}: {why}")));
-    let mut c = Commit {
-        lsn,
-        gsn: lsn,
-        members: Vec::new(),
-        v1_bases: Vec::new(),
-    };
-    let n = match d.u8()? {
-        4 => d.u64()?,
-        7 => {
-            c.gsn = v1_marker(d)?;
-            return Ok(c);
-        }
-        t => return corrupt(format!("a commit frame cannot start with record tag {t}")),
-    };
-    let (mut marker, mut v1_gsns, mut v2_rows) = (None, Vec::new(), false);
+    let n = d.u64()?;
+    let mut members = Vec::new();
     for _ in 0..n {
-        if marker.is_some() {
-            return corrupt("a v1 commit marker is not the frame's last record".into());
-        }
-        match d.u8()? {
-            6 => {
-                v1_gsns.push(d.u64()?);
-                let table = d.str()?.to_string();
-                let count = d.u64()?;
-                let base = if count == 0 { 0 } else { d.u64()? };
-                for i in 1..count {
-                    let pos = d.u64()?;
-                    if pos != base.wrapping_add(i) {
-                        return corrupt(format!("rows for {table} jump to position {pos}"));
-                    }
-                }
-                let rows = d.rows()?;
-                if rows.len() as u64 != count {
-                    return corrupt(format!("{count} positions for {} rows", rows.len()));
-                }
-                if count > 0 {
-                    c.v1_bases.push(base);
-                    c.members.push(WalRecord::Rows { table, rows });
-                }
-            }
-            7 => marker = Some(v1_marker(d)?),
-            tag => {
-                let m = WalRecord::decode(d, tag)?;
-                v2_rows |= matches!(m, WalRecord::Rows { .. });
-                c.members.push(m);
-            }
-        }
+        let tag = d.u8()?;
+        members.push(WalRecord::decode(d, tag)?);
     }
-    match marker {
-        None if v1_gsns.is_empty() => Ok(c),
-        None => corrupt("v1 rows without a commit marker".into()),
-        Some(_) if v2_rows => corrupt("a v1 frame holds current-format rows".into()),
-        Some(gsn) => match v1_gsns.into_iter().find(|g| *g != gsn) {
-            Some(g) => corrupt(format!("rows carry gsn {g}, their marker {gsn}")),
-            None => {
-                c.gsn = gsn;
-                Ok(c)
-            }
-        },
-    }
+    Ok(Commit { lsn, members })
 }
 
 /// The appender half of one log file. Holds the fsync policy, the LSN
@@ -438,49 +369,39 @@ pub struct WalReplay {
 /// Decode the WAL from raw file bytes. `None` input (no file yet) is an
 /// empty log. Frame-level damage at the tail is reported as [`Tail::Torn`]
 /// (the caller repairs by truncating); anything else — bad magic, decode
-/// failure inside a CRC-valid frame, non-monotone LSNs or GSNs, valid
-/// frames after a bad one — is [`StorageError::Corrupt`]/[`StorageError::Codec`].
+/// failure inside a CRC-valid frame, non-monotone LSNs, valid frames after
+/// a bad one — is [`StorageError::Corrupt`]/[`StorageError::Codec`].
 pub fn replay_wal(bytes: Option<&[u8]>) -> Result<WalReplay, StorageError> {
-    let bytes = match bytes {
-        None => {
-            return Ok(WalReplay {
-                commits: Vec::new(),
-                tail: Tail::Clean,
-                good_bytes: 0,
-            })
-        }
-        Some(b) => b,
+    let empty = |tail| WalReplay {
+        commits: Vec::new(),
+        tail,
+        good_bytes: 0,
     };
-    if bytes.len() < WAL_MAGIC.len() {
+    let Some(bytes) = bytes else {
+        return Ok(empty(Tail::Clean));
+    };
+    let Some((magic, body)) = bytes.split_first_chunk() else {
         // a crash can tear even the magic of a freshly created log
-        return Ok(WalReplay {
-            commits: Vec::new(),
-            tail: Tail::Torn { offset: 0 },
-            good_bytes: 0,
-        });
-    }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+        return Ok(empty(Tail::Torn { offset: 0 }));
+    };
+    if magic != WAL_MAGIC {
         return Err(StorageError::Corrupt(format!(
-            "bad WAL magic {:?} (expected {:?})",
-            &bytes[..WAL_MAGIC.len()],
-            WAL_MAGIC
+            "bad WAL magic {magic:?} (expected {WAL_MAGIC:?})"
         )));
     }
-    let body = &bytes[WAL_MAGIC.len()..];
     let out = scan(body)?;
     let mut commits: Vec<Commit> = Vec::with_capacity(out.frames.len());
     for payload in out.frames {
         let mut d = Dec::new(payload);
         let lsn = d.u64()?;
-        let commit = decode_commit(lsn, &mut d)?;
-        d.finish()?;
-        let last = commits.last().map_or((0, 0), |c| (c.lsn, c.gsn));
-        if lsn <= last.0 || commit.gsn <= last.1 {
+        let last = commits.last().map_or(0, |c| c.lsn);
+        if lsn <= last {
             return Err(StorageError::Corrupt(format!(
-                "non-monotone commit log: lsn {lsn} gsn {} after lsn {} gsn {}",
-                commit.gsn, last.0, last.1
+                "non-monotone commit log: lsn {lsn} after lsn {last}"
             )));
         }
+        let commit = decode_commit(lsn, &mut d)?;
+        d.finish()?;
         commits.push(commit);
     }
     Ok(WalReplay {
@@ -491,34 +412,21 @@ pub fn replay_wal(bytes: Option<&[u8]>) -> Result<WalReplay, StorageError> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+mod tests {
     use super::*;
     use crate::fs::{Fault, FaultFs};
     use ferry_algebra::{Ty, Value};
 
     const LOG: &str = "log";
 
-    /// Hand-encode a v1 rows record (tag 6) — nothing else writes one.
-    pub(crate) fn v1_rows(e: &mut Enc, gsn: u64, table: &str, idx: &[u64], rows: &[Row]) {
-        e.u8(6);
-        e.u64(gsn);
-        e.str(table);
-        e.u64(idx.len() as u64);
-        for i in idx {
-            e.u64(*i);
-        }
-        e.rows(rows);
-    }
-
-    /// Hand-encode a v1 commit marker (tag 7).
-    pub(crate) fn v1_marker(e: &mut Enc, gsn: u64, mask: u64) {
-        e.u8(7);
-        e.u64(gsn);
-        e.u64(mask);
-    }
-
     /// A frame payload at `lsn` whose batch of `n` members `body` encodes.
-    pub(crate) fn batch(lsn: u64, n: u64, body: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    fn batch(lsn: u64, n: u64, body: impl FnOnce(&mut Enc)) -> Vec<u8> {
         let mut e = Enc::new();
         e.u64(lsn);
         e.u8(4);
@@ -566,13 +474,11 @@ pub(crate) mod tests {
         ]
     }
 
-    /// The current-format commit `members` logged at `lsn`.
+    /// The commit `members` logged at `lsn`.
     fn commit(lsn: u64, members: &[WalRecord]) -> Commit {
         Commit {
             lsn,
-            gsn: lsn,
             members: members.to_vec(),
-            v1_bases: Vec::new(),
         }
     }
 
@@ -602,104 +508,18 @@ pub(crate) mod tests {
     fn a_nested_batch_is_a_codec_error() {
         // a batch is never a member, so a nested tag-4 record must fail as
         // a codec error rather than recurse (a ~10-byte-per-level chain
-        // would otherwise overflow the stack during recovery)
-        let payload = batch(1, 1, |e| {
-            e.u8(4);
-            e.u64(0);
-        });
-        assert!(matches!(decode(&payload), Err(StorageError::Codec(_))));
-    }
-
-    #[test]
-    fn a_v1_frame_reads_as_its_members_under_its_marker_gsn() {
-        let rows = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
-        let schema = Schema::of(&[("k", Ty::Int)]);
-        let payload = batch(3, 4, |e| {
-            // a keyed create (tag 5): read as a plain create
-            e.u8(5);
-            e.str("t");
-            e.schema(&schema);
-            e.strings(&["k".to_string()]);
-            e.str("k");
-            v1_rows(e, 9, "t", &[0, 1], &rows);
-            v1_rows(e, 9, "t", &[], &[]);
-            v1_marker(e, 9, 0);
-        });
-        let create = WalRecord::CreateTable {
-            name: "t".into(),
-            schema,
-            keys: vec!["k".into()],
-        };
-        let want = Commit {
-            lsn: 3,
-            gsn: 9,
-            members: vec![
-                create,
-                WalRecord::Rows {
-                    table: "t".into(),
-                    rows,
-                },
-            ],
-            v1_bases: vec![0],
-        };
-        assert_eq!(decode(&payload).unwrap(), want);
-        // a bare marker is a v1 commit that logged nothing
-        let mut e = Enc::new();
-        e.u64(4);
-        v1_marker(&mut e, 10, 0);
-        assert_eq!(decode(&e.into_bytes()).unwrap().members, vec![]);
-    }
-
-    #[test]
-    fn v1_frames_breaking_a_rule_are_corrupt() {
-        let one = vec![vec![Value::Int(1)]];
-        let two = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
-        let cases: Vec<(&str, Vec<u8>)> = vec![
-            ("mask", batch(1, 1, |e| v1_marker(e, 1, 0b1010))),
-            (
-                "gsn",
-                batch(1, 2, |e| {
-                    v1_rows(e, 2, "t", &[0], &one);
-                    v1_marker(e, 1, 0);
-                }),
-            ),
-            (
-                "count",
-                batch(1, 2, |e| {
-                    v1_rows(e, 1, "t", &[0], &two);
-                    v1_marker(e, 1, 0);
-                }),
-            ),
-            (
-                "jump",
-                batch(1, 2, |e| {
-                    v1_rows(e, 1, "t", &[0, 2], &two);
-                    v1_marker(e, 1, 0);
-                }),
-            ),
-            (
-                "not last",
-                batch(1, 2, |e| {
-                    v1_marker(e, 1, 0);
-                    v1_rows(e, 1, "t", &[0], &one);
-                }),
-            ),
-            ("no marker", batch(1, 1, |e| v1_rows(e, 1, "t", &[0], &one))),
-            (
-                "mixed",
-                batch(1, 2, |e| {
-                    WalRecord::Rows {
-                        table: "t".into(),
-                        rows: one.clone(),
-                    }
-                    .encode(e);
-                    v1_marker(e, 1, 0);
-                }),
-            ),
-        ];
-        for (case, payload) in cases {
-            let err = decode(&payload).unwrap_err();
-            assert!(matches!(err, StorageError::Corrupt(_)), "{case}: {err}");
+        // would otherwise overflow the stack during recovery); tags 5-7,
+        // which only an earlier build wrote, are no member either
+        for tag in [4, 5, 6, 7] {
+            let payload = batch(1, 1, |e| {
+                e.u8(tag);
+                e.u64(0);
+            });
+            let got = decode(&payload);
+            assert!(
+                matches!(got, Err(StorageError::Codec(_))),
+                "tag {tag}: {got:?}"
+            );
         }
     }
 
@@ -844,19 +664,27 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn non_monotone_lsn_or_gsn_is_corrupt() {
-        // a duplicate LSN, and a current frame whose LSN does not pass the
-        // GSN of the v1 frame before it
-        for (lsn, v1_gsn) in [(1, 1), (2, 5)] {
-            let vfs = Arc::new(FaultFs::new());
-            vfs.append(LOG, WAL_MAGIC).unwrap();
+    fn non_monotone_lsn_is_corrupt() {
+        // a duplicate LSN and a falling one
+        for lsn in [2, 1] {
             let mut log = WAL_MAGIC.to_vec();
-            write_frame(&mut log, &batch(1, 1, |e| v1_marker(e, v1_gsn, 0))).unwrap();
+            write_frame(&mut log, &batch(2, 0, |_| {})).unwrap();
             write_frame(&mut log, &batch(lsn, 0, |_| {})).unwrap();
+            let got = replay_wal(Some(&log));
             assert!(
-                matches!(replay_wal(Some(&log)), Err(StorageError::Corrupt(_))),
-                "lsn {lsn} after v1 gsn {v1_gsn}"
+                matches!(got, Err(StorageError::Corrupt(_))),
+                "lsn {lsn} after 2: {got:?}"
             );
         }
+        // a frame that starts with an earlier build's commit marker (tag 7)
+        let mut e = Enc::new();
+        e.u64(1);
+        e.u8(7);
+        e.u64(1);
+        e.u64(0);
+        let mut log = WAL_MAGIC.to_vec();
+        write_frame(&mut log, &e.into_bytes()).unwrap();
+        let got = replay_wal(Some(&log));
+        assert!(matches!(got, Err(StorageError::Corrupt(_))), "{got:?}");
     }
 }

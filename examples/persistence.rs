@@ -6,6 +6,10 @@
 //! cargo run --example persistence
 //! cargo run --example persistence
 //! ```
+//!
+//! The directory is `ferry-persistence-demo` under the temp directory.
+//! One written by an earlier build is refused (`Unsupported`): this build
+//! reads only its own layout, so remove the directory first.
 
 use ferry::prelude::*;
 use ferry_algebra::{Schema, Ty, Value};
