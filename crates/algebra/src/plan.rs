@@ -6,7 +6,7 @@
 //! the optimizer rely on this.
 
 use crate::expr::{AggFun, Expr, ParamError};
-use crate::rel::{Row, RowBuf};
+use crate::rel::{Rel, Row};
 use crate::schema::{ColName, Schema};
 use crate::value::{Ty, Value};
 use std::borrow::Cow;
@@ -72,10 +72,9 @@ pub enum Node {
         cols: Vec<(ColName, crate::value::Ty)>,
         keys: Vec<ColName>,
     },
-    /// A literal table. Rows sit behind an `Arc` so every execution of the
-    /// plan shares one buffer — and one columnar chunk cache — with the
-    /// plan itself (copy-free `Lit` scans).
-    Lit { schema: Schema, rows: Arc<RowBuf> },
+    /// A literal table. Every execution of the plan shares its columns
+    /// with the plan itself (copy-free `Lit` scans).
+    Lit { rel: Rel },
     /// Attach a constant column.
     Attach {
         input: NodeId,
@@ -376,12 +375,9 @@ impl Plan {
     // ----- by tests; they keep call sites readable) -----
 
     pub fn lit(&mut self, schema: Schema, rows: Vec<Row>) -> NodeId {
-        self.lit_shared(schema, Arc::new(RowBuf::new(rows)))
-    }
-
-    /// Literal node over an already-shared buffer (no copy).
-    pub fn lit_shared(&mut self, schema: Schema, rows: Arc<RowBuf>) -> NodeId {
-        self.add(Node::Lit { schema, rows })
+        self.add(Node::Lit {
+            rel: Rel::new(schema, rows),
+        })
     }
 
     pub fn table(

@@ -20,7 +20,7 @@ pub fn node_detail(node: &Node) -> String {
             let ks: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
             format!("{name} ({}) key [{}]", cs.join(", "), ks.join(", "))
         }
-        Node::Lit { schema, rows } => format!("{schema} × {} rows", rows.len()),
+        Node::Lit { rel } => format!("{} × {} rows", rel.schema, rel.len()),
         Node::Attach { col, value, .. } => format!("{col} := {value}"),
         Node::Project { cols, .. } => {
             let cs: Vec<String> = cols

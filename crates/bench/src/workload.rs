@@ -166,8 +166,9 @@ mod tests {
             .table("facilities")
             .unwrap()
             .rows
-            .iter()
-            .map(|r| r[1].as_str().unwrap().to_string())
+            .column("cat")
+            .unwrap()
+            .map(|v| v.as_str().unwrap().to_string())
             .collect();
         assert_eq!(cats.len(), 50);
     }

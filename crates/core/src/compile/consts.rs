@@ -151,10 +151,9 @@ impl<'a> Compiler<'a> {
         ) -> Result<(), FerryError> {
             match (v, ty) {
                 (v, t) if t.is_atom() => {
-                    row.push(
-                        v.to_cell()
-                            .ok_or_else(|| FerryError::IllTyped(format!("{v:?} is not atomic")))?,
-                    );
+                    // the literal's columns are typed by the schema
+                    let cell = v.to_cell().filter(|c| Some(c.ty()) == t.col_ty());
+                    row.push(cell.ok_or_else(|| FerryError::IllTyped(format!("{v:?} : {t}")))?);
                     Ok(())
                 }
                 (Val::Tuple(vs), Ty::Tuple(ts)) if vs.len() == ts.len() => {

@@ -651,7 +651,7 @@ impl Connection {
                     })
                     .collect::<Result<_, _>>()?
             };
-            let mut rows = t.rows.rows().to_vec();
+            let mut rows = t.rows.rows().into_owned();
             rows.sort_by(|a, b| {
                 key_idx
                     .iter()

@@ -9,7 +9,7 @@
 
 use ferry::prelude::*;
 use ferry::Val;
-use ferry_algebra::{RowBuf, Schema, Ty, Value};
+use ferry_algebra::{Rel, Schema, Ty, Value};
 use ferry_engine::{BaseTable, Database};
 
 #[test]
@@ -20,7 +20,7 @@ fn missing_key_column_is_an_error_not_a_panic() {
         BaseTable {
             schema: Schema::of(&[("a", Ty::Int)]),
             keys: vec!["zzz".to_string()],
-            rows: std::sync::Arc::new(RowBuf::new(vec![vec![Value::Int(1)]])),
+            rows: Rel::new(Schema::of(&[("a", Ty::Int)]), vec![vec![Value::Int(1)]]),
         },
     )
     .unwrap();
@@ -50,7 +50,7 @@ fn non_atomic_cell_is_an_error_not_a_panic() {
         BaseTable {
             schema: Schema::of(&[("a", Ty::Nat)]),
             keys: vec!["a".to_string()],
-            rows: std::sync::Arc::new(RowBuf::new(vec![vec![Value::Nat(7)]])),
+            rows: Rel::new(Schema::of(&[("a", Ty::Nat)]), vec![vec![Value::Nat(7)]]),
         },
     )
     .unwrap();

@@ -8,9 +8,9 @@
 //! and then run entirely lock-free against it — a writer committing
 //! mid-query can never tear a bundle, stall a scan, or be observed
 //! half-applied. Writers serialise on a commit mutex, build their version
-//! off to the side (copy-on-write per table: cloning the table map shares
-//! every `Arc<RowBuf>`; the first insert into a table copies its buffer
-//! once), and commit by atomically installing the new version.
+//! off to the side (copy-on-write per column: cloning the table map shares
+//! every column `Arc`; the first insert into a table copies each of its
+//! columns once), and commit by atomically installing the new version.
 //!
 //! Durability composes via **group commit**: under
 //! [`FsyncPolicy::Always`] a committing transaction appends its commit
@@ -35,7 +35,7 @@ use crate::exec;
 use crate::stats::{ProfileRing, QueryProfile, QueryStats};
 use crate::sys::{self, DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP};
 use crate::vec_eval::ParConfig;
-use ferry_algebra::{infer_schema, NodeId, Plan, Rel, Row, RowBuf, Schema, Value};
+use ferry_algebra::{infer_schema, NodeId, Plan, Rel, Row, Schema, Value};
 use ferry_storage::{
     DurabilityConfig, FsyncPolicy, RecoveryReport, StdFs, Storage, StorageError, TableDef,
     TableImage, Vfs, WalRecord,
@@ -50,10 +50,11 @@ use std::time::Duration;
 /// A database-resident base table: schema, key columns (defining the
 /// canonical order the `table` combinator exposes) and rows.
 ///
-/// Rows sit behind an `Arc<RowBuf>` so a `TableRef` scan shares the
-/// catalog's buffer — including its lazily-built columnar chunk cache —
-/// with the query result instead of copying the table (`Arc::make_mut` on
-/// insert preserves value semantics for writers).
+/// The rows are a dense [`Rel`] of the table's schema: one `Arc`-shared
+/// typed column per schema column, so a `TableRef` scan shares the
+/// catalog's columns with the query result instead of copying the table
+/// (`Arc::make_mut` per column on insert preserves value semantics for
+/// writers and for every snapshot holding the columns).
 #[derive(Debug, Clone)]
 pub struct BaseTable {
     pub schema: Schema,
@@ -61,13 +62,13 @@ pub struct BaseTable {
     /// the table: the Ferry front-end materialises `pos` by row-numbering
     /// over these columns.
     pub keys: Vec<String>,
-    pub rows: Arc<RowBuf>,
+    pub rows: Rel,
 }
 
 /// Incrementally-maintained size statistics of one base table, versioned
 /// with the catalog (cloned per transaction like the table map — two
 /// `u64`s per table, so versioning them is free). `ferry.tables` reads
-/// these instead of walking row buffers per scan.
+/// these instead of walking columns per scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Approximate resident bytes of the table's rows
@@ -80,7 +81,7 @@ pub struct TableStats {
 }
 
 /// One immutable version of the catalog. Published versions are never
-/// mutated — writers clone the table map (sharing row buffers) and
+/// mutated — writers clone the table map (sharing columns) and
 /// install a successor with `epoch + 1`.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
@@ -111,7 +112,7 @@ impl Catalog {
                     schema: t.schema.clone(),
                     keys: t.keys.clone(),
                 },
-                rows: t.rows.rows().to_vec(),
+                rows: t.rows.rows().into_owned(),
             })
             .collect();
         images.sort_by(|a, b| a.def.name.cmp(&b.def.name));
@@ -327,9 +328,9 @@ impl Database {
             cat.tables.insert(
                 img.def.name,
                 BaseTable {
+                    rows: Rel::new(img.def.schema.clone(), img.rows),
                     schema: img.def.schema,
                     keys: img.def.keys,
-                    rows: Arc::new(RowBuf::new(img.rows)),
                 },
             );
             cat.schema_version += 1;
@@ -489,10 +490,10 @@ impl Database {
     /// restore-from-snapshot escape hatch. The caller is responsible for
     /// `keys ⊆ schema`; consumers such as `Connection::interpreter_tables`
     /// must therefore report violations as errors rather than assume them
-    /// impossible. Rows are checked like an insert's (width and cell
-    /// types, [`EngineError::TableMismatch`]), so every stored column is
-    /// type-uniform. On a durable database the full table (rows included)
-    /// is WAL-logged before installation, which is why this can fail.
+    /// impossible. The rows' columns must be typed as the schema's
+    /// ([`EngineError::TableMismatch`] otherwise). On a durable database
+    /// the full table (rows included) is WAL-logged before installation,
+    /// which is why this can fail.
     pub fn install_table(
         &self,
         name: impl Into<String>,
@@ -1082,17 +1083,17 @@ impl<'db> Snapshot<'db> {
                 let def = db.sys_tables.lock().unwrap().get(name).cloned()?;
                 let rows = (def.provider)();
                 return Some(BaseTable {
+                    rows: Rel::new(def.schema.clone(), rows),
                     schema: def.schema,
                     keys: def.keys,
-                    rows: Arc::new(RowBuf::new(rows)),
                 });
             }
         };
         let (schema, keys) = sys::schema_of(name).expect("matched intrinsic name");
         Some(BaseTable {
+            rows: Rel::new(schema.clone(), rows),
             schema,
             keys,
-            rows: Arc::new(RowBuf::new(rows)),
         })
     }
 
@@ -1221,6 +1222,19 @@ fn check_rows(table: &str, schema: &Schema, rows: &[Row]) -> Result<(), EngineEr
     }
 }
 
+/// Refuse a table whose columns are not typed as its schema's (a column
+/// is typed by the schema its relation was built with).
+fn check_cols(table: &str, schema: &Schema, rows: &Rel) -> Result<(), EngineError> {
+    let (want, got) = (schema.cols(), rows.schema.cols());
+    if want.len() == got.len() && want.iter().zip(got).all(|(w, g)| w.1 == g.1) {
+        return Ok(());
+    }
+    Err(EngineError::TableMismatch {
+        table: table.to_string(),
+        detail: format!("columns {} do not fit schema {schema}", rows.schema),
+    })
+}
+
 impl Tx {
     /// Create (or replace) a base table.
     pub fn create_table(
@@ -1252,9 +1266,9 @@ impl Tx {
         self.work.tables.insert(
             name,
             BaseTable {
+                rows: Rel::empty(schema.clone()),
                 schema,
                 keys,
-                rows: Arc::new(RowBuf::default()),
             },
         );
         self.work.schema_version += 1;
@@ -1274,16 +1288,16 @@ impl Tx {
         check_rows(name, &table.schema, &rows)?;
         self.bump_stats(name, rows.iter().map(sys::row_bytes).sum());
         let table = self.work.tables.get_mut(name).expect("validated above");
+        // copy-on-write: the first insert into a table this transaction
+        // copies each of its shared columns once; later inserts append in
+        // place
+        table.rows.append_rows(&rows);
         if self.durable && !rows.is_empty() {
             self.rows.push(WalRecord::Rows {
                 table: name.to_string(),
-                rows: rows.clone(),
+                rows,
             });
         }
-        // copy-on-write: the first insert into a table this transaction
-        // copies its shared buffer once; later inserts mutate in place.
-        // extend_rows also invalidates the buffer's columnar chunk cache.
-        Arc::make_mut(&mut table.rows).extend_rows(rows);
         self.dirty = true;
         Ok(())
     }
@@ -1298,27 +1312,28 @@ impl Tx {
     }
 
     /// Install a table without `create_table`'s key validation (see
-    /// [`Database::install_table`]); its rows are checked like an
-    /// insert's.
+    /// [`Database::install_table`]); its columns must be typed as its
+    /// schema's.
     pub fn install_table(
         &mut self,
         name: impl Into<String>,
         table: BaseTable,
     ) -> Result<(), EngineError> {
         let name = name.into();
-        check_rows(&name, &table.schema, table.rows.rows())?;
+        check_cols(&name, &table.schema, &table.rows)?;
+        let rows = table.rows.rows();
+        // install replaces wholesale: restart bytes at the new contents
+        // (the whole table just hit the WAL when durable)
+        let bytes: u64 = rows.iter().map(sys::row_bytes).sum();
         if self.durable {
             self.unstage(&name);
             self.ddl.push(WalRecord::InstallTable {
                 name: name.clone(),
                 schema: table.schema.clone(),
                 keys: table.keys.clone(),
-                rows: table.rows.rows().to_vec(),
+                rows: rows.into_owned(),
             });
         }
-        // install replaces wholesale: restart bytes at the new contents
-        // (the whole table just hit the WAL when durable)
-        let bytes: u64 = table.rows.rows().iter().map(sys::row_bytes).sum();
         let prev_wal = self
             .work
             .stats
@@ -1331,6 +1346,13 @@ impl Tx {
                 wal_bytes: prev_wal + if self.durable { bytes } else { 0 },
             },
         );
+        // the catalog holds dense columns, named by the table's schema
+        let n = table.rows.len();
+        let cols = table.rows.gather((0..n as u32).collect());
+        let table = BaseTable {
+            rows: Rel::from_cols(table.schema.clone(), n, cols),
+            ..table
+        };
         self.work.tables.insert(name, table);
         self.work.schema_version += 1;
         self.dirty = true;

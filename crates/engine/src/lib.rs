@@ -22,8 +22,8 @@
 //! ## Execution strategies
 //!
 //! Two strategies: the bulk operators run **copy-free** where the algebra
-//! allows it (scans, filters, projections and serialisation are
-//! `Arc`-shared views with selection vectors / column remaps), and a
+//! allows it (scans, filters, projections and serialisation share their
+//! input's `Arc`'d typed columns, under a selection vector), and a
 //! dispatch evaluates its whole bundle in **one pass** over the plan DAG,
 //! so sub-plans shared between members run once. A dispatch runs on the
 //! thread that calls it; concurrency lives between queries (MVCC

@@ -31,7 +31,7 @@ pub enum ExecPath {
     #[default]
     Scalar,
     /// The production path (`VecMode::On`): chain programs and typed
-    /// sinks. A view-only node (a scan, a remap) runs no row code of
+    /// sinks. A view-only node (a scan, a projection) runs no row code of
     /// either kind and is on it too, with zero batches.
     Vectorized,
 }

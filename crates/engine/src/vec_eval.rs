@@ -124,6 +124,19 @@ impl Reg {
         }
     }
 
+    /// The register as a column: typed registers move, strings are
+    /// dictionary-encoded.
+    pub(crate) fn into_col(self) -> ColVec {
+        match self {
+            Reg::I64(v) => ColVec::Int(v),
+            Reg::U64(v) => ColVec::Nat(v),
+            Reg::F64(v) => ColVec::Dbl(v),
+            Reg::Bool(v) => ColVec::Bool(v),
+            Reg::Str(v) => ColVec::from_strs(v),
+            Reg::Val(v) => ColVec::Other(v),
+        }
+    }
+
     /// Cell `k` as an owned [`Value`].
     pub fn value(&self, k: usize) -> Value {
         match self {
@@ -244,7 +257,7 @@ impl Reg {
 /// which the interpreter exploits to split borrows.
 #[derive(Debug, Clone)]
 enum Instr {
-    /// Gather chunk `slot` at the batch's buffer rows into `dst`.
+    /// Gather column `slot` at the batch's column rows into `dst`.
     Load {
         slot: u32,
         dst: u32,
@@ -379,7 +392,7 @@ enum Instr {
 }
 
 /// A compiled kernel program: straight-line instructions over a register
-/// file, plus the buffer columns it loads.
+/// file, plus the input columns it loads.
 #[derive(Debug, Clone)]
 pub struct Kernel {
     instrs: Vec<Instr>,
@@ -406,11 +419,11 @@ pub(crate) enum VirtSrc {
     Const(Value),
 }
 
-/// Dedup key for column loads: buffer/input columns and carried columns
-/// live in different index spaces.
+/// Dedup key for column loads: input columns and carried columns live in
+/// different index spaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum LoadKey {
-    Buf(u32),
+    Input(u32),
     Carry(u32),
 }
 
@@ -496,13 +509,13 @@ impl Compiler<'_> {
 
     /// Emit (or reuse) a load of chain-input column `col` typed `ty`.
     fn load_col(&mut self, col: u32, ty: Ty) -> (u32, Ty) {
-        if let Some(&hit) = self.loaded.get(&LoadKey::Buf(col)) {
+        if let Some(&hit) = self.loaded.get(&LoadKey::Input(col)) {
             return hit;
         }
         let slot = self.cols.len() as u32;
         self.cols.push(col);
         let hit = self.emit(ty, false, |dst| Instr::Load { slot, dst });
-        self.loaded.insert(LoadKey::Buf(col), hit);
+        self.loaded.insert(LoadKey::Input(col), hit);
         hit
     }
 
@@ -605,8 +618,8 @@ impl Compiler<'_> {
 /// Lower `expr` (typed against the *chain-visible* `schema`, whose columns
 /// resolve through `virt` to chain-input columns, carried stage results,
 /// or constants) to a kernel program. The `cols` of the result index the
-/// chain input's **visible** columns; [`ChainProg::bind`] maps them to
-/// buffer columns. Every well-typed expression compiles; the errors are
+/// chain input's columns, which [`ChainProg::bind`] binds. Every
+/// well-typed expression compiles; the errors are
 /// the oracle's `bind` errors (a missing column, an unbound parameter).
 pub(crate) fn compile(
     expr: &Expr,
@@ -732,8 +745,8 @@ impl Kernel {
         self.reg_tys[self.out as usize]
     }
 
-    /// Execute the program for one batch: `rows` holds the **buffer** row
-    /// indices of the batch, `chunks` the full-buffer columns per load
+    /// Execute the program for one batch: `rows` holds the **column** row
+    /// indices of the batch, `chunks` the whole input columns per load
     /// slot, `carries[k]` the batch-local result of an earlier chain
     /// stage, already compacted to exactly the rows of this batch. On
     /// success, `regs[self.out_reg()]` holds one result per row.
@@ -1157,21 +1170,20 @@ impl ChainProg {
     }
 
     /// Output columns that are all chain-input passthroughs (no carries,
-    /// no constants): the zero-copy case — a selection vector plus a
-    /// column remap over the input buffer reproduce the chain's output.
-    pub(crate) fn pure_input_out(&self) -> Option<Vec<u32>> {
+    /// no constants): the zero-copy case — a selection vector over the
+    /// picked input columns reproduces the chain's output.
+    pub(crate) fn pure_input_out(&self) -> Option<Vec<usize>> {
         self.out
             .iter()
             .map(|s| match s {
-                VirtSrc::Input(c) => Some(*c),
+                VirtSrc::Input(c) => Some(*c as usize),
                 _ => None,
             })
             .collect()
     }
 
-    /// Bind the stage kernels to `rel`'s cached column chunks. Stored
-    /// columns are type-uniform, so a non-empty chunk's variant is its
-    /// schema type's; an empty input runs no batch.
+    /// Bind the stage kernels to `rel`'s columns, whose variants are
+    /// their schema types.
     pub(crate) fn bind<'a>(&'a self, rel: &'a Rel) -> BoundChain<'a> {
         let chunks = self
             .stages
@@ -1181,7 +1193,7 @@ impl ChainProg {
                     .kernel()
                     .columns()
                     .iter()
-                    .map(|&c| rel.typed_col(rel.raw_col(c as usize)))
+                    .map(|&c| rel.col(c as usize).clone())
                     .collect()
             })
             .collect();
@@ -1194,7 +1206,7 @@ impl ChainProg {
 }
 
 /// The surviving rows and carried columns a chain produced, in visible
-/// order. `rows` holds **buffer** row indices of the chain input; every
+/// order. `rows` holds **column** row indices of the chain input; every
 /// carry register holds exactly `rows.len()` cells.
 #[derive(Debug)]
 pub(crate) struct StreamChunk {
@@ -1233,7 +1245,7 @@ impl BoundChain<'_> {
             batches: 0,
         };
         let mut rows_b: Vec<u32> = Vec::with_capacity(BATCH_ROWS.min(n));
-        let sel = self.rel.sel_map();
+        let sel = self.rel.sel();
         let mut i = 0;
         while i < n {
             let hi = (i + BATCH_ROWS).min(n);
@@ -1361,9 +1373,7 @@ mod tests {
     /// `e` over every row of `r` by the scalar oracle, or its first error.
     fn oracle_column(e: &Expr, r: &Rel) -> Result<Vec<Value>, EngineError> {
         let bound = bind(e, &r.schema)?;
-        (0..r.len())
-            .map(|i| eval(&bound, &r.owned_row(i)))
-            .collect()
+        (0..r.len()).map(|i| eval(&bound, &r.row(i))).collect()
     }
 
     /// Kernel result == scalar oracle result, row for row (errors by
@@ -1527,18 +1537,6 @@ mod tests {
         assert_eq!(guards(&Expr::col("p")), 0);
     }
 
-    #[test]
-    fn col_map_remaps_loads_to_buffer_columns() {
-        let r = rel(80);
-        // a view exposing only (b, d): visible column 0 is buffer column 1,
-        // visible column 1 is buffer column 2
-        let view = r.with_cols(Schema::of(&[("b", Ty::Int), ("d", Ty::Dbl)]), vec![1, 2]);
-        assert_matches_oracle(
-            &Expr::bin(BinOp::Gt, Expr::col("d"), Expr::lit(5.0f64)),
-            &view,
-        );
-    }
-
     /// filter → compute → filter → project → attach as one chain program,
     /// checked cell-for-cell against the scalar operators applied one at
     /// a time.
@@ -1594,19 +1592,20 @@ mod tests {
         assert_eq!(prog.out_schema().cols().len(), 3);
     }
 
-    /// A chain over a narrowed view loads through the view's column remap.
+    /// A chain over a projected selection loads the picked columns at the
+    /// selected rows.
     #[test]
-    fn chain_binds_through_column_remaps() {
-        let r = rel(100);
-        let view = r.with_cols(Schema::of(&[("b", Ty::Int), ("d", Ty::Dbl)]), vec![1, 2]);
+    fn chain_binds_to_projected_selections() {
+        let r = rel(100).with_sel((0..100).rev().collect());
+        let view = r.project(Schema::of(&[("b", Ty::Int), ("d", Ty::Dbl)]), &[1, 2]);
         let mut b = ChainBuilder::new(&view.schema);
         b.filter(&Expr::bin(BinOp::Gt, Expr::col("d"), Expr::lit(25.0f64)))
             .unwrap();
         let prog = b.finish();
         assert_eq!(prog.pure_input_out(), Some(vec![0, 1]));
         let chunk = prog.bind(&view).run().unwrap();
-        // d = i/2 > 25 → i > 50
-        assert_eq!(chunk.rows, (51..100).collect::<Vec<u32>>());
+        // d = i/2 > 25 → i > 50, in the selection's (descending) order
+        assert_eq!(chunk.rows, (51..100).rev().collect::<Vec<u32>>());
     }
 
     /// Chain errors keep the oracle's message and honor earlier filters:

@@ -3,7 +3,7 @@
 //! above `ferry-storage` that the storage crate's own fault suite
 //! cannot see.
 
-use ferry_algebra::{Row, RowBuf, Schema, Ty, Value};
+use ferry_algebra::{Rel, Row, Schema, Ty, Value};
 use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
 use ferry_storage::{Fault, FaultFs, Vfs, COMMIT_LOG, SNAPSHOT_FILE};
 use std::path::Path;
@@ -196,34 +196,37 @@ fn install_table_is_logged_with_its_rows() {
             BaseTable {
                 schema: Schema::of(&[("n", Ty::Int)]),
                 keys: vec!["n".into()],
-                rows: Arc::new(RowBuf::new(vec![vec![v(7)], vec![v(8)]])),
+                rows: Rel::new(Schema::of(&[("n", Ty::Int)]), vec![vec![v(7)], vec![v(8)]]),
             },
         )
         .unwrap();
     }
     let db = open(&vfs, config()).unwrap();
     assert_eq!(
-        db.table("imported").unwrap().rows.rows(),
+        db.table("imported").unwrap().rows.rows().as_ref(),
         &[vec![v(7)], vec![v(8)]]
     );
 }
 
-/// `install_table` checks its rows as an insert does: a short row or a
-/// mistyped cell is a `TableMismatch`, and nothing reaches the log or the
-/// catalog. Missing key columns stay unchecked (the escape hatch).
+/// `install_table` checks its rows' columns against the schema: too few
+/// columns or a mistyped one is a `TableMismatch`, and nothing reaches
+/// the log or the catalog. Missing key columns stay unchecked (the escape
+/// hatch).
 #[test]
 fn a_mistyped_install_is_refused_and_logs_nothing() {
     let vfs = Arc::new(FaultFs::new());
     let db = open(&vfs, config()).unwrap();
     let before = vfs.read(COMMIT_LOG).unwrap();
-    for rows in [vec![vec![v(7)]], vec![vec![v(7), v(8)]]] {
+    let short = Rel::new(Schema::of(&[("id", Ty::Int)]), vec![vec![v(7)]]);
+    let ints = Schema::of(&[("id", Ty::Int), ("name", Ty::Int)]);
+    for rows in [short, Rel::new(ints, vec![vec![v(7), v(8)]])] {
         let err = db
             .install_table(
                 "imported",
                 BaseTable {
                     schema: people_schema(),
                     keys: vec!["zzz".into()],
-                    rows: Arc::new(RowBuf::new(rows)),
+                    rows,
                 },
             )
             .unwrap_err();
@@ -254,7 +257,7 @@ fn replacing_a_table_inside_a_transaction_recovers_as_committed() {
         tx.insert("people", vec![vec![v(6), s("fay")]])
     })
     .unwrap();
-    let want = db.table("people").unwrap().rows.rows().to_vec();
+    let want = db.table("people").unwrap().rows.rows().into_owned();
     assert_eq!(want, vec![vec![v(5), s("eve")], vec![v(6), s("fay")]]);
     drop(db);
     vfs.crash();

@@ -79,7 +79,7 @@ fn concurrent_writers_share_fsyncs_at_least_4x_and_stay_durable() {
     drop(db);
     vfs.crash();
     let db = open(&vfs);
-    let rows = db.table("ledger").unwrap().rows.rows().to_vec();
+    let rows = db.table("ledger").unwrap().rows.rows().into_owned();
     assert_eq!(rows.len(), commits as usize, "an acked commit was lost");
     for w in 0..WRITERS {
         for seq in 0..COMMITS_PER_WRITER {

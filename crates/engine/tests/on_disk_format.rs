@@ -13,11 +13,10 @@
 //!   its layout (`shard-meta`, `snap-0`, `commitlog`). It is refused
 //!   `Unsupported`, and every file is left as it was.
 
-use ferry_algebra::{Row, RowBuf, Schema, Ty, Value};
+use ferry_algebra::{Rel, Row, Schema, Ty, Value};
 use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 fn config() -> DurabilityConfig {
     DurabilityConfig::with_fsync(FsyncPolicy::Always)
@@ -95,10 +94,13 @@ fn fixture_script(db: &Database) {
         BaseTable {
             schema: Schema::of(&[("n", Ty::Int), ("ok", Ty::Bool)]),
             keys: vec!["n".into()],
-            rows: Arc::new(RowBuf::new(vec![
-                vec![Value::Int(7), Value::Bool(true)],
-                vec![Value::Int(8), Value::Bool(false)],
-            ])),
+            rows: Rel::new(
+                Schema::of(&[("n", Ty::Int), ("ok", Ty::Bool)]),
+                vec![
+                    vec![Value::Int(7), Value::Bool(true)],
+                    vec![Value::Int(8), Value::Bool(false)],
+                ],
+            ),
         },
     )
     .unwrap();

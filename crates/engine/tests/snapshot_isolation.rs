@@ -47,7 +47,7 @@ fn pinned_snapshot_gives_repeatable_reads_across_commits() {
     let pinned_epoch = snap.epoch();
     let mut plan = Plan::new();
     let root = scan_accounts(&mut plan);
-    let before = snap.execute(&plan, root).unwrap().rows().to_vec();
+    let before = snap.execute(&plan, root).unwrap().rows().into_owned();
 
     // five commits land while the snapshot stays pinned
     for i in 0..5 {

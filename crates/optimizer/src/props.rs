@@ -198,17 +198,13 @@ fn derive(node: &Node, schemas: &Schemas, props: &[Props]) -> Props {
     };
     match node {
         Node::TableRef { .. } => Props::default(),
-        Node::Lit { schema, rows } => match rows.len() {
+        Node::Lit { rel } => match rel.len() {
             0 => Props {
                 keys: vec![vec![]],
                 ..Props::default()
             },
             1 => Props {
-                consts: schema
-                    .names()
-                    .cloned()
-                    .zip(rows[0].iter().cloned())
-                    .collect(),
+                consts: rel.schema.names().cloned().zip(rel.row(0)).collect(),
                 one_row: true,
                 keys: vec![],
             },

@@ -14,15 +14,14 @@
 
 use ferry_algebra::plan::{cn, Aggregate};
 use ferry_algebra::{
-    infer_node, AggFun, BinOp, ColName, Dir, Expr, JoinCols, Node, NodeId, Plan, Row, Schema, Ty,
-    Value,
+    infer_node, AggFun, BinOp, ColName, Dir, Expr, JoinCols, Node, NodeId, Plan, Rel, Row, Schema,
+    Ty, Value,
 };
 use ferry_engine::Database;
 use ferry_optimizer::passes::join_elimination;
 use ferry_optimizer::props::{self, Lineage};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 // ------------------------------------------------------------ generator
 
@@ -287,8 +286,10 @@ impl Gen {
                 let (k, other) = (self.fresh(), self.fresh());
                 let value = Value::Int((self.word() % 3) as i64);
                 let row = self.add(Node::Lit {
-                    schema: Schema::new(vec![(k.clone(), Ty::Int), (other, Ty::Int)]),
-                    rows: Arc::new(vec![vec![value, Value::Int(7)]].into()),
+                    rel: Rel::new(
+                        Schema::new(vec![(k.clone(), Ty::Int), (other, Ty::Int)]),
+                        vec![vec![value, Value::Int(7)]],
+                    ),
                 });
                 let row = row.expect("a literal always checks");
                 match self.word() % 3 {
@@ -437,13 +438,14 @@ fn generate(words: Vec<u64>) -> (Plan, Vec<Schema>) {
     let rows = (0..2 + w % 4).map(|i| vec![int((w >> (2 * i)) % 3), int((w >> (3 * i)) % 2)]);
     let (a, b) = (g.fresh(), g.fresh());
     g.add(Node::Lit {
-        schema: Schema::new(vec![(a, Ty::Int), (b, Ty::Int)]),
-        rows: Arc::new(rows.collect::<Vec<Row>>().into()),
+        rel: Rel::new(
+            Schema::new(vec![(a, Ty::Int), (b, Ty::Int)]),
+            rows.collect::<Vec<Row>>(),
+        ),
     });
     let one = g.fresh();
     g.add(Node::Lit {
-        schema: Schema::new(vec![(one, Ty::Nat)]),
-        rows: Arc::new(vec![vec![Value::Nat(1)]].into()),
+        rel: Rel::new(Schema::new(vec![(one, Ty::Nat)]), vec![vec![Value::Nat(1)]]),
     });
     let (k, v) = (g.fresh(), g.fresh());
     g.add(Node::TableRef {

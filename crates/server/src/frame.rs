@@ -5,6 +5,13 @@
 //! a stream (unlike a file) cannot be re-scanned for the next valid
 //! frame, any framing-level damage tears down the connection.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use ferry_storage::frame::{crc32, write_frame, FRAME_HEADER};
 use std::io::{ErrorKind, Read, Write};
 
@@ -80,8 +87,8 @@ fn fill(
     mid_frame: bool,
     poll: &mut dyn FnMut(bool) -> Poll,
 ) -> Result<FillEnd, FrameError> {
-    while *got < buf.len() {
-        match r.read(&mut buf[*got..]) {
+    while let Some(rest) = buf.get_mut(*got..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => return Ok(FillEnd::Eof),
             Ok(n) => *got += n,
             Err(e)
@@ -120,8 +127,9 @@ pub fn read_wire_frame(
         }
         FillEnd::Stopped => return Ok(None),
     }
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-    let stored = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    let stored = u32::from_le_bytes([c0, c1, c2, c3]);
     if len > MAX_WIRE_LEN {
         return Err(FrameError::Malformed(format!(
             "frame length {len} exceeds the wire ceiling ({MAX_WIRE_LEN})"
@@ -154,6 +162,12 @@ pub fn read_wire_frame_blocking(r: &mut impl Read) -> Result<Vec<u8>, FrameError
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use std::io::Cursor;

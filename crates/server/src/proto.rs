@@ -9,6 +9,13 @@
 //! never a panic, and trailing bytes after a message are rejected (a
 //! writer/reader disagreement is corruption, exactly as on disk).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use ferry_algebra::{Row, Schema, Value};
 use ferry_storage::codec::{Dec, Enc};
 
@@ -301,6 +308,12 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use ferry_algebra::Ty;

@@ -202,7 +202,8 @@ impl<'a> Gen<'a> {
                     .collect();
                 Ok(format!("SELECT {} FROM {name} AS {a}", items.join(", ")))
             }
-            Node::Lit { schema, rows } => {
+            Node::Lit { rel } => {
+                let (schema, rows) = (&rel.schema, rel.rows());
                 if rows.is_empty() {
                     let items: Vec<String> = schema
                         .cols()
