@@ -4,10 +4,11 @@
 //! paper artefact — a regression guard for the substrate that all
 //! measured experiments run on.
 //!
-//! Each operator runs on the production path, chain programs + typed
-//! sinks, under the ids `{operator}_fused/{rows}` — the suffix predates
-//! the removal of the unfused kernel path and stays so the pins in
-//! `BENCH_engine.json` keep comparing like with like. The row-at-a-time
+//! Each operator runs on the production path, one kernel or typed sink
+//! per plan node, under the ids `{operator}_fused/{rows}` — the suffix
+//! predates the removal of the unfused kernel path and of pipeline
+//! fusion, and stays so the pins in `BENCH_engine.json` keep comparing
+//! like with like. The row-at-a-time
 //! oracle (`VecMode::Off`) is timed by no bench: no production query
 //! runs it.
 
@@ -108,8 +109,8 @@ fn bench_engine(c: &mut Criterion) {
     }
 
     // filter → project → sort at 100k rows: the copy-free chain — a
-    // selection vector, composed with a column remap, composed with a
-    // sorted selection vector, all over one shared buffer
+    // selection vector, then picked column `Arc`s, then a sorted
+    // selection vector, all over the literal's shared columns
     {
         let mut plan = Plan::new();
         let l = plan.lit(
@@ -124,8 +125,8 @@ fn bench_engine(c: &mut Criterion) {
         bench_fused(&mut group, "serialize", M, &plan, ser);
     }
 
-    // an 8-operator arithmetic chain at 100k rows: the expression-bound
-    // workload the kernel compiler exists for
+    // an 8-operator arithmetic expression in one `Compute` at 100k rows:
+    // the expression-bound workload the kernel compiler exists for
     {
         let mut plan = Plan::new();
         let l = plan.lit(
@@ -165,10 +166,9 @@ fn bench_engine(c: &mut Criterion) {
     }
 
     // compute → filter-on-the-computed-column → row numbering at 100k
-    // rows: the chain-program showcase. Batches stream through the
-    // kernels and only survivors are ever built, where node at a time the
-    // compute would materialise all 100k rows before the filter throws 70%
-    // of them away
+    // rows, one evaluation per node: the compute adds one column beside
+    // the literal's shared ones, the filter keeps 30% of the rows as a
+    // selection vector over them, and the window gathers only those
     {
         let mut plan = Plan::new();
         let l = plan.lit(
@@ -197,8 +197,8 @@ fn bench_engine(c: &mut Criterion) {
     }
 
     // scan → filter → join-probe: 100k probe rows filtered to 10k, joined
-    // against a 10k build side. The chain hands its selection vector
-    // straight to the join's probe loop
+    // against a 10k build side. The filter's selection vector is the
+    // join's probe input
     {
         let mut plan = Plan::new();
         let probe = plan.lit(

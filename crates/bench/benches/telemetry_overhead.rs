@@ -72,7 +72,7 @@ fn bench_overhead(c: &mut Criterion) {
         bench_levels(&mut group, "filter", M, &plan, f);
     }
 
-    // the 8-operator arithmetic chain at 100k rows — kernel-bound, so
+    // the 8-operator arithmetic expression at 100k rows — kernel-bound, so
     // relative overhead is small and per-span cost is what remains
     {
         let mut plan = Plan::new();

@@ -768,22 +768,17 @@ impl Connection {
                     ferry_engine::ExecPath::Scalar => "scalar".to_string(),
                     ferry_engine::ExecPath::Vectorized => format!("vec({})", p.batches),
                 };
-                let label = if p.fused.is_empty() {
-                    p.label.to_string()
-                } else {
-                    format!("pipeline[{}]", p.fused.join("\u{2192}"))
-                };
                 let _ = writeln!(
                     out,
                     "node {:>3}  {:<12} {:<10} {:>9} rows  {:?}",
-                    p.node, label, path, p.rows, p.elapsed
+                    p.node, p.label, path, p.rows, p.elapsed
                 );
             }
         }
         let _ = writeln!(
             out,
-            "vec nodes: {}  kernel batches: {}  fused pipelines: {}  fused nodes: {}",
-            stats.vec_nodes, stats.kernel_batches, stats.fused_pipelines, stats.fused_nodes
+            "vec nodes: {}  kernel batches: {}",
+            stats.vec_nodes, stats.kernel_batches
         );
         let recorded = telemetry
             .traces()

@@ -672,27 +672,69 @@ fn explain_analyze_names_the_vectorized_path() {
     assert!(!vec_line.contains("vec nodes: 0"), "{text}");
 }
 
+/// Each facility category with its features' meanings.
+type Categories = Q<Vec<(String, Vec<String>)>>;
+
+/// The paper's running example (§2) over a few rows of its Figure 1
+/// tables: a 2-query bundle.
+fn running_example() -> (Connection, Categories) {
+    let db = Database::new();
+    for (name, cols, rows) in [
+        (
+            "facilities",
+            [("fac", "cat")],
+            vec![("SQL", "QLA"), ("LINQ", "LIN"), ("Links", "LIN")],
+        ),
+        (
+            "features",
+            [("fac", "feature")],
+            vec![("SQL", "aval"), ("LINQ", "nest"), ("Links", "comp")],
+        ),
+        (
+            "meanings",
+            [("feature", "meaning")],
+            vec![
+                ("aval", "avoids avalanches"),
+                ("nest", "nests"),
+                ("comp", "composes"),
+            ],
+        ),
+    ] {
+        let (a, b) = cols[0];
+        db.create_table(name, Schema::of(&[(a, Ty::Str), (b, Ty::Str)]), vec![a])
+            .unwrap();
+        let rows = rows
+            .iter()
+            .map(|&(x, y)| vec![Value::str(x), Value::str(y)]);
+        db.insert(name, rows.collect()).unwrap();
+    }
+    let descr = |f: Q<String>| {
+        ferry::comp!(
+            (mean.clone())
+            for (fac, feat2) in table::<(String, String)>("features"),
+            if fac.eq(&f),
+            for (feat, mean) in table::<(String, String)>("meanings"),
+            if feat.eq(&feat2)
+        )
+    };
+    let q = ferry::comp!(
+        (pair(the(cat), nub(concat_map(descr, fac))))
+        for (cat, fac) in table::<(String, String)>("facilities"),
+        group by fst
+    );
+    (Connection::new(db), q)
+}
+
 #[test]
-fn explain_analyze_names_fused_pipelines() {
-    let c = conn();
-    // filter → compute chains into the serialize sink; the profile must
-    // name the group's members on one line whose path is `vec(batches)`
-    // (chain batches plus the typed sink's)
-    let text = c
-        .explain_analyze(&map(
-            |x: Q<i64>| x % toq(&2i64),
-            filter(|x: Q<i64>| x.lt(&toq(&100i64)), nums()),
-        ))
-        .unwrap();
-    let chain = text
-        .lines()
-        .find(|l| l.contains("pipeline[") && l.contains("select") && l.contains("compute"))
-        .unwrap_or_else(|| panic!("no select/compute pipeline in:\n{text}"));
-    assert!(chain.contains("vec(2)"), "{text}");
-    assert!(!text.contains("fused("), "{text}");
-    let line = text
-        .lines()
-        .find(|l| l.starts_with("vec nodes:"))
-        .expect("counter line");
-    assert!(!line.contains("fused pipelines: 0"), "{text}");
+fn explain_analyze_prints_one_line_per_evaluated_node() {
+    let (c, q) = running_example();
+    check(&c, &q);
+    c.database().reset_stats();
+    let text = c.explain_analyze(&q).unwrap();
+    // every evaluated plan node is one evaluation with its own line
+    let nodes = text.lines().filter(|l| l.starts_with("node ")).count();
+    assert_eq!(nodes as u64, c.database().stats().nodes_evaluated, "{text}");
+    assert!(nodes > 10, "{text}");
+    assert!(!text.contains("pipeline["), "{text}");
+    assert!(!text.contains("fused"), "{text}");
 }

@@ -222,8 +222,6 @@ struct EngineMetrics {
     cache_misses: Arc<Counter>,
     vec_nodes: Arc<Counter>,
     kernel_batches: Arc<Counter>,
-    fused_pipelines: Arc<Counter>,
-    fused_nodes: Arc<Counter>,
     checkpoint_failures: Arc<Counter>,
     query_latency_ns: Arc<Histogram>,
     /// The published catalog epoch (gauge, monotone under one process).
@@ -248,8 +246,6 @@ impl EngineMetrics {
             cache_misses: counter(names::RUNTIME_CACHE_MISSES),
             vec_nodes: counter(names::ENGINE_VEC_NODES),
             kernel_batches: counter(names::ENGINE_KERNEL_BATCHES),
-            fused_pipelines: counter(names::ENGINE_FUSED_PIPELINES),
-            fused_nodes: counter(names::ENGINE_FUSED_NODES),
             checkpoint_failures: counter(names::STORAGE_CHECKPOINT_FAILURES),
             query_latency_ns: registry
                 .histogram(names::ENGINE_QUERY_LATENCY_NS)
@@ -967,8 +963,6 @@ impl Database {
             cache_misses: m.cache_misses.get(),
             vec_nodes: m.vec_nodes.get(),
             kernel_batches: m.kernel_batches.get(),
-            fused_pipelines: m.fused_pipelines.get(),
-            fused_nodes: m.fused_nodes.get(),
             profiles: self.profiles.lock().unwrap().clone(),
         }
     }
@@ -1178,8 +1172,6 @@ impl<'db> Snapshot<'db> {
             m.rows_produced.add(local.rows_produced);
             m.vec_nodes.add(local.vec_nodes);
             m.kernel_batches.add(local.kernel_batches);
-            m.fused_pipelines.add(local.fused_pipelines);
-            m.fused_nodes.add(local.fused_nodes);
             m.query_latency_ns.record(elapsed_ns);
             db.profiles.lock().unwrap().push(profile);
         }

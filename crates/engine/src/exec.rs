@@ -7,8 +7,8 @@
 //!    per schema column plus a selection vector ([`Rel`]). `TableRef` and
 //!    `Lit` hand out the catalog's / plan's own columns; `Select`,
 //!    `Distinct`, semi/anti joins and `Serialize` emit *selection
-//!    vectors*; `Project` and `Serialize` pick column `Arc`s; a chain's
-//!    computed registers become columns beside its input's. Joins,
+//!    vectors*; `Project` and `Serialize` pick column `Arc`s; `Compute`
+//!    and `Attach` add one column beside their input's. Joins,
 //!    windows, group-by and `UnionAll` gather their output column by
 //!    column through index vectors. No operator builds an output row
 //!    outside the scalar oracle; a theta join evaluates its predicate
@@ -23,17 +23,15 @@
 //! Sorts break ties on row position, so every result is deterministic.
 //!
 //! Production runs **one** implementation per operator, at every input
-//! size. For the row-wise operators it is the **chain program**:
-//! [`form_pipelines`] groups each maximal `Select`/`Project`/`Compute`/
-//! `Attach` run — a lone operator is a chain of one — with its scan below
-//! and its sink above, and [`eval_pipeline`] streams the input through
-//! the compiled chain ([`crate::vec_eval`]) in 1024-row batches. For the
-//! sinks (joins, windows, group-by, distinct, difference, serialize) it
-//! is the typed branch of their [`eval_node`] arm. The scalar arms
-//! (row-at-a-time over [`crate::eval`]) are the differential oracle:
-//! they run only under `VecMode::Off`, which forms no pipelines, and a
-//! sink picks its scalar arm by that mode alone. The chain compiler
-//! refuses no well-typed expression (see the guard rule in
+//! size, and every plan node is **one evaluation** with its own profile
+//! entry. `Select` and `Compute` run one kernel ([`crate::vec_eval`])
+//! over their input's visible rows in 1024-row batches; `Project` and
+//! `Attach` pick and add columns; the sinks (joins, windows, group-by,
+//! distinct, difference, serialize) run the typed branch of their
+//! [`eval_node`] arm. The scalar arms (row-at-a-time over
+//! [`crate::eval`]) are the differential oracle: they run only under
+//! `VecMode::Off`, and each arm picks by that mode alone. The kernel
+//! compiler refuses no well-typed expression (see the guard rule in
 //! [`crate::vec_eval`]), and the code kernels below take every column.
 //!
 //! Every key-consuming sink — equi-, semi- and anti-join, difference,
@@ -49,10 +47,10 @@ use crate::catalog::Snapshot;
 use crate::error::EngineError;
 use crate::eval::{bind, eval};
 use crate::stats::{ExecPath, NodeProfile, QueryStats};
-use crate::vec_eval::{ChainBuilder, ChainProg, ParConfig, Reg, VecMode, VirtSrc, BATCH_ROWS};
+use crate::vec_eval::{self, ParConfig, VecMode, BATCH_ROWS};
 use ferry_algebra::plan::Aggregate;
 use ferry_algebra::{
-    AggFun, ColName, ColVec, Dir, Node, NodeId, Plan, Rel, Row, Schema, SortSpec, Value,
+    AggFun, ColName, ColVec, Dir, Node, NodeId, Plan, Rel, Row, Schema, SortSpec, Ty, Value,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -97,93 +95,55 @@ pub fn run_many(
         }
         stack.extend(plan.node(id).children());
     }
-    // a node's path is the mode; the oracle forms no pipelines, so every
-    // node runs its own scalar operator
-    let ((pipelines, grouped), path) = match cfg.vec {
-        VecMode::On => (form_pipelines(plan, roots, &needed), ExecPath::Vectorized),
-        VecMode::Off => ((HashMap::new(), vec![false; plan.len()]), ExecPath::Scalar),
+    // a node's path is the mode
+    let path = match cfg.vec {
+        VecMode::On => ExecPath::Vectorized,
+        VecMode::Off => ExecPath::Scalar,
     };
     let mut results: Vec<Option<Rel>> = vec![None; plan.len()];
     for idx in 0..plan.len() {
-        // pipeline-absorbed nodes have no evaluation of their own — the
-        // group's tail evaluates them
-        if !needed[idx] || grouped[idx] {
+        if !needed[idx] {
             continue;
         }
         let id = NodeId(idx as u32);
-        let mut m = NodeMetrics {
-            start_ns: ferry_telemetry::now_ns(),
-            ..NodeMetrics::default()
-        };
+        let mut m = NodeMetrics::default();
+        let start_ns = ferry_telemetry::now_ns();
         let start = Instant::now();
-        let rel = match pipelines.get(&idx) {
-            Some(spec) => eval_pipeline(snap, plan, spec, schemas, &results, &cfg, &mut m),
-            None => eval_node(snap, plan, id, schemas, &results, None, &cfg, &mut m),
-        }?;
-        m.elapsed = start.elapsed();
-        // a pipeline tail accounts for every member it evaluated
-        let covered = m.covered.max(1) as u64;
+        let rel = eval_node(snap, plan, id, schemas, &results, &cfg, &mut m)?;
+        let elapsed = start.elapsed();
         // under `On` a view-only node (a scan, a projection) runs no row code
         // of either kind and counts as vec
         if path == ExecPath::Vectorized {
-            stats.vec_nodes += covered;
+            stats.vec_nodes += 1;
         }
-        stats.nodes_evaluated += covered;
+        stats.nodes_evaluated += 1;
         stats.rows_produced += rel.len() as u64;
-        if covered > 1 {
-            stats.fused_pipelines += 1;
-            stats.fused_nodes += covered;
-        }
         stats.kernel_batches += m.batches as u64;
         let label = plan.node(id).label();
-        // member labels in scan→sink order, for profiles and spans
-        let fused_labels: Vec<&'static str> = pipelines
-            .get(&idx)
-            .filter(|spec| spec.members > 1)
-            .map(|spec| {
-                let mut v = Vec::new();
-                if let PipeInput::Scan(s) = spec.input {
-                    v.push(plan.node(s).label());
-                }
-                v.extend(spec.mids.iter().map(|&mid| plan.node(mid).label()));
-                if let Some(sink) = spec.sink {
-                    v.push(plan.node(sink).label());
-                }
-                v
-            })
-            .unwrap_or_default();
         if ferry_telemetry::tracing_active() {
             // post-hoc span: the node was timed above; record it
             // under the dispatch span so every plan node shows up in the
             // query trace
-            let mut attrs: Vec<(&'static str, ferry_telemetry::AttrVal)> = vec![
-                ("node", id.0.into()),
-                ("rows", (rel.len() as u64).into()),
-                ("path", path.to_string().into()),
-                ("batches", m.batches.into()),
-            ];
-            let (span_label, event) = if fused_labels.is_empty() {
-                (label, "exec.node")
-            } else {
-                attrs.push(("nodes", fused_labels.join("→").into()));
-                ("pipeline", "exec.pipeline")
-            };
             ferry_telemetry::record_span(
-                span_label,
-                event,
-                m.start_ns,
-                m.elapsed.as_nanos() as u64,
-                attrs,
+                label,
+                "exec.node",
+                start_ns,
+                elapsed.as_nanos() as u64,
+                vec![
+                    ("node", id.0.into()),
+                    ("rows", (rel.len() as u64).into()),
+                    ("path", path.to_string().into()),
+                    ("batches", m.batches.into()),
+                ],
             );
         }
         prof.push(NodeProfile {
             node: id.0,
             label,
             rows: rel.len() as u64,
-            elapsed: m.elapsed,
+            elapsed,
             path,
             batches: m.batches,
-            fused: fused_labels,
         });
         results[idx] = Some(rel);
     }
@@ -193,18 +153,13 @@ pub fn run_many(
         .collect())
 }
 
-/// Per-node execution metrics, folded into [`QueryStats`].
+/// Per-node work, folded into [`QueryStats`] and the node's profile.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeMetrics {
-    /// Evaluation start on the telemetry clock (for post-hoc spans).
-    start_ns: u64,
-    elapsed: std::time::Duration,
-    /// Kernel batches executed by chain programs and typed sinks (`0`
-    /// for a view-only node, an empty input, or the scalar oracle).
+    /// Kernel batches executed by the node's kernel or typed sink (`0`
+    /// for a node that runs neither, an empty input, or the scalar
+    /// oracle).
     batches: u32,
-    /// Plan nodes this evaluation covered: `0` for ordinary nodes, the
-    /// group size for pipeline tails.
-    covered: u32,
 }
 
 impl NodeMetrics {
@@ -214,242 +169,9 @@ impl NodeMetrics {
     }
 }
 
-/// Where a pipeline chain's input comes from.
-#[derive(Debug, Clone, Copy)]
-enum PipeInput {
-    /// A single-consumer `TableRef`/`Lit` absorbed into the group,
-    /// evaluated inline by the tail (zero-copy either way).
-    Scan(NodeId),
-    /// An ordinary node, evaluated before the tail.
-    Node(NodeId),
-}
-
-/// A maximal chain — one chain operator at least — grouped structurally
-/// at dispatch time and evaluated by [`eval_pipeline`] in its tail's
-/// place. Results never depend on grouping: the oracle evaluates the
-/// same members one at a time.
-#[derive(Debug)]
-struct PipelineSpec {
-    input: PipeInput,
-    /// Chain operators (Select/Project/Compute/Attach) bottom-up; each is
-    /// the sole consumer of its predecessor. When the group's tail is
-    /// itself a chain op, it is the last entry here and `sink` is `None`.
-    mids: Vec<NodeId>,
-    /// A sink tail (window / join probe / group-by / serialize) consuming
-    /// the chain's output.
-    sink: Option<NodeId>,
-    /// Total plan nodes in the group (scan + mids + sink).
-    members: u32,
-}
-
-/// Is this node a chain member?
-fn is_chain_op(n: &Node) -> bool {
-    matches!(
-        n,
-        Node::Select { .. } | Node::Project { .. } | Node::Compute { .. } | Node::Attach { .. }
-    )
-}
-
-/// The input a pipeline chain extends through: the lone input of chain
-/// ops and sinks, the probe (left) side of hash joins. `None` for
-/// operators that break pipelines (build sides, set ops, cross/theta
-/// joins, leaves).
-fn chain_child(n: &Node) -> Option<NodeId> {
-    match n {
-        Node::Select { input, .. }
-        | Node::Project { input, .. }
-        | Node::Compute { input, .. }
-        | Node::Attach { input, .. }
-        | Node::RowNum { input, .. }
-        | Node::RowRank { input, .. }
-        | Node::DenseRank { input, .. }
-        | Node::GroupBy { input, .. }
-        | Node::Serialize { input, .. } => Some(*input),
-        Node::EquiJoin { left, .. } | Node::SemiJoin { left, .. } | Node::AntiJoin { left, .. } => {
-            Some(*left)
-        }
-        _ => None,
-    }
-}
-
-/// Greedily group maximal chains, keyed by tail node index; also returns
-/// which nodes a group absorbed (they get no evaluation of their own).
-/// Walking tails top-down (descending index) gives each chain to its
-/// topmost consumer; a member must have exactly one consumer across all
-/// roots so absorbing it cannot recompute or starve a shared sub-plan.
-fn form_pipelines(
-    plan: &Plan,
-    roots: &[NodeId],
-    needed: &[bool],
-) -> (HashMap<usize, PipelineSpec>, Vec<bool>) {
-    let mut consumers = vec![0u32; plan.len()];
-    for (idx, &need) in needed.iter().enumerate() {
-        if !need {
-            continue;
-        }
-        for c in plan.node(NodeId(idx as u32)).children() {
-            consumers[c.index()] += 1;
-        }
-    }
-    for r in roots {
-        consumers[r.index()] += 1;
-    }
-    let mut grouped = vec![false; plan.len()];
-    let mut pipelines: HashMap<usize, PipelineSpec> = HashMap::new();
-    for idx in (0..plan.len()).rev() {
-        if !needed[idx] || grouped[idx] {
-            continue;
-        }
-        let id = NodeId(idx as u32);
-        let node = plan.node(id);
-        let Some(mut cur) = chain_child(node) else {
-            continue;
-        };
-        let sink = (!is_chain_op(node)).then_some(id);
-        let mut mids: Vec<NodeId> = Vec::new();
-        if sink.is_none() {
-            mids.push(id);
-        }
-        while is_chain_op(plan.node(cur)) && consumers[cur.index()] == 1 && !grouped[cur.index()] {
-            mids.push(cur);
-            cur = chain_child(plan.node(cur)).expect("chain ops have an input");
-        }
-        let absorb_scan = matches!(plan.node(cur), Node::TableRef { .. } | Node::Lit { .. })
-            && consumers[cur.index()] == 1
-            && !grouped[cur.index()];
-        mids.reverse();
-        // a sink straight over its input is just ordinary evaluation; a
-        // lone chain op is a chain of one
-        if mids.is_empty() {
-            continue;
-        }
-        let members = mids.len() as u32 + u32::from(sink.is_some()) + u32::from(absorb_scan);
-        let input = if absorb_scan {
-            grouped[cur.index()] = true;
-            PipeInput::Scan(cur)
-        } else {
-            PipeInput::Node(cur)
-        };
-        for &mid in &mids {
-            grouped[mid.index()] = true;
-        }
-        grouped[idx] = false; // the tail keeps its own evaluation
-        pipelines.insert(
-            idx,
-            PipelineSpec {
-                input,
-                mids,
-                sink,
-                members,
-            },
-        );
-    }
-    (pipelines, grouped)
-}
-
-/// Evaluate a pipeline group in its tail's place: compile the chain ops
-/// into one batch program ([`ChainBuilder`]), stream the input through it
-/// batch by batch, and hand the chain's output straight to the sink.
-fn eval_pipeline(
-    snap: &Snapshot<'_>,
-    plan: &Plan,
-    spec: &PipelineSpec,
-    schemas: &[Schema],
-    results: &[Option<Rel>],
-    cfg: &ParConfig,
-    m: &mut NodeMetrics,
-) -> Result<Rel, EngineError> {
-    m.covered = spec.members;
-    let scanned;
-    let input = match spec.input {
-        PipeInput::Scan(s) => {
-            scanned = eval_node(snap, plan, s, schemas, results, None, cfg, m)?;
-            &scanned
-        }
-        PipeInput::Node(n) => child(results, n),
-    };
-    let prog = build_chain(plan, input, &spec.mids, schemas)?;
-    let top = stream_chain(input, &prog, m)?;
-    match spec.sink {
-        Some(sink) => {
-            let over = Some((*spec.mids.last().expect("chains have mids"), &top));
-            eval_node(snap, plan, sink, schemas, results, over, cfg, m)
-        }
-        None => Ok(top),
-    }
-}
-
-/// Compile the chain ops into one batch program. It fails only as the
-/// members' oracle operators would before touching a row.
-fn build_chain(
-    plan: &Plan,
-    input: &Rel,
-    mids: &[NodeId],
-    schemas: &[Schema],
-) -> Result<ChainProg, EngineError> {
-    let mut b = ChainBuilder::new(&input.schema);
-    for &id in mids {
-        let out_schema = &schemas[id.index()];
-        match plan.node(id) {
-            Node::Select { pred, .. } => b.filter(pred)?,
-            Node::Compute { expr, .. } => b.compute(expr, out_schema)?,
-            Node::Project { cols, .. } => {
-                let idxs = cols
-                    .iter()
-                    .map(|(_, old)| {
-                        let s = b.schema();
-                        s.index_of(old).ok_or_else(|| no_such_col(s, old))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                b.project(&idxs, out_schema);
-            }
-            Node::Attach { value, .. } => b.attach(value, out_schema),
-            other => unreachable!("pipelines group chain ops only, not {}", other.label()),
-        }
-    }
-    Ok(b.finish())
-}
-
-/// Stream `input` through the chain program. The output shares the
-/// input's columns where it can: a pure-input chain's survivors are a
-/// selection over them, and a chain that kept every row of a dense input
-/// keeps them beside its carried registers, which become columns of their
-/// own. Otherwise the named input columns are gathered at the survivors.
-fn stream_chain(input: &Rel, prog: &ChainProg, m: &mut NodeMetrics) -> Result<Rel, EngineError> {
-    let out_schema = prog.out_schema().clone();
-    let picks = prog.pure_input_out();
-    if let (Some(cols), 0) = (&picks, prog.stage_count()) {
-        return Ok(input.project(out_schema, cols));
-    }
-    let chunk = prog.bind(input).run()?;
-    m.batches += chunk.batches;
-    if let Some(cols) = picks {
-        return Ok(input.with_sel(chunk.rows).project(out_schema, &cols));
-    }
-    let n = chunk.rows.len();
-    let whole = input.sel().is_none() && n == input.len();
-    // a carried register becomes a column only if an output names it,
-    // converted once however many do
-    let mut regs: Vec<Option<Reg>> = chunk.carries.into_iter().map(Some).collect();
-    let mut carried: Vec<Option<Arc<ColVec>>> = vec![None; regs.len()];
-    let cols = prog
-        .out()
-        .iter()
-        .zip(out_schema.cols())
-        .map(|(src, (_, ty))| match src {
-            VirtSrc::Input(c) if whole => input.col(*c as usize).clone(),
-            VirtSrc::Input(c) => Arc::new(input.col(*c as usize).gather(&chunk.rows)),
-            VirtSrc::Carry(k) => {
-                let k = *k as usize;
-                let reg = &mut regs[k];
-                carried[k]
-                    .get_or_insert_with(|| Arc::new(reg.take().expect("unconverted").into_col()))
-                    .clone()
-            }
-            VirtSrc::Const(v) => Arc::new(ColVec::from_cells(*ty, std::iter::repeat_n(v, n))),
-        })
-        .collect();
-    Ok(Rel::from_cols(out_schema, n, cols))
+/// `rel`'s columns at its visible rows: its own when it is dense.
+fn dense_cols(rel: &Rel) -> Vec<Arc<ColVec>> {
+    rel.gather((0..rel.len() as u32).collect())
 }
 
 fn child(results: &[Option<Rel>], id: NodeId) -> &Rel {
@@ -857,26 +579,19 @@ fn sort_by_codes(n: usize, cols: &[Vec<u64>]) -> Vec<u32> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn eval_node(
     snap: &Snapshot<'_>,
     plan: &Plan,
     id: NodeId,
     schemas: &[Schema],
     results: &[Option<Rel>],
-    over: Option<(NodeId, &Rel)>,
     cfg: &ParConfig,
     m: &mut NodeMetrics,
 ) -> Result<Rel, EngineError> {
     let out_schema = schemas[id.index()].clone();
-    // the sinks' scalar arms are the oracle's, and nothing else's
+    // the scalar arms are the oracle's, and nothing else's
     let oracle = cfg.vec == VecMode::Off;
-    // a pipeline tail hands its chain output in as `over`, standing in
-    // for the (never materialised) result of the child it names
-    let child = |c: NodeId| match over {
-        Some((o, rel)) if o == c => rel,
-        _ => child(results, c),
-    };
+    let child = |c: NodeId| child(results, c);
     match plan.node(id) {
         Node::TableRef { name, cols, .. } => {
             // base tables resolve in the pinned catalog; a miss falls
@@ -918,6 +633,13 @@ fn eval_node(
         Node::Lit { rel } => Ok(rel.with_schema(out_schema)),
         Node::Attach { input, value, .. } => {
             let rel = child(*input);
+            // one constant column beside the input's
+            if !oracle {
+                let mut cols = dense_cols(rel);
+                let consts = std::iter::repeat_n(value, rel.len());
+                cols.push(Arc::new(ColVec::from_cells(value.ty(), consts)));
+                return Ok(Rel::from_cols(out_schema, rel.len(), cols));
+            }
             let mut rows = Vec::with_capacity(rel.len());
             for i in 0..rel.len() {
                 let mut r = rel.row(i);
@@ -941,6 +663,15 @@ fn eval_node(
         }
         Node::Compute { input, expr, .. } => {
             let rel = child(*input);
+            // one kernel into one new column beside the input's
+            if !oracle {
+                let ty = out_schema.cols().last().map_or(Ty::Unit, |(_, t)| *t);
+                let (col, batches) = vec_eval::compute(expr, rel, ty)?;
+                m.batches += batches;
+                let mut cols = dense_cols(rel);
+                cols.push(Arc::new(col));
+                return Ok(Rel::from_cols(out_schema, rel.len(), cols));
+            }
             let bound = bind(expr, &rel.schema)?;
             let mut rows = Vec::with_capacity(rel.len());
             for i in 0..rel.len() {
@@ -953,6 +684,11 @@ fn eval_node(
         Node::Select { input, pred } => {
             // selection vector over the shared columns
             let rel = child(*input);
+            if !oracle {
+                let (keep, batches) = vec_eval::filter(pred, rel)?;
+                m.batches += batches;
+                return Ok(rel.with_sel(keep).with_schema(out_schema));
+            }
             let bound = bind(pred, &rel.schema)?;
             let mut keep = Vec::new();
             for i in 0..rel.len() {

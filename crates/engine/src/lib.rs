@@ -29,13 +29,13 @@
 //! thread that calls it; concurrency lives between queries (MVCC
 //! snapshots, the server's sessions), not inside one.
 //!
-//! Row-wise operators run in **vectorized** form ([`vec_eval`]): every
-//! maximal `Select`/`Project`/`Compute`/`Attach` run — a lone operator
-//! included — compiles to a chain of register-based kernel programs that
-//! streams typed column chunks 1024 rows per batch into its sink, at
-//! every input size. The scalar row-at-a-time interpreter is kept as the
-//! differential oracle only: `ParConfig::vec` (`VecMode::Off`) selects
-//! it, and the per-dispatch [`QueryProfile`] records the path.
+//! Row-wise operators run in **vectorized** form ([`vec_eval`]): a
+//! `Select` or `Compute` compiles its expression to one register-based
+//! kernel program that runs over typed column chunks 1024 rows per batch,
+//! at every input size. Every plan node is one evaluation, with one entry
+//! in the per-dispatch [`QueryProfile`]. The scalar row-at-a-time
+//! interpreter is kept as the differential oracle only: `ParConfig::vec`
+//! (`VecMode::Off`) selects it, and the profile records the path.
 //!
 //! ## Observability
 //!

@@ -20,19 +20,18 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
 
-/// Which execution path one evaluation — a plan node, or a pipeline
-/// chain under its tail — took. It is the dispatch's `VecMode`: `On`
-/// runs every node on its one production implementation, `Off` on the
-/// scalar oracle.
+/// Which execution path one plan node's evaluation took. It is the
+/// dispatch's `VecMode`: `On` runs every node on its one production
+/// implementation, `Off` on the scalar oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
     /// Row-at-a-time `Bound` interpretation — the differential oracle
     /// (`VecMode::Off`).
     #[default]
     Scalar,
-    /// The production path (`VecMode::On`): chain programs and typed
-    /// sinks. A view-only node (a scan, a projection) runs no row code of
-    /// either kind and is on it too, with zero batches.
+    /// The production path (`VecMode::On`): kernels and typed sinks. A
+    /// node that runs neither (a scan, a projection, an attach) is on it
+    /// too, with zero batches.
     Vectorized,
 }
 
@@ -59,14 +58,10 @@ pub struct NodeProfile {
     pub elapsed: Duration,
     /// Execution path the evaluation took (the dispatch's mode).
     pub path: ExecPath,
-    /// Kernel batches executed (`0` on the scalar path, for a view-only
-    /// node, and for an empty input).
+    /// Kernel batches this node's kernel or typed sink executed: one per
+    /// [`BATCH_ROWS`](crate::vec_eval::BATCH_ROWS) input rows (`0` on the
+    /// scalar path, for a node that runs neither, and for an empty input).
     pub batches: u32,
-    /// When this node is the tail of a pipeline group of two or more
-    /// plan nodes: the member operators' labels in scan→sink order
-    /// (empty for plain nodes and chains of one; the oracle forms no
-    /// groups).
-    pub fused: Vec<&'static str>,
 }
 
 /// The per-node profile of **one** dispatch (`execute` / `execute_bundle`
@@ -174,17 +169,12 @@ pub struct QueryStats {
     /// … and misses: compilations that went through the full
     /// loop-lifting + optimisation pipeline.
     pub cache_misses: u64,
-    /// Plan nodes covered by evaluations on the production path — every
-    /// node under `VecMode::On`, none under `Off` (every member of a
-    /// pipeline chain counts, like `nodes_evaluated`).
+    /// Node evaluations on the production path — every node under
+    /// `VecMode::On`, none under `Off`.
     pub vec_nodes: u64,
-    /// Total kernel batches executed by vectorized evaluations.
+    /// Total kernel batches executed by kernels and typed sinks (the sum
+    /// of the profiles' `batches`).
     pub kernel_batches: u64,
-    /// Pipeline groups of two or more plan nodes (one batch loop from scan
-    /// to sink, no intermediate relations).
-    pub fused_pipelines: u64,
-    /// Plan nodes those groups covered (tails included).
-    pub fused_nodes: u64,
     /// Per-node profiles of the most recent dispatches (ring of
     /// [`PROFILE_RING_CAP`], oldest first).
     pub profiles: ProfileRing,
@@ -214,7 +204,6 @@ mod tests {
             elapsed: Duration::from_micros(3),
             path: ExecPath::Scalar,
             batches: 0,
-            fused: Vec::new(),
         }
     }
 
@@ -240,8 +229,6 @@ mod tests {
             cache_misses: 1,
             vec_nodes: 3,
             kernel_batches: 9,
-            fused_pipelines: 1,
-            fused_nodes: 3,
             ..QueryStats::default()
         };
         s.profiles.push(profile(1));

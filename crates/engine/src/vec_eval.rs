@@ -8,22 +8,22 @@
 //! `Vec<i64>`), so the per-row cost is an add and a bounds check instead
 //! of an enum dispatch and a heap-happy `Value` clone.
 //!
-//! Kernels only ever run as stages of a **chain program**
-//! ([`ChainBuilder`] → [`ChainProg`]): the one vectorized form of a
-//! `Select`/`Project`/`Compute`/`Attach` run, a lone operator being a
-//! chain of one. `crate::exec` streams the chain's input through every
-//! stage batch by batch; there is no node-at-a-time kernel dispatch
-//! beside it. Under [`VecMode::On`] every chain runs this way, whatever
-//! its input size; the scalar operators run only under [`VecMode::Off`],
-//! as the differential oracle.
+//! A kernel is one plan node's expression: a `Select`'s predicate
+//! ([`filter`]) or a `Compute`'s value ([`compute`]), run over the
+//! node's input batch by batch. `crate::exec` evaluates every plan node
+//! on its own, so each node's kernel runs over its whole input before the
+//! next node starts. Under [`VecMode::On`] every `Select` and `Compute`
+//! runs this way, whatever its input size; the scalar operators run only
+//! under [`VecMode::Off`], as the differential oracle.
 //!
 //! ## Semantics contract
 //!
 //! The kernels are *observably identical* to the scalar oracle — same
 //! values, same errors (message strings included) — with one deliberate
-//! freedom: when several rows, or several stages of one chain, fail, the
-//! reported error may differ (scalar walks rows outer-most, kernels walk
-//! instructions outer-most). [`compile`] refuses no well-typed
+//! freedom within one kernel: when several rows fail, the reported error
+//! may differ (scalar walks rows outer-most, kernels walk instructions
+//! outer-most). Across nodes there is none: a node fails before the node
+//! above it runs, as in the oracle. [`compile`] refuses no well-typed
 //! expression; the scalar behaviours a straight-line batch program does
 //! not have on its own follow the **guard rule**:
 //!
@@ -65,18 +65,17 @@ use std::sync::Arc;
 pub const BATCH_ROWS: usize = 1024;
 
 /// Execution-path selection. Production runs one implementation per
-/// operator: the chain program for `Select`/`Project`/`Compute`/`Attach`
-/// runs (a lone operator is a chain of one — see `crate::exec`) and the
-/// typed sinks (joins, windows, group-by, distinct, difference,
-/// serialize). The row-at-a-time `Bound` interpretation is kept as the
-/// differential oracle. See `DESIGN.md`.
+/// operator: a kernel for `Select` and `Compute`, column picks for
+/// `Project` and `Attach`, and the typed sinks (joins, windows, group-by,
+/// distinct, difference, serialize). The row-at-a-time `Bound`
+/// interpretation is kept as the differential oracle. See `DESIGN.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VecMode {
-    /// Chain programs and typed sinks, at every input size.
+    /// Kernels and typed sinks, at every input size.
     #[default]
     On,
-    /// The scalar oracle: no pipelines, every node through its scalar
-    /// operator. For the differential suite.
+    /// The scalar oracle: every node through its scalar operator. For the
+    /// differential suite.
     Off,
 }
 
@@ -103,7 +102,7 @@ fn mistyped(e: &Expr) -> EngineError {
 /// like the chunks it is computed from. `Val` is the totality fallback
 /// (unit columns and other slow domains).
 #[derive(Debug)]
-pub enum Reg {
+enum Reg {
     I64(Vec<i64>),
     U64(Vec<u64>),
     F64(Vec<f64>),
@@ -113,7 +112,7 @@ pub enum Reg {
 }
 
 impl Reg {
-    pub(crate) fn new(ty: Ty) -> Reg {
+    fn new(ty: Ty) -> Reg {
         match ty {
             Ty::Int => Reg::I64(Vec::new()),
             Ty::Nat => Reg::U64(Vec::new()),
@@ -126,7 +125,7 @@ impl Reg {
 
     /// The register as a column: typed registers move, strings are
     /// dictionary-encoded.
-    pub(crate) fn into_col(self) -> ColVec {
+    fn into_col(self) -> ColVec {
         match self {
             Reg::I64(v) => ColVec::Int(v),
             Reg::U64(v) => ColVec::Nat(v),
@@ -138,7 +137,7 @@ impl Reg {
     }
 
     /// Cell `k` as an owned [`Value`].
-    pub fn value(&self, k: usize) -> Value {
+    fn value(&self, k: usize) -> Value {
         match self {
             Reg::I64(v) => Value::Int(v[k]),
             Reg::U64(v) => Value::Nat(v[k]),
@@ -186,42 +185,8 @@ impl Reg {
         }
     }
 
-    /// Number of cells currently held.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Reg::I64(v) => v.len(),
-            Reg::U64(v) => v.len(),
-            Reg::F64(v) => v.len(),
-            Reg::Bool(v) => v.len(),
-            Reg::Str(v) => v.len(),
-            Reg::Val(v) => v.len(),
-        }
-    }
-
-    /// Keep only the cells whose mask bit is set (in-place compaction —
-    /// the fused filter applied to a carried column).
-    pub(crate) fn retain_mask(&mut self, mask: &[bool]) {
-        fn keep<T>(v: &mut Vec<T>, mask: &[bool]) {
-            let mut k = 0;
-            v.retain(|_| {
-                let m = mask[k];
-                k += 1;
-                m
-            });
-        }
-        match self {
-            Reg::I64(v) => keep(v, mask),
-            Reg::U64(v) => keep(v, mask),
-            Reg::F64(v) => keep(v, mask),
-            Reg::Bool(v) => keep(v, mask),
-            Reg::Str(v) => keep(v, mask),
-            Reg::Val(v) => keep(v, mask),
-        }
-    }
-
     /// Move all cells of `src` (same variant) onto the end of `self`.
-    pub(crate) fn append(&mut self, src: &mut Reg) -> Result<(), EngineError> {
+    fn append(&mut self, src: &mut Reg) -> Result<(), EngineError> {
         match (self, src) {
             (Reg::I64(a), Reg::I64(b)) => a.append(b),
             (Reg::U64(a), Reg::U64(b)) => a.append(b),
@@ -229,22 +194,6 @@ impl Reg {
             (Reg::Bool(a), Reg::Bool(b)) => a.append(b),
             (Reg::Str(a), Reg::Str(b)) => a.append(b),
             (Reg::Val(a), Reg::Val(b)) => a.append(b),
-            _ => return Err(confusion()),
-        }
-        Ok(())
-    }
-
-    /// Copy all cells of `src` (same variant) into `self`, replacing its
-    /// contents (carry loads).
-    fn copy_from(&mut self, src: &Reg) -> Result<(), EngineError> {
-        self.clear();
-        match (self, src) {
-            (Reg::I64(a), Reg::I64(b)) => a.extend_from_slice(b),
-            (Reg::U64(a), Reg::U64(b)) => a.extend_from_slice(b),
-            (Reg::F64(a), Reg::F64(b)) => a.extend_from_slice(b),
-            (Reg::Bool(a), Reg::Bool(b)) => a.extend_from_slice(b),
-            (Reg::Str(a), Reg::Str(b)) => a.extend_from_slice(b),
-            (Reg::Val(a), Reg::Val(b)) => a.extend_from_slice(b),
             _ => return Err(confusion()),
         }
         Ok(())
@@ -257,15 +206,9 @@ impl Reg {
 /// which the interpreter exploits to split borrows.
 #[derive(Debug, Clone)]
 enum Instr {
-    /// Gather column `slot` at the batch's column rows into `dst`.
+    /// Gather input column `col` at the batch's column rows into `dst`.
     Load {
-        slot: u32,
-        dst: u32,
-    },
-    /// Copy carried column `carry` (batch-local, already compacted to the
-    /// batch's surviving rows) into `dst`.
-    LoadCarry {
-        carry: u32,
+        col: u32,
         dst: u32,
     },
     /// Broadcast a constant across the batch.
@@ -392,39 +335,14 @@ enum Instr {
 }
 
 /// A compiled kernel program: straight-line instructions over a register
-/// file, plus the input columns it loads.
+/// file.
 #[derive(Debug, Clone)]
-pub struct Kernel {
+struct Kernel {
     instrs: Vec<Instr>,
     /// Register allocation shape (`reg_tys[r]` is register `r`'s type).
     reg_tys: Vec<Ty>,
-    /// Buffer column index per load slot.
-    cols: Vec<u32>,
     /// Register holding the expression result.
     out: u32,
-}
-
-/// Where a chain-visible column really lives. Stage kernels
-/// ([`compile`]) see the schema *after* upstream Project /
-/// Compute / Attach stages, but load from the chain *input*: a visible
-/// column is either an input column, a value carried from an earlier
-/// Compute stage, or an attached constant.
-#[derive(Debug, Clone)]
-pub(crate) enum VirtSrc {
-    /// Visible column `c` of the chain's input relation.
-    Input(u32),
-    /// Carried column `k` (result of the `k`-th Compute stage).
-    Carry(u32),
-    /// A constant attached mid-chain.
-    Const(Value),
-}
-
-/// Dedup key for column loads: input columns and carried columns live in
-/// different index spaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum LoadKey {
-    Input(u32),
-    Carry(u32),
 }
 
 /// A guarded region of the expression being compiled: the rows where
@@ -439,13 +357,10 @@ struct Region {
 
 struct Compiler<'a> {
     schema: &'a Schema,
-    /// Source of each column of `schema`.
-    virt: &'a [VirtSrc],
     instrs: Vec<Instr>,
     reg_tys: Vec<Ty>,
-    cols: Vec<u32>,
-    /// load source → register already holding it.
-    loaded: HashMap<LoadKey, (u32, Ty)>,
+    /// input column → register already holding it.
+    loaded: HashMap<u32, (u32, Ty)>,
     /// The guarded regions around the code being compiled, outermost
     /// first.
     regions: Vec<Region>,
@@ -507,15 +422,13 @@ impl Compiler<'_> {
         out
     }
 
-    /// Emit (or reuse) a load of chain-input column `col` typed `ty`.
+    /// Emit (or reuse) a load of input column `col` typed `ty`.
     fn load_col(&mut self, col: u32, ty: Ty) -> (u32, Ty) {
-        if let Some(&hit) = self.loaded.get(&LoadKey::Input(col)) {
+        if let Some(&hit) = self.loaded.get(&col) {
             return hit;
         }
-        let slot = self.cols.len() as u32;
-        self.cols.push(col);
-        let hit = self.emit(ty, false, |dst| Instr::Load { slot, dst });
-        self.loaded.insert(LoadKey::Input(col), hit);
+        let hit = self.emit(ty, false, |dst| Instr::Load { col, dst });
+        self.loaded.insert(col, hit);
         hit
     }
 
@@ -530,18 +443,7 @@ impl Compiler<'_> {
                         schema: self.schema.to_string(),
                     })?;
                 let ty = self.schema.cols()[idx].1;
-                Ok(match self.virt[idx].clone() {
-                    VirtSrc::Input(c) => self.load_col(c, ty),
-                    VirtSrc::Carry(k) => {
-                        if let Some(&hit) = self.loaded.get(&LoadKey::Carry(k)) {
-                            return Ok(hit);
-                        }
-                        let hit = self.emit(ty, false, |dst| Instr::LoadCarry { carry: k, dst });
-                        self.loaded.insert(LoadKey::Carry(k), hit);
-                        hit
-                    }
-                    VirtSrc::Const(v) => self.emit(ty, false, |dst| Instr::Splat { v, dst }),
-                })
+                Ok(self.load_col(idx as u32, ty))
             }
             Expr::Const(v) => {
                 Ok(self.emit(v.ty(), false, |dst| Instr::Splat { v: v.clone(), dst }))
@@ -615,23 +517,15 @@ impl Compiler<'_> {
     }
 }
 
-/// Lower `expr` (typed against the *chain-visible* `schema`, whose columns
-/// resolve through `virt` to chain-input columns, carried stage results,
-/// or constants) to a kernel program. The `cols` of the result index the
-/// chain input's columns, which [`ChainProg::bind`] binds. Every
-/// well-typed expression compiles; the errors are
-/// the oracle's `bind` errors (a missing column, an unbound parameter).
-pub(crate) fn compile(
-    expr: &Expr,
-    schema: &Schema,
-    virt: &[VirtSrc],
-) -> Result<Kernel, EngineError> {
+/// Lower `expr`, typed against its input's `schema`, to a kernel
+/// program over that input's columns. Every well-typed
+/// expression compiles; the errors are the oracle's `bind` errors (a
+/// missing column, an unbound parameter).
+fn compile(expr: &Expr, schema: &Schema) -> Result<Kernel, EngineError> {
     let mut c = Compiler {
         schema,
-        virt,
         instrs: Vec::new(),
         reg_tys: Vec::new(),
-        cols: Vec::new(),
         loaded: HashMap::new(),
         regions: Vec::new(),
         admitted: None,
@@ -640,7 +534,6 @@ pub(crate) fn compile(
     Ok(Kernel {
         instrs: c.instrs,
         reg_tys: c.reg_tys,
-        cols: c.cols,
         out,
     })
 }
@@ -725,48 +618,48 @@ macro_rules! zip_checked {
 }
 
 impl Kernel {
-    /// Allocate a register file for this program (reused across batches).
-    pub fn alloc_regs(&self) -> Vec<Reg> {
-        self.reg_tys.iter().map(|&t| Reg::new(t)).collect()
-    }
-
-    /// Chain-input visible columns the program loads, in slot order.
-    pub fn columns(&self) -> &[u32] {
-        &self.cols
-    }
-
-    /// Register index holding the result after [`Kernel::run`].
-    pub fn out_reg(&self) -> usize {
-        self.out as usize
-    }
-
     /// Type of the result register.
-    pub fn out_ty(&self) -> Ty {
+    fn out_ty(&self) -> Ty {
         self.reg_tys[self.out as usize]
     }
 
-    /// Execute the program for one batch: `rows` holds the **column** row
-    /// indices of the batch, `chunks` the whole input columns per load
-    /// slot, `carries[k]` the batch-local result of an earlier chain
-    /// stage, already compacted to exactly the rows of this batch. On
-    /// success, `regs[self.out_reg()]` holds one result per row.
-    pub(crate) fn run(
+    /// Run the program over every visible row of `rel`, in
+    /// [`BATCH_ROWS`]-row batches, handing `each` a batch's column rows and
+    /// its result register. Returns the number of batches run.
+    fn stream(
         &self,
-        chunks: &[Arc<ColVec>],
-        carries: &[Reg],
-        rows: &[u32],
-        regs: &mut [Reg],
-    ) -> Result<(), EngineError> {
+        rel: &Rel,
+        mut each: impl FnMut(&[u32], &mut Reg) -> Result<(), EngineError>,
+    ) -> Result<u32, EngineError> {
+        let n = rel.len();
+        let mut regs: Vec<Reg> = self.reg_tys.iter().map(|&t| Reg::new(t)).collect();
+        let mut rows: Vec<u32> = Vec::with_capacity(BATCH_ROWS.min(n));
+        let mut batches = 0;
+        for lo in (0..n).step_by(BATCH_ROWS) {
+            let hi = (lo + BATCH_ROWS).min(n);
+            rows.clear();
+            match rel.sel() {
+                Some(s) => rows.extend_from_slice(&s[lo..hi]),
+                None => rows.extend(lo as u32..hi as u32),
+            }
+            self.run(rel, &rows, &mut regs)?;
+            each(&rows, &mut regs[self.out as usize])?;
+            batches += 1;
+        }
+        Ok(batches)
+    }
+
+    /// Execute the program for one batch of `rel`: `rows` holds the
+    /// batch's **column** row indices. On success, register `self.out`
+    /// holds one result per row.
+    fn run(&self, rel: &Rel, rows: &[u32], regs: &mut [Reg]) -> Result<(), EngineError> {
         let n = rows.len();
         let mut admitted = None;
         for instr in &self.instrs {
             match instr {
                 Instr::Admit { mask } => admitted = *mask,
-                Instr::LoadCarry { carry, dst } => {
-                    regs[*dst as usize].copy_from(&carries[*carry as usize])?;
-                }
-                Instr::Load { slot, dst } => {
-                    let chunk = chunks[*slot as usize].as_ref();
+                Instr::Load { col, dst } => {
+                    let chunk = rel.col(*col as usize).as_ref();
                     let reg = &mut regs[*dst as usize];
                     reg.clear();
                     match (chunk, reg) {
@@ -1050,259 +943,38 @@ impl Kernel {
     }
 }
 
-/// One chain stage: a filter kernel (drops rows) or a compute
-/// kernel (appends a carried column).
-#[derive(Debug)]
-pub(crate) enum Stage {
-    Filter(Kernel),
-    Compute(Kernel),
-}
-
-impl Stage {
-    fn kernel(&self) -> &Kernel {
-        match self {
-            Stage::Filter(k) | Stage::Compute(k) => k,
-        }
-    }
-}
-
-/// Incremental compiler for a Select/Project/Compute/Attach chain.
-/// Feed it the chain's operators bottom-up. A stage fails only with the
-/// error the oracle's operator would report before touching a row (a
-/// missing column, an unbound parameter) or an internal error for an
-/// expression `infer_schema` rejects.
-#[derive(Debug)]
-pub(crate) struct ChainBuilder {
-    /// Schema visible after the stages accepted so far.
-    schema: Schema,
-    /// Source of each visible column.
-    virt: Vec<VirtSrc>,
-    stages: Vec<Stage>,
-    carry_tys: Vec<Ty>,
-}
-
-impl ChainBuilder {
-    pub(crate) fn new(input_schema: &Schema) -> ChainBuilder {
-        ChainBuilder {
-            schema: input_schema.clone(),
-            virt: (0..input_schema.cols().len())
-                .map(|c| VirtSrc::Input(c as u32))
-                .collect(),
-            stages: Vec::new(),
-            carry_tys: Vec::new(),
-        }
-    }
-
-    /// Schema visible after the stages accepted so far (what the next
-    /// operator's expressions resolve against).
-    pub(crate) fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Add a Select stage (a boolean predicate).
-    pub(crate) fn filter(&mut self, pred: &Expr) -> Result<(), EngineError> {
-        let kernel = compile(pred, &self.schema, &self.virt)?;
-        self.stages.push(Stage::Filter(kernel));
-        Ok(())
-    }
-
-    /// Add a Compute stage: evaluate `expr` and expose it as the last
-    /// column of `out_schema` (the Compute node's output schema).
-    pub(crate) fn compute(&mut self, expr: &Expr, out_schema: &Schema) -> Result<(), EngineError> {
-        let kernel = compile(expr, &self.schema, &self.virt)?;
-        let ty = kernel.out_ty();
-        if out_schema.cols().last().map(|(_, t)| *t) != Some(ty) {
-            return Err(mistyped(expr));
-        }
-        let k = self.carry_tys.len() as u32;
-        self.carry_tys.push(ty);
-        self.stages.push(Stage::Compute(kernel));
-        self.virt.push(VirtSrc::Carry(k));
-        self.schema = out_schema.clone();
-        Ok(())
-    }
-
-    /// Add a Project stage: visible column `j` of `out_schema` is current
-    /// visible column `idxs[j]`. Pure bookkeeping — no kernel runs.
-    pub(crate) fn project(&mut self, idxs: &[usize], out_schema: &Schema) {
-        self.virt = idxs.iter().map(|&i| self.virt[i].clone()).collect();
-        self.schema = out_schema.clone();
-    }
-
-    /// Add an Attach stage: a constant column appended to the schema.
-    pub(crate) fn attach(&mut self, v: &Value, out_schema: &Schema) {
-        self.virt.push(VirtSrc::Const(v.clone()));
-        self.schema = out_schema.clone();
-    }
-
-    pub(crate) fn finish(self) -> ChainProg {
-        ChainProg {
-            stages: self.stages,
-            carry_tys: self.carry_tys,
-            out: self.virt,
-            out_schema: self.schema,
-        }
-    }
-}
-
-/// A compiled pipeline chain: the stage programs plus the mapping from
-/// output columns back to chain-input columns / carries / constants.
-#[derive(Debug)]
-pub(crate) struct ChainProg {
-    stages: Vec<Stage>,
-    carry_tys: Vec<Ty>,
-    out: Vec<VirtSrc>,
-    out_schema: Schema,
-}
-
-impl ChainProg {
-    /// Source of each output column.
-    pub(crate) fn out(&self) -> &[VirtSrc] {
-        &self.out
-    }
-
-    pub(crate) fn out_schema(&self) -> &Schema {
-        &self.out_schema
-    }
-
-    pub(crate) fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Output columns that are all chain-input passthroughs (no carries,
-    /// no constants): the zero-copy case — a selection vector over the
-    /// picked input columns reproduces the chain's output.
-    pub(crate) fn pure_input_out(&self) -> Option<Vec<usize>> {
-        self.out
-            .iter()
-            .map(|s| match s {
-                VirtSrc::Input(c) => Some(*c as usize),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Bind the stage kernels to `rel`'s columns, whose variants are
-    /// their schema types.
-    pub(crate) fn bind<'a>(&'a self, rel: &'a Rel) -> BoundChain<'a> {
-        let chunks = self
-            .stages
-            .iter()
-            .map(|stage| {
-                stage
-                    .kernel()
-                    .columns()
-                    .iter()
-                    .map(|&c| rel.col(c as usize).clone())
-                    .collect()
-            })
-            .collect();
-        BoundChain {
-            prog: self,
-            rel,
-            chunks,
-        }
-    }
-}
-
-/// The surviving rows and carried columns a chain produced, in visible
-/// order. `rows` holds **column** row indices of the chain input; every
-/// carry register holds exactly `rows.len()` cells.
-#[derive(Debug)]
-pub(crate) struct StreamChunk {
-    pub(crate) rows: Vec<u32>,
-    pub(crate) carries: Vec<Reg>,
-    pub(crate) batches: u32,
-}
-
-/// A [`ChainProg`] bound to its input relation's chunks.
-pub(crate) struct BoundChain<'a> {
-    prog: &'a ChainProg,
-    rel: &'a Rel,
-    /// Per stage, the input chunks its kernel loads.
-    chunks: Vec<Vec<Arc<ColVec>>>,
-}
-
-impl BoundChain<'_> {
-    /// Stream every visible row of the input through every stage in
-    /// [`BATCH_ROWS`]-sized batches: each batch is filtered and computed
-    /// on while cache-hot, and only survivors are accumulated. Errors
-    /// surface batch-major (lowest batch first), instruction-major within
-    /// a batch — the same freedom [`compile`] documents for one kernel,
-    /// extended across the chain's stages.
-    pub(crate) fn run(&self) -> Result<StreamChunk, EngineError> {
-        let n = self.rel.len();
-        let mut regs: Vec<Vec<Reg>> = self
-            .prog
-            .stages
-            .iter()
-            .map(|s| s.kernel().alloc_regs())
-            .collect();
-        let mut carries_b: Vec<Reg> = self.prog.carry_tys.iter().map(|&t| Reg::new(t)).collect();
-        let mut out = StreamChunk {
-            rows: Vec::new(),
-            carries: self.prog.carry_tys.iter().map(|&t| Reg::new(t)).collect(),
-            batches: 0,
+/// A `Select`'s kernel: the column rows of `rel`'s visible rows where
+/// `pred` holds, in visible order, and the batches it ran.
+pub(crate) fn filter(pred: &Expr, rel: &Rel) -> Result<(Vec<u32>, u32), EngineError> {
+    let kernel = compile(pred, &rel.schema)?;
+    let mut keep = Vec::new();
+    let batches = kernel.stream(rel, |rows, out| {
+        let Reg::Bool(mask) = out else {
+            return Err(confusion());
         };
-        let mut rows_b: Vec<u32> = Vec::with_capacity(BATCH_ROWS.min(n));
-        let sel = self.rel.sel();
-        let mut i = 0;
-        while i < n {
-            let hi = (i + BATCH_ROWS).min(n);
-            rows_b.clear();
-            // bulk-copy the selection slice (filters below compact
-            // `rows_b` in place, so it cannot stay borrowed)
-            match sel {
-                Some(s) => rows_b.extend_from_slice(&s[i..hi]),
-                None => rows_b.extend(i as u32..hi as u32),
-            }
-            i = hi;
-            out.batches += 1;
-            // carries produced so far this batch (all compacted to rows_b)
-            let mut live = 0usize;
-            for (si, stage) in self.prog.stages.iter().enumerate() {
-                if rows_b.is_empty() {
-                    break;
-                }
-                match stage {
-                    Stage::Filter(k) => {
-                        k.run(&self.chunks[si], &carries_b[..live], &rows_b, &mut regs[si])?;
-                        let Reg::Bool(mask) = &regs[si][k.out_reg()] else {
-                            return Err(confusion());
-                        };
-                        let mut w = 0usize;
-                        for r in 0..rows_b.len() {
-                            if mask[r] {
-                                rows_b[w] = rows_b[r];
-                                w += 1;
-                            }
-                        }
-                        for c in carries_b[..live].iter_mut() {
-                            c.retain_mask(mask);
-                        }
-                        rows_b.truncate(w);
-                    }
-                    Stage::Compute(k) => {
-                        k.run(&self.chunks[si], &carries_b[..live], &rows_b, &mut regs[si])?;
-                        let ty = self.prog.carry_tys[live];
-                        carries_b[live] =
-                            std::mem::replace(&mut regs[si][k.out_reg()], Reg::new(ty));
-                        live += 1;
-                    }
-                }
-            }
-            if rows_b.is_empty() {
-                continue; // nothing survived: carries_b[..live] hold stale
-                          // cells but are rebuilt from scratch next batch
-            }
-            out.rows.extend_from_slice(&rows_b);
-            for (k, c) in carries_b[..live].iter_mut().enumerate() {
-                out.carries[k].append(c)?;
-            }
-        }
-        Ok(out)
-    }
+        keep.extend(
+            rows.iter()
+                .zip(mask.iter())
+                .filter(|(_, &m)| m)
+                .map(|(&r, _)| r),
+        );
+        Ok(())
+    })?;
+    Ok((keep, batches))
 }
+
+/// A `Compute`'s kernel: `expr` at every visible row of `rel`, as one
+/// column of type `ty` (the node's new column), and the batches it ran.
+pub(crate) fn compute(expr: &Expr, rel: &Rel, ty: Ty) -> Result<(ColVec, u32), EngineError> {
+    let kernel = compile(expr, &rel.schema)?;
+    if kernel.out_ty() != ty {
+        return Err(mistyped(expr));
+    }
+    let mut col = Reg::new(ty);
+    let batches = kernel.stream(rel, |_, out| col.append(out))?;
+    Ok((col.into_col(), batches))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1338,36 +1010,12 @@ mod tests {
         )
     }
 
-    /// `sch` plus one more column (a Compute node's output schema).
-    fn wide(sch: &Schema, extra: (&str, Ty)) -> Schema {
-        Schema::of(
-            &sch.cols()
-                .iter()
-                .map(|(n, t)| (&**n, *t))
-                .chain([extra])
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Lower `e` over `s` with every column a plain chain input.
-    fn lower(e: &Expr, s: &Schema) -> Result<Kernel, EngineError> {
-        let virt: Vec<VirtSrc> = (0..s.len() as u32).map(VirtSrc::Input).collect();
-        compile(e, s, &virt)
-    }
-
-    /// `e` as a one-stage Compute chain over `r`, run over all of it.
-    fn compute_chain(e: &Expr, r: &Rel) -> Result<StreamChunk, EngineError> {
-        let ty = e.infer_ty(&r.schema).expect("typed expression");
-        let mut b = ChainBuilder::new(&r.schema);
-        b.compute(e, &wide(&r.schema, ("out", ty)))?;
-        b.finish().bind(r).run()
-    }
-
     /// `e` over every row of `r` by the kernel, or its error.
     fn kernel_column(e: &Expr, r: &Rel) -> Result<Vec<Value>, EngineError> {
-        let chunk = compute_chain(e, r)?;
-        assert_eq!(chunk.rows.len(), r.len());
-        Ok((0..r.len()).map(|i| chunk.carries[0].value(i)).collect())
+        let ty = e.infer_ty(&r.schema).expect("typed expression");
+        let (col, _) = compute(e, r, ty)?;
+        assert_eq!(col.len(), r.len());
+        Ok((0..r.len()).map(|i| col.value(i)).collect())
     }
 
     /// `e` over every row of `r` by the scalar oracle, or its first error.
@@ -1441,23 +1089,22 @@ mod tests {
     }
 
     #[test]
-    fn filter_chain_yields_selection_vector() {
-        let r = rel(100);
-        let mut b = ChainBuilder::new(&r.schema);
-        b.filter(&Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(10i64)))
-            .unwrap();
-        let keep = b.finish().bind(&r).run().unwrap().rows;
+    fn filter_yields_selection_vector() {
+        let r = rel(3000); // several batches
+        let lt = Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(10i64));
+        let (keep, batches) = filter(&lt, &r).unwrap();
         assert_eq!(keep, (0..10).collect::<Vec<u32>>());
+        assert_eq!(batches, 3);
     }
 
     #[test]
     fn kernels_report_scalar_error_messages() {
         let r = rel(100);
         let div = Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::col("a"));
-        let err = compute_chain(&div, &r).unwrap_err();
+        let err = kernel_column(&div, &r).unwrap_err();
         assert_eq!(err, EngineError::Eval("division by zero".into()));
         let ovf = Expr::bin(BinOp::Add, Expr::col("a"), Expr::lit(i64::MAX));
-        let err = compute_chain(&ovf, &r).unwrap_err();
+        let err = kernel_column(&ovf, &r).unwrap_err();
         assert_eq!(err, EngineError::Eval("integer overflow in +".into()));
     }
 
@@ -1523,10 +1170,12 @@ mod tests {
     fn repeated_columns_load_once() {
         let s = schema();
         let e = Expr::bin(BinOp::Mul, Expr::col("a"), Expr::col("a"));
-        assert_eq!(lower(&e, &s).unwrap().columns(), &[0]);
+        let k = compile(&e, &s).unwrap();
+        let loads = k.instrs.iter().filter(|i| matches!(i, Instr::Load { .. }));
+        assert_eq!(loads.count(), 1);
         // a region builds its mask once, and only if it can raise
         let guards = |e: &Expr| {
-            let k = lower(&Expr::and(Expr::col("p"), e.clone()), &s).unwrap();
+            let k = compile(&Expr::and(Expr::col("p"), e.clone()), &s).unwrap();
             k.instrs
                 .iter()
                 .filter(|i| matches!(i, Instr::Guard { .. }))
@@ -1537,134 +1186,83 @@ mod tests {
         assert_eq!(guards(&Expr::col("p")), 0);
     }
 
-    /// filter → compute → filter → project → attach as one chain program,
-    /// checked cell-for-cell against the scalar operators applied one at
-    /// a time.
+    /// A filter's survivors are the next kernel's input: a compute over
+    /// them, several batches long, sees only the rows the filter kept.
     #[test]
-    fn chain_streams_filter_compute_project_attach() {
-        let r = rel(3000); // several batches
-        let mut b = ChainBuilder::new(&r.schema);
-        // SELECT a < 2000
-        b.filter(&Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(2000i64)))
-            .unwrap();
-        // COMPUTE y = a * 2 + b
+    fn computes_see_only_the_rows_filters_kept() {
+        let r = rel(3000);
+        let lt = Expr::bin(BinOp::Lt, Expr::col("a"), Expr::lit(500i64));
+        let (keep, _) = filter(&lt, &r).unwrap();
+        let kept = r.with_sel(keep);
+        // y = a * 2 + b over rows 0..500 only
         let y = Expr::bin(
             BinOp::Add,
             Expr::bin(BinOp::Mul, Expr::col("a"), Expr::lit(2i64)),
             Expr::col("b"),
         );
-        b.compute(&y, &wide(&r.schema, ("y", Ty::Int))).unwrap();
-        // SELECT y % 2 = 1 (a*2+3 is always odd: keeps everything — then
-        // a tighter one) and SELECT y < 1003 (drops most rows)
-        b.filter(&Expr::eq(
-            Expr::bin(BinOp::Mod, Expr::col("y"), Expr::lit(2i64)),
-            Expr::lit(1i64),
-        ))
-        .unwrap();
-        b.filter(&Expr::bin(BinOp::Lt, Expr::col("y"), Expr::lit(1003i64)))
-            .unwrap();
-        // PROJECT (y, s) then ATTACH tag = "t"
-        let s2 = Schema::of(&[("y", Ty::Int), ("s", Ty::Str)]);
-        b.project(&[6, 4], &s2);
-        let s3 = Schema::of(&[("y", Ty::Int), ("s", Ty::Str), ("tag", Ty::Str)]);
-        b.attach(&Value::str("t"), &s3);
-        let prog = b.finish();
-        assert_eq!(prog.stage_count(), 4);
-        assert!(prog.pure_input_out().is_none()); // y is carried, tag is const
-        let bound = prog.bind(&r);
-        let chunk = bound.run().unwrap();
-        assert_eq!(chunk.batches, 3);
-        // oracle: rows 0..2000 with y = 2a+3, keep y < 1003 → a < 500
-        assert_eq!(chunk.rows.len(), 500);
-        assert_eq!(chunk.carries.len(), 1);
-        assert_eq!(chunk.carries[0].len(), 500);
-        for (p, &row) in chunk.rows.iter().enumerate() {
-            assert_eq!(row as usize, p);
-            assert_eq!(chunk.carries[0].value(p), Value::Int(2 * p as i64 + 3));
-        }
-        // output columns resolve: y → carry 0, s → input 4, tag → const
-        match prog.out() {
-            [VirtSrc::Carry(0), VirtSrc::Input(4), VirtSrc::Const(v)] => {
-                assert_eq!(*v, Value::str("t"));
-            }
-            other => panic!("unexpected out mapping {other:?}"),
-        }
-        assert_eq!(prog.out_schema().cols().len(), 3);
-    }
-
-    /// A chain over a projected selection loads the picked columns at the
-    /// selected rows.
-    #[test]
-    fn chain_binds_to_projected_selections() {
-        let r = rel(100).with_sel((0..100).rev().collect());
-        let view = r.project(Schema::of(&[("b", Ty::Int), ("d", Ty::Dbl)]), &[1, 2]);
-        let mut b = ChainBuilder::new(&view.schema);
-        b.filter(&Expr::bin(BinOp::Gt, Expr::col("d"), Expr::lit(25.0f64)))
-            .unwrap();
-        let prog = b.finish();
-        assert_eq!(prog.pure_input_out(), Some(vec![0, 1]));
-        let chunk = prog.bind(&view).run().unwrap();
-        // d = i/2 > 25 → i > 50, in the selection's (descending) order
-        assert_eq!(chunk.rows, (51..100).rev().collect::<Vec<u32>>());
-    }
-
-    /// Chain errors keep the oracle's message and honor earlier filters:
-    /// rows a filter dropped must never reach a later fallible compute.
-    #[test]
-    fn chain_error_semantics_respect_filters() {
-        let r = rel(100);
-        // guarded: a != 0 filtered first, then 1/a computes cleanly
-        let mut b = ChainBuilder::new(&r.schema);
-        b.filter(&Expr::bin(BinOp::Gt, Expr::col("a"), Expr::lit(0i64)))
-            .unwrap();
+        let (col, batches) = compute(&y, &kept, Ty::Int).unwrap();
+        assert_eq!(batches, 1);
+        let want: Vec<i64> = (0..500).map(|a| 2 * a + 3).collect();
+        assert_eq!(col.as_int(), Some(&want[..]));
+        // rows a filter dropped never reach a later fallible compute
         let inv = Expr::bin(BinOp::Div, Expr::lit(100i64), Expr::col("a"));
-        b.compute(&inv, &wide(&r.schema, ("inv", Ty::Int))).unwrap();
-        let prog = b.finish();
-        let chunk = prog.bind(&r).run().unwrap();
-        assert_eq!(chunk.rows.len(), 99);
-        assert_eq!(chunk.carries[0].value(0), Value::Int(100));
-        // unguarded: the zero row reaches the divide and raises the
+        let pos = Expr::bin(BinOp::Gt, Expr::col("a"), Expr::lit(0i64));
+        let (keep, _) = filter(&pos, &r).unwrap();
+        let (col, _) = compute(&inv, &r.with_sel(keep), Ty::Int).unwrap();
+        assert_eq!((col.len(), col.value(0)), (2999, Value::Int(100)));
+        // unfiltered, the zero row reaches the divide and raises the
         // scalar oracle's message
-        let mut b = ChainBuilder::new(&r.schema);
-        b.compute(&inv, &wide(&r.schema, ("inv", Ty::Int))).unwrap();
-        let prog = b.finish();
-        let err = prog.bind(&r).run().unwrap_err();
+        let err = compute(&inv, &r, Ty::Int).unwrap_err();
         assert_eq!(err, EngineError::Eval("division by zero".into()));
     }
 
-    /// The builder takes every well-typed stage; it refuses only what
-    /// the oracle refuses before touching a row, with the oracle's error.
+    /// A kernel over a projected selection loads the picked columns at
+    /// the selected rows, in the selection's order.
     #[test]
-    fn chain_builder_refuses_only_what_the_oracle_refuses() {
-        let r = rel(10);
-        let mut b = ChainBuilder::new(&r.schema);
-        let inv = Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::col("a"));
-        let fallible = Expr::eq(inv.clone(), Expr::lit(1i64));
-        b.filter(&Expr::bin(BinOp::Or, Expr::col("p"), fallible))
-            .unwrap();
-        let pos = Expr::bin(BinOp::Gt, Expr::col("a"), Expr::lit(0i64));
-        let case = Expr::case(pos, inv, Expr::lit(1i64));
-        b.compute(&case, &wide(&r.schema, ("x", Ty::Int))).unwrap();
-        let param = Expr::Param(2, Ty::Bool);
-        assert_eq!(b.filter(&param), Err(EngineError::UnboundParam(2)));
-        let ghost = Expr::col("ghost");
-        assert_eq!(b.filter(&ghost), Err(bind(&ghost, b.schema()).unwrap_err()));
-        // `p` OR …, then x: rows 0, 2, 4, … and the CASE's value
-        let chunk = b.finish().bind(&r).run().unwrap();
-        assert_eq!(chunk.rows, [0, 1, 2, 4, 6, 8]);
-        assert_eq!(chunk.carries[0].value(1), Value::Int(1));
-        // an ill-typed stage, which `infer_schema` stops before dispatch,
-        // fails when it runs: no fallback
-        let mut b = ChainBuilder::new(&r.schema);
-        b.filter(&Expr::col("a")).unwrap();
-        let err = b.finish().bind(&r).run().unwrap_err();
-        assert_eq!(err, confusion());
+    fn kernels_bind_to_projected_selections() {
+        let r = rel(100).with_sel((0..100).rev().collect());
+        let view = r.project(Schema::of(&[("b", Ty::Int), ("d", Ty::Dbl)]), &[1, 2]);
+        let gt = Expr::bin(BinOp::Gt, Expr::col("d"), Expr::lit(25.0f64));
+        let (keep, _) = filter(&gt, &view).unwrap();
+        // d = i/2 > 25 → i > 50, in the selection's (descending) order
+        assert_eq!(keep, (51..100).rev().collect::<Vec<u32>>());
+        let (col, _) = compute(&Expr::col("d"), &view, Ty::Dbl).unwrap();
+        assert_eq!(col.value(0), Value::Dbl(49.5));
     }
 
-    /// `On` (the default) runs a lone Select as a chain of one at every
-    /// input size, `Off` on the scalar operator; both agree.
+    /// The compiler takes every well-typed expression; it refuses only
+    /// what the oracle refuses before touching a row, with the oracle's
+    /// error.
     #[test]
-    fn vec_modes_agree_and_only_on_runs_chains() {
+    fn kernels_refuse_only_what_the_oracle_refuses() {
+        let r = rel(10);
+        let inv = Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::col("a"));
+        let fallible = Expr::eq(inv.clone(), Expr::lit(1i64));
+        let (keep, _) = filter(&Expr::bin(BinOp::Or, Expr::col("p"), fallible), &r).unwrap();
+        // `p` OR 1/a = 1: rows 0, 2, 4, … and a = 1
+        assert_eq!(keep, [0, 1, 2, 4, 6, 8]);
+        let pos = Expr::bin(BinOp::Gt, Expr::col("a"), Expr::lit(0i64));
+        let case = Expr::case(pos, inv, Expr::lit(1i64));
+        let (col, _) = compute(&case, &r, Ty::Int).unwrap();
+        assert_eq!(col.value(1), Value::Int(1));
+        let param = Expr::Param(2, Ty::Bool);
+        assert_eq!(filter(&param, &r), Err(EngineError::UnboundParam(2)));
+        let ghost = Expr::col("ghost");
+        assert_eq!(
+            filter(&ghost, &r),
+            Err(bind(&ghost, &r.schema).unwrap_err())
+        );
+        // an ill-typed predicate, which `infer_schema` stops before
+        // dispatch, fails when it runs: no fallback
+        assert_eq!(filter(&Expr::col("a"), &r), Err(confusion()));
+        let err = compute(&Expr::col("a"), &r, Ty::Str).unwrap_err();
+        assert_eq!(err, mistyped(&Expr::col("a")));
+    }
+
+    /// `On` (the default) runs a Select's kernel at every input size,
+    /// `Off` the scalar operator; both agree.
+    #[test]
+    fn vec_modes_agree_and_only_on_runs_kernels() {
         assert_eq!(ParConfig::default().vec, VecMode::On);
         for n in [0, 1, 63, 64, 200] {
             let mut plan = Plan::new();

@@ -1,14 +1,14 @@
 //! Differential testing of the vectorized engine: every operator must
 //! produce **cell-for-cell identical** results — including sort and
 //! window tie-break order — whether it takes the scalar row-at-a-time
-//! path or the vectorized one (chain programs + typed sinks). The scalar
+//! path or the vectorized one (kernels + typed sinks). The scalar
 //! engine (`VecMode::Off`) is the oracle; the production configuration
 //! (`VecMode::On`, vectorized at every input size) must reproduce it
 //! exactly. Every sort comparator is a total order and kernels reproduce
 //! scalar error semantics, so this is an invariant, not a statistical
 //! property; here we check it over random relations, a 5 000-row one
-//! whose four full 1024-row batches and ragged tail cover the chain
-//! program's batch boundaries, and fixed roots at 0, 1, 63, 64 and
+//! whose four full 1024-row batches and ragged tail cover the kernels'
+//! batch boundaries, and fixed roots at 0, 1, 63, 64 and
 //! 1 025 rows for the shapes the guard rule and the code kernels exist for.
 
 use ferry_algebra::{
@@ -45,8 +45,8 @@ fn scalar_oracle() -> ParConfig {
     ParConfig { vec: VecMode::Off }
 }
 
-/// The configuration under test: chain programs and typed sinks at
-/// every input size, as the product runs.
+/// The configuration under test: kernels and typed sinks at every input
+/// size, as the product runs.
 fn production() -> ParConfig {
     ParConfig { vec: VecMode::On }
 }
@@ -188,8 +188,8 @@ proptest! {
 }
 
 /// A larger deterministic relation (several kernel batches and a ragged
-/// tail, with heavy duplication in the sort/partition keys) so chain
-/// programs cross batch boundaries and sorts resolve many ties.
+/// tail, with heavy duplication in the sort/partition keys) so kernels
+/// cross batch boundaries and sorts resolve many ties.
 #[test]
 fn operators_agree_on_large_input() {
     let n = 5000i64;
@@ -282,7 +282,7 @@ fn mixed_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
         plan.select(l, Expr::bin(BinOp::Lt, d.clone(), Expr::lit(1.5))),
         // NotMask
         plan.select(l, Expr::not(p.clone())),
-        // fused integer arithmetic chain (inputs small: never overflows)
+        // nested integer arithmetic (inputs small: never overflows)
         plan.compute(
             l,
             "y",
@@ -472,17 +472,15 @@ fn mixed_type_operators_agree_on_large_input() {
 }
 
 // ---------------------------------------------------------------------
-// Pipeline-shaped roots: multi-operator chains the pipeline compiler
-// groups into one batch program (scan → Select*/Compute/Project/
-// Attach → window / join-probe / serialize / group-by sink), and lone
-// operators behind pipeline breakers (chains of one). Under
-// `VecMode::On` these run the streaming loop; the oracle evaluates
-// the same nodes one at a time — results must be cell-for-cell identical
-// either way.
+// Chain-shaped roots: multi-operator runs (scan → Select*/Compute/
+// Project/Attach → window / join-probe / serialize / group-by sink), and
+// lone row-wise operators over a distinct, a union or a shared join.
+// Both modes evaluate one node at a time — results must be cell-for-cell
+// identical either way.
 // ---------------------------------------------------------------------
 
-/// Chains over the mixed schema, one per fusible sink family, each at
-/// least three operators deep so the chain compiler has real work.
+/// Chains over the mixed schema, one per sink family, each at least
+/// three operators deep.
 fn pipeline_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
     let x = Expr::col("x");
     let d = Expr::col("d");
@@ -502,7 +500,7 @@ fn pipeline_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
     roots.push(plan.rownum(c1, "rn", vec![cn("s")], vec![(cn("y"), Dir::Asc)]));
 
     // compute → select-on-computed → dense_rank ordered by a Dbl column
-    // (±0.0 keys stay distinct through the fused path)
+    // (±0.0 keys stay distinct through the kernels)
     let c2 = plan.compute(l, "v", Expr::bin(BinOp::Add, d.clone(), Expr::lit(0.0)));
     let s2 = plan.select(c2, Expr::bin(BinOp::Lt, Expr::col("v"), Expr::lit(10.0)));
     roots.push(plan.dense_rank(s2, "dr", vec![cn("p")], vec![(cn("d"), Dir::Desc)]));
@@ -517,8 +515,7 @@ fn pipeline_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
         vec![cn("tag"), cn("s"), cn("x")],
     ));
 
-    // select → compute → equi-join probe (the chain is the build-free
-    // left input; the right side stays a pipeline breaker)
+    // select → compute → equi-join probe (the chain is the probe side)
     let s4 = plan.select(l, Expr::bin(BinOp::Le, x.clone(), Expr::lit(6i64)));
     let c4 = plan.compute(s4, "xm", Expr::bin(BinOp::Mod, x.clone(), Expr::lit(5i64)));
     roots.push(plan.equi_join(c4, r, JoinCols::single("x", "rx")));
@@ -567,8 +564,7 @@ fn pipeline_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
         order: vec![(cn("b"), Dir::Asc)],
     }));
 
-    // chain into a *breaker*: distinct re-derives nothing, the chain
-    // below it still fuses and the breaker evaluates node-at-a-time
+    // chain into a distinct
     let s8 = plan.select(l, Expr::bin(BinOp::Ge, d.clone(), Expr::lit(-2.0)));
     let c8 = plan.compute(
         s8,
@@ -579,9 +575,8 @@ fn pipeline_roots(plan: &mut Plan, l: NodeId, r: NodeId) -> Vec<NodeId> {
     let d8 = plan.distinct(p8);
     roots.push(d8);
 
-    // chains of one, each over a breaker so no longer chain absorbs it:
-    // attach over the distinct, select over a union, and a compute over
-    // a join that two consumers share
+    // lone row-wise operators: attach over the distinct, select over a
+    // union, and a compute over a join that two consumers share
     roots.push(plan.attach(d8, "tag", Value::Nat(1)));
     let u9 = plan.union_all(l, l);
     roots.push(plan.select(u9, Expr::bin(BinOp::Lt, d.clone(), Expr::lit(1.0))));
@@ -836,11 +831,10 @@ fn runtime_errors_agree_across_paths() {
                 Expr::lit(0i64),
             ),
         );
-        // mid-pipeline error sites: the fallible expression sits inside a
-        // fused chain (select upstream, window/serialize sink downstream),
-        // so the fused streaming loop must surface the same message —
-        // division by zero is each root's only possible error, and
-        // lowest-error-row-wins makes the surviving message deterministic
+        // mid-chain error sites: the fallible expression sits between a
+        // select upstream and a window/serialize sink downstream, and must
+        // surface the same message — division by zero is each root's only
+        // possible error
         let keep = plan.select(l, Expr::bin(BinOp::Gt, Expr::col("x"), Expr::lit(-2i64)));
         let mid = plan.compute(
             keep,
@@ -849,7 +843,7 @@ fn runtime_errors_agree_across_paths() {
         );
         let piped_rn = plan.rownum(mid, "rn", vec![], vec![(cn("q"), Dir::Asc)]);
         let piped_ser = plan.serialize(mid, vec![(cn("q"), Dir::Desc)], vec![cn("x"), cn("q")]);
-        // a lone fallible compute behind a breaker: a chain of one
+        // a lone fallible compute behind a distinct
         let dist = plan.distinct(l);
         let lone = plan.compute(
             dist,
@@ -857,6 +851,56 @@ fn runtime_errors_agree_across_paths() {
             Expr::bin(BinOp::Div, Expr::col("x"), Expr::lit(0i64)),
         );
         assert_same_outcome(&plan, &[div, ovf, sel, piped_rn, piped_ser, lone]);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Cross-node error parity: two fallible nodes in sequence, where the
+// upper node fails in the first kernel batch and the lower one only at
+// row 5 000, past the first batch. The oracle evaluates one node at a
+// time, so it reports the lower node's error; production evaluates every
+// node on its own too and must report the same message.
+// ---------------------------------------------------------------------
+
+#[test]
+fn the_lower_of_two_failing_nodes_reports_its_error() {
+    let x = || Expr::col("x");
+    let int = |i: i64| Expr::lit(i);
+    let rows: Vec<Vec<Value>> = (0..6000).map(|i| vec![Value::Int(i)]).collect();
+    let mut plan = Plan::new();
+    let l = plan.lit(Schema::of(&[("x", Ty::Int)]), rows);
+    // lower nodes: fail at x = 5000 only
+    let div_at_5000 = || Expr::bin(BinOp::Div, int(1), Expr::bin(BinOp::Sub, x(), int(5000)));
+    let ovf_at_5000 = || Expr::bin(BinOp::Add, x(), int(i64::MAX - 4999));
+    let lower_div = plan.compute(l, "d", div_at_5000());
+    let lower_sel = plan.select(l, Expr::bin(BinOp::Ge, ovf_at_5000(), int(0)));
+    // upper nodes: fail at x = 1, in the first batch
+    let ovf_at_1 = || Expr::bin(BinOp::Add, x(), int(i64::MAX));
+    let div_at_1 = || Expr::bin(BinOp::Div, int(1), Expr::bin(BinOp::Sub, x(), int(1)));
+    let cases = [
+        (plan.compute(lower_div, "o", ovf_at_1()), "division by zero"),
+        (
+            plan.select(lower_div, Expr::bin(BinOp::Gt, ovf_at_1(), int(0))),
+            "division by zero",
+        ),
+        (
+            plan.compute(lower_sel, "q", div_at_1()),
+            "integer overflow in +",
+        ),
+        (
+            plan.select(lower_sel, Expr::bin(BinOp::Gt, div_at_1(), int(0))),
+            "integer overflow in +",
+        ),
+    ];
+    let roots: Vec<NodeId> = cases.iter().map(|&(root, _)| root).collect();
+    assert_same_outcome(&plan, &roots);
+    let db = db_with(production());
+    for (root, want) in cases {
+        let err = db.execute(&plan, root).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            ferry_engine::EngineError::Eval(want.into()).to_string()
+        );
     }
 }
 

@@ -514,11 +514,12 @@ fn an_unbound_parameter_is_a_typed_error() {
     }
 }
 
-/// `vec_nodes` counts plan nodes the way `nodes_evaluated` does: every
-/// member of a chain, not one per evaluation. A node's path is the mode:
-/// under `VecMode::On` every evaluated node counts — a view-only build
-/// scan, which runs no row code of either kind, and a join on `unit`
-/// keys (one constant code) included — and under `Off` none does.
+/// Every evaluated plan node is one evaluation with its own profile
+/// entry, and `vec_nodes` counts them the way `nodes_evaluated` does. A
+/// node's path is the mode: under `VecMode::On` every evaluated node
+/// counts — a view-only build scan, which runs no row code of either
+/// kind, and a join on `unit` keys (one constant code) included — and
+/// under `Off` none does.
 #[test]
 fn vec_nodes_counts_chain_members() {
     use ferry_engine::{ExecPath, ParConfig, VecMode};
@@ -535,12 +536,24 @@ fn vec_nodes_counts_chain_members() {
     db.reset_stats();
     assert_eq!(exec(&db, &p, rn).len(), 3);
     let st = db.stats();
-    // table → select → compute → rownum: one evaluation, four nodes
+    // table → select → compute → rownum: four nodes, four evaluations
     assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 4));
     let prof = &st.latest_profile().unwrap().nodes;
-    assert_eq!(prof.len(), 1);
-    assert_eq!(prof[0].path, ExecPath::Vectorized);
-    assert_eq!(prof[0].fused, ["table", "select", "compute", "rownum"]);
+    let entries: Vec<_> = prof
+        .iter()
+        .map(|n| (n.node, n.label, n.rows, n.path, n.batches))
+        .collect();
+    let vec = ExecPath::Vectorized;
+    assert_eq!(
+        entries,
+        [
+            (t.0, "table", 4, vec, 0),
+            (sel.0, "select", 3, vec, 1),
+            (cmp.0, "compute", 3, vec, 1),
+            (rn.0, "rownum", 3, vec, 1),
+        ]
+    );
+    assert_eq!(st.kernel_batches, 3);
 
     let t2 = emp_ref(&mut p);
     let left = p.project(t2, vec![(cn("d"), cn("dept")), (cn("n"), cn("name"))]);
@@ -552,16 +565,14 @@ fn vec_nodes_counts_chain_members() {
     db.reset_stats();
     assert_eq!(exec(&db, &p, j).len(), 4);
     let st = db.stats();
-    // table → project → join under the probe's slot, plus the build scan
+    // the build scan, then table → project → join
     assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 4));
     let prof = &st.latest_profile().unwrap().nodes;
+    let entries: Vec<_> = prof.iter().map(|n| (n.label, n.batches)).collect();
     assert_eq!(
-        (prof[0].label, prof[0].path, prof[0].batches),
-        ("table", ExecPath::Vectorized, 0)
+        entries,
+        [("table", 0), ("table", 0), ("project", 0), ("join", 1)]
     );
-    let tail = prof.last().unwrap().clone();
-    assert_eq!(tail.fused, ["table", "project", "join"]);
-    assert_eq!((tail.path, tail.batches), (ExecPath::Vectorized, 1));
 
     // a `unit` key column is one constant code: the typed probe takes it
     let units = Schema::of(&[("u", Ty::Unit), ("x", Ty::Int)]);
@@ -576,11 +587,12 @@ fn vec_nodes_counts_chain_members() {
     assert_eq!(exec(&db, &p, uj).len(), 2);
     let st = db.stats();
     assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 4));
-    let tail = st.latest_profile().unwrap().nodes.last().unwrap().clone();
-    assert_eq!(tail.fused, ["lit", "project", "join"]);
-    assert_eq!((tail.path, tail.batches), (ExecPath::Vectorized, 1));
+    let prof = &st.latest_profile().unwrap().nodes;
+    assert_eq!(prof.len(), 4);
+    let tail = prof.last().unwrap();
+    assert_eq!((tail.label, tail.path, tail.batches), ("join", vec, 1));
 
-    // the oracle forms no groups and counts nothing as vec
+    // the oracle counts nothing as vec
     db.set_par_config(ParConfig { vec: VecMode::Off });
     db.reset_stats();
     assert_eq!(exec(&db, &p, uj).len(), 2);
@@ -590,7 +602,7 @@ fn vec_nodes_counts_chain_members() {
     assert_eq!(prof.len(), 4);
     assert!(prof
         .iter()
-        .all(|n| n.path == ExecPath::Scalar && n.batches == 0 && n.fused.is_empty()));
+        .all(|n| n.path == ExecPath::Scalar && n.batches == 0));
 }
 
 #[test]

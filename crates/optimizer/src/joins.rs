@@ -27,31 +27,16 @@
 use crate::rewrite::{map_cols, rebuild, Emit, Schemas};
 use ferry_algebra::{BinOp, ColName, Expr, JoinCols, Node, NodeId, Plan, Schema};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-/// `FERRY_JOINDBG` in the environment traces every recovery step to
-/// stderr; read once per process.
-fn debug() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("FERRY_JOINDBG").is_some())
-}
+use std::sync::Arc;
 
 /// Run selection descent + join recovery to a (bounded) fixpoint.
 pub fn recover_joins(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
     let mut plan = plan.clone();
     let mut roots = roots.to_vec();
-    for i in 0..64 {
+    for _ in 0..64 {
         let (p2, r2, changed) = step(&plan, &roots);
         plan = p2;
         roots = r2;
-        if debug() {
-            let crosses = roots
-                .iter()
-                .flat_map(|r| plan.reachable(*r))
-                .filter(|id| matches!(plan.node(*id), Node::CrossJoin { .. }))
-                .count();
-            eprintln!("join-recovery step {i}: changed={changed} crosses={crosses}");
-        }
         if !changed {
             break;
         }

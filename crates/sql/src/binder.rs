@@ -12,6 +12,13 @@
 //! the `CAST` around it; anywhere else it is a bind error. Every slot
 //! `$1..$max` must occur, so a statement's arity is bounded by its text.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use crate::ast::*;
 use crate::SqlError;
 use ferry_algebra::{
@@ -90,13 +97,13 @@ fn check_param_slots(plan: &Plan) -> Result<(), SqlError> {
     let mut slots: Vec<u32> = plan.params().into_iter().map(|(s, _)| s).collect();
     slots.sort_unstable();
     slots.dedup();
-    match slots.iter().zip(0..).find(|(s, i)| *s != i) {
-        Some((_, missing)) => Err(SqlError::Bind(format!(
+    match (slots.iter().zip(0..).find(|(s, i)| *s != i), slots.last()) {
+        (Some((_, missing)), Some(&last)) => Err(SqlError::Bind(format!(
             "parameter ${} is never used, but ${} is",
             missing + 1,
-            *slots.last().expect("a gap needs a higher slot") as u64 + 1
+            last as u64 + 1
         ))),
-        None => Ok(()),
+        _ => Ok(()),
     }
 }
 
@@ -127,9 +134,9 @@ impl Scope {
                 hits.push((Arc::from(format!("{alias}.{name}").as_str()), t));
             }
         }
-        match hits.len() {
-            1 => Ok(hits.pop().unwrap()),
-            0 => Err(SqlError::Bind(format!(
+        match (hits.pop(), hits.is_empty()) {
+            (Some(hit), true) => Ok(hit),
+            (None, _) => Err(SqlError::Bind(format!(
                 "unknown column {}{name}",
                 qualifier.map(|q| format!("{q}.")).unwrap_or_default()
             ))),
@@ -254,10 +261,12 @@ impl<'a> Binder<'a> {
         // greedy join tree: start with the first item, repeatedly join in
         // an item connected by at least one edge, falling back to a cross
         // join when nothing connects
-        let mut joined_aliases: Vec<String> = vec![items[0].0.clone()];
-        let mut node = items[0].1;
-        let mut schema = items[0].2.clone();
-        let mut remaining: Vec<(String, NodeId, Schema)> = items.into_iter().skip(1).collect();
+        let mut items = items.into_iter();
+        let Some((first, mut node, mut schema)) = items.next() else {
+            return Err(SqlError::Bind("a query needs a FROM item".into()));
+        };
+        let mut joined_aliases: Vec<String> = vec![first];
+        let mut remaining: Vec<(String, NodeId, Schema)> = items.collect();
         let mut edges = join_edges;
         while !remaining.is_empty() {
             // find an item with an edge to the joined set
@@ -356,7 +365,7 @@ impl<'a> Binder<'a> {
                     return Ok(());
                 }
                 let SqlExpr::Agg { fun, arg } = agg else {
-                    unreachable!()
+                    return Err(SqlError::Bind(format!("internal: {agg:?} is no aggregate")));
                 };
                 let (input, in_ty) = match arg {
                     None => (None, None),
@@ -401,8 +410,11 @@ impl<'a> Binder<'a> {
         let gnode = self.plan.group_by(node, keys.clone(), aggs);
         let mut gschema = Schema::new(
             keys.iter()
-                .map(|k| (k.clone(), schema.ty_of(k).expect("key resolved")))
-                .collect::<Vec<_>>(),
+                .map(|k| match schema.ty_of(k) {
+                    Some(t) => Ok((k.clone(), t)),
+                    None => Err(SqlError::Bind(format!("unknown group key {k}"))),
+                })
+                .collect::<Result<Vec<_>, _>>()?,
         );
         for (out, ty) in agg_cols.values() {
             gschema.push(out.clone(), *ty);

@@ -1,5 +1,12 @@
 //! A hand-written SQL lexer for the supported dialect.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use crate::SqlError;
 
 /// Token kinds.
@@ -37,130 +44,105 @@ pub enum Tok {
 pub fn lex(input: &str) -> Result<Vec<Tok>, SqlError> {
     let mut out = Vec::new();
     let bytes = input.as_bytes();
+    let at = |i: usize| bytes.get(i).copied();
+    let digits_from = |mut i: usize| {
+        while at(i).is_some_and(|b| b.is_ascii_digit()) {
+            i += 1;
+        }
+        i
+    };
+    // the scanner stops only at ASCII bytes, so every span it cuts lies on
+    // char boundaries
+    let text = |a: usize, b: usize| {
+        input
+            .get(a..b)
+            .ok_or_else(|| SqlError::Lex(format!("no text at bytes {a}..{b}")))
+    };
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    while let Some(b) = at(i) {
+        let c = b as char;
+        let single = match c {
+            '(' => Some(Tok::LParen),
+            ')' => Some(Tok::RParen),
+            ',' => Some(Tok::Comma),
+            '.' => Some(Tok::Dot),
+            ';' => Some(Tok::Semicolon),
+            '*' => Some(Tok::Star),
+            '+' => Some(Tok::Plus),
+            '-' if at(i + 1) != Some(b'-') => Some(Tok::Minus),
+            '/' => Some(Tok::Slash),
+            '%' => Some(Tok::Percent),
+            '=' => Some(Tok::Eq),
+            _ => None,
+        };
+        if let Some(tok) = single {
+            out.push(tok);
+            i += 1;
+            continue;
+        }
         match c {
             ' ' | '\t' | '\r' | '\n' => i += 1,
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
+            '-' => {
+                while at(i).is_some_and(|b| b != b'\n') {
                     i += 1;
                 }
             }
-            '(' => {
-                out.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                out.push(Tok::RParen);
-                i += 1;
-            }
-            ',' => {
-                out.push(Tok::Comma);
-                i += 1;
-            }
-            '.' => {
-                out.push(Tok::Dot);
-                i += 1;
-            }
-            ';' => {
-                out.push(Tok::Semicolon);
-                i += 1;
-            }
-            '*' => {
-                out.push(Tok::Star);
-                i += 1;
-            }
-            '+' => {
-                out.push(Tok::Plus);
-                i += 1;
-            }
-            '-' => {
-                out.push(Tok::Minus);
-                i += 1;
-            }
-            '/' => {
-                out.push(Tok::Slash);
-                i += 1;
-            }
-            '%' => {
-                out.push(Tok::Percent);
-                i += 1;
-            }
-            '=' => {
-                out.push(Tok::Eq);
-                i += 1;
-            }
-            '|' if bytes.get(i + 1) == Some(&b'|') => {
+            '|' if at(i + 1) == Some(b'|') => {
                 out.push(Tok::Concat);
                 i += 2;
             }
-            '<' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Le);
-                    i += 2;
-                } else if bytes.get(i + 1) == Some(&b'>') {
-                    out.push(Tok::Ne);
-                    i += 2;
-                } else {
-                    out.push(Tok::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Tok::Ge);
-                    i += 2;
-                } else {
-                    out.push(Tok::Gt);
-                    i += 1;
-                }
+            '<' | '>' => {
+                let (tok, len) = match (c, at(i + 1)) {
+                    ('<', Some(b'=')) => (Tok::Le, 2),
+                    ('<', Some(b'>')) => (Tok::Ne, 2),
+                    ('<', _) => (Tok::Lt, 1),
+                    (_, Some(b'=')) => (Tok::Ge, 2),
+                    _ => (Tok::Gt, 1),
+                };
+                out.push(tok);
+                i += len;
             }
             '\'' => {
                 // string literal; '' escapes a quote
                 let mut s = String::new();
                 i += 1;
+                let mut start = i;
                 loop {
-                    match bytes.get(i) {
+                    match at(i) {
                         None => return Err(SqlError::Lex("unterminated string".into())),
-                        Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
+                        Some(b'\'') => {
+                            s.push_str(text(start, i)?);
+                            if at(i + 1) != Some(b'\'') {
+                                i += 1;
+                                break;
+                            }
                             s.push('\'');
                             i += 2;
+                            start = i;
                         }
-                        Some(b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some(_) => i += 1,
                     }
                 }
                 out.push(Tok::Str(s));
             }
             '"' => {
                 // quoted identifier
-                let mut s = String::new();
-                i += 1;
-                while i < bytes.len() && bytes[i] != b'"' {
-                    s.push(bytes[i] as char);
+                let start = i + 1;
+                i = start;
+                while at(i).is_some_and(|b| b != b'"') {
                     i += 1;
                 }
-                if i == bytes.len() {
+                if at(i).is_none() {
                     return Err(SqlError::Lex("unterminated quoted identifier".into()));
                 }
+                out.push(Tok::Ident(text(start, i)?.to_string()));
                 i += 1;
-                out.push(Tok::Ident(s));
             }
             '$' => {
                 // a parameter; inside a string literal `$` is text (above)
                 let start = i + 1;
-                i = start;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text = &input[start..i];
+                i = digits_from(start);
+                let text = text(start, i)?;
                 let n: u32 = match text.parse() {
                     Ok(n) if n > 0 => n,
                     Ok(_) => return Err(SqlError::Lex("parameters are numbered from $1".into())),
@@ -179,32 +161,21 @@ pub fn lex(input: &str) -> Result<Vec<Tok>, SqlError> {
             }
             c if c.is_ascii_digit() => {
                 let start = i;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
+                i = digits_from(i);
                 let mut is_float = false;
-                if i < bytes.len()
-                    && bytes[i] == b'.'
-                    && i + 1 < bytes.len()
-                    && (bytes[i + 1] as char).is_ascii_digit()
-                {
+                if at(i) == Some(b'.') && at(i + 1).is_some_and(|b| b.is_ascii_digit()) {
+                    is_float = true;
+                    i = digits_from(i + 1);
+                }
+                if matches!(at(i), Some(b'e' | b'E')) {
                     is_float = true;
                     i += 1;
-                    while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
+                    if matches!(at(i), Some(b'+' | b'-')) {
                         i += 1;
                     }
+                    i = digits_from(i);
                 }
-                if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-                    is_float = true;
-                    i += 1;
-                    if i < bytes.len() && (bytes[i] == b'+' || bytes[i] == b'-') {
-                        i += 1;
-                    }
-                    while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                let text = &input[start..i];
+                let text = text(start, i)?;
                 if is_float {
                     out.push(Tok::Float(
                         text.parse()
@@ -218,22 +189,44 @@ pub fn lex(input: &str) -> Result<Vec<Tok>, SqlError> {
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while at(i).is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_') {
                     i += 1;
                 }
-                out.push(Tok::Ident(input[start..i].to_string()));
+                out.push(Tok::Ident(text(start, i)?.to_string()));
             }
-            c => return Err(SqlError::Lex(format!("unexpected character {c:?}"))),
+            _ => {
+                let c = input.get(i..).and_then(|s| s.chars().next()).unwrap_or(c);
+                return Err(SqlError::Lex(format!("unexpected character {c:?}")));
+            }
         }
     }
     Ok(out)
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
+
+    /// A literal's text is the statement's, non-ASCII characters and
+    /// doubled quotes included.
+    #[test]
+    fn string_literals_keep_their_characters() {
+        let toks = lex("'Grüße ''ü''' \"naïve\"").unwrap();
+        assert_eq!(
+            toks,
+            [Tok::Str("Grüße 'ü'".into()), Tok::Ident("naïve".into())]
+        );
+        assert_eq!(
+            lex("x ü"),
+            Err(SqlError::Lex("unexpected character 'ü'".into()))
+        );
+    }
 
     #[test]
     fn lexes_a_select() {

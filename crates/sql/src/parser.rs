@@ -1,5 +1,12 @@
 //! Recursive-descent parser for the supported SQL dialect.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use crate::ast::*;
 use crate::lexer::{lex, Tok};
 use crate::SqlError;
@@ -10,11 +17,8 @@ pub fn parse(input: &str) -> Result<Statement, SqlError> {
     let mut p = Parser { toks, pos: 0 };
     let stmt = p.statement()?;
     p.eat_semicolons();
-    if p.pos != p.toks.len() {
-        return Err(SqlError::Parse(format!(
-            "trailing input at token {:?}",
-            p.toks[p.pos]
-        )));
+    if let Some(tok) = p.peek() {
+        return Err(SqlError::Parse(format!("trailing input at token {tok:?}")));
     }
     Ok(stmt)
 }
@@ -468,8 +472,7 @@ impl Parser {
                     "AVG" => AggName::Avg,
                     "BOOL_AND" => AggName::BoolAnd,
                     "BOOL_OR" => AggName::BoolOr,
-                    "COUNT" => return Err(SqlError::Parse("only COUNT (*) is supported".into())),
-                    _ => unreachable!(),
+                    _ => return Err(SqlError::Parse("only COUNT (*) is supported".into())),
                 };
                 let arg = self.expr()?;
                 self.expect(&Tok::RParen)?;
@@ -542,6 +545,12 @@ fn is_clause_keyword(s: &str) -> bool {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
 

@@ -228,51 +228,59 @@ fn slots(sql: &str) -> Vec<(u32, Ty)> {
     p
 }
 
+/// Statements and the parameter slots the binder types in them.
+const TYPED: [(&str, &[(u32, Ty)]); 6] = [
+    // from the other operand, on either side
+    (EMP_BY_SAL_DEPT, &[(0, Ty::Int), (1, Ty::Str)]),
+    (
+        "SELECT e.name AS who FROM emp AS e WHERE $1 < e.sal;",
+        &[(0, Ty::Int)],
+    ),
+    // nested in arithmetic, and in an output column
+    (
+        "SELECT e.sal * $2 AS x FROM emp AS e WHERE e.sal - $1 > 0;",
+        &[(0, Ty::Int), (1, Ty::Int)],
+    ),
+    // from an enclosing CAST, including the identity casts
+    (
+        "SELECT CAST($1 AS DOUBLE PRECISION) AS x, CAST($2 AS VARCHAR) AS y;",
+        &[(0, Ty::Dbl), (1, Ty::Str)],
+    ),
+    // against a surrogate, a parameter is a Nat
+    (
+        "SELECT r.who AS who FROM (SELECT e.name AS who, \
+         ROW_NUMBER () OVER (ORDER BY e.name ASC) AS rn_nat FROM emp AS e) AS r \
+         WHERE r.rn_nat = $1;",
+        &[(0, Ty::Nat)],
+    ),
+    // one slot, used twice
+    (
+        "SELECT e.name AS who FROM emp AS e WHERE e.sal >= $1 AND e.sal < $1 + 20;",
+        &[(0, Ty::Int), (0, Ty::Int)],
+    ),
+];
+
+/// Statements whose parameters the binder refuses.
+const UNTYPABLE: [&str; 7] = [
+    "SELECT $1 AS x;",
+    "SELECT e.name AS who FROM emp AS e WHERE $1 = $2;",
+    "SELECT e.name AS who FROM emp AS e WHERE NOT $1;",
+    "SELECT -$1 AS x FROM emp AS e;",
+    "SELECT CASE WHEN e.sal > 1 THEN $1 ELSE 0 END AS x FROM emp AS e;",
+    "SELECT e.name AS who FROM emp AS e WHERE e.sal >= $1 AND e.sal < $3;",
+    "SELECT e.name AS who FROM emp AS e WHERE e.sal >= $2;",
+];
+
 #[test]
 fn the_binder_types_parameters_from_their_context() {
-    // from the other operand, on either side
-    assert_eq!(slots(EMP_BY_SAL_DEPT), vec![(0, Ty::Int), (1, Ty::Str)]);
-    assert_eq!(
-        slots("SELECT e.name AS who FROM emp AS e WHERE $1 < e.sal;"),
-        vec![(0, Ty::Int)]
-    );
-    // nested in arithmetic, and in an output column
-    assert_eq!(
-        slots("SELECT e.sal * $2 AS x FROM emp AS e WHERE e.sal - $1 > 0;"),
-        vec![(0, Ty::Int), (1, Ty::Int)]
-    );
-    // from an enclosing CAST, including the identity casts
-    assert_eq!(
-        slots("SELECT CAST($1 AS DOUBLE PRECISION) AS x, CAST($2 AS VARCHAR) AS y;"),
-        vec![(0, Ty::Dbl), (1, Ty::Str)]
-    );
-    // against a surrogate, a parameter is a Nat
-    assert_eq!(
-        slots(
-            "SELECT r.who AS who FROM (SELECT e.name AS who, \
-             ROW_NUMBER () OVER (ORDER BY e.name ASC) AS rn_nat FROM emp AS e) AS r \
-             WHERE r.rn_nat = $1;"
-        ),
-        vec![(0, Ty::Nat)]
-    );
-    // one slot, used twice
-    assert_eq!(
-        slots("SELECT e.name AS who FROM emp AS e WHERE e.sal >= $1 AND e.sal < $1 + 20;"),
-        vec![(0, Ty::Int), (0, Ty::Int)]
-    );
+    for (sql, want) in TYPED {
+        assert_eq!(slots(sql), want, "{sql}");
+    }
 }
 
 #[test]
 fn untypable_and_gapped_parameters_are_bind_errors() {
-    for bad in [
-        "SELECT $1 AS x;",
-        "SELECT e.name AS who FROM emp AS e WHERE $1 = $2;",
-        "SELECT e.name AS who FROM emp AS e WHERE NOT $1;",
-        "SELECT -$1 AS x FROM emp AS e;",
-        "SELECT CASE WHEN e.sal > 1 THEN $1 ELSE 0 END AS x FROM emp AS e;",
-        "SELECT e.name AS who FROM emp AS e WHERE e.sal >= $1 AND e.sal < $3;",
-        "SELECT e.name AS who FROM emp AS e WHERE e.sal >= $2;",
-    ] {
+    for bad in UNTYPABLE {
         assert!(
             matches!(bind_sql(bad), Err(SqlError::Bind(_))),
             "{bad}: {:?}",
@@ -285,4 +293,33 @@ fn untypable_and_gapped_parameters_are_bind_errors() {
     ));
     // a `$1` in a string literal is text, and no parameter
     assert!(slots("SELECT '$1' AS x;").is_empty());
+}
+
+/// Statement text arrives from a socket: every prefix of every statement
+/// here, cut at each char boundary, either parses and binds or is an
+/// `Err` — never a panic.
+#[test]
+fn every_prefix_of_a_statement_parses_or_errs() {
+    let db = database();
+    let snap = db.snapshot();
+    let texts = [
+        LOOKUP,
+        EMP_BY_SAL_DEPT,
+        EMP_BY_SAL,
+        "SELECT 'Grüße $1 ''ü''' AS x;",
+    ];
+    let texts = texts
+        .into_iter()
+        .chain(TYPED.map(|(sql, _)| sql))
+        .chain(UNTYPABLE);
+    let mut cut = 0;
+    for sql in texts {
+        for (i, _) in sql.char_indices().chain([(sql.len(), ' ')]) {
+            if let Ok(stmt) = parse(&sql[..i]) {
+                let _ = bind(&snap, &stmt);
+            }
+            cut += 1;
+        }
+    }
+    assert!(cut > 1000, "only {cut} prefixes");
 }

@@ -16,15 +16,10 @@ pub const ENGINE_ROWS_OUT: &str = "engine.rows_out";
 pub const ENGINE_NODES_EVALUATED: &str = "engine.nodes_evaluated";
 /// Rows produced by intermediate operators (a rough work metric).
 pub const ENGINE_ROWS_PRODUCED: &str = "engine.rows_produced";
-/// Plan nodes covered by evaluations that took the vectorized path
-/// (chain members included).
+/// Plan-node evaluations that took the vectorized path.
 pub const ENGINE_VEC_NODES: &str = "engine.vec_nodes";
 /// Kernel batches executed by vectorized nodes.
 pub const ENGINE_KERNEL_BATCHES: &str = "engine.kernel_batches";
-/// Pipeline groups that executed fused (one batch loop scan→sink).
-pub const ENGINE_FUSED_PIPELINES: &str = "engine.fused_pipelines";
-/// Plan nodes absorbed into fused pipelines.
-pub const ENGINE_FUSED_NODES: &str = "engine.fused_nodes";
 /// Per-dispatch wall time (histogram, log₂ buckets).
 pub const ENGINE_QUERY_LATENCY_NS: &str = "engine.query_latency_ns";
 /// The published catalog epoch (gauge, monotone under one process).
@@ -73,8 +68,6 @@ pub const STORAGE_COMMIT_BATCH_RECORDS: &str = "storage.commit_batch_records";
 /// these constants only.
 pub const ALL: &[&str] = &[
     ENGINE_EPOCH,
-    ENGINE_FUSED_NODES,
-    ENGINE_FUSED_PIPELINES,
     ENGINE_KERNEL_BATCHES,
     ENGINE_NODES_EVALUATED,
     ENGINE_QUERIES,
@@ -111,8 +104,6 @@ mod tests {
     fn golden_metric_names() {
         let expected = [
             "engine.epoch",
-            "engine.fused_nodes",
-            "engine.fused_pipelines",
             "engine.kernel_batches",
             "engine.nodes_evaluated",
             "engine.queries",

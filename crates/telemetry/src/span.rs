@@ -96,7 +96,7 @@ pub struct SpanRecord {
     pub trace: u64,
     pub name: Cow<'static, str>,
     /// Coarse pipeline stage: `"compile"`, `"optimize"`, `"sql"`,
-    /// `"engine"`, `"exec.node"`, `"exec.pipeline"`, `"runtime"`, `"query"`.
+    /// `"engine"`, `"exec.node"`, `"runtime"`, `"query"`.
     pub cat: &'static str,
     /// Small dense id of the recording thread (for trace viewers' lanes).
     pub tid: u64,

@@ -71,23 +71,21 @@ fn full_trace_covers_compile_optimizer_and_every_node() {
     assert_eq!(profile.roots, 2, "the running example is a 2-root bundle");
     assert!(!profile.nodes.is_empty());
     for p in &profile.nodes {
-        // pipeline tails carry their fusion group as one exec.pipeline
-        // span; everything else gets a plain exec.node span
-        let (cat, name) = if p.fused.is_empty() {
-            ("exec.node", p.label)
-        } else {
-            ("exec.pipeline", "pipeline")
-        };
         assert!(
-            trace.spans.iter().any(|s| s.cat == cat
-                && s.name == name
+            trace.spans.iter().any(|s| s.cat == "exec.node"
+                && s.name == p.label
                 && s.attrs.contains(&("node", AttrVal::UInt(p.node as u64)))),
-            "missing {} span for node {} ({})",
-            cat,
+            "missing exec.node span for node {} ({})",
             p.node,
             p.label
         );
     }
+    let node_spans = trace.spans.iter().filter(|s| s.cat == "exec.node").count();
+    assert_eq!(
+        node_spans,
+        profile.nodes.len(),
+        "one span per evaluated node"
+    );
     assert_eq!(profile.trace_id, trace.trace_id);
 }
 
