@@ -42,6 +42,6 @@ pub use chunk::ColVec;
 pub use expr::{AggFun, BinOp, Expr, ParamError, UnOp};
 pub use infer::{infer_node, infer_schema, validate, InferError};
 pub use plan::{Dir, JoinCols, Node, NodeId, Plan, SortSpec};
-pub use rel::{NoSuchColumn, Rel, Row};
+pub use rel::{rows_converted, NoSuchColumn, Rel, Row};
 pub use schema::{ColName, Schema};
 pub use value::{Ty, Value};

@@ -12,14 +12,32 @@
 //!
 //! [`Row`]s exist only at the edges: [`Rel::new`] transposes rows into
 //! columns once, and [`Rel::rows`] builds them back for the stitcher, the
-//! wire codec, storage and the scalar oracle.
+//! wire codec, storage and the scalar oracle. Every row that crosses the
+//! edge either way is counted per thread ([`rows_converted`]).
 
 use crate::chunk::ColVec;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
+
+thread_local! {
+    static ROWS_CONVERTED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Rows the calling thread has converted between row and column form
+/// ([`Rel::new`], [`Rel::append_rows`], [`Rel::row`], [`Rel::rows`]) since
+/// it started. The difference across a piece of work on one thread is
+/// that work's exact conversion count.
+pub fn rows_converted() -> u64 {
+    ROWS_CONVERTED.with(Cell::get)
+}
+
+fn converted(rows: usize) {
+    ROWS_CONVERTED.with(|c| c.set(c.get() + rows as u64));
+}
 
 /// One table row. Cells are positionally aligned with a [`Schema`].
 pub type Row = Vec<Value>;
@@ -73,6 +91,7 @@ impl Rel {
             rows.iter().all(|r| r.len() == schema.len()),
             "row width does not match schema {schema}"
         );
+        converted(rows.len());
         let cols = (schema.cols().iter().enumerate())
             .map(|(c, (_, ty))| Arc::new(ColVec::from_cells(*ty, rows.iter().map(|r| &r[c]))))
             .collect();
@@ -145,6 +164,7 @@ impl Rel {
 
     /// Visible row `i` as a [`Row`].
     pub fn row(&self, i: usize) -> Row {
+        converted(1);
         let raw = self.raw_row(i);
         self.cols.iter().map(|c| c.value(raw)).collect()
     }
@@ -212,6 +232,7 @@ impl Rel {
     /// (`Arc::make_mut`), so every other holder keeps its own cells.
     pub fn append_rows(&mut self, rows: &[Row]) {
         assert!(self.sel.is_none(), "appending to a view");
+        converted(rows.len());
         for (c, col) in self.cols.iter_mut().enumerate() {
             Arc::make_mut(col).extend_cells(rows.iter().map(|r| &r[c]));
         }
@@ -340,6 +361,24 @@ mod tests {
         assert!(Arc::ptr_eq(r.col(0), renamed.col(0)));
         assert_eq!(renamed.col_index("i"), Ok(1));
         assert!(renamed.col_index("item").is_err()); // the old name is gone
+    }
+
+    #[test]
+    fn every_row_across_the_edge_is_counted_and_views_are_free() {
+        let before = rows_converted();
+        let mut r = sample(); // 2 rows in
+        let v = r
+            .with_sel(vec![1])
+            .project(Schema::of(&[("p", Ty::Nat)]), &[0]);
+        let _ = (
+            r.gather(vec![0, 1]),
+            v.cell(0, 0),
+            Rel::empty(r.schema.clone()),
+        );
+        assert_eq!(rows_converted() - before, 2);
+        let _ = (r.row(0), v.rows()); // 1 + 1 out
+        r.append_rows(&[vec![Value::Nat(3), Value::Int(30)]]); // 1 in
+        assert_eq!(rows_converted() - before, 5);
     }
 
     #[test]

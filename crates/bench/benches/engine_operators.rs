@@ -1,14 +1,15 @@
 //! Engine micro-benchmarks: the bulk operators loop-lifted plans lean on
 //! hardest (hash join, row numbering, grouping, duplicate elimination,
 //! filtering, projection, serialization, expression evaluation). Not a
-//! paper artefact — a regression guard for the substrate that all
-//! measured experiments run on.
+//! paper artefact: timings of the substrate that all measured
+//! experiments run on, gated nowhere (the work ledger in
+//! `tests/ledger.rs` pins what these operators do on the paper's
+//! programs).
 //!
 //! Each operator runs on the production path, one kernel or typed sink
 //! per plan node, under the ids `{operator}_fused/{rows}` — the suffix
 //! predates the removal of the unfused kernel path and of pipeline
-//! fusion, and stays so the pins in `BENCH_engine.json` keep comparing
-//! like with like. The row-at-a-time
+//! fusion, and keeps old records comparable. The row-at-a-time
 //! oracle (`VecMode::Off`) is timed by no bench: no production query
 //! runs it.
 

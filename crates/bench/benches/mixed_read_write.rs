@@ -5,8 +5,8 @@
 //! writer present should sit on top of its reader-only p95.
 //!
 //! The evidence preamble measures both p95s directly and prints them
-//! (for README / BENCH_engine.json documentation); the criterion benches
-//! pin the medians behind the regression gate.
+//! (for README / DESIGN documentation); the criterion benches time the
+//! medians.
 //!
 //! Host caveat: CI runs on one core, so the writer is *paced* (it sleeps
 //! between commits). An unpaced writer on a single core inflates reader

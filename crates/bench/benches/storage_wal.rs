@@ -1,7 +1,8 @@
 //! Durability-layer micro-benchmarks: commit-log append throughput under
 //! each fsync policy, and recovery by log replay vs. snapshot restore
-//! (each commit one frame in the commit log). Not a paper artefact — a
-//! regression guard for the storage substrate.
+//! (each commit one frame in the commit log). Not a paper artefact:
+//! timings of the storage substrate, gated nowhere (the work ledger pins
+//! a commit's fsyncs and WAL bytes and a reopen's conversions).
 //!
 //! All benches run over the in-memory `FaultFs` so they measure the
 //! codec + framing + policy bookkeeping, not the host's disk; real-disk

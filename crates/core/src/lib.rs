@@ -76,8 +76,8 @@ pub mod types;
 pub use backend::{AlgebraBackend, Backend};
 pub use error::FerryError;
 pub use ferry_engine::{
-    DurabilityConfig, FsyncPolicy, NodeProfile, ParConfig, ProfileRing, QueryProfile, QueryStats,
-    RecoveryReport,
+    DurabilityConfig, FsyncPolicy, NodeProfile, ProfileRing, QueryProfile, QueryStats,
+    RecoveryReport, VecMode,
 };
 pub use ferry_telemetry::{
     chrome_trace_json, OptReport, PassStat, QueryTrace, Telemetry, TelemetryConfig,

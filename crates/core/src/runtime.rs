@@ -740,9 +740,10 @@ impl Connection {
     /// [`explain`](Connection::explain) plus execution: run the bundle
     /// (under a forced telemetry trace, whatever the configured level)
     /// and render the engine's per-node profile — execution path (scalar
-    /// vs vectorized, with kernel batch count), wall time and output rows
-    /// per operator — the aggregate execution-path counters, and the
-    /// compile → optimize → execute span timeline. The
+    /// vs vectorized, with kernel batch count), wall time, output rows and
+    /// the rows each operator sorted, hashed and converted — the
+    /// dispatch's totals, and the compile → optimize → execute span
+    /// timeline. The
     /// profiling analogue of SQL's `EXPLAIN ANALYZE`.
     pub fn explain_analyze<T: QA>(&self, q: &Q<T>) -> Result<String, FerryError> {
         use std::fmt::Write;
@@ -762,23 +763,43 @@ impl Connection {
             "-- execution profile ({} rows out) --",
             results.iter().map(Rel::len).sum::<usize>()
         );
-        if let Some(profile) = stats.latest_profile() {
-            for p in &profile.nodes {
-                let path = match p.path {
-                    ferry_engine::ExecPath::Scalar => "scalar".to_string(),
-                    ferry_engine::ExecPath::Vectorized => format!("vec({})", p.batches),
-                };
-                let _ = writeln!(
-                    out,
-                    "node {:>3}  {:<12} {:<10} {:>9} rows  {:?}",
-                    p.node, p.label, path, p.rows, p.elapsed
-                );
-            }
+        // this dispatch's totals: the latest profile summed
+        let mut total = ferry_engine::QueryStats::default();
+        for p in stats.latest_profile().map_or(&[][..], |q| &q.nodes) {
+            let path = match p.path {
+                ferry_engine::ExecPath::Scalar => "scalar".to_string(),
+                ferry_engine::ExecPath::Vectorized => format!("vec({})", p.batches),
+            };
+            let _ = writeln!(
+                out,
+                "node {:>3}  {:<12} {:<10} {:>9} rows  {:?}  sorted {}  hashed {}  converted {}",
+                p.node,
+                p.label,
+                path,
+                p.rows,
+                p.elapsed,
+                p.rows_sorted,
+                p.rows_hashed,
+                p.rows_converted
+            );
+            total.vec_nodes += u64::from(p.path == ferry_engine::ExecPath::Vectorized);
+            total.kernel_batches += u64::from(p.batches);
+            total.sorts += u64::from(p.sorts);
+            total.rows_sorted += p.rows_sorted;
+            total.hash_builds += u64::from(p.hash_builds);
+            total.rows_hashed += p.rows_hashed;
+            total.rows_converted += p.rows_converted;
         }
         let _ = writeln!(
             out,
-            "vec nodes: {}  kernel batches: {}",
-            stats.vec_nodes, stats.kernel_batches
+            "vec nodes: {}  kernel batches: {}  sorts: {} ({} rows)  hash builds: {} ({} rows)  rows converted: {}",
+            total.vec_nodes,
+            total.kernel_batches,
+            total.sorts,
+            total.rows_sorted,
+            total.hash_builds,
+            total.rows_hashed,
+            total.rows_converted
         );
         let recorded = telemetry
             .traces()
@@ -791,11 +812,11 @@ impl Connection {
         Ok(out)
     }
 
-    /// Configure the engine's execution path (`ParConfig::vec`) for every
-    /// subsequent execution on this connection's database (shared by all
-    /// clones). `VecMode::Off` pins the scalar oracle.
-    pub fn set_par_config(&self, cfg: ferry_engine::ParConfig) {
-        self.db.set_par_config(cfg);
+    /// Configure the engine's execution path for every subsequent
+    /// execution on this connection's database (shared by all clones).
+    /// `VecMode::Off` pins the scalar oracle.
+    pub fn set_vec_mode(&self, mode: ferry_engine::VecMode) {
+        self.db.set_vec_mode(mode);
     }
 }
 

@@ -643,9 +643,9 @@ fn explain_analyze_renders_the_node_profile() {
 
 #[test]
 fn explain_analyze_names_the_oracle_path() {
-    use ferry_engine::{ParConfig, VecMode};
+    use ferry_engine::VecMode;
     let c = conn();
-    c.set_par_config(ParConfig { vec: VecMode::Off });
+    c.set_vec_mode(VecMode::Off);
     let text = c
         .explain_analyze(&group_with(|x: Q<i64>| x % toq(&2i64), nums()))
         .unwrap();

@@ -34,7 +34,7 @@ use crate::error::EngineError;
 use crate::exec;
 use crate::stats::{ProfileRing, QueryProfile, QueryStats};
 use crate::sys::{self, DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP};
-use crate::vec_eval::ParConfig;
+use crate::vec_eval::VecMode;
 use ferry_algebra::{infer_schema, NodeId, Plan, Rel, Row, Schema, Value};
 use ferry_storage::{
     DurabilityConfig, FsyncPolicy, RecoveryReport, StdFs, Storage, StorageError, TableDef,
@@ -175,7 +175,7 @@ pub struct Database {
     /// Fixed per-query dispatch latency in nanoseconds.
     dispatch_cost_ns: AtomicU64,
     /// Execution-path selection used by every dispatch.
-    par: Mutex<ParConfig>,
+    vec_mode: Mutex<VecMode>,
     /// The observability hub: config, metrics registry, trace ring.
     /// Per-instance (no process globals), so concurrent databases and
     /// tests never see each other's numbers.
@@ -222,6 +222,11 @@ struct EngineMetrics {
     cache_misses: Arc<Counter>,
     vec_nodes: Arc<Counter>,
     kernel_batches: Arc<Counter>,
+    sorts: Arc<Counter>,
+    rows_sorted: Arc<Counter>,
+    hash_builds: Arc<Counter>,
+    rows_hashed: Arc<Counter>,
+    rows_converted: Arc<Counter>,
     checkpoint_failures: Arc<Counter>,
     query_latency_ns: Arc<Histogram>,
     /// The published catalog epoch (gauge, monotone under one process).
@@ -246,6 +251,11 @@ impl EngineMetrics {
             cache_misses: counter(names::RUNTIME_CACHE_MISSES),
             vec_nodes: counter(names::ENGINE_VEC_NODES),
             kernel_batches: counter(names::ENGINE_KERNEL_BATCHES),
+            sorts: counter(names::ENGINE_SORTS),
+            rows_sorted: counter(names::ENGINE_ROWS_SORTED),
+            hash_builds: counter(names::ENGINE_HASH_BUILDS),
+            rows_hashed: counter(names::ENGINE_ROWS_HASHED),
+            rows_converted: counter(names::ENGINE_ROWS_CONVERTED),
             checkpoint_failures: counter(names::STORAGE_CHECKPOINT_FAILURES),
             query_latency_ns: registry
                 .histogram(names::ENGINE_QUERY_LATENCY_NS)
@@ -281,7 +291,7 @@ impl Database {
             gc: Mutex::new(GroupCommit::default()),
             gc_cv: Condvar::new(),
             dispatch_cost_ns: AtomicU64::new(0),
-            par: Mutex::new(ParConfig::default()),
+            vec_mode: Mutex::new(VecMode::default()),
             telemetry,
             metrics,
             profiles: Mutex::new(ProfileRing::default()),
@@ -941,13 +951,20 @@ impl Database {
             .store(cost.as_nanos() as u64, AtOrd::Relaxed);
     }
 
-    /// Set the execution configuration used by subsequent dispatches.
-    pub fn set_par_config(&self, cfg: ParConfig) {
-        *self.par.lock().unwrap() = cfg;
+    /// Set the execution path of subsequent dispatches: the production
+    /// path (`VecMode::On`, the default) or the scalar oracle.
+    pub fn set_vec_mode(&self, mode: VecMode) {
+        *self.vec_mode.lock().unwrap() = mode;
     }
 
-    pub fn par_config(&self) -> ParConfig {
-        *self.par.lock().unwrap()
+    pub fn vec_mode(&self) -> VecMode {
+        *self.vec_mode.lock().unwrap()
+    }
+
+    /// [`Database::vec_mode`] under the name the end-to-end benchmark's
+    /// configuration echo reads.
+    pub fn par_config(&self) -> VecMode {
+        self.vec_mode()
     }
 
     /// A point-in-time [`QueryStats`] view assembled from the telemetry
@@ -963,6 +980,11 @@ impl Database {
             cache_misses: m.cache_misses.get(),
             vec_nodes: m.vec_nodes.get(),
             kernel_batches: m.kernel_batches.get(),
+            sorts: m.sorts.get(),
+            rows_sorted: m.rows_sorted.get(),
+            hash_builds: m.hash_builds.get(),
+            rows_hashed: m.rows_hashed.get(),
+            rows_converted: m.rows_converted.get(),
             profiles: self.profiles.lock().unwrap().clone(),
         }
     }
@@ -1091,9 +1113,9 @@ impl<'db> Snapshot<'db> {
         })
     }
 
-    /// The execution configuration dispatches through this snapshot use.
-    pub fn par_config(&self) -> ParConfig {
-        self.db.par_config()
+    /// The execution path dispatches through this snapshot use.
+    pub fn vec_mode(&self) -> VecMode {
+        self.db.vec_mode()
     }
 
     /// Dispatch **one query** — validate the plan, evaluate the DAG bottom-
@@ -1172,6 +1194,11 @@ impl<'db> Snapshot<'db> {
             m.rows_produced.add(local.rows_produced);
             m.vec_nodes.add(local.vec_nodes);
             m.kernel_batches.add(local.kernel_batches);
+            m.sorts.add(local.sorts);
+            m.rows_sorted.add(local.rows_sorted);
+            m.hash_builds.add(local.hash_builds);
+            m.rows_hashed.add(local.rows_hashed);
+            m.rows_converted.add(local.rows_converted);
             m.query_latency_ns.record(elapsed_ns);
             db.profiles.lock().unwrap().push(profile);
         }

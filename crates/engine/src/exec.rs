@@ -42,12 +42,19 @@
 //! [`KeyIndex`] and [`Keys::groups`] hash them into flat chains, and a
 //! composite key's candidates are verified column by column. A `unit`
 //! key column is one constant code.
+//!
+//! Every node keeps a **work ledger** ([`NodeMetrics`], then its
+//! [`NodeProfile`]): the sorts it ran ([`sort_indices`]) and the hash
+//! tables it built ([`KeyIndex::new`], [`Keys::groups`]), with their
+//! rows, and the rows converted between row and column form while it
+//! ran ([`ferry_algebra::rows_converted`]). The counts are exact: the
+//! same plan over the same data counts the same on every run.
 
 use crate::catalog::Snapshot;
 use crate::error::EngineError;
 use crate::eval::{bind, eval};
 use crate::stats::{ExecPath, NodeProfile, QueryStats};
-use crate::vec_eval::{self, ParConfig, VecMode, BATCH_ROWS};
+use crate::vec_eval::{self, VecMode, BATCH_ROWS};
 use ferry_algebra::plan::Aggregate;
 use ferry_algebra::{
     AggFun, ColName, ColVec, Dir, Node, NodeId, Plan, Rel, Row, Schema, SortSpec, Ty, Value,
@@ -85,7 +92,7 @@ pub fn run_many(
     stats: &mut QueryStats,
     prof: &mut Vec<NodeProfile>,
 ) -> Result<Vec<Rel>, EngineError> {
-    let cfg = snap.par_config();
+    let mode = snap.vec_mode();
     // mark every node reachable from any root
     let mut needed = vec![false; plan.len()];
     let mut stack: Vec<NodeId> = roots.to_vec();
@@ -96,7 +103,7 @@ pub fn run_many(
         stack.extend(plan.node(id).children());
     }
     // a node's path is the mode
-    let path = match cfg.vec {
+    let path = match mode {
         VecMode::On => ExecPath::Vectorized,
         VecMode::Off => ExecPath::Scalar,
     };
@@ -109,8 +116,10 @@ pub fn run_many(
         let mut m = NodeMetrics::default();
         let start_ns = ferry_telemetry::now_ns();
         let start = Instant::now();
-        let rel = eval_node(snap, plan, id, schemas, &results, &cfg, &mut m)?;
+        let converted = ferry_algebra::rows_converted();
+        let rel = eval_node(snap, plan, id, schemas, &results, mode, &mut m)?;
         let elapsed = start.elapsed();
+        let rows_converted = ferry_algebra::rows_converted() - converted;
         // under `On` a view-only node (a scan, a projection) runs no row code
         // of either kind and counts as vec
         if path == ExecPath::Vectorized {
@@ -119,6 +128,11 @@ pub fn run_many(
         stats.nodes_evaluated += 1;
         stats.rows_produced += rel.len() as u64;
         stats.kernel_batches += m.batches as u64;
+        stats.sorts += m.sorts as u64;
+        stats.rows_sorted += m.rows_sorted;
+        stats.hash_builds += m.hash_builds as u64;
+        stats.rows_hashed += m.rows_hashed;
+        stats.rows_converted += rows_converted;
         let label = plan.node(id).label();
         if ferry_telemetry::tracing_active() {
             // post-hoc span: the node was timed above; record it
@@ -144,6 +158,11 @@ pub fn run_many(
             elapsed,
             path,
             batches: m.batches,
+            sorts: m.sorts,
+            rows_sorted: m.rows_sorted,
+            hash_builds: m.hash_builds,
+            rows_hashed: m.rows_hashed,
+            rows_converted,
         });
         results[idx] = Some(rel);
     }
@@ -160,12 +179,29 @@ struct NodeMetrics {
     /// for a node that runs neither, an empty input, or the scalar
     /// oracle).
     batches: u32,
+    /// Sorts executed ([`sort_indices`]) and the rows they ordered.
+    sorts: u32,
+    rows_sorted: u64,
+    /// Hash tables built ([`KeyIndex::new`], [`Keys::groups`]) and the
+    /// rows inserted into them.
+    hash_builds: u32,
+    rows_hashed: u64,
 }
 
 impl NodeMetrics {
     /// Record that a typed sink ran over `rows` input rows.
     fn typed_sink(&mut self, rows: usize) {
         self.batches += rows.div_ceil(BATCH_ROWS) as u32;
+    }
+
+    fn sorted(&mut self, rows: usize) {
+        self.sorts += 1;
+        self.rows_sorted += rows as u64;
+    }
+
+    fn hashed(&mut self, rows: usize) {
+        self.hash_builds += 1;
+        self.rows_hashed += rows as u64;
     }
 }
 
@@ -361,7 +397,8 @@ impl Keys {
     /// Group rows by key, groups numbered in first-occurrence order: calls
     /// `each(group)` for every row in turn and returns each group's first
     /// row. The flat-chain index links the groups that share a hash.
-    fn groups(&self, mut each: impl FnMut(u32)) -> Vec<u32> {
+    fn groups(&self, m: &mut NodeMetrics, mut each: impl FnMut(u32)) -> Vec<u32> {
+        m.hashed(self.rows);
         let verify = self.hashes.is_some();
         let mut head: HashMap<u64, u32, CodeHash> = HashMap::with_hasher(CodeHash);
         let mut next: Vec<u32> = Vec::new();
@@ -436,7 +473,8 @@ struct KeyIndex {
 }
 
 impl KeyIndex {
-    fn new(keys: Keys) -> KeyIndex {
+    fn new(keys: Keys, m: &mut NodeMetrics) -> KeyIndex {
+        m.hashed(keys.rows);
         let mut head: HashMap<u64, u32, CodeHash> =
             HashMap::with_capacity_and_hasher(keys.rows, CodeHash);
         let mut next: Vec<u32> = vec![NO_ROW; keys.rows];
@@ -559,7 +597,8 @@ fn sort_codes(rel: &Rel, spec: &[(usize, Dir)]) -> Vec<Vec<u64>> {
 
 /// Sort the index set `0..n` by `cmp`, which must break ties on the
 /// index itself: the order is then total and the sort deterministic.
-fn sort_indices(n: usize, cmp: impl Fn(u32, u32) -> Ordering) -> Vec<u32> {
+fn sort_indices(n: usize, m: &mut NodeMetrics, cmp: impl Fn(u32, u32) -> Ordering) -> Vec<u32> {
+    m.sorted(n);
     let mut idxs: Vec<u32> = (0..n as u32).collect();
     idxs.sort_unstable_by(|&a, &b| cmp(a, b));
     idxs
@@ -567,8 +606,8 @@ fn sort_indices(n: usize, cmp: impl Fn(u32, u32) -> Ordering) -> Vec<u32> {
 
 /// Sort visible row indices by pre-computed code columns, original index
 /// as the final tiebreak (the typed twin of the `cmp_vis` comparators).
-fn sort_by_codes(n: usize, cols: &[Vec<u64>]) -> Vec<u32> {
-    sort_indices(n, |a, b| {
+fn sort_by_codes(n: usize, cols: &[Vec<u64>], m: &mut NodeMetrics) -> Vec<u32> {
+    sort_indices(n, m, |a, b| {
         for col in cols {
             match col[a as usize].cmp(&col[b as usize]) {
                 Ordering::Equal => {}
@@ -585,12 +624,12 @@ fn eval_node(
     id: NodeId,
     schemas: &[Schema],
     results: &[Option<Rel>],
-    cfg: &ParConfig,
+    mode: VecMode,
     m: &mut NodeMetrics,
 ) -> Result<Rel, EngineError> {
     let out_schema = schemas[id.index()].clone();
     // the scalar arms are the oracle's, and nothing else's
-    let oracle = cfg.vec == VecMode::Off;
+    let oracle = mode == VecMode::Off;
     let child = |c: NodeId| child(results, c);
     match plan.node(id) {
         Node::TableRef { name, cols, .. } => {
@@ -704,7 +743,7 @@ fn eval_node(
             let all: Vec<usize> = (0..rel.width()).collect();
             // typed: keep each key group's first row
             if !oracle {
-                let firsts = Keys::of(rel, &all).groups(|_| {});
+                let firsts = Keys::of(rel, &all).groups(m, |_| {});
                 let keep = firsts.iter().map(|&i| rel.raw_row(i as usize) as u32);
                 m.typed_sink(rel.len());
                 return Ok(rel.with_sel(keep.collect()).with_schema(out_schema));
@@ -744,9 +783,9 @@ fn eval_node(
             // typed: the first row of each left key group no right row has
             if !oracle {
                 let (lk, rk) = key_codes((l, &all), (r, &all))?;
-                let exclude = KeyIndex::new(rk);
+                let exclude = KeyIndex::new(rk, m);
                 let keep = lk
-                    .groups(|_| {})
+                    .groups(m, |_| {})
                     .into_iter()
                     .filter(|&i| !exclude.contains(&lk, i as usize))
                     .map(|i| l.raw_row(i as usize) as u32);
@@ -776,7 +815,7 @@ fn eval_node(
             // visible rows, probe row then build row
             if !oracle {
                 let (lk, rk) = key_codes((l, &li), (r, &ri))?;
-                let index = KeyIndex::new(rk);
+                let index = KeyIndex::new(rk, m);
                 let (mut lrows, mut rrows) = (Vec::new(), Vec::new());
                 for i in 0..l.len() {
                     for j in index.matches(&lk, i) {
@@ -811,7 +850,7 @@ fn eval_node(
             // typed membership probe (see EquiJoin)
             if !oracle {
                 let (lk, rk) = key_codes((l, &li), (r, &ri))?;
-                let index = KeyIndex::new(rk);
+                let index = KeyIndex::new(rk, m);
                 let keep = (0..l.len())
                     .filter(|&i| index.contains(&lk, i) != anti)
                     .map(|i| l.raw_row(i) as u32)
@@ -890,7 +929,7 @@ fn eval_node(
                 .collect::<Result<_, _>>()?;
             if !oracle {
                 m.typed_sink(rel.len());
-                return group_by_typed(rel, &ki, aggs, &ai, out_schema);
+                return group_by_typed(rel, &ki, aggs, &ai, out_schema, m);
             }
             // scalar: group rows by key, first-occurrence order
             Ok(Rel::new(out_schema, group_by_scalar(rel, &ki, aggs, &ai)?))
@@ -904,10 +943,12 @@ fn eval_node(
             // typed sort codes (see `sort_codes`); the oracle compares
             // `Value`s
             let idxs = if oracle {
-                sort_indices(rel.len(), |a, b| cmp_vis(rel, a, b, &spec).then(a.cmp(&b)))
+                sort_indices(rel.len(), m, |a, b| {
+                    cmp_vis(rel, a, b, &spec).then(a.cmp(&b))
+                })
             } else {
                 m.typed_sink(rel.len());
-                sort_by_codes(rel.len(), &sort_codes(rel, &spec))
+                sort_by_codes(rel.len(), &sort_codes(rel, &spec), m)
             };
             let sel: Vec<u32> = idxs
                 .into_iter()
@@ -953,7 +994,9 @@ fn windowed(
     let full: Vec<(usize, Dir)> = pi.iter().chain(&spec).copied().collect();
     let spans = (pi.len(), full.len());
     if oracle {
-        let idxs = sort_indices(rel.len(), |a, b| cmp_vis(rel, a, b, &full).then(a.cmp(&b)));
+        let idxs = sort_indices(rel.len(), m, |a, b| {
+            cmp_vis(rel, a, b, &full).then(a.cmp(&b))
+        });
         let same = |p: usize, i: usize, span: Range<usize>| {
             full[span]
                 .iter()
@@ -966,7 +1009,7 @@ fn windowed(
     // coincides with `Value` equality by construction)
     m.typed_sink(rel.len());
     let codes = sort_codes(rel, &full);
-    let idxs = sort_by_codes(rel.len(), &codes);
+    let idxs = sort_by_codes(rel.len(), &codes, m);
     let same = |p: usize, i: usize, span: Range<usize>| codes[span].iter().all(|c| c[p] == c[i]);
     Ok(number(rel, idxs, spans, kind, same, out_schema))
 }
@@ -1154,6 +1197,7 @@ fn group_by_typed(
     aggs: &[Aggregate],
     ai: &[Option<usize>],
     out_schema: Schema,
+    m: &mut NodeMetrics,
 ) -> Result<Rel, EngineError> {
     let n = rel.len();
     // per-aggregate plan: the input column plus the accumulator kind its
@@ -1199,7 +1243,7 @@ fn group_by_typed(
     } else {
         let keys = Keys::of(rel, ki);
         let mut gid = Vec::with_capacity(n);
-        let firsts = keys.groups(|g| gid.push(g));
+        let firsts = keys.groups(m, |g| gid.push(g));
         (gid, firsts)
     };
     let ng = first_row.len();
@@ -1410,7 +1454,8 @@ mod tests {
         let (l, r) = inputs();
         for cols in [vec![0], vec![1], vec![2], vec![0, 1], vec![0, 1, 2]] {
             let (lk, rk) = key_codes((&l, &cols), (&r, &cols)).expect("typed keys");
-            let (lk, index) = (collide(lk), KeyIndex::new(collide(rk)));
+            let m = &mut NodeMetrics::default();
+            let (lk, index) = (collide(lk), KeyIndex::new(collide(rk), m));
             let eq = |i: usize, j: usize| key_of(&l, i, &cols) == key_of(&r, j, &cols);
             // equi-join: probe row, then ascending build row
             let joined: Vec<(usize, u32)> = (0..l.len())
@@ -1430,7 +1475,7 @@ mod tests {
             assert_eq!(semi, want, "semi {cols:?}");
             // group-by: group ids; distinct: each group's first row
             let mut gid = Vec::new();
-            let firsts = lk.groups(|g| gid.push(g));
+            let firsts = lk.groups(m, |g| gid.push(g));
             let want = scalar_gids(&l, &cols);
             assert_eq!(gid, want, "group-by {cols:?}");
             let want: Vec<u32> = (0..want.len())

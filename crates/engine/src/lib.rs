@@ -34,8 +34,9 @@
 //! kernel program that runs over typed column chunks 1024 rows per batch,
 //! at every input size. Every plan node is one evaluation, with one entry
 //! in the per-dispatch [`QueryProfile`]. The scalar row-at-a-time
-//! interpreter is kept as the differential oracle only: `ParConfig::vec`
-//! (`VecMode::Off`) selects it, and the profile records the path.
+//! interpreter is kept as the differential oracle only:
+//! `Database::set_vec_mode(VecMode::Off)` selects it, and the profile
+//! records the path.
 //!
 //! ## Observability
 //!
@@ -61,4 +62,4 @@ pub use ferry_storage::{DurabilityConfig, FsyncPolicy, RecoveryReport, StorageEr
 pub use ferry_telemetry::{Telemetry, TelemetryConfig};
 pub use stats::{ExecPath, NodeProfile, ProfileRing, QueryProfile, QueryStats, PROFILE_RING_CAP};
 pub use sys::{DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP, SYS_PREFIX};
-pub use vec_eval::{ParConfig, VecMode};
+pub use vec_eval::VecMode;

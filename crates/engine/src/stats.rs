@@ -11,8 +11,8 @@
 //! `runtime.*`); [`QueryStats`] is the *view* `Database::stats()`
 //! assembles from it. Beyond the counters, the engine records a
 //! **per-node profile** of each dispatch — one [`NodeProfile`] per
-//! evaluated plan node with its wall-clock time, output rows and
-//! execution path — retained for the last [`PROFILE_RING_CAP`] dispatches in a
+//! evaluated plan node with its wall-clock time, output rows, execution
+//! path and work ledger (sorts, hash builds, row conversions) — retained for the last [`PROFILE_RING_CAP`] dispatches in a
 //! [`ProfileRing`] keyed by query id. `Connection::explain_analyze`
 //! renders the latest entry.
 
@@ -62,6 +62,21 @@ pub struct NodeProfile {
     /// [`BATCH_ROWS`](crate::vec_eval::BATCH_ROWS) input rows (`0` on the
     /// scalar path, for a node that runs neither, and for an empty input).
     pub batches: u32,
+    /// The work ledger: exact counts of what the node did, the same on
+    /// every run of the same plan over the same data. Sorts executed
+    /// (`RowNum`, `RowRank`, `DenseRank`, `Serialize`) …
+    pub sorts: u32,
+    /// … and the rows they ordered.
+    pub rows_sorted: u64,
+    /// Hash tables built over typed key codes (a join's or difference's
+    /// build side, a distinct's or group-by's groups) …
+    pub hash_builds: u32,
+    /// … and the rows inserted into them.
+    pub rows_hashed: u64,
+    /// Rows converted between row and column form while the node ran
+    /// (`ferry_algebra::rows_converted`): a system-table scan, a theta
+    /// join's scratch rows, and every row of the scalar oracle.
+    pub rows_converted: u64,
 }
 
 /// The per-node profile of **one** dispatch (`execute` / `execute_bundle`
@@ -175,6 +190,14 @@ pub struct QueryStats {
     /// Total kernel batches executed by kernels and typed sinks (the sum
     /// of the profiles' `batches`).
     pub kernel_batches: u64,
+    /// The work ledger, summed over the profiles (see [`NodeProfile`]):
+    /// sorts executed, rows sorted, hash tables built, rows hashed, and
+    /// rows converted between row and column form inside the engine.
+    pub sorts: u64,
+    pub rows_sorted: u64,
+    pub hash_builds: u64,
+    pub rows_hashed: u64,
+    pub rows_converted: u64,
     /// Per-node profiles of the most recent dispatches (ring of
     /// [`PROFILE_RING_CAP`], oldest first).
     pub profiles: ProfileRing,
@@ -204,6 +227,11 @@ mod tests {
             elapsed: Duration::from_micros(3),
             path: ExecPath::Scalar,
             batches: 0,
+            sorts: 1,
+            rows_sorted: 1,
+            hash_builds: 0,
+            rows_hashed: 0,
+            rows_converted: 1,
         }
     }
 
@@ -229,6 +257,11 @@ mod tests {
             cache_misses: 1,
             vec_nodes: 3,
             kernel_batches: 9,
+            sorts: 2,
+            rows_sorted: 20,
+            hash_builds: 1,
+            rows_hashed: 10,
+            rows_converted: 4,
             ..QueryStats::default()
         };
         s.profiles.push(profile(1));

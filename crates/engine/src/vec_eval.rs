@@ -68,7 +68,8 @@ pub const BATCH_ROWS: usize = 1024;
 /// operator: a kernel for `Select` and `Compute`, column picks for
 /// `Project` and `Attach`, and the typed sinks (joins, windows, group-by,
 /// distinct, difference, serialize). The row-at-a-time `Bound`
-/// interpretation is kept as the differential oracle. See `DESIGN.md`.
+/// interpretation is kept as the differential oracle. A `Database` carries
+/// one (`Database::set_vec_mode`). See `DESIGN.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VecMode {
     /// Kernels and typed sinks, at every input size.
@@ -77,14 +78,6 @@ pub enum VecMode {
     /// The scalar oracle: every node through its scalar operator. For the
     /// differential suite.
     Off,
-}
-
-/// Execution configuration carried by a `Database` (and settable through
-/// a `Connection`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParConfig {
-    /// Production path or scalar oracle.
-    pub vec: VecMode,
 }
 
 fn ee(msg: impl Into<String>) -> EngineError {
@@ -1263,7 +1256,7 @@ mod tests {
     /// `Off` the scalar operator; both agree.
     #[test]
     fn vec_modes_agree_and_only_on_runs_kernels() {
-        assert_eq!(ParConfig::default().vec, VecMode::On);
+        assert_eq!(VecMode::default(), VecMode::On);
         for n in [0, 1, 63, 64, 200] {
             let mut plan = Plan::new();
             let l = plan.lit(schema(), rel(n).rows().into_owned());
@@ -1271,7 +1264,7 @@ mod tests {
             let mut got = Vec::new();
             for (vec, batches) in [(VecMode::Off, 0), (VecMode::On, u64::from(n > 0))] {
                 let db = crate::Database::new();
-                db.set_par_config(ParConfig { vec });
+                db.set_vec_mode(vec);
                 got.push(db.execute(&plan, root).unwrap());
                 assert_eq!(db.stats().kernel_batches, batches, "{vec:?} at {n}");
             }

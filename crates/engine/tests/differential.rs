@@ -15,7 +15,7 @@ use ferry_algebra::{
     plan::{cn, Aggregate},
     AggFun, BinOp, Dir, Expr, JoinCols, Node, NodeId, Plan, Rel, Schema, Ty, Value,
 };
-use ferry_engine::{Database, ParConfig, VecMode};
+use ferry_engine::{Database, VecMode};
 use proptest::prelude::*;
 
 fn schema_abc(prefix: &str) -> Schema {
@@ -41,14 +41,14 @@ fn rel_rows(rows: &[(i64, i64, String)]) -> Vec<Vec<Value>> {
 }
 
 /// The oracle configuration: scalar row-at-a-time evaluation.
-fn scalar_oracle() -> ParConfig {
-    ParConfig { vec: VecMode::Off }
+fn scalar_oracle() -> VecMode {
+    VecMode::Off
 }
 
 /// The configuration under test: kernels and typed sinks at every input
 /// size, as the product runs.
-fn production() -> ParConfig {
-    ParConfig { vec: VecMode::On }
+fn production() -> VecMode {
+    VecMode::On
 }
 
 /// One root per operator over left/right relations `l` and `r`.
@@ -130,9 +130,9 @@ fn operator_roots(plan: &mut Plan, l: NodeId, r: NodeId, quadratic: bool) -> Vec
     roots
 }
 
-fn db_with(par: ParConfig) -> Database {
+fn db_with(mode: VecMode) -> Database {
     let db = Database::new();
-    db.set_par_config(par);
+    db.set_vec_mode(mode);
     db
 }
 

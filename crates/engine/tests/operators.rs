@@ -495,10 +495,10 @@ fn dag_sharing_evaluates_shared_node_once() {
 /// engine anyway is a typed error on every path, never a panic.
 #[test]
 fn an_unbound_parameter_is_a_typed_error() {
-    use ferry_engine::{EngineError, ParConfig, VecMode};
+    use ferry_engine::{EngineError, VecMode};
     let db = db();
     for vec in [VecMode::Off, VecMode::On] {
-        db.set_par_config(ParConfig { vec });
+        db.set_vec_mode(vec);
         let mut p = Plan::new();
         let t = emp_ref(&mut p);
         let pred = Expr::bin(BinOp::Ge, Expr::col("sal"), Expr::Param(0, Ty::Int));
@@ -522,7 +522,7 @@ fn an_unbound_parameter_is_a_typed_error() {
 /// under `Off` none does.
 #[test]
 fn vec_nodes_counts_chain_members() {
-    use ferry_engine::{ExecPath, ParConfig, VecMode};
+    use ferry_engine::{ExecPath, VecMode};
     let db = db();
     let mut p = Plan::new();
     let t = emp_ref(&mut p);
@@ -593,7 +593,7 @@ fn vec_nodes_counts_chain_members() {
     assert_eq!((tail.label, tail.path, tail.batches), ("join", vec, 1));
 
     // the oracle counts nothing as vec
-    db.set_par_config(ParConfig { vec: VecMode::Off });
+    db.set_vec_mode(VecMode::Off);
     db.reset_stats();
     assert_eq!(exec(&db, &p, uj).len(), 2);
     let st = db.stats();

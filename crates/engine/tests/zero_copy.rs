@@ -8,7 +8,7 @@
 use ferry_algebra::{
     infer_schema, plan::cn, BinOp, ColVec, Dir, Expr, JoinCols, Plan, Rel, Schema, Ty, Value,
 };
-use ferry_engine::{Database, EngineError, ParConfig, QueryStats, VecMode};
+use ferry_engine::{Database, EngineError, QueryStats, VecMode};
 use std::sync::Arc;
 
 fn db() -> Database {
@@ -203,7 +203,7 @@ fn appended_strings_keep_their_codes_and_snapshots_their_columns() {
     let distinct = plan.distinct(keys);
     let mut got = Vec::new();
     for vec in [VecMode::On, VecMode::Off] {
-        db.set_par_config(ParConfig { vec });
+        db.set_vec_mode(vec);
         got.push(db.execute_bundle(&plan, &[join, distinct]).unwrap());
     }
     assert_eq!(got[0], got[1]);

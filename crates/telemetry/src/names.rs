@@ -20,6 +20,16 @@ pub const ENGINE_ROWS_PRODUCED: &str = "engine.rows_produced";
 pub const ENGINE_VEC_NODES: &str = "engine.vec_nodes";
 /// Kernel batches executed by vectorized nodes.
 pub const ENGINE_KERNEL_BATCHES: &str = "engine.kernel_batches";
+/// Sorts executed by plan nodes (the work ledger, like the four below).
+pub const ENGINE_SORTS: &str = "engine.sorts";
+/// Rows ordered by those sorts.
+pub const ENGINE_ROWS_SORTED: &str = "engine.rows_sorted";
+/// Hash tables built over typed key codes.
+pub const ENGINE_HASH_BUILDS: &str = "engine.hash_builds";
+/// Rows inserted into those hash tables.
+pub const ENGINE_ROWS_HASHED: &str = "engine.rows_hashed";
+/// Rows converted between row and column form by plan nodes.
+pub const ENGINE_ROWS_CONVERTED: &str = "engine.rows_converted";
 /// Per-dispatch wall time (histogram, log₂ buckets).
 pub const ENGINE_QUERY_LATENCY_NS: &str = "engine.query_latency_ns";
 /// The published catalog epoch (gauge, monotone under one process).
@@ -68,12 +78,17 @@ pub const STORAGE_COMMIT_BATCH_RECORDS: &str = "storage.commit_batch_records";
 /// these constants only.
 pub const ALL: &[&str] = &[
     ENGINE_EPOCH,
+    ENGINE_HASH_BUILDS,
     ENGINE_KERNEL_BATCHES,
     ENGINE_NODES_EVALUATED,
     ENGINE_QUERIES,
     ENGINE_QUERY_LATENCY_NS,
+    ENGINE_ROWS_CONVERTED,
+    ENGINE_ROWS_HASHED,
     ENGINE_ROWS_OUT,
     ENGINE_ROWS_PRODUCED,
+    ENGINE_ROWS_SORTED,
+    ENGINE_SORTS,
     ENGINE_VEC_NODES,
     RUNTIME_CACHE_HITS,
     RUNTIME_CACHE_MISSES,
@@ -104,12 +119,17 @@ mod tests {
     fn golden_metric_names() {
         let expected = [
             "engine.epoch",
+            "engine.hash_builds",
             "engine.kernel_batches",
             "engine.nodes_evaluated",
             "engine.queries",
             "engine.query_latency_ns",
+            "engine.rows_converted",
+            "engine.rows_hashed",
             "engine.rows_out",
             "engine.rows_produced",
+            "engine.rows_sorted",
+            "engine.sorts",
             "engine.vec_nodes",
             "runtime.cache_hits",
             "runtime.cache_misses",

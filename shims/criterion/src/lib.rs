@@ -17,15 +17,8 @@
 //! Like the real criterion, passing `--test` on the bench command line
 //! (`cargo bench -- --test`) switches to smoke mode: every benchmark body
 //! executes exactly once, untimed — CI uses this to keep benches from
-//! bit-rotting without paying measurement time.
-//!
-//! Setting the `BENCH_JSON` environment variable to a file path (read
-//! once, by [`Criterion::configure_from_args`]) makes the shim
-//! additionally **append one JSON line per benchmark** to that file:
-//! `{"bench":"<group>/<id>","median_ns":…,"mean_ns":…,"min_ns":…,
-//! "max_ns":…,"samples":…}`. The `bench_check` tool in `ferry-bench`
-//! diffs these lines against the medians recorded in `BENCH_engine.json`
-//! and fails on regressions.
+//! bit-rotting without paying measurement time. No timing is recorded
+//! anywhere but stderr, and nothing compares one.
 
 use std::fmt::Display;
 use std::hint;
@@ -107,7 +100,9 @@ pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
     test_mode: bool,
-    criterion: &'a mut Criterion,
+    /// Held for the group's life, as criterion does: one open group at a
+    /// time.
+    _criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -187,53 +182,13 @@ impl BenchmarkGroup<'_> {
             max,
             samples.len()
         );
-        if let Some(path) = &self.criterion.json {
-            use std::io::Write;
-            match std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-            {
-                Ok(mut f) => {
-                    let _ = writeln!(
-                        f,
-                        "{{\"bench\":\"{}/{}\",\"median_ns\":{},\"mean_ns\":{},\"min_ns\":{},\"max_ns\":{},\"samples\":{}}}",
-                        json_escape(&self.name),
-                        json_escape(&id.id),
-                        median.as_nanos(),
-                        mean.as_nanos(),
-                        min.as_nanos(),
-                        max.as_nanos(),
-                        samples.len()
-                    );
-                }
-                Err(e) => eprintln!("BENCH_JSON: cannot open {path:?}: {e}"),
-            }
-        }
     }
-}
-
-/// Escape the characters JSON strings cannot hold verbatim (bench names
-/// are code-controlled, but a stray quote must not corrupt the stream).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The top-level harness handle.
 #[derive(Default)]
 pub struct Criterion {
     test_mode: bool,
-    /// JSON-lines sink (`BENCH_JSON`), if any.
-    json: Option<std::path::PathBuf>,
 }
 
 impl Criterion {
@@ -242,7 +197,7 @@ impl Criterion {
             name: name.into(),
             sample_size: 10,
             test_mode: self.test_mode,
-            criterion: self,
+            _criterion: self,
         }
     }
 
@@ -255,13 +210,10 @@ impl Criterion {
         self
     }
 
-    /// Honour the one command-line flag CI relies on — `--test` runs every
-    /// benchmark body once without timing (`cargo bench -- --test`) — and
-    /// the `BENCH_JSON` sink. The process environment is read here and
-    /// nowhere else.
+    /// Honour the one command-line flag CI relies on: `--test` runs every
+    /// benchmark body once without timing (`cargo bench -- --test`).
     pub fn configure_from_args(mut self) -> Self {
         self.test_mode = std::env::args().any(|a| a == "--test");
-        self.json = std::env::var_os("BENCH_JSON").map(Into::into);
         self
     }
 }
@@ -307,40 +259,5 @@ mod tests {
     #[test]
     fn harness_runs() {
         test_benches();
-    }
-
-    #[test]
-    fn bench_json_emits_one_line_per_benchmark() {
-        let path =
-            std::env::temp_dir().join(format!("criterion_shim_{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        // the sink is handed in, not read from the process environment
-        // other test threads share
-        sample_bench(&mut Criterion {
-            json: Some(path.clone()),
-            ..Criterion::default()
-        });
-        let text = std::fs::read_to_string(&path).expect("JSONL file written");
-        let _ = std::fs::remove_file(&path);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "got: {text}");
-        assert!(lines
-            .iter()
-            .any(|l| l.contains("\"bench\":\"shim/sum/100\"")));
-        assert!(lines
-            .iter()
-            .any(|l| l.contains("\"bench\":\"shim/sum_input/50\"")));
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'), "line: {l}");
-            assert!(l.contains("\"median_ns\":"), "line: {l}");
-            assert!(l.contains("\"samples\":"), "line: {l}");
-        }
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain/name"), "plain/name");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
     }
 }

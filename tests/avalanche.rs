@@ -41,33 +41,6 @@ fn bundle_size_is_data_independent() {
 }
 
 #[test]
-fn running_example_plan_sheds_its_identity_joins() {
-    // join recovery alone left 27 equi-joins across the bundle, most of
-    // them a relation joined with a renaming of itself on a key; join
-    // elimination must keep taking those out (19 as of this writing)
-    // without costing the program a query
-    let conn = Connection::new(paper_dataset()).with_optimizer(ferry_optimizer::rewriter());
-    let bundle = conn.compile(&dsh_query()).expect("compile");
-    assert_eq!(bundle.queries.len(), 2);
-    let live: std::collections::HashSet<_> = bundle
-        .queries
-        .iter()
-        .flat_map(|q| bundle.plan.reachable(q.root))
-        .collect();
-    let count = |what: fn(&ferry_algebra::Node) -> bool| {
-        live.iter()
-            .filter(|id| what(bundle.plan.node(**id)))
-            .count()
-    };
-    let joins = count(|n| matches!(n, ferry_algebra::Node::EquiJoin { .. }));
-    assert!(joins < 27, "{joins} equi-joins in the optimized bundle");
-    assert_eq!(
-        count(|n| matches!(n, ferry_algebra::Node::CrossJoin { .. })),
-        0
-    );
-}
-
-#[test]
 fn the_paper_section2_value() {
     let conn = Connection::new(paper_dataset()).with_optimizer(ferry_optimizer::rewriter());
     let (result, _) = run_dsh(&conn).expect("dsh");

@@ -366,7 +366,23 @@ fn explain_analyze_renders_report_profile_and_timeline() {
         out.contains("[exec.node]"),
         "executed nodes in timeline: {out}"
     );
-    assert!(out.contains("vec nodes:"), "{out}");
+    // every node line carries its ledger, and the summary line is the
+    // dispatch's totals: the running example's ledger counts
+    // (`tests/ledger.rs`)
+    let nodes: Vec<&str> = out.lines().filter(|l| l.starts_with("node ")).collect();
+    assert_eq!(nodes.len(), 84, "{out}");
+    for l in &nodes {
+        assert!(
+            l.contains(" sorted ") && l.contains(" hashed ") && l.contains(" converted "),
+            "{l}"
+        );
+    }
+    assert!(
+        out.lines().any(|l| l
+            == "vec nodes: 84  kernel batches: 39  sorts: 14 (202 rows)  \
+                hash builds: 24 (402 rows)  rows converted: 0"),
+        "{out}"
+    );
     assert!(!out.contains("shard"), "no shard counters: {out}");
 
     // plain explain carries the optimizer report too, without executing
