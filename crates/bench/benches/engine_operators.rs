@@ -127,7 +127,7 @@ fn bench_engine(c: &mut Criterion) {
     }
 
     // an 8-operator arithmetic expression in one `Compute` at 100k rows:
-    // the expression-bound workload the kernel compiler exists for
+    // the expression-bound workload the batch kernels exist for
     {
         let mut plan = Plan::new();
         let l = plan.lit(

@@ -153,21 +153,21 @@ pub fn bin_op(op: BinOp, l: Value, r: Value) -> Result<Value, EngineError> {
                 Ok(Value::Int(a.wrapping_rem(b)))
             }
         }
-        (Add, Value::Dbl(a), Value::Dbl(b)) => Ok(Value::Dbl(a + b)),
-        (Sub, Value::Dbl(a), Value::Dbl(b)) => Ok(Value::Dbl(a - b)),
-        (Mul, Value::Dbl(a), Value::Dbl(b)) => Ok(Value::Dbl(a * b)),
+        (Add, Value::Dbl(a), Value::Dbl(b)) => Ok(Value::Dbl(canon(a + b))),
+        (Sub, Value::Dbl(a), Value::Dbl(b)) => Ok(Value::Dbl(canon(a - b))),
+        (Mul, Value::Dbl(a), Value::Dbl(b)) => Ok(Value::Dbl(canon(a * b))),
         (Div, Value::Dbl(a), Value::Dbl(b)) => {
             if b == 0.0 {
                 Err(ee("division by zero"))
             } else {
-                Ok(Value::Dbl(a / b))
+                Ok(Value::Dbl(canon(a / b)))
             }
         }
         (Mod, Value::Dbl(a), Value::Dbl(b)) => {
             if b == 0.0 {
                 Err(ee("modulo by zero"))
             } else {
-                Ok(Value::Dbl(a % b))
+                Ok(Value::Dbl(canon(a % b)))
             }
         }
         (Add, Value::Nat(a), Value::Nat(b)) => a
@@ -183,6 +183,18 @@ pub fn bin_op(op: BinOp, l: Value, r: Value) -> Result<Value, EngineError> {
             .map(Value::Nat)
             .ok_or_else(|| ee("nat overflow in *")),
         (op, l, r) => Err(ee(format!("{op:?} not applicable to {l} and {r}"))),
+    }
+}
+
+/// `x`, or the one positive quiet NaN if `x` is a NaN. Which NaN an
+/// arithmetic operation on a NaN returns is left open (an optimized build
+/// may swap the operands of `+`), and the engine's total order tells NaNs
+/// apart, so the oracle and the kernels both return this one.
+pub(crate) fn canon(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::NAN
+    } else {
+        x
     }
 }
 
@@ -469,6 +481,19 @@ mod bin_op_oracle {
             ok(BinOp::Mod, Value::Dbl(7.5), Value::Dbl(2.0)),
             Value::Dbl(1.5)
         );
+    }
+
+    #[test]
+    fn nan_results_are_the_one_positive_nan() {
+        let (nan, neg) = (Value::Dbl(f64::NAN), Value::Dbl(-f64::NAN));
+        for op in ARITH {
+            for (l, r) in [(&nan, &neg), (&neg, &nan), (&neg, &Value::Dbl(1.0))] {
+                match ok(op, l.clone(), r.clone()) {
+                    Value::Dbl(d) => assert_eq!(d.to_bits(), f64::NAN.to_bits(), "{op:?}"),
+                    v => panic!("{op:?}: expected Dbl, got {v}"),
+                }
+            }
+        }
     }
 
     #[test]

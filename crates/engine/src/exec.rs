@@ -30,8 +30,10 @@
 //! distinct, difference, serialize) run the typed branch of their
 //! [`eval_node`] arm. The scalar arms (row-at-a-time over
 //! [`crate::eval`]) are the differential oracle: they run only under
-//! `VecMode::Off`, and each arm picks by that mode alone. The kernel
-//! compiler refuses no well-typed expression (see the guard rule in
+//! `VecMode::Off`, and each arm picks by that mode alone. Both modes
+//! resolve names through one [`bind`]; a kernel walks the same bound
+//! tree a batch at a time and refuses no well-typed expression (a
+//! sub-expression sees only the rows that reach it, see
 //! [`crate::vec_eval`]), and the code kernels below take every column.
 //!
 //! Every key-consuming sink — equi-, semi- and anti-join, difference,

@@ -30,10 +30,11 @@
 //! snapshots, the server's sessions), not inside one.
 //!
 //! Row-wise operators run in **vectorized** form ([`vec_eval`]): a
-//! `Select` or `Compute` compiles its expression to one register-based
-//! kernel program that runs over typed column chunks 1024 rows per batch,
-//! at every input size. Every plan node is one evaluation, with one entry
-//! in the per-dispatch [`QueryProfile`]. The scalar row-at-a-time
+//! `Select` or `Compute` walks its bound expression tree once per batch
+//! of 1024 rows over typed registers gathered from the columns, at every
+//! input size; a sub-expression sees only the rows that reach it. Every
+//! plan node is one evaluation, with one entry in the per-dispatch
+//! [`QueryProfile`]. The scalar row-at-a-time
 //! interpreter is kept as the differential oracle only:
 //! `Database::set_vec_mode(VecMode::Off)` selects it, and the profile
 //! records the path.

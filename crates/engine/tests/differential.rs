@@ -9,11 +9,12 @@
 //! property; here we check it over random relations, a 5 000-row one
 //! whose four full 1024-row batches and ragged tail cover the kernels'
 //! batch boundaries, and fixed roots at 0, 1, 63, 64 and
-//! 1 025 rows for the shapes the guard rule and the code kernels exist for.
+//! 1 025 rows for the shapes short-circuits and the code kernels exist
+//! for, and generated expressions at 0, 1 and 1 025 rows.
 
 use ferry_algebra::{
     plan::{cn, Aggregate},
-    AggFun, BinOp, Dir, Expr, JoinCols, Node, NodeId, Plan, Rel, Schema, Ty, Value,
+    AggFun, BinOp, Dir, Expr, JoinCols, Node, NodeId, Plan, Rel, Schema, Ty, UnOp, Value,
 };
 use ferry_engine::{Database, VecMode};
 use proptest::prelude::*;
@@ -798,7 +799,7 @@ fn key_operators_agree_on_large_input() {
 // Error parity: when an expression fails on some row, the scalar and
 // vectorized paths must agree on *whether* the query fails and on the
 // error message. (Each root below has a single possible error kind, so
-// the instruction-major kernel order and the row-major scalar order
+// the tree-major kernel order and the row-major scalar order
 // cannot surface different messages.)
 // ---------------------------------------------------------------------
 
@@ -905,7 +906,7 @@ fn the_lower_of_two_failing_nodes_reports_its_error() {
 }
 
 // ---------------------------------------------------------------------
-// The shapes the guard rule and the code kernels exist for, at 0, 1,
+// The shapes short-circuits and the code kernels exist for, at 0, 1,
 // 63, 64 and 1 025 rows: a division or an overflow reachable only on
 // rows `AND`/`OR`/`CASE` do not short-circuit (nested and not), `Nat`
 // division and modulo, `unit` keys in every key-consuming operator and
@@ -1138,5 +1139,192 @@ fn unbound_parameters_agree() {
         assert_same_outcome(&plan, &[sel, cmp, deep, sink]);
         let err = db_with(production()).execute(&plan, sink).unwrap_err();
         assert_eq!(err, ferry_engine::EngineError::UnboundParam(0));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Generated expressions: well-typed trees of depth ≤ 4 over the mixed
+// schema, mixing fallible operators (`Div`/`Mod` by a column that holds
+// 0, `Add`/`Mul`/`Neg` near `i64::MAX`, `Nat` subtraction, division and
+// modulo, narrowing casts to `Nat`, `Dbl` division) nested under
+// `AND`/`OR`/`CASE`. Each tree runs as a `Select` root and as a
+// `Compute` root at 0, 1 and 1 025 rows. Production and the oracle give
+// the same relation or both fail; when the tree holds at most one
+// fallible operator, every failing row fails with that operator's
+// message, so the two messages are equal too.
+// ---------------------------------------------------------------------
+
+/// One well-typed expression per result type, over `schema_mixed("")`.
+#[derive(Debug, Clone)]
+struct Typed {
+    int: Expr,
+    nat: Expr,
+    dbl: Expr,
+    boolean: Expr,
+    str: Expr,
+}
+
+fn typed_leaves() -> impl Strategy<Value = Typed> {
+    let sel = proptest::sample::select::<Expr>;
+    let nat = |n: u64| Expr::lit(Value::Nat(n));
+    (
+        sel(vec![
+            Expr::col("x"),
+            Expr::lit(0i64),
+            Expr::lit(1i64),
+            Expr::lit(-1i64),
+            Expr::lit(3i64),
+            Expr::lit(i64::MAX),
+            Expr::lit(i64::MIN),
+        ]),
+        sel(vec![nat(0), nat(1), nat(2), nat(u64::MAX)]),
+        sel(vec![
+            Expr::col("d"),
+            Expr::lit(0.0f64),
+            Expr::lit(2.5f64),
+            Expr::lit(-1.5f64),
+        ]),
+        sel(vec![Expr::col("p"), Expr::lit(true), Expr::lit(false)]),
+        sel(vec![Expr::col("s"), Expr::lit("a"), Expr::lit("zz")]),
+    )
+        .prop_map(|(int, nat, dbl, boolean, str)| Typed {
+            int,
+            nat,
+            dbl,
+            boolean,
+            str,
+        })
+}
+
+/// Each result type's operator `k` over the subtrees `a` and `b` (and the
+/// condition `c.boolean`); `cmp` picks a comparison.
+fn typed_node(a: &Typed, b: &Typed, c: &Typed, k: [usize; 5], cmp: BinOp) -> Typed {
+    const ARITH: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod];
+    let bin = |op, l: &Expr, r: &Expr| Expr::bin(op, l.clone(), r.clone());
+    let case = |t: &Expr, e: &Expr| Expr::case(c.boolean.clone(), t.clone(), e.clone());
+    let neg = |x: &Expr| Expr::Un(UnOp::Neg, std::sync::Arc::new(x.clone()));
+    let cast = |ty, x: &Expr| Expr::cast(ty, x.clone());
+    let arith = |k: usize, l: &Expr, r: &Expr| bin(ARITH[k], l, r);
+    Typed {
+        int: match k[0] {
+            0..=4 => arith(k[0], &a.int, &b.int),
+            5 => neg(&a.int),
+            6 => case(&a.int, &b.int),
+            7 => cast(Ty::Int, &a.dbl),
+            _ => cast(Ty::Int, &a.nat),
+        },
+        nat: match k[1] {
+            0..=4 => arith(k[1], &a.nat, &b.nat),
+            5 => case(&a.nat, &b.nat),
+            6 => cast(Ty::Nat, &a.int),
+            _ => cast(Ty::Nat, &a.dbl),
+        },
+        dbl: match k[2] {
+            0..=4 => arith(k[2], &a.dbl, &b.dbl),
+            5 => neg(&a.dbl),
+            6 => case(&a.dbl, &b.dbl),
+            7 => cast(Ty::Dbl, &a.int),
+            _ => cast(Ty::Dbl, &a.nat),
+        },
+        boolean: match k[3] {
+            0 => Expr::and(a.boolean.clone(), b.boolean.clone()),
+            1 => bin(BinOp::Or, &a.boolean, &b.boolean),
+            2 => Expr::not(a.boolean.clone()),
+            3 => case(&a.boolean, &b.boolean),
+            4 => bin(cmp, &a.int, &b.int),
+            5 => bin(cmp, &a.nat, &b.nat),
+            6 => bin(cmp, &a.dbl, &b.dbl),
+            7 => bin(cmp, &a.str, &b.str),
+            8 => bin(cmp, &a.boolean, &b.boolean),
+            _ => Expr::eq(Expr::col("u"), Expr::col("u")),
+        },
+        str: match k[4] {
+            0 => bin(BinOp::Concat, &a.str, &b.str),
+            1 => case(&a.str, &b.str),
+            _ => a.str.clone(),
+        },
+    }
+}
+
+/// Trees of depth ≤ 4: a leaf level and three operator levels.
+fn typed_exprs() -> impl Strategy<Value = Typed> {
+    const CMPS: [BinOp; 6] = [
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+    ];
+    typed_leaves().prop_recursive(3, 64, 3, |inner| {
+        (
+            inner.clone(),
+            inner.clone(),
+            inner,
+            (0usize..9, 0usize..8, 0usize..9),
+            (0usize..10, 0usize..3, 0usize..6),
+        )
+            .prop_map(|(a, b, c, (ki, kn, kd), (kb, ks, kc))| {
+                typed_node(&a, &b, &c, [ki, kn, kd, kb, ks], CMPS[kc])
+            })
+    })
+}
+
+/// The operators in `e` that can fail on some row.
+fn fallible_ops(e: &Expr, s: &Schema) -> usize {
+    let own = match e {
+        Expr::Bin(op, l, _) if op.is_arith() => {
+            let dbl = l.infer_ty(s) == Some(Ty::Dbl);
+            usize::from(!dbl || matches!(op, BinOp::Div | BinOp::Mod))
+        }
+        Expr::Un(UnOp::Neg, x) => usize::from(x.infer_ty(s) == Some(Ty::Int)),
+        // `as` casts to `Int` and `Dbl` saturate; only `Nat` ⇄ `Int` and
+        // `Dbl` → `Nat` refuse a value
+        Expr::Cast(ty, x) => {
+            let from = x.infer_ty(s);
+            usize::from(from != Some(*ty) && (*ty == Ty::Nat || from == Some(Ty::Nat)))
+        }
+        _ => 0,
+    };
+    own + match e {
+        Expr::Bin(_, l, r) => fallible_ops(l, s) + fallible_ops(r, s),
+        Expr::Un(_, x) | Expr::Cast(_, x) => fallible_ops(x, s),
+        Expr::Case(c, t, f) => fallible_ops(c, s) + fallible_ops(t, s) + fallible_ops(f, s),
+        _ => 0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn generated_expressions_agree(
+        t in typed_exprs(),
+        pool in proptest::collection::vec(mixed_row_strategy(), 1..9),
+    ) {
+        let schema = schema_mixed("");
+        let (oracle, db) = (db_with(scalar_oracle()), db_with(production()));
+        for n in [0usize, 1, 1025] {
+            let rows: Vec<_> = pool.iter().cycle().take(n).cloned().collect();
+            let mut plan = Plan::new();
+            let l = plan.lit(schema.clone(), mixed_rows(&rows));
+            let mut roots = vec![(plan.select(l, t.boolean.clone()), &t.boolean)];
+            for e in [&t.int, &t.nat, &t.dbl, &t.boolean, &t.str] {
+                roots.push((plan.compute(l, "v", e.clone()), e));
+            }
+            for (root, e) in roots {
+                let expect = oracle.execute(&plan, root);
+                let got = db.execute(&plan, root);
+                match (&expect, &got) {
+                    (Ok(want), Ok(got)) => assert_eq!(got, want, "{e} at {n} rows"),
+                    (Err(want), Err(got)) => {
+                        if fallible_ops(e, &schema) <= 1 {
+                            assert_eq!(got.to_string(), want.to_string(), "{e} at {n} rows");
+                        }
+                    }
+                    _ => panic!("{e} at {n} rows: oracle {expect:?}, production {got:?}"),
+                }
+            }
+        }
     }
 }

@@ -48,33 +48,11 @@ use ferry_algebra::{NodeId, Plan, Schema};
 pub use ferry_telemetry::{OptReport, PassStat};
 use std::rc::Rc;
 
-/// Statistics of one optimisation run (experiment X1 reports these).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptStats {
-    /// Operators reachable from the roots before optimisation.
-    pub nodes_before: usize,
-    /// … and after.
-    pub nodes_after: usize,
-    /// Fixpoint iterations executed.
-    pub rounds: usize,
-}
-
 /// Optimise the plan under the given roots; returns the rewritten plan and
 /// the relocated roots.
 pub fn optimize(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>) {
     let (p, r, _) = optimize_report(plan, roots);
     (p, r)
-}
-
-/// [`optimize`], also reporting before/after plan sizes.
-pub fn optimize_with_stats(plan: &Plan, roots: &[NodeId]) -> (Plan, Vec<NodeId>, OptStats) {
-    let (p, r, rep) = optimize_report(plan, roots);
-    let stats = OptStats {
-        nodes_before: rep.nodes_before,
-        nodes_after: rep.nodes_after,
-        rounds: rep.rounds,
-    };
-    (p, r, stats)
 }
 
 /// A plan between two passes, with what the driver measures it by. The

@@ -5,7 +5,7 @@
 use ferry::prelude::*;
 use ferry_algebra::{Schema, Ty, Value};
 use ferry_engine::Database;
-use ferry_optimizer::{optimize_with_stats, reachable_size};
+use ferry_optimizer::{optimize_report, reachable_size};
 
 fn database() -> Database {
     let db = Database::new();
@@ -45,13 +45,13 @@ fn check<T: QA + PartialEq + std::fmt::Debug>(q: &Q<T>) -> T {
 
     let bundle = plain.compile(q).expect("compile");
     let roots = bundle.roots();
-    let (p2, r2, stats) = optimize_with_stats(&bundle.plan, &roots);
+    let (p2, r2, report) = optimize_report(&bundle.plan, &roots);
     // join recovery may add a bounded number of operators (rotated
     // projections) in exchange for dissolving cross products — the plan
     // must stay within a small constant factor
     assert!(
-        stats.nodes_after <= stats.nodes_before * 2,
-        "optimizer exploded the plan: {stats:?}"
+        report.nodes_after <= report.nodes_before * 2,
+        "optimizer exploded the plan: {report:?}"
     );
     for r in r2 {
         ferry_algebra::validate(&p2, r).expect("optimized plan validates");
@@ -134,9 +134,9 @@ fn optimizer_narrows_realistic_plans() {
     let roots = bundle.roots();
     let before_nodes = reachable_size(&bundle.plan, &roots);
     let before_width = ferry_optimizer::reachable_width(&bundle.plan, &roots);
-    let (p2, r2, stats) = optimize_with_stats(&bundle.plan, &roots);
-    assert_eq!(stats.nodes_before, before_nodes);
-    assert_eq!(stats.nodes_after, reachable_size(&p2, &r2));
+    let (p2, r2, report) = optimize_report(&bundle.plan, &roots);
+    assert_eq!(report.nodes_before, before_nodes);
+    assert_eq!(report.nodes_after, reachable_size(&p2, &r2));
     let after_width = ferry_optimizer::reachable_width(&p2, &r2);
     // join recovery may add thin projections; total column traffic must
     // stay in the same ballpark

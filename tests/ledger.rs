@@ -1,9 +1,10 @@
 //! **The work ledger.** Exact counts of what the paper's programs cost,
 //! layer by layer: the optimized plan's shape (a walk over the compiled
-//! bundle), the engine's `QueryStats` counters and work ledger (sorts,
-//! hash-table builds, rows converted between row and column form), the
-//! rows the whole run converted on its thread (engine plus stitcher),
-//! and the storage layer's fsyncs and WAL bytes.
+//! bundle; for X1 the loop-lifted one too), the engine's `QueryStats`
+//! counters and work ledger (sorts, hash-table builds, rows converted
+//! between row and column form), the rows the whole run converted on its
+//! thread (engine plus stitcher), and the storage layer's fsyncs and WAL
+//! bytes.
 //!
 //! Every count is pinned with `assert_eq!`, to the unit: a count does not
 //! drift between hosts or sessions, so a change that moves one states
@@ -314,6 +315,27 @@ fn dotp_at_n_10000_nnz_1000() {
             ..Work::default()
         }
     );
+}
+
+// ------------------------------------------ X1: raw vs optimized plans
+
+/// (operators, equi-joins, cross joins) of `q` compiled straight from
+/// loop-lifting and after the optimizer (EXPERIMENTS X1).
+fn raw_and_optimized<T: QA>(db: impl Fn() -> Database, q: &Q<T>) -> [(usize, usize, usize); 2] {
+    [Connection::new(db()), optimized(db())].map(|conn| {
+        let s = shape(&conn.compile(q).unwrap());
+        (s.operators, s.equi_joins, s.cross_joins)
+    })
+}
+
+#[test]
+fn optimizer_shrinks_the_running_example_and_dotp() {
+    let table1 = twice(|| raw_and_optimized(paper_dataset, &dsh_query()));
+    // loop-lifting's three `loop × table` crosses become equi-joins
+    assert_eq!(table1, [(73, 15, 3), (84, 19, 0)]);
+    let (sv, v) = dotp_data(100, 10, 7);
+    let dotp = twice(|| raw_and_optimized(|| dotp_database(&sv, &v), &dotp_query()));
+    assert_eq!(dotp, [(30, 5, 2), (26, 2, 0)]);
 }
 
 // ------------------------------------------------ the `orders` bundle
