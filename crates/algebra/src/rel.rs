@@ -11,9 +11,11 @@
 //! is a new column beside its input's.
 //!
 //! [`Row`]s exist only at the edges: [`Rel::new`] transposes rows into
-//! columns once, and [`Rel::rows`] builds them back for the stitcher, the
-//! wire codec, storage and the scalar oracle. Every row that crosses the
-//! edge either way is counted per thread ([`rows_converted`]).
+//! columns once, and [`Rel::rows`] builds them back for storage, the
+//! scalar oracle and SQL literal rendering (a query result leaves as
+//! columns: the stitcher and the server's result stream read them in
+//! place). Every row that crosses the edge either way is counted per
+//! thread ([`rows_converted`]).
 
 use crate::chunk::ColVec;
 use crate::schema::Schema;
@@ -169,9 +171,11 @@ impl Rel {
         self.cols.iter().map(|c| c.value(raw)).collect()
     }
 
-    /// The visible rows, built from the columns — the edge where the
-    /// stitcher, the wire codec and storage read a relation. (A `Cow`
-    /// for the callers that treat it as a slice.)
+    /// The visible rows, built from the columns — the edge where storage,
+    /// the scalar oracle and SQL literal rendering read a relation as
+    /// rows. (A `Cow` for the callers that treat it as a slice.) Query
+    /// results need none: the stitcher and the server's `RowBatch`
+    /// encoder read the columns.
     pub fn rows(&self) -> Cow<'_, [Row]> {
         Cow::Owned((0..self.len()).map(|i| self.row(i)).collect())
     }

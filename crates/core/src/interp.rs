@@ -133,7 +133,7 @@ fn prim2(op: Prim2, a: Val, b: Val) -> Result<Val, FerryError> {
     }
     let overflow = || FerryError::Engine("integer overflow".into());
     match (op, a, b) {
-        (Conc, Val::Text(x), Val::Text(y)) => Ok(Val::Text(x + &y)),
+        (Conc, Val::Text(x), Val::Text(y)) => Ok(Val::Text([&*x, &*y].concat().into())),
         (Add, Val::Int(x), Val::Int(y)) => x.checked_add(y).map(Val::Int).ok_or_else(overflow),
         (Sub, Val::Int(x), Val::Int(y)) => x.checked_sub(y).map(Val::Int).ok_or_else(overflow),
         (Mul, Val::Int(x), Val::Int(y)) => x.checked_mul(y).map(Val::Int).ok_or_else(overflow),

@@ -148,11 +148,11 @@ impl QA for String {
         Ty::Text
     }
     fn to_val(&self) -> Val {
-        Val::Text(self.clone())
+        Val::Text(self.as_str().into())
     }
     fn from_val(v: &Val) -> Result<Self, FerryError> {
         match v {
-            Val::Text(s) => Ok(s.clone()),
+            Val::Text(s) => Ok(String::from(&**s)),
             v => decode_err("String", v),
         }
     }

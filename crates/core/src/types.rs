@@ -122,7 +122,9 @@ pub enum Val {
     Bool(bool),
     Int(i64),
     Dbl(f64),
-    Text(String),
+    /// Shared with the column dictionary it was stitched from (and with
+    /// the table cell it came from or goes to).
+    Text(Arc<str>),
     Tuple(Vec<Val>),
     List(Vec<Val>),
 }
@@ -152,7 +154,7 @@ impl Val {
             Val::Bool(b) => Some(ferry_algebra::Value::Bool(*b)),
             Val::Int(i) => Some(ferry_algebra::Value::Int(*i)),
             Val::Dbl(d) => Some(ferry_algebra::Value::Dbl(*d)),
-            Val::Text(s) => Some(ferry_algebra::Value::str(s.as_str())),
+            Val::Text(s) => Some(ferry_algebra::Value::Str(s.clone())),
             _ => None,
         }
     }
@@ -164,7 +166,7 @@ impl Val {
             ferry_algebra::Value::Bool(b) => Some(Val::Bool(*b)),
             ferry_algebra::Value::Int(i) => Some(Val::Int(*i)),
             ferry_algebra::Value::Dbl(d) => Some(Val::Dbl(*d)),
-            ferry_algebra::Value::Str(s) => Some(Val::Text(s.to_string())),
+            ferry_algebra::Value::Str(s) => Some(Val::Text(s.clone())),
             ferry_algebra::Value::Nat(_) => None,
         }
     }

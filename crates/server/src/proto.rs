@@ -4,10 +4,13 @@
 //!
 //! Every payload is `[proto version: u8][message tag: u8][body]`; the
 //! body reuses the storage `Enc`/`Dec` encodings for values, rows and
-//! schemas, so the wire and the WAL speak one data format. Decoders are
-//! total: anything malformed comes back as a typed [`ProtoError`],
-//! never a panic, and trailing bytes after a message are rejected (a
-//! writer/reader disagreement is corruption, exactly as on disk).
+//! schemas, so the wire and the WAL speak one data format. A result's
+//! `RowBatch` frames are encoded straight from its columns
+//! ([`encode_row_batch`]), with the same bytes as the row form.
+//! Decoders are total: anything malformed comes back as a typed
+//! [`ProtoError`], never a panic, and trailing bytes after a message are
+//! rejected (a writer/reader disagreement is corruption, exactly as on
+//! disk).
 
 #![deny(
     clippy::unwrap_used,
@@ -16,8 +19,9 @@
     clippy::indexing_slicing
 )]
 
-use ferry_algebra::{Row, Schema, Value};
+use ferry_algebra::{Rel, Row, Schema, Value};
 use ferry_storage::codec::{Dec, Enc};
+use std::ops::Range;
 
 /// Protocol version stamped into every message.
 pub const PROTO_VERSION: u8 = 1;
@@ -219,6 +223,24 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             e.u8(T_ERROR);
             e.u8(*code as u8);
             e.str(message);
+        }
+    }
+    e.into_bytes()
+}
+
+/// The `RowBatch` payload of visible rows `rows` of `rel`, read from its
+/// columns: byte for byte what [`encode_response`] writes for
+/// `Response::RowBatch` over those rows, with no row built.
+pub fn encode_row_batch(rel: &Rel, rows: Range<usize>) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u8(PROTO_VERSION);
+    e.u8(T_ROW_BATCH);
+    e.u32(rows.len() as u32);
+    for i in rows {
+        let r = rel.raw_row(i);
+        e.u32(rel.width() as u32);
+        for c in 0..rel.width() {
+            e.value(&rel.col(c).value(r));
         }
     }
     e.into_bytes()

@@ -28,7 +28,7 @@ use crate::session::{
     prepare_sql, run_statement, Reject, SessionInfo, SessionRegistry, Statements,
 };
 use ferry::Connection;
-use ferry_algebra::{Row, Schema};
+use ferry_algebra::{Rel, Schema};
 use ferry_telemetry::{names, Counter, Gauge, Histogram};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -507,26 +507,21 @@ fn admitted<T>(
     })
 }
 
-/// Stream a result as `ResultHeader`, bounded `RowBatch` chunks, and
-/// `ResultDone`.
+/// Stream a result as `ResultHeader`, bounded `RowBatch` chunks encoded
+/// straight from `rel`'s columns, and `ResultDone`.
 fn stream_result(
-    stream: &TcpStream,
+    w: &mut impl Write,
     schema: Schema,
-    rows: Vec<Row>,
+    rel: &Rel,
     chunk_rows: usize,
 ) -> Result<(), FrameError> {
-    let mut w = stream;
-    write_response(&mut w, &Response::ResultHeader { schema })?;
-    let total = rows.len() as u64;
-    for chunk in rows.chunks(chunk_rows.max(1)) {
-        write_response(
-            &mut w,
-            &Response::RowBatch {
-                rows: chunk.to_vec(),
-            },
-        )?;
+    write_response(w, &Response::ResultHeader { schema })?;
+    let (total, chunk) = (rel.len(), chunk_rows.max(1));
+    for lo in (0..total).step_by(chunk) {
+        let batch = proto::encode_row_batch(rel, lo..total.min(lo + chunk));
+        frame::write_wire_frame(w, &batch)?;
     }
-    write_response(&mut w, &Response::ResultDone { rows: total })
+    write_response(w, &Response::ResultDone { rows: total as u64 })
 }
 
 /// Handle one decoded request; returns whether the session survives.
@@ -605,13 +600,124 @@ fn statement_gate(shared: &Shared) -> Result<(), Reject> {
 fn respond_result(
     stream: &TcpStream,
     shared: &Shared,
-    result: Result<(Schema, Vec<Row>), Reject>,
+    result: Result<(Schema, Rel), Reject>,
 ) -> bool {
+    let mut w = stream;
     match result {
-        Ok((schema, rows)) => stream_result(stream, schema, rows, shared.cfg.chunk_rows).is_ok(),
-        Err(rej) => {
-            let mut w = stream;
-            write_response(&mut w, &rej.response()).is_ok()
+        Ok((schema, rel)) => stream_result(&mut w, schema, &rel, shared.cfg.chunk_rows).is_ok(),
+        Err(rej) => write_response(&mut w, &rej.response()).is_ok(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ferry_algebra::{rows_converted, Row, Ty, Value};
+    use ferry_engine::Database;
+
+    /// `n` visible rows of all six column types, seen through a reversing
+    /// selection vector that skips the columns' first two rows.
+    fn view(n: usize) -> Rel {
+        let schema = Schema::of(&[
+            ("i", Ty::Int),
+            ("n", Ty::Nat),
+            ("d", Ty::Dbl),
+            ("b", Ty::Bool),
+            ("s", Ty::Str),
+            ("u", Ty::Unit),
+        ]);
+        let dbls = [0.5, -0.0, f64::NAN, f64::INFINITY];
+        let strs = ["", "ascii", "Grüße, 世界"];
+        let rows: Vec<Row> = (0..n + 2)
+            .map(|k| {
+                vec![
+                    Value::Int(k as i64 - 3),
+                    Value::Nat(k as u64 * 7),
+                    Value::Dbl(dbls[k % dbls.len()]),
+                    Value::Bool(k % 2 == 0),
+                    Value::str(strs[k % strs.len()]),
+                    Value::Unit,
+                ]
+            })
+            .collect();
+        Rel::new(schema, rows).with_sel((2..n as u32 + 2).rev().collect())
+    }
+
+    /// What the stream was before it read columns: one `RowBatch` per
+    /// chunk of the result's rows.
+    fn row_stream(schema: &Schema, rows: &[Row], chunk_rows: usize) -> Vec<u8> {
+        let mut w = Vec::new();
+        write_response(
+            &mut w,
+            &Response::ResultHeader {
+                schema: schema.clone(),
+            },
+        )
+        .unwrap();
+        for chunk in rows.chunks(chunk_rows) {
+            let batch = Response::RowBatch {
+                rows: chunk.to_vec(),
+            };
+            write_response(&mut w, &batch).unwrap();
         }
+        write_response(
+            &mut w,
+            &Response::ResultDone {
+                rows: rows.len() as u64,
+            },
+        )
+        .unwrap();
+        w
+    }
+
+    #[test]
+    fn row_batches_from_columns_are_the_row_frames_byte_for_byte() {
+        let chunk = ServerConfig::default().chunk_rows;
+        for n in [0, 1, chunk, chunk + 1] {
+            let rel = view(n);
+            let rows = rel.rows().into_owned();
+            let bytes = proto::encode_row_batch(&rel, 0..n);
+            let resp = Response::RowBatch { rows };
+            assert_eq!(bytes, proto::encode_response(&resp), "{n} rows");
+            assert_eq!(proto::decode_response(&bytes), Ok(resp.clone()), "{n} rows");
+            let Response::RowBatch { rows } = resp else {
+                unreachable!()
+            };
+            let mut streamed = Vec::new();
+            stream_result(&mut streamed, rel.schema.clone(), &rel, chunk).unwrap();
+            assert_eq!(streamed, row_stream(&rel.schema, &rows, chunk), "{n} rows");
+        }
+    }
+
+    #[test]
+    fn a_statement_and_its_stream_convert_no_row() {
+        let db = Database::new();
+        let schema = Schema::of(&[
+            ("d", Ty::Dbl),
+            ("i", Ty::Int),
+            ("ok", Ty::Bool),
+            ("s", Ty::Str),
+        ]);
+        db.create_table("t", schema, vec!["i"]).unwrap();
+        let rows = (0..3000)
+            .map(|k| {
+                vec![
+                    Value::Dbl(k as f64 / 4.0),
+                    Value::Int(k),
+                    Value::Bool(k % 3 == 0),
+                    Value::str(format!("s{}", k % 17)),
+                ]
+            })
+            .collect();
+        db.insert("t", rows).unwrap();
+        let conn = Connection::new(db);
+        let sql = "SELECT t.i AS i, t.s AS s, t.d AS d FROM t AS t WHERE t.ok;";
+        let before = rows_converted();
+        let (schema, rel) = run_statement(&conn, sql, &[]).unwrap();
+        let mut streamed = Vec::new();
+        stream_result(&mut streamed, schema.clone(), &rel, 1024).unwrap();
+        assert_eq!(rows_converted() - before, 0);
+        assert_eq!(rel.len(), 1000);
+        assert_eq!(streamed, row_stream(&schema, &rel.rows(), 1024));
     }
 }

@@ -22,7 +22,7 @@
 use crate::proto::{ErrorCode, Response};
 use ferry::shred::{CompiledBundle, QueryDesc, VLayout};
 use ferry::{Connection, FerryError};
-use ferry_algebra::{validate, Plan, Row, Schema, Ty, Value};
+use ferry_algebra::{validate, Plan, Rel, Row, Schema, Ty, Value};
 use ferry_engine::DispatchCtx;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -213,12 +213,14 @@ pub(crate) fn prepare_sql(conn: &Connection, sql: &str) -> SResult<(Arc<Compiled
 
 /// The work of `Execute`/`Query`: fetch the template's plan, bind
 /// `params` into it, and run it against a freshly pinned MVCC snapshot.
-/// One call = one engine dispatch = one internally consistent response.
+/// One call = one engine dispatch = one internally consistent response:
+/// the statement's schema and its result relation, which the session
+/// streams from the columns.
 pub(crate) fn run_statement(
     conn: &Connection,
     sql: &str,
     params: &[Value],
-) -> SResult<(Schema, Vec<Row>)> {
+) -> SResult<(Schema, Rel)> {
     let (bundle, schema) = prepare_sql(conn, sql)?;
     let plan = bundle.plan.bind_params(params).map_err(sql_reject)?;
     let snap = conn.snapshot();
@@ -230,7 +232,7 @@ pub(crate) fn run_statement(
         .execute_bundle_ctx(&plan, &[bundle.queries[0].root], ctx)
         .map_err(sql_reject)?;
     let rel = rels.into_iter().next().expect("one root, one relation");
-    Ok((schema, rel.rows().into_owned()))
+    Ok((schema, rel))
 }
 
 // -------------------------------------------------------------- sessions
