@@ -43,13 +43,17 @@
 //! the build side's dictionary),
 //! [`KeyIndex`] and [`Keys::groups`] hash them into flat chains, and a
 //! composite key's candidates are verified column by column. A `unit`
-//! key column is one constant code.
+//! key column is one constant code. A one-column build key whose codes
+//! run `base, base + 1, …` needs no hash: [`KeyIndex`] finds a probe's
+//! match at its offset from `base`.
 //!
 //! Every node keeps a **work ledger** ([`NodeMetrics`], then its
 //! [`NodeProfile`]): the sorts it ran ([`sort_indices`]) and the hash
 //! tables it built ([`KeyIndex::new`], [`Keys::groups`]), with their
 //! rows, and the rows converted between row and column form while it
-//! ran ([`ferry_algebra::rows_converted`]). The counts are exact: the
+//! ran ([`ferry_algebra::rows_converted`]). A sort skipped because its
+//! input is in order already ([`sort_by_codes`]) and a positional index
+//! count as neither a sort nor a hash build. The counts are exact: the
 //! same plan over the same data counts the same on every run.
 
 use crate::catalog::Snapshot;
@@ -181,11 +185,12 @@ struct NodeMetrics {
     /// for a node that runs neither, an empty input, or the scalar
     /// oracle).
     batches: u32,
-    /// Sorts executed ([`sort_indices`]) and the rows they ordered.
+    /// Sorts executed ([`sort_indices`]; none for input in order) and
+    /// the rows they ordered.
     sorts: u32,
     rows_sorted: u64,
-    /// Hash tables built ([`KeyIndex::new`], [`Keys::groups`]) and the
-    /// rows inserted into them.
+    /// Hash tables built ([`KeyIndex::new`], [`Keys::groups`]; none for a
+    /// positional index) and the rows inserted into them.
     hash_builds: u32,
     rows_hashed: u64,
 }
@@ -209,7 +214,10 @@ impl NodeMetrics {
 
 /// `rel`'s columns at its visible rows: its own when it is dense.
 fn dense_cols(rel: &Rel) -> Vec<Arc<ColVec>> {
-    rel.gather((0..rel.len() as u32).collect())
+    match rel.sel() {
+        None => (0..rel.width()).map(|c| rel.col(c).clone()).collect(),
+        Some(_) => rel.gather((0..rel.len() as u32).collect()),
+    }
 }
 
 fn child(results: &[Option<Rel>], id: NodeId) -> &Rel {
@@ -390,6 +398,19 @@ impl Keys {
         }
     }
 
+    /// `Some(base)` when the key is one column whose codes run `base,
+    /// base + 1, …` (wrapping `u64`), so row `j`'s code is `base + j`: an
+    /// empty or one-row key always does. One pass, stopping at the first
+    /// code out of step.
+    fn run_base(&self) -> Option<u64> {
+        if self.hashes.is_some() {
+            return None;
+        }
+        let codes = &self.cols[0];
+        let stepped = codes.windows(2).all(|w| w[1] == w[0].wrapping_add(1));
+        stepped.then(|| codes.first().copied().unwrap_or(0))
+    }
+
     /// Is row `i`'s key equal to `other`'s row `j`?
     #[inline]
     fn eq(&self, i: usize, other: &Keys, j: usize) -> bool {
@@ -464,39 +485,65 @@ fn key_codes(
     Ok((Keys::new(pk, probe.len()), Keys::new(bk, build.len())))
 }
 
-/// A build input's flat-chain hash index: one map entry per distinct hash
-/// plus a `next` link per build row — no per-key `Vec` allocations. Built
-/// in reverse so each chain links ascending build rows, and probes emit
-/// matches in build order.
+/// A build input's index. A single-column key whose build codes run
+/// `base, base + 1, …` (wrapping) is **positional**: build row `j` holds
+/// code `base + j`, so each key is unique and a probe code's one match is
+/// its offset from `base` — no hash table. Any other key gets a
+/// flat-chain hash index: one map entry per distinct hash plus a `next`
+/// link per build row — no per-key `Vec` allocations. Built in reverse so
+/// each chain links ascending build rows, and probes emit matches in
+/// build order.
 struct KeyIndex {
     keys: Keys,
+    /// The first build code of a positional index.
+    base: Option<u64>,
+    /// Empty for a positional index.
     head: HashMap<u64, u32, CodeHash>,
     next: Vec<u32>,
 }
 
 impl KeyIndex {
     fn new(keys: Keys, m: &mut NodeMetrics) -> KeyIndex {
-        m.hashed(keys.rows);
-        let mut head: HashMap<u64, u32, CodeHash> =
-            HashMap::with_capacity_and_hasher(keys.rows, CodeHash);
-        let mut next: Vec<u32> = vec![NO_ROW; keys.rows];
-        for (j, &h) in keys.hashes().iter().enumerate().rev() {
-            let slot = head.entry(h).or_insert(NO_ROW);
-            next[j] = *slot;
-            *slot = j as u32;
+        let mut index = KeyIndex {
+            base: keys.run_base(),
+            keys,
+            head: HashMap::with_hasher(CodeHash),
+            next: Vec::new(),
+        };
+        if index.base.is_none() {
+            let rows = index.keys.rows;
+            m.hashed(rows);
+            index.head.reserve(rows);
+            index.next = vec![NO_ROW; rows];
+            for (j, &h) in index.keys.hashes().iter().enumerate().rev() {
+                let slot = index.head.entry(h).or_insert(NO_ROW);
+                index.next[j] = *slot;
+                *slot = j as u32;
+            }
         }
-        KeyIndex { keys, head, next }
+        index
     }
 
     /// Build rows whose key equals `probe`'s row `i`, ascending.
     #[inline]
     fn matches<'a>(&'a self, probe: &'a Keys, i: usize) -> impl Iterator<Item = u32> + 'a {
         let verify = self.keys.hashes.is_some();
-        let mut j = self.head.get(&probe.hashes()[i]).copied().unwrap_or(NO_ROW);
+        let mut j = match self.base {
+            Some(base) => {
+                let off = probe.cols[0][i].wrapping_sub(base);
+                if off < self.keys.rows as u64 {
+                    off as u32
+                } else {
+                    NO_ROW
+                }
+            }
+            None => self.head.get(&probe.hashes()[i]).copied().unwrap_or(NO_ROW),
+        };
         std::iter::from_fn(move || {
             while j != NO_ROW {
                 let cur = j;
-                j = self.next[cur as usize];
+                // a positional match has no chain
+                j = self.next.get(cur as usize).copied().unwrap_or(NO_ROW);
                 if !verify || probe.eq(i, &self.keys, cur as usize) {
                     return Some(cur);
                 }
@@ -608,8 +655,10 @@ fn sort_indices(n: usize, m: &mut NodeMetrics, cmp: impl Fn(u32, u32) -> Orderin
 
 /// Sort visible row indices by pre-computed code columns, original index
 /// as the final tiebreak (the typed twin of the `cmp_vis` comparators).
-fn sort_by_codes(n: usize, cols: &[Vec<u64>], m: &mut NodeMetrics) -> Vec<u32> {
-    sort_indices(n, m, |a, b| {
+/// `None` when the rows are in that order already: one linear pass,
+/// stopping at the first row out of order, finds them, and no sort runs.
+fn sort_by_codes(n: usize, cols: &[Vec<u64>], m: &mut NodeMetrics) -> Option<Vec<u32>> {
+    let cmp = |a: u32, b: u32| {
         for col in cols {
             match col[a as usize].cmp(&col[b as usize]) {
                 Ordering::Equal => {}
@@ -617,7 +666,12 @@ fn sort_by_codes(n: usize, cols: &[Vec<u64>], m: &mut NodeMetrics) -> Vec<u32> {
             }
         }
         a.cmp(&b)
-    })
+    };
+    let in_order = match cols {
+        [col] => col.windows(2).all(|w| w[0] <= w[1]),
+        _ => (1..n as u32).all(|i| cmp(i - 1, i) == Ordering::Less),
+    };
+    (!in_order).then(|| sort_indices(n, m, cmp))
 }
 
 fn eval_node(
@@ -945,19 +999,19 @@ fn eval_node(
             // typed sort codes (see `sort_codes`); the oracle compares
             // `Value`s
             let idxs = if oracle {
-                sort_indices(rel.len(), m, |a, b| {
+                Some(sort_indices(rel.len(), m, |a, b| {
                     cmp_vis(rel, a, b, &spec).then(a.cmp(&b))
-                })
+                }))
             } else {
                 m.typed_sink(rel.len());
                 sort_by_codes(rel.len(), &sort_codes(rel, &spec), m)
             };
-            let sel: Vec<u32> = idxs
-                .into_iter()
-                .map(|i| rel.raw_row(i as usize) as u32)
-                .collect();
             let picks = resolve_cols(&rel.schema, cols)?;
-            Ok(rel.with_sel(sel).project(out_schema, &picks))
+            let Some(idxs) = idxs else {
+                return Ok(rel.project(out_schema, &picks));
+            };
+            let sel = idxs.into_iter().map(|i| rel.raw_row(i as usize) as u32);
+            Ok(rel.with_sel(sel.collect()).project(out_schema, &picks))
         }
     }
 }
@@ -996,15 +1050,16 @@ fn windowed(
     let full: Vec<(usize, Dir)> = pi.iter().chain(&spec).copied().collect();
     let spans = (pi.len(), full.len());
     if oracle {
-        let idxs = sort_indices(rel.len(), m, |a, b| {
+        let idxs = Some(sort_indices(rel.len(), m, |a, b| {
             cmp_vis(rel, a, b, &full).then(a.cmp(&b))
-        });
+        }));
         let same = |p: usize, i: usize, span: Range<usize>| {
             full[span]
                 .iter()
                 .all(|&(c, _)| rel.cell(p, c) == rel.cell(i, c))
         };
-        return Ok(number(rel, idxs, spans, kind, same, out_schema));
+        let nums = number(rel.len(), idxs.as_deref(), spans, kind, same);
+        return Ok(numbered(rel, idxs, nums, out_schema));
     }
     // order-preserving u64 sort codes replace per-pair `Value`
     // comparisons, and drive the boundary tests too (code equality
@@ -1013,55 +1068,68 @@ fn windowed(
     let codes = sort_codes(rel, &full);
     let idxs = sort_by_codes(rel.len(), &codes, m);
     let same = |p: usize, i: usize, span: Range<usize>| codes[span].iter().all(|c| c[p] == c[i]);
-    Ok(number(rel, idxs, spans, kind, same, out_schema))
+    let nums = match kind {
+        // unpartitioned row numbers count down the rows in sorted order
+        WindowKind::RowNum if pi.is_empty() => (1..=rel.len() as u64).collect(),
+        _ => number(rel.len(), idxs.as_deref(), spans, kind, same),
+    };
+    Ok(numbered(rel, idxs, nums, out_schema))
 }
 
-/// Number the visible rows of `rel` taken in sorted order `idxs`: the
-/// output is `rel`'s columns gathered in that order plus the numbers.
-/// `same(p, i, span)` says whether rows `p` and `i` agree on the sort
-/// columns `span` of the partition span `0..np` or the order span
-/// `np..width`.
+/// The numbers of `n` visible rows taken in sorted order `idxs` (`None`:
+/// in their own order). `same(p, i, span)` says whether rows `p` and `i`
+/// agree on the sort columns `span` of the partition span `0..np` or the
+/// order span `np..width`.
 fn number(
-    rel: &Rel,
-    idxs: Vec<u32>,
+    n: usize,
+    idxs: Option<&[u32]>,
     (np, width): (usize, usize),
     kind: WindowKind,
     same: impl Fn(usize, usize, Range<usize>) -> bool,
-    out_schema: Schema,
-) -> Rel {
-    let mut nums: Vec<u64> = Vec::with_capacity(idxs.len());
+) -> Vec<u64> {
+    let mut nums: Vec<u64> = Vec::with_capacity(n);
     let mut prev: Option<usize> = None;
     let mut row_number = 0u64;
     let mut rank_value = 0u64;
-    for &i in &idxs {
-        let i = i as usize;
+    for k in 0..n {
+        let i = idxs.map_or(k, |v| v[k] as usize);
         let same_part = prev.is_some_and(|p| same(p, i, 0..np));
         if !same_part {
             row_number = 0;
             rank_value = 0;
         }
         row_number += 1;
-        let fresh_order = !same_part || prev.is_some_and(|p| !same(p, i, np..width));
-        let n = match kind {
+        // a row number never looks at the order columns
+        let fresh_order = || !same_part || prev.is_some_and(|p| !same(p, i, np..width));
+        let num = match kind {
             WindowKind::RowNum => row_number,
             WindowKind::Rank => {
-                if fresh_order {
+                if fresh_order() {
                     rank_value = row_number;
                 }
                 rank_value
             }
             WindowKind::DenseRank => {
-                if fresh_order {
+                if fresh_order() {
                     rank_value += 1;
                 }
                 rank_value
             }
         };
-        nums.push(n);
+        nums.push(num);
         prev = Some(i);
     }
+    nums
+}
+
+/// `rel`'s columns gathered in sorted order `idxs` (`None`: in their own
+/// order), plus the numbers `nums`.
+fn numbered(rel: &Rel, idxs: Option<Vec<u32>>, nums: Vec<u64>, out_schema: Schema) -> Rel {
     let n = nums.len();
-    let mut cols = rel.gather(idxs);
+    let mut cols = match idxs {
+        Some(idxs) => rel.gather(idxs),
+        None => dense_cols(rel),
+    };
     cols.push(Arc::new(ColVec::Nat(nums)));
     Rel::from_cols(out_schema, n, cols)
 }
@@ -1400,7 +1468,8 @@ fn group_by_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ferry_algebra::Ty;
+    use ferry_algebra::plan::cn;
+    use ferry_algebra::{JoinCols, Ty};
 
     /// Two relations whose string dictionaries number shared strings
     /// differently and hold strings the other lacks; duplicate keys on both
@@ -1496,6 +1565,179 @@ mod tests {
                 .filter(|&i| !(0..r.len()).any(|j| eq(i as usize, j)))
                 .collect();
             assert_eq!(keep, want, "difference {cols:?}");
+        }
+    }
+
+    /// The hash path for `keys`: hashes that are the codes themselves keep
+    /// every key apart but rule out a positional index.
+    fn hashed(mut keys: Keys) -> Keys {
+        keys.hashes = Some(keys.cols.concat());
+        keys
+    }
+
+    /// Equi-, semi- and anti-join of `l` and `r` on every column, and
+    /// `l` minus `r`, under `On` and under the oracle: both give the same
+    /// relations. Returns the hash tables `On` built.
+    fn joins_agree_with_the_oracle(schema: &Schema, l: &[Row], r: &[Row]) -> u64 {
+        let renamed = Schema::new(
+            (schema.cols().iter())
+                .map(|(c, t)| (ColName::from(format!("r_{c}")), *t))
+                .collect(),
+        );
+        let mut plan = Plan::new();
+        let (lp, rp) = (
+            plan.lit(schema.clone(), l.to_vec()),
+            plan.lit(renamed.clone(), r.to_vec()),
+        );
+        let on = JoinCols::new(
+            schema.names().cloned().collect(),
+            renamed.names().cloned().collect(),
+        );
+        let roots = [
+            plan.equi_join(lp, rp, on.clone()),
+            plan.semi_join(lp, rp, on.clone()),
+            plan.anti_join(lp, rp, on),
+            {
+                let rd = plan.lit(schema.clone(), r.to_vec());
+                plan.difference(lp, rd)
+            },
+        ];
+        let [on, off] = [VecMode::On, VecMode::Off].map(|mode| {
+            let db = crate::Database::new();
+            db.set_vec_mode(mode);
+            let rels = db.execute_bundle(&plan, &roots).expect("runs");
+            (rels, db.stats().hash_builds)
+        });
+        for (k, (a, b)) in on.0.iter().zip(&off.0).enumerate() {
+            assert_eq!(a.rows(), b.rows(), "operator {k} over {l:?} and {r:?}");
+        }
+        on.1
+    }
+
+    #[test]
+    fn a_positional_index_agrees_with_the_hash_path_and_the_oracle() {
+        let ints = |v: &[i64]| v.iter().map(|&x| vec![Value::Int(x)]).collect::<Vec<Row>>();
+        let strs = |v: &[&str]| v.iter().map(|&x| vec![Value::str(x)]).collect::<Vec<Row>>();
+        let int = Schema::of(&[("k", Ty::Int)]);
+        let str = Schema::of(&[("k", Ty::Str)]);
+        // probes below, inside and past every run, and both extremes
+        let mut probe = ints(&(-2..15).collect::<Vec<_>>());
+        probe.extend(ints(&[i64::MIN, i64::MAX]));
+        let words = strs(&["c", "x", "a", "b", "a", "y", "c"]);
+        // (schema, probe, build, is the build's index positional?)
+        let cases = [
+            (&int, &probe, ints(&[3, 4, 6, 7]), false),        // a gap
+            (&int, &probe, ints(&[3, 4, 4, 5]), false),        // a duplicate key
+            (&int, &probe, ints(&[5, 4, 3]), false),           // a descending run
+            (&int, &probe, ints(&[-1, 0, 1]), true),           // codes wrap u64::MAX -> 0
+            (&int, &probe, ints(&[10, 11, 12, 13]), true),     // -2..9 below, 14.. past it
+            (&int, &probe, ints(&[i64::MAX, i64::MIN]), true), // codes step across i64's sign
+            (&int, &probe, ints(&[5]), true),                  // one row
+            (&int, &probe, ints(&[]), true),                   // no row
+            // the build's own dictionary codes run 0, 1, 2; the probe's
+            // strings live in another dictionary
+            (&str, &words, strs(&["a", "b", "c"]), true),
+            (&str, &words, strs(&["b", "a", "b"]), false),
+        ];
+        for (schema, l, r, positional) in cases {
+            let (lrel, rrel) = (
+                Rel::new(schema.clone(), l.clone()),
+                Rel::new(schema.clone(), r.clone()),
+            );
+            let keys = || key_codes((&lrel, &[0]), (&rrel, &[0])).expect("typed keys");
+            let (m, mh) = (&mut NodeMetrics::default(), &mut NodeMetrics::default());
+            let (lk, rk) = keys();
+            let index = KeyIndex::new(rk, m);
+            assert_eq!(index.base.is_some(), positional, "{r:?}");
+            assert_eq!(m.hash_builds, u32::from(!positional), "{r:?}");
+            let (lh, rh) = keys();
+            let hashed_index = KeyIndex::new(hashed(rh), mh);
+            assert!(hashed_index.base.is_none());
+            for (i, row) in l.iter().enumerate() {
+                let got: Vec<u32> = index.matches(&lk, i).collect();
+                let want: Vec<u32> = hashed_index.matches(&lh, i).collect();
+                assert_eq!(got, want, "probe {row:?} in {r:?}");
+                assert_eq!(index.contains(&lk, i), !want.is_empty());
+            }
+            // the three joins and the difference build one index each,
+            // and the difference groups its left input: a positional
+            // index counts as no hash build
+            let builds = joins_agree_with_the_oracle(schema, l, &r);
+            assert_eq!(builds, 1 + 4 * u64::from(!positional), "{r:?}");
+        }
+        // a composite key stays hashed, though each of its columns runs
+        let pair = Schema::of(&[("k", Ty::Int), ("s", Ty::Str)]);
+        let row = |k: i64, s: &str| vec![Value::Int(k), Value::str(s)];
+        let l = vec![row(0, "a"), row(1, "a"), row(1, "b"), row(3, "c")];
+        let r = vec![row(0, "a"), row(1, "b"), row(2, "c")];
+        let (lrel, rrel) = (
+            Rel::new(pair.clone(), l.clone()),
+            Rel::new(pair.clone(), r.clone()),
+        );
+        let (_, rk) = key_codes((&lrel, &[0, 1]), (&rrel, &[0, 1])).expect("typed keys");
+        assert!(KeyIndex::new(rk, &mut NodeMetrics::default())
+            .base
+            .is_none());
+        assert_eq!(joins_agree_with_the_oracle(&pair, &l, &r), 5);
+    }
+
+    /// A window or a `Serialize` over rows already in its order runs no
+    /// sort, and numbers tied rows exactly as the oracle's sort does: by
+    /// row position.
+    #[test]
+    fn ordered_input_skips_its_sort_and_numbers_ties_alike() {
+        let schema = Schema::of(&[("g", Ty::Int), ("k", Ty::Str), ("x", Ty::Dbl)]);
+        let row = |g, k, x| vec![Value::Int(g), Value::str(k), Value::Dbl(x)];
+        // in (g, k) order, with ties on both; x tells tied rows apart
+        let rows = vec![
+            row(1, "b", 0.5),
+            row(1, "b", -1.0),
+            row(1, "c", 2.0),
+            row(2, "a", 3.0),
+            row(2, "a", 0.0),
+            row(2, "a", -0.0),
+            row(3, "a", 6.0),
+        ];
+        let asc = |c: &str| (cn(c), Dir::Asc);
+        let desc = |c: &str| (cn(c), Dir::Desc);
+        let g = || vec![cn("g")];
+        // (partition, order, does it sort under `On`?)
+        for (part, order, sorts) in [
+            (vec![], vec![asc("g")], false),
+            (vec![], vec![asc("g"), asc("k")], false),
+            (g(), vec![asc("k")], false),
+            (g(), vec![], false),
+            (vec![], vec![], false),
+            (vec![], vec![desc("g")], true),
+            (vec![], vec![asc("k")], true),
+            (vec![], vec![asc("x")], true),
+        ] {
+            let mut plan = Plan::new();
+            let lit = plan.lit(schema.clone(), rows.clone());
+            let mut roots = vec![
+                plan.rownum(lit, "n", part.clone(), order.clone()),
+                plan.dense_rank(lit, "n", part.clone(), order.clone()),
+            ];
+            if part.is_empty() {
+                roots.push(plan.add(Node::RowRank {
+                    input: lit,
+                    col: cn("n"),
+                    order: order.clone(),
+                }));
+                let cols = vec![cn("x")];
+                roots.push(plan.serialize(lit, order.clone(), cols));
+            }
+            let [on, off] = [VecMode::On, VecMode::Off].map(|mode| {
+                let db = crate::Database::new();
+                db.set_vec_mode(mode);
+                let rels = db.execute_bundle(&plan, &roots).expect("runs");
+                (rels, db.stats().sorts)
+            });
+            for (a, b) in on.0.iter().zip(&off.0) {
+                assert_eq!(a.rows(), b.rows(), "{part:?} {order:?}");
+            }
+            let want = if sorts { roots.len() as u64 } else { 0 };
+            assert_eq!((on.1, off.1), (want, roots.len() as u64), "{order:?}");
         }
     }
 }

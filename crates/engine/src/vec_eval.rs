@@ -38,11 +38,14 @@
 //! Checked `Int`/`Nat` arithmetic with the oracle's exact error strings,
 //! `wrapping_div` after the zero check (pinning the `i64::MIN / -1`
 //! quirk), one canonical NaN ([`eval::canon`]) and `total_cmp` double
-//! ordering are reproduced operator by operator. What has no typed loop — casts, `Nat` division and modulo,
-//! `unit` operands — goes cell by cell through [`eval::cast`] and
-//! [`eval::bin_op`]. `infer_schema` rejects an ill-typed expression
-//! before dispatch; one that reached a kernel anyway fails with the
-//! internal register-confusion error, never a fallback.
+//! ordering are reproduced operator by operator, and so are three numeric
+//! casts: `Nat` → `Int` (failing with the oracle's `nat too large for
+//! int`), `Int` → `Dbl` and `Nat` → `Dbl`. What has no typed loop — the
+//! other casts, `Nat` division and modulo, `unit` operands — goes cell by
+//! cell through [`eval::cast`] and [`eval::bin_op`]. `infer_schema`
+//! rejects an ill-typed expression before dispatch; one that reached a
+//! kernel anyway fails with the internal register-confusion error, never
+//! a fallback.
 //! `tests/differential.rs` locks the contract in cell-for-cell, on
 //! generated expressions too.
 
@@ -166,9 +169,7 @@ impl Reg {
         }
     }
 
-    /// Cell `k` as an owned [`Value`]. Inlined into the cell-by-cell
-    /// loops, which run the `Nat` → `Int` cast of loop-lifted position
-    /// columns.
+    /// Cell `k` as an owned [`Value`], for the cell-by-cell loops.
     #[inline(always)]
     fn value(&self, k: usize) -> Value {
         match self {
@@ -279,10 +280,7 @@ fn eval_batch(b: &Bound, rel: &Rel, rows: &[u32]) -> Result<Reg, EngineError> {
         }
         Bound::Cast(ty, x) => {
             let a = eval_batch(x, rel, rows)?;
-            if a.ty() == *ty {
-                return Ok(a);
-            }
-            by_value(*ty, a.len(), |k| eval::cast(*ty, a.value(k)))
+            cast(*ty, a)
         }
     }
 }
@@ -329,6 +327,25 @@ fn merge(cond: &[bool], t: Reg, e: Reg) -> Result<Reg, EngineError> {
         (Reg::Str(t), Reg::Str(e)) => Reg::Str(pick(cond, t, e)),
         (Reg::Val(t), Reg::Val(e)) => Reg::Val(pick(cond, t, e)),
         _ => return Err(confusion()),
+    })
+}
+
+/// `a` cast to `ty`, with the oracle's values and error. `Nat` → `Int`
+/// (the loop-lifted position columns), `Int` → `Dbl` and `Nat` → `Dbl`
+/// are typed loops; every other pair goes cell by cell through
+/// [`eval::cast`].
+fn cast(ty: Ty, a: Reg) -> Result<Reg, EngineError> {
+    Ok(match (ty, a) {
+        (ty, a) if a.ty() == ty => a,
+        (Ty::Int, Reg::U64(v)) => {
+            if v.iter().any(|&n| n > i64::MAX as u64) {
+                return Err(ee("nat too large for int"));
+            }
+            Reg::I64(v.into_iter().map(|n| n as i64).collect())
+        }
+        (Ty::Dbl, Reg::I64(v)) => Reg::F64(v.into_iter().map(|i| i as f64).collect()),
+        (Ty::Dbl, Reg::U64(v)) => Reg::F64(v.into_iter().map(|n| n as f64).collect()),
+        (ty, a) => by_value(ty, a.len(), |k| eval::cast(ty, a.value(k)))?,
     })
 }
 
@@ -672,6 +689,89 @@ mod tests {
                 );
             }
             assert_matches_oracle(&never, &r);
+        }
+    }
+
+    /// A relation of `Nat`, `Int` and `Dbl` edge values over 1100 rows
+    /// (two batches). Row 1030 alone holds `u64::MAX`, and `p` holds
+    /// there only.
+    fn cast_rel() -> Rel {
+        let s = Schema::of(&[
+            ("n", Ty::Nat),
+            ("i", Ty::Int),
+            ("d", Ty::Dbl),
+            ("p", Ty::Bool),
+        ]);
+        let ns = [0, 1, 1 << 53, (1 << 53) + 1, i64::MAX as u64];
+        let is = [i64::MIN, -1, 0, 1, i64::MAX, (1 << 53) + 1];
+        let ds = [-1.5, -0.0, 0.0, 2.5, 1e300, -1e300, f64::NAN];
+        let rows = (0..1100).map(|k| {
+            let n = if k == 1030 {
+                u64::MAX
+            } else {
+                ns[k % ns.len()]
+            };
+            vec![
+                Value::Nat(n),
+                Value::Int(is[k % is.len()]),
+                Value::Dbl(ds[k % ds.len()]),
+                Value::Bool(k == 1030),
+            ]
+        });
+        Rel::new(s, rows.collect())
+    }
+
+    /// The typed casts give the oracle's values, and `Nat` → `Int` fails
+    /// with its error only on a row that reaches the cast.
+    #[test]
+    fn typed_casts_match_the_oracle() {
+        let r = cast_rel();
+        let cast = |ty, c| Expr::cast(ty, Expr::col(c));
+        assert_matches_oracle(&cast(Ty::Dbl, "i"), &r);
+        assert_matches_oracle(&cast(Ty::Dbl, "n"), &r);
+        // u64::MAX does not fit: the oracle's error, from the second batch
+        let too_large = ee("nat too large for int");
+        assert_agrees(&cast(Ty::Int, "n"), &r);
+        assert_eq!(
+            kernel_column(&cast(Ty::Int, "n"), &r),
+            Err(too_large.clone())
+        );
+        // behind a guard, the one row holding it raises only where it
+        // reaches the cast
+        let zero = Expr::lit(0i64);
+        let skips = Expr::case(Expr::col("p"), zero.clone(), cast(Ty::Int, "n"));
+        assert_matches_oracle(&skips, &r);
+        let reaches = Expr::case(Expr::col("p"), cast(Ty::Int, "n"), zero);
+        assert_agrees(&reaches, &r);
+        assert_eq!(kernel_column(&reaches, &r), Err(too_large));
+        // i64::MAX fits, and casts back to its own bits
+        let fits = Expr::case(Expr::col("p"), Expr::lit(0i64), cast(Ty::Int, "n"));
+        let (col, _) = compute(&fits, &r, Ty::Int).unwrap();
+        assert_eq!(col.value(4), Value::Int(i64::MAX));
+    }
+
+    /// Casts without a typed loop go through the oracle's `cast` cell by
+    /// cell: the same values, and the same errors.
+    #[test]
+    fn other_casts_match_the_oracle() {
+        let r = cast_rel();
+        for (ty, c) in [
+            (Ty::Int, "d"),
+            (Ty::Int, "p"),
+            (Ty::Dbl, "p"),
+            (Ty::Nat, "p"),
+            (Ty::Int, "i"),
+            (Ty::Dbl, "d"),
+        ] {
+            assert_matches_oracle(&Expr::cast(ty, Expr::col(c)), &r);
+        }
+        for (ty, c, err) in [
+            (Ty::Nat, "i", "negative int cast to nat"),
+            (Ty::Nat, "d", "cannot cast -1.5 to nat"),
+        ] {
+            let e = Expr::cast(ty, Expr::col(c));
+            assert_agrees(&e, &r);
+            assert_eq!(kernel_column(&e, &r), Err(ee(err)), "{e}");
         }
     }
 

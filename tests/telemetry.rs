@@ -379,8 +379,8 @@ fn explain_analyze_renders_report_profile_and_timeline() {
     }
     assert!(
         out.lines().any(|l| l
-            == "vec nodes: 84  kernel batches: 39  sorts: 14 (202 rows)  \
-                hash builds: 24 (402 rows)  rows converted: 0"),
+            == "vec nodes: 84  kernel batches: 39  sorts: 4 (52 rows)  \
+                hash builds: 19 (329 rows)  rows converted: 0"),
         "{out}"
     );
     assert!(!out.contains("shard"), "no shard counters: {out}");
