@@ -35,19 +35,6 @@ pub fn descr_facility(f: Q<String>) -> Q<Vec<String>> {
     )
 }
 
-/// The §2 formulation with the guard as a single trailing conjunction —
-/// semantically identical to [`descr_facility`]; kept for the equivalence
-/// tests and as the showcase of what full join-graph isolation would have
-/// to optimise.
-pub fn descr_facility_deferred_guard(f: Q<String>) -> Q<Vec<String>> {
-    ferry::comp!(
-        (mean.clone())
-        for (feat, mean) in table::<(String, String)>("meanings"),
-        for (fac, feat2) in table::<(String, String)>("features"),
-        if feat.eq(&feat2).and(&fac.eq(&f))
-    )
-}
-
 /// The running example:
 /// `[ (the cat, nub (concatMap descrFacility fac))
 ///  | (cat, fac) <- facilities, then group by cat ]`.

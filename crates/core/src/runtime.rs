@@ -739,12 +739,11 @@ impl Connection {
 
     /// [`explain`](Connection::explain) plus execution: run the bundle
     /// (under a forced telemetry trace, whatever the configured level)
-    /// and render the engine's per-node profile — execution path (scalar
-    /// vs vectorized, with kernel batch count), wall time, output rows and
-    /// the rows each operator sorted, hashed and converted — the
-    /// dispatch's totals, and the compile → optimize → execute span
-    /// timeline. The
-    /// profiling analogue of SQL's `EXPLAIN ANALYZE`.
+    /// and render the engine's per-node profile — kernel batch count,
+    /// wall time, output rows and the rows each operator sorted, hashed
+    /// and converted — the dispatch's totals, and the compile → optimize
+    /// → execute span timeline. The profiling analogue of SQL's
+    /// `EXPLAIN ANALYZE`.
     pub fn explain_analyze<T: QA>(&self, q: &Q<T>) -> Result<String, FerryError> {
         use std::fmt::Write;
         let mut out = self.explain(q)?;
@@ -766,23 +765,19 @@ impl Connection {
         // this dispatch's totals: the latest profile summed
         let mut total = ferry_engine::QueryStats::default();
         for p in stats.latest_profile().map_or(&[][..], |q| &q.nodes) {
-            let path = match p.path {
-                ferry_engine::ExecPath::Scalar => "scalar".to_string(),
-                ferry_engine::ExecPath::Vectorized => format!("vec({})", p.batches),
-            };
             let _ = writeln!(
                 out,
-                "node {:>3}  {:<12} {:<10} {:>9} rows  {:?}  sorted {}  hashed {}  converted {}",
+                "node {:>3}  {:<12} batches {:<4} {:>9} rows  {:?}  sorted {}  hashed {}  converted {}",
                 p.node,
                 p.label,
-                path,
+                p.batches,
                 p.rows,
                 p.elapsed,
                 p.rows_sorted,
                 p.rows_hashed,
                 p.rows_converted
             );
-            total.vec_nodes += u64::from(p.path == ferry_engine::ExecPath::Vectorized);
+            total.nodes_evaluated += 1;
             total.kernel_batches += u64::from(p.batches);
             total.sorts += u64::from(p.sorts);
             total.rows_sorted += p.rows_sorted;
@@ -792,8 +787,8 @@ impl Connection {
         }
         let _ = writeln!(
             out,
-            "vec nodes: {}  kernel batches: {}  sorts: {} ({} rows)  hash builds: {} ({} rows)  rows converted: {}",
-            total.vec_nodes,
+            "nodes: {}  kernel batches: {}  sorts: {} ({} rows)  hash builds: {} ({} rows)  rows converted: {}",
+            total.nodes_evaluated,
             total.kernel_batches,
             total.sorts,
             total.rows_sorted,

@@ -629,47 +629,43 @@ fn explain_analyze_renders_the_node_profile() {
     assert!(text.contains("-- execution profile"), "{text}");
     assert!(text.contains("serialize"), "{text}");
     assert!(text.contains("rows"), "{text}");
-    // every node names its execution path, which is the mode: under the
-    // default `VecMode::On` even a 5-row table runs vectorized, and a
-    // view-only node shows `vec(0)`
-    assert!(!text.contains("scalar"), "{text}");
-    assert!(text.contains("vec(0)"), "{text}");
-    let vec_line = text
-        .lines()
-        .find(|l| l.starts_with("vec nodes:"))
-        .expect("counter line");
-    assert!(!vec_line.contains("vec nodes: 0"), "{text}");
+    // every node line carries its kernel batches: under the default
+    // `VecMode::On` even a 5-row table runs kernels, and a view-only node
+    // shows 0
+    assert!(text.contains(" batches 0 "), "{text}");
+    let nodes = text.lines().filter(|l| l.starts_with("node ")).count();
+    assert!(
+        text.lines()
+            .any(|l| l.starts_with(&format!("nodes: {nodes} "))),
+        "the summary counts every node line: {text}"
+    );
 }
 
 #[test]
-fn explain_analyze_names_the_oracle_path() {
+fn explain_analyze_under_the_oracle_counts_no_batches() {
     use ferry_engine::VecMode;
     let c = conn();
     c.set_vec_mode(VecMode::Off);
     let text = c
         .explain_analyze(&group_with(|x: Q<i64>| x % toq(&2i64), nums()))
         .unwrap();
-    assert!(text.contains("scalar"), "{text}");
-    assert!(!text.contains("vec("), "{text}");
-    assert!(text.contains("vec nodes: 0"), "{text}");
+    let nodes: Vec<&str> = text.lines().filter(|l| l.starts_with("node ")).collect();
+    assert!(!nodes.is_empty(), "{text}");
+    assert!(nodes.iter().all(|l| l.contains(" batches 0 ")), "{text}");
+    assert!(text.contains("kernel batches: 0 "), "{text}");
 }
 
 #[test]
-fn explain_analyze_names_the_vectorized_path() {
+fn explain_analyze_counts_kernel_batches() {
     let c = conn();
     // `x % 2` forces a Compute node; under the default VecMode::On it
-    // compiles to a kernel and the profile must say so, batch count
-    // included
+    // runs a kernel and the profile must say so, batch count included
     let text = c
         .explain_analyze(&map(|x: Q<i64>| x % toq(&2i64), nums()))
         .unwrap();
-    assert!(text.contains("vec(1)"), "{text}");
+    assert!(text.contains(" batches 1 "), "{text}");
     assert!(text.contains("kernel batches:"), "{text}");
-    let vec_line = text
-        .lines()
-        .find(|l| l.starts_with("vec nodes:"))
-        .expect("counter line");
-    assert!(!vec_line.contains("vec nodes: 0"), "{text}");
+    assert!(!text.contains("kernel batches: 0 "), "{text}");
 }
 
 /// Each facility category with its features' meanings.

@@ -150,9 +150,7 @@ struct GroupCommit {
 /// The in-memory database acting as the coprocessor.
 ///
 /// `execute` is the client/server boundary: each call is **one query**
-/// dispatched to the database, counted in [`QueryStats`] and charged
-/// `dispatch_cost` of fixed latency (default zero; set it to model a
-/// networked DBMS round-trip).
+/// dispatched to the database and counted in [`QueryStats`].
 ///
 /// All methods take `&self` — share a `Database` behind a plain `Arc`.
 /// Reads go through [`Database::snapshot`]; writes through
@@ -172,8 +170,6 @@ pub struct Database {
     /// leader-slot hand-offs.
     gc: Mutex<GroupCommit>,
     gc_cv: Condvar,
-    /// Fixed per-query dispatch latency in nanoseconds.
-    dispatch_cost_ns: AtomicU64,
     /// Execution-path selection used by every dispatch.
     vec_mode: Mutex<VecMode>,
     /// The observability hub: config, metrics registry, trace ring.
@@ -290,7 +286,6 @@ impl Database {
             }),
             gc: Mutex::new(GroupCommit::default()),
             gc_cv: Condvar::new(),
-            dispatch_cost_ns: AtomicU64::new(0),
             vec_mode: Mutex::new(VecMode::default()),
             telemetry,
             metrics,
@@ -786,9 +781,9 @@ impl Database {
     /// whose wall time meets it are captured — plan pretty-print,
     /// optimizer report, per-node profile — into a bounded ring of
     /// [`SlowQueryRecord`]s, queryable as `ferry.slow_queries`. Capture
-    /// is threshold-gated, not config-gated: it works under
-    /// [`TelemetryConfig::Off`] too (crossing the threshold is the
-    /// opt-in), though traces additionally need `Full`.
+    /// is threshold-gated, not config-gated: it works at either
+    /// telemetry level (crossing the threshold is the opt-in), though
+    /// traces additionally need [`TelemetryConfig::Full`].
     pub fn set_slow_query_threshold(&self, t: Option<Duration>) {
         self.telemetry.set_slow_query_threshold(t);
     }
@@ -934,21 +929,11 @@ impl Database {
     /// counters live here so one `stats()` call tells the whole story of
     /// a workload (queries dispatched *and* compilations amortised).
     pub fn record_cache(&self, hit: bool) {
-        if !self.telemetry.counters_on() {
-            return;
-        }
         if hit {
             self.metrics.cache_hits.inc();
         } else {
             self.metrics.cache_misses.inc();
         }
-    }
-
-    /// Fixed latency charged per dispatched query (models network
-    /// round-trip and parse/plan overhead of a real client/server DBMS).
-    pub fn set_dispatch_cost(&self, cost: Duration) {
-        self.dispatch_cost_ns
-            .store(cost.as_nanos() as u64, AtOrd::Relaxed);
     }
 
     /// Set the execution path of subsequent dispatches: the production
@@ -1132,8 +1117,8 @@ impl<'db> Snapshot<'db> {
     /// The whole bundle is evaluated in **one pass** over the shared plan
     /// DAG: sub-plans common to several members run once. Accounting is
     /// unchanged from dispatching each member separately — every root
-    /// still counts as one query and is charged `dispatch_cost`, so the
-    /// Table 1 avalanche numbers measure the same client/server protocol.
+    /// still counts as one query, so the Table 1 avalanche numbers count
+    /// the same client/server protocol.
     pub fn execute_bundle(&self, plan: &Plan, roots: &[NodeId]) -> Result<Vec<Rel>, EngineError> {
         self.execute_bundle_ctx(plan, roots, DispatchCtx::default())
     }
@@ -1160,12 +1145,6 @@ impl<'db> Snapshot<'db> {
             .attr("queries", roots.len())
             .attr("epoch", self.cat.epoch);
         let start_ns = ferry_telemetry::now_ns();
-        let dispatch_cost = Duration::from_nanos(db.dispatch_cost_ns.load(AtOrd::Relaxed));
-        if !dispatch_cost.is_zero() {
-            for _ in roots {
-                spin_for(dispatch_cost);
-            }
-        }
         let schemas = infer_schema(plan)?;
         let mut local = QueryStats::default();
         let mut prof = Vec::new();
@@ -1186,22 +1165,20 @@ impl<'db> Snapshot<'db> {
         if threshold_ns != 0 && elapsed_ns >= threshold_ns {
             db.record_slow(plan, roots, &profile, ctx, threshold_ns);
         }
-        if db.telemetry.counters_on() {
-            let m = &db.metrics;
-            m.queries.add(roots.len() as u64);
-            m.rows_out.add(results.iter().map(|r| r.len() as u64).sum());
-            m.nodes_evaluated.add(local.nodes_evaluated);
-            m.rows_produced.add(local.rows_produced);
-            m.vec_nodes.add(local.vec_nodes);
-            m.kernel_batches.add(local.kernel_batches);
-            m.sorts.add(local.sorts);
-            m.rows_sorted.add(local.rows_sorted);
-            m.hash_builds.add(local.hash_builds);
-            m.rows_hashed.add(local.rows_hashed);
-            m.rows_converted.add(local.rows_converted);
-            m.query_latency_ns.record(elapsed_ns);
-            db.profiles.lock().unwrap().push(profile);
-        }
+        let m = &db.metrics;
+        m.queries.add(roots.len() as u64);
+        m.rows_out.add(results.iter().map(|r| r.len() as u64).sum());
+        m.nodes_evaluated.add(local.nodes_evaluated);
+        m.rows_produced.add(local.rows_produced);
+        m.vec_nodes.add(local.vec_nodes);
+        m.kernel_batches.add(local.kernel_batches);
+        m.sorts.add(local.sorts);
+        m.rows_sorted.add(local.rows_sorted);
+        m.hash_builds.add(local.hash_builds);
+        m.rows_hashed.add(local.rows_hashed);
+        m.rows_converted.add(local.rows_converted);
+        m.query_latency_ns.record(elapsed_ns);
+        db.profiles.lock().unwrap().push(profile);
         Ok(results)
     }
 }
@@ -1396,15 +1373,6 @@ impl Tx {
     /// The schema version as this transaction sees it.
     pub fn schema_version(&self) -> u64 {
         self.work.schema_version
-    }
-}
-
-/// Busy-wait for `d`. `thread::sleep` has millisecond-class granularity on
-/// some platforms; the dispatch costs we model are tens of microseconds.
-fn spin_for(d: Duration) {
-    let start = std::time::Instant::now();
-    while start.elapsed() < d {
-        std::hint::spin_loop();
     }
 }
 

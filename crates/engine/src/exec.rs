@@ -59,7 +59,7 @@
 use crate::catalog::Snapshot;
 use crate::error::EngineError;
 use crate::eval::{bind, eval};
-use crate::stats::{ExecPath, NodeProfile, QueryStats};
+use crate::stats::{NodeProfile, QueryStats};
 use crate::vec_eval::{self, VecMode, BATCH_ROWS};
 use ferry_algebra::plan::Aggregate;
 use ferry_algebra::{
@@ -108,11 +108,6 @@ pub fn run_many(
         }
         stack.extend(plan.node(id).children());
     }
-    // a node's path is the mode
-    let path = match mode {
-        VecMode::On => ExecPath::Vectorized,
-        VecMode::Off => ExecPath::Scalar,
-    };
     let mut results: Vec<Option<Rel>> = vec![None; plan.len()];
     for idx in 0..plan.len() {
         if !needed[idx] {
@@ -126,9 +121,9 @@ pub fn run_many(
         let rel = eval_node(snap, plan, id, schemas, &results, mode, &mut m)?;
         let elapsed = start.elapsed();
         let rows_converted = ferry_algebra::rows_converted() - converted;
-        // under `On` a view-only node (a scan, a projection) runs no row code
-        // of either kind and counts as vec
-        if path == ExecPath::Vectorized {
+        // under `On` every node counts, a view-only one (a scan, a
+        // projection) that runs no row code of either kind included
+        if mode == VecMode::On {
             stats.vec_nodes += 1;
         }
         stats.nodes_evaluated += 1;
@@ -152,7 +147,6 @@ pub fn run_many(
                 vec![
                     ("node", id.0.into()),
                     ("rows", (rel.len() as u64).into()),
-                    ("path", path.to_string().into()),
                     ("batches", m.batches.into()),
                 ],
             );
@@ -162,7 +156,6 @@ pub fn run_many(
             label,
             rows: rel.len() as u64,
             elapsed,
-            path,
             batches: m.batches,
             sorts: m.sorts,
             rows_sorted: m.rows_sorted,

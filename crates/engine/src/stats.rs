@@ -11,38 +11,14 @@
 //! `runtime.*`); [`QueryStats`] is the *view* `Database::stats()`
 //! assembles from it. Beyond the counters, the engine records a
 //! **per-node profile** of each dispatch — one [`NodeProfile`] per
-//! evaluated plan node with its wall-clock time, output rows, execution
-//! path and work ledger (sorts, hash builds, row conversions) — retained for the last [`PROFILE_RING_CAP`] dispatches in a
+//! evaluated plan node with its wall-clock time, output rows, kernel
+//! batches and work ledger (sorts, hash builds, row conversions) —
+//! retained for the last [`PROFILE_RING_CAP`] dispatches in a
 //! [`ProfileRing`] keyed by query id. `Connection::explain_analyze`
 //! renders the latest entry.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::time::Duration;
-
-/// Which execution path one plan node's evaluation took. It is the
-/// dispatch's `VecMode`: `On` runs every node on its one production
-/// implementation, `Off` on the scalar oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecPath {
-    /// Row-at-a-time `Bound` interpretation — the differential oracle
-    /// (`VecMode::Off`).
-    #[default]
-    Scalar,
-    /// The production path (`VecMode::On`): kernels and typed sinks. A
-    /// node that runs neither (a scan, a projection, an attach) is on it
-    /// too, with zero batches.
-    Vectorized,
-}
-
-impl fmt::Display for ExecPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecPath::Scalar => write!(f, "scalar"),
-            ExecPath::Vectorized => write!(f, "vec"),
-        }
-    }
-}
 
 /// Wall-time and work record for one evaluated plan node of one dispatch
 /// (see [`QueryProfile`]).
@@ -56,8 +32,6 @@ pub struct NodeProfile {
     pub rows: u64,
     /// Wall-clock evaluation time for this node.
     pub elapsed: Duration,
-    /// Execution path the evaluation took (the dispatch's mode).
-    pub path: ExecPath,
     /// Kernel batches this node's kernel or typed sink executed: one per
     /// [`BATCH_ROWS`](crate::vec_eval::BATCH_ROWS) input rows (`0` on the
     /// scalar path, for a node that runs neither, and for an empty input).
@@ -165,8 +139,7 @@ impl ProfileRing {
 
 /// Counters accumulated by a [`crate::Database`] across `execute` calls —
 /// a point-in-time view assembled by `Database::stats()` from the
-/// telemetry registry plus the profile ring. With
-/// `TelemetryConfig::Off` nothing is accounted and the view stays zero.
+/// telemetry registry plus the profile ring.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Number of queries dispatched (one per `execute` call).
@@ -184,8 +157,8 @@ pub struct QueryStats {
     /// … and misses: compilations that went through the full
     /// loop-lifting + optimisation pipeline.
     pub cache_misses: u64,
-    /// Node evaluations on the production path — every node under
-    /// `VecMode::On`, none under `Off`.
+    /// Node evaluations on the production path: equal to
+    /// `nodes_evaluated` under `VecMode::On` and 0 under `Off`.
     pub vec_nodes: u64,
     /// Total kernel batches executed by kernels and typed sinks (the sum
     /// of the profiles' `batches`).
@@ -225,7 +198,6 @@ mod tests {
             label: "lit",
             rows: 1,
             elapsed: Duration::from_micros(3),
-            path: ExecPath::Scalar,
             batches: 0,
             sorts: 1,
             rows_sorted: 1,

@@ -135,8 +135,8 @@ pub struct SlowQueryRecord {
     pub plan: String,
     /// The optimizer's report, rendered (None below the runtime).
     pub opt_report: Option<String>,
-    /// The dispatch's per-node profile (captured even under
-    /// `TelemetryConfig::Off` — crossing the threshold is the opt-in).
+    /// The dispatch's per-node profile (captured at either telemetry
+    /// level — crossing the threshold is the opt-in).
     pub profile: QueryProfile,
 }
 

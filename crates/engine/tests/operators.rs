@@ -515,14 +515,13 @@ fn an_unbound_parameter_is_a_typed_error() {
 }
 
 /// Every evaluated plan node is one evaluation with its own profile
-/// entry, and `vec_nodes` counts them the way `nodes_evaluated` does. A
-/// node's path is the mode: under `VecMode::On` every evaluated node
-/// counts — a view-only build scan, which runs no row code of either
-/// kind, and a join on `unit` keys (one constant code) included — and
-/// under `Off` none does.
+/// entry, and `vec_nodes` counts them the way `nodes_evaluated` does
+/// under `VecMode::On` — a view-only build scan, which runs no row code
+/// of either kind, and a join on `unit` keys (one constant code)
+/// included — and is 0 under `Off`.
 #[test]
 fn vec_nodes_counts_chain_members() {
-    use ferry_engine::{ExecPath, VecMode};
+    use ferry_engine::VecMode;
     let db = db();
     let mut p = Plan::new();
     let t = emp_ref(&mut p);
@@ -541,16 +540,15 @@ fn vec_nodes_counts_chain_members() {
     let prof = &st.latest_profile().unwrap().nodes;
     let entries: Vec<_> = prof
         .iter()
-        .map(|n| (n.node, n.label, n.rows, n.path, n.batches))
+        .map(|n| (n.node, n.label, n.rows, n.batches))
         .collect();
-    let vec = ExecPath::Vectorized;
     assert_eq!(
         entries,
         [
-            (t.0, "table", 4, vec, 0),
-            (sel.0, "select", 3, vec, 1),
-            (cmp.0, "compute", 3, vec, 1),
-            (rn.0, "rownum", 3, vec, 1),
+            (t.0, "table", 4, 0),
+            (sel.0, "select", 3, 1),
+            (cmp.0, "compute", 3, 1),
+            (rn.0, "rownum", 3, 1),
         ]
     );
     assert_eq!(st.kernel_batches, 3);
@@ -590,7 +588,7 @@ fn vec_nodes_counts_chain_members() {
     let prof = &st.latest_profile().unwrap().nodes;
     assert_eq!(prof.len(), 4);
     let tail = prof.last().unwrap();
-    assert_eq!((tail.label, tail.path, tail.batches), ("join", vec, 1));
+    assert_eq!((tail.label, tail.batches), ("join", 1));
 
     // the oracle counts nothing as vec
     db.set_vec_mode(VecMode::Off);
@@ -600,9 +598,7 @@ fn vec_nodes_counts_chain_members() {
     assert_eq!((st.nodes_evaluated, st.vec_nodes), (4, 0));
     let prof = &st.latest_profile().unwrap().nodes;
     assert_eq!(prof.len(), 4);
-    assert!(prof
-        .iter()
-        .all(|n| n.path == ExecPath::Scalar && n.batches == 0));
+    assert!(prof.iter().all(|n| n.batches == 0));
 }
 
 #[test]
@@ -615,19 +611,6 @@ fn stats_track_rows() {
     let st = db.stats();
     assert_eq!(st.queries, 1);
     assert_eq!(st.rows_out, 4);
-}
-
-#[test]
-fn dispatch_cost_is_charged_per_query() {
-    let db = db();
-    db.set_dispatch_cost(std::time::Duration::from_micros(200));
-    let mut p = Plan::new();
-    let t = p.lit(Schema::of(&[("x", Ty::Int)]), vec![]);
-    let start = std::time::Instant::now();
-    for _ in 0..10 {
-        db.execute(&p, t).unwrap();
-    }
-    assert!(start.elapsed() >= std::time::Duration::from_micros(2000));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! concurrent dispatch.
 
 use ferry_algebra::{ColName, Plan, Schema, Ty, Value};
-use ferry_engine::{Database, TelemetryConfig, PROFILE_RING_CAP, SLOW_RING_CAP, SYS_PREFIX};
+use ferry_engine::{Database, PROFILE_RING_CAP, SLOW_RING_CAP, SYS_PREFIX};
 use ferry_telemetry::Metric;
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,7 +34,6 @@ fn scan(db: &Database, name: &str) -> Vec<Vec<Value>> {
 
 fn seeded() -> Database {
     let db = Database::new();
-    db.set_telemetry_config(TelemetryConfig::Counters);
     db.create_table(
         "emp",
         Schema::of(&[("dept", Ty::Str), ("name", Ty::Str), ("sal", Ty::Int)]),
@@ -71,11 +70,10 @@ fn dispatch_once(db: &Database) {
 fn ferry_metrics_matches_the_registry() {
     let db = seeded();
     dispatch_once(&db);
-    // freeze the counters so the ferry.metrics scan (itself a dispatch)
-    // does not move the values between the scan and the comparison
-    db.set_telemetry_config(TelemetryConfig::Off);
-    let rows = scan(&db, "ferry.metrics");
-    // one row per counter/gauge, (kind, name, value), name order
+    // one row per counter/gauge, (kind, name, value), name order. Read
+    // the registry before the scan: the scan is itself a dispatch, and a
+    // dispatch adds its counters only after its `TableRef` has
+    // materialised, so the scan sees the values read here
     let expected: Vec<(String, String, i64)> = db
         .telemetry()
         .registry()
@@ -87,6 +85,7 @@ fn ferry_metrics_matches_the_registry() {
             Metric::Histogram(_) => None,
         })
         .collect();
+    let rows = scan(&db, "ferry.metrics");
     assert!(!expected.is_empty(), "engine metrics are registered");
     assert_eq!(rows.len(), expected.len());
     for (row, (kind, name, value)) in rows.iter().zip(&expected) {
@@ -294,9 +293,8 @@ fn extrinsic_registration_is_validated_and_scannable() {
 #[test]
 fn slow_queries_capture_is_threshold_gated() {
     let db = seeded();
-    // telemetry fully off: capture still works — the threshold is the
-    // opt-in, not the config
-    db.set_telemetry_config(TelemetryConfig::Off);
+    // untraced (the default `Counters` level): capture still works — the
+    // threshold is the opt-in, not the config
 
     // no threshold (the idle default): nothing is captured
     dispatch_once(&db);
@@ -317,7 +315,7 @@ fn slow_queries_capture_is_threshold_gated() {
     assert_eq!(r.threshold, Duration::from_nanos(1));
     assert_eq!(r.roots, 1);
     assert!(r.plan.contains("emp"), "plan pretty-print captured");
-    assert_eq!(r.trace_id, 0, "ran untraced under Off");
+    assert_eq!(r.trace_id, 0, "ran untraced under Counters");
     assert!(db.slow_query(r.query_id).is_some());
 
     // the scan surface agrees: (elapsed_us, plan, plan_hash, query_id,

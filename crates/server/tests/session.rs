@@ -368,6 +368,69 @@ fn sql_refusal<T: std::fmt::Debug>(r: Result<T, ClientError>) -> String {
     }
 }
 
+/// Statement text arrives from the socket, so nesting depth is a budget:
+/// a statement 100 000 levels deep is a typed refusal that names the
+/// limit, its session survives it, and a statement at exactly the limit
+/// runs end to end on the session thread.
+#[test]
+fn nesting_depth_is_a_budget() {
+    use ferry_sql::parser::MAX_DEPTH;
+    let (_conn, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let n = 100_000;
+    let too_deep = [
+        format!("SELECT {}1{} AS x", "(".repeat(n), ")".repeat(n)),
+        format!("SELECT {}TRUE AS x", "NOT ".repeat(n)),
+        format!("SELECT {}1 AS x", "- ".repeat(n)),
+        format!("SELECT 1{} AS x", " + 1".repeat(n)),
+    ];
+    for sql in too_deep {
+        let message = sql_refusal(c.query(&sql));
+        assert!(
+            message.contains(&format!("limit of {MAX_DEPTH} levels")),
+            "{message}"
+        );
+        // the same connection answers the next statement
+        one_row(c.query("SELECT 1 AS x"));
+    }
+    // a `SELECT` of a leaf is 2 levels, and each `NOT`, minus or `+` adds
+    // one; a parenthesis is one open construct and no level of the tree
+    let k = MAX_DEPTH - 2;
+    let even = k.is_multiple_of(2);
+    let sign = if even { 1 } else { -1 };
+    let at_the_limit = [
+        (
+            format!(
+                "SELECT {}1{} AS x",
+                "(".repeat(MAX_DEPTH),
+                ")".repeat(MAX_DEPTH)
+            ),
+            Value::Int(1),
+        ),
+        (
+            format!("SELECT {}1{} AS x", "(".repeat(k), " + 1)".repeat(k)),
+            Value::Int(k as i64 + 1),
+        ),
+        (
+            format!("SELECT {}TRUE AS x", "NOT ".repeat(k)),
+            Value::Bool(even),
+        ),
+        (format!("SELECT {}1 AS x", "- ".repeat(k)), Value::Int(sign)),
+        (
+            format!("SELECT 1{} AS x", " + 1".repeat(k)),
+            Value::Int(k as i64 + 1),
+        ),
+    ];
+    for (sql, value) in at_the_limit {
+        let rs = c
+            .query(&sql)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", &sql[..40]));
+        assert_eq!(rs.rows, vec![vec![value]], "{}", &sql[..40]);
+    }
+    c.close().unwrap();
+    handle.shutdown();
+}
+
 #[test]
 fn varying_parameters_share_one_plan() {
     let (conn, handle) = start(ServerConfig::default());

@@ -224,8 +224,8 @@ impl<'a> Gen<'a> {
                             .collect::<Result<_, SqlError>>()?;
                         Ok(format!("SELECT {}", items.join(", ")))
                     })
-                    .collect::<Result<_, SqlError>>()?;
-                Ok(selects.join(" UNION ALL "))
+                    .collect::<Result<Vec<_>, SqlError>>()?;
+                Ok(union_all(&selects))
             }
             Node::Attach { input, col, value } => {
                 let (src, a, mut items) = self.carry_all(input)?;
@@ -584,6 +584,23 @@ impl<'a> Gen<'a> {
             Expr::Param(..) => e.to_string(),
         })
     }
+}
+
+/// The rows' `SELECT`s as one balanced `UNION ALL` tree, in row order: a
+/// literal table of n rows nests ⌈log2 n⌉ set operations, where a chain
+/// would nest n and outgrow the parser's depth budget. `UNION ALL` is
+/// left-associative, so only a right side of more than one row needs
+/// parentheses.
+fn union_all(selects: &[String]) -> String {
+    if let [select] = selects {
+        return select.clone();
+    }
+    let (l, r) = selects.split_at(selects.len() / 2);
+    let r = match r {
+        [select] => select.clone(),
+        _ => format!("({})", union_all(r)),
+    };
+    format!("{} UNION ALL {r}", union_all(l))
 }
 
 fn binding_comment(node: &Node) -> &'static str {

@@ -1,4 +1,19 @@
 //! Recursive-descent parser for the supported SQL dialect.
+//!
+//! Statement text arrives from the socket, and the parser, the binder and
+//! the AST's own `Drop` all recurse once per level of the tree, so depth
+//! is a budget: a statement deeper than [`MAX_DEPTH`] levels is refused
+//! with a [`SqlError::Parse`] that names the limit. The limit bounds two
+//! depths. The tree's: every expression node, every `SELECT` and every
+//! set operation, derived table and CTE body is one level, and a
+//! left-deep chain built by a loop (`1 + 1 + … + 1`, `a AND b AND …`,
+//! `… UNION ALL …`) counts as deep as the tree it is. And the parser's
+//! own: the constructs open around a token, a parenthesis included. A
+//! parenthesis builds no node, so it is no level of the tree, and the
+//! parentheses the code generator puts around every operator cost its
+//! SQL nothing beyond the expression's own depth. The parser checks the
+//! budget before it recurses into a nested construct, and again
+//! whenever it builds a node.
 
 #![deny(
     clippy::unwrap_used,
@@ -11,10 +26,47 @@ use crate::ast::*;
 use crate::lexer::{lex, Tok};
 use crate::SqlError;
 
+/// The deepest statement the parser accepts, in levels of its tree and
+/// of open constructs (see the module docs). The code generator's SQL is
+/// as deep as the plan's deepest expression, plus a few levels, plus
+/// ⌈log2 n⌉ for a literal table of n rows. A statement at the limit
+/// runs end to end (parse, bind, optimize, execute) on a server
+/// session's 2 MiB stack in a debug build; one of 384 levels overflows
+/// that stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// A parsed node and its depth: the levels of its tree, a leaf being 1.
+type Parsed<T> = (T, usize);
+
+/// Binary operator precedences, loosest first.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const CMP: u8 = 3;
+const ADD: u8 = 4;
+const MUL: u8 = 5;
+
+fn too_deep() -> SqlError {
+    SqlError::Parse(format!(
+        "statement nests deeper than the limit of {MAX_DEPTH} levels"
+    ))
+}
+
+/// The depth of a node over children of depth `h`, if within budget.
+fn up(h: usize) -> Result<usize, SqlError> {
+    if h >= MAX_DEPTH {
+        return Err(too_deep());
+    }
+    Ok(h + 1)
+}
+
 /// Parse one statement (a query, optionally with CTEs and a final ORDER BY).
 pub fn parse(input: &str) -> Result<Statement, SqlError> {
     let toks = lex(input)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.statement()?;
     p.eat_semicolons();
     if let Some(tok) = p.peek() {
@@ -26,6 +78,8 @@ pub fn parse(input: &str) -> Result<Statement, SqlError> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Nested constructs open around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -63,10 +117,6 @@ impl Parser {
         false
     }
 
-    fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(s)) if s.eq_ignore_ascii_case(kw))
-    }
-
     fn expect_keyword(&mut self, kw: &str) -> Result<(), SqlError> {
         if self.keyword(kw) {
             Ok(())
@@ -82,6 +132,48 @@ impl Parser {
         match self.next()? {
             Tok::Ident(s) => Ok(s),
             t => Err(SqlError::Parse(format!("expected identifier, got {t:?}"))),
+        }
+    }
+
+    /// Parse inside one more open construct, checking the budget before
+    /// recursing. A parenthesis is only this: it builds no node.
+    fn open<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(too_deep());
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Parse a nested construct one level down: an open construct whose
+    /// node is one level deeper than its contents.
+    fn nest<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Parsed<T>, SqlError>,
+    ) -> Result<Parsed<T>, SqlError> {
+        let (t, h) = self.open(parse)?;
+        Ok((t, up(h)?))
+    }
+
+    /// A comma-separated list of expressions, and the depth of the
+    /// deepest.
+    fn expr_list(&mut self) -> Result<Parsed<Vec<SqlExpr>>, SqlError> {
+        let mut out = Vec::new();
+        let mut h = 0;
+        loop {
+            let (e, he) = self.expr()?;
+            out.push(e);
+            h = h.max(he);
+            if matches!(self.peek(), Some(Tok::Comma)) {
+                self.pos += 1;
+            } else {
+                return Ok((out, h));
+            }
         }
     }
 
@@ -104,11 +196,11 @@ impl Parser {
                 self.pos += 1;
             }
         }
-        let body = self.set_expr()?;
+        let (body, _) = self.set_expr()?;
         let mut order_by = Vec::new();
         if self.keyword("ORDER") {
             self.expect_keyword("BY")?;
-            order_by = self.order_items()?;
+            (order_by, _) = self.order_items()?;
         }
         Ok(Statement {
             ctes,
@@ -134,7 +226,7 @@ impl Parser {
         }
         self.expect_keyword("AS")?;
         self.expect(&Tok::LParen)?;
-        let body = self.set_expr()?;
+        let (body, _) = self.nest(Self::set_expr)?;
         self.expect(&Tok::RParen)?;
         Ok(Cte {
             name,
@@ -143,41 +235,43 @@ impl Parser {
         })
     }
 
-    fn set_expr(&mut self) -> Result<SetExpr, SqlError> {
-        let mut left = self.set_primary()?;
+    fn set_expr(&mut self) -> Result<Parsed<SetExpr>, SqlError> {
+        let (mut left, mut h) = self.set_primary()?;
         loop {
-            if self.peek_keyword("UNION") {
-                self.pos += 1;
+            let op: fn(_, _) -> SetExpr = if self.keyword("UNION") {
                 self.expect_keyword("ALL")?;
-                let right = self.set_primary()?;
-                left = SetExpr::UnionAll(Box::new(left), Box::new(right));
-            } else if self.peek_keyword("EXCEPT") {
-                self.pos += 1;
-                let right = self.set_primary()?;
-                left = SetExpr::Except(Box::new(left), Box::new(right));
+                SetExpr::UnionAll
+            } else if self.keyword("EXCEPT") {
+                SetExpr::Except
             } else {
                 break;
-            }
+            };
+            let (right, hr) = self.set_primary()?;
+            h = up(h.max(hr))?;
+            left = op(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, h))
     }
 
-    fn set_primary(&mut self) -> Result<SetExpr, SqlError> {
+    fn set_primary(&mut self) -> Result<Parsed<SetExpr>, SqlError> {
         if matches!(self.peek(), Some(Tok::LParen)) {
             self.pos += 1;
-            let e = self.set_expr()?;
+            let e = self.open(Self::set_expr)?;
             self.expect(&Tok::RParen)?;
             return Ok(e);
         }
-        Ok(SetExpr::Select(Box::new(self.select()?)))
+        let (select, h) = self.select()?;
+        Ok((SetExpr::Select(Box::new(select)), h))
     }
 
-    fn select(&mut self) -> Result<Select, SqlError> {
+    fn select(&mut self) -> Result<Parsed<Select>, SqlError> {
         self.expect_keyword("SELECT")?;
         let distinct = self.keyword("DISTINCT");
         let mut items = Vec::new();
+        let mut h = 0;
         loop {
-            let expr = self.expr()?;
+            let (expr, he) = self.expr()?;
+            h = h.max(he);
             let alias = if self.keyword("AS") {
                 Some(self.ident()?)
             } else {
@@ -193,7 +287,9 @@ impl Parser {
         let mut from = Vec::new();
         if self.keyword("FROM") {
             loop {
-                from.push(self.from_item()?);
+                let (item, hf) = self.from_item()?;
+                from.push(item);
+                h = h.max(hf);
                 if matches!(self.peek(), Some(Tok::Comma)) {
                     self.pos += 1;
                 } else {
@@ -202,44 +298,43 @@ impl Parser {
             }
         }
         let where_ = if self.keyword("WHERE") {
-            Some(self.expr()?)
+            let (e, hw) = self.expr()?;
+            h = h.max(hw);
+            Some(e)
         } else {
             None
         };
         let mut group_by = Vec::new();
         if self.keyword("GROUP") {
             self.expect_keyword("BY")?;
-            loop {
-                group_by.push(self.expr()?);
-                if matches!(self.peek(), Some(Tok::Comma)) {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
+            let (keys, hg) = self.expr_list()?;
+            group_by = keys;
+            h = h.max(hg);
         }
-        Ok(Select {
+        let select = Select {
             distinct,
             items,
             from,
             where_,
             group_by,
-        })
+        };
+        Ok((select, up(h)?))
     }
 
     // parser-state method, not a conversion constructor
     #[allow(clippy::wrong_self_convention)]
-    fn from_item(&mut self) -> Result<FromItem, SqlError> {
+    fn from_item(&mut self) -> Result<Parsed<FromItem>, SqlError> {
         if matches!(self.peek(), Some(Tok::LParen)) {
             self.pos += 1;
-            let body = self.set_expr()?;
+            let (body, h) = self.nest(Self::set_expr)?;
             self.expect(&Tok::RParen)?;
             self.keyword("AS");
             let alias = self.ident()?;
-            return Ok(FromItem::Derived {
+            let derived = FromItem::Derived {
                 body: Box::new(body),
                 alias,
-            });
+            };
+            return Ok((derived, h));
         }
         let mut name = self.ident()?;
         // dotted table names (`ferry.connections`): the dot is part of
@@ -256,13 +351,15 @@ impl Parser {
         } else {
             name.clone()
         };
-        Ok(FromItem::Named { name, alias })
+        Ok((FromItem::Named { name, alias }, 1))
     }
 
-    fn order_items(&mut self) -> Result<Vec<OrderItem>, SqlError> {
+    fn order_items(&mut self) -> Result<Parsed<Vec<OrderItem>>, SqlError> {
         let mut out = Vec::new();
+        let mut h = 0;
         loop {
-            let expr = self.expr()?;
+            let (expr, he) = self.expr()?;
+            h = h.max(he);
             let desc = if self.keyword("DESC") {
                 true
             } else {
@@ -276,150 +373,133 @@ impl Parser {
                 break;
             }
         }
-        Ok(out)
+        Ok((out, h))
     }
 
     // -------------------------------------------------------- expressions
 
-    fn expr(&mut self) -> Result<SqlExpr, SqlError> {
-        self.or_expr()
+    fn expr(&mut self) -> Result<Parsed<SqlExpr>, SqlError> {
+        self.binary(OR)
     }
 
-    fn or_expr(&mut self) -> Result<SqlExpr, SqlError> {
-        let mut e = self.and_expr()?;
-        while self.keyword("OR") {
-            let r = self.and_expr()?;
-            e = SqlExpr::Bin(SqlBinOp::Or, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn and_expr(&mut self) -> Result<SqlExpr, SqlError> {
-        let mut e = self.not_expr()?;
-        while self.keyword("AND") {
-            let r = self.not_expr()?;
-            e = SqlExpr::Bin(SqlBinOp::And, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn not_expr(&mut self) -> Result<SqlExpr, SqlError> {
-        if self.keyword("NOT") {
-            let e = self.not_expr()?;
-            return Ok(SqlExpr::Not(Box::new(e)));
-        }
-        self.cmp_expr()
-    }
-
-    fn cmp_expr(&mut self) -> Result<SqlExpr, SqlError> {
-        let l = self.add_expr()?;
-        let op = match self.peek() {
-            Some(Tok::Eq) => Some(SqlBinOp::Eq),
-            Some(Tok::Ne) => Some(SqlBinOp::Ne),
-            Some(Tok::Lt) => Some(SqlBinOp::Lt),
-            Some(Tok::Le) => Some(SqlBinOp::Le),
-            Some(Tok::Gt) => Some(SqlBinOp::Gt),
-            Some(Tok::Ge) => Some(SqlBinOp::Ge),
-            _ => None,
+    /// The binary operator at the current token and its precedence.
+    fn peek_op(&self) -> Option<(SqlBinOp, u8)> {
+        let op = match self.peek()? {
+            Tok::Ident(s) if s.eq_ignore_ascii_case("OR") => (SqlBinOp::Or, OR),
+            Tok::Ident(s) if s.eq_ignore_ascii_case("AND") => (SqlBinOp::And, AND),
+            Tok::Eq => (SqlBinOp::Eq, CMP),
+            Tok::Ne => (SqlBinOp::Ne, CMP),
+            Tok::Lt => (SqlBinOp::Lt, CMP),
+            Tok::Le => (SqlBinOp::Le, CMP),
+            Tok::Gt => (SqlBinOp::Gt, CMP),
+            Tok::Ge => (SqlBinOp::Ge, CMP),
+            Tok::Plus => (SqlBinOp::Add, ADD),
+            Tok::Minus => (SqlBinOp::Sub, ADD),
+            Tok::Concat => (SqlBinOp::Concat, ADD),
+            Tok::Star => (SqlBinOp::Mul, MUL),
+            Tok::Slash => (SqlBinOp::Div, MUL),
+            Tok::Percent => (SqlBinOp::Mod, MUL),
+            _ => return None,
         };
-        match op {
-            Some(op) => {
-                self.pos += 1;
-                let r = self.add_expr()?;
-                Ok(SqlExpr::Bin(op, Box::new(l), Box::new(r)))
+        Some(op)
+    }
+
+    /// An expression whose operators bind at least as tightly as `min`,
+    /// by precedence climbing over the grammar
+    ///
+    /// ```text
+    /// or  := and (OR and)*          add := mul ((+ | - | ||) mul)*
+    /// and := not (AND not)*         mul := un ((* | / | %) un)*
+    /// not := NOT not | cmp          un  := - un | primary
+    /// cmp := add [(= | <> | < | <= | > | >=) add]
+    /// ```
+    ///
+    /// Chains build left-deep, each operator one level over the chain so
+    /// far. After an operator of precedence `p` only operators of
+    /// precedence `p` or looser may extend the chain, and after a
+    /// comparison or a `NOT` only `AND` and `OR`, as in the grammar.
+    fn binary(&mut self, min: u8) -> Result<Parsed<SqlExpr>, SqlError> {
+        let (mut e, mut h, mut max) = if min <= CMP && self.keyword("NOT") {
+            let (e, h) = self.nest(|p| p.binary(CMP))?;
+            (SqlExpr::Not(Box::new(e)), h, AND)
+        } else {
+            let (e, h) = self.unary()?;
+            (e, h, MUL)
+        };
+        while let Some((op, prec)) = self.peek_op() {
+            if prec < min || prec > max {
+                break;
             }
-            None => Ok(l),
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<SqlExpr, SqlError> {
-        let mut e = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => SqlBinOp::Add,
-                Some(Tok::Minus) => SqlBinOp::Sub,
-                Some(Tok::Concat) => SqlBinOp::Concat,
-                _ => break,
-            };
             self.pos += 1;
-            let r = self.mul_expr()?;
+            let (r, hr) = self.binary(prec + 1)?;
+            h = up(h.max(hr))?;
             e = SqlExpr::Bin(op, Box::new(e), Box::new(r));
+            max = if prec == CMP { AND } else { prec };
         }
-        Ok(e)
+        Ok((e, h))
     }
 
-    fn mul_expr(&mut self) -> Result<SqlExpr, SqlError> {
-        let mut e = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => SqlBinOp::Mul,
-                Some(Tok::Slash) => SqlBinOp::Div,
-                Some(Tok::Percent) => SqlBinOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let r = self.unary()?;
-            e = SqlExpr::Bin(op, Box::new(e), Box::new(r));
-        }
-        Ok(e)
-    }
-
-    fn unary(&mut self) -> Result<SqlExpr, SqlError> {
+    fn unary(&mut self) -> Result<Parsed<SqlExpr>, SqlError> {
         if matches!(self.peek(), Some(Tok::Minus)) {
             self.pos += 1;
-            let e = self.unary()?;
-            return Ok(SqlExpr::Neg(Box::new(e)));
+            let (e, h) = self.nest(Self::unary)?;
+            return Ok((SqlExpr::Neg(Box::new(e)), h));
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<SqlExpr, SqlError> {
-        match self.next()? {
-            Tok::Int(i) => Ok(SqlExpr::Int(i)),
-            Tok::Float(f) => Ok(SqlExpr::Float(f)),
-            Tok::Str(s) => Ok(SqlExpr::Str(s)),
-            Tok::Param(n) => Ok(SqlExpr::Param(n)),
+    fn primary(&mut self) -> Result<Parsed<SqlExpr>, SqlError> {
+        let leaf = match self.next()? {
+            Tok::Int(i) => SqlExpr::Int(i),
+            Tok::Float(f) => SqlExpr::Float(f),
+            Tok::Str(s) => SqlExpr::Str(s),
+            Tok::Param(n) => SqlExpr::Param(n),
             Tok::LParen => {
-                let e = self.expr()?;
+                let e = self.open(Self::expr)?;
                 self.expect(&Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            Tok::Ident(id) => self.ident_led(id),
-            t => Err(SqlError::Parse(format!("unexpected token {t:?}"))),
-        }
+            Tok::Ident(id) => return self.ident_led(id),
+            t => return Err(SqlError::Parse(format!("unexpected token {t:?}"))),
+        };
+        Ok((leaf, 1))
     }
 
     /// Expressions starting with an identifier: literals, CASE, CAST,
     /// window functions, aggregates, column references.
-    fn ident_led(&mut self, id: String) -> Result<SqlExpr, SqlError> {
+    fn ident_led(&mut self, id: String) -> Result<Parsed<SqlExpr>, SqlError> {
         let upper = id.to_ascii_uppercase();
         match upper.as_str() {
-            "TRUE" => return Ok(SqlExpr::Bool(true)),
-            "FALSE" => return Ok(SqlExpr::Bool(false)),
+            "TRUE" => return Ok((SqlExpr::Bool(true), 1)),
+            "FALSE" => return Ok((SqlExpr::Bool(false), 1)),
             "CASE" => {
-                self.expect_keyword("WHEN")?;
-                let when = self.expr()?;
-                self.expect_keyword("THEN")?;
-                let then = self.expr()?;
-                self.expect_keyword("ELSE")?;
-                let els = self.expr()?;
-                self.expect_keyword("END")?;
-                return Ok(SqlExpr::Case {
-                    when: Box::new(when),
-                    then: Box::new(then),
-                    els: Box::new(els),
+                return self.nest(|p| {
+                    p.expect_keyword("WHEN")?;
+                    let (when, hw) = p.expr()?;
+                    p.expect_keyword("THEN")?;
+                    let (then, ht) = p.expr()?;
+                    p.expect_keyword("ELSE")?;
+                    let (els, he) = p.expr()?;
+                    p.expect_keyword("END")?;
+                    let case = SqlExpr::Case {
+                        when: Box::new(when),
+                        then: Box::new(then),
+                        els: Box::new(els),
+                    };
+                    Ok((case, hw.max(ht).max(he)))
                 });
             }
             "CAST" => {
                 self.expect(&Tok::LParen)?;
-                let e = self.expr()?;
+                let (e, h) = self.nest(Self::expr)?;
                 self.expect_keyword("AS")?;
                 let ty = self.type_name()?;
                 self.expect(&Tok::RParen)?;
-                return Ok(SqlExpr::Cast {
+                let cast = SqlExpr::Cast {
                     expr: Box::new(e),
                     ty,
-                });
+                };
+                return Ok((cast, h));
             }
             "ROW_NUMBER" | "RANK" | "DENSE_RANK" => {
                 let fun = match upper.as_str() {
@@ -431,39 +511,39 @@ impl Parser {
                 self.expect(&Tok::RParen)?;
                 self.expect_keyword("OVER")?;
                 self.expect(&Tok::LParen)?;
-                let mut partition_by = Vec::new();
-                if self.keyword("PARTITION") {
-                    self.expect_keyword("BY")?;
-                    loop {
-                        partition_by.push(self.expr()?);
-                        if matches!(self.peek(), Some(Tok::Comma)) {
-                            self.pos += 1;
-                        } else {
-                            break;
-                        }
+                let (window, h) = self.nest(|p| {
+                    let (mut partition_by, mut h) = (Vec::new(), 0);
+                    if p.keyword("PARTITION") {
+                        p.expect_keyword("BY")?;
+                        (partition_by, h) = p.expr_list()?;
                     }
-                }
-                let mut order_by = Vec::new();
-                if self.keyword("ORDER") {
-                    self.expect_keyword("BY")?;
-                    order_by = self.order_items()?;
-                }
+                    let mut order_by = Vec::new();
+                    if p.keyword("ORDER") {
+                        p.expect_keyword("BY")?;
+                        let (items, ho) = p.order_items()?;
+                        order_by = items;
+                        h = h.max(ho);
+                    }
+                    let window = SqlExpr::Window {
+                        fun,
+                        partition_by,
+                        order_by,
+                    };
+                    Ok((window, h))
+                })?;
                 self.expect(&Tok::RParen)?;
-                return Ok(SqlExpr::Window {
-                    fun,
-                    partition_by,
-                    order_by,
-                });
+                return Ok((window, h));
             }
             "COUNT" | "SUM" | "MIN" | "MAX" | "AVG" | "BOOL_AND" | "BOOL_OR" => {
                 self.expect(&Tok::LParen)?;
                 if upper == "COUNT" && matches!(self.peek(), Some(Tok::Star)) {
                     self.pos += 1;
                     self.expect(&Tok::RParen)?;
-                    return Ok(SqlExpr::Agg {
+                    let count = SqlExpr::Agg {
                         fun: AggName::CountStar,
                         arg: None,
-                    });
+                    };
+                    return Ok((count, 1));
                 }
                 let fun = match upper.as_str() {
                     "SUM" => AggName::Sum,
@@ -474,29 +554,31 @@ impl Parser {
                     "BOOL_OR" => AggName::BoolOr,
                     _ => return Err(SqlError::Parse("only COUNT (*) is supported".into())),
                 };
-                let arg = self.expr()?;
+                let (arg, h) = self.nest(Self::expr)?;
                 self.expect(&Tok::RParen)?;
-                return Ok(SqlExpr::Agg {
+                let agg = SqlExpr::Agg {
                     fun,
                     arg: Some(Box::new(arg)),
-                });
+                };
+                return Ok((agg, h));
             }
             _ => {}
         }
         // column reference: `id` or `id.col`
-        if matches!(self.peek(), Some(Tok::Dot)) {
+        let column = if matches!(self.peek(), Some(Tok::Dot)) {
             self.pos += 1;
             let col = self.ident()?;
-            Ok(SqlExpr::Column {
+            SqlExpr::Column {
                 qualifier: Some(id),
                 name: col,
-            })
+            }
         } else {
-            Ok(SqlExpr::Column {
+            SqlExpr::Column {
                 qualifier: None,
                 name: id,
-            })
-        }
+            }
+        };
+        Ok((column, 1))
     }
 
     fn type_name(&mut self) -> Result<SqlTy, SqlError> {
@@ -640,6 +722,44 @@ mod tests {
     fn rejects_trailing_garbage() {
         assert!(parse("SELECT 1 AS x blah blah").is_err());
         assert!(parse("SELECT").is_err());
+    }
+
+    /// A statement of exactly `levels` levels in each shape the budget
+    /// must see: parentheses, `NOT`, unary minus, the loop-built chains
+    /// of `+`, `AND` and `UNION ALL`, and the code generator's
+    /// parenthesised chain. A `SELECT` of a leaf is 2 levels of the tree,
+    /// and each operator or set operation adds one; a parenthesis is one
+    /// level of open constructs and none of the tree.
+    fn deep(levels: usize) -> [String; 7] {
+        let n = levels - 2;
+        [
+            format!("SELECT {}1{}", "(".repeat(levels), ")".repeat(levels)),
+            format!("SELECT {}1{}", "(".repeat(n), " + 1)".repeat(n)),
+            format!("SELECT {}TRUE", "NOT ".repeat(n)),
+            format!("SELECT {}1", "- ".repeat(n)),
+            format!("SELECT 1{}", " + 1".repeat(n)),
+            format!("SELECT TRUE{}", " AND TRUE".repeat(n)),
+            format!("SELECT 1 AS x{}", " UNION ALL SELECT 1 AS x".repeat(n)),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_depth_budget_is_refused() {
+        let refusal = SqlError::Parse(format!(
+            "statement nests deeper than the limit of {MAX_DEPTH} levels"
+        ));
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            for sql in deep(levels) {
+                assert_eq!(parse(&sql).unwrap_err(), refusal, "{}", &sql[..40]);
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_depth_budget_parses() {
+        for sql in deep(MAX_DEPTH) {
+            parse(&sql).unwrap_or_else(|e| panic!("{}: {e}", &sql[..40]));
+        }
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //!   [`QueryTrace`] as Chrome-trace-format JSON (`chrome://tracing`,
 //!   Perfetto), one complete (`"ph":"X"`) event per span.
 //!
-//! Everything is gated by [`TelemetryConfig`]: `Off` disables all
-//! accounting, `Counters` (the default) keeps the registry hot but never
-//! records spans, `Full` additionally traces every query. When no trace
-//! is active the cost of an instrumentation point is a single
-//! thread-local read.
+//! Counters are always on. [`TelemetryConfig`] gates spans only:
+//! `Counters` (the default) keeps the registry hot but never records
+//! spans, `Full` additionally traces every query. When no trace is active
+//! the cost of an instrumentation point is a single thread-local read.
 
 pub mod export;
 pub mod metrics;
@@ -41,15 +40,10 @@ pub use span::{
 };
 pub use trace::{QueryTrace, Telemetry, TraceGuard};
 
-/// How much the telemetry layer records.
-///
-/// The three levels are strictly ordered: everything `Counters` records,
+/// How much the telemetry layer records: everything `Counters` records,
 /// `Full` records too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryConfig {
-    /// No accounting at all: counters stay zero, no spans, no traces.
-    /// The near-zero-overhead mode the `telemetry_overhead` bench pins.
-    Off,
     /// Metrics registry only (the default): counters and latency
     /// histograms are maintained, spans are never recorded.
     #[default]
@@ -57,41 +51,4 @@ pub enum TelemetryConfig {
     /// Counters plus span tracing: every query gets a trace in the ring,
     /// exportable via [`chrome_trace_json`].
     Full,
-}
-
-impl TelemetryConfig {
-    pub(crate) fn from_u8(v: u8) -> TelemetryConfig {
-        match v {
-            0 => TelemetryConfig::Off,
-            2 => TelemetryConfig::Full,
-            _ => TelemetryConfig::Counters,
-        }
-    }
-
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            TelemetryConfig::Off => 0,
-            TelemetryConfig::Counters => 1,
-            TelemetryConfig::Full => 2,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn config_levels_are_ordered() {
-        assert!(TelemetryConfig::Off < TelemetryConfig::Counters);
-        assert!(TelemetryConfig::Counters < TelemetryConfig::Full);
-        assert_eq!(TelemetryConfig::default(), TelemetryConfig::Counters);
-        for c in [
-            TelemetryConfig::Off,
-            TelemetryConfig::Counters,
-            TelemetryConfig::Full,
-        ] {
-            assert_eq!(TelemetryConfig::from_u8(c.as_u8()), c);
-        }
-    }
 }

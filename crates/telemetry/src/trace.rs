@@ -6,7 +6,7 @@
 //! connections never see each other's traces.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -35,7 +35,8 @@ pub struct QueryTrace {
 /// The per-instance telemetry hub.
 #[derive(Debug)]
 pub struct Telemetry {
-    config: AtomicU8,
+    /// Is the level [`TelemetryConfig::Full`]?
+    full: AtomicBool,
     registry: Registry,
     traces: Mutex<VecDeque<QueryTrace>>,
     /// Slow-query threshold in nanoseconds; 0 disables the slow-query log.
@@ -47,7 +48,8 @@ pub struct Telemetry {
 impl Default for Telemetry {
     fn default() -> Telemetry {
         Telemetry {
-            config: AtomicU8::new(TelemetryConfig::default().as_u8()),
+            // the default level, `Counters`
+            full: AtomicBool::new(false),
             registry: Registry::default(),
             traces: Mutex::new(VecDeque::new()),
             slow_ns: AtomicU64::new(0),
@@ -63,16 +65,16 @@ impl Telemetry {
     }
 
     pub fn config(&self) -> TelemetryConfig {
-        TelemetryConfig::from_u8(self.config.load(Ordering::Relaxed))
+        if self.full.load(Ordering::Relaxed) {
+            TelemetryConfig::Full
+        } else {
+            TelemetryConfig::Counters
+        }
     }
 
     pub fn set_config(&self, config: TelemetryConfig) {
-        self.config.store(config.as_u8(), Ordering::Relaxed);
-    }
-
-    /// Is any accounting enabled (counters or more)?
-    pub fn counters_on(&self) -> bool {
-        self.config() >= TelemetryConfig::Counters
+        self.full
+            .store(config == TelemetryConfig::Full, Ordering::Relaxed);
     }
 
     pub fn registry(&self) -> &Registry {
@@ -107,7 +109,7 @@ impl Telemetry {
     /// inner query joins the ambient trace instead of starting its own —
     /// this is how `from_q`'s prepare and execute land in one trace).
     pub fn begin_query(self: &Arc<Telemetry>, query_id: u64) -> TraceGuard {
-        if self.config() < TelemetryConfig::Full {
+        if !self.full.load(Ordering::Relaxed) {
             return TraceGuard { active: None };
         }
         self.begin_query_forced(query_id)
@@ -299,8 +301,8 @@ mod tests {
     }
 
     #[test]
-    fn forced_trace_works_when_off() {
-        let t = Arc::new(Telemetry::new(TelemetryConfig::Off));
+    fn forced_trace_works_below_full() {
+        let t = Arc::new(Telemetry::new(TelemetryConfig::Counters));
         {
             let g = t.begin_query_forced(9);
             assert!(g.is_active());

@@ -121,3 +121,53 @@ fn prepared_handles_work_on_both_backends() {
         assert_eq!(first, conn.interpret(&dsh_query()).unwrap());
     }
 }
+
+/// A literal list is one `Lit` node, which the SQL text spells as a
+/// balanced `UNION ALL` tree: its depth grows as log2 of its length, so
+/// the parser's depth budget never sees a long list.
+#[test]
+fn long_literal_lists_on_both_backends() {
+    let xs: Vec<i64> = (0..1000).map(|i| i * 7 % 1000 - 500).collect();
+    assert_eq!(check(&toq(&xs)), xs);
+    let names: Vec<(i64, String)> = (0..257).map(|i| (i, format!("n{i}"))).collect();
+    assert_eq!(check(&toq(&names)), names);
+}
+
+/// A 120-operator expression, left-deep and right-deep, is 122 levels of
+/// the SQL text's tree: inside the parser's budget, although the code
+/// generator parenthesises every operator. Both backends compute it.
+#[test]
+fn long_arithmetic_chains_on_both_backends() {
+    use ferry_algebra::{BinOp, Dir, Expr, Plan, Schema, Ty, Value};
+    let ops = 120;
+    let op = |i: i64| if i % 2 == 0 { BinOp::Add } else { BinOp::Sub };
+    // ((x + 0) - 1) + 2 …   and   0 + (1 - (2 + (… x)))
+    let left = (0..ops).fold(Expr::col("x"), |e, i| Expr::bin(op(i), e, Expr::lit(i)));
+    let right = (0..ops)
+        .rev()
+        .fold(Expr::col("x"), |e, i| Expr::bin(op(i), Expr::lit(i), e));
+    let mut plan = Plan::new();
+    let rows = (1..=3).map(|x| vec![Value::Int(x)]).collect();
+    let lit = plan.lit(Schema::of(&[("x", Ty::Int)]), rows);
+    let l = plan.compute(lit, "l", left);
+    let r = plan.compute(l, "r", right);
+    let cols = ["x", "l", "r"].map(Into::into).to_vec();
+    let root = plan.serialize(r, vec![("x".into(), Dir::Asc)], cols);
+    let db = paper_dataset();
+    let snap = db.snapshot();
+    let sql = SqlBackend.render_root(&snap, &plan, root).unwrap();
+    assert!(sql.contains(&"(".repeat(ops as usize)), "{sql}");
+    let expected: Vec<Vec<Value>> = (1..=3)
+        .map(|x| {
+            let l = (0..ops).fold(x, |e, i| if i % 2 == 0 { e + i } else { e - i });
+            let r = (0..ops)
+                .rev()
+                .fold(x, |e, i| if i % 2 == 0 { i + e } else { i - e });
+            vec![Value::Int(x), Value::Int(l), Value::Int(r)]
+        })
+        .collect();
+    for backend in backends() {
+        let rel = backend.execute_root(&snap, &plan, root).unwrap();
+        assert_eq!(rel.rows().into_owned(), expected, "{}", backend.name());
+    }
+}
