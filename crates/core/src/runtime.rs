@@ -45,7 +45,7 @@ use crate::shred::{compile_program, CompiledBundle};
 use crate::stitch::stitch;
 use crate::types::Val;
 use ferry_algebra::{NodeId, Plan, Rel};
-use ferry_engine::Database;
+use ferry_engine::{Database, TraceState};
 use ferry_telemetry::{OptReport, QueryTrace, Telemetry, TelemetryConfig, TraceGuard};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -514,7 +514,8 @@ impl Connection {
 
     /// Set the telemetry level for every subsequent operation on this
     /// connection's database ([`TelemetryConfig::Full`] records query
-    /// traces; `Off` disables all accounting).
+    /// traces; `Counters`, the default, keeps counters and profiles but
+    /// records no spans).
     pub fn set_telemetry_config(&self, config: TelemetryConfig) {
         self.database().set_telemetry_config(config);
     }
@@ -550,9 +551,6 @@ impl Connection {
     /// ([`TraceStatus::Evicted`]) from "never heard of it"
     /// ([`TraceStatus::UnknownQuery`]).
     pub fn trace_status_for(&self, query_id: u64) -> TraceStatus {
-        if let Some(t) = self.telemetry().trace_for_query(query_id) {
-            return TraceStatus::Captured(ferry_telemetry::chrome_trace_json(&t));
-        }
         let trace_id = self
             .db
             .profiles()
@@ -560,11 +558,14 @@ impl Connection {
             .rev()
             .find(|p| p.query_id == query_id)
             .map(|p| p.trace_id)
-            .or_else(|| self.db.slow_query(query_id).map(|r| r.trace_id));
-        match trace_id {
-            Some(0) => TraceStatus::NotTraced,
-            Some(_) => TraceStatus::Evicted,
-            None => TraceStatus::UnknownQuery,
+            .or_else(|| self.db.slow_query(query_id).map(|r| r.profile.trace_id));
+        match TraceState::of(&self.telemetry(), query_id, trace_id) {
+            TraceState::Captured(t) => {
+                TraceStatus::Captured(ferry_telemetry::chrome_trace_json(&t))
+            }
+            TraceState::Evicted => TraceStatus::Evicted,
+            TraceState::Off => TraceStatus::NotTraced,
+            TraceState::Unknown => TraceStatus::UnknownQuery,
         }
     }
 
@@ -591,14 +592,18 @@ impl Connection {
         let _ = writeln!(
             out,
             "slow query {}: {:?} (threshold {:?}), {} root{}",
-            r.query_id,
-            r.elapsed,
+            r.profile.query_id,
+            r.profile.elapsed,
             r.threshold,
-            r.roots,
-            if r.roots == 1 { "" } else { "s" }
+            r.profile.roots,
+            if r.profile.roots == 1 { "" } else { "s" }
         );
-        if r.plan_hash != 0 {
-            let _ = writeln!(out, "plan hash: {} (joins ferry.plan_cache)", r.plan_hash);
+        if r.profile.plan_hash != 0 {
+            let _ = writeln!(
+                out,
+                "plan hash: {} (joins ferry.plan_cache)",
+                r.profile.plan_hash
+            );
         }
         if let Some(rep) = &r.opt_report {
             let _ = write!(out, "{rep}");
@@ -613,7 +618,7 @@ impl Connection {
                 p.node, p.label, p.rows, p.elapsed
             );
         }
-        let _ = writeln!(out, "trace: {}", r.trace_status(&telemetry));
+        let _ = writeln!(out, "trace: {}", r.trace_state(&telemetry).label());
         Some(out)
     }
 

@@ -1,59 +1,22 @@
 //! Catalog defects must surface as `FerryError`s, not panics.
 //!
-//! `Database::install_table` skips `create_table`'s validation (the
-//! restore-from-snapshot escape hatch), so the runtime can meet tables
-//! whose invariants do not hold: key columns missing from the schema,
-//! cells in the engine's surrogate domain that have no DSL value. The
-//! interpreter export used to `expect()` its way through these; now it
-//! reports them.
+//! A base table may hold cells of the engine's surrogate domain (`Nat`),
+//! which have no DSL value. The interpreter export used to `expect()` its
+//! way through these; now it reports them.
 
 use ferry::prelude::*;
 use ferry::Val;
-use ferry_algebra::{Rel, Schema, Ty, Value};
-use ferry_engine::{BaseTable, Database};
-
-#[test]
-fn missing_key_column_is_an_error_not_a_panic() {
-    let db = Database::new();
-    db.install_table(
-        "broken",
-        BaseTable {
-            schema: Schema::of(&[("a", Ty::Int)]),
-            keys: vec!["zzz".to_string()],
-            rows: Rel::new(Schema::of(&[("a", Ty::Int)]), vec![vec![Value::Int(1)]]),
-        },
-    )
-    .unwrap();
-    let conn = Connection::new(db);
-
-    let err = conn.interpreter_tables().unwrap_err();
-    match &err {
-        FerryError::Table(msg) => {
-            assert!(msg.contains("key column zzz"), "got: {msg}");
-            assert!(msg.contains("broken"), "names the table: {msg}");
-        }
-        other => panic!("expected FerryError::Table, got {other:?}"),
-    }
-
-    // the interpreter path propagates the same error
-    let q = table::<i64>("broken");
-    assert!(matches!(conn.interpret(&q), Err(FerryError::Table(_))));
-}
+use ferry_algebra::{Schema, Ty, Value};
+use ferry_engine::Database;
 
 #[test]
 fn non_atomic_cell_is_an_error_not_a_panic() {
     // Nat is the engine's surrogate/order domain — representable in a
-    // base table via install_table, but no DSL value corresponds to it
+    // base table, but no DSL value corresponds to it
     let db = Database::new();
-    db.install_table(
-        "odd",
-        BaseTable {
-            schema: Schema::of(&[("a", Ty::Nat)]),
-            keys: vec!["a".to_string()],
-            rows: Rel::new(Schema::of(&[("a", Ty::Nat)]), vec![vec![Value::Nat(7)]]),
-        },
-    )
-    .unwrap();
+    db.create_table("odd", Schema::of(&[("a", Ty::Nat)]), vec!["a"])
+        .unwrap();
+    db.insert("odd", vec![vec![Value::Nat(7)]]).unwrap();
     let conn = Connection::new(db);
 
     let err = conn.interpreter_tables().unwrap_err();

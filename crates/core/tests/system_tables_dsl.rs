@@ -164,7 +164,7 @@ fn slow_query_report_renders_captured_dispatches() {
 
     let slow = c.database().slow_queries();
     assert!(!slow.is_empty());
-    let qid = slow[0].query_id;
+    let qid = slow[0].profile.query_id;
     let report = c.slow_query_report(qid).expect("captured record");
     assert!(report.contains(&format!("slow query {qid}")));
     assert!(report.contains("-- plan --"));

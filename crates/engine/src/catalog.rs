@@ -12,17 +12,17 @@
 //! every column `Arc`; the first insert into a table copies each of its
 //! columns once), and commit by atomically installing the new version.
 //!
-//! Durability composes via **group commit**: under
-//! [`FsyncPolicy::Always`] a committing transaction appends its commit
-//! (its GSN, the group sequence number, is the commit frame's LSN) and
-//! then *enqueues* for durability instead of fsyncing itself. Whichever
-//! waiter finds the fsync slot free becomes the leader, runs one group
-//! fsync covering every commit appended so far (the log mutex is released
-//! during the fsync, so more committers keep enqueuing), then publishes
-//! the newest catalog version the fsync covered and wakes all waiters
-//! whose GSNs are now durable. Acked ⇒ durable is preserved — versions are
-//! *published to readers only after* their GSN is synced — while N
-//! concurrent writers share one fsync instead of paying N.
+//! Durability composes via **group commit**: a committing transaction
+//! appends its commit (its GSN, the group sequence number, is the commit
+//! frame's LSN) and then *enqueues* for durability instead of fsyncing
+//! itself. Whichever waiter finds the fsync slot free becomes the leader,
+//! runs one group fsync covering every commit appended so far (the log
+//! mutex is released during the fsync, so more committers keep
+//! enqueuing), then publishes the newest catalog version the fsync
+//! covered and wakes all waiters whose GSNs are now durable. Acked ⇒
+//! durable is the only contract — versions are *published to readers
+//! only after* their GSN is synced — while N concurrent writers share one
+//! fsync instead of paying N.
 //!
 //! A failed group fsync keeps the fsync-failure contract: the storage
 //! layer truncates the un-synced tail and poisons its logs; here the
@@ -37,8 +37,8 @@ use crate::sys::{self, DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP}
 use crate::vec_eval::VecMode;
 use ferry_algebra::{infer_schema, NodeId, Plan, Rel, Row, Schema, Value};
 use ferry_storage::{
-    DurabilityConfig, FsyncPolicy, RecoveryReport, StdFs, Storage, StorageError, TableDef,
-    TableImage, Vfs, WalRecord,
+    DurabilityConfig, RecoveryReport, StdFs, Storage, StorageError, TableDef, TableImage, Vfs,
+    WalRecord,
 };
 use ferry_telemetry::{names, Counter, Gauge, Histogram, Registry, Telemetry, TelemetryConfig};
 use std::collections::{HashMap, VecDeque};
@@ -89,7 +89,7 @@ pub struct Catalog {
     /// Per-table [`TableStats`], keyed like `tables` and maintained by
     /// the same transactions.
     stats: HashMap<String, TableStats>,
-    /// Bumped by DDL only (create/install); row inserts leave it alone.
+    /// Bumped by DDL only (`create_table`); row inserts leave it alone.
     /// Compiled plans are data-independent, so the runtime's plan cache
     /// keys on this to invalidate exactly when recompilation could
     /// change a bundle.
@@ -399,10 +399,9 @@ impl Database {
     /// working version forked off the commit head (read-your-own-writes
     /// within the transaction); if it succeeds and changed anything, the
     /// whole transaction is logged as **one commit** — one CRC-atomic
-    /// frame, whose LSN is its GSN — and the new catalog version
-    /// is installed for readers — after its GSN is group-commit durable
-    /// under [`FsyncPolicy::Always`], immediately under the
-    /// ack-before-durable policies. An `Err` from the closure
+    /// frame, whose LSN is its GSN — and the new catalog version is
+    /// installed for readers once its GSN is group-commit durable, before
+    /// the call returns. An `Err` from the closure
     /// (or from logging) commits nothing: readers never saw the working
     /// version, and the head is unchanged.
     pub fn transact<T>(
@@ -434,31 +433,24 @@ impl Database {
             let gsn = storage.log_commit(&members)?;
             let version = Arc::new(tx.work);
             commit.head = version.clone();
-            if matches!(storage.config().fsync, FsyncPolicy::Always) {
-                // enqueue for the batch fsync while still ordered by the
-                // commit lock; publish happens when a leader covers us
-                let mut gc = self.gc.lock().unwrap();
-                if let Some(msg) = gc.poisoned.clone() {
-                    // a leader's fsync failed between our log_commit and
-                    // this enqueue: our commit sits in the truncated
-                    // tail and the pending queue was already cleared —
-                    // fail the commit rather than enqueue into a
-                    // poisoned database. Restore the head we forked
-                    // from (the poisoning leader re-anchors it on
-                    // `current` once we release the commit lock anyway)
-                    drop(gc);
-                    commit.head = head;
-                    return Err(EngineError::Storage(StorageError::Io(msg)));
-                }
-                gc.pending.push_back((gsn, version));
+            // enqueue for the batch fsync while still ordered by the
+            // commit lock; publish happens when a leader covers us
+            let mut gc = self.gc.lock().unwrap();
+            if let Some(msg) = gc.poisoned.clone() {
+                // a leader's fsync failed between our log_commit and this
+                // enqueue: our commit sits in the truncated tail and the
+                // pending queue was already cleared — fail the commit
+                // rather than enqueue into a poisoned database. Restore
+                // the head we forked from (the poisoning leader re-anchors
+                // it on `current` once we release the commit lock anyway)
                 drop(gc);
-                drop(commit);
-                self.wait_durable(gsn)?;
-            } else {
-                // EveryN/Os ack before durability by contract
-                self.install(version);
-                drop(commit);
+                commit.head = head;
+                return Err(EngineError::Storage(StorageError::Io(msg)));
             }
+            gc.pending.push_back((gsn, version));
+            drop(gc);
+            drop(commit);
+            self.wait_durable(gsn)?;
         } else {
             let version = Arc::new(tx.work);
             commit.head = version.clone();
@@ -485,23 +477,6 @@ impl Database {
     /// single-operation [`Database::transact`].
     pub fn insert(&self, name: &str, rows: Vec<Row>) -> Result<(), EngineError> {
         self.transact(|tx| tx.insert(name, rows))
-    }
-
-    /// Install a table **without** the `create_table` key validation — the
-    /// restore-from-snapshot escape hatch. The caller is responsible for
-    /// `keys ⊆ schema`; consumers such as `Connection::interpreter_tables`
-    /// must therefore report violations as errors rather than assume them
-    /// impossible. The rows' columns must be typed as the schema's
-    /// ([`EngineError::TableMismatch`] otherwise). On a durable database
-    /// the full table (rows included) is WAL-logged before installation,
-    /// which is why this can fail.
-    pub fn install_table(
-        &self,
-        name: impl Into<String>,
-        table: BaseTable,
-    ) -> Result<(), EngineError> {
-        let name = name.into();
-        self.transact(|tx| tx.install_table(name, table))
     }
 
     /// Publish `version` to readers and export its epoch.
@@ -606,21 +581,6 @@ impl Database {
         }
     }
 
-    /// Claim the exclusive fsync slot (waits out an in-flight leader).
-    /// Caller must hold the commit lock, so no new transaction can
-    /// enqueue while the slot is claimed.
-    fn begin_sync_slot(&self) -> Result<(), EngineError> {
-        let mut gc = self.gc.lock().unwrap();
-        while gc.syncing {
-            gc = self.gc_cv.wait(gc).unwrap();
-        }
-        if let Some(msg) = gc.poisoned.clone() {
-            return Err(EngineError::Storage(StorageError::Io(msg)));
-        }
-        gc.syncing = true;
-        Ok(())
-    }
-
     // ------------------------------------------------------ durability
 
     /// Is this database backed by durable storage?
@@ -644,7 +604,17 @@ impl Database {
             return Ok(0);
         };
         let mut commit = self.commit.lock().unwrap();
-        self.begin_sync_slot()?;
+        // claim the fsync slot (waiting out an in-flight leader); holding
+        // the commit lock, no new transaction can enqueue meanwhile
+        let mut gc = self.gc.lock().unwrap();
+        while gc.syncing {
+            gc = self.gc_cv.wait(gc).unwrap();
+        }
+        if let Some(msg) = gc.poisoned.clone() {
+            return Err(EngineError::Storage(StorageError::Io(msg)));
+        }
+        gc.syncing = true;
+        drop(gc);
         let result = storage.checkpoint(&commit.head.images());
         let mut gc = self.gc.lock().unwrap();
         gc.syncing = false;
@@ -663,8 +633,8 @@ impl Database {
             }
             Err(e) => {
                 if storage.poisoned() {
-                    // the barrier fsync failed: nacked tail truncated,
-                    // logs poisoned — mirror that here and re-anchor the
+                    // the group fsync or the log truncation failed: any
+                    // nacked tail is truncated, the log poisoned — mirror that here and re-anchor the
                     // head on what readers (and the log) actually have
                     gc.pending.clear();
                     gc.poisoned = Some(e.to_string());
@@ -675,35 +645,6 @@ impl Database {
                     // logs just keep growing until a later checkpoint
                     self.publish_durable(&mut gc, storage.durable_gsn());
                 }
-                Err(EngineError::Storage(e))
-            }
-        };
-        drop(gc);
-        drop(commit);
-        self.gc_cv.notify_all();
-        out
-    }
-
-    /// Force-fsync the logs regardless of the configured policy (shutdown
-    /// barrier). No-op for in-memory databases.
-    pub fn sync(&self) -> Result<(), EngineError> {
-        let Some(storage) = &self.storage else {
-            return Ok(());
-        };
-        let mut commit = self.commit.lock().unwrap();
-        self.begin_sync_slot()?;
-        let result = storage.group_sync();
-        let mut gc = self.gc.lock().unwrap();
-        gc.syncing = false;
-        let out = match result {
-            Ok(synced) => {
-                self.publish_durable(&mut gc, synced);
-                Ok(())
-            }
-            Err(e) => {
-                gc.pending.clear();
-                gc.poisoned = Some(e.to_string());
-                commit.head = self.current.read().unwrap().clone();
                 Err(EngineError::Storage(e))
             }
         };
@@ -801,7 +742,7 @@ impl Database {
             .unwrap()
             .iter()
             .rev()
-            .find(|r| r.query_id == query_id)
+            .find(|r| r.profile.query_id == query_id)
             .cloned()
     }
 
@@ -907,11 +848,6 @@ impl Database {
             .collect::<Vec<_>>()
             .join("\n");
         let rec = SlowQueryRecord {
-            query_id: profile.query_id,
-            trace_id: profile.trace_id,
-            plan_hash: ctx.plan_hash,
-            roots: profile.roots,
-            elapsed: profile.elapsed,
             threshold: Duration::from_nanos(threshold_ns),
             plan: plan_text,
             opt_report: ctx.opt.map(|r| r.render()),
@@ -1218,19 +1154,6 @@ fn check_rows(table: &str, schema: &Schema, rows: &[Row]) -> Result<(), EngineEr
     }
 }
 
-/// Refuse a table whose columns are not typed as its schema's (a column
-/// is typed by the schema its relation was built with).
-fn check_cols(table: &str, schema: &Schema, rows: &Rel) -> Result<(), EngineError> {
-    let (want, got) = (schema.cols(), rows.schema.cols());
-    if want.len() == got.len() && want.iter().zip(got).all(|(w, g)| w.1 == g.1) {
-        return Ok(());
-    }
-    Err(EngineError::TableMismatch {
-        table: table.to_string(),
-        detail: format!("columns {} do not fit schema {schema}", rows.schema),
-    })
-}
-
 impl Tx {
     /// Create (or replace) a base table.
     pub fn create_table(
@@ -1305,54 +1228,6 @@ impl Tx {
     fn unstage(&mut self, name: &str) {
         self.rows
             .retain(|r| !matches!(r, WalRecord::Rows { table, .. } if table == name));
-    }
-
-    /// Install a table without `create_table`'s key validation (see
-    /// [`Database::install_table`]); its columns must be typed as its
-    /// schema's.
-    pub fn install_table(
-        &mut self,
-        name: impl Into<String>,
-        table: BaseTable,
-    ) -> Result<(), EngineError> {
-        let name = name.into();
-        check_cols(&name, &table.schema, &table.rows)?;
-        let rows = table.rows.rows();
-        // install replaces wholesale: restart bytes at the new contents
-        // (the whole table just hit the WAL when durable)
-        let bytes: u64 = rows.iter().map(sys::row_bytes).sum();
-        if self.durable {
-            self.unstage(&name);
-            self.ddl.push(WalRecord::InstallTable {
-                name: name.clone(),
-                schema: table.schema.clone(),
-                keys: table.keys.clone(),
-                rows: rows.into_owned(),
-            });
-        }
-        let prev_wal = self
-            .work
-            .stats
-            .get(&name)
-            .map_or(0, |s: &TableStats| s.wal_bytes);
-        self.work.stats.insert(
-            name.clone(),
-            TableStats {
-                bytes,
-                wal_bytes: prev_wal + if self.durable { bytes } else { 0 },
-            },
-        );
-        // the catalog holds dense columns, named by the table's schema
-        let n = table.rows.len();
-        let cols = table.rows.gather((0..n as u32).collect());
-        let table = BaseTable {
-            rows: Rel::from_cols(table.schema.clone(), n, cols),
-            ..table
-        };
-        self.work.tables.insert(name, table);
-        self.work.schema_version += 1;
-        self.dirty = true;
-        Ok(())
     }
 
     /// Add `delta` bytes to `name`'s size stats (and its WAL share on a

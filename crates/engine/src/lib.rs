@@ -62,5 +62,5 @@ pub use error::EngineError;
 pub use ferry_storage::{DurabilityConfig, FsyncPolicy, RecoveryReport, StorageError};
 pub use ferry_telemetry::{Telemetry, TelemetryConfig};
 pub use stats::{NodeProfile, ProfileRing, QueryProfile, QueryStats, PROFILE_RING_CAP};
-pub use sys::{DispatchCtx, SlowQueryRecord, SysTableDef, SLOW_RING_CAP, SYS_PREFIX};
+pub use sys::{DispatchCtx, SlowQueryRecord, SysTableDef, TraceState, SLOW_RING_CAP, SYS_PREFIX};
 pub use vec_eval::VecMode;

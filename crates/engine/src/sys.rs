@@ -22,7 +22,7 @@
 
 use crate::stats::QueryProfile;
 use ferry_algebra::{Row, Schema, Ty, Value};
-use ferry_telemetry::{Metric, Registry, Telemetry};
+use ferry_telemetry::{Metric, QueryTrace, Registry, Telemetry};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -115,20 +115,11 @@ pub fn schema_of(name: &str) -> Option<(Schema, Vec<String>)> {
 /// One captured slow dispatch: everything needed to diagnose it after
 /// the fact without re-running — the plan pretty-print, the optimizer's
 /// report, the per-node profile, and (when the dispatch ran traced) the
-/// trace id to pull the span timeline from the telemetry ring.
+/// trace id to pull the span timeline from the telemetry ring. The
+/// dispatch's id, trace id, plan hash, bundle size and wall time are its
+/// `profile`'s.
 #[derive(Debug, Clone)]
 pub struct SlowQueryRecord {
-    /// Database-assigned dispatch id (joins `ferry.queries`).
-    pub query_id: u64,
-    /// Telemetry trace active during the dispatch (0 = ran untraced).
-    pub trace_id: u64,
-    /// Stable hash of the source expression (joins `ferry.plan_cache`;
-    /// 0 for dispatches below the runtime, e.g. raw plan execution).
-    pub plan_hash: u64,
-    /// Bundle members in the dispatch.
-    pub roots: u32,
-    /// Wall-clock time of the dispatch.
-    pub elapsed: Duration,
     /// The threshold in force when this record was captured.
     pub threshold: Duration,
     /// Pretty-printed plan of every root, in bundle order.
@@ -141,16 +132,51 @@ pub struct SlowQueryRecord {
 }
 
 impl SlowQueryRecord {
-    /// Trace disposition at this instant: `"captured"` when the trace is
-    /// still in the telemetry ring, `"evicted"` when it ran traced but
-    /// aged out, `"off"` when the dispatch ran without tracing.
-    pub fn trace_status(&self, telemetry: &Telemetry) -> &'static str {
-        if self.trace_id == 0 {
-            "off"
-        } else if telemetry.trace_for_query(self.query_id).is_some() {
-            "captured"
-        } else {
-            "evicted"
+    /// Where this dispatch's trace is at this instant.
+    pub fn trace_state(&self, telemetry: &Telemetry) -> TraceState {
+        TraceState::of(
+            telemetry,
+            self.profile.query_id,
+            Some(self.profile.trace_id),
+        )
+    }
+}
+
+/// Where a dispatch's trace is at this instant: the one decision behind
+/// the `trace` column of `ferry.slow_queries` and the runtime's
+/// `Connection::trace_status_for`.
+#[derive(Debug, Clone)]
+pub enum TraceState {
+    /// The telemetry ring still holds the trace.
+    Captured(QueryTrace),
+    /// The dispatch ran traced, and its trace has aged out of the ring.
+    Evicted,
+    /// The dispatch ran untraced: there never was a trace.
+    Off,
+    /// Neither the trace ring nor a retained profile knows the dispatch.
+    Unknown,
+}
+
+impl TraceState {
+    /// The state of dispatch `query_id`'s trace: the ring first, then
+    /// `trace_id`, what the dispatch's retained profile recorded (0 = ran
+    /// untraced; `None` = no profile retained).
+    pub fn of(telemetry: &Telemetry, query_id: u64, trace_id: Option<u64>) -> TraceState {
+        match (telemetry.trace_for_query(query_id), trace_id) {
+            (Some(trace), _) => TraceState::Captured(trace),
+            (None, Some(0)) => TraceState::Off,
+            (None, Some(_)) => TraceState::Evicted,
+            (None, None) => TraceState::Unknown,
+        }
+    }
+
+    /// The word `ferry.slow_queries` shows for this state.
+    pub fn label(&self) -> &'static str {
+        match self {
+            TraceState::Captured(_) => "captured",
+            TraceState::Evicted => "evicted",
+            TraceState::Off => "off",
+            TraceState::Unknown => "unknown",
         }
     }
 }
@@ -245,12 +271,12 @@ pub(crate) fn slow_rows(records: &[SlowQueryRecord], telemetry: &Telemetry) -> V
         .iter()
         .map(|r| {
             vec![
-                Value::Int(r.elapsed.as_micros() as i64),
+                Value::Int(r.profile.elapsed.as_micros() as i64),
                 Value::str(r.plan.clone()),
-                Value::Int(r.plan_hash as i64),
-                Value::Int(r.query_id as i64),
+                Value::Int(r.profile.plan_hash as i64),
+                Value::Int(r.profile.query_id as i64),
                 Value::Int(r.threshold.as_micros() as i64),
-                Value::str(r.trace_status(telemetry)),
+                Value::str(r.trace_state(telemetry).label()),
             ]
         })
         .collect()

@@ -3,9 +3,12 @@
 //! above `ferry-storage` that the storage crate's own fault suite
 //! cannot see.
 
-use ferry_algebra::{Rel, Row, Schema, Ty, Value};
-use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
-use ferry_storage::{Fault, FaultFs, Vfs, COMMIT_LOG, SNAPSHOT_FILE};
+use ferry_algebra::{Row, Schema, Ty, Value};
+use ferry_engine::{Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
+use ferry_storage::codec::Enc;
+use ferry_storage::frame::write_frame;
+use ferry_storage::{Fault, FaultFs, Storage, Vfs, WalRecord, COMMIT_LOG, SNAPSHOT_FILE};
+use ferry_telemetry::Registry;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -169,11 +172,12 @@ fn auto_checkpoint_failure_does_not_fail_the_applied_mutation() {
     db.insert("people", vec![vec![v(4), s("dan")]]).unwrap();
     assert_eq!(db.table("people").unwrap().rows.rows().len(), 4);
     assert!(db.last_checkpoint_error().is_some());
-    let metrics = db.telemetry().registry().render();
-    assert!(
-        metrics.contains("storage.checkpoint_failures 1"),
-        "{metrics}"
-    );
+    let failures = db
+        .telemetry()
+        .registry()
+        .counter("storage.checkpoint_failures")
+        .unwrap();
+    assert_eq!(failures.get(), 1);
     drop(db);
     // the injected fault halted the "machine"; power-cycle and recover
     vfs.crash();
@@ -186,60 +190,70 @@ fn auto_checkpoint_failure_does_not_fail_the_applied_mutation() {
     assert!(db.last_checkpoint_error().is_none());
 }
 
-#[test]
-fn install_table_is_logged_with_its_rows() {
-    let vfs = Arc::new(FaultFs::new());
-    {
-        let db = open(&vfs, config()).unwrap();
-        db.install_table(
-            "imported",
-            BaseTable {
-                schema: Schema::of(&[("n", Ty::Int)]),
-                keys: vec!["n".into()],
-                rows: Rel::new(Schema::of(&[("n", Ty::Int)]), vec![vec![v(7)], vec![v(8)]]),
-            },
-        )
-        .unwrap();
-    }
-    let db = open(&vfs, config()).unwrap();
-    assert_eq!(
-        db.table("imported").unwrap().rows.rows().as_ref(),
-        &[vec![v(7)], vec![v(8)]]
-    );
+/// Every file of the store and its bytes.
+fn files(vfs: &FaultFs) -> Vec<(String, Option<Vec<u8>>)> {
+    let names = vfs.list().unwrap();
+    names
+        .into_iter()
+        .map(|f| (f.clone(), vfs.read(&f).unwrap()))
+        .collect()
 }
 
-/// `install_table` checks its rows' columns against the schema: too few
-/// columns or a mistyped one is a `TableMismatch`, and nothing reaches
-/// the log or the catalog. Missing key columns stay unchecked (the escape
-/// hatch).
+/// The error opening `vfs` is refused with; the open writes nothing.
+fn refusal(vfs: &Arc<FaultFs>) -> StorageError {
+    let before = files(vfs);
+    let err = match open(vfs, config()) {
+        Err(EngineError::Storage(e)) => e,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(files(vfs), before, "a refused open writes nothing");
+    err
+}
+
+/// What only an earlier build could log is refused on open with a typed
+/// error, every file left as it was: a commit frame holding a tag-2
+/// member (a whole-table install), and a table whose key column is not
+/// in its schema.
 #[test]
-fn a_mistyped_install_is_refused_and_logs_nothing() {
+fn a_tag_2_member_and_a_key_outside_its_schema_are_refused_untouched() {
     let vfs = Arc::new(FaultFs::new());
-    let db = open(&vfs, config()).unwrap();
-    let before = vfs.read(COMMIT_LOG).unwrap();
-    let short = Rel::new(Schema::of(&[("id", Ty::Int)]), vec![vec![v(7)]]);
-    let ints = Schema::of(&[("id", Ty::Int), ("name", Ty::Int)]);
-    for rows in [short, Rel::new(ints, vec![vec![v(7), v(8)]])] {
-        let err = db
-            .install_table(
-                "imported",
-                BaseTable {
-                    schema: people_schema(),
-                    keys: vec!["zzz".into()],
-                    rows,
-                },
-            )
-            .unwrap_err();
-        assert!(
-            matches!(&err, EngineError::TableMismatch { table, .. } if table == "imported"),
-            "{err}"
-        );
-    }
-    assert_eq!(vfs.read(COMMIT_LOG).unwrap(), before, "nothing logged");
-    assert!(db.table("imported").is_none());
-    drop(db);
-    let db = open(&vfs, config()).unwrap();
-    assert!(db.table("imported").is_none());
+    drop(open(&vfs, config()).unwrap());
+    // commit 1: a batch of one tag-2 member carrying its rows
+    let mut e = Enc::new();
+    e.u64(1);
+    e.u8(4);
+    e.u64(1);
+    e.u8(2);
+    e.str("imported");
+    e.schema(&people_schema());
+    e.strings(&["id".to_string()]);
+    e.rows(&seed_rows());
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &e.into_bytes()).unwrap();
+    vfs.append(COMMIT_LOG, &frame).unwrap();
+    vfs.sync(COMMIT_LOG).unwrap();
+    let err = refusal(&vfs);
+    assert!(
+        matches!(&err, StorageError::Codec(m) if m.contains("tag 2")),
+        "{err}"
+    );
+
+    // a table whose key is not in its schema, logged below the engine
+    let vfs = Arc::new(FaultFs::new());
+    let r = Storage::open(vfs.clone() as Arc<dyn Vfs>, config(), &Registry::default()).unwrap();
+    let create = WalRecord::CreateTable {
+        name: "people".into(),
+        schema: people_schema(),
+        keys: vec!["zzz".into()],
+    };
+    r.storage.log_commit(&[create]).unwrap();
+    r.storage.group_sync().unwrap();
+    drop(r);
+    let err = refusal(&vfs);
+    assert!(
+        matches!(&err, StorageError::Corrupt(m) if m.contains("people") && m.contains("zzz")),
+        "{err}"
+    );
 }
 
 /// A transaction that inserts into a table and then replaces it logs
@@ -272,7 +286,6 @@ fn in_memory_database_is_unaffected_by_the_durability_layer() {
     assert!(db.recovery_report().is_none());
     create_people(&db);
     assert_eq!(db.checkpoint().unwrap(), 0, "checkpoint is a no-op");
-    db.sync().unwrap();
 }
 
 #[test]

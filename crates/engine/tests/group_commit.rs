@@ -194,9 +194,9 @@ fn failed_group_fsync_nacks_every_waiter_and_publishes_nothing() {
         .unwrap();
 }
 
-/// `checkpoint` and `sync` serialise with in-flight group fsyncs: run
-/// them concurrently with committers and verify the snapshot + tail
-/// recover the complete ledger.
+/// `checkpoint` serialises with in-flight group fsyncs: run it
+/// concurrently with committers and verify the snapshot + tail recover
+/// the complete ledger.
 #[test]
 fn checkpoint_races_group_committers_without_losing_acked_commits() {
     let vfs = Arc::new(FaultFs::new());
@@ -239,43 +239,4 @@ fn checkpoint_races_group_committers_without_losing_acked_commits() {
         40,
         "checkpoint raced a commit out of existence"
     );
-}
-
-/// `FsyncPolicy::EveryN` keeps its ack-before-durable contract under the
-/// new commit path: commits install immediately, and at most the configured
-/// window of trailing records may be lost on a crash — never a torn batch.
-#[test]
-fn every_n_still_acks_before_durability_and_loses_at_most_the_window() {
-    let vfs = Arc::new(FaultFs::new());
-    let db = Database::open_vfs(
-        vfs.clone() as Arc<dyn Vfs>,
-        DurabilityConfig {
-            fsync: FsyncPolicy::EveryN(4),
-            ..DurabilityConfig::default()
-        },
-    )
-    .unwrap();
-    create_ledger(&db);
-    for seq in 0..10 {
-        db.insert("ledger", vec![vec![Value::Int(0), Value::Int(seq)]])
-            .unwrap();
-    }
-    assert_eq!(db.table("ledger").unwrap().rows.len(), 10);
-    drop(db);
-    vfs.crash();
-    let db = Database::open_vfs(
-        vfs.clone() as Arc<dyn Vfs>,
-        DurabilityConfig::with_fsync(FsyncPolicy::EveryN(4)),
-    )
-    .unwrap();
-    let recovered = db.table("ledger").unwrap().rows.len();
-    // 11 records (create + 10 inserts), synced every 4th: at least 8
-    // records are durable, and recovery replays a clean prefix
-    assert!(
-        recovered >= 5,
-        "EveryN(4) lost more than its window: {recovered} rows"
-    );
-    for (i, row) in db.table("ledger").unwrap().rows.rows().iter().enumerate() {
-        assert_eq!(row[1], Value::Int(i as i64), "non-prefix recovery");
-    }
 }

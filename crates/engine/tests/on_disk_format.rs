@@ -4,8 +4,9 @@
 //!
 //! * `store` — written by this build's `Database::open` running
 //!   [`fixture_script`]: a table created, inserted into twice and
-//!   replaced inside a transaction, an empty table, an installed table, a
-//!   checkpoint, then one more insert left in the log. It opens with every
+//!   replaced inside a transaction, an empty table, a table created and
+//!   filled in one transaction, a checkpoint, then one more insert left
+//!   in the log. It opens with every
 //!   row and writes nothing, and replaying the script into a fresh
 //!   directory writes byte-identical files. A change to the encoding
 //!   fails that replay on purpose.
@@ -13,8 +14,8 @@
 //!   its layout (`shard-meta`, `snap-0`, `commitlog`). It is refused
 //!   `Unsupported`, and every file is left as it was.
 
-use ferry_algebra::{Rel, Row, Schema, Ty, Value};
-use ferry_engine::{BaseTable, Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
+use ferry_algebra::{Row, Schema, Ty, Value};
+use ferry_engine::{Database, DurabilityConfig, EngineError, FsyncPolicy, StorageError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -89,20 +90,20 @@ fn fixture_script(db: &Database) {
     .unwrap();
     db.create_table("empty", Schema::of(&[("x", Ty::Int)]), vec!["x"])
         .unwrap();
-    db.install_table(
-        "imported",
-        BaseTable {
-            schema: Schema::of(&[("n", Ty::Int), ("ok", Ty::Bool)]),
-            keys: vec!["n".into()],
-            rows: Rel::new(
-                Schema::of(&[("n", Ty::Int), ("ok", Ty::Bool)]),
-                vec![
-                    vec![Value::Int(7), Value::Bool(true)],
-                    vec![Value::Int(8), Value::Bool(false)],
-                ],
-            ),
-        },
-    )
+    db.transact(|tx| {
+        tx.create_table(
+            "imported",
+            Schema::of(&[("n", Ty::Int), ("ok", Ty::Bool)]),
+            vec!["n"],
+        )?;
+        tx.insert(
+            "imported",
+            vec![
+                vec![Value::Int(7), Value::Bool(true)],
+                vec![Value::Int(8), Value::Bool(false)],
+            ],
+        )
+    })
     .unwrap();
     db.checkpoint().unwrap();
     db.insert("people", vec![person(10, "gil", 5.0)]).unwrap();

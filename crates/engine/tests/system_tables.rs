@@ -311,12 +311,12 @@ fn slow_queries_capture_is_threshold_gated() {
     let slow = db.slow_queries();
     assert_eq!(slow.len(), 1);
     let r = &slow[0];
-    assert!(r.elapsed >= Duration::from_nanos(1));
+    assert!(r.profile.elapsed >= Duration::from_nanos(1));
     assert_eq!(r.threshold, Duration::from_nanos(1));
-    assert_eq!(r.roots, 1);
+    assert_eq!(r.profile.roots, 1);
     assert!(r.plan.contains("emp"), "plan pretty-print captured");
-    assert_eq!(r.trace_id, 0, "ran untraced under Counters");
-    assert!(db.slow_query(r.query_id).is_some());
+    assert_eq!(r.profile.trace_id, 0, "ran untraced under Counters");
+    assert!(db.slow_query(r.profile.query_id).is_some());
 
     // the scan surface agrees: (elapsed_us, plan, plan_hash, query_id,
     // threshold_us, trace). Disable capture first — the scan is itself a
@@ -324,7 +324,7 @@ fn slow_queries_capture_is_threshold_gated() {
     db.set_slow_query_threshold(None);
     let rows = scan(&db, "ferry.slow_queries");
     assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0][3], Value::Int(r.query_id as i64));
+    assert_eq!(rows[0][3], Value::Int(r.profile.query_id as i64));
     assert_eq!(rows[0][5], Value::str("off"));
 
     // disabled: no further capture; the ring is bounded

@@ -10,8 +10,8 @@
 //! * [`frame`] — length-prefixed, CRC-32-checksummed frames, the unit of
 //!   torn-write detection;
 //! * [`wal`] — the append-only log of committed catalog mutations, one
-//!   frame per commit, with monotone LSNs and a configurable
-//!   [`FsyncPolicy`];
+//!   frame per commit, with monotone LSNs; a commit is acked only once a
+//!   group fsync covers it;
 //! * [`fs`] — the VFS the above are written against: [`fs::StdFs`] for
 //!   real directories and [`fs::FaultFs`], an in-memory file system with
 //!   crash semantics and scriptable fault injection (torn writes, bit
@@ -81,19 +81,15 @@ impl fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
-/// When WAL appends become durable.
+/// When WAL appends become durable. `Always` is the one contract: a
+/// commit is acked only once an fsync covers it, and concurrent
+/// committers share that fsync through group commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
     /// fsync before every ack (shared by concurrent committers through
     /// group commit): an acked commit survives any crash.
     #[default]
     Always,
-    /// fsync once per `n` records: bounded data loss, amortised cost.
-    EveryN(u32),
-    /// Never fsync; durability rides on the OS page cache. Fastest, and
-    /// what a crash loses is whatever the OS had not written back — but
-    /// always a *suffix*: recovery still yields a consistent prefix.
-    Os,
 }
 
 /// Durability knobs passed to `Database::open`.

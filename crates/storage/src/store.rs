@@ -337,8 +337,8 @@ fn read_snapshot(vfs: &dyn Vfs) -> Result<Snapshot, StorageError> {
 
 /// The one row-shape check: `None` when `row` has `schema`'s width and
 /// every cell the type its column declares, otherwise what is wrong. The
-/// engine's `Tx::insert` and `Tx::install_table` refuse a mismatch with
-/// `TableMismatch`; recovery refuses it as [`StorageError::Corrupt`].
+/// engine's `Tx::insert` refuses a mismatch with `TableMismatch`;
+/// recovery refuses it as [`StorageError::Corrupt`].
 pub fn row_shape_error(schema: &Schema, row: &[Value]) -> Option<String> {
     if row.len() != schema.len() {
         return Some(format!(
@@ -449,7 +449,7 @@ impl Storage {
             let covered = commit.lsn <= snap.gsn;
             for rec in commit.members {
                 applied_ops += 1;
-                let (def, payload) = match rec {
+                match rec {
                     WalRecord::Rows {
                         table,
                         rows: payload,
@@ -457,31 +457,21 @@ impl Storage {
                         if !covered {
                             apply_rows(&defs, &mut rows, table, payload)?;
                         }
-                        continue;
                     }
-                    // create and install are create-or-replace, as in the
-                    // engine
+                    // create-or-replace, as in the engine: the table
+                    // restarts empty
                     WalRecord::CreateTable { name, schema, keys } => {
-                        (TableDef { name, schema, keys }, Vec::new())
+                        if commit.lsn > meta.watermark {
+                            // re-created since the checkpoint: its recorded
+                            // row count no longer bounds it
+                            totals.remove(&name);
+                        }
+                        if !covered {
+                            rows.remove(&name);
+                        }
+                        defs.insert(name.clone(), TableDef { name, schema, keys });
                     }
-                    WalRecord::InstallTable {
-                        name,
-                        schema,
-                        keys,
-                        rows,
-                    } => (TableDef { name, schema, keys }, rows),
-                };
-                let name = def.name.clone();
-                if commit.lsn > meta.watermark {
-                    // re-created since the checkpoint: its recorded row
-                    // count no longer bounds it
-                    totals.remove(&name);
                 }
-                if !covered {
-                    check_rows(&def, &payload)?;
-                    rows.insert(name.clone(), payload);
-                }
-                defs.insert(name, def);
             }
             cut = cut.max(commit.lsn);
             if commit.lsn > meta.watermark {
@@ -490,11 +480,18 @@ impl Storage {
         }
         report.cut_gsn = cut;
 
-        // 4. reassemble the tables and verify against the metadata (the
-        //    shape check here is the snapshot rows'; logged rows were
-        //    checked as they applied)
+        // 4. reassemble the tables and verify against the metadata: every
+        //    key column lies in its schema, and the snapshot rows have
+        //    their table's shape (logged rows were checked as they
+        //    applied)
         let mut tables = Vec::with_capacity(defs.len());
         for (name, def) in defs {
+            if let Some(k) = def.keys.iter().find(|k| !def.schema.contains(k)) {
+                return Err(StorageError::Corrupt(format!(
+                    "table {name}: key column {k} not in its schema {}",
+                    def.schema
+                )));
+            }
             let out_rows = rows.remove(&name).unwrap_or_default();
             check_rows(&def, &out_rows)?;
             if let Some(total) = totals.get(&name) {
@@ -539,7 +536,6 @@ impl Storage {
         let commit = Mutex::new(Wal::resume(
             vfs.clone(),
             COMMIT_LOG,
-            config.fsync,
             cut + 1,
             file_len,
             metrics.wal_bytes.clone(),
@@ -569,8 +565,7 @@ impl Storage {
     /// the commit is all-or-nothing; returns the frame's LSN, the
     /// commit's GSN. A commit with nothing to log is an empty frame.
     ///
-    /// Under [`FsyncPolicy::Always`](crate::FsyncPolicy::Always) *no*
-    /// fsync happens here: the caller must not ack until
+    /// No fsync happens here: the caller must not ack until
     /// [`Storage::group_sync`] reports the GSN durable.
     pub fn log_commit(&self, members: &[WalRecord]) -> Result<u64, StorageError> {
         let gsn = self.commit.lock().unwrap().append(members)?;
@@ -620,7 +615,7 @@ impl Storage {
             .is_some_and(|n| self.records_since_checkpoint.load(Ordering::Relaxed) >= n.max(1))
     }
 
-    /// Checkpoint: sync the log, write the snapshot, install the
+    /// Checkpoint: group-sync the log, write the snapshot, install the
     /// metadata, then truncate the log. The caller must hold its commit
     /// lock (no transaction in flight). Returns the watermark: the GSN of
     /// the last commit, which the snapshot covers.
@@ -631,13 +626,9 @@ impl Storage {
     /// cover, and recovery reads the DDL of any commit the snapshot does.
     pub fn checkpoint(&self, images: &[TableImage]) -> Result<u64, StorageError> {
         let mut span = ferry_telemetry::span("storage.checkpoint", "storage");
-        // anything the policy left unsynced must be durable before the
-        // snapshot claims to cover it
-        let watermark = {
-            let mut commit = self.commit.lock().unwrap();
-            commit.sync()?;
-            commit.synced_lsn()
-        };
+        // a commit still awaiting its group fsync must be durable before
+        // the snapshot claims to cover it
+        let watermark = self.group_sync()?;
         let bytes = write_snapshot(self.vfs.as_ref(), watermark, images)?;
         write_meta(
             self.vfs.as_ref(),
@@ -656,11 +647,6 @@ impl Storage {
         Ok(watermark)
     }
 
-    /// Force-fsync the log regardless of policy (shutdown hook).
-    pub fn sync(&self) -> Result<(), StorageError> {
-        self.group_sync().map(|_| ())
-    }
-
     /// Highest GSN guaranteed durable: the commit log's synced LSN, which
     /// `ferry.storage` reports as `synced_lsn`.
     pub fn durable_gsn(&self) -> u64 {
@@ -671,10 +657,6 @@ impl Storage {
     /// write/fsync failure? Reopening the database is the only cure.
     pub fn poisoned(&self) -> bool {
         self.commit.lock().unwrap().poisoned()
-    }
-
-    pub fn config(&self) -> DurabilityConfig {
-        self.config
     }
 }
 
@@ -803,21 +785,22 @@ mod tests {
         assert!(matches!(err, StorageError::Unsupported(_)), "{err}");
     }
 
+    /// A table whose key column is missing from its schema is refused as
+    /// corrupt, naming the table and the key, before anything is written.
     #[test]
-    fn install_table_rides_the_commit_log() {
+    fn a_key_outside_its_schema_is_corrupt() {
         let vfs = Arc::new(FaultFs::new());
         let r = open(&vfs);
-        r.storage
-            .log_commit(&[WalRecord::InstallTable {
-                name: "u".into(),
-                schema: Schema::of(&[("x", Ty::Int)]),
-                keys: vec![],
-                rows: ints(&[5, 6]),
-            }])
-            .unwrap();
+        let create = WalRecord::CreateTable {
+            name: "t".into(),
+            schema: Schema::of(&[("k", Ty::Int)]),
+            keys: vec!["zzz".into()],
+        };
+        r.storage.log_commit(&[create]).unwrap();
         r.storage.group_sync().unwrap();
-        vfs.crash();
-        assert_eq!(open(&vfs).tables[0].rows, ints(&[5, 6]));
+        drop(r);
+        let err = refused(&vfs, "table t: key column zzz not in its schema");
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
 
     #[test]
@@ -872,8 +855,7 @@ mod tests {
                 assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
             }
         }
-        // the commit log: a mistyped cell in appended rows, a short row in
-        // an installed table
+        // the commit log: a mistyped cell in appended rows
         let vfs = Arc::new(FaultFs::new());
         let r = open(&vfs);
         let create = WalRecord::CreateTable {
@@ -889,19 +871,6 @@ mod tests {
         r.storage.group_sync().unwrap();
         drop(r);
         let err = refused(&vfs, "column a: value 'x' is not int");
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
-        let vfs = Arc::new(FaultFs::new());
-        let r = open(&vfs);
-        let install = WalRecord::InstallTable {
-            name: "t".into(),
-            schema: two.schema.clone(),
-            keys: vec![],
-            rows: vec![short.clone()],
-        };
-        r.storage.log_commit(&[install]).unwrap();
-        r.storage.group_sync().unwrap();
-        drop(r);
-        let err = refused(&vfs, "row width 1 != schema width 2");
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
 }

@@ -3,17 +3,15 @@
 //! File layout: the 8-byte magic [`WAL_MAGIC`], then one
 //! [frame](crate::frame) per commit. Each frame payload is `[lsn: u64][4]
 //! [n: u64][member]*` — a batch of the commit's records, encoded by
-//! [`codec`](crate::codec), whose member tags are 1–3. LSNs are assigned
-//! here under the log lock, start at 1, and are strictly monotone; replay
-//! rejects any other sequence as corruption. A commit's LSN is its
-//! sequence number.
+//! [`codec`](crate::codec), whose member tags are 1 and 3. LSNs are
+//! assigned here under the log lock, start at 1, and are strictly
+//! monotone; replay rejects any other sequence as corruption. A commit's
+//! LSN is its sequence number.
 //!
-//! Appends are acknowledged only after the bytes are handed to the VFS
-//! and the [`FsyncPolicy`] has been satisfied — `Always` waits for the
-//! group-commit leader's fsync, `EveryN(n)` amortises one fsync over
-//! `n` records, `Os` never syncs and leaves durability to the OS page
-//! cache (fastest, weakest: a crash can lose any suffix, but never the
-//! prefix property).
+//! An append never syncs. A commit is acknowledged only once a
+//! group-commit leader's fsync covers its LSN ([`Wal::sync_target`], then
+//! [`Wal::mark_synced`] or [`Wal::fail_sync`]): that is the one fsync
+//! path, so an acked commit survives any crash.
 
 #![deny(
     clippy::unwrap_used,
@@ -25,7 +23,7 @@
 use crate::codec::{Dec, Enc};
 use crate::frame::{scan, write_frame, Tail};
 use crate::fs::Vfs;
-use crate::{FsyncPolicy, StorageError};
+use crate::StorageError;
 use ferry_algebra::{Row, Schema};
 use ferry_telemetry::Counter;
 use std::sync::Arc;
@@ -43,14 +41,6 @@ pub enum WalRecord {
         schema: Schema,
         keys: Vec<String>,
     },
-    /// `Database::install_table` (unvalidated escape hatch; carries the
-    /// full row payload it was installed with).
-    InstallTable {
-        name: String,
-        schema: Schema,
-        keys: Vec<String>,
-        rows: Vec<Row>,
-    },
     /// One insert: `rows` appended at the end of `table`.
     Rows { table: String, rows: Vec<Row> },
 }
@@ -64,18 +54,6 @@ impl WalRecord {
                 e.schema(schema);
                 e.strings(keys);
             }
-            WalRecord::InstallTable {
-                name,
-                schema,
-                keys,
-                rows,
-            } => {
-                e.u8(2);
-                e.str(name);
-                e.schema(schema);
-                e.strings(keys);
-                e.rows(rows);
-            }
             WalRecord::Rows { table, rows } => {
                 e.u8(3);
                 e.str(table);
@@ -86,19 +64,14 @@ impl WalRecord {
 
     /// Decode the member whose `tag` was just read. A batch (tag 4) is
     /// never a member, so a nested one is refused here — which also
-    /// bounds the recursion a crafted log could ask for.
+    /// bounds the recursion a crafted log could ask for. Tag 2 (an
+    /// earlier build's whole-table install) is no member either.
     fn decode(d: &mut Dec<'_>, tag: u8) -> Result<WalRecord, StorageError> {
         Ok(match tag {
             1 => WalRecord::CreateTable {
                 name: d.str()?.to_string(),
                 schema: d.schema()?,
                 keys: d.strings()?,
-            },
-            2 => WalRecord::InstallTable {
-                name: d.str()?.to_string(),
-                schema: d.schema()?,
-                keys: d.strings()?,
-                rows: d.rows()?,
             },
             3 => WalRecord::Rows {
                 table: d.str()?.to_string(),
@@ -112,7 +85,7 @@ impl WalRecord {
     pub fn row_count(&self) -> usize {
         match self {
             WalRecord::CreateTable { .. } => 0,
-            WalRecord::InstallTable { rows, .. } | WalRecord::Rows { rows, .. } => rows.len(),
+            WalRecord::Rows { rows, .. } => rows.len(),
         }
     }
 }
@@ -143,28 +116,26 @@ fn decode_commit(lsn: u64, d: &mut Dec<'_>) -> Result<Commit, StorageError> {
     Ok(Commit { lsn, members })
 }
 
-/// The appender half of one log file. Holds the fsync policy, the LSN
-/// allocator, and the metric handles it bumps on the hot path.
+/// The appender half of one log file. Holds the LSN allocator, the synced
+/// watermarks, and the metric handles it bumps on the hot path.
 #[derive(Debug)]
 pub struct Wal {
     vfs: Arc<dyn Vfs>,
     /// VFS path of the log this handle appends to.
     file: String,
-    policy: FsyncPolicy,
     next_lsn: u64,
-    /// Highest LSN known durable under the current policy (== last acked
-    /// LSN for `Always`; trails it for `EveryN`/`Os`).
+    /// Highest LSN a successful fsync covers: the last one that may be
+    /// acked.
     synced_lsn: u64,
-    unsynced: u64,
     /// Total bytes in the WAL file (magic included) as this handle knows
     /// it — the rollback target after a failed append.
     bytes_len: u64,
     /// Byte length of the prefix covered by the last successful fsync —
     /// the rollback target after a failed fsync.
     synced_bytes: u64,
-    /// Set after a write/fsync failure this handle could not roll back
-    /// (or any fsync failure — see [`Wal::sync`]): every further
-    /// operation fails until the database is reopened.
+    /// Set after a write failure this handle could not roll back, or any
+    /// fsync failure (see [`Wal::fail_sync`]): every further operation
+    /// fails until the database is reopened.
     poisoned: bool,
     /// The counter the bytes appended here are added to.
     wal_bytes: Arc<Counter>,
@@ -178,7 +149,6 @@ impl Wal {
     pub(crate) fn resume(
         vfs: Arc<dyn Vfs>,
         file: &str,
-        policy: FsyncPolicy,
         next_lsn: u64,
         file_len: u64,
         wal_bytes: Arc<Counter>,
@@ -187,10 +157,8 @@ impl Wal {
         Wal {
             vfs,
             file: file.to_string(),
-            policy,
             next_lsn,
             synced_lsn: next_lsn - 1,
-            unsynced: 0,
             bytes_len: file_len,
             synced_bytes: file_len,
             poisoned: false,
@@ -212,15 +180,13 @@ impl Wal {
 
     /// Append one commit frame holding `members`, in order — a single
     /// CRC-atomic frame, so a crash replays all of them or none; returns
-    /// its LSN. Only the `EveryN` cadence syncs here: under `Always` the
-    /// fsync belongs to the group-commit leader (one fsync for every
-    /// frame enqueued while it ran), so the caller must not ack until
-    /// [`Wal::mark_synced`] covers the LSN. On failure nothing is acked
-    /// and nothing of the frame can ever become durable: the file is
-    /// rolled back to its pre-call length (on a failed write) or to the
-    /// synced prefix (on a failed fsync), and if even that is impossible
-    /// the handle is poisoned so no later append can flush the rejected
-    /// bytes.
+    /// its LSN. Nothing syncs here: the fsync belongs to the group-commit
+    /// leader (one fsync for every frame enqueued while it ran), so the
+    /// caller must not ack until [`Wal::mark_synced`] covers the LSN. On
+    /// a failed write nothing is acked and nothing of the frame can ever
+    /// become durable: the file is rolled back to its pre-call length,
+    /// and if even that is impossible the handle is poisoned so no later
+    /// append can flush the rejected bytes.
     pub fn append(&mut self, members: &[WalRecord]) -> Result<u64, StorageError> {
         self.check_poisoned()?;
         let lsn = self.next_lsn;
@@ -252,12 +218,6 @@ impl Wal {
         self.bytes_len += framed.len() as u64;
         self.wal_bytes.add(framed.len() as u64);
         self.next_lsn += 1;
-        self.unsynced += 1;
-        if let FsyncPolicy::EveryN(n) = self.policy {
-            if self.unsynced >= n.max(1) as u64 {
-                self.sync()?;
-            }
-        }
         Ok(lsn)
     }
 
@@ -277,50 +237,27 @@ impl Wal {
         self.fsyncs.inc();
         self.synced_lsn = self.synced_lsn.max(lsn);
         self.synced_bytes = self.synced_bytes.max(bytes);
-        self.unsynced = (self.next_lsn - 1).saturating_sub(self.synced_lsn);
     }
 
-    /// A leader's unlocked fsync failed: same contract as the error arm
-    /// of [`Wal::sync`] — truncate the nacked tail back to the synced
-    /// prefix (rolling the LSN allocator with it) and poison the handle.
+    /// A leader's unlocked fsync failed. The unsynced tail holds records
+    /// whose callers are being told "failed": it is truncated back to the
+    /// synced prefix (rolling the LSN allocator back with it), so no later
+    /// fsync can durably commit a nacked record, and the handle is
+    /// poisoned regardless: after a failed fsync the kernel may have
+    /// dropped the dirty pages, so only a reopen that re-reads the file
+    /// is sound.
     pub(crate) fn fail_sync(&mut self) {
         if self.vfs.truncate(&self.file, self.synced_bytes).is_ok() {
             self.bytes_len = self.synced_bytes;
             self.next_lsn = self.synced_lsn + 1;
-            self.unsynced = 0;
         }
         self.poisoned = true;
     }
 
-    /// Force an fsync regardless of policy (checkpoints, shutdown).
-    ///
-    /// On failure the unsynced tail holds records whose callers were (or
-    /// are being) told "failed" — it is truncated back to the synced
-    /// prefix (rolling `next_lsn` back with it) so no later fsync can
-    /// durably commit a nacked record, and the handle is poisoned
-    /// regardless: after a failed fsync the kernel may have dropped the
-    /// dirty pages, so only a reopen that re-reads the file is sound.
-    pub fn sync(&mut self) -> Result<(), StorageError> {
-        self.check_poisoned()?;
-        match self.vfs.sync(&self.file) {
-            Ok(()) => {
-                self.fsyncs.inc();
-                self.unsynced = 0;
-                self.synced_lsn = self.next_lsn - 1;
-                self.synced_bytes = self.bytes_len;
-                Ok(())
-            }
-            Err(e) => {
-                self.fail_sync();
-                Err(e)
-            }
-        }
-    }
-
     /// Truncate the log back to its header after a checkpoint and make
-    /// the truncation durable. LSNs keep counting — the snapshot covers
-    /// the removed prefix. A failure here poisons the handle: the file
-    /// length is no longer known.
+    /// the truncation durable (one counted fsync). LSNs keep counting —
+    /// the snapshot covers the removed prefix. A failure here poisons the
+    /// handle: the file length is no longer known.
     pub(crate) fn truncate_to_header(&mut self) -> Result<(), StorageError> {
         self.check_poisoned()?;
         let header = WAL_MAGIC.len() as u64;
@@ -332,6 +269,7 @@ impl Wal {
             self.poisoned = true;
             return Err(e);
         }
+        self.fsyncs.inc();
         self.bytes_len = header;
         self.synced_bytes = header;
         Ok(())
@@ -443,11 +381,28 @@ mod tests {
         Ok(c)
     }
 
-    fn fresh_wal(vfs: Arc<dyn Vfs>, policy: FsyncPolicy) -> Wal {
+    fn fresh_wal(vfs: Arc<dyn Vfs>) -> Wal {
         vfs.append(LOG, WAL_MAGIC).unwrap();
         vfs.sync(LOG).unwrap();
         let (bytes, fsyncs) = (Arc::new(Counter::default()), Arc::default());
-        Wal::resume(vfs, LOG, policy, 1, WAL_MAGIC.len() as u64, bytes, fsyncs)
+        Wal::resume(vfs, LOG, 1, WAL_MAGIC.len() as u64, bytes, fsyncs)
+    }
+
+    /// One leader's fsync the way `Storage::group_sync` runs it: capture
+    /// the target, sync, then mark it synced or fail the tail.
+    fn sync(vfs: &FaultFs, wal: &mut Wal) -> Result<(), StorageError> {
+        wal.check_poisoned()?;
+        let (lsn, bytes) = wal.sync_target();
+        match vfs.sync(LOG) {
+            Ok(()) => {
+                wal.mark_synced(lsn, bytes);
+                Ok(())
+            }
+            Err(e) => {
+                wal.fail_sync();
+                Err(e)
+            }
+        }
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -465,11 +420,10 @@ mod tests {
                     vec![Value::Int(2), Value::str("two")],
                 ],
             },
-            WalRecord::InstallTable {
+            WalRecord::CreateTable {
                 name: "u".into(),
                 schema,
                 keys: vec![],
-                rows: vec![vec![Value::Int(9), Value::str("nine")]],
             },
         ]
     }
@@ -489,7 +443,7 @@ mod tests {
     #[test]
     fn append_replay_roundtrip() {
         let vfs = Arc::new(FaultFs::new());
-        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
+        let mut wal = fresh_wal(vfs.clone());
         let recs = sample_records();
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(wal.append(std::slice::from_ref(r)).unwrap(), (i + 1) as u64);
@@ -508,9 +462,9 @@ mod tests {
     fn a_nested_batch_is_a_codec_error() {
         // a batch is never a member, so a nested tag-4 record must fail as
         // a codec error rather than recurse (a ~10-byte-per-level chain
-        // would otherwise overflow the stack during recovery); tags 5-7,
-        // which only an earlier build wrote, are no member either
-        for tag in [4, 5, 6, 7] {
+        // would otherwise overflow the stack during recovery); tags 2 and
+        // 5-7, which only an earlier build wrote, are no member either
+        for tag in [2, 4, 5, 6, 7] {
             let payload = batch(1, 1, |e| {
                 e.u8(tag);
                 e.u64(0);
@@ -524,32 +478,25 @@ mod tests {
     }
 
     #[test]
-    fn only_every_n_syncs_inline_and_leaders_mark_the_rest() {
-        for (policy, expect_syncs) in [
-            (FsyncPolicy::Always, 0),
-            (FsyncPolicy::EveryN(2), 1),
-            (FsyncPolicy::Os, 0),
-        ] {
-            let vfs = Arc::new(FaultFs::new());
-            let mut wal = fresh_wal(vfs.clone(), policy);
-            let before = vfs.syncs(); // the magic write syncs once
-            for r in sample_records() {
-                wal.append(&[r]).unwrap();
-            }
-            assert_eq!(vfs.syncs() - before, expect_syncs, "{policy:?}");
-            let inline = if expect_syncs > 0 { 2 } else { 0 };
-            assert_eq!(wal.synced_lsn(), inline, "{policy:?}");
-            // the group-commit leader's fsync covers the rest
-            let (lsn, bytes) = wal.sync_target();
-            assert_eq!(lsn, 3);
-            vfs.sync(LOG).unwrap();
-            wal.mark_synced(lsn, bytes);
-            assert_eq!(wal.synced_lsn(), 3);
-            // a stale leader reporting an older target must not move
-            // watermarks backwards
-            wal.mark_synced(1, 8);
-            assert_eq!(wal.synced_lsn(), 3);
+    fn appends_never_sync_and_a_leader_marks_them_synced() {
+        let vfs = Arc::new(FaultFs::new());
+        let mut wal = fresh_wal(vfs.clone());
+        let before = vfs.syncs(); // the magic write syncs once
+        for r in sample_records() {
+            wal.append(&[r]).unwrap();
         }
+        assert_eq!(vfs.syncs(), before);
+        assert_eq!(wal.synced_lsn(), 0);
+        // the group-commit leader's fsync covers them all
+        let (lsn, bytes) = wal.sync_target();
+        assert_eq!(lsn, 3);
+        vfs.sync(LOG).unwrap();
+        wal.mark_synced(lsn, bytes);
+        assert_eq!(wal.synced_lsn(), 3);
+        // a stale leader reporting an older target must not move
+        // watermarks backwards
+        wal.mark_synced(1, 8);
+        assert_eq!(wal.synced_lsn(), 3);
     }
 
     #[test]
@@ -580,14 +527,14 @@ mod tests {
     #[test]
     fn failed_fsync_rolls_back_the_rejected_record_and_poisons() {
         let vfs = Arc::new(FaultFs::new());
-        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
+        let mut wal = fresh_wal(vfs.clone());
         let recs = sample_records();
         wal.append(&recs[..1]).unwrap();
-        wal.sync().unwrap();
+        sync(&vfs, &mut wal).unwrap();
         let acked_len = vfs.written_len(LOG);
         vfs.inject(Fault::FailFsync { path: LOG.into() });
         wal.append(&recs[1..2]).unwrap();
-        assert!(matches!(wal.sync(), Err(StorageError::Io(_))));
+        assert!(matches!(sync(&vfs, &mut wal), Err(StorageError::Io(_))));
         // the nacked record is cut out of the file, so no later fsync —
         // by us or the OS — can ever durably commit it
         assert_eq!(vfs.written_len(LOG), acked_len);
@@ -595,7 +542,7 @@ mod tests {
         // and the handle refuses all further I/O until reopen
         assert!(wal.poisoned());
         assert!(matches!(wal.append(&recs[2..]), Err(StorageError::Io(_))));
-        assert!(matches!(wal.sync(), Err(StorageError::Io(_))));
+        assert!(matches!(sync(&vfs, &mut wal), Err(StorageError::Io(_))));
         assert_eq!(vfs.written_len(LOG), acked_len);
         // replay (as a reopen would) sees exactly the acked prefix
         assert_eq!(replay(&vfs).commits, vec![commit(1, &recs[..1])]);
@@ -604,9 +551,9 @@ mod tests {
     #[test]
     fn fail_sync_rolls_back_like_a_failed_inline_fsync() {
         let vfs = Arc::new(FaultFs::new());
-        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
+        let mut wal = fresh_wal(vfs.clone());
         wal.append(&sample_records()[..1]).unwrap();
-        wal.sync().unwrap();
+        sync(&vfs, &mut wal).unwrap();
         let acked_len = vfs.written_len(LOG);
         wal.append(&sample_records()[1..2]).unwrap();
         wal.fail_sync();
@@ -619,11 +566,9 @@ mod tests {
     #[test]
     fn oversized_record_is_refused_and_its_lsn_reused() {
         let vfs = Arc::new(FaultFs::new());
-        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
-        let huge = WalRecord::InstallTable {
-            name: "t".into(),
-            schema: Schema::of(&[("s", Ty::Str)]),
-            keys: vec![],
+        let mut wal = fresh_wal(vfs.clone());
+        let huge = WalRecord::Rows {
+            table: "t".into(),
             rows: vec![vec![Value::str(
                 "x".repeat(crate::frame::MAX_FRAME_LEN as usize + 1),
             )]],
@@ -639,7 +584,7 @@ mod tests {
     #[test]
     fn a_commit_is_one_frame_and_roundtrips() {
         let vfs = Arc::new(FaultFs::new());
-        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
+        let mut wal = fresh_wal(vfs.clone());
         let recs = sample_records();
         assert_eq!(wal.append(&recs).unwrap(), 1, "one LSN for the commit");
         assert_eq!(wal.next_lsn(), 2);
@@ -651,7 +596,7 @@ mod tests {
         // a commit is all-or-nothing: tearing any byte of its single frame
         // drops the whole transaction at replay, never a prefix of it
         let vfs = Arc::new(FaultFs::new());
-        let mut wal = fresh_wal(vfs.clone(), FsyncPolicy::Always);
+        let mut wal = fresh_wal(vfs.clone());
         wal.append(&sample_records()[..1]).unwrap();
         let intact = vfs.written_len(LOG);
         wal.append(&sample_records()[1..]).unwrap();

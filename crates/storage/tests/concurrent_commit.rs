@@ -38,7 +38,7 @@ fn concurrent_commits_reopen_with_every_commit() {
     let mut all: Vec<u64> = gsns.concat();
     all.sort_unstable();
     assert_eq!(all, (1..=total).collect::<Vec<_>>(), "each GSN once");
-    storage.sync().unwrap();
+    storage.group_sync().unwrap();
     drop(storage);
     vfs.crash();
     let r = open(&vfs);

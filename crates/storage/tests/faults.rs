@@ -20,8 +20,8 @@
 use ferry_algebra::{Row, Schema, Ty, Value};
 use ferry_storage::wal::replay_wal;
 use ferry_storage::{
-    DurabilityConfig, Fault, FaultFs, FsyncPolicy, Recovered, Storage, StorageError, TableDef,
-    TableImage, Vfs, WalRecord, COMMIT_LOG, META_FILE, SNAPSHOT_FILE,
+    DurabilityConfig, Fault, FaultFs, Recovered, Storage, StorageError, TableDef, TableImage, Vfs,
+    WalRecord, COMMIT_LOG, META_FILE, SNAPSHOT_FILE,
 };
 use ferry_telemetry::Registry;
 use proptest::TestRng;
@@ -47,11 +47,6 @@ enum Op {
     /// Create-or-replace.
     Create {
         table: String,
-    },
-    /// Replace wholesale with `rows`.
-    Install {
-        table: String,
-        rows: Vec<Row>,
     },
     Insert {
         table: String,
@@ -99,20 +94,6 @@ fn apply(state: &mut State, tx: &[Op]) -> Commit {
                 };
                 state.insert(table.clone(), t);
             }
-            Op::Install { table, rows } => {
-                unstage(&mut staged, table);
-                ddl.push(WalRecord::InstallTable {
-                    name: table.clone(),
-                    schema: schema(),
-                    keys: Vec::new(),
-                    rows: rows.clone(),
-                });
-                let t = Table {
-                    keys: Vec::new(),
-                    rows: rows.clone(),
-                };
-                state.insert(table.clone(), t);
-            }
             Op::Insert { table, rows } => {
                 let t = state.get_mut(table).expect("inserts target live tables");
                 if rows.is_empty() {
@@ -149,7 +130,8 @@ fn gen_rows(rng: &mut TestRng, tag: usize) -> Vec<Row> {
 
 /// A random but *valid* sequence of 1–3-operation transactions: inserts
 /// only target tables that exist by then (the storage layer logs
-/// blindly; validation is the engine's job).
+/// blindly; validation is the engine's job). One draw in ten replaces a
+/// table and fills it in the same transaction: a create plus its rows.
 fn workload(rng: &mut TestRng, n: usize) -> Vec<Vec<Op>> {
     let mut live: Vec<String> = Vec::new();
     let mut txs = Vec::with_capacity(n);
@@ -165,19 +147,24 @@ fn workload(rng: &mut TestRng, n: usize) -> Vec<Vec<Op>> {
                     rng.bool();
                     Op::Create { table: name }
                 }
-                2 => Op::Install {
-                    table: name,
-                    rows: gen_rows(rng, tag),
-                },
+                2 => {
+                    tx.push(Op::Create {
+                        table: name.clone(),
+                    });
+                    Op::Insert {
+                        table: name,
+                        rows: gen_rows(rng, tag),
+                    }
+                }
                 _ => Op::Insert {
                     table: live[rng.below(live.len())].clone(),
                     rows: gen_rows(rng, tag),
                 },
             };
-            if let Op::Create { table, .. } | Op::Install { table, .. } = &op {
-                if !live.contains(table) {
-                    live.push(table.clone());
-                }
+            // an insert's table is live unless this draw just created it
+            let (Op::Create { table } | Op::Insert { table, .. }) = &op;
+            if !live.contains(table) {
+                live.push(table.clone());
             }
             tx.push(op);
         }
@@ -205,30 +192,22 @@ impl Run {
         Run { states, commits }
     }
 
-    fn open(&self, vfs: &Arc<FaultFs>, policy: FsyncPolicy) -> Result<Recovered, StorageError> {
+    fn open(&self, vfs: &Arc<FaultFs>) -> Result<Recovered, StorageError> {
         Storage::open(
             vfs.clone() as Arc<dyn Vfs>,
-            DurabilityConfig::with_fsync(policy),
+            DurabilityConfig::default(),
             &Registry::default(),
         )
     }
 
-    /// Commit transactions `txs` the engine's way — log, then under
-    /// `Always` ack only once a group sync covers the GSN — until one
-    /// fails. Returns the index after the last acked transaction and
-    /// the failure, if any.
-    fn commit(
-        &self,
-        storage: &Storage,
-        txs: Range<usize>,
-        policy: FsyncPolicy,
-    ) -> (usize, Option<StorageError>) {
+    /// Commit transactions `txs` the engine's way — log, then ack only
+    /// once a group sync covers the GSN — until one fails. Returns the
+    /// index after the last acked transaction and the failure, if any.
+    fn commit(&self, storage: &Storage, txs: Range<usize>) -> (usize, Option<StorageError>) {
         for i in txs.clone() {
             let acked = storage.log_commit(&self.commits[i]).and_then(|gsn| {
-                if policy == FsyncPolicy::Always {
-                    let synced = storage.group_sync()?;
-                    assert!(synced >= gsn, "group_sync returned a stale GSN");
-                }
+                let synced = storage.group_sync()?;
+                assert!(synced >= gsn, "group_sync returned a stale GSN");
                 Ok(())
             });
             if let Err(e) = acked {
@@ -272,19 +251,16 @@ impl Run {
 
 // ---------------------------------------------------------------- tests
 
-/// Tear the log at (a sample of) every byte offset. Under
-/// `FsyncPolicy::Always`, recovery must restore **exactly** the acked
+/// Tear the log at (a sample of) every byte offset. Recovery must
+/// restore **exactly** the acked
 /// transactions: nothing acked is lost, and the torn commit vanishes
 /// whole, never a prefix of its operations.
 #[test]
 fn torn_append_at_any_byte_of_the_log_recovers_exactly_the_acked_prefix() {
     let run = Run::new(0xB417, 12);
     let clean = Arc::new(FaultFs::new());
-    let r = run.open(&clean, FsyncPolicy::Always).unwrap();
-    assert_eq!(
-        run.commit(&r.storage, 0..12, FsyncPolicy::Always),
-        (12, None)
-    );
+    let r = run.open(&clean).unwrap();
+    assert_eq!(run.commit(&r.storage, 0..12), (12, None));
     for at in (8..clean.written_len(COMMIT_LOG)).step_by(stride()) {
         let ctx = format!("log torn at byte {at}");
         let vfs = Arc::new(FaultFs::new());
@@ -292,15 +268,15 @@ fn torn_append_at_any_byte_of_the_log_recovers_exactly_the_acked_prefix() {
             path: COMMIT_LOG.into(),
             at,
         });
-        let r = run.open(&vfs, FsyncPolicy::Always).unwrap();
-        let (acked, err) = run.commit(&r.storage, 0..12, FsyncPolicy::Always);
+        let r = run.open(&vfs).unwrap();
+        let (acked, err) = run.commit(&r.storage, 0..12);
         assert!(
             matches!(err, Some(StorageError::Injected(_))),
             "{ctx}: {err:?}"
         );
         drop(r);
         vfs.crash();
-        let r = run.open(&vfs, FsyncPolicy::Always).unwrap();
+        let r = run.open(&vfs).unwrap();
         assert_eq!(
             run.state_of(&r),
             run.states[acked],
@@ -317,16 +293,12 @@ fn torn_append_at_any_byte_of_the_log_recovers_exactly_the_acked_prefix() {
 fn bit_flips_recover_a_prefix_or_fail_typed_never_panic() {
     let run = Run::new(7, 10);
     let clean = Arc::new(FaultFs::new());
-    run.commit(
-        &run.open(&clean, FsyncPolicy::Always).unwrap().storage,
-        0..10,
-        FsyncPolicy::Always,
-    );
+    run.commit(&run.open(&clean).unwrap().storage, 0..10);
     for offset in (0..clean.written_len(COMMIT_LOG)).step_by(stride()) {
         let ctx = format!("flip at byte {offset}");
         let vfs = Arc::new(FaultFs::new());
-        let r = run.open(&vfs, FsyncPolicy::Always).unwrap();
-        run.commit(&r.storage, 0..10, FsyncPolicy::Always);
+        let r = run.open(&vfs).unwrap();
+        run.commit(&r.storage, 0..10);
         vfs.inject(Fault::BitFlip {
             path: COMMIT_LOG.into(),
             offset,
@@ -334,7 +306,7 @@ fn bit_flips_recover_a_prefix_or_fail_typed_never_panic() {
         });
         drop(r);
         vfs.crash();
-        match run.open(&vfs, FsyncPolicy::Always) {
+        match run.open(&vfs) {
             Ok(r) => {
                 // a single-bit flip is always caught by the frame CRC, so
                 // an Ok recovery cut the final frame away: exactly the
@@ -348,28 +320,26 @@ fn bit_flips_recover_a_prefix_or_fail_typed_never_panic() {
     }
 }
 
-/// A disk that acknowledges fsync but persists only half the pending
+/// A disk that acknowledges an fsync but persists only half the pending
 /// bytes. The durable lower bound is forfeit (the disk lied), but the
-/// prefix guarantee must survive.
+/// prefix guarantee must survive: the lie covered only the last commit,
+/// whose half-persisted frame recovery cuts away whole.
 #[test]
 fn lying_fsync_still_yields_a_consistent_prefix() {
     for seed in 0..10u64 {
         let n = 4 + TestRng::new(0x5F5F + seed).below(8);
         let run = Run::new(0x5F5F + seed, n);
         let vfs = Arc::new(FaultFs::new());
-        let r = run.open(&vfs, FsyncPolicy::EveryN(2)).unwrap();
+        let r = run.open(&vfs).unwrap();
+        assert_eq!(run.commit(&r.storage, 0..n - 1), (n - 1, None));
         vfs.inject(Fault::ShortFsync {
             path: COMMIT_LOG.into(),
         });
-        assert_eq!(
-            run.commit(&r.storage, 0..n, FsyncPolicy::EveryN(2)),
-            (n, None)
-        );
+        assert_eq!(run.commit(&r.storage, n - 1..n), (n, None));
         drop(r);
         vfs.crash();
-        let r = run.open(&vfs, FsyncPolicy::EveryN(2)).unwrap();
-        let got = run.state_of(&r);
-        assert!(run.states.contains(&got), "seed {seed}: not a prefix");
+        let r = run.open(&vfs).unwrap();
+        assert_eq!(run.state_of(&r), run.states[n - 1], "seed {seed}");
     }
 }
 
@@ -384,13 +354,13 @@ fn failed_fsync_nacks_the_tail_poisons_and_never_commits_the_rejected_transactio
     for crash in [true, false] {
         let ctx = format!("fsync fails, crash {crash}");
         let vfs = Arc::new(FaultFs::new());
-        let r = run.open(&vfs, FsyncPolicy::Always).unwrap();
-        assert_eq!(run.commit(&r.storage, 0..3, FsyncPolicy::Always), (3, None));
+        let r = run.open(&vfs).unwrap();
+        assert_eq!(run.commit(&r.storage, 0..3), (3, None));
         vfs.inject(Fault::FailFsync {
             path: COMMIT_LOG.into(),
         });
         for i in 3..8 {
-            let (acked, err) = run.commit(&r.storage, i..i + 1, FsyncPolicy::Always);
+            let (acked, err) = run.commit(&r.storage, i..i + 1);
             assert_eq!(acked, i, "{ctx}: commit {i} acked");
             assert!(matches!(err, Some(StorageError::Io(_))), "{ctx}: {err:?}");
         }
@@ -404,7 +374,7 @@ fn failed_fsync_nacks_the_tail_poisons_and_never_commits_the_rejected_transactio
         if crash {
             vfs.crash();
         }
-        let r = run.open(&vfs, FsyncPolicy::Always).unwrap();
+        let r = run.open(&vfs).unwrap();
         assert_eq!(run.state_of(&r), run.states[3], "{ctx}");
     }
 }
@@ -436,19 +406,18 @@ const WINDOWS: [Window; 4] = [
 /// ⊕ tail recovers the same state as full replay, twice over.
 #[test]
 fn checkpoint_at_every_cut_and_crash_in_every_window_recovers_the_acked_state() {
-    let always = FsyncPolicy::Always;
     let run = Run::new(2024, 10);
     let n = run.commits.len();
     for cut in 0..=n {
         // the un-checkpointed twin: what the log held before the
         // checkpoint truncated it
         let twin = Arc::new(FaultFs::new());
-        run.commit(&run.open(&twin, always).unwrap().storage, 0..cut, always);
+        run.commit(&run.open(&twin).unwrap().storage, 0..cut);
         for window in WINDOWS {
             let ctx = format!("checkpoint at {cut}, {window:?}");
             let vfs = Arc::new(FaultFs::new());
-            let r = run.open(&vfs, always).unwrap();
-            run.commit(&r.storage, 0..cut, always);
+            let r = run.open(&vfs).unwrap();
+            run.commit(&r.storage, 0..cut);
             if let Window::Replace(file) = window {
                 vfs.inject(Fault::TornAppend {
                     path: file.into(),
@@ -469,15 +438,13 @@ fn checkpoint_at_every_cut_and_crash_in_every_window_recovers_the_acked_state() 
                 vfs.replace(COMMIT_LOG, &log).unwrap();
             }
             vfs.crash();
-            let r = run
-                .open(&vfs, always)
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let r = run.open(&vfs).unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(run.state_of(&r), run.states[cut], "{ctx}");
-            assert_eq!(run.commit(&r.storage, cut..n, always), (n, None), "{ctx}");
+            assert_eq!(run.commit(&r.storage, cut..n), (n, None), "{ctx}");
             drop(r);
             vfs.crash();
             for pass in 0..2 {
-                let r = run.open(&vfs, always).unwrap();
+                let r = run.open(&vfs).unwrap();
                 assert_eq!(run.state_of(&r), run.states[n], "{ctx}: reopen {pass}");
                 assert_eq!(r.report.repairs, 0, "{ctx}: reopen {pass}");
             }
@@ -485,10 +452,10 @@ fn checkpoint_at_every_cut_and_crash_in_every_window_recovers_the_acked_state() 
     }
 }
 
-/// The headline property: arbitrary workloads, random fsync policies,
-/// optional mid-workload checkpoints, a torn append at an arbitrary byte
-/// of the log. Recovery always lands on a model prefix at or beyond the
-/// last durable commit, and a second reopen is idempotent.
+/// The headline property: arbitrary workloads, optional mid-workload
+/// checkpoints, a torn append at an arbitrary byte of the log. Recovery
+/// always lands on exactly the acked prefix, and a second reopen is
+/// idempotent.
 #[test]
 fn recovery_roundtrip_property() {
     let seeds = if cfg!(feature = "storage-faults") {
@@ -505,27 +472,20 @@ fn recovery_roundtrip_property() {
         }
         let n = 4 + rng.below(10);
         let run = Run::new(0xFE44 + seed as u64, n);
-        let policy = match rng.below(3) {
-            0 => FsyncPolicy::Always,
-            1 => FsyncPolicy::EveryN(1 + rng.below(3) as u32),
-            _ => FsyncPolicy::Os,
-        };
         let with_checkpoints = rng.bool();
         let clean = Arc::new(FaultFs::new());
-        run.commit(&run.open(&clean, policy).unwrap().storage, 0..n, policy);
-        let logs = [COMMIT_LOG];
-        let file = logs[rng.below(logs.len())];
-        let at = 8 + rng.below((clean.written_len(file) - 8) as usize) as u64;
+        run.commit(&run.open(&clean).unwrap().storage, 0..n);
+        let at = 8 + rng.below((clean.written_len(COMMIT_LOG) - 8) as usize) as u64;
 
         let vfs = Arc::new(FaultFs::new());
         vfs.inject(Fault::TornAppend {
-            path: file.into(),
+            path: COMMIT_LOG.into(),
             at,
         });
-        let r = run.open(&vfs, policy).unwrap();
-        let (mut acked, mut synced) = (0usize, 0usize);
+        let r = run.open(&vfs).unwrap();
+        let mut acked = 0usize;
         while acked < n {
-            match run.commit(&r.storage, acked..acked + 1, policy) {
+            match run.commit(&r.storage, acked..acked + 1) {
                 (_, None) => acked += 1,
                 (_, Some(StorageError::Injected(_))) => break,
                 (_, Some(e)) => panic!("seed {seed}: unexpected error {e}"),
@@ -533,20 +493,16 @@ fn recovery_roundtrip_property() {
             if with_checkpoints && acked.is_multiple_of(3) {
                 r.storage.checkpoint(&run.images(acked)).unwrap();
             }
-            synced = r.storage.durable_gsn() as usize;
+            assert_eq!(r.storage.durable_gsn(), acked as u64, "seed {seed}");
         }
         drop(r);
         vfs.crash();
-        let recovered = run.state_of(&run.open(&vfs, policy).unwrap());
-        // durable lower bound: the recovered state must be reachable
-        // from some prefix at or beyond the last durable commit (and at
-        // or below the acked count — unacked commits never half-apply)
-        assert!(
-            run.states[synced..=acked].contains(&recovered),
-            "seed {seed}: recovered state outside [synced={synced}, acked={acked}]"
-        );
+        let recovered = run.state_of(&run.open(&vfs).unwrap());
+        // every acked commit is durable and an unacked one never
+        // half-applies: exactly the acked prefix
+        assert_eq!(recovered, run.states[acked], "seed {seed}: acked={acked}");
         // recovery repaired the log; a second open must agree with itself
-        let again = run.open(&vfs, policy).unwrap();
+        let again = run.open(&vfs).unwrap();
         assert_eq!(run.state_of(&again), recovered, "seed {seed}: reopen");
         assert_eq!(again.report.repairs, 0, "seed {seed}: reopen repaired");
     }
@@ -559,14 +515,14 @@ fn recovery_roundtrip_property() {
 fn a_commit_costs_one_frame_and_one_fsync() {
     let run = Run::new(3, 6);
     let vfs = Arc::new(FaultFs::new());
-    let r = run.open(&vfs, FsyncPolicy::Always).unwrap();
+    let r = run.open(&vfs).unwrap();
     let frames = || {
         let log = vfs.read(COMMIT_LOG).unwrap();
         replay_wal(log.as_deref()).unwrap().commits.len()
     };
     for i in 0..6 {
         let (syncs, before) = (vfs.syncs(), frames());
-        let acked = run.commit(&r.storage, i..i + 1, FsyncPolicy::Always);
+        let acked = run.commit(&r.storage, i..i + 1);
         assert_eq!(acked, (i + 1, None));
         assert_eq!(vfs.syncs() - syncs, 1, "commit {i}: fsyncs");
         assert_eq!(frames() - before, 1, "commit {i}: frames");

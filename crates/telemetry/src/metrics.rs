@@ -306,35 +306,6 @@ impl Registry {
         }
     }
 
-    /// Human-readable dump: one `name value` line per metric, histograms
-    /// with count/mean/p50/p95/p99.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, m) in self.metrics() {
-            match m {
-                Metric::Counter(c) => {
-                    let _ = writeln!(out, "{name} {}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "{name} {}", g.get());
-                }
-                Metric::Histogram(h) => {
-                    let s = h.snapshot();
-                    let _ = writeln!(
-                        out,
-                        "{name} count={} mean={:.0} p50<={} p95<={} p99<={}",
-                        s.count,
-                        s.mean(),
-                        s.p50(),
-                        s.p95(),
-                        s.p99()
-                    );
-                }
-            }
-        }
-        out
-    }
-
     /// Prometheus text-exposition rendering of every registered metric —
     /// the body a future `/metrics` endpoint serves. Byte-stable for
     /// identical registry state: the metric map is a `BTreeMap`, so names
@@ -498,17 +469,6 @@ mod tests {
         assert_eq!(s.quantile(1.0), u64::MAX);
         h.reset();
         assert_eq!(h.snapshot().count, 0);
-    }
-
-    #[test]
-    fn render_names_every_metric() {
-        let r = Registry::default();
-        r.counter("a.count").unwrap().add(2);
-        r.histogram("b.latency_ns").unwrap().record(100);
-        let text = r.render();
-        assert!(text.contains("a.count 2"));
-        assert!(text.contains("b.latency_ns count=1"));
-        assert!(text.contains("p95<="));
     }
 
     /// Golden test for the Prometheus text exposition: exact bytes for a

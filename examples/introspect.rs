@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(rec) => {
             println!("  {} captured; rendering the first:\n", slow.len());
             let report = conn
-                .slow_query_report(rec.query_id)
+                .slow_query_report(rec.profile.query_id)
                 .expect("record still retained");
             println!("{report}");
         }
