@@ -49,7 +49,8 @@
 //! * [`interp`] — the reference interpreter (in-heap semantics; test oracle),
 //! * [`compile`] — loop-lifting into table algebra,
 //! * [`shred`] — query-bundle emission (avalanche safety lives here),
-//! * [`stitch`] — tabular results back to nested values,
+//! * [`decode`] — tabular results straight into the host type (`fromQ`),
+//! * [`stitch`] — tabular results back to nested values (the oracle's route),
 //! * [`backend`] — pluggable execution backends (algebra-direct here,
 //!   the SQL:1999 round trip in `ferry-sql`),
 //! * [`runtime`] — [`runtime::Connection`]: `from_q` end to end, plus
@@ -61,6 +62,7 @@
 pub mod backend;
 pub mod comp;
 pub mod compile;
+pub mod decode;
 pub mod error;
 pub mod exp;
 pub mod interp;

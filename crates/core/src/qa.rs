@@ -8,14 +8,20 @@
 //! The [`QA`] trait is the paper's `class QA` — the types *representable*
 //! as queries: the basic types, and arbitrarily nested tuples and lists of
 //! them. [`toq`] is `toQ`; the inverse direction (`fromQ`) lives on
-//! [`crate::Connection`] because it talks to the database.
+//! [`crate::Connection`] because it talks to the database. `fromQ`
+//! builds its value with [`QA::decode`], straight from the result
+//! columns ([`crate::decode`]); [`QA::from_val`] decodes a nested
+//! [`Val`] and serves the oracle (the interpreter, and the stitcher the
+//! decoder is tested against).
 //!
 //! [`TA`] marks legal table-row types: the basic types and flat tuples of
 //! them.
 
+use crate::decode::{At, Decoder};
 use crate::error::FerryError;
 use crate::exp::Exp;
 use crate::types::{Ty, Val};
+use ferry_algebra::{ColVec, Value};
 use std::marker::PhantomData;
 use std::rc::Rc;
 
@@ -60,13 +66,21 @@ impl<T> Q<T> {
 
 /// Queryable types: representable relationally, movable in both directions
 /// between the Rust heap and the database.
+///
+/// Two decoders give the same value and the same error: [`QA::decode`]
+/// is the production `fromQ`, reading the result columns, and
+/// [`QA::from_val`] is the oracle's, reading a nested [`Val`].
 pub trait QA: Sized + 'static {
     /// The DSL type that represents `Self`.
     fn ty() -> Ty;
     /// Embed a heap value (`toQ` direction).
     fn to_val(&self) -> Val;
-    /// Decode a stitched value (`fromQ` direction).
+    /// Decode a nested value (the interpreter's, or a stitched one).
     fn from_val(v: &Val) -> Result<Self, FerryError>;
+    /// Decode the value at `at` straight from the bundle's result
+    /// columns (`fromQ` direction); anything that does not fit goes to
+    /// [`Decoder::mismatch`].
+    fn decode<'a>(d: &mut Decoder<'a>, at: At<'a>) -> Result<Self, FerryError>;
 }
 
 /// Legal table-row types (`class TA`): basic types and flat tuples of
@@ -96,6 +110,12 @@ impl QA for () {
             v => decode_err("()", v),
         }
     }
+    fn decode<'a>(d: &mut Decoder<'a>, at: At<'a>) -> Result<Self, FerryError> {
+        match d.cell(at) {
+            Some((ColVec::Other(v), r)) if v[r] == Value::Unit => Ok(()),
+            _ => d.mismatch(at),
+        }
+    }
 }
 
 impl QA for bool {
@@ -109,6 +129,12 @@ impl QA for bool {
         match v {
             Val::Bool(b) => Ok(*b),
             v => decode_err("bool", v),
+        }
+    }
+    fn decode<'a>(d: &mut Decoder<'a>, at: At<'a>) -> Result<Self, FerryError> {
+        match d.cell(at) {
+            Some((ColVec::Bool(v), r)) => Ok(v[r]),
+            _ => d.mismatch(at),
         }
     }
 }
@@ -126,6 +152,12 @@ impl QA for i64 {
             v => decode_err("i64", v),
         }
     }
+    fn decode<'a>(d: &mut Decoder<'a>, at: At<'a>) -> Result<Self, FerryError> {
+        match d.cell(at) {
+            Some((ColVec::Int(v), r)) => Ok(v[r]),
+            _ => d.mismatch(at),
+        }
+    }
 }
 
 impl QA for f64 {
@@ -139,6 +171,12 @@ impl QA for f64 {
         match v {
             Val::Dbl(d) => Ok(*d),
             v => decode_err("f64", v),
+        }
+    }
+    fn decode<'a>(d: &mut Decoder<'a>, at: At<'a>) -> Result<Self, FerryError> {
+        match d.cell(at) {
+            Some((ColVec::Dbl(v), r)) => Ok(v[r]),
+            _ => d.mismatch(at),
         }
     }
 }
@@ -156,6 +194,12 @@ impl QA for String {
             v => decode_err("String", v),
         }
     }
+    fn decode<'a>(d: &mut Decoder<'a>, at: At<'a>) -> Result<Self, FerryError> {
+        match d.cell(at) {
+            Some((ColVec::Str { codes, dict }, r)) => Ok(String::from(&*dict[codes[r] as usize])),
+            _ => d.mismatch(at),
+        }
+    }
 }
 
 impl<T: QA> QA for Vec<T> {
@@ -170,6 +214,9 @@ impl<T: QA> QA for Vec<T> {
             Val::List(vs) => vs.iter().map(T::from_val).collect(),
             v => decode_err("Vec", v),
         }
+    }
+    fn decode<'a>(d: &mut Decoder<'a>, at: At<'a>) -> Result<Self, FerryError> {
+        d.list(at)
     }
 }
 
@@ -188,6 +235,12 @@ macro_rules! impl_qa_tuple {
                         Ok(($($name::from_val(&vs[$idx])?,)+))
                     }
                     v => decode_err("tuple", v),
+                }
+            }
+            fn decode<'a>(d: &mut Decoder<'a>, at: At<'a>) -> Result<Self, FerryError> {
+                match at.fields(impl_qa_tuple!(@count $($name)+)) {
+                    Some(f) => Ok(($($name::decode(d, f.at($idx))?,)+)),
+                    None => d.mismatch(at),
                 }
             }
         }
@@ -258,6 +311,38 @@ mod tests {
         assert!(matches!(
             <(i64, i64)>::from_val(&Val::Tuple(vec![Val::Int(1)])),
             Err(FerryError::Decode(_))
+        ));
+    }
+
+    /// `toq` a value, run it on the engine and decode it back, through
+    /// `decode` (`from_q`) and through its oracle (`from_val` of the
+    /// stitched value).
+    fn through_the_database<T: QA + PartialEq + std::fmt::Debug>(v: T) {
+        let conn = crate::Connection::new(ferry_engine::Database::new());
+        let q = toq(&v);
+        assert_eq!(conn.from_q(&q).unwrap(), v);
+        assert_eq!(T::from_val(&conn.from_q_val(&q).unwrap()).unwrap(), v);
+    }
+
+    #[test]
+    fn every_impl_decodes_what_it_embedded() {
+        through_the_database(());
+        through_the_database(-7i64);
+        through_the_database(vec![
+            (1i64, vec!["a".to_string(), String::new()]),
+            (2, vec![]),
+        ]);
+        through_the_database(vec![Some(1.5f64), None, Some(-0.0)]);
+        through_the_database(vec![vec![vec![true]], vec![], vec![vec![], vec![false]]]);
+        through_the_database((
+            true,
+            -3i64,
+            2.5f64,
+            "Grüße".to_string(),
+            (),
+            vec![()],
+            Some("s".to_string()),
+            vec![(None::<i64>, vec![1i64])],
         ));
     }
 
@@ -335,6 +420,17 @@ impl<T: OptPayload> QA for Option<T> {
             },
             v => decode_err("Option", v),
         }
+    }
+    fn decode<'a>(d: &mut Decoder<'a>, at: At<'a>) -> Result<Self, FerryError> {
+        if let Some(f) = at.fields(2) {
+            if let Some((ColVec::Bool(tag), r)) = d.cell(f.at(0)) {
+                return match tag[r] {
+                    true => T::decode(d, f.at(1)).map(Some),
+                    false => Ok(None),
+                };
+            }
+        }
+        d.mismatch(at)
     }
 }
 

@@ -70,6 +70,23 @@ macro_rules! record {
                     ))),
                 }
             }
+            fn decode<'a>(
+                d: &mut $crate::decode::Decoder<'a>,
+                at: $crate::decode::At<'a>,
+            ) -> Result<Self, $crate::FerryError> {
+                const WIDTH: usize = [$( stringify!($field) ),+].len();
+                let Some(f) = at.fields(WIDTH) else {
+                    return d.mismatch(at);
+                };
+                let mut __i = 0usize;
+                Ok($name {
+                    $( $field : {
+                        let __v = <$fty as $crate::QA>::decode(d, f.at(__i))?;
+                        __i += 1;
+                        __v
+                    } ),+
+                })
+            }
         }
 
         // records over basic fields are legal table rows, like the tuples

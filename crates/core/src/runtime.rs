@@ -5,7 +5,8 @@
 //! value" (§2) — here, a regular Rust value. The full pipeline of Fig. 2
 //! runs inside: compile (loop-lifting) → optional plan optimisation →
 //! dispatch the bundle through the configured [`Backend`] (one engine
-//! round-trip per member) → stitch → decode.
+//! round-trip per member) → decode the result columns into the host
+//! value.
 //!
 //! ## Prepared bundles and the plan cache
 //!
@@ -39,9 +40,10 @@
 
 use crate::backend::{AlgebraBackend, Backend};
 use crate::compile::{SchemaProvider, TableInfo};
+use crate::decode::decode;
 use crate::error::FerryError;
 use crate::qa::{Q, QA};
-use crate::shred::{compile_program, CompiledBundle};
+use crate::shred::{compile_program, CompiledBundle, QueryDesc};
 use crate::stitch::stitch;
 use crate::types::Val;
 use ferry_algebra::{NodeId, Plan, Rel};
@@ -452,20 +454,32 @@ impl Connection {
     }
 
     /// Execute a prepared query and decode the result — the hot path:
-    /// no compilation, no optimisation, just dispatch + stitch + decode.
+    /// no compilation, no optimisation, just dispatch + decode straight
+    /// from the result columns into `T` ([`crate::decode`]).
     pub fn execute<T: QA>(&self, prepared: &Prepared<T>) -> Result<T, FerryError> {
-        T::from_val(&self.execute_val(prepared)?)
+        self.execute_with(prepared, decode)
     }
 
-    /// Like [`Connection::execute`] but stopping at the untyped nested
-    /// value (useful for oracle comparisons).
+    /// Like [`Connection::execute`] but stitching the untyped nested
+    /// value instead (the oracle's route: `T::from_val` of it equals
+    /// `execute`'s result, errors included).
     pub fn execute_val<T: QA>(&self, prepared: &Prepared<T>) -> Result<Val, FerryError> {
+        self.execute_with(prepared, stitch)
+    }
+
+    /// Dispatch `prepared`'s bundle and hand its relations to `finish`
+    /// inside the `stitch` span.
+    fn execute_with<T: QA, R>(
+        &self,
+        prepared: &Prepared<T>,
+        finish: impl FnOnce(&[Rel], &[QueryDesc]) -> Result<R, FerryError>,
+    ) -> Result<R, FerryError> {
         let telemetry = self.telemetry();
         let mut trace = telemetry.begin_query(0);
         let rels = self.execute_bundle(prepared.bundle())?;
         self.stamp_query_id(&mut trace);
         let _s = ferry_telemetry::span("stitch", "runtime");
-        stitch(&rels, &prepared.bundle().queries)
+        finish(&rels, &prepared.bundle().queries)
     }
 
     /// Execute a compiled bundle through the configured backend and
@@ -478,21 +492,29 @@ impl Connection {
     /// Equivalent to `prepare` + `execute`; repeated calls with the same
     /// query hit the plan cache.
     pub fn from_q<T: QA>(&self, q: &Q<T>) -> Result<T, FerryError> {
-        let val = self.from_q_val(q)?;
-        T::from_val(&val)
+        self.prepare_then(q, Connection::execute)
     }
 
-    /// Like [`Connection::from_q`] but stopping at the untyped nested
-    /// value (useful for oracle comparisons).
+    /// Like [`Connection::from_q`] but stitching the untyped nested value
+    /// instead (the oracle's route, as [`Connection::execute_val`]).
     pub fn from_q_val<T: QA>(&self, q: &Q<T>) -> Result<Val, FerryError> {
+        self.prepare_then(q, Connection::execute_val)
+    }
+
+    /// Prepare `q` and run it with `execute`, under one trace.
+    fn prepare_then<T: QA, R>(
+        &self,
+        q: &Q<T>,
+        execute: impl FnOnce(&Connection, &Prepared<T>) -> Result<R, FerryError>,
+    ) -> Result<R, FerryError> {
         let telemetry = self.telemetry();
         // one trace covers prepare (compile + optimize) and execution —
         // the inner begin_query calls join this ambient trace
         let mut trace = telemetry.begin_query(0);
         let prepared = self.prepare(q)?;
-        let val = self.execute_val(&prepared)?;
+        let out = execute(self, &prepared)?;
         self.stamp_query_id(&mut trace);
-        Ok(val)
+        Ok(out)
     }
 
     /// Back-fill the engine-assigned query id onto an active trace guard:
@@ -553,11 +575,7 @@ impl Connection {
     pub fn trace_status_for(&self, query_id: u64) -> TraceStatus {
         let trace_id = self
             .db
-            .profiles()
-            .iter()
-            .rev()
-            .find(|p| p.query_id == query_id)
-            .map(|p| p.trace_id)
+            .trace_id_for_query(query_id)
             .or_else(|| self.db.slow_query(query_id).map(|r| r.profile.trace_id));
         match TraceState::of(&self.telemetry(), query_id, trace_id) {
             TraceState::Captured(t) => {

@@ -712,6 +712,18 @@ impl Database {
         qid
     }
 
+    /// The telemetry trace dispatch `query_id` ran under (0: untraced),
+    /// if its profile is still in the ring.
+    pub fn trace_id_for_query(&self, query_id: u64) -> Option<u64> {
+        let profiles = self.profiles.lock().unwrap();
+        let trace_id = profiles
+            .iter()
+            .rev()
+            .find(|p| p.query_id == query_id)
+            .map(|p| p.trace_id);
+        trace_id
+    }
+
     /// Per-node profiles of the most recent dispatches, oldest first —
     /// a clone of the profile ring (also the `ferry.queries` source).
     pub fn profiles(&self) -> Vec<QueryProfile> {

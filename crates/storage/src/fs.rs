@@ -16,9 +16,10 @@
 use crate::StorageError;
 use std::collections::HashMap;
 use std::fmt;
+use std::fs::File;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 fn io_err(path: &str, op: &str, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("{op} {path}: {e}"))
@@ -53,6 +54,10 @@ const SIDECAR: &str = ".tmp";
 #[derive(Debug)]
 pub struct StdFs {
     root: PathBuf,
+    /// One open append handle per appended path, which `sync` also uses:
+    /// a commit costs a write and an fsync, no stat and no open. A
+    /// `truncate` or `replace` of the path drops its handle.
+    handles: Mutex<HashMap<String, Arc<File>>>,
 }
 
 impl StdFs {
@@ -61,7 +66,35 @@ impl StdFs {
         let root = root.into();
         std::fs::create_dir_all(&root)
             .map_err(|e| io_err(&root.display().to_string(), "create dir", e))?;
-        Ok(StdFs { root })
+        Ok(StdFs {
+            root,
+            handles: Mutex::default(),
+        })
+    }
+
+    fn handles(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<File>>> {
+        // a panic while the map was held leaves it valid: each update is
+        // one insert or remove
+        self.handles.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The open append handle of `path`, opening (and creating) it on
+    /// first use; `true` when this call created the file.
+    fn append_handle(&self, path: &str) -> Result<(Arc<File>, bool), StorageError> {
+        let mut handles = self.handles();
+        if let Some(f) = handles.get(path) {
+            return Ok((f.clone(), false));
+        }
+        let full = self.path(path);
+        let created = !full.exists();
+        let f = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&full)
+            .map_err(|e| io_err(path, "open", e))?;
+        let f = Arc::new(f);
+        handles.insert(path.to_string(), f.clone());
+        Ok((f, created))
     }
 
     fn path(&self, name: &str) -> PathBuf {
@@ -89,14 +122,10 @@ impl Vfs for StdFs {
     }
 
     fn append(&self, path: &str, data: &[u8]) -> Result<(), StorageError> {
-        let full = self.path(path);
-        let created = !full.exists();
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&full)
-            .map_err(|e| io_err(path, "open", e))?;
-        f.write_all(data).map_err(|e| io_err(path, "append", e))?;
+        let (f, created) = self.append_handle(path)?;
+        (&*f)
+            .write_all(data)
+            .map_err(|e| io_err(path, "append", e))?;
         if created {
             // the new directory entry must be durable before any fsync of
             // the file's own contents means anything
@@ -106,12 +135,18 @@ impl Vfs for StdFs {
     }
 
     fn sync(&self, path: &str) -> Result<(), StorageError> {
-        std::fs::File::open(self.path(path))
-            .and_then(|f| f.sync_all())
-            .map_err(|e| io_err(path, "fsync", e))
+        // the handle leaves the lock first: an fsync never holds up an
+        // append to another file
+        let open = self.handles().get(path).cloned();
+        match open {
+            Some(f) => f.sync_all(),
+            None => File::open(self.path(path)).and_then(|f| f.sync_all()),
+        }
+        .map_err(|e| io_err(path, "fsync", e))
     }
 
     fn truncate(&self, path: &str, len: u64) -> Result<(), StorageError> {
+        self.handles().remove(path);
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(self.path(path))
@@ -121,6 +156,8 @@ impl Vfs for StdFs {
     }
 
     fn replace(&self, path: &str, data: &[u8]) -> Result<(), StorageError> {
+        // the rename below puts a new file under `path`
+        self.handles().remove(path);
         let tmp = self.path(&format!("{path}{SIDECAR}"));
         {
             let mut f =
@@ -497,6 +534,31 @@ mod tests {
         // a sidecar a crash left behind is not an installed file
         std::fs::write(root.join("meta.tmp"), b"half").unwrap();
         assert_eq!(fs.list().unwrap(), ["snapshot", "wal"]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn std_fs_appends_through_one_handle_until_a_truncate_or_replace() {
+        let root =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp/stdfs_handle");
+        let _ = std::fs::remove_dir_all(&root);
+        let fs = StdFs::new(&root).unwrap();
+        fs.append("log", b"abc").unwrap();
+        fs.sync("log").unwrap();
+        fs.append("log", b"def").unwrap();
+        fs.sync("log").unwrap();
+        fs.truncate("log", 4).unwrap();
+        fs.append("log", b"XY").unwrap();
+        fs.sync("log").unwrap();
+        // a replace puts a new file under the name; later appends go to it
+        fs.append("meta", b"old").unwrap();
+        fs.replace("meta", b"new").unwrap();
+        fs.append("meta", b"+1").unwrap();
+        fs.sync("meta").unwrap();
+        drop(fs);
+        let reopened = StdFs::new(&root).unwrap();
+        assert_eq!(reopened.read("log").unwrap().unwrap(), b"abcdXY");
+        assert_eq!(reopened.read("meta").unwrap().unwrap(), b"new+1");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -40,6 +40,15 @@ fn check<T: QA + PartialEq + std::fmt::Debug>(q: &Q<T>) -> T {
                 "backend {}, optimize={optimize}: one dispatch per bundle member",
                 backend.name()
             );
+            // the decoder against its oracle, `from_val` of the stitched
+            // value, on this backend's relations
+            let stitched = T::from_val(&conn.from_q_val(q).unwrap()).unwrap();
+            assert_eq!(
+                via_db,
+                stitched,
+                "backend {}, optimize={optimize}: decode differs from from_val of stitch",
+                backend.name()
+            );
             let oracle = conn.interpret(q).unwrap();
             assert_eq!(
                 via_db,

@@ -3,9 +3,9 @@
 //! bundle; for X1 the loop-lifted one too), the engine's `QueryStats`
 //! counters and work ledger (sorts, hash-table builds, rows converted
 //! between row and column form), the rows the whole run converted on its
-//! thread (engine, compiler, commits; the stitcher reads columns and
-//! converts none), and the storage layer's fsyncs and WAL
-//! bytes.
+//! thread (engine, compiler, commits; the decoder reads columns and
+//! converts none), the `Val` nodes built (none on the `fromQ` path), and
+//! the storage layer's fsyncs and WAL bytes.
 //!
 //! Every count is pinned with `assert_eq!`, to the unit: a count does not
 //! drift between hosts or sessions, so a change that moves one states
@@ -76,9 +76,12 @@ struct Work {
     rows_hashed: u64,
     engine_rows_converted: u64,
     /// Every row the work converted on this thread: the engine's, the
-    /// compiler's literals, a commit's and a checkpoint's (the stitcher
+    /// compiler's literals, a commit's and a checkpoint's (the decoder
     /// reads the result's columns and converts none).
     rows_converted: u64,
+    /// `Val` nodes built on this thread: 0 wherever `fromQ` decodes the
+    /// result columns into the host type; only the stitcher builds them.
+    vals_built: u64,
     // storage
     fsyncs: u64,
     wal_bytes: u64,
@@ -88,8 +91,10 @@ struct Work {
 fn measure<R>(db: &Database, work: impl FnOnce() -> R) -> (R, Work) {
     db.reset_stats();
     let before = ferry_algebra::rows_converted();
+    let vals_before = ferry::stitch::vals_built();
     let out = work();
     let rows_converted = ferry_algebra::rows_converted() - before;
+    let vals_built = ferry::stitch::vals_built() - vals_before;
     let s = db.stats();
     let registry = db.telemetry().registry();
     let counter = |name: &str| registry.counter(name).map_or(0, |c| c.get());
@@ -108,6 +113,7 @@ fn measure<R>(db: &Database, work: impl FnOnce() -> R) -> (R, Work) {
         rows_hashed: s.rows_hashed,
         engine_rows_converted: s.rows_converted,
         rows_converted,
+        vals_built,
         fsyncs: counter(ferry_telemetry::names::STORAGE_FSYNCS),
         wal_bytes: counter(ferry_telemetry::names::STORAGE_WAL_BYTES),
     };
@@ -157,8 +163,8 @@ fn running_example_shape() -> Shape {
 fn table1_running_example_at_the_paper_dataset() {
     let (shape, work) = twice(|| table1(paper_dataset(), VecMode::On));
     assert_eq!(shape, running_example_shape());
-    // the engine converts no row, the stitcher converts none, and
-    // compiling builds the plan's 2 literal rows
+    // the engine converts no row, the decoder converts none and builds
+    // no `Val`, and compiling builds the plan's 2 literal rows
     assert_eq!(
         work,
         Work {
@@ -175,6 +181,7 @@ fn table1_running_example_at_the_paper_dataset() {
             rows_hashed: 329,
             engine_rows_converted: 0,
             rows_converted: 2,
+            vals_built: 0,
             ..Work::default()
         }
     );
@@ -200,6 +207,7 @@ fn table1_running_example_at_300_categories() {
             rows_hashed: 15_337,
             engine_rows_converted: 0,
             rows_converted: 2,
+            vals_built: 0,
             ..Work::default()
         }
     );
@@ -209,7 +217,7 @@ fn table1_running_example_at_300_categories() {
 fn table1_running_example_on_the_scalar_oracle() {
     // the oracle runs every operator row at a time: the rows it builds are
     // the conversions the production path does not make (the other 2 are
-    // the plan's literals; the stitcher converts none)
+    // the plan's literals; the decoder converts none)
     let (_, work) = twice(|| table1(paper_dataset(), VecMode::Off));
     assert_eq!(
         work,
@@ -223,6 +231,7 @@ fn table1_running_example_on_the_scalar_oracle() {
             rows_sorted: 202,
             engine_rows_converted: 1_245,
             rows_converted: 1_247,
+            vals_built: 0,
             ..Work::default()
         }
     );
@@ -246,7 +255,7 @@ fn prepare_once_then_execute_100_times() {
         .1
     });
     // one compile (its 2 literal rows are the only conversions: the
-    // stitcher converts none); 200 executions of the running example's
+    // decoder converts none); 200 executions of the running example's
     // two queries
     assert_eq!(
         work,
@@ -265,6 +274,7 @@ fn prepare_once_then_execute_100_times() {
             rows_hashed: 65_800,
             engine_rows_converted: 0,
             rows_converted: 2,
+            vals_built: 0,
             ..Work::default()
         }
     );
@@ -297,7 +307,7 @@ fn dotp_at_n_10000_nnz_1000() {
             distincts: 0,
         }
     );
-    // no row conversion in the engine or the stitcher (which reads the
+    // no row conversion in the engine or the decoder (which reads the
     // 1-row scalar result's columns); compiling builds 4 literal rows
     assert_eq!(
         work,
@@ -315,6 +325,7 @@ fn dotp_at_n_10000_nnz_1000() {
             rows_hashed: 1_001,
             engine_rows_converted: 0,
             rows_converted: 4,
+            vals_built: 0,
             ..Work::default()
         }
     );
@@ -361,6 +372,7 @@ fn dotp_with_dense_out_of_key_order() {
                 rows_hashed: 1_001,
                 engine_rows_converted: 0,
                 rows_converted: 4,
+                vals_built: 0,
                 ..Work::default()
             }
         );
@@ -538,8 +550,14 @@ fn orders_report_three_levels() {
             conn.execute(&prepared).unwrap()
         });
         assert_eq!(out.len(), 3);
-        (shape(&conn.compile(&report()).unwrap()), work)
+        // the oracle's route over the same prepared bundle: the same
+        // engine work, plus the nested value the stitcher builds
+        let prepared = conn.prepare(&report()).unwrap();
+        let (val, stitched) = measure(conn.database(), || conn.execute_val(&prepared).unwrap());
+        assert_eq!(Report::from_val(&val).unwrap(), out);
+        (shape(&conn.compile(&report()).unwrap()), (work, stitched))
     });
+    let (work, stitched) = work;
     assert_eq!(
         shape,
         Shape {
@@ -551,8 +569,8 @@ fn orders_report_three_levels() {
             distincts: 2,
         }
     );
-    // the stitcher converts none of the 11 result rows; compiling builds
-    // 2 literal rows
+    // the decoder converts none of the 11 result rows and builds no
+    // `Val`; compiling builds 2 literal rows
     assert_eq!(
         work,
         Work {
@@ -569,6 +587,25 @@ fn orders_report_three_levels() {
             rows_hashed: 26,
             engine_rows_converted: 0,
             rows_converted: 2,
+            vals_built: 0,
+            ..Work::default()
+        }
+    );
+    // a list node for the report, and per customer, order and item a
+    // tuple, its atom and its inner list or second atom: 1 + 3 × (3 + 3
+    // + 5) nodes
+    assert_eq!(
+        stitched,
+        Work {
+            queries: 3,
+            rows_out: 11,
+            nodes_evaluated: 41,
+            rows_produced: 141,
+            vec_nodes: 41,
+            kernel_batches: 18,
+            hash_builds: 8,
+            rows_hashed: 26,
+            vals_built: 34,
             ..Work::default()
         }
     );
@@ -591,7 +628,7 @@ fn one_durable_commit_of_an_order_and_four_items() {
     });
     // one fsync and 192 WAL bytes per commit, as `orders.mixed` measures;
     // the read after it converts no row (its plan was prepared before
-    // the commit, and the stitcher reads the result's columns)
+    // the commit, and the decoder reads the result's columns)
     assert_eq!(
         commit,
         Work {
@@ -615,6 +652,7 @@ fn one_durable_commit_of_an_order_and_four_items() {
             hash_builds: 8,
             rows_hashed: 34,
             rows_converted: 0,
+            vals_built: 0,
             ..Work::default()
         }
     );

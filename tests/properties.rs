@@ -131,6 +131,9 @@ fn check<T: QA + PartialEq + std::fmt::Debug>(db_rows: &[i64], q: &Q<T>) {
             Connection::new(database(db_rows))
         };
         let via_db = conn.from_q(q).expect("database run");
+        // the decoder against its oracle, `from_val` of the stitched value
+        let stitched = conn.from_q_val(q).and_then(|v| T::from_val(&v));
+        assert_eq!(stitched.as_ref(), Ok(&via_db), "optimize={optimize}");
         let oracle = conn.interpret(q).expect("interpreter run");
         assert_eq!(via_db, oracle, "optimize={optimize}");
     }
